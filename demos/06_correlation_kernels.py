@@ -29,6 +29,8 @@ print(f"  T=[0] via q-coefficient extraction: {qe:.10f}")
 
 S, info = assemble_kernel(spec, [(1, 0), (1, 2)], cfg, full_output=True)
 print(f"\nassembled 4x4 kernel skew defect: {info['defect']:.1e}")
+print(f"largest last-doubling delta (the quadrature error estimate): "
+      f"{info['max_last_delta']:.1e}")
 print(f"node counts per entry: {sorted(set(map(str, info['nodes'].values())))}")
 
 # two levels: the cross-level inner-inner entry feels the K22 sign

@@ -188,8 +188,10 @@ def main(argv=None):
                 results.append({"T": T.to_json(), "method": "kernel",
                                 "value": value,
                                 "imag_defect": info["imag_defect"],
-                                "diagnostics": {"defect": info["defect"],
-                                                "nodes": info.get("nodes", {})}})
+                                "diagnostics": {
+                                    "defect": info["defect"],
+                                    "max_last_delta": info["max_last_delta"],
+                                    "nodes": info.get("nodes", {})}})
             else:
                 if spec.m != 1:
                     raise ConfigError("q-extraction requires a single-level process")
@@ -230,8 +232,12 @@ def main(argv=None):
                       "results": [],
                       "radius_sweep": kernels.radius_sweep(
                           spec, points, cfg, oracle_kwargs={"L": cfgd["L"]})}
-    except (QuadratureError, ContourConditionError,
-            kernels.KernelAssemblyError) as exc:
+    except QuadratureError as exc:
+        prev, last = exc.estimates
+        print(f"numerical non-convergence: {exc}; last two estimates "
+              f"{complex(prev):.12g}, {complex(last):.12g}", file=sys.stderr)
+        return EXIT_NUMERICS
+    except ContourConditionError as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
     except ConfigError as exc:

@@ -15,13 +15,23 @@ level, and the powers z^{-t}:
   (|zw| < 1), same or later levels pull it inside (|zw| > 1). K21 is the
   skew partner -K12 with swapped block indices.
 
+`assemble_kernel` builds the whole matrix from four node grids: K11 on the
+k11 circle, K22 on the k22 circle, and K12 with w on the k12_w_lt circle and
+on the k12_w_gt circle. Every coupling is (z - w)/(zw - 1) times factors of
+z alone and of w alone, so a block is one matrix product G_z^T (W C W) G_w
+whose columns are the points' slot factors and powers; K21 is -K12^T. The
+node count doubles for all grids together, each entry is accepted at the
+first doubling where it converges, and a grid is no longer evaluated once
+every entry on it has converged. `kernel_entry_process` keeps the literal
+per-entry integrand on `quadrature.integrate2` as the independent check.
+
 Every convention here (signs, the strict dichotomy, the per-slot level
 assignment of the rational factors) was fixed by agreement with the
 brute-force oracle; the alternatives remain selectable so the compare and
 sweep reports can show them failing.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,10 +43,6 @@ from .symfunc import Specialization
 
 SIGN_PAPER = "paper_zw_minus_1"
 SIGN_BR = "borodin_rains_1_minus_zw"
-
-
-class KernelAssemblyError(RuntimeError):
-    """Assembled matrix is too far from skew-symmetric: bad contours."""
 
 
 @dataclass
@@ -214,11 +220,64 @@ def kernel_entry_single(which, k, l, X, Y, T, cfg=None, full_output=False):
     return (value, info) if full_output else value
 
 
+def _core(z, w):
+    """The coupling factor shared by all three blocks; the rest of each
+    block's coupling depends on z or on w alone."""
+    return (z - w) / (z * w - 1)
+
+
+def _columns(z, keys, side, factors):
+    """One column per (level, t) key: the level's slot factor times z^{-t},
+    times 1/(z^2 - 1) on an outer slot and 1/z on an inner one."""
+    rational = {lvl: _rational(z, *factors[side][lvl])
+                for lvl in {lvl for lvl, _ in keys}}
+    pre = 1 / (z * z - 1) if side == "outer" else 1 / z
+    return np.stack([rational[lvl] * z ** (-t) * pre for lvl, t in keys], axis=1)
+
+
+class _Grid:
+    """A pair of circles, the slot columns read on them and the flat indices
+    of the entries estimated there."""
+
+    def __init__(self, rz, rw, sides, sign=1.0):
+        self.radii, self.sides, self.sign = (rz, rw), sides, sign
+        self.keys = ({}, {})   # (level, t) -> column index, for z and for w
+        self.cells = ([], [])  # the z and w column of each entry
+        self.entries = []
+
+    def add(self, index, zkey, wkey):
+        self.entries.append(index)
+        for keys, key, cells in zip(self.keys, (zkey, wkey), self.cells):
+            cells.append(keys.setdefault(key, len(keys)))
+
+    def estimate(self, n, factors):
+        """This grid's entries at n nodes per circle."""
+        (zkeys, wkeys), (zside, wside) = self.keys, self.sides
+        R = quad.estimate_bilinear(
+            _core, lambda z: _columns(z, list(zkeys), zside, factors),
+            lambda w: _columns(w, list(wkeys), wside, factors),
+            quad.circle(self.radii[0], nodes=n), quad.circle(self.radii[1], nodes=n),
+            n, n)
+        return self.sign * R[self.cells]
+
+
+_BLOCKS = ("K11", "K12", "K22")
+
+
 def assemble_kernel(spec, T, cfg=None, full_output=False):
     """The 2d x 2d skew matrix over the points of T, ordered level-major with
-    listing order within a level. All entries computed independently; the
-    skew projection defect is the quadrature-consistency diagnostic and
-    aborts assembly when it exceeds 100x the quadrature tolerance."""
+    listing order within a level.
+
+    The K11, K12 and K22 entries come from four shared node grids (K11, K22
+    and K12 at each of the two inner radii) and K21 is -K12^T. All grids
+    double their node count together from cfg.start_nodes; each entry keeps
+    its estimate and node count from the first doubling at which it
+    converges to cfg.quad_tol, so the per-entry `nodes` match the per-entry
+    route. An entry not converged at cfg.max_nodes raises QuadratureError
+    naming it. full_output adds the points, the per-entry node counts, the
+    skew projection defect and `max_last_delta`, the largest last-doubling
+    delta over all entries.
+    """
     cfg = cfg or KernelConfig()
     cfg.validate()
     if not isinstance(T, PointSet):
@@ -226,23 +285,56 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
     per_level = T.by_level(spec.m)
     pts = [(lvl, t) for lvl in range(1, spec.m + 1) for t in per_level[lvl]]
     d = len(pts)
-    K = np.zeros((2 * d, 2 * d), dtype=complex)
-    nodes = {}
+    radii = _resolved_radii(spec, cfg)
+    num1, den1, num2, den2 = _slot_values(spec)
+    factors = {"outer": {lvl: (num1[lvl], den1[lvl]) for lvl in num1},
+               "inner": {lvl: (num2[lvl], den2[lvl]) for lvl in num2}}
+    sign = 1.0 if cfg.sign_convention == SIGN_PAPER else -1.0
+    k11, k22 = (_Grid(radii["k11"], radii["k11"], ("outer", "outer")),
+                _Grid(radii["k22"], radii["k22"], ("inner", "inner"), sign))
+    k12 = {lt: _Grid(radii["k11"], radii["k12_w_lt" if lt else "k12_w_gt"],
+                     ("outer", "inner")) for lt in (True, False)}
+    # flat entry (p, q, block) sits at index 3 * (d * p + q) + block
     for p, (i, ti) in enumerate(pts):
-        for q_, (j, tj) in enumerate(pts):
-            for which, (ro, co) in (("K11", (0, 0)), ("K12", (0, 1)),
-                                    ("K21", (1, 0)), ("K22", (1, 1))):
-                value, info = _kernel_entry(which, i, ti, j, tj, spec, cfg)
-                K[2 * p + ro, 2 * q_ + co] = value
-                nodes[f"{which}[{p},{q_}]"] = info["nodes"]
+        for q, (j, tj) in enumerate(pts):
+            e = 3 * (d * p + q)
+            lt = (i < j) if cfg.k12_regime == "strict" else (i <= j)
+            a, b = (i, j) if cfg.h_assignment == "slot" else (j, i)
+            k11.add(e, (i, ti), (j, tj))
+            k12[lt].add(e + 1, (a, ti), (b, tj))
+            k22.add(e + 2, (i, ti), (j, tj))
+
+    def estimate(k, live):
+        est = np.zeros(3 * d * d, dtype=complex)
+        for grid in (k11, k12[True], k12[False], k22):
+            if not live.isdisjoint(grid.entries):
+                est[grid.entries] = grid.estimate(cfg.start_nodes << k, factors)
+        return est
+
+    def failure(e, k):
+        p, q, blk = np.unravel_index(e, (d, d, 3))
+        n = cfg.start_nodes << k
+        return (f"kernel entry {_BLOCKS[blk]}[{p},{q}] did not converge "
+                f"at ({n}, {n}) nodes")
+
+    value, step, delta = quad.converge(estimate, 3 * d * d, cfg.start_nodes,
+                                       cfg.max_nodes, cfg.quad_tol, failure)
+    V = np.array(value, dtype=complex).reshape(d, d, 3)
+    K = np.zeros((2 * d, 2 * d), dtype=complex)
+    K[0::2, 0::2], K[0::2, 1::2], K[1::2, 1::2] = V[..., 0], V[..., 1], V[..., 2]
+    K[1::2, 0::2] = -V[..., 1].T
     S = SkewMatrix(K)
-    if S.defect > 100 * cfg.quad_tol:
-        raise KernelAssemblyError(
-            f"skew defect {S.defect:.3g} exceeds 100 x quad_tol; "
-            "contours are likely inadmissible")
-    if full_output:
-        return S, {"points": pts, "nodes": nodes, "defect": S.defect}
-    return S
+    if not full_output:
+        return S
+
+    def nodes_at(p, q, blk):
+        return (cfg.start_nodes << step[3 * (d * p + q) + blk],) * 2
+    nodes = {f"{which}[{p},{q}]": nodes_at(q, p, 1) if which == "K21"
+             else nodes_at(p, q, blk)
+             for p in range(d) for q in range(d)
+             for which, blk in (("K11", 0), ("K12", 1), ("K21", 1), ("K22", 2))}
+    return S, {"points": pts, "nodes": nodes, "defect": S.defect,
+               "max_last_delta": float(max(delta, default=0.0))}
 
 
 def correlation_via_kernel(spec, T, cfg=None, full_output=False):
@@ -252,11 +344,12 @@ def correlation_via_kernel(spec, T, cfg=None, full_output=False):
     if not isinstance(T, PointSet):
         T = PointSet(T)
     if not T.points:
-        return (1.0, {"imag_defect": 0.0, "defect": 0.0}) if full_output else 1.0
+        return ((1.0, {"imag_defect": 0.0, "defect": 0.0, "max_last_delta": 0.0})
+                if full_output else 1.0)
     S, info = assemble_kernel(spec, T, cfg, full_output=True)
     pf = pfaffian(S)
     out = {"imag_defect": abs(pf.imag), "defect": info["defect"],
-           "nodes": info["nodes"]}
+           "max_last_delta": info["max_last_delta"], "nodes": info["nodes"]}
     return (pf.real, out) if full_output else pf.real
 
 
@@ -430,10 +523,7 @@ def radius_sweep(spec, T, cfg=None, oracle_value=None, oracle_kwargs=None,
     rows = []
 
     def try_config(radii, note):
-        trial = KernelConfig(quad_tol=cfg.quad_tol, start_nodes=cfg.start_nodes,
-                             sign_convention=cfg.sign_convention,
-                             h_assignment=cfg.h_assignment,
-                             k12_regime=cfg.k12_regime, radii=radii)
+        trial = replace(cfg, radii=radii)
         try:
             value = correlation_via_kernel(spec, T, trial)
             delta = abs(value - oracle_value)

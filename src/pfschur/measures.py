@@ -8,8 +8,6 @@ the number of variables at levels i..m. Everything downstream (kernels,
 q-extraction, contour actions) is tested against these sums.
 """
 
-from functools import lru_cache
-
 from .partitions import contains, enumerate_up_to_weight, point_configuration
 from .symfunc import (H0, Specialization, cauchy_H, schur, skew_schur, tau)
 

@@ -8,6 +8,12 @@ written with +,*,/ and ** broadcast transparently); `integrate2` hands the
 two node sets shaped (N,1) and (1,M) so a product-form integrand evaluates
 as an outer product without building meshes by hand.
 
+One function, `converge`, runs the doubling loop for any number of
+integrals sharing a node sequence, accepting each at its own first
+converged doubling; `integrate`, `integrate2` and `integrate_n` are
+single-integral wrappers over it, and `estimate_bilinear` gives a whole
+matrix of double integrals at one node count.
+
 All integrals are normalized by 1/(2*pi*i): `integrate(f, c)` approximates
 (1/(2*pi*i)) oint_c f(z) dz.
 """
@@ -93,6 +99,49 @@ def _converged(new, old, tol):
     return abs(new - old) < tol * max(1.0, abs(new))
 
 
+def converge(estimate, size, n, max_nodes, tol, failure):
+    """The node-doubling loop behind every integral in the package.
+
+    `size` integrals share one node sequence: n nodes per circle, doubled
+    while the count stays within max_nodes. estimate(k, live) returns the
+    `size` estimates at n * 2**k nodes; only the entries whose indices are
+    in the set `live` are read, so an estimator may skip work that serves no
+    live entry. Each entry is accepted at the first doubling where it passes
+    `_converged` against its own previous estimate, and then leaves `live`.
+    Returns lists of the accepted estimates, the doubling k at which each
+    was accepted, and its last-doubling delta. If an entry is still live at
+    the cap, QuadratureError carries failure(index, k) as its message and
+    the last two estimates of the first such entry.
+    """
+    value, step, delta = [0j] * size, [0] * size, [0.0] * size
+    live = set(range(size))
+    prev = old = estimate(0, live)
+    k = 0
+    while live and n << (k + 1) <= max_nodes:
+        k += 1
+        new = estimate(k, live)
+        for i in sorted(live):
+            if _converged(new[i], old[i], tol):
+                value[i], step[i], delta[i] = new[i], k, abs(new[i] - old[i])
+                live.remove(i)
+        old, prev = new, old
+    if live:
+        i = min(live)
+        raise QuadratureError(failure(i, k), (prev[i], old[i]))
+    return value, step, delta
+
+
+def _single(estimate, n, max_nodes, tol, full_output, what, nodes):
+    """One integral through `converge`; nodes(k) is the node count reported
+    for acceptance at doubling k."""
+    value, step, delta = converge(
+        lambda k, live: [estimate(k)], 1, n, max_nodes, tol,
+        lambda i, k: f"{what} did not converge at {max_nodes} nodes/circle")
+    if full_output:
+        return value[0], {"nodes": nodes(step[0]), "last_delta": delta[0]}
+    return value[0]
+
+
 def integrate(f, contour, tol=1e-9, max_nodes=MAX_NODES, full_output=False):
     """(1/2pi i) oint f(z) dz over a union of oriented circles.
 
@@ -100,18 +149,8 @@ def integrate(f, contour, tol=1e-9, max_nodes=MAX_NODES, full_output=False):
     less than tol (relative when the magnitude exceeds 1, absolute below).
     """
     n = contour.nodes
-    prev = old = _estimate1(f, contour, n)
-    while 2 * n <= max_nodes:
-        n *= 2
-        new = _estimate1(f, contour, n)
-        if _converged(new, old, tol):
-            if full_output:
-                return new, {"nodes": n, "last_delta": abs(new - old)}
-            return new
-        old, prev = new, old
-    raise QuadratureError(
-        f"contour integral did not converge at {max_nodes} nodes/circle",
-        (prev, old))
+    return _single(lambda k: _estimate1(f, contour, n << k), n, max_nodes,
+                   tol, full_output, "contour integral", lambda k: n << k)
 
 
 def _estimate2(f, c1, c2, n1, n2):
@@ -129,6 +168,30 @@ def _estimate2(f, c1, c2, n1, n2):
     return total
 
 
+def estimate_bilinear(core, gz, gw, c1, c2, n1, n2):
+    """Tensor-product trapezoid estimates of a whole matrix of double
+    integrals at one node count.
+
+    Entry (p, q) estimates (1/2pi i)^2 oint oint gz(z)[p] core(z, w) gw(w)[q]
+    dz dw: gz and gw map a node vector to a (nodes, columns) matrix, core
+    receives node arrays shaped (N,1) and (1,M). The sum is G_z^T (W C W) G_w,
+    with the core grid evaluated in row blocks of about _CHUNK elements.
+    """
+    total = 0j
+    for ca in c1.circles:
+        z, wz = _nodes_weights(ca, n1)
+        Gz = gz(z) * wz.reshape(-1, 1)
+        for cb in c2.circles:
+            w, ww = _nodes_weights(cb, n2)
+            Gw = gw(w) * ww.reshape(-1, 1)
+            rows = max(1, _CHUNK // max(1, n2))
+            for start in range(0, n1, rows):
+                zc = z[start:start + rows].reshape(-1, 1)
+                total = total + Gz[start:start + rows].T @ (
+                    core(zc, w.reshape(1, -1)) @ Gw)
+    return total
+
+
 def integrate2(f, c1, c2, tol=1e-9, max_nodes=MAX_NODES_2D, full_output=False):
     """(1/2pi i)^2 double contour integral, tensor-product trapezoid rule.
 
@@ -136,18 +199,9 @@ def integrate2(f, c1, c2, tol=1e-9, max_nodes=MAX_NODES_2D, full_output=False):
     value grid. Both node counts double jointly under one convergence test.
     """
     n1, n2 = c1.nodes, c2.nodes
-    prev = old = _estimate2(f, c1, c2, n1, n2)
-    while 2 * max(n1, n2) <= max_nodes:
-        n1, n2 = 2 * n1, 2 * n2
-        new = _estimate2(f, c1, c2, n1, n2)
-        if _converged(new, old, tol):
-            if full_output:
-                return new, {"nodes": (n1, n2), "last_delta": abs(new - old)}
-            return new
-        old, prev = new, old
-    raise QuadratureError(
-        f"double contour integral did not converge at {max_nodes} nodes/circle",
-        (prev, old))
+    return _single(lambda k: _estimate2(f, c1, c2, n1 << k, n2 << k),
+                   max(n1, n2), max_nodes, tol, full_output,
+                   "double contour integral", lambda k: (n1 << k, n2 << k))
 
 
 def integrate_n(f, contours, tol=1e-9, max_nodes=2 ** 10, full_output=False):
@@ -177,18 +231,8 @@ def integrate_n(f, contours, tol=1e-9, max_nodes=2 ** 10, full_output=False):
         return rec(0, [], 1.0 + 0j)
 
     n = max(c.nodes for c in contours)
-    prev = old = estimate(n)
-    while 2 * n <= max_nodes:
-        n *= 2
-        new = estimate(n)
-        if _converged(new, old, tol):
-            if full_output:
-                return new, {"nodes": n, "last_delta": abs(new - old)}
-            return new
-        old, prev = new, old
-    raise QuadratureError(
-        f"{d}-fold contour integral did not converge at {max_nodes} nodes/circle",
-        (prev, old))
+    return _single(lambda k: estimate(n << k), n, max_nodes, tol, full_output,
+                   f"{d}-fold contour integral", lambda k: n << k)
 
 
 def contour_to_dict(contour):

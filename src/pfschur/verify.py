@@ -6,7 +6,7 @@ assert on them. Randomness is driven by an explicit seed for reproducible
 reports.
 """
 
-import time
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -268,12 +268,9 @@ def compare_methods(spec, T, cfg, L=30, methods=("oracle", "kernel"),
                                "imag_defect": info["imag_defect"],
                                "delta_vs_oracle": abs(val - oracle)})
     if adjudicate_sign and "kernel" in methods:
-        flipped = kernels.KernelConfig(
-            quad_tol=cfg.quad_tol, start_nodes=cfg.start_nodes,
-            sign_convention=(kernels.SIGN_BR
-                             if cfg.sign_convention == kernels.SIGN_PAPER
-                             else kernels.SIGN_PAPER),
-            radii=cfg.radii)
+        flipped = replace(cfg, sign_convention=(
+            kernels.SIGN_BR if cfg.sign_convention == kernels.SIGN_PAPER
+            else kernels.SIGN_PAPER))
         val_flip = kernels.correlation_via_kernel(spec, T, flipped)
         out["sign_adjudication"] = {
             "convention": cfg.sign_convention,
@@ -299,18 +296,3 @@ def battery_quadrature(tol=1e-12):
     val = quadrature._estimate1(lambda z: 1 / (z - 0.5), c, 64)
     rows.append(_row("64-node pole accuracy", abs(val - 1.0), 1e-12))
     return rows
-
-
-def run_all(seed=0):
-    t0 = time.time()
-    report = {
-        "symfunc": battery_symfunc(seed),
-        "quadrature": battery_quadrature(),
-        "pfaffian": battery_pfaffian(seed),
-        "eigenrelation": battery_eigenrelation(seed),
-        "contour_action": battery_contour_action(seed),
-        "iterated_actions": battery_iterated_actions(seed),
-        "partition_function": battery_partition_function(),
-    }
-    report["elapsed_s"] = time.time() - t0
-    return report

@@ -118,6 +118,19 @@ def test_nonconvergence_exits_2(tmp_path, capsys):
     assert "non-convergence" in capsys.readouterr().err
 
 
+def test_nonconvergence_names_the_entry(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "process": {"rho_plus": [[0.4], [0.3]], "rho_minus": [[0.35], [0.25]]},
+        "points": [[1, 0], [2, 0]],
+        "kernel": {"max_nodes": 128}}))
+    code = run_cli(["correlate", "--config", str(cfg), "--method", "kernel"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "K12[0,1]" in err and "(128, 128) nodes" in err
+    assert "last two estimates" in err
+
+
 def test_golden_report_regression(tmp_path):
     golden = json.loads(
         (Path(__file__).parent / "goldens" / "m1_singleton_kernel.json").read_text())

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from pfschur import kernels
 from pfschur.kernels import (SIGN_BR, SIGN_PAPER, KernelConfig,
                              assemble_kernel, correlation_via_kernel,
                              correlation_via_q_extraction, default_radii,
@@ -9,6 +12,7 @@ from pfschur.kernels import (SIGN_BR, SIGN_PAPER, KernelConfig,
                              verify_principal_pfaffian_factorization)
 from pfschur.measures import PointSet, ProcessSpec, correlation_oracle
 from pfschur.pfaffian import pfaffian
+from pfschur.quadrature import QuadratureError
 from pfschur.symfunc import Specialization
 
 X2 = Specialization([0.5, 0.25])
@@ -77,6 +81,19 @@ def test_assemble_structure_d1():
     assert K[0, 0] == 0 and K[1, 1] == 0
     assert K[0, 1] == -K[1, 0]
     assert info["defect"] < 10 * CFG.quad_tol
+    assert 0 < info["max_last_delta"] < CFG.quad_tol * max(1, abs(K[0, 1]))
+
+
+def test_assemble_names_the_entry_that_failed_to_converge():
+    T = PointSet([(1, 0), (2, 0)])
+    with pytest.raises(QuadratureError) as exc:
+        assemble_kernel(SPEC_M2, T, KernelConfig(max_nodes=128))
+    assert "K12[0,1]" in str(exc.value) and "(128, 128)" in str(exc.value)
+    with pytest.raises(QuadratureError) as ref:
+        kernel_entry_process("K12", 1, 1, 2, 1, SPEC_M2, T,
+                             KernelConfig(max_nodes=128))
+    assert np.allclose(exc.value.estimates, ref.value.estimates,
+                       rtol=1e-12, atol=1e-12)
 
 
 def test_assemble_permutation_invariance():
@@ -210,3 +227,20 @@ def test_radius_sweep_reports_inadmissible_reading():
     assert any(r["pass"] for r in out["rows"])
     bad = [r for r in out["rows"] if "encloses" in r["note"]]
     assert bad and not bad[0]["pass"]
+
+
+def test_radius_sweep_trials_keep_every_other_field(monkeypatch):
+    seen = []
+
+    def record(spec, T, cfg, full_output=False):
+        seen.append(cfg)
+        return 0.0
+    monkeypatch.setattr(kernels, "correlation_via_kernel", record)
+    cfg = KernelConfig(quad_tol=1e-7, start_nodes=32, max_nodes=2 ** 10,
+                       sign_convention=SIGN_BR, h_assignment="display",
+                       k12_regime="literal")
+    radius_sweep(SPEC_M1, [(1, 0)], cfg, oracle_value=0.0, samples=2)
+    assert len(seen) == 3
+    for trial in seen:
+        assert trial.max_nodes == 2 ** 10
+        assert trial == replace(cfg, radii=trial.radii)

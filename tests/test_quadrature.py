@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from pfschur import quadrature
 from pfschur.quadrature import (Circle, ContourSpec, QuadratureError, circle,
                                 circles_around, contour_from_dict,
-                                contour_to_dict, integrate, integrate2,
-                                integrate_n, _estimate1)
+                                contour_to_dict, estimate_bilinear, integrate,
+                                integrate2, integrate_n, _estimate1, _estimate2)
 
 
 def test_residue_examples():
@@ -73,6 +74,26 @@ def test_nonconvergence_raises_with_estimates():
     with pytest.raises(QuadratureError) as exc:
         integrate(lambda z: 1 / (z - 1.0001), c, tol=1e-13, max_nodes=64)
     assert len(exc.value.estimates) == 2
+
+
+def test_estimate_bilinear_is_entrywise_estimate2_in_row_chunks(monkeypatch):
+    sizes = []
+
+    def core(z, w):
+        sizes.append(z.size * w.size)
+        return (z - w) / (z * w - 4)
+    zcols, wcols = (-1, -2), (-1, -3, 0)
+    gz = lambda z: np.stack([z ** k for k in zcols], axis=1)
+    gw = lambda w: np.stack([w ** k / (w - 0.3) for k in wcols], axis=1)
+    c1, c2 = circle(1.2), circle(0.6)
+    monkeypatch.setattr(quadrature, "_CHUNK", 2 ** 9)
+    block = estimate_bilinear(core, gz, gw, c1, c2, 64, 64)
+    assert len(sizes) == 8 and max(sizes) <= 2 ** 9
+    for p, a in enumerate(zcols):
+        for q, b in enumerate(wcols):
+            entry = _estimate2(lambda z, w: core(z, w) * z ** a * w ** b / (w - 0.3),
+                               c1, c2, 64, 64)
+            assert abs(block[p, q] - entry) < 1e-14
 
 
 def test_contour_validation():

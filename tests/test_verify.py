@@ -1,0 +1,22 @@
+from dataclasses import replace
+
+from pfschur import kernels, verify
+from pfschur.kernels import SIGN_BR, SIGN_PAPER, KernelConfig
+from pfschur.measures import PointSet, ProcessSpec
+
+
+def test_sign_adjudication_flips_only_the_sign(monkeypatch):
+    seen = []
+
+    def record(spec, T, cfg, full_output=False):
+        seen.append(cfg)
+        return (0.0, {"imag_defect": 0.0}) if full_output else 0.0
+    monkeypatch.setattr(kernels, "correlation_via_kernel", record)
+    spec = ProcessSpec([[0.4], [0.3]], [[0.35], [0.25]])
+    cfg = KernelConfig(quad_tol=1e-7, start_nodes=32, max_nodes=2 ** 10,
+                       h_assignment="display", k12_regime="literal",
+                       radii={"k22": 0.7})
+    out = verify.compare_methods(spec, PointSet([(1, 0), (2, 0)]), cfg, L=6)
+    assert seen == [cfg, replace(cfg, sign_convention=SIGN_BR)]
+    assert out["sign_adjudication"]["flipped_convention"] == SIGN_BR
+    assert cfg.sign_convention == SIGN_PAPER
