@@ -37,7 +37,24 @@ def _load_config(path, overrides):
             f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from exc
 
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: the top level must be a JSON object")
     problems = []
+
+    def section(name):
+        value = raw.get(name, {})
+        if isinstance(value, dict):
+            return value
+        problems.append(f"{name}: must be a JSON object")
+        return {}
+
+    def number(kind, name, value, default):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            problems.append(f"{name}: {value!r} is not a number")
+            return default
+
     spec = points = None
     try:
         spec = measures.ProcessSpec.from_json(raw.get("process", {}))
@@ -50,29 +67,41 @@ def _load_config(path, overrides):
     except (TypeError, ValueError) as exc:
         problems.append(f"points: {exc}")
 
-    L = int(overrides.truncation if overrides.truncation is not None
-            else raw.get("truncation_weight", 30))
+    L = number(int, "truncation_weight",
+               overrides.truncation if overrides.truncation is not None
+               else raw.get("truncation_weight", 30), 30)
     if L < 0:
         problems.append("truncation_weight: must be nonnegative")
 
-    qcfg = raw.get("quadrature", {})
-    tol = float(overrides.tol if overrides.tol is not None
-                else qcfg.get("tol", 1e-8))
-    start_nodes = int(qcfg.get("start_nodes", 64))
+    qcfg = section("quadrature")
+    tol = number(float, "quadrature.tol", overrides.tol if overrides.tol is not None
+                 else qcfg.get("tol", 1e-8), 1e-8)
+    start_nodes = number(int, "quadrature.start_nodes",
+                         qcfg.get("start_nodes", 64), 64)
 
-    kcfg_raw = dict(raw.get("kernel", {}))
+    kcfg_raw = section("kernel")
     sign = kcfg_raw.get("sign_convention", kernels.SIGN_PAPER)
     if overrides.sign_convention:
         sign = {"paper": kernels.SIGN_PAPER, "br": kernels.SIGN_BR}[
             overrides.sign_convention]
+    radii = kcfg_raw.get("radii", {})
+    if isinstance(radii, dict):
+        radii = {key: number(float, f"kernel.radii.{key}", r, None)
+                 for key, r in radii.items()}
+        radii = {key: r for key, r in radii.items() if r is not None}
+    else:
+        problems.append("kernel.radii: must be a JSON object")
+        radii = {}
     cfg = kernels.KernelConfig(
-        quad_tol=float(kcfg_raw.get("quad_tol", tol)),
+        quad_tol=number(float, "kernel.quad_tol", kcfg_raw.get("quad_tol", tol), tol),
         start_nodes=start_nodes,
-        max_nodes=int(kcfg_raw.get("max_nodes", kernels.KernelConfig.max_nodes)),
+        max_nodes=number(int, "kernel.max_nodes",
+                         kcfg_raw.get("max_nodes", kernels.KernelConfig.max_nodes),
+                         kernels.KernelConfig.max_nodes),
         sign_convention=sign,
         h_assignment=kcfg_raw.get("h_assignment", "slot"),
         k12_regime=kcfg_raw.get("k12_regime", "strict"),
-        radii=kcfg_raw.get("radii", {}))
+        radii=radii)
     try:
         cfg.validate()
         if spec is not None:
@@ -80,8 +109,8 @@ def _load_config(path, overrides):
     except ValueError as exc:
         problems.append(f"kernel: {exc}")
 
-    seed = int(overrides.seed if overrides.seed is not None
-               else raw.get("seed", 0))
+    seed = number(int, "seed", overrides.seed if overrides.seed is not None
+                  else raw.get("seed", 0), 0)
 
     if problems:
         raise ConfigError("; ".join(problems))

@@ -18,12 +18,16 @@ level, and the powers z^{-t}:
 `assemble_kernel` builds the whole matrix from four node grids: K11 on the
 k11 circle, K22 on the k22 circle, and K12 with w on the k12_w_lt circle and
 on the k12_w_gt circle. Every coupling is (z - w)/(zw - 1) times factors of
-z alone and of w alone, so a block is one matrix product G_z^T (W C W) G_w
-whose columns are the points' slot factors and powers; K21 is -K12^T. The
-node count doubles for all grids together, each entry is accepted at the
-first doubling where it converges, and a grid is no longer evaluated once
-every entry on it has converged. `kernel_entry_process` keeps the literal
-per-entry integrand on `quadrature.integrate2` as the independent check.
+z alone and of w alone, so a block is the bilinear form G_z^T (W C W) G_w
+whose columns are the points' slot factors and powers; K21 is -K12^T. On
+trapezoid nodes of origin-centered circles the core C is a rank-one term
+plus a Hankel matrix, so each block is summed by FFT in O(n log n) per
+column, with no n x n array (`_coupled_block`; the dense `_core` is its
+tested reference). The node count doubles for all grids together, each
+entry is accepted at the first doubling where it converges, and a grid is
+no longer evaluated once every entry on it has converged.
+`kernel_entry_process` keeps the literal per-entry integrand on
+`quadrature.integrate2` as the independent check.
 
 Every convention here (signs, the strict dichotomy, the per-slot level
 assignment of the rational factors) was fixed by agreement with the
@@ -31,6 +35,7 @@ brute-force oracle; the alternatives remain selectable so the compare and
 sweep reports can show them failing.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -62,8 +67,13 @@ class KernelConfig:
             raise ValueError(f"unknown h_assignment {self.h_assignment!r}")
         if self.k12_regime not in ("strict", "literal"):
             raise ValueError(f"unknown k12_regime {self.k12_regime!r}")
-        if self.quad_tol <= 0:
-            raise ValueError("quad_tol must be positive")
+        if not 0 < self.quad_tol < math.inf:
+            raise ValueError("quad_tol must be positive and finite")
+        n = self.start_nodes
+        if n < 8 or n & (n - 1):
+            raise ValueError("start_nodes must be a power of two >= 8")
+        if self.max_nodes < 2 * n:
+            raise ValueError("max_nodes must allow one doubling of start_nodes")
 
 
 def default_radii(spec):
@@ -75,6 +85,8 @@ def default_radii(spec):
     """
     mx_plus = spec.max_abs_plus()
     mx_all = spec.max_abs()
+    if mx_plus == 0:
+        raise ValueError("the kernel radii need at least one rho^+ value")
     if mx_plus >= 1:
         raise ValueError("specialization values must lie below 1")
     r11 = (1 + 1 / mx_plus) / 2
@@ -88,6 +100,9 @@ def default_radii(spec):
 
 def _resolved_radii(spec, cfg):
     radii = default_radii(spec)
+    unknown = sorted(set(cfg.radii or {}) - set(radii))
+    if unknown:
+        raise ValueError(f"unknown kernel radii {unknown}")
     radii.update(cfg.radii or {})
     mx_plus = spec.max_abs_plus()
     r11 = radii["k11"]
@@ -222,7 +237,8 @@ def kernel_entry_single(which, k, l, X, Y, T, cfg=None, full_output=False):
 
 def _core(z, w):
     """The coupling factor shared by all three blocks; the rest of each
-    block's coupling depends on z or on w alone."""
+    block's coupling depends on z or on w alone. `_Grid.estimate` sums it in
+    FFT form; this dense form is the reference that form is tested against."""
     return (z - w) / (z * w - 1)
 
 
@@ -235,9 +251,28 @@ def _columns(z, keys, side, factors):
     return np.stack([rational[lvl] * z ** (-t) * pre for lvl, t in keys], axis=1)
 
 
+def _coupled_block(A, B, z, w):
+    """sum_ab A[a, p] _core(z_a, w_b) B[b, q] on n trapezoid nodes of two
+    origin-centered circles, without the n x n grid of the core.
+
+    The core is -1/z + (z - 1/z) / (zw - 1), and on the nodes
+    z_a = r_z omega^a, w_b = r_w omega^b (omega = exp(2 pi i/n)) the second
+    denominator depends only on (a + b) mod n:
+    h[j] = 1/(r_z r_w omega^j - 1) = 1/(z_j w_0 - 1). The Hankel sum over
+    a + b is a convolution, so with h^ = fft(h) the block is
+    n ifft(A (z - 1/z))^T diag(h^) ifft(B) plus the rank-one term of -1/z:
+    O(n log n) per column (Trefethen & Weideman, SIAM Rev. 56, 2014).
+    """
+    n = len(z)
+    h_hat = np.fft.fft(1 / (z * w[0] - 1))
+    Ah = np.fft.ifft(A * (z - 1 / z)[:, None], axis=0) * h_hat[:, None]
+    return (n * Ah.T @ np.fft.ifft(B, axis=0)
+            - np.outer((1 / z) @ A, B.sum(axis=0)))
+
+
 class _Grid:
-    """A pair of circles, the slot columns read on them and the flat indices
-    of the entries estimated there."""
+    """A pair of origin-centered circles, the slot columns read on them and
+    the flat indices of the entries estimated there."""
 
     def __init__(self, rz, rw, sides, sign=1.0):
         self.radii, self.sides, self.sign = (rz, rw), sides, sign
@@ -251,17 +286,42 @@ class _Grid:
             cells.append(keys.setdefault(key, len(keys)))
 
     def estimate(self, n, factors):
-        """This grid's entries at n nodes per circle."""
+        """This grid's entries at n nodes per circle: the weighted slot
+        columns of each side, coupled by `_coupled_block`."""
+        (z, wz), (w, ww) = (quad.nodes_weights(quad.Circle(0j, r), n)
+                            for r in self.radii)
         (zkeys, wkeys), (zside, wside) = self.keys, self.sides
-        R = quad.estimate_bilinear(
-            _core, lambda z: _columns(z, list(zkeys), zside, factors),
-            lambda w: _columns(w, list(wkeys), wside, factors),
-            quad.circle(self.radii[0], nodes=n), quad.circle(self.radii[1], nodes=n),
-            n, n)
-        return self.sign * R[self.cells]
+        A = _columns(z, list(zkeys), zside, factors) * wz[:, None]
+        B = _columns(w, list(wkeys), wside, factors) * ww[:, None]
+        return self.sign * _coupled_block(A, B, z, w)[self.cells]
 
 
 _BLOCKS = ("K11", "K12", "K22")
+
+
+def _grids(spec, pts, cfg):
+    """The four node grids of an assembly over the points pts (K11, K12 at
+    |zw| < 1, K12 at |zw| > 1, K22) and the slot factors their columns read.
+    Entry (p, q, block) has the flat index 3 * (d * p + q) + block."""
+    d = len(pts)
+    radii = _resolved_radii(spec, cfg)
+    num1, den1, num2, den2 = _slot_values(spec)
+    factors = {"outer": {lvl: (num1[lvl], den1[lvl]) for lvl in num1},
+               "inner": {lvl: (num2[lvl], den2[lvl]) for lvl in num2}}
+    sign = 1.0 if cfg.sign_convention == SIGN_PAPER else -1.0
+    k11, k22 = (_Grid(radii["k11"], radii["k11"], ("outer", "outer")),
+                _Grid(radii["k22"], radii["k22"], ("inner", "inner"), sign))
+    k12 = {lt: _Grid(radii["k11"], radii["k12_w_lt" if lt else "k12_w_gt"],
+                     ("outer", "inner")) for lt in (True, False)}
+    for p, (i, ti) in enumerate(pts):
+        for q, (j, tj) in enumerate(pts):
+            e = 3 * (d * p + q)
+            lt = (i < j) if cfg.k12_regime == "strict" else (i <= j)
+            a, b = (i, j) if cfg.h_assignment == "slot" else (j, i)
+            k11.add(e, (i, ti), (j, tj))
+            k12[lt].add(e + 1, (a, ti), (b, tj))
+            k22.add(e + 2, (i, ti), (j, tj))
+    return (k11, k12[True], k12[False], k22), factors
 
 
 def assemble_kernel(spec, T, cfg=None, full_output=False):
@@ -285,28 +345,11 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
     per_level = T.by_level(spec.m)
     pts = [(lvl, t) for lvl in range(1, spec.m + 1) for t in per_level[lvl]]
     d = len(pts)
-    radii = _resolved_radii(spec, cfg)
-    num1, den1, num2, den2 = _slot_values(spec)
-    factors = {"outer": {lvl: (num1[lvl], den1[lvl]) for lvl in num1},
-               "inner": {lvl: (num2[lvl], den2[lvl]) for lvl in num2}}
-    sign = 1.0 if cfg.sign_convention == SIGN_PAPER else -1.0
-    k11, k22 = (_Grid(radii["k11"], radii["k11"], ("outer", "outer")),
-                _Grid(radii["k22"], radii["k22"], ("inner", "inner"), sign))
-    k12 = {lt: _Grid(radii["k11"], radii["k12_w_lt" if lt else "k12_w_gt"],
-                     ("outer", "inner")) for lt in (True, False)}
-    # flat entry (p, q, block) sits at index 3 * (d * p + q) + block
-    for p, (i, ti) in enumerate(pts):
-        for q, (j, tj) in enumerate(pts):
-            e = 3 * (d * p + q)
-            lt = (i < j) if cfg.k12_regime == "strict" else (i <= j)
-            a, b = (i, j) if cfg.h_assignment == "slot" else (j, i)
-            k11.add(e, (i, ti), (j, tj))
-            k12[lt].add(e + 1, (a, ti), (b, tj))
-            k22.add(e + 2, (i, ti), (j, tj))
+    grids, factors = _grids(spec, pts, cfg)
 
     def estimate(k, live):
         est = np.zeros(3 * d * d, dtype=complex)
-        for grid in (k11, k12[True], k12[False], k22):
+        for grid in grids:
             if not live.isdisjoint(grid.entries):
                 est[grid.entries] = grid.estimate(cfg.start_nodes << k, factors)
         return est
@@ -507,6 +550,16 @@ def verify_principal_pfaffian_factorization(qs, zs):
     return abs(pf - prod) / (abs(prod) + 1.0)
 
 
+def _inadmissible_radii(spec):
+    """The Open Question configuration: a k11 circle enclosing the 1/x poles
+    of the rho^+ values."""
+    r_bad = 1.15 / min(abs(v) for s in spec.rho_plus for v in s.values)
+    return {"k11": r_bad,
+            "k12_w_lt": 1 / (2 * r_bad),
+            "k12_w_gt": (1 / r_bad + 1 / spec.max_abs_plus()) / 2,
+            "k22": default_radii(spec)["k22"]}
+
+
 def radius_sweep(spec, T, cfg=None, oracle_value=None, oracle_kwargs=None,
                  samples=3):
     """Scan kernel radius configurations (including a deliberately
@@ -533,7 +586,6 @@ def radius_sweep(spec, T, cfg=None, oracle_value=None, oracle_kwargs=None,
             rows.append({"radii": radii, "note": note, "error": str(exc),
                          "pass": False})
 
-    base = default_radii(spec)
     for fr in np.linspace(0.25, 0.75, samples):
         r11 = 1 + fr * (1 / mx_plus - 1)
         radii = {"k11": r11,
@@ -541,12 +593,6 @@ def radius_sweep(spec, T, cfg=None, oracle_value=None, oracle_kwargs=None,
                  "k12_w_gt": (1 / r11 + 1 / mx_all) / 2,
                  "k22": mx_all + fr * (1 - mx_all)}
         try_config(radii, f"admissible fraction {fr:.2f}")
-    # the Open Question configuration: k11 enclosing the 1/x poles
-    r_bad = 1.15 / min(abs(v) for v in
-                       [w for s in spec.rho_plus for w in s.values])
-    bad = {"k11": r_bad,
-           "k12_w_lt": 1 / (2 * r_bad),
-           "k12_w_gt": (1 / r_bad + 1 / mx_plus) / 2,
-           "k22": base["k22"]}
-    try_config(bad, "k11 encloses 1/x poles (inadmissible reading)")
+    try_config(_inadmissible_radii(spec),
+               "k11 encloses 1/x poles (inadmissible reading)")
     return {"oracle": oracle_value, "rows": rows}

@@ -13,6 +13,12 @@ contour routes need care with which poles a contour encloses:
   bare x-circle contour is kept as ``contour_mode="stated"`` because its
   q-power coefficients are still exactly the correlation quantities (both
   facts are pinned down in the test suite).
+
+Each contour integrand is written once, as a product of a one-variable
+factor per integration variable and a pairwise factor per pair. A double
+integral (r = 2, d = 2) runs on `quadrature.integrate_bilinear` with the
+pairwise factor as the core and the one-variable factors as the columns;
+more variables multiply the same factors on `quadrature.integrate_n`.
 """
 
 import math
@@ -153,27 +159,25 @@ def apply_via_contour(G, xs, r, q, radius=None, tol=1e-9, nodes=64,
             v = v * (q * z - x) * f(q * z * x) / ((z - x) * f(z * x))
         return v * f(z * z) / f(q * z * z) * g(q * z) / (g(z) * z)
 
+    def pair(za, zb):
+        return ((za - zb) * (zb - za) * f(q * q * za * zb) * f(za * zb)
+                / ((q * za - zb) * (q * zb - za) * f(q * za * zb) ** 2))
+
     if r == 1:
         integral, info = quad.integrate(one_var, contour, tol=tol, full_output=True)
+    elif r == 2:
+        integral, info = quad.integrate_bilinear(pair, one_var, one_var, contour,
+                                                 contour, tol=tol, full_output=True)
     else:
         def integrand(*zs):
             v = 1.0
             for a in range(r):
-                for b in range(r):
-                    if a != b:
-                        v = v * (zs[a] - zs[b]) / ((q * zs[a] - zs[b]) * f(q * zs[a] * zs[b]))
-            for a in range(r):
+                v = v * one_var(zs[a])
                 for b in range(a + 1, r):
-                    v = v * f(q * q * zs[a] * zs[b]) * f(zs[a] * zs[b])
-            for z in zs:
-                v = v * one_var(z)
+                    v = v * pair(zs[a], zs[b])
             return v
-        if r == 2:
-            integral, info = quad.integrate2(integrand, contour, contour,
-                                             tol=tol, full_output=True)
-        else:
-            integral, info = quad.integrate_n(integrand, [contour] * r,
-                                              tol=tol, full_output=True)
+        integral, info = quad.integrate_n(integrand, [contour] * r,
+                                          tol=tol, full_output=True)
 
     pref = q ** (r * (r - 1) // 2) / (math.factorial(r) * (q - 1) ** r)
     value = G.value(xs) * pref * integral
@@ -320,29 +324,39 @@ def _validate_disks(qs, centers, radii):
                             "an earlier-variable pole reaches a later variable")
 
 
+def _one_row(z, q, xs, ys, with_boundary):
+    """The factor of one integration variable z, the one shifted by q;
+    with_boundary adds the factors of the free-boundary partition function."""
+    v = 1 / ((q - 1.0) * z)
+    for x in xs:
+        v = v * (q * z - x) / (z - x)
+    for y in ys:
+        v = v * (1 - z * y) / (1 - q * z * y)
+    if with_boundary:
+        for x in xs:
+            v = v * (1 - z * x) / (1 - q * z * x)
+        v = v * (1 - q * z * z) / (1 - z * z)
+    return v
+
+
+def _one_row_pair(zj, zk, qj, qk, with_boundary):
+    """The factor of an earlier variable zj (shift qj) and a later zk (qk)."""
+    v = (qj * zj - qk * zk) * (zj - zk) / ((zj - qk * zk) * (qj * zj - zk))
+    if with_boundary:
+        v = v * (1 - qk * zk * zj) * (1 - qj * zj * zk) \
+            / ((1 - qj * qk * zj * zk) * (1 - zj * zk))
+    return v
+
+
 def _iterated_integrand(zs, qs, xs, ys, with_boundary):
-    """Integrand of the d-fold action; with_boundary toggles the extra
-    factors of the free-boundary partition function."""
+    """Integrand of the d-fold action: the one-variable factors times the
+    pairwise factors."""
     d = len(zs)
     v = 1.0
     for j in range(d):
-        zj, qj = zs[j], qs[j]
-        v = v / ((qj - 1.0) * zj)
-        for x in xs:
-            v = v * (qj * zj - x) / (zj - x)
-        for y in ys:
-            v = v * (1 - zj * y) / (1 - qj * zj * y)
-        if with_boundary:
-            for x in xs:
-                v = v * (1 - zj * x) / (1 - qj * zj * x)
-            v = v * (1 - qj * zj * zj) / (1 - zj * zj)
-    for j in range(d):
+        v = v * _one_row(zs[j], qs[j], xs, ys, with_boundary)
         for k in range(j + 1, d):
-            zj, zk, qj, qk = zs[j], zs[k], qs[j], qs[k]
-            v = v * (qj * zj - qk * zk) * (zj - zk) / ((zj - qk * zk) * (qj * zj - zk))
-            if with_boundary:
-                v = v * (1 - qk * zk * zj) * (1 - qj * zj * zk) \
-                    / ((1 - qj * qk * zj * zk) * (1 - zj * zk))
+            v = v * _one_row_pair(zs[j], zs[k], qs[j], qs[k], with_boundary)
     return v
 
 
@@ -374,13 +388,17 @@ def _iterated_action(qs, X, Y, with_boundary, radii, tol, nodes, contour_mode):
 
     contours = [quad.circles_around(centers[j], radii[j], nodes=nodes)
                 for j in range(d)]
-    f = lambda *zs: _iterated_integrand(list(zs), qs, xs, ys, with_boundary)
+    one = [lambda z, q=q: _one_row(z, q, xs, ys, with_boundary) for q in qs]
     if d == 1:
-        integral = quad.integrate(f, contours[0], tol=tol)
+        integral = quad.integrate(one[0], contours[0], tol=tol)
     elif d == 2:
-        integral = quad.integrate2(f, contours[0], contours[1], tol=tol)
+        integral = quad.integrate_bilinear(
+            lambda z1, z2: _one_row_pair(z1, z2, qs[0], qs[1], with_boundary),
+            one[0], one[1], contours[0], contours[1], tol=tol)
     else:
-        integral = quad.integrate_n(f, contours, tol=tol)
+        integral = quad.integrate_n(
+            lambda *zs: _iterated_integrand(zs, qs, xs, ys, with_boundary),
+            contours, tol=tol)
     base = z_partition(xs, ys) if with_boundary else f_partition(xs, ys)
     return base * integral
 

@@ -10,9 +10,10 @@ as an outer product without building meshes by hand.
 
 One function, `converge`, runs the doubling loop for any number of
 integrals sharing a node sequence, accepting each at its own first
-converged doubling; `integrate`, `integrate2` and `integrate_n` are
-single-integral wrappers over it, and `estimate_bilinear` gives a whole
-matrix of double integrals at one node count.
+converged doubling; `integrate`, `integrate2`, `integrate_bilinear` and
+`integrate_n` are single-integral wrappers over it, and `estimate_bilinear`
+gives a whole matrix of double integrals at one node count. Two-dimensional
+grids are evaluated in row blocks of at most `_CHUNK` elements.
 
 All integrals are normalized by 1/(2*pi*i): `integrate(f, c)` approximates
 (1/(2*pi*i)) oint_c f(z) dz.
@@ -24,7 +25,11 @@ import numpy as np
 
 MAX_NODES = 2 ** 15
 MAX_NODES_2D = 2 ** 13
-_CHUNK = 2 ** 21  # elements per evaluation block in 2-D
+# Elements per evaluation block in 2-D (at least one row per block). A
+# complex block of 2**12 elements is 64 KiB, under glibc's 128 KiB mmap
+# threshold, so its temporaries are reused from the heap instead of being
+# mapped and unmapped, with page faults, on every block.
+_CHUNK = 2 ** 12
 
 
 class QuadratureError(RuntimeError):
@@ -79,7 +84,8 @@ def circles_around(points, radius, orientation=1, nodes=64):
                              for p in points), nodes)
 
 
-def _nodes_weights(c: Circle, n):
+def nodes_weights(c: Circle, n):
+    """The n trapezoid nodes of one circle and their weights."""
     theta = 2 * np.pi * np.arange(n) / n
     z = c.center + c.radius * np.exp(1j * theta)
     # (1/2pi i) oint f dz = (1/n) sum f(z_k) (z_k - center), signed by orientation
@@ -90,7 +96,7 @@ def _nodes_weights(c: Circle, n):
 def _estimate1(f, contour, n):
     total = 0j
     for c in contour.circles:
-        z, w = _nodes_weights(c, n)
+        z, w = nodes_weights(c, n)
         total += np.sum(np.asarray(f(z)) * w)
     return total
 
@@ -136,7 +142,7 @@ def _single(estimate, n, max_nodes, tol, full_output, what, nodes):
     for acceptance at doubling k."""
     value, step, delta = converge(
         lambda k, live: [estimate(k)], 1, n, max_nodes, tol,
-        lambda i, k: f"{what} did not converge at {max_nodes} nodes/circle")
+        lambda i, k: f"{what} did not converge at {n << k} nodes/circle")
     if full_output:
         return value[0], {"nodes": nodes(step[0]), "last_delta": delta[0]}
     return value[0]
@@ -156,9 +162,9 @@ def integrate(f, contour, tol=1e-9, max_nodes=MAX_NODES, full_output=False):
 def _estimate2(f, c1, c2, n1, n2):
     total = 0j
     for ca in c1.circles:
-        z, wz = _nodes_weights(ca, n1)
+        z, wz = nodes_weights(ca, n1)
         for cb in c2.circles:
-            w, ww = _nodes_weights(cb, n2)
+            w, ww = nodes_weights(cb, n2)
             rows = max(1, _CHUNK // max(1, n2))
             for start in range(0, n1, rows):
                 zc = z[start:start + rows]
@@ -175,14 +181,15 @@ def estimate_bilinear(core, gz, gw, c1, c2, n1, n2):
     Entry (p, q) estimates (1/2pi i)^2 oint oint gz(z)[p] core(z, w) gw(w)[q]
     dz dw: gz and gw map a node vector to a (nodes, columns) matrix, core
     receives node arrays shaped (N,1) and (1,M). The sum is G_z^T (W C W) G_w,
-    with the core grid evaluated in row blocks of about _CHUNK elements.
+    with the core grid evaluated in row blocks of at most _CHUNK elements
+    (at least one row).
     """
     total = 0j
     for ca in c1.circles:
-        z, wz = _nodes_weights(ca, n1)
+        z, wz = nodes_weights(ca, n1)
         Gz = gz(z) * wz.reshape(-1, 1)
         for cb in c2.circles:
-            w, ww = _nodes_weights(cb, n2)
+            w, ww = nodes_weights(cb, n2)
             Gw = gw(w) * ww.reshape(-1, 1)
             rows = max(1, _CHUNK // max(1, n2))
             for start in range(0, n1, rows):
@@ -204,29 +211,45 @@ def integrate2(f, c1, c2, tol=1e-9, max_nodes=MAX_NODES_2D, full_output=False):
                    "double contour integral", lambda k: (n1 << k, n2 << k))
 
 
+def integrate_bilinear(core, gz, gw, c1, c2, tol=1e-9, max_nodes=MAX_NODES_2D,
+                       full_output=False):
+    """integrate2 of core(z, w) * gz(z) * gw(w), with the same node sequence,
+    convergence test and result info, estimated by `estimate_bilinear` with
+    gz and gw as its one-column factors: the core is the only grid."""
+    n1, n2 = c1.nodes, c2.nodes
+    gz1, gw1 = (lambda z: np.reshape(gz(z), (-1, 1)),
+                lambda w: np.reshape(gw(w), (-1, 1)))
+    return _single(
+        lambda k: estimate_bilinear(core, gz1, gw1, c1, c2, n1 << k, n2 << k)[0, 0],
+        max(n1, n2), max_nodes, tol, full_output, "double contour integral",
+        lambda k: (n1 << k, n2 << k))
+
+
 def integrate_n(f, contours, tol=1e-9, max_nodes=2 ** 10, full_output=False):
     """(1/2pi i)^d iterated integral over d contours, d >= 1.
 
-    f takes d broadcast-ready arrays (the last axis vectorized, outer axes
-    looped). Joint node doubling as in integrate2; intended for small d.
+    f takes d broadcast-ready arguments: nodes of the outer d - 2 contours
+    one at a time, then the last two as arrays shaped (N,1) and (1,M) as in
+    integrate2. Joint node doubling as in integrate2; intended for small d.
     """
     d = len(contours)
     if d == 1:
-        return integrate(f, contours[0], tol=tol, full_output=full_output)
+        return integrate(f, contours[0], tol=tol, max_nodes=max_nodes,
+                         full_output=full_output)
     if d == 2:
-        return integrate2(f, contours[0], contours[1], tol=tol, full_output=full_output)
+        return integrate2(f, contours[0], contours[1], tol=tol,
+                          max_nodes=max_nodes, full_output=full_output)
 
     def estimate(n):
         def rec(level, zs, wprod):
+            if level == d - 2:
+                return wprod * _estimate2(lambda a, b: f(*zs, a, b),
+                                          contours[-2], contours[-1], n, n)
             total = 0j
             for c in contours[level].circles:
-                z, w = _nodes_weights(c, n)
-                if level == d - 1:
-                    vals = np.asarray(f(*zs, z))
-                    total += np.sum(vals * w) * wprod
-                else:
-                    for zk, wk in zip(z, w):
-                        total += rec(level + 1, zs + [zk], wprod * wk)
+                z, w = nodes_weights(c, n)
+                for zk, wk in zip(z, w):
+                    total += rec(level + 1, zs + [zk], wprod * wk)
             return total
         return rec(0, [], 1.0 + 0j)
 

@@ -197,3 +197,28 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"][0]["method"] == "oracle"
+
+
+_BASE = {"process": {"rho_plus": [[0.5]], "rho_minus": [[0.5]]},
+         "points": [[1, 0]]}
+CONFIG_FAULTS = {
+    "max_nodes below one doubling": {**_BASE, "kernel": {"max_nodes": 100}},
+    "start_nodes not a power of two": {**_BASE, "quadrature": {"start_nodes": 48}},
+    "top level not an object": [_BASE],
+    "non-numeric truncation_weight": {**_BASE, "truncation_weight": "forty"},
+    "empty specialization family": {
+        "process": {"rho_plus": [[]], "rho_minus": [[]]}, "points": [[1, 0]]},
+    "nan quad_tol": {**_BASE, "kernel": {"quad_tol": "nan"}},
+    "unknown radius name": {**_BASE, "kernel": {"radii": {"k_11": 1.5}}},
+}
+
+
+@pytest.mark.parametrize("fault", CONFIG_FAULTS)
+def test_config_fault_is_one_config_error_line(tmp_path, capsys, fault):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CONFIG_FAULTS[fault]))
+    assert run_cli(["correlate", "--config", str(cfg), "--method", "kernel"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: "), lines

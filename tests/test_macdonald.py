@@ -187,3 +187,90 @@ def test_radius_condition_violation_is_hard_error():
 def test_choose_radii_decreasing_and_positive():
     radii = choose_radii([0.4 + 0.1j, 0.3], [0.3, 0.2], [0.25, 0.1])
     assert radii[0] > radii[1] > 0
+
+
+def _old_contour_integrand(G, xs, q):
+    """The r = 2 integrand of apply_via_contour, written out as one formula."""
+    f, g = G.f, G.g
+
+    def one_var(z):
+        v = np.ones_like(z)
+        for x in xs:
+            v = v * (q * z - x) * f(q * z * x) / ((z - x) * f(z * x))
+        return v * f(z * z) / f(q * z * z) * g(q * z) / (g(z) * z)
+
+    def integrand(z1, z2):
+        v = 1.0
+        for a, b in ((z1, z2), (z2, z1)):
+            v = v * (a - b) / ((q * a - b) * f(q * a * b))
+        return v * f(q * q * z1 * z2) * f(z1 * z2) * one_var(z1) * one_var(z2)
+    return integrand
+
+
+def _old_iterated_integrand(z1, z2, qs, xs, ys, with_boundary):
+    """The d = 2 integrand of the iterated action, written out as one formula."""
+    v = 1.0
+    for zj, qj in ((z1, qs[0]), (z2, qs[1])):
+        v = v / ((qj - 1.0) * zj)
+        for x in xs:
+            v = v * (qj * zj - x) / (zj - x)
+        for y in ys:
+            v = v * (1 - zj * y) / (1 - qj * zj * y)
+        if with_boundary:
+            for x in xs:
+                v = v * (1 - zj * x) / (1 - qj * zj * x)
+            v = v * (1 - qj * zj * zj) / (1 - zj * zj)
+    q1, q2 = qs
+    v = v * (q1 * z1 - q2 * z2) * (z1 - z2) / ((z1 - q2 * z2) * (q1 * z1 - z2))
+    if with_boundary:
+        v = v * (1 - q2 * z2 * z1) * (1 - q1 * z1 * z2) \
+            / ((1 - q1 * q2 * z1 * z2) * (1 - z1 * z2))
+    return v
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-13 * abs(b)
+
+
+def test_contour_action_r2_is_integrate2_of_the_old_integrand():
+    q = 0.35 + 0.1j
+    xs = [0.5, 0.3, 0.15]
+    G = standard_G([0.25, 0.1])
+    for tol in (1e-9, 1e-12):
+        value, info = apply_via_contour(G, xs, 2, q, tol=tol, full_output=True)
+        contour = quad.circles_around(xs, info["radius"])
+        ref, ref_info = quad.integrate2(_old_contour_integrand(G, xs, q), contour,
+                                        contour, tol=tol, full_output=True)
+        assert info["nodes"] == ref_info["nodes"]
+        assert _close(value, G.value(xs) * q / (2 * (q - 1) ** 2) * ref)
+
+
+@pytest.mark.parametrize("mode", ["shift_images", "stated"])
+@pytest.mark.parametrize("action", [iterated_action_Z, iterated_action_F])
+def test_iterated_d2_is_integrate2_of_the_old_integrand(monkeypatch, action, mode):
+    xs, ys = [0.3, 0.2], [0.25, 0.1]
+    qs = [0.4 + 0.1j, 0.35 - 0.2j]
+    bilinear, seen = quad.integrate_bilinear, []
+
+    def spy(core, gz, gw, c1, c2, tol):
+        value, info = bilinear(core, gz, gw, c1, c2, tol=tol, full_output=True)
+        seen.append((c1, c2, tol, value, info["nodes"]))
+        return value
+    monkeypatch.setattr(quad, "integrate_bilinear", spy)
+    action(qs, xs, ys, contour_mode=mode)
+    (c1, c2, tol, value, nodes), = seen
+    ref, ref_info = quad.integrate2(
+        lambda z1, z2: _old_iterated_integrand(z1, z2, qs, xs, ys,
+                                               action is iterated_action_Z),
+        c1, c2, tol=tol, full_output=True)
+    assert nodes == ref_info["nodes"]
+    assert _close(value, ref)
+
+
+def test_contour_action_r3_matches_direct():
+    q = -0.2 + 0.1j
+    xs = [0.7, 0.45, 0.2]
+    G = standard_G([0.25, 0.1])
+    direct = apply_direct(G, xs, 3, q)
+    value = apply_via_contour(G, xs, 3, q, tol=1e-8, nodes=16)
+    assert abs(value - direct) < 1e-8 * abs(direct)

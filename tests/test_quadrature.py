@@ -116,3 +116,54 @@ def test_serialization_roundtrip():
     assert d["circles"][0]["orientation"] == "+"
     back = contour_from_dict(d)
     assert back == c
+
+
+def test_integrate_n_passes_its_cap_to_one_and_two_contours():
+    nodes = []
+
+    def f(z, w=None):
+        nodes.append(np.size(z))
+        return 1 / (z - 1.001) if w is None else 1 / ((z - 1.001) * w)
+    c = circle(1.0, nodes=8)
+    for contours in ([c], [c, c]):
+        nodes.clear()
+        with pytest.raises(QuadratureError) as exc:
+            integrate_n(f, contours, tol=1e-13, max_nodes=64)
+        assert max(nodes) == 64
+        assert "at 64 nodes/circle" in str(exc.value)
+
+
+def test_nonconvergence_names_the_nodes_reached():
+    # a cap that is not a power of two: the last estimate was at 64 nodes
+    with pytest.raises(QuadratureError) as exc:
+        integrate(lambda z: 1 / (z - 1.0001), circle(1.0, nodes=64), tol=1e-13,
+                  max_nodes=100)
+    assert "at 64 nodes/circle" in str(exc.value)
+    with pytest.raises(QuadratureError) as exc:
+        integrate2(lambda z, w: 1 / ((z - 1.0001) * w), circle(1.0, nodes=16),
+                   circle(1.0, nodes=16), tol=1e-13, max_nodes=100)
+    assert "at 64 nodes/circle" in str(exc.value)
+
+
+def test_integrate_bilinear_is_integrate2_of_the_product():
+    core = lambda z, w: (z - w) / (z * w - 4)
+    gz, gw = (lambda z: 1 / (z - 0.3)), (lambda w: w ** 2 / (w - 0.2))
+    c1, c2 = circles_around([0.3, -0.5], 0.1), circle(0.6, nodes=32)
+    want, want_info = integrate2(lambda z, w: core(z, w) * gz(z) * gw(w), c1, c2,
+                                 tol=1e-12, full_output=True)
+    got, info = quadrature.integrate_bilinear(core, gz, gw, c1, c2, tol=1e-12,
+                                              full_output=True)
+    assert abs(got - want) < 1e-13 * max(1.0, abs(want))
+    assert info["nodes"] == want_info["nodes"]
+
+
+def test_chunk_keeps_temporaries_below_the_mmap_threshold():
+    # glibc maps blocks of 128 KiB and more with mmap; each complex row block
+    # of estimate_bilinear stays under that, but always holds one row
+    assert quadrature._CHUNK * 16 <= 64 * 1024
+    rows = []
+    core = lambda z, w: rows.append(z.shape[0]) or (z - w) / (z * w - 4)
+    ones = lambda v: np.ones((len(v), 1))
+    n = 2 * quadrature._CHUNK
+    estimate_bilinear(core, ones, ones, circle(1.0), circle(0.5), 16, n)
+    assert rows == [1] * 16
