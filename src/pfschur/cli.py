@@ -50,10 +50,14 @@ def _load_config(path, overrides):
 
     def number(kind, name, value, default):
         try:
-            return kind(value)
+            result = kind(value)
         except (TypeError, ValueError, OverflowError):
             problems.append(f"{name}: {value!r} is not a number")
             return default
+        if kind is int and isinstance(value, float) and result != value:
+            problems.append(f"{name}: {value!r} is not an integer")
+            return default
+        return result
 
     spec = points = None
     try:
@@ -146,8 +150,6 @@ def _battery_report(rows_by_name, digest):
     results = []
     ok = True
     for section, rows in rows_by_name.items():
-        if section == "elapsed_s":
-            continue
         for row in rows:
             diagnostics = {k: v for k, v in row.items() if k != "value"}
             results.append({"T": None, "method": section, "value": row["value"],
@@ -243,7 +245,7 @@ def main(argv=None):
                         **r} for r in cmp_out["results"]]
             report = {"config_digest": cfgd["digest"], "results": results,
                       "truncation_diagnostic": cmp_out["truncation_diagnostic"],
-                      "sign_adjudication": cmp_out.get("sign_adjudication")}
+                      "sign_adjudication": cmp_out["sign_adjudication"]}
             if args.sweep_radii:
                 report["radius_sweep"] = kernels.radius_sweep(
                     spec, points, cfg, oracle_kwargs={"L": cfgd["L"]})

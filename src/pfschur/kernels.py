@@ -15,17 +15,20 @@ level, and the powers z^{-t}:
   (|zw| < 1), same or later levels pull it inside (|zw| > 1). K21 is the
   skew partner -K12 with swapped block indices.
 
-`assemble_kernel` builds the whole matrix from four node grids: K11 on the
-k11 circle, K22 on the k22 circle, and K12 with w on the k12_w_lt circle and
-on the k12_w_gt circle. Every coupling is (z - w)/(zw - 1) times factors of
-z alone and of w alone, so a block is the bilinear form G_z^T (W C W) G_w
-whose columns are the points' slot factors and powers; K21 is -K12^T. On
-trapezoid nodes of origin-centered circles the core C is a rank-one term
-plus a Hankel matrix, so each block is summed by FFT in O(n log n) per
-column, with no n x n array (`_coupled_block`; the dense `_core` is its
-tested reference). The node count doubles for all grids together, each
-entry is accepted at the first doubling where it converges, and a grid is
-no longer evaluated once every entry on it has converged.
+`assemble_kernel` builds the whole matrix from four blocks on four circles:
+K11 on k11 x k11, K22 on k22 x k22, and K12 with z on k11 and w on the
+k12_w_lt or the k12_w_gt circle. Every coupling is (z - w)/(zw - 1) times
+factors of z alone and of w alone, so a block is the bilinear form
+G_z^T (W C W) G_w whose columns are the points' slot factors and powers;
+K21 is -K12^T. Each circle's nodes and weighted columns are computed once
+per node count and shared by the blocks that read them (K11 and both K12
+blocks read the k11 circle). On trapezoid nodes of origin-centered circles
+the core C is a rank-one term plus a Hankel matrix, so each block is summed
+by FFT in O(n log n) per column, with no n x n array (`_coupled_block`; the
+dense `_core` is its tested reference). The node count doubles for all
+circles together, each entry is accepted at the first doubling where it
+converges, and a block, or a circle no open block reads, is no longer
+evaluated once every entry on it has converged.
 `kernel_entry_process` keeps the literal per-entry integrand on
 `quadrature.integrate2` as the independent check.
 
@@ -41,7 +44,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import quadrature as quad
-from .macdonald import iterated_action_Z, z_partition, ContourConditionError
+from .macdonald import (ContourConditionError, choose_radii, iterated_action_Z,
+                        z_partition)
 from .measures import PointSet, ProcessSpec
 from .pfaffian import SkewMatrix, pfaffian, schur_pfaffian_matrix
 from .symfunc import Specialization
@@ -237,7 +241,7 @@ def kernel_entry_single(which, k, l, X, Y, T, cfg=None, full_output=False):
 
 def _core(z, w):
     """The coupling factor shared by all three blocks; the rest of each
-    block's coupling depends on z or on w alone. `_Grid.estimate` sums it in
+    block's coupling depends on z or on w alone. `_coupled_block` sums it in
     FFT form; this dense form is the reference that form is tested against."""
     return (z - w) / (z * w - 1)
 
@@ -270,73 +274,84 @@ def _coupled_block(A, B, z, w):
             - np.outer((1 / z) @ A, B.sum(axis=0)))
 
 
-class _Grid:
-    """A pair of origin-centered circles, the slot columns read on them and
-    the flat indices of the entries estimated there."""
-
-    def __init__(self, rz, rw, sides, sign=1.0):
-        self.radii, self.sides, self.sign = (rz, rw), sides, sign
-        self.keys = ({}, {})   # (level, t) -> column index, for z and for w
-        self.cells = ([], [])  # the z and w column of each entry
-        self.entries = []
-
-    def add(self, index, zkey, wkey):
-        self.entries.append(index)
-        for keys, key, cells in zip(self.keys, (zkey, wkey), self.cells):
-            cells.append(keys.setdefault(key, len(keys)))
-
-    def estimate(self, n, factors):
-        """This grid's entries at n nodes per circle: the weighted slot
-        columns of each side, coupled by `_coupled_block`."""
-        (z, wz), (w, ww) = (quad.nodes_weights(quad.Circle(0j, r), n)
-                            for r in self.radii)
-        (zkeys, wkeys), (zside, wside) = self.keys, self.sides
-        A = _columns(z, list(zkeys), zside, factors) * wz[:, None]
-        B = _columns(w, list(wkeys), wside, factors) * ww[:, None]
-        return self.sign * _coupled_block(A, B, z, w)[self.cells]
-
-
 _BLOCKS = ("K11", "K12", "K22")
 
 
-def _grids(spec, pts, cfg):
-    """The four node grids of an assembly over the points pts (K11, K12 at
-    |zw| < 1, K12 at |zw| > 1, K22) and the slot factors their columns read.
-    Entry (p, q, block) has the flat index 3 * (d * p + q) + block."""
+def _layout(spec, pts, cfg):
+    """The circles and the block table of an assembly over the points pts,
+    and the slot factors their columns read.
+
+    `circles` maps each circle a block reads (k11 outer; k22, k12_w_lt and
+    k12_w_gt inner) to (radius, side, keys), keys being the distinct
+    (level, t) whose columns its blocks read. The table has a row (z circle,
+    w circle, sign, entries, z columns, w columns) for each of K11, K12 at
+    |zw| < 1, K12 at |zw| > 1 and K22 that holds entries: their flat indices
+    3 * (d * p + q) + block and the column each reads on either circle.
+    """
     d = len(pts)
     radii = _resolved_radii(spec, cfg)
     num1, den1, num2, den2 = _slot_values(spec)
     factors = {"outer": {lvl: (num1[lvl], den1[lvl]) for lvl in num1},
                "inner": {lvl: (num2[lvl], den2[lvl]) for lvl in num2}}
     sign = 1.0 if cfg.sign_convention == SIGN_PAPER else -1.0
-    k11, k22 = (_Grid(radii["k11"], radii["k11"], ("outer", "outer")),
-                _Grid(radii["k22"], radii["k22"], ("inner", "inner"), sign))
-    k12 = {lt: _Grid(radii["k11"], radii["k12_w_lt" if lt else "k12_w_gt"],
-                     ("outer", "inner")) for lt in (True, False)}
+    columns = {c: {} for c in radii}  # per circle, (level, t) -> column
+    table = [(zc, wc, s, [], [], []) for zc, wc, s in (
+        ("k11", "k11", 1.0), ("k11", "k12_w_lt", 1.0),
+        ("k11", "k12_w_gt", 1.0), ("k22", "k22", sign))]
+
+    def add(row, e, zkey, wkey):
+        zc, wc, _, entries, zcols, wcols = table[row]
+        entries.append(e)
+        zcols.append(columns[zc].setdefault(zkey, len(columns[zc])))
+        wcols.append(columns[wc].setdefault(wkey, len(columns[wc])))
+
     for p, (i, ti) in enumerate(pts):
         for q, (j, tj) in enumerate(pts):
             e = 3 * (d * p + q)
             lt = (i < j) if cfg.k12_regime == "strict" else (i <= j)
             a, b = (i, j) if cfg.h_assignment == "slot" else (j, i)
-            k11.add(e, (i, ti), (j, tj))
-            k12[lt].add(e + 1, (a, ti), (b, tj))
-            k22.add(e + 2, (i, ti), (j, tj))
-    return (k11, k12[True], k12[False], k22), factors
+            add(0, e, (i, ti), (j, tj))
+            add(1 if lt else 2, e + 1, (a, ti), (b, tj))
+            add(3, e + 2, (i, ti), (j, tj))
+    circles = {c: (radii[c], "outer" if c == "k11" else "inner", list(keys))
+               for c, keys in columns.items() if keys}
+    return circles, [row for row in table if row[3]], factors
+
+
+def _estimate(n, live, circles, table, factors):
+    """The entries of every block that holds a live entry, at n nodes per
+    circle, in one flat array over all 3 d^2 entries (0 for the others).
+    A circle's nodes, weights and weighted columns are computed once, and
+    only if such a block reads them; each block is `_coupled_block` on
+    them."""
+    est = np.zeros(sum(len(row[3]) for row in table), dtype=complex)
+    evaluated = {}  # circle -> its nodes and weighted columns
+    for zc, wc, sign, entries, zcols, wcols in table:
+        if live.isdisjoint(entries):
+            continue
+        for c in (zc, wc):
+            if c not in evaluated:
+                r, side, keys = circles[c]
+                z, wz = quad.nodes_weights(quad.Circle(0j, r), n)
+                evaluated[c] = z, _columns(z, keys, side, factors) * wz[:, None]
+        (z, A), (w, B) = evaluated[zc], evaluated[wc]
+        est[entries] = sign * _coupled_block(A, B, z, w)[zcols, wcols]
+    return est
 
 
 def assemble_kernel(spec, T, cfg=None, full_output=False):
     """The 2d x 2d skew matrix over the points of T, ordered level-major with
     listing order within a level.
 
-    The K11, K12 and K22 entries come from four shared node grids (K11, K22
-    and K12 at each of the two inner radii) and K21 is -K12^T. All grids
-    double their node count together from cfg.start_nodes; each entry keeps
-    its estimate and node count from the first doubling at which it
-    converges to cfg.quad_tol, so the per-entry `nodes` match the per-entry
-    route. An entry not converged at cfg.max_nodes raises QuadratureError
-    naming it. full_output adds the points, the per-entry node counts, the
-    skew projection defect and `max_last_delta`, the largest last-doubling
-    delta over all entries.
+    The K11, K12 and K22 entries come from four blocks on four circles (K11
+    on k11 x k11, K12 on k11 x k12_w_lt and k11 x k12_w_gt, K22 on
+    k22 x k22) and K21 is -K12^T. All circles double their node count
+    together from cfg.start_nodes; each entry keeps its estimate and node
+    count from the first doubling at which it converges to cfg.quad_tol, so
+    the per-entry `nodes` match the per-entry route. An entry not converged
+    at cfg.max_nodes raises QuadratureError naming it. full_output adds the
+    points, the per-entry node counts, the skew projection defect and
+    `max_last_delta`, the largest last-doubling delta over all entries.
     """
     cfg = cfg or KernelConfig()
     cfg.validate()
@@ -345,14 +360,10 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
     per_level = T.by_level(spec.m)
     pts = [(lvl, t) for lvl in range(1, spec.m + 1) for t in per_level[lvl]]
     d = len(pts)
-    grids, factors = _grids(spec, pts, cfg)
+    circles, table, factors = _layout(spec, pts, cfg)
 
     def estimate(k, live):
-        est = np.zeros(3 * d * d, dtype=complex)
-        for grid in grids:
-            if not live.isdisjoint(grid.entries):
-                est[grid.entries] = grid.estimate(cfg.start_nodes << k, factors)
-        return est
+        return _estimate(cfg.start_nodes << k, live, circles, table, factors)
 
     def failure(e, k):
         p, q, blk = np.unravel_index(e, (d, d, 3))
@@ -400,39 +411,13 @@ def correlation_via_kernel(spec, T, cfg=None, full_output=False):
 # q-coefficient extraction route (single partition, d <= 2)
 # ---------------------------------------------------------------------------
 
-def _extraction_radii(rq, xs, ys, d):
-    """Uniform z-circle radii valid for every q on the circle |q| = rq.
-
-    For positive real data the closest approach of a shifted point to an x_k
-    happens at real positive q, so the distance minima reduce to modulus
-    arithmetic.
-    """
-    mods = []
-    for x in xs:
-        mods += [rq * x, x / rq, 1 / (rq * x), 1 / x]
-    for y in ys:
-        mods.append(1 / (rq * y))
-    D = min(abs(m - x) for m in mods for x in xs)
-    ups = min(min(rq * x, x / rq, rq / x, 1 / (rq * x), x) for x in xs)
-    c = min(ups * ups, rq)
-    r1 = 0.9 * D * c / (1 + c)
-    if len(xs) > 1:
-        r1 = min(r1, 0.45 * min(abs(a - b) for i, a in enumerate(xs)
-                                for b in xs[i + 1:]))
-    r1 = min(r1, 0.9 * min(xs), 0.45 * min(abs(x - 1) for x in xs),
-             0.9 * (1 - max(xs)))
-    if r1 <= 0:
-        raise ContourConditionError(f"no admissible z-radii for rq={rq}")
-    return [r1 * 0.8 ** k for k in range(d)]
-
-
 def _pick_rq(xs, ys, d):
     """Scan a small grid of q-circle radii and keep the one with the widest
     contour margins."""
     best, best_r1 = None, -1.0
     for rq in (0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8):
         try:
-            radii = _extraction_radii(rq, xs, ys, d)
+            radii = choose_radii([rq] * d, xs, ys)
         except ContourConditionError:
             continue
         if radii[0] > best_r1:
@@ -470,7 +455,7 @@ def correlation_via_q_extraction(X, Y, T, cfg=None, rq=None, full_output=False):
         raise ValueError("q-extraction is quadratically expensive; d <= 2 only")
     if rq is None:
         rq = _pick_rq(xs, ys, d)
-    radii = _extraction_radii(rq, xs, ys, d)
+    radii = choose_radii([rq] * d, xs, ys)
     Z0 = z_partition(xs, ys)
     inner_tol = max(cfg.quad_tol, 1e-10)
 

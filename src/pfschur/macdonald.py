@@ -116,10 +116,10 @@ class ProductFormFunction:
         return self.value(xs)
 
 
-def contour_radius(xs, q, shrink=0.5, avoid=()):
-    """Largest safe radius for circles around the x_i, shrunk by `shrink`:
-    circles pairwise disjoint, q-images of every circle outside all circles,
-    and user-listed points (poles of f, g compositions) excluded."""
+def contour_radius(xs, q):
+    """Half the largest safe radius for circles around the x_i: circles
+    pairwise disjoint, q-images of every circle outside all circles, and 0
+    outside every circle."""
     xs = [complex(x) for x in xs]
     bounds = []
     for i in range(len(xs)):
@@ -128,17 +128,15 @@ def contour_radius(xs, q, shrink=0.5, avoid=()):
                 bounds.append(abs(xs[i] - xs[j]) / 2)
             # q-image of circle i must stay off circle j: |qx_i - x_j| > (|q|+1) rad
             bounds.append(abs(q * xs[i] - xs[j]) / (abs(q) + 1))
-        for p in avoid:
-            bounds.append(abs(complex(p) - xs[i]))
         bounds.append(abs(xs[i]))  # keep 0 outside
-    rad = shrink * min(bounds)
+    rad = 0.5 * min(bounds)
     if rad <= 0:
         raise ContourConditionError("no positive radius satisfies the contour conditions")
     return rad
 
 
 def apply_via_contour(G, xs, r, q, radius=None, tol=1e-9, nodes=64,
-                      avoid=(), full_output=False):
+                      full_output=False):
     """Order-r action on a product-form G by the r-fold contour integral.
 
     The contour is the union of circles around the x_i; all r variables run
@@ -149,7 +147,7 @@ def apply_via_contour(G, xs, r, q, radius=None, tol=1e-9, nodes=64,
     xs = [complex(x) for x in xs]
     n = len(xs)
     if radius is None:
-        radius = contour_radius(xs, q, avoid=avoid)
+        radius = contour_radius(xs, q)
     contour = quad.circles_around(xs, radius, nodes=nodes)
     f, g = G.f, G.g
 
@@ -218,12 +216,14 @@ def _stated_condition_distance(qs, xs, ys):
     return min(abs(p - x) for p in pts for x in xs)
 
 
-def choose_radii(qs, xs, ys, ratio=0.8, safety=0.9):
-    """Decreasing radii r_1 > ... > r_d passing the stated distance checks.
+def choose_radii(qs, xs, ys):
+    """Radii r_1 > ... > r_d, each 0.8 of the one before, passing the stated
+    distance checks.
 
     The gap D between the shifted/inverted point set and the x_i must cover
     r_1 + s; r_1 must also stay below s * (upsilon^2 and the |q|-bounds).
-    Taking s = D/(1+c) maximizes r_1 = D c/(1+c). Extra caps keep circles
+    Taking s = D/(1+c) maximizes r_1 = D c/(1+c), of which 0.9 is used as
+    a safety margin. Extra caps keep circles
     pairwise disjoint, away from 0 and +-1, and inside the unit disk.
     """
     qs = [complex(q) for q in qs]
@@ -237,7 +237,7 @@ def choose_radii(qs, xs, ys, ratio=0.8, safety=0.9):
               for x in xs)
     ups = min(ups, min(abs(x) for x in xs))
     c = min(ups ** 2, min(min(abs(q), 1 / abs(q)) for q in qs))
-    r1 = safety * D * c / (1 + c)
+    r1 = 0.9 * D * c / (1 + c)
     # circle-validity caps beyond the stated conditions
     if len(xs) > 1:
         r1 = min(r1, 0.45 * min(abs(a - b) for i, a in enumerate(xs)
@@ -247,7 +247,7 @@ def choose_radii(qs, xs, ys, ratio=0.8, safety=0.9):
     r1 = min(r1, 0.9 * (1 - max(abs(x) for x in xs)))
     if r1 <= 0:
         raise ContourConditionError("stated radius conditions admit no positive r_1")
-    return [r1 * ratio ** j for j in range(d)]
+    return [r1 * 0.8 ** j for j in range(d)]
 
 
 def _image_centers(qs, xs):

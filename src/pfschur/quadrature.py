@@ -11,9 +11,11 @@ as an outer product without building meshes by hand.
 One function, `converge`, runs the doubling loop for any number of
 integrals sharing a node sequence, accepting each at its own first
 converged doubling; `integrate`, `integrate2`, `integrate_bilinear` and
-`integrate_n` are single-integral wrappers over it, and `estimate_bilinear`
-gives a whole matrix of double integrals at one node count. Two-dimensional
-grids are evaluated in row blocks of at most `_CHUNK` elements.
+`integrate_n` are single-integral wrappers over it. `estimate_bilinear`
+gives a whole matrix of double integrals at one node count and is the one
+summation of every two-dimensional grid: `integrate2` and the last two
+contours of `integrate_n` use it with unit columns. Two-dimensional grids
+are evaluated in row blocks of at most `_CHUNK` elements.
 
 All integrals are normalized by 1/(2*pi*i): `integrate(f, c)` approximates
 (1/(2*pi*i)) oint_c f(z) dz.
@@ -159,30 +161,16 @@ def integrate(f, contour, tol=1e-9, max_nodes=MAX_NODES, full_output=False):
                    tol, full_output, "contour integral", lambda k: n << k)
 
 
-def _estimate2(f, c1, c2, n1, n2):
-    total = 0j
-    for ca in c1.circles:
-        z, wz = nodes_weights(ca, n1)
-        for cb in c2.circles:
-            w, ww = nodes_weights(cb, n2)
-            rows = max(1, _CHUNK // max(1, n2))
-            for start in range(0, n1, rows):
-                zc = z[start:start + rows]
-                vals = np.asarray(f(zc.reshape(-1, 1), w.reshape(1, -1)))
-                total += np.sum(vals * (wz[start:start + rows].reshape(-1, 1)
-                                        * ww.reshape(1, -1)))
-    return total
-
-
 def estimate_bilinear(core, gz, gw, c1, c2, n1, n2):
     """Tensor-product trapezoid estimates of a whole matrix of double
     integrals at one node count.
 
     Entry (p, q) estimates (1/2pi i)^2 oint oint gz(z)[p] core(z, w) gw(w)[q]
     dz dw: gz and gw map a node vector to a (nodes, columns) matrix, core
-    receives node arrays shaped (N,1) and (1,M). The sum is G_z^T (W C W) G_w,
-    with the core grid evaluated in row blocks of at most _CHUNK elements
-    (at least one row).
+    receives node arrays shaped (N,1) and (1,M), and its value is broadcast
+    to the full grid, so a core of z alone may return shape (N,1). The sum is
+    G_z^T (W C W) G_w, with the core grid evaluated in row blocks of at most
+    _CHUNK elements (at least one row).
     """
     total = 0j
     for ca in c1.circles:
@@ -194,9 +182,24 @@ def estimate_bilinear(core, gz, gw, c1, c2, n1, n2):
             rows = max(1, _CHUNK // max(1, n2))
             for start in range(0, n1, rows):
                 zc = z[start:start + rows].reshape(-1, 1)
-                total = total + Gz[start:start + rows].T @ (
-                    core(zc, w.reshape(1, -1)) @ Gw)
+                C = np.broadcast_to(core(zc, w.reshape(1, -1)), (len(zc), n2))
+                total = total + Gz[start:start + rows].T @ (C @ Gw)
     return total
+
+
+def _unit(v):
+    return np.ones((len(v), 1))
+
+
+def _double(core, gz, gw, c1, c2, tol, max_nodes, full_output):
+    """The doubling loop of `integrate2` and `integrate_bilinear`: the
+    integral of core(z, w) * gz(z) * gw(w) as the one entry of
+    `estimate_bilinear` with gz and gw as its columns."""
+    n1, n2 = c1.nodes, c2.nodes
+    return _single(
+        lambda k: estimate_bilinear(core, gz, gw, c1, c2, n1 << k, n2 << k)[0, 0],
+        max(n1, n2), max_nodes, tol, full_output, "double contour integral",
+        lambda k: (n1 << k, n2 << k))
 
 
 def integrate2(f, c1, c2, tol=1e-9, max_nodes=MAX_NODES_2D, full_output=False):
@@ -205,10 +208,7 @@ def integrate2(f, c1, c2, tol=1e-9, max_nodes=MAX_NODES_2D, full_output=False):
     f receives node arrays shaped (N,1) and (1,M); broadcasting gives the
     value grid. Both node counts double jointly under one convergence test.
     """
-    n1, n2 = c1.nodes, c2.nodes
-    return _single(lambda k: _estimate2(f, c1, c2, n1 << k, n2 << k),
-                   max(n1, n2), max_nodes, tol, full_output,
-                   "double contour integral", lambda k: (n1 << k, n2 << k))
+    return _double(f, _unit, _unit, c1, c2, tol, max_nodes, full_output)
 
 
 def integrate_bilinear(core, gz, gw, c1, c2, tol=1e-9, max_nodes=MAX_NODES_2D,
@@ -216,13 +216,9 @@ def integrate_bilinear(core, gz, gw, c1, c2, tol=1e-9, max_nodes=MAX_NODES_2D,
     """integrate2 of core(z, w) * gz(z) * gw(w), with the same node sequence,
     convergence test and result info, estimated by `estimate_bilinear` with
     gz and gw as its one-column factors: the core is the only grid."""
-    n1, n2 = c1.nodes, c2.nodes
-    gz1, gw1 = (lambda z: np.reshape(gz(z), (-1, 1)),
-                lambda w: np.reshape(gw(w), (-1, 1)))
-    return _single(
-        lambda k: estimate_bilinear(core, gz1, gw1, c1, c2, n1 << k, n2 << k)[0, 0],
-        max(n1, n2), max_nodes, tol, full_output, "double contour integral",
-        lambda k: (n1 << k, n2 << k))
+    return _double(core, lambda z: np.reshape(gz(z), (-1, 1)),
+                   lambda w: np.reshape(gw(w), (-1, 1)), c1, c2, tol,
+                   max_nodes, full_output)
 
 
 def integrate_n(f, contours, tol=1e-9, max_nodes=2 ** 10, full_output=False):
@@ -243,8 +239,9 @@ def integrate_n(f, contours, tol=1e-9, max_nodes=2 ** 10, full_output=False):
     def estimate(n):
         def rec(level, zs, wprod):
             if level == d - 2:
-                return wprod * _estimate2(lambda a, b: f(*zs, a, b),
-                                          contours[-2], contours[-1], n, n)
+                return wprod * estimate_bilinear(
+                    lambda a, b: f(*zs, a, b), _unit, _unit,
+                    contours[-2], contours[-1], n, n)[0, 0]
             total = 0j
             for c in contours[level].circles:
                 z, w = nodes_weights(c, n)

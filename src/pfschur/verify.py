@@ -238,47 +238,31 @@ def battery_pfaffian(seed=0, tol=1e-9):
 # correlations
 # ---------------------------------------------------------------------------
 
-def compare_methods(spec, T, cfg, L=30, methods=("oracle", "kernel"),
-                    adjudicate_sign=True):
-    """Per-point-set comparison of the correlation routes, plus the K22 sign
-    adjudication when requested."""
+def compare_methods(spec, T, cfg, L=30):
+    """Per-point-set comparison of the oracle and kernel routes, plus the K22
+    sign adjudication."""
     if not isinstance(T, measures.PointSet):
         T = measures.PointSet(T)
     diag = measures.truncation_diagnostic(spec, L)
-    out = {"truncation_diagnostic": diag, "results": []}
     oracle = measures.correlation_oracle(spec, T, L=L)
-    values = {"oracle": oracle}
-    out["results"].append({"method": "oracle", "value": oracle,
-                           "imag_defect": 0.0})
-    if "kernel" in methods:
-        val, info = kernels.correlation_via_kernel(spec, T, cfg, full_output=True)
-        values["kernel"] = val
-        out["results"].append({"method": "kernel", "value": val,
-                               "imag_defect": info["imag_defect"],
-                               "delta_vs_oracle": abs(val - oracle)})
-    if "q-extraction" in methods:
-        if spec.m != 1:
-            raise ValueError("q-extraction applies to the single-partition case")
-        X, Y = spec.rho_plus[0], spec.rho_minus[0]
-        ts = [t for _, t in T.points]
-        val, info = kernels.correlation_via_q_extraction(X, Y, ts, cfg,
-                                                         full_output=True)
-        values["q-extraction"] = val
-        out["results"].append({"method": "q-extraction", "value": val,
-                               "imag_defect": info["imag_defect"],
-                               "delta_vs_oracle": abs(val - oracle)})
-    if adjudicate_sign and "kernel" in methods:
-        flipped = replace(cfg, sign_convention=(
-            kernels.SIGN_BR if cfg.sign_convention == kernels.SIGN_PAPER
-            else kernels.SIGN_PAPER))
-        val_flip = kernels.correlation_via_kernel(spec, T, flipped)
-        out["sign_adjudication"] = {
+    val, info = kernels.correlation_via_kernel(spec, T, cfg, full_output=True)
+    flipped = replace(cfg, sign_convention=(
+        kernels.SIGN_BR if cfg.sign_convention == kernels.SIGN_PAPER
+        else kernels.SIGN_PAPER))
+    val_flip = kernels.correlation_via_kernel(spec, T, flipped)
+    return {
+        "truncation_diagnostic": diag,
+        "results": [{"method": "oracle", "value": oracle, "imag_defect": 0.0},
+                    {"method": "kernel", "value": val,
+                     "imag_defect": info["imag_defect"],
+                     "delta_vs_oracle": abs(val - oracle)}],
+        "sign_adjudication": {
             "convention": cfg.sign_convention,
-            "delta": abs(values["kernel"] - oracle),
+            "delta": abs(val - oracle),
             "flipped_convention": flipped.sign_convention,
             "flipped_delta": abs(val_flip - oracle),
-        }
-    return out
+        },
+    }
 
 
 def battery_quadrature(tol=1e-12):

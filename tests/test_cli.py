@@ -210,6 +210,10 @@ CONFIG_FAULTS = {
         "process": {"rho_plus": [[]], "rho_minus": [[]]}, "points": [[1, 0]]},
     "nan quad_tol": {**_BASE, "kernel": {"quad_tol": "nan"}},
     "unknown radius name": {**_BASE, "kernel": {"radii": {"k_11": 1.5}}},
+    "non-integral truncation_weight": {**_BASE, "truncation_weight": 30.7},
+    "non-integral start_nodes": {**_BASE, "quadrature": {"start_nodes": 64.5}},
+    "non-integral max_nodes": {**_BASE, "kernel": {"max_nodes": 256.5}},
+    "non-integral seed": {**_BASE, "seed": 3.5},
 }
 
 
@@ -222,3 +226,14 @@ def test_config_fault_is_one_config_error_line(tmp_path, capsys, fault):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: "), lines
+
+
+def test_integral_floats_are_accepted_as_integers(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_BASE, "truncation_weight": 20.0, "seed": 3.0,
+                               "quadrature": {"start_nodes": 64.0},
+                               "kernel": {"max_nodes": 256.0}}))
+    out = tmp_path / "report.json"
+    assert run_cli(["correlate", "--config", str(cfg), "--method", "oracle",
+                    "--out", str(out)]) == 0
+    assert read_report(out)["results"][0]["diagnostics"] == {"L": 20}

@@ -18,8 +18,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 
-from pfschur.kernels import (SIGN_BR, KernelConfig, assemble_kernel,  # noqa: E402
-                             default_radii, kernel_entry_process)
+from pfschur.kernels import (SIGN_BR, KernelConfig, _inadmissible_radii,  # noqa: E402
+                             assemble_kernel, kernel_entry_process)
 from pfschur.measures import PointSet, ProcessSpec  # noqa: E402
 from pfschur.quadrature import QuadratureError  # noqa: E402
 
@@ -110,8 +110,5 @@ def test_blocks_match_under_the_inadmissible_reading(name):
     # r^|t| and the diagonal K11 entries become rounding noise at quad_tol
     raw = json.loads((CONFIGS / f"{name}.json").read_text())
     spec = ProcessSpec.from_json(raw["process"])
-    r_bad = 1.15 / min(abs(v) for s in spec.rho_plus for v in s.values)
-    radii = {"k11": r_bad, "k12_w_lt": 1 / (2 * r_bad),
-             "k12_w_gt": (1 / r_bad + 1 / spec.max_abs_plus()) / 2,
-             "k22": default_radii(spec)["k22"]}
+    radii = _inadmissible_radii(spec)
     _assert_blocks_match(spec, PointSet(raw["points"]), KernelConfig(radii=radii))

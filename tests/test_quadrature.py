@@ -5,7 +5,7 @@ from pfschur import quadrature
 from pfschur.quadrature import (Circle, ContourSpec, QuadratureError, circle,
                                 circles_around, contour_from_dict,
                                 contour_to_dict, estimate_bilinear, integrate,
-                                integrate2, integrate_n, _estimate1, _estimate2)
+                                integrate2, integrate_n, _estimate1)
 
 
 def test_residue_examples():
@@ -50,6 +50,8 @@ def test_integrate2_examples():
     assert abs(integrate2(lambda z, w: 1 / (z * w), c, c) - 1) < 1e-12
     assert abs(integrate2(lambda z, w: 1 / ((z - 2) * w), c, c)) < 1e-12
     assert abs(integrate2(lambda z, w: z ** 2 * w, c, c)) < 1e-12
+    # an integrand of z alone returns shape (N, 1); the w-integral of 1 is 0
+    assert abs(integrate2(lambda z, w: 1 / (z - 0.3), c, c)) < 1e-12
 
 
 def test_integrate2_separable_product():
@@ -76,7 +78,7 @@ def test_nonconvergence_raises_with_estimates():
     assert len(exc.value.estimates) == 2
 
 
-def test_estimate_bilinear_is_entrywise_estimate2_in_row_chunks(monkeypatch):
+def test_estimate_bilinear_is_entrywise_dense_sum_in_row_chunks(monkeypatch):
     sizes = []
 
     def core(z, w):
@@ -89,10 +91,13 @@ def test_estimate_bilinear_is_entrywise_estimate2_in_row_chunks(monkeypatch):
     monkeypatch.setattr(quadrature, "_CHUNK", 2 ** 9)
     block = estimate_bilinear(core, gz, gw, c1, c2, 64, 64)
     assert len(sizes) == 8 and max(sizes) <= 2 ** 9
+    # the 64 x 64 trapezoid sum written out: nodes r e^(2 pi i k/64), each
+    # weighted by node/64 for the normalization 1/(2 pi i)
+    z = 1.2 * np.exp(2j * np.pi * np.arange(64) / 64)[:, None]
+    w = 0.6 * np.exp(2j * np.pi * np.arange(64) / 64)[None, :]
     for p, a in enumerate(zcols):
         for q, b in enumerate(wcols):
-            entry = _estimate2(lambda z, w: core(z, w) * z ** a * w ** b / (w - 0.3),
-                               c1, c2, 64, 64)
+            entry = np.sum(core(z, w) * z ** a * w ** b / (w - 0.3) * z * w) / 64 ** 2
             assert abs(block[p, q] - entry) < 1e-14
 
 
