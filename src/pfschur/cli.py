@@ -50,6 +50,8 @@ def _load_config(path, overrides):
 
     def number(kind, name, value, default):
         try:
+            if isinstance(value, bool):  # a bool is an int, but JSON true is no number
+                raise TypeError
             result = kind(value)
         except (TypeError, ValueError, OverflowError):
             problems.append(f"{name}: {value!r} is not a number")
@@ -232,8 +234,9 @@ def main(argv=None):
                 results.append({"T": T.to_json(), "method": "q-extraction",
                                 "value": value,
                                 "imag_defect": info["imag_defect"],
-                                "diagnostics": {"rq": info["rq"]}
-                                if "rq" in info else {}})
+                                "diagnostics": {
+                                    k: info[k] for k in ("rq", "nodes", "last_delta")
+                                    if k in info}})
             report = {"config_digest": cfgd["digest"], "results": results}
         elif args.command == "compare":
             cmp_out = verify.compare_methods(spec, points, cfg, L=cfgd["L"])

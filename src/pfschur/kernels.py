@@ -44,8 +44,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import quadrature as quad
-from .macdonald import (ContourConditionError, choose_radii, iterated_action_Z,
+from .macdonald import (ContourConditionError, choose_radii, stated_action_Z,
                         z_partition)
+from .macdonald import iterated_action_Z  # noqa: F401 (perfbench traces it here)
 from .measures import PointSet, ProcessSpec
 from .pfaffian import SkewMatrix, pfaffian, schur_pfaffian_matrix
 from .symfunc import Specialization
@@ -432,8 +433,10 @@ def correlation_via_q_extraction(X, Y, T, cfg=None, rq=None, full_output=False):
     iterated one-row action, extracted by quadrature over q-circles.
 
     Sites below -n are occupied with probability one and are stripped before
-    extraction (the coefficient reading is only valid for t >= -n). Cost is
-    exponential in d; d <= 2 is supported.
+    extraction (the coefficient reading is only valid for t >= -n). The
+    stated-contour action is its exact residue sum (`stated_action_Z`), so
+    the one quadrature runs over the d <= 2 q-circles; full_output adds
+    their radius `rq` and its `nodes` and `last_delta`.
     """
     cfg = cfg or KernelConfig()
     X = X if isinstance(X, Specialization) else Specialization(X)
@@ -452,52 +455,23 @@ def correlation_via_q_extraction(X, Y, T, cfg=None, rq=None, full_output=False):
     if d == 0:
         return (1.0, info) if full_output else 1.0
     if d > 2:
-        raise ValueError("q-extraction is quadratically expensive; d <= 2 only")
+        raise ValueError("q-extraction supports d <= 2 positions at or above -n")
     if rq is None:
         rq = _pick_rq(xs, ys, d)
-    radii = choose_radii([rq] * d, xs, ys)
+    choose_radii([rq] * d, xs, ys)  # the stated contours must be admissible
     Z0 = z_partition(xs, ys)
-    inner_tol = max(cfg.quad_tol, 1e-10)
 
-    def E(qs):
-        val = iterated_action_Z(qs, xs, ys, radii=radii, tol=inner_tol,
-                                nodes=cfg.start_nodes, contour_mode="stated")
-        return val / Z0
+    def f(*qs):
+        v = stated_action_Z(qs, xs, ys) / Z0
+        for q, t in zip(qs, T_eff):
+            v = v * q ** (-t - n - 1)
+        return v
 
     qc = quad.circle(rq, nodes=max(32, cfg.start_nodes // 2))
-    if d == 1:
-        t = T_eff[0]
-
-        def f(qarr):
-            flat = np.asarray(qarr).ravel()
-            vals = np.array([E([q]) * q ** (-t - n - 1) for q in flat])
-            return vals.reshape(np.shape(qarr))
-
-        value = quad.integrate(f, qc, tol=max(cfg.quad_tol, 1e-9))
-    else:
-        t1, t2 = T_eff
-        cache = {}
-
-        def Epair(q1, q2):
-            key = tuple(sorted(((q1.real, q1.imag), (q2.real, q2.imag))))
-            if key not in cache:
-                cache[key] = E([q1, q2])
-            return cache[key]
-
-        def f(qa, qb):
-            qa = np.asarray(qa) + 0j
-            qb = np.asarray(qb) + 0j
-            out = np.empty(np.broadcast(qa, qb).shape, dtype=complex)
-            qa_b, qb_b = np.broadcast_arrays(qa, qb)
-            for idx in np.ndindex(out.shape):
-                q1, q2 = complex(qa_b[idx]), complex(qb_b[idx])
-                out[idx] = (Epair(q1, q2)
-                            * q1 ** (-t1 - n - 1) * q2 ** (-t2 - n - 1))
-            return out
-
-        value = quad.integrate2(f, qc, qc, tol=max(cfg.quad_tol, 1e-7))
-    info["imag_defect"] = abs(value.imag)
-    info["rq"] = rq
+    value, outer = quad.integrate_n(
+        f, [qc] * d, tol=max(cfg.quad_tol, 1e-9 if d == 1 else 1e-7),
+        max_nodes=quad.MAX_NODES_2D, full_output=True)
+    info.update(imag_defect=abs(value.imag), rq=rq, **outer)
     return (value.real, info) if full_output else value.real
 
 

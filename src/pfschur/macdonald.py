@@ -18,12 +18,14 @@ Each contour integrand is written once, as a product of a one-variable
 factor per integration variable and a pairwise factor per pair. A double
 integral (r = 2, d = 2) runs on `quadrature.integrate_bilinear` with the
 pairwise factor as the core and the one-variable factors as the columns;
-more variables multiply the same factors on `quadrature.integrate_n`.
+more variables multiply the same factors on `quadrature.integrate_n`. The
+stated contour encloses only simple poles, at the x_i, so `stated_action_Z`
+sums its residues from the same factors exactly, with no quadrature.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -324,12 +326,17 @@ def _validate_disks(qs, centers, radii):
                             "an earlier-variable pole reaches a later variable")
 
 
-def _one_row(z, q, xs, ys, with_boundary):
-    """The factor of one integration variable z, the one shifted by q;
-    with_boundary adds the factors of the free-boundary partition function."""
+def _x_poles(z, q, xs):
+    """The factors of `_one_row` with a pole at some x_i."""
     v = 1 / ((q - 1.0) * z)
     for x in xs:
         v = v * (q * z - x) / (z - x)
+    return v
+
+
+def _regular(z, q, xs, ys, with_boundary):
+    """The factors of `_one_row` that are analytic near every x_i."""
+    v = 1.0
     for y in ys:
         v = v * (1 - z * y) / (1 - q * z * y)
     if with_boundary:
@@ -337,6 +344,12 @@ def _one_row(z, q, xs, ys, with_boundary):
             v = v * (1 - z * x) / (1 - q * z * x)
         v = v * (1 - q * z * z) / (1 - z * z)
     return v
+
+
+def _one_row(z, q, xs, ys, with_boundary):
+    """The factor of one integration variable z, the one shifted by q;
+    with_boundary adds the factors of the free-boundary partition function."""
+    return _x_poles(z, q, xs) * _regular(z, q, xs, ys, with_boundary)
 
 
 def _one_row_pair(zj, zk, qj, qk, with_boundary):
@@ -419,3 +432,25 @@ def iterated_action_F(qs, X, Y, radii=None, tol=1e-9, nodes=64,
                       contour_mode="shift_images"):
     """d-fold one-row action on the two-sided partition function F(X;Y)."""
     return _iterated_action(qs, X, Y, False, radii, tol, nodes, contour_mode)
+
+
+def stated_action_Z(qs, X, Y):
+    """`iterated_action_Z(qs, X, Y, contour_mode="stated")` as its exact
+    residue sum; the qs may be numpy arrays, and the result broadcasts.
+
+    The stated circles enclose only the simple poles z_j = x_i, so the
+    integral is a sum over the d-permutations of the x_i (a repeated x_i
+    vanishes through z_j - z_k) of the residues of the `_one_row` factors
+    times the `_one_row_pair` factors at those points.
+    """
+    xs = [complex(x) for x in X]
+    ys = [complex(y) for y in Y]
+    # Res_{z=x_i} _x_poles(z, q, xs) = (q x_i - x_i) _x_poles(x_i, q, the other x's)
+    res = [[(q - 1) * x * _x_poles(x, q, xs[:i] + xs[i + 1:])
+            * _regular(x, q, xs, ys, True) for i, x in enumerate(xs)]
+           for q in qs]
+    total = sum(math.prod(res[j][i] for j, i in enumerate(I))
+                * math.prod(_one_row_pair(xs[I[j]], xs[I[k]], qs[j], qs[k], True)
+                            for j, k in combinations(range(len(qs)), 2))
+                for I in permutations(range(len(xs)), len(qs)))
+    return z_partition(xs, ys) * total

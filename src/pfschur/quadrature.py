@@ -254,20 +254,3 @@ def integrate_n(f, contours, tol=1e-9, max_nodes=2 ** 10, full_output=False):
     return _single(lambda k: estimate(n << k), n, max_nodes, tol, full_output,
                    f"{d}-fold contour integral", lambda k: n << k)
 
-
-def contour_to_dict(contour):
-    return {
-        "circles": [{"center": [c.center.real, c.center.imag],
-                     "radius": c.radius,
-                     "orientation": "+" if c.orientation == 1 else "-"}
-                    for c in contour.circles],
-        "nodes": contour.nodes,
-    }
-
-
-def contour_from_dict(data):
-    circles = tuple(
-        Circle(complex(c["center"][0], c["center"][1]), float(c["radius"]),
-               1 if c.get("orientation", "+") == "+" else -1)
-        for c in data["circles"])
-    return ContourSpec(circles, int(data.get("nodes", 64)))

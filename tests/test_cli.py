@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from pfschur.cli import main
+from pfschur.measures import ProcessSpec, correlation_oracle
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -214,6 +215,9 @@ CONFIG_FAULTS = {
     "non-integral start_nodes": {**_BASE, "quadrature": {"start_nodes": 64.5}},
     "non-integral max_nodes": {**_BASE, "kernel": {"max_nodes": 256.5}},
     "non-integral seed": {**_BASE, "seed": 3.5},
+    "boolean truncation_weight": {**_BASE, "truncation_weight": True},
+    "boolean seed": {**_BASE, "seed": False},
+    "boolean quad_tol": {**_BASE, "kernel": {"quad_tol": True}},
 }
 
 
@@ -237,3 +241,31 @@ def test_integral_floats_are_accepted_as_integers(tmp_path):
     assert run_cli(["correlate", "--config", str(cfg), "--method", "oracle",
                     "--out", str(out)]) == 0
     assert read_report(out)["results"][0]["diagnostics"] == {"L": 20}
+
+
+def test_booleans_are_not_numbers(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_BASE, "truncation_weight": True, "seed": False,
+                               "kernel": {"quad_tol": True}}))
+    assert run_cli(["correlate", "--config", str(cfg), "--method", "oracle"]) == 1
+    err = capsys.readouterr().err
+    for name in ("truncation_weight: True", "seed: False", "kernel.quad_tol: True"):
+        assert f"{name} is not a number" in err
+
+
+def test_correlate_q_extraction(tmp_path):
+    out = tmp_path / "report.json"
+    assert run_cli(["correlate", "--config", str(CONFIGS / "m1_twovar.json"),
+                    "--method", "q-extraction", "--out", str(out)]) == 0
+    row, = read_report(out)["results"]
+    assert row["method"] == "q-extraction"
+    assert set(row["diagnostics"]) == {"rq", "nodes", "last_delta"}
+    spec = ProcessSpec([[0.5, 0.25]], [[0.5, 0.25]])
+    assert abs(row["value"] - correlation_oracle(spec, [(1, 0), (1, 2)], L=40)) < 1e-3
+
+
+def test_q_extraction_rejects_two_levels(capsys):
+    assert run_cli(["correlate", "--config", str(CONFIGS / "m2_d11.json"),
+                    "--method", "q-extraction"]) == 1
+    assert capsys.readouterr().err == \
+        "config error: q-extraction requires a single-level process\n"

@@ -3,8 +3,7 @@ import pytest
 
 from pfschur import quadrature
 from pfschur.quadrature import (Circle, ContourSpec, QuadratureError, circle,
-                                circles_around, contour_from_dict,
-                                contour_to_dict, estimate_bilinear, integrate,
+                                circles_around, estimate_bilinear, integrate,
                                 integrate2, integrate_n, _estimate1)
 
 
@@ -112,15 +111,6 @@ def test_contour_validation():
         ContourSpec((Circle(0, 1.0),), nodes=4)   # too few
     with pytest.raises(ValueError):
         ContourSpec((), nodes=64)
-
-
-def test_serialization_roundtrip():
-    c = circles_around([0.5, 0.25 + 0.1j], 0.05, nodes=128)
-    d = contour_to_dict(c)
-    assert d["nodes"] == 128
-    assert d["circles"][0]["orientation"] == "+"
-    back = contour_from_dict(d)
-    assert back == c
 
 
 def test_integrate_n_passes_its_cap_to_one_and_two_contours():
