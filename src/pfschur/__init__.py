@@ -9,7 +9,7 @@ desk scale.
 from .partitions import (check_partition, conjugate, enumerate_up_to_weight,
                          even_conjugate_subpartitions, is_even_conjugate,
                          point_configuration)
-from .symfunc import (H0, H1, H2, DivergenceError, Specialization, cauchy_H,
+from .symfunc import (H0, DivergenceError, Specialization, cauchy_H,
                       complete_homogeneous, elementary, monomial, power_sum,
                       schur, skew_schur, tau)
 from .quadrature import (Circle, ContourSpec, QuadratureError, circle,

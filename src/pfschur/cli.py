@@ -1,7 +1,8 @@
 """Batch front-end: JSON config in, JSON/CSV report out.
 
 Exit codes: 0 success, 1 config error, 2 numerical non-convergence,
-3 acceptance-threshold breach in `compare`.
+3 acceptance-threshold breach in `compare` or a failing row in a `verify-*`
+report (written before the exit).
 """
 
 import argparse
@@ -203,7 +204,7 @@ def main(argv=None):
         elif args.command == "verify-partition-function":
             report = _battery_report(
                 {"partition_function": verify.battery_partition_function(
-                    L=cfgd["L"])}, cfgd["digest"])
+                    spec, cfgd["L"])}, cfgd["digest"])
         elif args.command == "verify-pfaffian":
             report = _battery_report(
                 {"pfaffian": verify.battery_pfaffian(cfgd["seed"])}, cfgd["digest"])
@@ -255,12 +256,7 @@ def main(argv=None):
             kern = next(r for r in report["results"] if r["method"] == "kernel")
             tol = max(1e-3, 10 * report["truncation_diagnostic"])
             report["threshold"] = tol
-            if kern["delta_vs_oracle"] >= tol:
-                report["verdict"] = "FAIL"
-                report["timing"] = {"elapsed_s": time.time() - t_start}
-                _emit(report, args.out, args.format)
-                return EXIT_THRESHOLD
-            report["verdict"] = "PASS"
+            report["verdict"] = "FAIL" if kern["delta_vs_oracle"] >= tol else "PASS"
         else:  # sweep-radii
             report = {"config_digest": cfgd["digest"],
                       "results": [],
@@ -280,6 +276,8 @@ def main(argv=None):
 
     report["timing"] = {"elapsed_s": time.time() - t_start}
     _emit(report, args.out, args.format)
+    if report.get("verdict") == "FAIL" or report.get("all_pass") is False:
+        return EXIT_THRESHOLD
     return EXIT_OK
 
 

@@ -81,6 +81,21 @@ class KernelConfig:
             raise ValueError("max_nodes must allow one doubling of start_nodes")
 
 
+def _radii_at(spec, fr):
+    """The four circle radii with k11 and k22 at fraction fr of their
+    admissible intervals, (1, 1/max|rho^+|) and (max|x|, 1), and the two k12
+    inner radii at the midpoints of theirs against that k11."""
+    mx_plus = spec.max_abs_plus()
+    mx_all = spec.max_abs()
+    r11 = (1 - fr) + fr / mx_plus
+    return {
+        "k11": r11,
+        "k12_w_lt": (mx_plus + 1 / r11) / 2,
+        "k12_w_gt": (1 / r11 + 1 / mx_all) / 2,
+        "k22": (1 - fr) * mx_all + fr,
+    }
+
+
 def default_radii(spec):
     """Admissible-interval midpoints for the four circle families.
 
@@ -89,18 +104,11 @@ def default_radii(spec):
     k12 inner radii realize |zw| < 1 and |zw| > 1 against k11.
     """
     mx_plus = spec.max_abs_plus()
-    mx_all = spec.max_abs()
     if mx_plus == 0:
         raise ValueError("the kernel radii need at least one rho^+ value")
     if mx_plus >= 1:
         raise ValueError("specialization values must lie below 1")
-    r11 = (1 + 1 / mx_plus) / 2
-    return {
-        "k11": r11,
-        "k12_w_lt": (mx_plus + 1 / r11) / 2,
-        "k12_w_gt": (1 / r11 + 1 / mx_all) / 2,
-        "k22": (mx_all + 1) / 2,
-    }
+    return _radii_at(spec, 0.5)
 
 
 def _resolved_radii(spec, cfg):
@@ -256,9 +264,12 @@ def _columns(z, keys, side, factors):
     return np.stack([rational[lvl] * z ** (-t) * pre for lvl, t in keys], axis=1)
 
 
-def _coupled_block(A, B, z, w):
+def _coupled_block(zside, wside):
     """sum_ab A[a, p] _core(z_a, w_b) B[b, q] on n trapezoid nodes of two
-    origin-centered circles, without the n x n grid of the core.
+    origin-centered circles, without the n x n grid of the core, from the
+    z side (z, ifft(A (z - 1/z)), (1/z) A) and the w side (w, ifft(B),
+    column sums of B). Each side depends on one circle only, so blocks that
+    share a circle share it.
 
     The core is -1/z + (z - 1/z) / (zw - 1), and on the nodes
     z_a = r_z omega^a, w_b = r_w omega^b (omega = exp(2 pi i/n)) the second
@@ -268,11 +279,9 @@ def _coupled_block(A, B, z, w):
     n ifft(A (z - 1/z))^T diag(h^) ifft(B) plus the rank-one term of -1/z:
     O(n log n) per column (Trefethen & Weideman, SIAM Rev. 56, 2014).
     """
-    n = len(z)
+    (z, Az, a), (w, Bw, b) = zside, wside
     h_hat = np.fft.fft(1 / (z * w[0] - 1))
-    Ah = np.fft.ifft(A * (z - 1 / z)[:, None], axis=0) * h_hat[:, None]
-    return (n * Ah.T @ np.fft.ifft(B, axis=0)
-            - np.outer((1 / z) @ A, B.sum(axis=0)))
+    return len(z) * (Az * h_hat[:, None]).T @ Bw - np.outer(a, b)
 
 
 _BLOCKS = ("K11", "K12", "K22")
@@ -322,21 +331,30 @@ def _layout(spec, pts, cfg):
 def _estimate(n, live, circles, table, factors):
     """The entries of every block that holds a live entry, at n nodes per
     circle, in one flat array over all 3 d^2 entries (0 for the others).
-    A circle's nodes, weights and weighted columns are computed once, and
-    only if such a block reads them; each block is `_coupled_block` on
+    A circle's nodes, weights and weighted columns, and each of its sides
+    for `_coupled_block`, are computed once, and only if such a block reads
     them."""
     est = np.zeros(sum(len(row[3]) for row in table), dtype=complex)
-    evaluated = {}  # circle -> its nodes and weighted columns
+    cols, sides = {}, {}  # circle -> nodes, columns; (circle, "z"/"w") -> side
+
+    def side(c, s):
+        if c not in cols:
+            r, slot, keys = circles[c]
+            z, wz = quad.nodes_weights(quad.Circle(0j, r), n)
+            cols[c] = z, _columns(z, keys, slot, factors) * wz[:, None]
+        if (c, s) not in sides:
+            z, A = cols[c]
+            if s == "z":
+                Az = np.fft.ifft(A * (z - 1 / z)[:, None], axis=0)
+                sides[c, s] = z, Az, (1 / z) @ A
+            else:
+                sides[c, s] = z, np.fft.ifft(A, axis=0), A.sum(axis=0)
+        return sides[c, s]
+
     for zc, wc, sign, entries, zcols, wcols in table:
-        if live.isdisjoint(entries):
-            continue
-        for c in (zc, wc):
-            if c not in evaluated:
-                r, side, keys = circles[c]
-                z, wz = quad.nodes_weights(quad.Circle(0j, r), n)
-                evaluated[c] = z, _columns(z, keys, side, factors) * wz[:, None]
-        (z, A), (w, B) = evaluated[zc], evaluated[wc]
-        est[entries] = sign * _coupled_block(A, B, z, w)[zcols, wcols]
+        if not live.isdisjoint(entries):
+            block = _coupled_block(side(zc, "z"), side(wc, "w"))
+            est[entries] = sign * block[zcols, wcols]
     return est
 
 
@@ -530,8 +548,6 @@ def radius_sweep(spec, T, cfg=None, oracle_value=None, oracle_kwargs=None,
         T = PointSet(T)
     if oracle_value is None:
         oracle_value = correlation_oracle(spec, T, **(oracle_kwargs or {}))
-    mx_plus = spec.max_abs_plus()
-    mx_all = spec.max_abs()
     rows = []
 
     def try_config(radii, note):
@@ -546,12 +562,7 @@ def radius_sweep(spec, T, cfg=None, oracle_value=None, oracle_kwargs=None,
                          "pass": False})
 
     for fr in np.linspace(0.25, 0.75, samples):
-        r11 = 1 + fr * (1 / mx_plus - 1)
-        radii = {"k11": r11,
-                 "k12_w_lt": (mx_plus + 1 / r11) / 2,
-                 "k12_w_gt": (1 / r11 + 1 / mx_all) / 2,
-                 "k22": mx_all + fr * (1 - mx_all)}
-        try_config(radii, f"admissible fraction {fr:.2f}")
+        try_config(_radii_at(spec, fr), f"admissible fraction {fr:.2f}")
     try_config(_inadmissible_radii(spec),
                "k11 encloses 1/x poles (inadmissible reading)")
     return {"oracle": oracle_value, "rows": rows}

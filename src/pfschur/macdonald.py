@@ -15,12 +15,11 @@ contour routes need care with which poles a contour encloses:
   facts are pinned down in the test suite).
 
 Each contour integrand is written once, as a product of a one-variable
-factor per integration variable and a pairwise factor per pair. A double
-integral (r = 2, d = 2) runs on `quadrature.integrate_bilinear` with the
-pairwise factor as the core and the one-variable factors as the columns;
-more variables multiply the same factors on `quadrature.integrate_n`. The
-stated contour encloses only simple poles, at the x_i, so `stated_action_Z`
-sums its residues from the same factors exactly, with no quadrature.
+factor per integration variable and a pairwise factor per pair, and every
+contour action, at any number of variables, is one call of
+`quadrature.integrate_product` on those factors. The stated contour
+encloses only simple poles, at the x_i, so `stated_action_Z` sums its
+residues from the same factors exactly, with no quadrature.
 """
 
 import math
@@ -159,26 +158,12 @@ def apply_via_contour(G, xs, r, q, radius=None, tol=1e-9, nodes=64,
             v = v * (q * z - x) * f(q * z * x) / ((z - x) * f(z * x))
         return v * f(z * z) / f(q * z * z) * g(q * z) / (g(z) * z)
 
-    def pair(za, zb):
+    def pair(j, k, za, zb):
         return ((za - zb) * (zb - za) * f(q * q * za * zb) * f(za * zb)
                 / ((q * za - zb) * (q * zb - za) * f(q * za * zb) ** 2))
 
-    if r == 1:
-        integral, info = quad.integrate(one_var, contour, tol=tol, full_output=True)
-    elif r == 2:
-        integral, info = quad.integrate_bilinear(pair, one_var, one_var, contour,
-                                                 contour, tol=tol, full_output=True)
-    else:
-        def integrand(*zs):
-            v = 1.0
-            for a in range(r):
-                v = v * one_var(zs[a])
-                for b in range(a + 1, r):
-                    v = v * pair(zs[a], zs[b])
-            return v
-        integral, info = quad.integrate_n(integrand, [contour] * r,
-                                          tol=tol, full_output=True)
-
+    integral, info = quad.integrate_product([one_var] * r, pair, [contour] * r,
+                                            tol=tol, full_output=True)
     pref = q ** (r * (r - 1) // 2) / (math.factorial(r) * (q - 1) ** r)
     value = G.value(xs) * pref * integral
     if full_output:
@@ -361,18 +346,6 @@ def _one_row_pair(zj, zk, qj, qk, with_boundary):
     return v
 
 
-def _iterated_integrand(zs, qs, xs, ys, with_boundary):
-    """Integrand of the d-fold action: the one-variable factors times the
-    pairwise factors."""
-    d = len(zs)
-    v = 1.0
-    for j in range(d):
-        v = v * _one_row(zs[j], qs[j], xs, ys, with_boundary)
-        for k in range(j + 1, d):
-            v = v * _one_row_pair(zs[j], zs[k], qs[j], qs[k], with_boundary)
-    return v
-
-
 def _iterated_action(qs, X, Y, with_boundary, radii, tol, nodes, contour_mode):
     qs = [complex(q) for q in qs]
     xs = [complex(x) for x in X]
@@ -401,17 +374,10 @@ def _iterated_action(qs, X, Y, with_boundary, radii, tol, nodes, contour_mode):
 
     contours = [quad.circles_around(centers[j], radii[j], nodes=nodes)
                 for j in range(d)]
-    one = [lambda z, q=q: _one_row(z, q, xs, ys, with_boundary) for q in qs]
-    if d == 1:
-        integral = quad.integrate(one[0], contours[0], tol=tol)
-    elif d == 2:
-        integral = quad.integrate_bilinear(
-            lambda z1, z2: _one_row_pair(z1, z2, qs[0], qs[1], with_boundary),
-            one[0], one[1], contours[0], contours[1], tol=tol)
-    else:
-        integral = quad.integrate_n(
-            lambda *zs: _iterated_integrand(zs, qs, xs, ys, with_boundary),
-            contours, tol=tol)
+    integral = quad.integrate_product(
+        [lambda z, q=q: _one_row(z, q, xs, ys, with_boundary) for q in qs],
+        lambda j, k, zj, zk: _one_row_pair(zj, zk, qs[j], qs[k], with_boundary),
+        contours, tol=tol)
     base = z_partition(xs, ys) if with_boundary else f_partition(xs, ys)
     return base * integral
 

@@ -10,23 +10,33 @@ as an outer product without building meshes by hand.
 
 One function, `converge`, runs the doubling loop for any number of
 integrals sharing a node sequence, accepting each at its own first
-converged doubling; `integrate`, `integrate2`, `integrate_bilinear` and
-`integrate_n` are single-integral wrappers over it. `estimate_bilinear`
-gives a whole matrix of double integrals at one node count and is the one
-summation of every two-dimensional grid: `integrate2` and the last two
-contours of `integrate_n` use it with unit columns. Two-dimensional grids
-are evaluated in row blocks of at most `_CHUNK` elements.
+converged doubling; `integrate`, `integrate2`, `integrate_n` and
+`integrate_product` are single-integral wrappers over it. Each contour's
+nodes and weights are one vector concatenated over its circles.
+`estimate_bilinear` gives a whole matrix of double integrals at one node
+count and is the one summation of every two-dimensional grid. Every
+integral over d >= 2 contours runs one outer-node loop over the first
+d - 2 contours and sums the last two through it: `integrate2` and
+`integrate_n` with unit columns and their integrand as the grid,
+`integrate_product` (a product of one-variable and pairwise factors) with
+the pairwise factors of the outer variables folded into the columns, so
+the last pairwise factor is the only grid. Two-dimensional grids are
+evaluated in row blocks of at most `_CHUNK` elements.
 
 All integrals are normalized by 1/(2*pi*i): `integrate(f, c)` approximates
 (1/(2*pi*i)) oint_c f(z) dz.
 """
 
+import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
+# node caps per circle for one, two and three or more contours
 MAX_NODES = 2 ** 15
 MAX_NODES_2D = 2 ** 13
+MAX_NODES_ND = 2 ** 10
 # Elements per evaluation block in 2-D (at least one row per block). A
 # complex block of 2**12 elements is 64 KiB, under glibc's 128 KiB mmap
 # threshold, so its temporaries are reused from the heap instead of being
@@ -95,12 +105,16 @@ def nodes_weights(c: Circle, n):
     return z, w
 
 
+def _nodes(contour, n):
+    """The n trapezoid nodes of every circle of a contour, and their
+    weights, each as one vector concatenated over the circles."""
+    zw = [nodes_weights(c, n) for c in contour.circles]
+    return np.concatenate([z for z, _ in zw]), np.concatenate([w for _, w in zw])
+
+
 def _estimate1(f, contour, n):
-    total = 0j
-    for c in contour.circles:
-        z, w = nodes_weights(c, n)
-        total += np.sum(np.asarray(f(z)) * w)
-    return total
+    z, w = _nodes(contour, n)
+    return np.sum(np.asarray(f(z)) * w)
 
 
 def _converged(new, old, tol):
@@ -172,18 +186,16 @@ def estimate_bilinear(core, gz, gw, c1, c2, n1, n2):
     G_z^T (W C W) G_w, with the core grid evaluated in row blocks of at most
     _CHUNK elements (at least one row).
     """
+    z, wz = _nodes(c1, n1)
+    w, ww = _nodes(c2, n2)
+    Gz = gz(z) * wz.reshape(-1, 1)
+    Gw = gw(w) * ww.reshape(-1, 1)
+    rows = max(1, _CHUNK // len(w))
     total = 0j
-    for ca in c1.circles:
-        z, wz = nodes_weights(ca, n1)
-        Gz = gz(z) * wz.reshape(-1, 1)
-        for cb in c2.circles:
-            w, ww = nodes_weights(cb, n2)
-            Gw = gw(w) * ww.reshape(-1, 1)
-            rows = max(1, _CHUNK // max(1, n2))
-            for start in range(0, n1, rows):
-                zc = z[start:start + rows].reshape(-1, 1)
-                C = np.broadcast_to(core(zc, w.reshape(1, -1)), (len(zc), n2))
-                total = total + Gz[start:start + rows].T @ (C @ Gw)
+    for start in range(0, len(z), rows):
+        zc = z[start:start + rows].reshape(-1, 1)
+        C = np.broadcast_to(core(zc, w.reshape(1, -1)), (len(zc), len(w)))
+        total = total + Gz[start:start + rows].T @ (C @ Gw)
     return total
 
 
@@ -191,15 +203,37 @@ def _unit(v):
     return np.ones((len(v), 1))
 
 
-def _double(core, gz, gw, c1, c2, tol, max_nodes, full_output):
-    """The doubling loop of `integrate2` and `integrate_bilinear`: the
-    integral of core(z, w) * gz(z) * gw(w) as the one entry of
-    `estimate_bilinear` with gz and gw as its columns."""
-    n1, n2 = c1.nodes, c2.nodes
-    return _single(
-        lambda k: estimate_bilinear(core, gz, gw, c1, c2, n1 << k, n2 << k)[0, 0],
-        max(n1, n2), max_nodes, tol, full_output, "double contour integral",
-        lambda k: (n1 << k, n2 << k))
+def _outer(contours, ns):
+    """The outer-node loop: every tuple of nodes of the contours, contour j
+    at ns[j] nodes per circle, with the product of their weights. With no
+    contours it is one empty tuple of weight 1."""
+    grids = [_nodes(c, n) for c, n in zip(contours, ns)]
+    for idx in product(*(range(len(z)) for z, _ in grids)):
+        yield ([z[i] for (z, _), i in zip(grids, idx)],
+               math.prod(w[i] for (_, w), i in zip(grids, idx)))
+
+
+def _folded(term, contours, tol, max_nodes, full_output):
+    """The doubling loop of every integral over d >= 2 contours.
+
+    Each contour doubles from its own start. At each outer-node tuple zs of
+    the first d - 2 contours, term(zs) returns (scale, core, gz, gw), and the
+    estimate adds the tuple's weight times scale times the one entry of
+    `estimate_bilinear` of core, gz and gw on the last two contours.
+    """
+    d, starts = len(contours), [c.nodes for c in contours]
+
+    def estimate(k):
+        ns = [s << k for s in starts]
+        total = 0j
+        for zs, weight in _outer(contours[:-2], ns[:-2]):
+            scale, core, gz, gw = term(zs)
+            total += weight * scale * estimate_bilinear(
+                core, gz, gw, contours[-2], contours[-1], ns[-2], ns[-1])[0, 0]
+        return total
+    what = "double contour integral" if d == 2 else f"{d}-fold contour integral"
+    return _single(estimate, max(starts), max_nodes, tol, full_output, what,
+                   lambda k: tuple(s << k for s in starts))
 
 
 def integrate2(f, c1, c2, tol=1e-9, max_nodes=MAX_NODES_2D, full_output=False):
@@ -208,49 +242,50 @@ def integrate2(f, c1, c2, tol=1e-9, max_nodes=MAX_NODES_2D, full_output=False):
     f receives node arrays shaped (N,1) and (1,M); broadcasting gives the
     value grid. Both node counts double jointly under one convergence test.
     """
-    return _double(f, _unit, _unit, c1, c2, tol, max_nodes, full_output)
+    return _folded(lambda zs: (1, f, _unit, _unit), [c1, c2], tol, max_nodes,
+                   full_output)
 
 
-def integrate_bilinear(core, gz, gw, c1, c2, tol=1e-9, max_nodes=MAX_NODES_2D,
-                       full_output=False):
-    """integrate2 of core(z, w) * gz(z) * gw(w), with the same node sequence,
-    convergence test and result info, estimated by `estimate_bilinear` with
-    gz and gw as its one-column factors: the core is the only grid."""
-    return _double(core, lambda z: np.reshape(gz(z), (-1, 1)),
-                   lambda w: np.reshape(gw(w), (-1, 1)), c1, c2, tol,
-                   max_nodes, full_output)
-
-
-def integrate_n(f, contours, tol=1e-9, max_nodes=2 ** 10, full_output=False):
+def integrate_n(f, contours, tol=1e-9, max_nodes=MAX_NODES_ND, full_output=False):
     """(1/2pi i)^d iterated integral over d contours, d >= 1.
 
     f takes d broadcast-ready arguments: nodes of the outer d - 2 contours
     one at a time, then the last two as arrays shaped (N,1) and (1,M) as in
     integrate2. Joint node doubling as in integrate2; intended for small d.
     """
-    d = len(contours)
-    if d == 1:
+    if len(contours) == 1:
         return integrate(f, contours[0], tol=tol, max_nodes=max_nodes,
                          full_output=full_output)
-    if d == 2:
-        return integrate2(f, contours[0], contours[1], tol=tol,
-                          max_nodes=max_nodes, full_output=full_output)
+    return _folded(lambda zs: (1, lambda a, b: f(*zs, a, b), _unit, _unit),
+                   contours, tol, max_nodes, full_output)
 
-    def estimate(n):
-        def rec(level, zs, wprod):
-            if level == d - 2:
-                return wprod * estimate_bilinear(
-                    lambda a, b: f(*zs, a, b), _unit, _unit,
-                    contours[-2], contours[-1], n, n)[0, 0]
-            total = 0j
-            for c in contours[level].circles:
-                z, w = nodes_weights(c, n)
-                for zk, wk in zip(z, w):
-                    total += rec(level + 1, zs + [zk], wprod * wk)
-            return total
-        return rec(0, [], 1.0 + 0j)
 
-    n = max(c.nodes for c in contours)
-    return _single(lambda k: estimate(n << k), n, max_nodes, tol, full_output,
-                   f"{d}-fold contour integral", lambda k: n << k)
+def integrate_product(ones, pair, contours, tol=1e-9, max_nodes=None,
+                      full_output=False):
+    """(1/2pi i)^d oint...oint prod_j ones[j](z_j) prod_{j<k} pair(j, k, z_j, z_k)
+    over d >= 1 contours, z_j on contours[j].
 
+    At d = 1 this is `integrate`. At d >= 2 the outer d - 2 variables run
+    over their nodes; their one-variable and mutual pair factors are a
+    scalar per tuple, and their pair factors with the last two variables
+    fold into those variables' columns, so pair(d - 2, d - 1) is the only
+    grid `estimate_bilinear` evaluates. max_nodes defaults to the cap of the
+    dimension: MAX_NODES, MAX_NODES_2D or MAX_NODES_ND.
+    """
+    d = len(contours)
+    if max_nodes is None:
+        max_nodes = (MAX_NODES, MAX_NODES_2D, MAX_NODES_ND)[min(d, 3) - 1]
+    if d == 1:
+        return integrate(ones[0], contours[0], tol=tol, max_nodes=max_nodes,
+                         full_output=full_output)
+
+    def term(zs):
+        m = len(zs)
+
+        def column(k):
+            return lambda z: np.reshape(ones[k](z) * math.prod(
+                pair(j, k, zs[j], z) for j in range(m)), (-1, 1))
+        scale = math.prod(ones[j](zs[j]) * math.prod(
+            pair(j, k, zs[j], zs[k]) for k in range(j + 1, m)) for j in range(m))
+        return scale, lambda a, b: pair(m, m + 1, a, b), column(m), column(m + 1)
+    return _folded(term, contours, tol, max_nodes, full_output)

@@ -212,30 +212,6 @@ def H0(sx):
     return out
 
 
-def H1(s, z, q):
-    """prod_i (1 - z x_i) / (1 - q z x_i)."""
-    out = 1.0 + 0j
-    for x in _values(s):
-        den = 1 - q * z * x
-        if den == 0:
-            raise ValueError(f"pole: q*z*x = 1 at x = {x}")
-        out *= (1 - z * x) / den
-    return out
-
-
-def H2(s, z, q):
-    """prod_i (1 - x_i/(q z)) / (1 - x_i/z)."""
-    if z == 0 or q == 0:
-        raise ValueError("H2 requires z != 0 and q != 0")
-    out = 1.0 + 0j
-    for x in _values(s):
-        den = 1 - x / z
-        if den == 0:
-            raise ValueError(f"pole: z = x at x = {x}")
-        out *= (1 - x / (q * z)) / den
-    return out
-
-
 def clear_caches():
     """Drop the h-table and Schur memoization tables (for memory control in
     long randomized batteries)."""

@@ -71,13 +71,6 @@ def battery_symfunc(seed=0, tol=1e-10):
     total = sum(symfunc.schur(mu, X)
                 for mu in enumerate_up_to_weight(40, 2) if is_even_conjugate(mu))
     rows.append(_row("even-conjugate Schur sum -> H0", abs(total - target), 1e-10))
-
-    # H1 * H2 finite and continuous on pole-free circles (smoke)
-    q = 0.4 + 0.2j
-    z_nodes = 0.8 * np.exp(2j * np.pi * np.arange(64) / 64)
-    vals = [symfunc.H1(X, z, q) * symfunc.H2(X, z, q) for z in z_nodes]
-    jumps = max(abs(vals[i] - vals[i - 1]) for i in range(1, len(vals)))
-    rows.append(_row("H1*H2 circle continuity (max jump)", jumps, 1.0))
     return rows
 
 
@@ -172,26 +165,42 @@ def battery_iterated_actions(seed=0, tol=1e-6):
 # partition functions
 # ---------------------------------------------------------------------------
 
-def battery_partition_function(L=40, tol=1e-8):
+def battery_partition_function(spec, L, tol=1e-8):
+    """Closed-form partition functions against their truncated sums.
+
+    Fixed m = 1 and m = 2 specs at weight 40 and tol, with the H0-union
+    adjudication, then the pfaffian partition function of `spec` itself at
+    weight L, within ten times its truncation diagnostic (at least 1e-8).
+    """
     rows = []
+    fixed_L = 40
     m1 = measures.ProcessSpec([[0.5]], [[0.5]])
     m2 = measures.ProcessSpec([[0.5], [0.4]], [[0.45], [0.35]])
-    for name, spec in (("m=1 singleton", m1), ("m=2 singletons", m2)):
+    for name, fixed in (("m=1 singleton", m1), ("m=2 singletons", m2)):
         for kind in ("pfaffian", "schur"):
-            closed = measures.partition_function_closed(spec, kind)
-            trunc = measures.partition_function_truncated(spec, kind, L)
+            closed = measures.partition_function_closed(fixed, kind)
+            trunc = measures.partition_function_truncated(fixed, kind, fixed_L)
             rel = abs(closed - trunc) / abs(closed)
-            rows.append(_row(f"{name} {kind} truncated vs closed (L={L})", rel, tol))
+            rows.append(_row(f"{name} {kind} truncated vs closed (L={fixed_L})",
+                             rel, tol))
     # adjudication: union H0 vs literal per-level product at m=2
     closed_union = measures.partition_function_closed(m2, "pfaffian", h0_union=True)
     closed_literal = measures.partition_function_closed(m2, "pfaffian", h0_union=False)
-    trunc = measures.partition_function_truncated(m2, "pfaffian", L)
+    trunc = measures.partition_function_truncated(m2, "pfaffian", fixed_L)
     rel_union = abs(closed_union - trunc) / trunc
     rel_literal = abs(closed_literal - trunc) / trunc
     rows.append(_row("m=2 H0-union form vs oracle", rel_union, tol,
                      {"verdict": "union form matches"
                       if rel_union < tol < rel_literal else "inconclusive",
                       "literal_rel_err": rel_literal}))
+    # the config's own process; S_L and S_{L-5} give the truncation diagnostic
+    closed = measures.partition_function_closed(spec, "pfaffian")
+    s_l = measures.partition_function_truncated(spec, "pfaffian", L)
+    s_prev = measures.partition_function_truncated(spec, "pfaffian", max(0, L - 5))
+    diag = abs(s_l - s_prev) / abs(s_l)
+    rows.append(_row(f"config process pfaffian truncated vs closed (L={L})",
+                     abs(closed - s_l) / abs(closed), max(10 * diag, 1e-8),
+                     {"truncation_diagnostic": diag}))
     return rows
 
 

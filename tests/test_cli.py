@@ -182,6 +182,30 @@ def test_verify_partition_function_truncation_flag(tmp_path):
     assert read_report(out)["all_pass"]
 
 
+def test_verify_partition_function_checks_the_configs_process(tmp_path):
+    # the config's own L = 20; the fixed specs stay at L = 40
+    out = tmp_path / "report.json"
+    assert run_cli(["verify-partition-function", "--config",
+                    str(CONFIGS / "m2_d11.json"), "--out", str(out)]) == 0
+    report = read_report(out)
+    assert report["all_pass"]
+    names = [row["name"] for row in report["results"]]
+    assert "config process pfaffian truncated vs closed (L=20)" in names
+    assert "m=2 singletons pfaffian truncated vs closed (L=40)" in names
+
+
+def test_verify_report_with_a_failing_row_exits_3(tmp_path, monkeypatch):
+    from pfschur import verify
+    monkeypatch.setattr(verify, "battery_pfaffian", lambda seed: [
+        {"name": "failing row", "value": 1.0, "tol": 0.5, "pass": False}])
+    out = tmp_path / "report.json"
+    assert run_cli(["verify-pfaffian", "--config", str(CONFIGS / "m1_singleton.json"),
+                    "--out", str(out)]) == 3
+    report = read_report(out)
+    assert report["all_pass"] is False
+    assert report["results"][0]["name"] == "failing row"
+
+
 def test_sweep_radii_command(tmp_path):
     out = tmp_path / "report.json"
     assert run_cli(["sweep-radii", "--config", str(CONFIGS / "m1_singleton.json"),

@@ -94,3 +94,20 @@ def test_each_circle_is_evaluated_once_per_doubling(monkeypatch):
     per_doubling = Counter((what, n) for what, n, _ in calls)
     assert per_doubling[("columns", 64)] == per_doubling[("nodes_weights", 64)] == 4
     assert len(per_doubling) >= 4  # at least one doubling of each
+
+
+def test_each_circle_side_is_transformed_once_per_doubling(monkeypatch):
+    # K11 and both K12 blocks read the k11 circle's z side, K11 also its w
+    # side: 6 distinct transforms for the 4 blocks, not 2 per block
+    spec = ProcessSpec([[0.4, 0.2], [0.3]], [[0.35], [0.25, 0.1]])
+    pts = [(1, 0), (1, 2), (2, -1), (2, 1)]
+    circles, table, factors = kernels._layout(spec, pts, KernelConfig())
+    assert len(table) == 4
+    sizes, ifft = [], np.fft.ifft
+
+    def spy(a, *args, **kwargs):
+        sizes.append(len(a))
+        return ifft(a, *args, **kwargs)
+    monkeypatch.setattr(np.fft, "ifft", spy)
+    kernels._estimate(64, set(range(3 * len(pts) ** 2)), circles, table, factors)
+    assert sizes == [64] * 6

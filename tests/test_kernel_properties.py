@@ -19,7 +19,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 
 from pfschur.kernels import (SIGN_BR, KernelConfig, _inadmissible_radii,  # noqa: E402
-                             assemble_kernel, kernel_entry_process)
+                             _radii_at, assemble_kernel, kernel_entry_process)
 from pfschur.measures import PointSet, ProcessSpec  # noqa: E402
 from pfschur.quadrature import QuadratureError  # noqa: E402
 
@@ -28,11 +28,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def _sweep_radii(spec, fr=0.3):
     """radius_sweep's admissible radii at fraction fr of each interval."""
-    mx_plus, mx_all = spec.max_abs_plus(), spec.max_abs()
-    r11 = 1 + fr * (1 / mx_plus - 1)
-    return {"k11": r11, "k12_w_lt": (mx_plus + 1 / r11) / 2,
-            "k12_w_gt": (1 / r11 + 1 / mx_all) / 2,
-            "k22": mx_all + fr * (1 - mx_all)}
+    return _radii_at(spec, fr)
 
 
 # KernelConfig fields per variant; "radii" takes its radii from the spec

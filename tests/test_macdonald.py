@@ -250,15 +250,16 @@ def test_contour_action_r2_is_integrate2_of_the_old_integrand():
 def test_iterated_d2_is_integrate2_of_the_old_integrand(monkeypatch, action, mode):
     xs, ys = [0.3, 0.2], [0.25, 0.1]
     qs = [0.4 + 0.1j, 0.35 - 0.2j]
-    bilinear, seen = quad.integrate_bilinear, []
+    integrate_product, seen = quad.integrate_product, []
 
-    def spy(core, gz, gw, c1, c2, tol):
-        value, info = bilinear(core, gz, gw, c1, c2, tol=tol, full_output=True)
-        seen.append((c1, c2, tol, value, info["nodes"]))
+    def spy(ones, pair, contours, tol):
+        value, info = integrate_product(ones, pair, contours, tol=tol,
+                                        full_output=True)
+        seen.append((contours, tol, value, info["nodes"]))
         return value
-    monkeypatch.setattr(quad, "integrate_bilinear", spy)
+    monkeypatch.setattr(quad, "integrate_product", spy)
     action(qs, xs, ys, contour_mode=mode)
-    (c1, c2, tol, value, nodes), = seen
+    ((c1, c2), tol, value, nodes), = seen
     ref, ref_info = quad.integrate2(
         lambda z1, z2: _old_iterated_integrand(z1, z2, qs, xs, ys,
                                                action is iterated_action_Z),

@@ -4,7 +4,8 @@ import pytest
 from pfschur import quadrature
 from pfschur.quadrature import (Circle, ContourSpec, QuadratureError, circle,
                                 circles_around, estimate_bilinear, integrate,
-                                integrate2, integrate_n, _estimate1)
+                                integrate2, integrate_n, integrate_product,
+                                _estimate1)
 
 
 def test_residue_examples():
@@ -140,16 +141,34 @@ def test_nonconvergence_names_the_nodes_reached():
     assert "at 64 nodes/circle" in str(exc.value)
 
 
-def test_integrate_bilinear_is_integrate2_of_the_product():
+def test_integrate_product_d2_is_integrate2_of_the_product():
     core = lambda z, w: (z - w) / (z * w - 4)
     gz, gw = (lambda z: 1 / (z - 0.3)), (lambda w: w ** 2 / (w - 0.2))
     c1, c2 = circles_around([0.3, -0.5], 0.1), circle(0.6, nodes=32)
     want, want_info = integrate2(lambda z, w: core(z, w) * gz(z) * gw(w), c1, c2,
                                  tol=1e-12, full_output=True)
-    got, info = quadrature.integrate_bilinear(core, gz, gw, c1, c2, tol=1e-12,
-                                              full_output=True)
+    got, info = integrate_product([gz, gw], lambda j, k, z, w: core(z, w),
+                                  [c1, c2], tol=1e-12, full_output=True)
     assert abs(got - want) < 1e-13 * max(1.0, abs(want))
     assert info["nodes"] == want_info["nodes"]
+
+
+def test_integrate_product_d3_is_integrate_n_of_the_product():
+    # the outer variable's pair factors fold into the last two columns
+    ones = [lambda z: 1 / (z - 0.3), lambda z: z / (z + 0.4),
+            lambda z: 1 / (z * (z - 0.1))]
+    pair = lambda j, k, a, b: (a - b) / (a * b - 2 - j - k)
+    contours = [circles_around([0.3, -0.4], 0.15, nodes=16), circle(0.7, nodes=16),
+                circles_around([0.1, 0.0], 0.05, nodes=16)]
+
+    def f(a, b, c):
+        v = ones[0](a) * ones[1](b) * ones[2](c)
+        return v * pair(0, 1, a, b) * pair(0, 2, a, c) * pair(1, 2, b, c)
+    want, want_info = integrate_n(f, contours, tol=1e-11, full_output=True)
+    got, info = integrate_product(ones, pair, contours, tol=1e-11,
+                                  full_output=True)
+    assert info["nodes"] == want_info["nodes"]
+    assert abs(got - want) < 1e-13 * abs(want)
 
 
 def test_chunk_keeps_temporaries_below_the_mmap_threshold():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from pfschur.partitions import enumerate_up_to_weight, subpartitions
-from pfschur.symfunc import (H0, H1, H2, DivergenceError, Specialization,
-                             cauchy_H, complete_homogeneous, elementary,
-                             monomial, power_sum, schur, skew_schur, tau)
+from pfschur.symfunc import (H0, DivergenceError, Specialization, cauchy_H,
+                             complete_homogeneous, elementary, monomial,
+                             power_sum, schur, skew_schur, tau)
 
 
 def ssyt_schur(lam, values):
@@ -170,40 +170,6 @@ def test_even_conjugate_schur_sum_converges_to_H0():
         errs.append(abs(total - target))
     assert errs[2] < 1e-8
     assert errs[0] > errs[1] > errs[2]  # geometric decay
-
-
-def test_H1_H2():
-    s = Specialization([0.4])
-    z, q = 0.7 + 0.2j, 0.5
-    assert H1(Specialization([]), z, q) == 1
-    assert abs(H1(s, z, q) - (1 - z * 0.4) / (1 - q * z * 0.4)) < 1e-15
-    assert abs(H1(s, z, 1.0) - 1) < 1e-15
-    assert H2(Specialization([]), z, q) == 1
-    assert abs(H2(s, z, q) - (1 - 0.4 / (q * z)) / (1 - 0.4 / z)) < 1e-15
-    assert abs(H2(s, z, 1.0) - 1) < 1e-15
-    with pytest.raises(ValueError):
-        H2(s, 0.0, q)
-    with pytest.raises(ValueError):
-        H2(s, 0.4, q)  # z equals a value
-    with pytest.raises(ValueError):
-        H1(s, 1 / (q * 0.4), q)  # q z x = 1
-
-
-def test_h1_h2_smooth_on_circles():
-    # finite everywhere off the poles, and refining the grid halves the
-    # largest jump (the numerical signature of continuity)
-    rng = np.random.default_rng(5)
-    s = Specialization(rng.uniform(0.1, 0.5, 3))
-    q = 0.4 + 0.2j
-
-    def max_jump(r, n):
-        nodes = r * np.exp(2j * np.pi * np.arange(n) / n)
-        vals = np.array([H1(s, z, q) * H2(s, z, q) for z in nodes])
-        assert np.all(np.isfinite(vals))
-        return np.max(np.abs(np.diff(vals)))
-
-    for r in (0.7, 0.9, 1.3):
-        assert max_jump(r, 512) < 0.6 * max_jump(r, 128)
 
 
 def test_specialization_json():

@@ -20,3 +20,9 @@ def test_sign_adjudication_flips_only_the_sign(monkeypatch):
     assert seen == [cfg, replace(cfg, sign_convention=SIGN_BR)]
     assert out["sign_adjudication"]["flipped_convention"] == SIGN_BR
     assert cfg.sign_convention == SIGN_PAPER
+
+
+def test_symfunc_battery_passes_on_every_seed():
+    failed = [(seed, row["name"]) for seed in range(60)
+              for row in verify.battery_symfunc(seed) if not row["pass"]]
+    assert failed == []
