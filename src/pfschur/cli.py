@@ -81,8 +81,7 @@ def _load_config(path, overrides):
         problems.append("truncation_weight: must be nonnegative")
 
     qcfg = section("quadrature")
-    tol = number(float, "quadrature.tol", overrides.tol if overrides.tol is not None
-                 else qcfg.get("tol", 1e-8), 1e-8)
+    tol = number(float, "quadrature.tol", qcfg.get("tol", 1e-8), 1e-8)
     start_nodes = number(int, "quadrature.start_nodes",
                          qcfg.get("start_nodes", 64), 64)
 
@@ -99,8 +98,11 @@ def _load_config(path, overrides):
     else:
         problems.append("kernel.radii: must be a JSON object")
         radii = {}
+    # --tol overrides kernel.quad_tol, which defaults to quadrature.tol
+    quad_tol = overrides.tol if overrides.tol is not None else number(
+        float, "kernel.quad_tol", kcfg_raw.get("quad_tol", tol), tol)
     cfg = kernels.KernelConfig(
-        quad_tol=number(float, "kernel.quad_tol", kcfg_raw.get("quad_tol", tol), tol),
+        quad_tol=quad_tol,
         start_nodes=start_nodes,
         max_nodes=number(int, "kernel.max_nodes",
                          kcfg_raw.get("max_nodes", kernels.KernelConfig.max_nodes),
@@ -118,12 +120,14 @@ def _load_config(path, overrides):
 
     seed = number(int, "seed", overrides.seed if overrides.seed is not None
                   else raw.get("seed", 0), 0)
+    if seed < 0:
+        problems.append(f"seed: {seed} must be nonnegative")
 
     if problems:
         raise ConfigError("; ".join(problems))
     digest = hashlib.sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
-    return {"raw": raw, "spec": spec, "points": points, "L": L, "tol": tol,
+    return {"raw": raw, "spec": spec, "points": points, "L": L,
             "kernel_cfg": cfg, "seed": seed, "digest": digest}
 
 
@@ -230,8 +234,14 @@ def main(argv=None):
                 if spec.m != 1:
                     raise ConfigError("q-extraction requires a single-level process")
                 ts = [t for _, t in T.points]
-                value, info = kernels.correlation_via_q_extraction(
-                    spec.rho_plus[0], spec.rho_minus[0], ts, cfg, full_output=True)
+                try:
+                    value, info = kernels.correlation_via_q_extraction(
+                        spec.rho_plus[0], spec.rho_minus[0], ts, cfg,
+                        full_output=True)
+                except ContourConditionError:
+                    raise
+                except ValueError as exc:  # the extraction's input checks
+                    raise ConfigError(str(exc)) from exc
                 results.append({"T": T.to_json(), "method": "q-extraction",
                                 "value": value,
                                 "imag_defect": info["imag_defect"],

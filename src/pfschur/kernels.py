@@ -44,8 +44,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import quadrature as quad
-from .macdonald import (ContourConditionError, choose_radii, stated_action_Z,
-                        z_partition)
+from .macdonald import (ContourConditionError, _cauchy_form, _pair, choose_radii,
+                        stated_action_Z, z_partition)
 from .macdonald import iterated_action_Z  # noqa: F401 (perfbench traces it here)
 from .measures import PointSet, ProcessSpec
 from .pfaffian import SkewMatrix, pfaffian, schur_pfaffian_matrix
@@ -453,8 +453,10 @@ def correlation_via_q_extraction(X, Y, T, cfg=None, rq=None, full_output=False):
     Sites below -n are occupied with probability one and are stripped before
     extraction (the coefficient reading is only valid for t >= -n). The
     stated-contour action is its exact residue sum (`stated_action_Z`), so
-    the one quadrature runs over the d <= 2 q-circles; full_output adds
-    their radius `rq` and its `nodes` and `last_delta`.
+    the one quadrature runs over the d <= 2 q-circles. full_output gives the
+    stripped sites and `imag_defect` (0.0 when every site is stripped) and
+    adds the q-circles' radius `rq` and the quadrature's `nodes` and
+    `last_delta`.
     """
     cfg = cfg or KernelConfig()
     X = X if isinstance(X, Specialization) else Specialization(X)
@@ -469,7 +471,8 @@ def correlation_via_q_extraction(X, Y, T, cfg=None, rq=None, full_output=False):
     if len(set(T_eff)) != len(T_eff):
         raise ValueError("positions must be distinct")
     d = len(T_eff)
-    info = {"stripped_deterministic": sorted(set(T_all) - set(T_eff))}
+    info = {"stripped_deterministic": sorted(set(T_all) - set(T_eff)),
+            "imag_defect": 0.0}
     if d == 0:
         return (1.0, info) if full_output else 1.0
     if d > 2:
@@ -502,6 +505,15 @@ def verify_principal_pfaffian_factorization(qs, zs):
     if len(qs) != len(zs):
         raise ValueError("need matching q and z lists")
     d = len(qs)
+    u = []
+    for j in range(d):
+        u += [zs[j], 1 / (qs[j] * zs[j])]
+    # distinct u also keep q_j z_j z_k and q_k z_j z_k off 1 in the pair factor
+    for a in range(2 * d):
+        for b in range(a + 1, 2 * d):
+            if u[a] == u[b]:
+                raise ValueError("coincident substitution points")
+    Z = _cauchy_form([], True)  # the pair factor reads only Z's f(u) = 1/(1 - u)
     prod = 1.0 + 0j
     for j in range(d):
         den = zs[j] - qs[j] * zs[j]
@@ -514,15 +526,7 @@ def verify_principal_pfaffian_factorization(qs, zs):
                 * (1 - qs[j] * qs[k] * zs[j] * zs[k]) * (1 - zs[j] * zs[k])
             if den == 0:
                 raise ValueError("pole coincidence among the z, qz points")
-            prod *= (qs[j] * zs[j] - qs[k] * zs[k]) * (zs[j] - zs[k]) \
-                * (1 - qs[k] * zs[k] * zs[j]) * (1 - qs[j] * zs[j] * zs[k]) / den
-    u = []
-    for j in range(d):
-        u += [zs[j], 1 / (qs[j] * zs[j])]
-    for a in range(2 * d):
-        for b in range(a + 1, 2 * d):
-            if u[a] == u[b]:
-                raise ValueError("coincident substitution points")
+            prod *= _pair(zs[j], zs[k], qs[j], qs[k], Z)
     pf = pfaffian(schur_pfaffian_matrix(u))
     return abs(pf - prod) / (abs(prod) + 1.0)
 

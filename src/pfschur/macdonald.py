@@ -14,19 +14,22 @@ contour routes need care with which poles a contour encloses:
   q-power coefficients are still exactly the correlation quantities (both
   facts are pinned down in the test suite).
 
-Each contour integrand is written once, as a product of a one-variable
-factor per integration variable and a pairwise factor per pair, and every
-contour action, at any number of variables, is one call of
-`quadrature.integrate_product` on those factors. The stated contour
-encloses only simple poles, at the x_i, so `stated_action_Z` sums its
-residues from the same factors exactly, with no quadrature.
+Every contour action integrates one integrand, written once for a product
+form G = prod_{i<j} f(x_i x_j) prod_i g(x_i) and one-row shifts q_1, ...,
+q_d: per variable z_j the x-poles (`_x_poles`) times the ratio of G with z_j
+shifted by q_j (`_regular`), and per pair a factor that reads only f
+(`_pair`). `apply_via_contour` is G(xs)/r! times it at r equal shifts q;
+the iterated actions are it on the product forms of Z(.; Y) and F(.; Y)
+(g = prod_y 1/(1 - xy), and f = 1/(1 - u) for Z, f = 1 for F), and the
+coupling-product check in `kernels` multiplies the same pair factor. Each
+action is one call of `quadrature.integrate_product` on these factors. The
+stated contour encloses only simple poles, at the x_i, so `stated_action_Z`
+sums its residues from the same factors exactly, with no quadrature.
 """
 
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
-
-import numpy as np
 
 from . import quadrature as quad
 from .symfunc import Specialization, H0, cauchy_H, elementary, schur
@@ -117,6 +120,52 @@ class ProductFormFunction:
         return self.value(xs)
 
 
+# ---------------------------------------------------------------------------
+# the one-row contour integrand
+# ---------------------------------------------------------------------------
+
+def _x_poles(z, q, xs):
+    """The factors of the integrand with a pole at some x_i."""
+    v = 1 / ((q - 1.0) * z)
+    for x in xs:
+        v = v * (q * z - x) / (z - x)
+    return v
+
+
+def _regular(z, q, xs, G):
+    """The factors of the integrand of z, the variable shifted by q, that are
+    analytic near every x_i: at z = x_i they are G(..., q x_i, ...)/G(xs)."""
+    num, den = G.g(q * z) * G.f(z * z), G.g(z) * G.f(q * z * z)
+    for x in xs:
+        num = num * G.f(q * z * x)
+        den = den * G.f(z * x)
+    return num / den
+
+
+def _pair(zj, zk, qj, qk, G):
+    """The factor of an earlier variable zj (shift qj) and a later zk (qk);
+    it reads only G.f."""
+    f, u = G.f, zj * zk
+    return ((qj * zj - qk * zk) * (zj - zk) * (f(qj * qk * u) * f(u))
+            / ((zj - qk * zk) * (qj * zj - zk) * (f(qj * u) * f(qk * u))))
+
+
+def _factors(qs, xs, G):
+    """The integrand of one-row operators with shifts qs acting on G at xs,
+    as the one-variable factors and the pair factor of
+    `quadrature.integrate_product`."""
+    ones = [lambda z, q=q: _x_poles(z, q, xs) * _regular(z, q, xs, G) for q in qs]
+    return ones, lambda j, k, zj, zk: _pair(zj, zk, qs[j], qs[k], G)
+
+
+def _cauchy_form(ys, with_boundary):
+    """Z(.; Y) (with_boundary) or F(.; Y) as a product form: g(x) =
+    prod_y 1/(1 - x y), and f(u) = 1/(1 - u) for Z, 1 for F."""
+    return ProductFormFunction(
+        f=(lambda u: 1 / (1 - u)) if with_boundary else (lambda u: 1.0),
+        g=lambda x: 1 / math.prod(1 - x * y for y in ys))
+
+
 def contour_radius(xs, q):
     """Half the largest safe radius for circles around the x_i: circles
     pairwise disjoint, q-images of every circle outside all circles, and 0
@@ -142,30 +191,19 @@ def apply_via_contour(G, xs, r, q, radius=None, tol=1e-9, nodes=64,
 
     The contour is the union of circles around the x_i; all r variables run
     over the same contour. Assumes t = q. f and g must accept numpy arrays.
+    The value is G(xs)/r! times the integral of the one-row integrand
+    (`_factors`) at r equal shifts q.
     """
     if not isinstance(G, ProductFormFunction):
         raise TypeError("G must be a ProductFormFunction")
     xs = [complex(x) for x in xs]
-    n = len(xs)
     if radius is None:
         radius = contour_radius(xs, q)
     contour = quad.circles_around(xs, radius, nodes=nodes)
-    f, g = G.f, G.g
-
-    def one_var(z):
-        v = np.ones_like(z)
-        for x in xs:
-            v = v * (q * z - x) * f(q * z * x) / ((z - x) * f(z * x))
-        return v * f(z * z) / f(q * z * z) * g(q * z) / (g(z) * z)
-
-    def pair(j, k, za, zb):
-        return ((za - zb) * (zb - za) * f(q * q * za * zb) * f(za * zb)
-                / ((q * za - zb) * (q * zb - za) * f(q * za * zb) ** 2))
-
-    integral, info = quad.integrate_product([one_var] * r, pair, [contour] * r,
-                                            tol=tol, full_output=True)
-    pref = q ** (r * (r - 1) // 2) / (math.factorial(r) * (q - 1) ** r)
-    value = G.value(xs) * pref * integral
+    integral, info = quad.integrate_product(*_factors([q] * r, xs, G),
+                                            [contour] * r, tol=tol,
+                                            full_output=True)
+    value = G.value(xs) * integral / math.factorial(r)
     if full_output:
         info = dict(info)
         info["radius"] = radius
@@ -311,48 +349,14 @@ def _validate_disks(qs, centers, radii):
                             "an earlier-variable pole reaches a later variable")
 
 
-def _x_poles(z, q, xs):
-    """The factors of `_one_row` with a pole at some x_i."""
-    v = 1 / ((q - 1.0) * z)
-    for x in xs:
-        v = v * (q * z - x) / (z - x)
-    return v
-
-
-def _regular(z, q, xs, ys, with_boundary):
-    """The factors of `_one_row` that are analytic near every x_i."""
-    v = 1.0
-    for y in ys:
-        v = v * (1 - z * y) / (1 - q * z * y)
-    if with_boundary:
-        for x in xs:
-            v = v * (1 - z * x) / (1 - q * z * x)
-        v = v * (1 - q * z * z) / (1 - z * z)
-    return v
-
-
-def _one_row(z, q, xs, ys, with_boundary):
-    """The factor of one integration variable z, the one shifted by q;
-    with_boundary adds the factors of the free-boundary partition function."""
-    return _x_poles(z, q, xs) * _regular(z, q, xs, ys, with_boundary)
-
-
-def _one_row_pair(zj, zk, qj, qk, with_boundary):
-    """The factor of an earlier variable zj (shift qj) and a later zk (qk)."""
-    v = (qj * zj - qk * zk) * (zj - zk) / ((zj - qk * zk) * (qj * zj - zk))
-    if with_boundary:
-        v = v * (1 - qk * zk * zj) * (1 - qj * zj * zk) \
-            / ((1 - qj * qk * zj * zk) * (1 - zj * zk))
-    return v
-
-
 def _iterated_action(qs, X, Y, with_boundary, radii, tol, nodes, contour_mode):
     qs = [complex(q) for q in qs]
     xs = [complex(x) for x in X]
     ys = [complex(y) for y in Y]
     d = len(qs)
+    partition = z_partition if with_boundary else f_partition
     if d == 0:
-        return z_partition(xs, ys) if with_boundary else f_partition(xs, ys)
+        return partition(xs, ys)
     if radii is None:
         radii = choose_radii(qs, xs, ys)
     if len(radii) != d or any(radii[i] <= radii[i + 1] for i in range(d - 1)):
@@ -375,11 +379,8 @@ def _iterated_action(qs, X, Y, with_boundary, radii, tol, nodes, contour_mode):
     contours = [quad.circles_around(centers[j], radii[j], nodes=nodes)
                 for j in range(d)]
     integral = quad.integrate_product(
-        [lambda z, q=q: _one_row(z, q, xs, ys, with_boundary) for q in qs],
-        lambda j, k, zj, zk: _one_row_pair(zj, zk, qs[j], qs[k], with_boundary),
-        contours, tol=tol)
-    base = z_partition(xs, ys) if with_boundary else f_partition(xs, ys)
-    return base * integral
+        *_factors(qs, xs, _cauchy_form(ys, with_boundary)), contours, tol=tol)
+    return partition(xs, ys) * integral
 
 
 def iterated_action_Z(qs, X, Y, radii=None, tol=1e-9, nodes=64,
@@ -406,17 +407,18 @@ def stated_action_Z(qs, X, Y):
 
     The stated circles enclose only the simple poles z_j = x_i, so the
     integral is a sum over the d-permutations of the x_i (a repeated x_i
-    vanishes through z_j - z_k) of the residues of the `_one_row` factors
-    times the `_one_row_pair` factors at those points.
+    vanishes through z_j - z_k) of the residues of the one-variable factors
+    times the pair factors at those points.
     """
     xs = [complex(x) for x in X]
     ys = [complex(y) for y in Y]
+    G = _cauchy_form(ys, True)
     # Res_{z=x_i} _x_poles(z, q, xs) = (q x_i - x_i) _x_poles(x_i, q, the other x's)
     res = [[(q - 1) * x * _x_poles(x, q, xs[:i] + xs[i + 1:])
-            * _regular(x, q, xs, ys, True) for i, x in enumerate(xs)]
+            * _regular(x, q, xs, G) for i, x in enumerate(xs)]
            for q in qs]
     total = sum(math.prod(res[j][i] for j, i in enumerate(I))
-                * math.prod(_one_row_pair(xs[I[j]], xs[I[k]], qs[j], qs[k], True)
+                * math.prod(_pair(xs[I[j]], xs[I[k]], qs[j], qs[k], G)
                             for j, k in combinations(range(len(qs)), 2))
                 for I in permutations(range(len(xs)), len(qs)))
     return z_partition(xs, ys) * total

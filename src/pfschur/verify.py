@@ -176,17 +176,19 @@ def battery_partition_function(spec, L, tol=1e-8):
     fixed_L = 40
     m1 = measures.ProcessSpec([[0.5]], [[0.5]])
     m2 = measures.ProcessSpec([[0.5], [0.4]], [[0.45], [0.35]])
+    truncated = {}
     for name, fixed in (("m=1 singleton", m1), ("m=2 singletons", m2)):
         for kind in ("pfaffian", "schur"):
             closed = measures.partition_function_closed(fixed, kind)
-            trunc = measures.partition_function_truncated(fixed, kind, fixed_L)
+            trunc = truncated[fixed, kind] = measures.partition_function_truncated(
+                fixed, kind, fixed_L)
             rel = abs(closed - trunc) / abs(closed)
             rows.append(_row(f"{name} {kind} truncated vs closed (L={fixed_L})",
                              rel, tol))
     # adjudication: union H0 vs literal per-level product at m=2
     closed_union = measures.partition_function_closed(m2, "pfaffian", h0_union=True)
     closed_literal = measures.partition_function_closed(m2, "pfaffian", h0_union=False)
-    trunc = measures.partition_function_truncated(m2, "pfaffian", fixed_L)
+    trunc = truncated[m2, "pfaffian"]
     rel_union = abs(closed_union - trunc) / trunc
     rel_literal = abs(closed_literal - trunc) / trunc
     rows.append(_row("m=2 H0-union form vs oracle", rel_union, tol,

@@ -242,6 +242,7 @@ CONFIG_FAULTS = {
     "boolean truncation_weight": {**_BASE, "truncation_weight": True},
     "boolean seed": {**_BASE, "seed": False},
     "boolean quad_tol": {**_BASE, "kernel": {"quad_tol": True}},
+    "negative seed": {**_BASE, "seed": -5},
 }
 
 
@@ -293,3 +294,65 @@ def test_q_extraction_rejects_two_levels(capsys):
                     "--method", "q-extraction"]) == 1
     assert capsys.readouterr().err == \
         "config error: q-extraction requires a single-level process\n"
+
+
+def test_negative_seed_flag_is_a_config_error(capsys):
+    assert run_cli(["verify-pfaffian", "--config", str(CONFIGS / "m1_singleton.json"),
+                    "--seed", "-3"]) == 1
+    assert capsys.readouterr().err == "config error: seed: -3 must be nonnegative\n"
+
+
+def test_tol_flag_overrides_the_kernel_quad_tol(tmp_path, monkeypatch, capsys):
+    from pfschur import kernels
+    seen = []
+
+    def spy(spec, T, cfg, full_output):
+        seen.append(cfg)
+        return 0.5, {"imag_defect": 0.0, "defect": 0.0, "max_last_delta": 0.0}
+    monkeypatch.setattr(kernels, "correlation_via_kernel", spy)
+    config = str(CONFIGS / "m1_singleton.json")  # sets kernel.quad_tol = 1e-8
+    out = str(tmp_path / "report.json")
+    assert run_cli(["correlate", "--config", config, "--method", "kernel",
+                    "--tol", "1e-2", "--out", out]) == 0
+    assert run_cli(["correlate", "--config", config, "--method", "kernel",
+                    "--out", out]) == 0
+    assert [cfg.quad_tol for cfg in seen] == [1e-2, 1e-8]
+    for bad in ("-1", "nan"):
+        assert run_cli(["correlate", "--config", config, "--method", "kernel",
+                        "--tol", bad]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["config error: kernel: quad_tol must be positive and finite"] * 2
+
+
+def _q_extraction(tmp_path, process, points):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"process": process, "points": points}))
+    out = tmp_path / "report.json"
+    return run_cli(["correlate", "--config", str(cfg), "--method", "q-extraction",
+                    "--out", str(out)]), out
+
+
+def test_q_extraction_of_more_than_two_live_points_is_a_config_error(tmp_path, capsys):
+    code, _ = _q_extraction(tmp_path, {"rho_plus": [[0.5]], "rho_minus": [[0.5]]},
+                            [[1, 0], [1, 1], [1, 2]])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "config error: q-extraction supports d <= 2 positions at or above -n\n"
+
+
+def test_q_extraction_of_unequal_families_is_a_config_error(tmp_path, capsys):
+    code, _ = _q_extraction(tmp_path, {"rho_plus": [[0.5, 0.25]],
+                                       "rho_minus": [[0.5]]}, [[1, 0]])
+    assert code == 1
+    assert capsys.readouterr().err == "config error: q-extraction expects |X| = |Y|\n"
+
+
+def test_q_extraction_with_every_point_stripped_reports_one(tmp_path):
+    # below -n every site is occupied, as the oracle says
+    process = {"rho_plus": [[0.5]], "rho_minus": [[0.5]]}
+    code, out = _q_extraction(tmp_path, process, [[1, -5]])
+    assert code == 0
+    row, = read_report(out)["results"]
+    assert row["value"] == 1.0 and row["imag_defect"] == 0.0
+    spec = ProcessSpec.from_json(process)
+    assert abs(correlation_oracle(spec, [(1, -5)], L=30) - 1.0) < 1e-12

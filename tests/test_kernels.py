@@ -220,6 +220,9 @@ def test_principal_pfaffian_factorization():
         assert verify_principal_pfaffian_factorization(qs, zs) < tol
     with pytest.raises(ValueError):
         verify_principal_pfaffian_factorization([1.0], [0.3])  # q=1 singular
+    # q_1 z_1 z_2 = 1: the substitution points coincide (z_2 = 1/(q_1 z_1))
+    with pytest.raises(ValueError, match="coincident substitution points"):
+        verify_principal_pfaffian_factorization([0.5, 0.3], [4.0, 0.5])
 
 
 def test_radius_sweep_reports_inadmissible_reading():

@@ -8,7 +8,7 @@ from pfschur.macdonald import (ContourConditionError, ProductFormFunction,
                                apply_direct, apply_via_contour, choose_radii,
                                eigen_residual, eigenvalue, f_partition,
                                iterated_action_F, iterated_action_Z,
-                               z_partition)
+                               stated_action_Z, z_partition)
 from pfschur.measures import ProcessSpec, observable_expectation_oracle
 from pfschur.symfunc import Specialization, schur
 
@@ -275,3 +275,18 @@ def test_contour_action_r3_matches_direct():
     direct = apply_direct(G, xs, 3, q)
     value = apply_via_contour(G, xs, 3, q, tol=1e-8, nodes=16)
     assert abs(value - direct) < 1e-8 * abs(direct)
+
+
+def test_stated_residue_sum_at_equal_shifts_is_the_direct_action():
+    # at r equal shifts the stated contour is apply_via_contour's, so its
+    # exact residue sum over r! is the order-r operator on Z
+    rng = np.random.default_rng(1705)
+    for _ in range(40):
+        n = int(rng.integers(2, 5))
+        r = int(rng.integers(1, n + 1))
+        xs = list(rng.uniform(0.1, 0.7, n))
+        ys = list(rng.uniform(0.1, 0.7, n))
+        q = rng.uniform(0.2, 0.8) * np.exp(2j * np.pi * rng.random())
+        direct = apply_direct(lambda v: z_partition(v, ys), xs, r, q)
+        residues = stated_action_Z([q] * r, xs, ys) / math.factorial(r)
+        assert abs(residues - direct) <= 1e-10 * abs(direct)
