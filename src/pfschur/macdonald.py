@@ -43,6 +43,11 @@ class ContourConditionError(ValueError):
 # direct action
 # ---------------------------------------------------------------------------
 
+def _check_order(r, n):
+    if not 1 <= r <= n:
+        raise ValueError(f"operator order r={r} must be in [1, n={n}]")
+
+
 def apply_direct(F, xs, r, q, t=None):
     """Order-r Macdonald difference operator applied to F at the point xs.
 
@@ -54,8 +59,7 @@ def apply_direct(F, xs, r, q, t=None):
         t = q
     xs = [complex(x) for x in xs]
     n = len(xs)
-    if not 1 <= r <= n:
-        raise ValueError(f"operator order r={r} must be in [1, n={n}]")
+    _check_order(r, n)
     for i in range(n):
         for j in range(i + 1, n):
             if xs[i] == xs[j]:
@@ -185,21 +189,21 @@ def contour_radius(xs, q):
     return rad
 
 
-def apply_via_contour(G, xs, r, q, radius=None, tol=1e-9, nodes=64,
-                      full_output=False):
+def apply_via_contour(G, xs, r, q, tol=1e-9, full_output=False):
     """Order-r action on a product-form G by the r-fold contour integral.
 
-    The contour is the union of circles around the x_i; all r variables run
-    over the same contour. Assumes t = q. f and g must accept numpy arrays.
-    The value is G(xs)/r! times the integral of the one-row integrand
-    (`_factors`) at r equal shifts q.
+    The contour is the union of circles around the x_i of `contour_radius`;
+    all r variables run over the same contour. Assumes t = q. f and g must
+    accept numpy arrays. The value is G(xs)/r! times the integral of the
+    one-row integrand (`_factors`) at r equal shifts q. full_output adds the
+    radius to the quadrature's `nodes` and `last_delta`.
     """
     if not isinstance(G, ProductFormFunction):
         raise TypeError("G must be a ProductFormFunction")
     xs = [complex(x) for x in xs]
-    if radius is None:
-        radius = contour_radius(xs, q)
-    contour = quad.circles_around(xs, radius, nodes=nodes)
+    _check_order(r, len(xs))
+    radius = contour_radius(xs, q)
+    contour = quad.circles_around(xs, radius)
     integral, info = quad.integrate_product(*_factors([q] * r, xs, G),
                                             [contour] * r, tol=tol,
                                             full_output=True)
@@ -349,7 +353,7 @@ def _validate_disks(qs, centers, radii):
                             "an earlier-variable pole reaches a later variable")
 
 
-def _iterated_action(qs, X, Y, with_boundary, radii, tol, nodes, contour_mode):
+def _iterated_action(qs, X, Y, with_boundary, radii, tol, contour_mode):
     qs = [complex(q) for q in qs]
     xs = [complex(x) for x in X]
     ys = [complex(y) for y in Y]
@@ -376,15 +380,13 @@ def _iterated_action(qs, X, Y, with_boundary, radii, tol, nodes, contour_mode):
     else:
         raise ValueError("contour_mode must be 'shift_images' or 'stated'")
 
-    contours = [quad.circles_around(centers[j], radii[j], nodes=nodes)
-                for j in range(d)]
+    contours = [quad.circles_around(centers[j], radii[j]) for j in range(d)]
     integral = quad.integrate_product(
         *_factors(qs, xs, _cauchy_form(ys, with_boundary)), contours, tol=tol)
     return partition(xs, ys) * integral
 
 
-def iterated_action_Z(qs, X, Y, radii=None, tol=1e-9, nodes=64,
-                      contour_mode="shift_images"):
+def iterated_action_Z(qs, X, Y, radii=None, tol=1e-9, contour_mode="shift_images"):
     """d-fold one-row action on the free-boundary partition function Z(X;Y).
 
     Returns the operator value (not divided by Z). With the default
@@ -392,13 +394,12 @@ def iterated_action_Z(qs, X, Y, radii=None, tol=1e-9, nodes=64,
     actions; the "stated" contour keeps bare x-circles only, whose
     q-coefficients are still the correlation quantities.
     """
-    return _iterated_action(qs, X, Y, True, radii, tol, nodes, contour_mode)
+    return _iterated_action(qs, X, Y, True, radii, tol, contour_mode)
 
 
-def iterated_action_F(qs, X, Y, radii=None, tol=1e-9, nodes=64,
-                      contour_mode="shift_images"):
+def iterated_action_F(qs, X, Y, radii=None, tol=1e-9, contour_mode="shift_images"):
     """d-fold one-row action on the two-sided partition function F(X;Y)."""
-    return _iterated_action(qs, X, Y, False, radii, tol, nodes, contour_mode)
+    return _iterated_action(qs, X, Y, False, radii, tol, contour_mode)
 
 
 def stated_action_Z(qs, X, Y):

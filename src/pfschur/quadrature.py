@@ -10,26 +10,22 @@ as an outer product without building meshes by hand.
 
 One function, `converge`, runs the doubling loop for any number of
 integrals sharing a node sequence, accepting each at its own first
-converged doubling; `integrate`, `integrate2`, `integrate_n` and
-`integrate_product` are single-integral wrappers over it. Each contour's
-nodes and weights are one vector concatenated over its circles.
-`estimate_bilinear` gives a whole matrix of double integrals at one node
-count and is the one summation of every two-dimensional grid. Every
-integral over d >= 2 contours runs one outer-node loop over the first
-d - 2 contours and sums the last two through it: `integrate2` and
-`integrate_n` with unit columns and their integrand as the grid,
-`integrate_product` (a product of one-variable and pairwise factors) with
-the pairwise factors of the outer variables folded into the columns, so
-the last pairwise factor is the only grid. Two-dimensional grids are
-evaluated in row blocks of at most `_CHUNK` elements.
+converged doubling; `integrate`, `integrate2`, `integrate_n` (one or two
+contours) and `integrate_product` are single-integral wrappers over it.
+Each contour's nodes and weights are one vector concatenated over its
+circles. `estimate_bilinear`, one double integral per column of two column
+matrices, is the one summation of every two-dimensional grid, so every
+integral over d >= 2 contours is one bilinear sum per doubling:
+`integrate2` with unit columns and its integrand as the grid,
+`integrate_product` (one-variable and pairwise factors) with each tuple of
+nodes of the outer d - 2 variables as a column and the last pairwise factor
+as the only grid. Grids are evaluated in row blocks of `_CHUNK` elements.
 
 All integrals are normalized by 1/(2*pi*i): `integrate(f, c)` approximates
 (1/(2*pi*i)) oint_c f(z) dz.
 """
 
-import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -42,6 +38,11 @@ MAX_NODES_ND = 2 ** 10
 # threshold, so its temporaries are reused from the heap instead of being
 # mapped and unmapped, with page faults, on every block.
 _CHUNK = 2 ** 12
+# Elements per (nodes x tuples) column matrix of `integrate_product`. The
+# outer-node tuples grow like the product of the outer node counts, so they
+# are taken in column blocks: each column matrix and each temporary that
+# builds it stays at 4 MiB complex however many tuples there are.
+_COLUMNS = 2 ** 18
 
 
 class QuadratureError(RuntimeError):
@@ -176,15 +177,16 @@ def integrate(f, contour, tol=1e-9, max_nodes=MAX_NODES, full_output=False):
 
 
 def estimate_bilinear(core, gz, gw, c1, c2, n1, n2):
-    """Tensor-product trapezoid estimates of a whole matrix of double
-    integrals at one node count.
+    """Tensor-product trapezoid estimates of a vector of double integrals at
+    one node count.
 
-    Entry (p, q) estimates (1/2pi i)^2 oint oint gz(z)[p] core(z, w) gw(w)[q]
+    Entry t estimates (1/2pi i)^2 oint oint gz(z)[t] core(z, w) gw(w)[t]
     dz dw: gz and gw map a node vector to a (nodes, columns) matrix, core
     receives node arrays shaped (N,1) and (1,M), and its value is broadcast
-    to the full grid, so a core of z alone may return shape (N,1). The sum is
-    G_z^T (W C W) G_w, with the core grid evaluated in row blocks of at most
-    _CHUNK elements (at least one row).
+    to the full grid, so a core of z alone may return shape (N,1). Entry t
+    is sum_ab Gz[a,t] C[a,b] Gw[b,t], weights in Gz and Gw, with the core
+    grid C evaluated once, in row blocks of at most _CHUNK elements (at
+    least one row).
     """
     z, wz = _nodes(c1, n1)
     w, ww = _nodes(c2, n2)
@@ -195,45 +197,15 @@ def estimate_bilinear(core, gz, gw, c1, c2, n1, n2):
     for start in range(0, len(z), rows):
         zc = z[start:start + rows].reshape(-1, 1)
         C = np.broadcast_to(core(zc, w.reshape(1, -1)), (len(zc), len(w)))
-        total = total + Gz[start:start + rows].T @ (C @ Gw)
+        # per column a (1 x rows) @ (rows x 1) product: one column sums in
+        # the order of the matrix product Gz^T C Gw
+        dots = Gz[start:start + rows].T[:, None, :] @ (C @ Gw).T[:, :, None]
+        total = total + dots[:, 0, 0]
     return total
 
 
 def _unit(v):
     return np.ones((len(v), 1))
-
-
-def _outer(contours, ns):
-    """The outer-node loop: every tuple of nodes of the contours, contour j
-    at ns[j] nodes per circle, with the product of their weights. With no
-    contours it is one empty tuple of weight 1."""
-    grids = [_nodes(c, n) for c, n in zip(contours, ns)]
-    for idx in product(*(range(len(z)) for z, _ in grids)):
-        yield ([z[i] for (z, _), i in zip(grids, idx)],
-               math.prod(w[i] for (_, w), i in zip(grids, idx)))
-
-
-def _folded(term, contours, tol, max_nodes, full_output):
-    """The doubling loop of every integral over d >= 2 contours.
-
-    Each contour doubles from its own start. At each outer-node tuple zs of
-    the first d - 2 contours, term(zs) returns (scale, core, gz, gw), and the
-    estimate adds the tuple's weight times scale times the one entry of
-    `estimate_bilinear` of core, gz and gw on the last two contours.
-    """
-    d, starts = len(contours), [c.nodes for c in contours]
-
-    def estimate(k):
-        ns = [s << k for s in starts]
-        total = 0j
-        for zs, weight in _outer(contours[:-2], ns[:-2]):
-            scale, core, gz, gw = term(zs)
-            total += weight * scale * estimate_bilinear(
-                core, gz, gw, contours[-2], contours[-1], ns[-2], ns[-1])[0, 0]
-        return total
-    what = "double contour integral" if d == 2 else f"{d}-fold contour integral"
-    return _single(estimate, max(starts), max_nodes, tol, full_output, what,
-                   lambda k: tuple(s << k for s in starts))
 
 
 def integrate2(f, c1, c2, tol=1e-9, max_nodes=MAX_NODES_2D, full_output=False):
@@ -242,22 +214,23 @@ def integrate2(f, c1, c2, tol=1e-9, max_nodes=MAX_NODES_2D, full_output=False):
     f receives node arrays shaped (N,1) and (1,M); broadcasting gives the
     value grid. Both node counts double jointly under one convergence test.
     """
-    return _folded(lambda zs: (1, f, _unit, _unit), [c1, c2], tol, max_nodes,
-                   full_output)
+    n1, n2 = c1.nodes, c2.nodes
+    return _single(
+        lambda k: estimate_bilinear(f, _unit, _unit, c1, c2, n1 << k, n2 << k)[0],
+        max(n1, n2), max_nodes, tol, full_output, "double contour integral",
+        lambda k: (n1 << k, n2 << k))
 
 
 def integrate_n(f, contours, tol=1e-9, max_nodes=MAX_NODES_ND, full_output=False):
-    """(1/2pi i)^d iterated integral over d contours, d >= 1.
-
-    f takes d broadcast-ready arguments: nodes of the outer d - 2 contours
-    one at a time, then the last two as arrays shaped (N,1) and (1,M) as in
-    integrate2. Joint node doubling as in integrate2; intended for small d.
-    """
-    if len(contours) == 1:
-        return integrate(f, contours[0], tol=tol, max_nodes=max_nodes,
-                         full_output=full_output)
-    return _folded(lambda zs: (1, lambda a, b: f(*zs, a, b), _unit, _unit),
-                   contours, tol, max_nodes, full_output)
+    """(1/2pi i)^d integral of f over d = 1 or 2 contours: `integrate` or
+    `integrate2` under this cap. Over more contours, integrate a product of
+    one-variable and pairwise factors with `integrate_product`."""
+    if not 1 <= len(contours) <= 2:
+        raise ValueError(f"integrate_n takes one or two contours, not "
+                         f"{len(contours)}; use integrate_product for more")
+    one_or_two = integrate if len(contours) == 1 else integrate2
+    return one_or_two(f, *contours, tol=tol, max_nodes=max_nodes,
+                      full_output=full_output)
 
 
 def integrate_product(ones, pair, contours, tol=1e-9, max_nodes=None,
@@ -265,11 +238,13 @@ def integrate_product(ones, pair, contours, tol=1e-9, max_nodes=None,
     """(1/2pi i)^d oint...oint prod_j ones[j](z_j) prod_{j<k} pair(j, k, z_j, z_k)
     over d >= 1 contours, z_j on contours[j].
 
-    At d = 1 this is `integrate`. At d >= 2 the outer d - 2 variables run
-    over their nodes; their one-variable and mutual pair factors are a
-    scalar per tuple, and their pair factors with the last two variables
-    fold into those variables' columns, so pair(d - 2, d - 1) is the only
-    grid `estimate_bilinear` evaluates. max_nodes defaults to the cap of the
+    At d = 1 this is `integrate`. At d >= 2 each tuple of nodes of the outer
+    m = d - 2 variables is one column: its pair factors with the last two
+    variables fold into those variables' columns, and its one-variable
+    factors, mutual pair factors and weights form a scale vector, so the
+    estimate is `estimate_bilinear` of pair(m, m + 1) dotted with the scale,
+    one grid per doubling and block of tuples (see _COLUMNS). Each contour
+    doubles from its own start. max_nodes defaults to the cap of the
     dimension: MAX_NODES, MAX_NODES_2D or MAX_NODES_ND.
     """
     d = len(contours)
@@ -278,14 +253,38 @@ def integrate_product(ones, pair, contours, tol=1e-9, max_nodes=None,
     if d == 1:
         return integrate(ones[0], contours[0], tol=tol, max_nodes=max_nodes,
                          full_output=full_output)
+    m, starts = d - 2, [c.nodes for c in contours]
 
-    def term(zs):
-        m = len(zs)
+    def column(k, zs):
+        def g(z):
+            v = np.reshape(ones[k](z), (-1, 1))
+            for j, zj in enumerate(zs):
+                v = v * pair(j, k, zj, z.reshape(-1, 1))
+            return v
+        return g
 
-        def column(k):
-            return lambda z: np.reshape(ones[k](z) * math.prod(
-                pair(j, k, zs[j], z) for j in range(m)), (-1, 1))
-        scale = math.prod(ones[j](zs[j]) * math.prod(
-            pair(j, k, zs[j], zs[k]) for k in range(j + 1, m)) for j in range(m))
-        return scale, lambda a, b: pair(m, m + 1, a, b), column(m), column(m + 1)
-    return _folded(term, contours, tol, max_nodes, full_output)
+    def estimate(k):
+        ns = [s << k for s in starts]
+        outer = [_nodes(c, n) for c, n in zip(contours[:m], ns)]
+        shape = tuple(len(z) for z, _ in outer)
+        count = int(np.prod(shape))
+        width = max(1, _COLUMNS // max(len(c.circles) * n for c, n
+                                       in zip(contours[m:], ns[m:])))
+        total = 0j
+        for start in range(0, count, width):
+            cols = np.arange(start, min(start + width, count))
+            at = np.unravel_index(cols, shape) if m else ()
+            zs = [z[i] for (z, _), i in zip(outer, at)]
+            scale = np.ones(len(cols))
+            for j, ((_, w), i) in enumerate(zip(outer, at)):
+                scale = scale * w[i] * ones[j](zs[j])
+                for h in range(j + 1, m):
+                    scale = scale * pair(j, h, zs[j], zs[h])
+            total += estimate_bilinear(
+                lambda a, b: pair(m, m + 1, a, b), column(m, zs),
+                column(m + 1, zs), contours[m], contours[m + 1],
+                ns[m], ns[m + 1]) @ scale
+        return total
+    what = "double contour integral" if d == 2 else f"{d}-fold contour integral"
+    return _single(estimate, max(starts), max_nodes, tol, full_output, what,
+                   lambda k: tuple(s << k for s in starts))

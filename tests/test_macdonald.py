@@ -5,10 +5,10 @@ import pytest
 
 from pfschur import quadrature as quad
 from pfschur.macdonald import (ContourConditionError, ProductFormFunction,
-                               apply_direct, apply_via_contour, choose_radii,
-                               eigen_residual, eigenvalue, f_partition,
-                               iterated_action_F, iterated_action_Z,
-                               stated_action_Z, z_partition)
+                               _image_centers, _validate_disks, apply_direct,
+                               apply_via_contour, choose_radii, eigen_residual,
+                               eigenvalue, f_partition, iterated_action_F,
+                               iterated_action_Z, stated_action_Z, z_partition)
 from pfschur.measures import ProcessSpec, observable_expectation_oracle
 from pfschur.symfunc import Specialization, schur
 
@@ -273,8 +273,16 @@ def test_contour_action_r3_matches_direct():
     xs = [0.7, 0.45, 0.2]
     G = standard_G([0.25, 0.1])
     direct = apply_direct(G, xs, 3, q)
-    value = apply_via_contour(G, xs, 3, q, tol=1e-8, nodes=16)
+    value, info = apply_via_contour(G, xs, 3, q, tol=1e-8, full_output=True)
     assert abs(value - direct) < 1e-8 * abs(direct)
+    assert info["nodes"] == (128, 128, 128)
+
+
+def test_contour_action_rejects_orders_outside_1_to_n():
+    G = standard_G([0.25, 0.1])
+    for r in (0, 3):
+        with pytest.raises(ValueError, match=f"operator order r={r} must be in"):
+            apply_via_contour(G, [0.5, 0.3], r, 0.35 + 0.1j)
 
 
 def test_stated_residue_sum_at_equal_shifts_is_the_direct_action():
@@ -290,3 +298,46 @@ def test_stated_residue_sum_at_equal_shifts_is_the_direct_action():
         direct = apply_direct(lambda v: z_partition(v, ys), xs, r, q)
         residues = stated_action_Z([q] * r, xs, ys) / math.factorial(r)
         assert abs(residues - direct) <= 1e-10 * abs(direct)
+
+
+D3_CASE = ([0.4 + 0.1j, 0.35 - 0.2j, 0.3 + 0.05j], [0.3, 0.2, 0.12],
+           [0.25, 0.1, 0.05])
+
+
+def _d3_draws(seed, ns, shift_images):
+    """(qs, xs, ys) with three complex q's, 0.2 < |q| < 0.6, and n points
+    for each n in ns, whose stated radii exist and, with shift_images, whose
+    shift-image contours pass their disk checks; other draws are skipped."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for n in ns:
+        while True:
+            xs = list(rng.uniform(0.1, 0.6, n))
+            ys = list(rng.uniform(0.1, 0.6, n))
+            qs = list(rng.uniform(0.2, 0.6, 3) * np.exp(2j * np.pi * rng.random(3)))
+            try:
+                radii = choose_radii(qs, xs, ys)
+                if shift_images:
+                    _validate_disks(qs, _image_centers(qs, xs), radii)
+            except ContourConditionError:
+                continue
+            cases.append((qs, xs, ys))
+            break
+    return cases
+
+
+def test_iterated_d3_matches_the_triple_composition():
+    for qs, xs, ys in [D3_CASE] + _d3_draws(2017, (2, 3), shift_images=True):
+        F = lambda v: z_partition(v, ys)
+        for q in qs:
+            F = (lambda G, q: lambda v: apply_direct(G, v, 1, q))(F, q)
+        comp = F(xs)
+        assert abs(iterated_action_Z(qs, xs, ys) - comp) < 1e-9 * abs(comp)
+
+
+def test_stated_residue_sum_d3_equals_stated_quadrature():
+    # the quadrature converges to 1e-9 on the scale max(1, |value|)
+    for qs, xs, ys in [D3_CASE] + _d3_draws(1705, (3, 3, 3), shift_images=False):
+        ref = iterated_action_Z(qs, xs, ys, contour_mode="stated")
+        got = stated_action_Z(qs, xs, ys)
+        assert abs(got - ref) <= 1e-8 * max(1.0, abs(ref))

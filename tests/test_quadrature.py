@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,11 +66,10 @@ def test_integrate2_separable_product():
     assert abs(v2 - v1) < 1e-12
 
 
-def test_integrate_n_matches_lower_dims():
+def test_integrate_n_rejects_three_or_more_contours():
     c = circle(1.0)
-    f3 = lambda a, b, d: 1 / (a * b * d)
-    val = integrate_n(f3, [c, c, c], tol=1e-9)
-    assert abs(val - 1) < 1e-9
+    with pytest.raises(ValueError, match="integrate_product"):
+        integrate_n(lambda a, b, d: 1 / (a * b * d), [c, c, c])
 
 
 def test_nonconvergence_raises_with_estimates():
@@ -84,21 +85,22 @@ def test_estimate_bilinear_is_entrywise_dense_sum_in_row_chunks(monkeypatch):
     def core(z, w):
         sizes.append(z.size * w.size)
         return (z - w) / (z * w - 4)
-    zcols, wcols = (-1, -2), (-1, -3, 0)
-    gz = lambda z: np.stack([z ** k for k in zcols], axis=1)
-    gw = lambda w: np.stack([w ** k / (w - 0.3) for k in wcols], axis=1)
+    # column t pairs z^a with w^b / (w - 0.3), over every (a, b)
+    pairs = [(a, b) for a in (-1, -2) for b in (-1, -3, 0)]
+    gz = lambda z: np.stack([z ** a for a, _ in pairs], axis=1)
+    gw = lambda w: np.stack([w ** b / (w - 0.3) for _, b in pairs], axis=1)
     c1, c2 = circle(1.2), circle(0.6)
     monkeypatch.setattr(quadrature, "_CHUNK", 2 ** 9)
-    block = estimate_bilinear(core, gz, gw, c1, c2, 64, 64)
+    entries = estimate_bilinear(core, gz, gw, c1, c2, 64, 64)
     assert len(sizes) == 8 and max(sizes) <= 2 ** 9
+    assert entries.shape == (len(pairs),)
     # the 64 x 64 trapezoid sum written out: nodes r e^(2 pi i k/64), each
     # weighted by node/64 for the normalization 1/(2 pi i)
     z = 1.2 * np.exp(2j * np.pi * np.arange(64) / 64)[:, None]
     w = 0.6 * np.exp(2j * np.pi * np.arange(64) / 64)[None, :]
-    for p, a in enumerate(zcols):
-        for q, b in enumerate(wcols):
-            entry = np.sum(core(z, w) * z ** a * w ** b / (w - 0.3) * z * w) / 64 ** 2
-            assert abs(block[p, q] - entry) < 1e-14
+    for t, (a, b) in enumerate(pairs):
+        entry = np.sum(core(z, w) * z ** a * w ** b / (w - 0.3) * z * w) / 64 ** 2
+        assert abs(entries[t] - entry) < 1e-14
 
 
 def test_contour_validation():
@@ -153,22 +155,80 @@ def test_integrate_product_d2_is_integrate2_of_the_product():
     assert info["nodes"] == want_info["nodes"]
 
 
-def test_integrate_product_d3_is_integrate_n_of_the_product():
-    # the outer variable's pair factors fold into the last two columns
-    ones = [lambda z: 1 / (z - 0.3), lambda z: z / (z + 0.4),
-            lambda z: 1 / (z * (z - 0.1))]
-    pair = lambda j, k, a, b: (a - b) / (a * b - 2 - j - k)
+D3_ONES = [lambda z: 1 / (z - 0.3), lambda z: z / (z + 0.4),
+           lambda z: 1 / (z * (z - 0.1))]
+
+
+def d3_pair(j, k, a, b):
+    return (a - b) / (a * b - 2 - j - k)
+
+
+def test_integrate_product_d3_is_its_residue_sum():
+    # the poles inside: z0 = 0.3 (residue 1), z1 = -0.4 (residue -0.4) and
+    # z2 = 0, 0.1 (residues -10, 10); every pair factor is regular there
     contours = [circles_around([0.3, -0.4], 0.15, nodes=16), circle(0.7, nodes=16),
                 circles_around([0.1, 0.0], 0.05, nodes=16)]
 
-    def f(a, b, c):
-        v = ones[0](a) * ones[1](b) * ones[2](c)
-        return v * pair(0, 1, a, b) * pair(0, 2, a, c) * pair(1, 2, b, c)
-    want, want_info = integrate_n(f, contours, tol=1e-11, full_output=True)
-    got, info = integrate_product(ones, pair, contours, tol=1e-11,
+    def P(a, b, c):
+        return d3_pair(0, 1, a, b) * d3_pair(0, 2, a, c) * d3_pair(1, 2, b, c)
+    want = -0.4 * (-10 * P(0.3, -0.4, 0) + 10 * P(0.3, -0.4, 0.1))
+    got = integrate_product(D3_ONES, d3_pair, contours, tol=1e-11)
+    assert abs(got - want) < 1e-13 * abs(want)
+
+
+def _counting(pair):
+    """pair, recording the grid elements of every pair(1, 2) evaluation."""
+    sizes = []
+
+    def counted(j, k, a, b):
+        if (j, k) == (1, 2):
+            sizes.append(np.broadcast(a, b).size)
+        return pair(j, k, a, b)
+    return counted, sizes
+
+
+def test_integrate_product_d3_evaluates_its_last_pair_grid_once_per_doubling():
+    contours = [circles_around([0.3, -0.4], 0.15, nodes=16), circle(0.7, nodes=32),
+                circles_around([0.1, 0.0], 0.05, nodes=8)]
+    pair, sizes = _counting(d3_pair)
+    _, info = integrate_product(D3_ONES, pair, contours, tol=1e-11,
+                                full_output=True)
+    # every outer node is one column of one block, so the (z1, z2) grid of
+    # every doubling is evaluated once: 32 x 16 nodes at the start
+    K = (info["nodes"][1] // 32).bit_length() - 1
+    assert K >= 1
+    assert sum(sizes) == sum((32 << k) * (16 << k) for k in range(K + 1))
+
+
+def test_integrate_product_column_blocks_give_the_same_estimate(monkeypatch):
+    contours = [circles_around([0.3, -0.4], 0.15, nodes=16), circle(0.7, nodes=16),
+                circles_around([0.1, 0.0], 0.05, nodes=16)]
+    want, want_info = integrate_product(D3_ONES, d3_pair, contours, tol=1e-11,
+                                        full_output=True)
+    # one outer node per block: the (z1, z2) grid is evaluated once per tuple
+    monkeypatch.setattr(quadrature, "_COLUMNS", 1)
+    pair, sizes = _counting(d3_pair)
+    got, info = integrate_product(D3_ONES, pair, contours, tol=1e-11,
                                   full_output=True)
     assert info["nodes"] == want_info["nodes"]
-    assert abs(got - want) < 1e-13 * abs(want)
+    assert abs(got - want) < 1e-14 * abs(want)
+    K = (info["nodes"][0] // 16).bit_length() - 1
+    assert sum(sizes) == sum((32 << k) * (16 << k) * (32 << k)
+                             for k in range(K + 1))
+
+
+def test_one_d3_estimate_at_the_cap_stays_within_64_MiB():
+    # started at the cap, the doubling loop makes one estimate and stops;
+    # its 1024 outer tuples take four column blocks
+    n = quadrature.MAX_NODES_ND
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError):
+            integrate_product(D3_ONES, d3_pair, [circle(0.5, nodes=n)] * 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2 ** 20
 
 
 def test_chunk_keeps_temporaries_below_the_mmap_threshold():
