@@ -1,8 +1,10 @@
 """Macdonald (q,t) difference operators on functions of n variables.
 
 `apply_direct` is the literal finite sum over r-subsets with shift operators;
-it is the ground truth every contour formula here is tested against. The
-contour routes need care with which poles a contour encloses:
+it is the ground truth every contour formula here is tested against, and
+`eigen_residual` checks the Schur eigenrelation on it for many partitions
+with one direct action on the vector of their Schur values. The contour
+routes need care with which poles a contour encloses:
 
 * the one-operator action on a product-form function integrates over small
   circles around the points x_i only;
@@ -22,7 +24,8 @@ shifted by q_j (`_regular`), and per pair a factor that reads only f
 the iterated actions are it on the product forms of Z(.; Y) and F(.; Y)
 (g = prod_y 1/(1 - xy), and f = 1/(1 - u) for Z, f = 1 for F), and the
 coupling-product check in `kernels` multiplies the same pair factor. Each
-action is one call of `quadrature.integrate_product` on these factors. The
+action is one call of `quadrature.integrate_product` on these factors, over
+circles from `quadrature.circles_around` that start at its 16 nodes. The
 stated contour encloses only simple poles, at the x_i, so `stated_action_Z`
 sums its residues from the same factors exactly, with no quadrature.
 """
@@ -31,8 +34,10 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
+import numpy as np
+
 from . import quadrature as quad
-from .symfunc import Specialization, H0, cauchy_H, elementary, schur
+from .symfunc import Specialization, H0, cauchy_H, schur
 
 
 class ContourConditionError(ValueError):
@@ -81,24 +86,45 @@ def apply_direct(F, xs, r, q, t=None):
 
 def eigenvalue(lam, n, r, q, t=None):
     """e_r evaluated at the spectrum (q^{lam_1} t^{n-1}, ..., q^{lam_n} t^0)."""
+    return complex(_eigenvalues([tuple(lam)], n, r, q, q if t is None else t)[0])
+
+
+def _eigenvalues(lams, n, r, q, t):
+    """`eigenvalue` of every partition in lams, as one array: e_r at each
+    spectrum by the recursion of `symfunc.elementary`, run over the
+    partitions at once."""
+    spectra = np.array([[q ** part * t ** (n - 1 - i) for i, part
+                         in enumerate(lam + (0,) * (n - len(lam)))]
+                        for lam in lams], dtype=complex).reshape(len(lams), n)
+    e = [np.ones(len(lams), complex)] + [np.zeros(len(lams), complex)] * r
+    for v in spectra.T:
+        for k in range(r, 0, -1):
+            e[k] = e[k] + v * e[k - 1]
+    return e[r]
+
+
+def eigen_residual(lams, xs, r, q, t=None):
+    """Residuals of the Schur eigenrelation D_r s_lam = e_r(spectrum) s_lam
+    at the point xs, one per partition in lams, as an array; each is
+    relative to the scale |s_lam(xs)| + 1.
+
+    One direct action serves every partition: `apply_direct` acts on the
+    vector of their Schur values, one Specialization per shifted point set.
+    """
     if t is None:
         t = q
-    lam = tuple(lam) + (0,) * (n - len(lam))
-    args = [q ** lam[i] * t ** (n - 1 - i) for i in range(n)]
-    return elementary(r, Specialization(args))
-
-
-def eigen_residual(lam, xs, r, q, t=None):
-    """Residual of the Schur eigenrelation at the point xs, relative scale
-    |s_lam(xs)| + 1."""
     n = len(xs)
-    if len(lam) > n:
+    lams = [tuple(lam) for lam in lams]
+    if any(len(lam) > n for lam in lams):
         raise ValueError("partition has more rows than variables")
-    F = lambda v: schur(lam, Specialization(v))
+
+    def F(v):
+        s = Specialization(v)
+        return np.array([schur(lam, s) for lam in lams])
     lhs = apply_direct(F, xs, r, q, t)
-    sval = F([complex(x) for x in xs])
-    rhs = eigenvalue(lam, n, r, q, t) * sval
-    return abs(lhs - rhs) / (abs(sval) + 1.0)
+    sval = F(xs)
+    rhs = _eigenvalues(lams, n, r, q, t) * sval
+    return np.abs(lhs - rhs) / (np.abs(sval) + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +324,16 @@ def _image_centers(qs, xs):
     return centers
 
 
+def _separated(radii, centers):
+    """The radii scaled down together, keeping their ratios, so that no
+    level's radius exceeds 0.45 of the spacing of its circle centers.
+    `choose_radii` caps r_1 so at the x_i alone; the shift images among an
+    earlier level's centers may lie closer."""
+    scale = min([1.0] + [0.45 * abs(a - b) / r for r, cs in zip(radii, centers)
+                         for i, a in enumerate(cs) for b in cs[i + 1:]])
+    return [r * scale for r in radii]
+
+
 def _locus_excluded(a, rho, c, r):
     """A pole traveling the circle (a, rho) never enters the disk (c, r):
     either the two circles are far apart or the pole circles around the disk."""
@@ -361,8 +397,16 @@ def _iterated_action(qs, X, Y, with_boundary, radii, tol, contour_mode):
     partition = z_partition if with_boundary else f_partition
     if d == 0:
         return partition(xs, ys)
+    if contour_mode == "shift_images":
+        centers = _image_centers(qs, xs)
+    elif contour_mode == "stated":
+        centers = [list(xs)] * d
+    else:
+        raise ValueError("contour_mode must be 'shift_images' or 'stated'")
     if radii is None:
         radii = choose_radii(qs, xs, ys)
+        if contour_mode == "shift_images":
+            radii = _separated(radii, centers)
     if len(radii) != d or any(radii[i] <= radii[i + 1] for i in range(d - 1)):
         raise ContourConditionError("radii must strictly decrease, one per operator")
     # stated distance check (hard error per the contract)
@@ -370,15 +414,8 @@ def _iterated_action(qs, X, Y, with_boundary, radii, tol, contour_mode):
     if D <= radii[0]:
         raise ContourConditionError(
             f"distance condition fails: gap {D:.3g} <= r_1 {radii[0]:.3g}")
-
-    if contour_mode == "shift_images":
-        centers = _image_centers(qs, xs)
-        if d > 1:
-            _validate_disks(qs, centers, radii)
-    elif contour_mode == "stated":
-        centers = [list(xs)] * d
-    else:
-        raise ValueError("contour_mode must be 'shift_images' or 'stated'")
+    if contour_mode == "shift_images" and d > 1:
+        _validate_disks(qs, centers, radii)
 
     contours = [quad.circles_around(centers[j], radii[j]) for j in range(d)]
     integral = quad.integrate_product(
@@ -392,7 +429,9 @@ def iterated_action_Z(qs, X, Y, radii=None, tol=1e-9, contour_mode="shift_images
     Returns the operator value (not divided by Z). With the default
     shift-image contours this equals the composition of the d direct
     actions; the "stated" contour keeps bare x-circles only, whose
-    q-coefficients are still the correlation quantities.
+    q-coefficients are still the correlation quantities. Without radii,
+    `choose_radii` sets them, scaled down on shift-image contours until
+    each level's circles are disjoint (`_separated`).
     """
     return _iterated_action(qs, X, Y, True, radii, tol, contour_mode)
 

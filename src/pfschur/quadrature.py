@@ -13,7 +13,9 @@ integrals sharing a node sequence, accepting each at its own first
 converged doubling; `integrate`, `integrate2`, `integrate_n` (one or two
 contours) and `integrate_product` are single-integral wrappers over it.
 Each contour's nodes and weights are one vector concatenated over its
-circles. `estimate_bilinear`, one double integral per column of two column
+circles. A contour starts at 64 nodes per circle (`circle`, `ContourSpec`),
+except the small circles of `circles_around`, which start at 16.
+`estimate_bilinear`, one double integral per column of two column
 matrices, is the one summation of every two-dimensional grid, so every
 integral over d >= 2 contours is one bilinear sum per doubling:
 `integrate2` with unit columns and its integrand as the grid,
@@ -91,8 +93,16 @@ def circle(radius=1.0, center=0j, orientation=1, nodes=64):
     return ContourSpec((Circle(complex(center), float(radius), orientation),), nodes)
 
 
-def circles_around(points, radius, orientation=1, nodes=64):
-    """Union of same-radius circles centered at the given points."""
+def circles_around(points, radius, orientation=1, nodes=16):
+    """Union of same-radius circles centered at the given points, from 16
+    nodes per circle.
+
+    The Macdonald contours built here sit at half the safe radius around
+    their poles, so the trapezoid error falls geometrically with the node
+    count and `converge`, which doubles until two estimates agree, accepts
+    within a few doublings of 16; a higher start only forces a final grid
+    twice as fine as needed (4x the points in 2-D).
+    """
     return ContourSpec(tuple(Circle(complex(p), float(radius), orientation)
                              for p in points), nodes)
 

@@ -97,14 +97,13 @@ def battery_eigenrelation(seed=0, tol=1e-10, draws=50):
             xs = rng.uniform(0.15, 0.85, n)
             while min(abs(a - b) for a, b in combinations(xs, 2)) < 0.05:
                 xs = rng.uniform(0.15, 0.85, n)
+            fits = [lam for lam in lams if len(lam) <= n]
             for r in range(1, n + 1):
-                for lam in lams:
-                    if len(lam) > n:
-                        continue
-                    worst = max(worst, macdonald.eigen_residual(lam, list(xs), r, q, t))
+                worst = max(worst, macdonald.eigen_residual(
+                    fits, list(xs), r, q, t).max())
     tneq = (0.2 + 0.4 * rng.random()) * np.exp(2j * np.pi * rng.random())
     qneq = (0.2 + 0.4 * rng.random()) * np.exp(2j * np.pi * rng.random())
-    worst_box = macdonald.eigen_residual((1,), [0.4, 0.2], 1, qneq, tneq)
+    worst_box, = macdonald.eigen_residual([(1,)], [0.4, 0.2], 1, qneq, tneq)
     rows.append(_row(f"eigenrelation |lam|<=5, n in 2..3, {draws} random annulus q=t",
                      worst, tol))
     rows.append(_row("single-box eigenrelation at t != q", worst_box, tol))
@@ -112,8 +111,11 @@ def battery_eigenrelation(seed=0, tol=1e-10, draws=50):
 
 
 def battery_contour_action(seed=0, tol=1e-8, draws=20):
+    """`apply_via_contour` against `apply_direct` on random product forms;
+    the row also carries the largest accepted node count (`max_nodes`) and
+    last-doubling delta (`max_last_delta`) over the draws."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst, max_nodes, max_last_delta = 0.0, 0, 0.0
     for _ in range(draws):
         n = int(rng.integers(2, 4))
         xs = np.sort(rng.uniform(0.15, 0.85, n))
@@ -126,9 +128,13 @@ def battery_contour_action(seed=0, tol=1e-8, draws=20):
             g=lambda x, a=ys[0], b=ys[1]: 1.0 / ((1.0 - a * x) * (1.0 - b * x)))
         r = int(rng.integers(1, min(n, 2) + 1))
         direct = macdonald.apply_direct(G, list(xs), r, q)
-        contour = macdonald.apply_via_contour(G, list(xs), r, q)
+        contour, info = macdonald.apply_via_contour(G, list(xs), r, q,
+                                                    full_output=True)
         worst = max(worst, abs(direct - contour) / (abs(direct) + 1))
-    return [_row(f"contour action vs direct, {draws} product-form draws", worst, tol)]
+        max_nodes = max(max_nodes, int(np.max(info["nodes"])))
+        max_last_delta = max(max_last_delta, float(info["last_delta"]))
+    return [_row(f"contour action vs direct, {draws} product-form draws", worst, tol,
+                 {"max_nodes": max_nodes, "max_last_delta": max_last_delta})]
 
 
 def battery_iterated_actions(seed=0, tol=1e-6):

@@ -47,12 +47,27 @@ def test_apply_direct_rejects_coincident_points():
 
 
 def test_eigen_residual_examples():
-    assert eigen_residual((), [0.5, 0.3], 1, 0.41, 0.41) < 1e-12
+    assert eigen_residual([()], [0.5, 0.3], 1, 0.41, 0.41) < 1e-12
     # eigenvalue at lam=(2,1), n=2, q=t=0.3 is q^3 + q
     want = 0.3 ** 3 + 0.3
     assert abs(eigenvalue((2, 1), 2, 1, 0.3) - want) < 1e-15
-    assert eigen_residual((2, 1), [0.4, 0.2], 1, 0.3) < 1e-10
-    assert eigen_residual((1,), [0.7], 1, 0.3) < 1e-15
+    assert eigen_residual([(2, 1)], [0.4, 0.2], 1, 0.3) < 1e-10
+    assert eigen_residual([(1,)], [0.7], 1, 0.3) < 1e-15
+
+
+def test_eigen_residual_of_many_partitions_matches_one_at_a_time():
+    lams = [(), (1,), (2,), (1, 1), (3, 1), (2, 2, 1)]
+    xs, q, t = [0.5, 0.3, 0.15], 0.4 * np.exp(1.1j), 0.4 * np.exp(1.1j)
+    for r in (1, 2, 3):
+        got = eigen_residual(lams, xs, r, q, t)
+        assert got.shape == (len(lams),)
+        for lam, res in zip(lams, got):
+            F = lambda v, lam=lam: schur(lam, Specialization(v))
+            s = F(xs)
+            alone = abs(apply_direct(F, xs, r, q, t) - eigenvalue(lam, 3, r, q, t) * s)
+            assert abs(res - alone / (abs(s) + 1)) < 1e-15
+    with pytest.raises(ValueError, match="more rows than variables"):
+        eigen_residual([(1,), (1, 1, 1)], [0.5, 0.3], 1, q)
 
 
 def test_eigen_residual_battery():
@@ -275,7 +290,24 @@ def test_contour_action_r3_matches_direct():
     direct = apply_direct(G, xs, 3, q)
     value, info = apply_via_contour(G, xs, 3, q, tol=1e-8, full_output=True)
     assert abs(value - direct) < 1e-8 * abs(direct)
-    assert info["nodes"] == (128, 128, 128)
+    assert info["nodes"] == (32, 32, 32)
+
+
+def test_contour_action_random_draws_match_direct():
+    # the circles start at 16 nodes: every accepted estimate must still be
+    # the direct action, at n in {2, 3, 4} and r up to 3
+    rng = np.random.default_rng(4107)
+    for n in (2, 3, 4):
+        for r in range(1, min(n, 3) + 1):
+            for _ in range(2):
+                xs = np.sort(rng.uniform(0.15, 0.85, n))
+                while min(np.diff(xs)) < 0.08:
+                    xs = np.sort(rng.uniform(0.15, 0.85, n))
+                G = standard_G(rng.uniform(0.05, 0.5, 2))
+                q = rng.uniform(0.2, 0.7) * np.exp(2j * np.pi * rng.random())
+                direct = apply_direct(G, list(xs), r, q)
+                value = apply_via_contour(G, list(xs), r, q, tol=1e-9)
+                assert abs(value - direct) < 1e-8 * abs(direct), (n, r, xs, q)
 
 
 def test_contour_action_rejects_orders_outside_1_to_n():
@@ -326,13 +358,75 @@ def _d3_draws(seed, ns, shift_images):
     return cases
 
 
+def _composition(qs, xs, ys, partition):
+    F = lambda v: partition(v, ys)
+    for q in qs:
+        F = (lambda G, q: lambda v: apply_direct(G, v, 1, q))(F, q)
+    return F(xs)
+
+
 def test_iterated_d3_matches_the_triple_composition():
     for qs, xs, ys in [D3_CASE] + _d3_draws(2017, (2, 3), shift_images=True):
-        F = lambda v: z_partition(v, ys)
-        for q in qs:
-            F = (lambda G, q: lambda v: apply_direct(G, v, 1, q))(F, q)
-        comp = F(xs)
+        comp = _composition(qs, xs, ys, z_partition)
         assert abs(iterated_action_Z(qs, xs, ys) - comp) < 1e-9 * abs(comp)
+
+
+def test_iterated_d2_random_draws_match_their_references():
+    # shift-image contours against the composed direct actions, the stated
+    # contour against its exact residue sum (written for Z only)
+    rng = np.random.default_rng(2203)
+    for n in (2, 3, 2, 3):
+        xs = list(rng.uniform(0.1, 0.6, n))
+        ys = list(rng.uniform(0.1, 0.6, 2))
+        qs = list(rng.uniform(0.2, 0.6, 2) * np.exp(2j * np.pi * rng.random(2)))
+        for action, partition in ((iterated_action_Z, z_partition),
+                                  (iterated_action_F, f_partition)):
+            comp = _composition(qs, xs, ys, partition)
+            assert abs(action(qs, xs, ys) - comp) < 1e-8 * abs(comp)
+        stated = stated_action_Z(qs, xs, ys)
+        assert abs(iterated_action_Z(qs, xs, ys, contour_mode="stated")
+                   - stated) < 1e-8 * abs(stated)
+
+
+def _intersecting_d3_draws(seed, count):
+    """d = 3 draws at n = 3 whose stated radii exist but put two circles of
+    one shift-image level within a diameter of each other."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        xs = list(rng.uniform(0.1, 0.6, 3))
+        ys = list(rng.uniform(0.1, 0.6, 3))
+        qs = list(rng.uniform(0.2, 0.6, 3) * np.exp(2j * np.pi * rng.random(3)))
+        try:
+            radii = choose_radii(qs, xs, ys)
+        except ContourConditionError:
+            continue
+        try:
+            _validate_disks(qs, _image_centers(qs, xs), radii)
+        except ContourConditionError as exc:
+            if "intersect" in str(exc):
+                cases.append((qs, xs, ys))
+    return cases
+
+
+def test_iterated_d3_shrinks_radii_to_close_shift_images():
+    # choose_radii spaces the circles for the x_i only; the shift images
+    # q_k x_i, q_k q_l x_i of an earlier level can lie closer, and the
+    # default radii are scaled down until that level's circles are disjoint
+    xs = [0.455, 0.567, 0.401]
+    qs = [-0.365 - 0.098j, -0.493 - 0.162j, 0.106 + 0.395j]
+    ys = [0.25, 0.1, 0.05]
+    for qs, xs, ys in [(qs, xs, ys)] + _intersecting_d3_draws(2017, 2):
+        comp = _composition(qs, xs, ys, z_partition)
+        assert abs(iterated_action_Z(qs, xs, ys) - comp) < 1e-9 * abs(comp)
+    # a shift-image locus that still crosses an earlier level keeps raising
+    xs = [0.5826989820985194, 0.42784004336343395]
+    ys = [0.25558996009091484, 0.3716688284324764]
+    qs = [-0.23903101171977237 - 0.41759550972921383j,
+          -0.24192240398389162 + 0.5469091317388677j,
+          0.39656576780946845 - 0.05151451292277064j]
+    with pytest.raises(ContourConditionError, match="z_k/q_j pole reaches"):
+        iterated_action_Z(qs, xs, ys)
 
 
 def test_stated_residue_sum_d3_equals_stated_quadrature():

@@ -26,3 +26,10 @@ def test_symfunc_battery_passes_on_every_seed():
     failed = [(seed, row["name"]) for seed in range(60)
               for row in verify.battery_symfunc(seed) if not row["pass"]]
     assert failed == []
+
+
+def test_contour_action_row_reports_its_node_counts():
+    # the seed of the shipped configs
+    row, = verify.battery_contour_action(seed=1234)
+    assert {"max_nodes", "max_last_delta"} <= set(row)
+    assert row["max_nodes"] <= 128
