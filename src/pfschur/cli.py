@@ -216,10 +216,16 @@ def main(argv=None):
             results = []
             T = points
             if args.method == "oracle":
-                value = measures.correlation_oracle(spec, T, L=cfgd["L"])
+                L = cfgd["L"]
+                value = measures.correlation_oracle(spec, T, L=L)
                 results.append({"T": T.to_json(), "method": "oracle",
                                 "value": value, "imag_defect": 0.0,
-                                "diagnostics": {"L": cfgd["L"]}})
+                                "diagnostics": {
+                                    "L": L,
+                                    "truncation_diagnostic":
+                                        measures.truncation_diagnostic(spec, L),
+                                    "partitions": len(
+                                        measures.sequence_partitions(spec, L))}})
             elif args.method == "kernel":
                 value, info = kernels.correlation_via_kernel(spec, T, cfg,
                                                              full_output=True)

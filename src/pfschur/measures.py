@@ -1,14 +1,25 @@
 """Pfaffian Schur measure/process weights and brute-force oracles.
 
 The oracles sum the literal product weights over all interlacing sequences
-of partitions up to a weight cap. Row counts are pruned by the only
-mechanism that kills a weight exactly: a (skew) Schur factor in k variables
+of partitions up to a weight cap. Each (skew) Schur factor in k variables is
+a chain of k one-variable horizontal-strip transfers (the branching rule,
+Macdonald I.5.11): s_{lam/mu}(x) = x^{|lam|-|mu|} when lam/mu is a horizontal
+strip and 0 otherwise. So the sum is one dynamic program over the list of
+partitions of weight <= L: per level, one transfer per variable on vectors
+indexed by that list (`partitions.horizontal_strips`, whose index tables
+are built once per (L, row cap)). Row counts are pruned by
+the only mechanism that kills a weight exactly: a factor in k variables
 vanishes when its shape has more than k rows, which caps length(lam^(i)) by
-the number of variables at levels i..m. Everything downstream (kernels,
-q-extraction, contour actions) is tested against these sums.
+the number of variables at levels i..m. `process_weight` and the
+Jacobi-Trudi `symfunc` functions stay as the independent per-sequence
+reference. Everything downstream (kernels, q-extraction, contour actions)
+is tested against these sums.
 """
 
-from .partitions import contains, enumerate_up_to_weight, point_configuration
+import numpy as np
+
+from .partitions import contains  # noqa: F401 (perfbench traces it here)
+from .partitions import enumerate_up_to_weight, horizontal_strips, point_configuration
 from .symfunc import (H0, Specialization, cauchy_H, schur, skew_schur, tau)
 
 
@@ -139,58 +150,62 @@ def partition_function_closed(spec, kind="pfaffian", h0_union=True):
     return out.real
 
 
-def _level_row_caps(spec):
+def _level_row_caps(spec, kind):
     """Row-count caps: length(lam^(i)) <= #variables at levels i..m on the
-    rho^+ side (inner partitions inherit the next level's cap)."""
-    m = spec.m
+    rho^+ side (inner partitions inherit the next level's cap); under
+    kind="schur" level 0 is also capped by the variables of rho^-_0."""
+    if kind not in ("pfaffian", "schur"):
+        raise ValueError("kind must be 'pfaffian' or 'schur'")
     sizes = [len(s) for s in spec.rho_plus]
-    return [sum(sizes[i:]) for i in range(m)]
+    caps = [sum(sizes[i:]) for i in range(spec.m)]
+    if kind == "schur":
+        caps[0] = min(caps[0], len(spec.rho_minus[0]))
+    return caps
+
+
+def sequence_partitions(spec, L, kind="pfaffian"):
+    """The partition list the oracles sum over: weight <= L and no more rows
+    than the largest level cap, weight-major."""
+    return enumerate_up_to_weight(L, max(_level_row_caps(spec, kind)))
 
 
 def _sequence_sum(spec, L, kind="pfaffian", level_weights=None):
     """Dynamic program over levels for sums of process weights times
-    optional per-level multipliers (indicator or observable factors)."""
-    m = spec.m
-    caps = _level_row_caps(spec)
-    if kind == "schur":
-        caps = list(caps)
-        caps[0] = min(caps[0], len(spec.rho_minus[0]))
+    optional per-level multipliers (indicator or observable factors).
 
-    def wfactor(i, lam):
-        return level_weights[i](lam) if level_weights is not None else 1.0
+    Every (skew) Schur factor is applied one variable at a time by the
+    branching rule, so a level step is a chain of one-variable transfers
+    over one partition list; a cap masks the rows a level cannot hold."""
+    caps = _level_row_caps(spec, kind)
+    parts = enumerate_up_to_weight(L, max(caps))
+    strips = horizontal_strips(L, max(caps))
 
-    h = {}
-    for lam in enumerate_up_to_weight(L, caps[0]):
-        base = (tau(lam, spec.rho_minus[0]) if kind == "pfaffian"
-                else schur(lam, spec.rho_minus[0]))
-        if base == 0:
-            continue
-        val = base * wfactor(0, lam)
-        if val != 0:
-            h[lam] = val
+    def across(h, move, family, cap=None):
+        for x in family:              # ProcessSpec values are real
+            h = move(h, x.real)
+        return h if cap is None else np.where(strips.length <= cap, h, 0)
 
-    for i in range(1, m):
-        f = {}
-        for mu in enumerate_up_to_weight(L, caps[i]):
-            tot = 0j
-            for lam, hv in h.items():
-                if contains(lam, mu):
-                    tot += hv * skew_schur(lam, mu, spec.rho_plus[i - 1])
-            if tot != 0:
-                f[mu] = tot
-        h = {}
-        for lam in enumerate_up_to_weight(L, caps[i]):
-            tot = 0j
-            for mu, fv in f.items():
-                if contains(lam, mu):
-                    tot += fv * skew_schur(lam, mu, spec.rho_minus[i])
-            if tot == 0:
-                continue
-            val = tot * wfactor(i, lam)
-            if val != 0:
-                h[lam] = val
+    def weigh(h, i):
+        if level_weights is None:
+            return h
+        live = np.flatnonzero(h)
+        vals = np.array([level_weights[i](parts[k]) for k in live])
+        out = np.zeros(len(h), dtype=np.result_type(h, vals))
+        out[live] = h[live] * vals
+        return out
 
-    return sum(hv * schur(lam, spec.rho_plus[m - 1]) for lam, hv in h.items())
+    # level 0: tau is the even-conjugate indicator moved up over rho^-_0,
+    # s_lam(rho^-_0) the indicator of the empty partition (entry 0)
+    if kind == "pfaffian":
+        h = strips.even.astype(float)
+    else:
+        h = np.zeros(len(parts))
+        h[0] = 1.0
+    h = weigh(across(h, strips.up, spec.rho_minus[0], caps[0]), 0)
+    for i in range(1, spec.m):
+        h = across(h, strips.down, spec.rho_plus[i - 1], caps[i])
+        h = weigh(across(h, strips.up, spec.rho_minus[i], caps[i]), i)
+    return complex(across(h, strips.down, spec.rho_plus[-1])[0])
 
 
 def partition_function_truncated(spec, kind="pfaffian", L=30):

@@ -6,6 +6,8 @@ of tuples is equality of partitions. All functions are pure.
 
 from functools import lru_cache
 
+import numpy as np
+
 
 def check_partition(parts):
     """Normalize an iterable into a partition tuple, dropping trailing zeros.
@@ -66,6 +68,77 @@ def enumerate_up_to_weight(L, max_length=None):
     if max_length != 0:
         rec((), L, L)
     return tuple(sorted(out, key=lambda t: (sum(t), tuple(-x for x in t))))
+
+
+class HorizontalStrips:
+    """One-variable transfers across the horizontal strips lam/nu
+    (lam_{j+1} <= nu_j <= lam_j) between entries of
+    ``enumerate_up_to_weight(L, max_length)``, on vectors indexed by that
+    list, plus each entry's row count and even-conjugate flag.
+
+    A strip is added one row at a time: moving up from nu, raise the
+    bottom row first, then the one above it, each to at most the value of
+    the row above, which is still nu's. Every intermediate is a partition
+    of the list, and the entries that differ only in row r form a chain
+    ordered by that row, along which the step is a prefix sum with weights
+    x^(rise). So each row keeps the (chain, position) cell of every entry
+    in a dense chains-by-positions grid, and a step is one product with a
+    triangular Toeplitz matrix of powers of x. Moving down is the
+    transpose: suffix sums, top row first."""
+
+    def __init__(self, parts):
+        n = len(parts)
+        depth = max(map(len, parts))
+        rows = np.zeros((n, depth), dtype=np.int64)
+        for i, lam in enumerate(parts):
+            rows[i, :len(lam)] = lam
+        self.length = np.count_nonzero(rows, axis=1)
+        self.even = np.array([is_even_conjugate(lam) for lam in parts])
+        k = np.arange(rows.max(initial=0) + 1)
+        lag = k[None, :] - k[:, None]
+        self._lag = np.where(lag >= 0, lag, len(k))     # below the diagonal: the 0 past x^k
+        self._grids = []            # per row: (cell of each entry, chains, width)
+        for r in range(depth):
+            _, chain = np.unique(np.delete(rows, r, axis=1), axis=0,
+                                 return_inverse=True)
+            width = rows[:, r].max() + 1
+            cells = chain.ravel() * width + rows[:, r]
+            self._grids.append((cells.astype(np.min_scalar_type(cells.max())),
+                                chain.max() + 1, width))
+
+    def _toeplitz(self, x):
+        """T[a, b] = x^(b - a) for a <= b, else 0; its leading w x w block
+        serves a grid of width w."""
+        return np.append(x ** np.arange(len(self._lag)), 0.0)[self._lag]
+
+    def up(self, h, x):
+        """h'(lam) = sum over the strips lam/nu of x^(|lam| - |nu|) h(nu)."""
+        T = self._toeplitz(x)
+        for grid in reversed(self._grids):
+            h = _chain_sums(h, grid, T)
+        return h
+
+    def down(self, h, x):
+        """h'(nu) = sum over the strips lam/nu of x^(|lam| - |nu|) h(lam)."""
+        T = self._toeplitz(x).T
+        for grid in self._grids:
+            h = _chain_sums(h, grid, T)
+        return h
+
+
+def _chain_sums(h, grid, T):
+    """h laid out on one row's chains-by-positions grid, times T, read back."""
+    cells, chains, width = grid
+    H = np.zeros(chains * width, dtype=h.dtype)
+    H[cells] = h
+    return (H.reshape(chains, width) @ T[:width, :width]).reshape(-1)[cells]
+
+
+@lru_cache(maxsize=None)
+def horizontal_strips(L, max_length=None):
+    """`HorizontalStrips` of the weight-capped, row-capped partition list;
+    built on first use and kept (``symfunc.clear_caches`` drops them)."""
+    return HorizontalStrips(enumerate_up_to_weight(L, max_length))
 
 
 def subpartitions(lam):

@@ -4,8 +4,8 @@ A specialization is a finite ordered list of complex numbers. Everything here
 is double-precision complex; identities are checked to tolerances, never
 symbolically. Schur and skew Schur functions are Jacobi-Trudi determinants
 of complete homogeneous functions; the h-tables and the (partition,
-specialization) evaluations are memoized because the enumeration oracles in
-`measures` hit the same cells millions of times.
+specialization) evaluations are memoized because the verify batteries and
+the per-sequence `measures.process_weight` reach the same cells many times.
 """
 
 from functools import lru_cache
@@ -13,7 +13,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .partitions import even_conjugate_subpartitions
+from .partitions import even_conjugate_subpartitions, horizontal_strips
 
 
 class DivergenceError(ValueError):
@@ -213,8 +213,10 @@ def H0(sx):
 
 
 def clear_caches():
-    """Drop the h-table and Schur memoization tables (for memory control in
-    long randomized batteries)."""
+    """Drop the h-table and Schur memoization tables and the oracles'
+    horizontal-strip tables (for memory control in long randomized
+    batteries)."""
+    horizontal_strips.cache_clear()
     _h_table.cache_clear()
     _skew_schur_cached.cache_clear()
     _tau_cached.cache_clear()

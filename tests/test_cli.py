@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from pfschur.cli import main
-from pfschur.measures import ProcessSpec, correlation_oracle
+from pfschur.measures import ProcessSpec, correlation_oracle, truncation_diagnostic
+from pfschur.partitions import enumerate_up_to_weight
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -60,6 +61,17 @@ def test_correlate_empty_T_reports_one(tmp_path):
     report = read_report(out)
     assert report["results"][0]["value"] == 1.0
     assert "config_digest" in report
+
+
+def test_correlate_oracle_row_diagnostics(tmp_path):
+    out = tmp_path / "report.json"
+    assert run_cli(["correlate", "--config", str(CONFIGS / "m2_d11.json"),
+                    "--method", "oracle", "--out", str(out)]) == 0
+    row, = read_report(out)["results"]
+    spec = ProcessSpec([[0.4], [0.3]], [[0.35], [0.25]])
+    assert row["diagnostics"] == {
+        "L": 20, "truncation_diagnostic": truncation_diagnostic(spec, 20),
+        "partitions": len(enumerate_up_to_weight(20, 2))}
 
 
 def test_compare_reference_config(tmp_path):
@@ -265,7 +277,8 @@ def test_integral_floats_are_accepted_as_integers(tmp_path):
     out = tmp_path / "report.json"
     assert run_cli(["correlate", "--config", str(cfg), "--method", "oracle",
                     "--out", str(out)]) == 0
-    assert read_report(out)["results"][0]["diagnostics"] == {"L": 20}
+    L = read_report(out)["results"][0]["diagnostics"]["L"]
+    assert L == 20 and isinstance(L, int)
 
 
 def test_booleans_are_not_numbers(tmp_path, capsys):

@@ -4,9 +4,10 @@ On random admissible specs with m <= 2 levels and |T| <= 3 points, the
 Pfaffian of the assembled kernel must match `correlation_oracle` within 10x
 the oracle's truncation diagnostic, plus a floor of 1e-7 for the kernel's
 own quadrature error (every entry converges to quad_tol = 1e-8; the floor
-is 10x that), and Pf(K)^2 must equal det(K). The oracle runs at L = 20 and
-each rho family has at most two values, so that a two-level draw
-enumerates in under about a second.
+is 10x that), and Pf(K)^2 must equal det(K). The oracle runs at L = 30
+and each rho family has at most two values; a two-level draw (up to four
+rho^+ values, so partitions of up to four rows) sums in well under a
+second by the oracle's strip transfers.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from pfschur.measures import (PointSet, ProcessSpec, correlation_oracle,  # noqa
                               truncation_diagnostic)
 from pfschur.pfaffian import pfaffian  # noqa: E402
 
-L = 20
+L = 30
 QUADRATURE_FLOOR = 1e-7
 
 

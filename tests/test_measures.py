@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,8 @@ from pfschur.measures import (PointSet, ProcessSpec, correlation_oracle,
                               partition_function_closed,
                               partition_function_truncated, process_weight,
                               truncation_diagnostic)
-from pfschur.partitions import enumerate_up_to_weight
+from pfschur.partitions import (contains, enumerate_up_to_weight,
+                                point_configuration, subpartitions)
 from pfschur.symfunc import H0, Specialization, cauchy_H, schur, skew_schur, tau
 
 
@@ -169,3 +173,102 @@ def test_truncation_diagnostic_positive_and_small():
     spec = ProcessSpec([[0.5]], [[0.5]])
     d = truncation_diagnostic(spec, 30)
     assert 0 <= d < 1e-12
+
+
+def _sequences(m, L):
+    """Every (lams, mus) with all weights <= L and mu^(i) contained in
+    lam^(i) and lam^(i+1): the only pruning is containment, outside which
+    a skew factor vanishes; no row caps."""
+    parts = enumerate_up_to_weight(L)
+
+    def rec(lams, mus):
+        if len(lams) == m:
+            yield lams, mus
+            return
+        for mu in subpartitions(lams[-1]):
+            for lam in parts:
+                if contains(lam, mu):
+                    yield from rec(lams + [lam], mus + [mu])
+    for lam in parts:
+        yield from rec([lam], [])
+
+
+def _literal_sums(spec, L, weightings):
+    """Pfaffian and Schur partition functions and, per weighting, the
+    Pfaffian sum times prod_i weighting[i](lam^(i)), all summed literally:
+    process_weight for the Pfaffian process, and for the Schur process the
+    same product with s_{lam^(0)}(rho^-_0) in place of tau."""
+    pf, sc, weighted = 0.0, 0j, [0j] * len(weightings)
+    for lams, mus in _sequences(spec.m, L):
+        w = process_weight(lams, mus, spec)
+        pf += w
+        for k, fs in enumerate(weightings):
+            weighted[k] += w * math.prod(f(lam) for f, lam in zip(fs, lams))
+        inner = schur(lams[-1], spec.rho_plus[-1])
+        for i in range(1, spec.m):
+            inner *= (skew_schur(lams[i - 1], mus[i - 1], spec.rho_plus[i - 1])
+                      * skew_schur(lams[i], mus[i - 1], spec.rho_minus[i]))
+        sc += schur(lams[0], spec.rho_minus[0]) * inner
+    return pf, sc.real, weighted
+
+
+def _reference_cases():
+    """Seeded random specs with m <= 3, plus a Schur-process spec whose
+    rho^-_0 has fewer variables than level 2's row cap, so the level-0 cap
+    sits below the next level's."""
+    rng = random.Random(20170516)
+
+    def family(lo):
+        return [round(rng.uniform(0.05, 0.6), 3) for _ in range(rng.randint(lo, 2))]
+    cases = []
+    for m, L in ((1, 8), (1, 8), (2, 7), (2, 6), (3, 4), (3, 4)):
+        cases.append((ProcessSpec([family(1) for _ in range(m)],
+                                  [family(0) for _ in range(m)]), L))
+    cases.append((ProcessSpec([[0.45], [0.4, 0.3]], [[0.5], [0.35]]), 7))
+    return cases
+
+
+@pytest.mark.parametrize("spec, L", _reference_cases())
+def test_oracles_match_a_literal_sequence_sum(spec, L):
+    """The strip-transfer dynamic program against the literal sum of the
+    product weights over every enumerated sequence."""
+    m = spec.m
+    level = random.Random(L * 10 + m).randint(1, m)
+    n_terms = L + 4
+    T = [(level, -1), (level, 0)]
+    q = complex(-0.45, 0.3)
+    qs = [[q, q.conjugate()] if i == level - 1 else [] for i in range(m)]
+    ns = [len(s) for s in spec.rho_plus]
+
+    def indicator(i):
+        want = {t for lvl, t in T if lvl == i + 1}
+        return lambda lam: float(want <= point_configuration(lam, n_terms))
+
+    def observable(i):
+        n = ns[i]
+
+        def w(lam):
+            lamp = lam + (0,) * (n - len(lam))
+            return math.prod(sum(q ** (lamp[k] + n - k - 1) for k in range(n))
+                             for q in qs[i])
+        return w
+
+    pf, sc, (num, obs) = _literal_sums(
+        spec, L, [[indicator(i) for i in range(m)], [observable(i) for i in range(m)]])
+    assert abs(partition_function_truncated(spec, "pfaffian", L) - pf) < 1e-13 * pf
+    assert abs(partition_function_truncated(spec, "schur", L) - sc) < 1e-13 * sc
+    assert abs(correlation_oracle(spec, T, L=L, n_terms=n_terms) - num.real / pf) < 1e-13
+    got = observable_expectation_oracle(qs, spec, L=L, ns=ns)
+    assert abs(got - obs / pf) < 1e-13 * max(1.0, abs(obs / pf))
+
+
+def test_partition_function_m3_truncated_matches_closed():
+    # three levels at L = 40: the union pair factor and the cross-level
+    # Cauchy factors of both kinds, on a Schur process whose level-0 cap
+    # (one rho^-_0 variable) sits below level 2's
+    spec = ProcessSpec([[0.5], [0.45], [0.4]], [[0.5], [0.35], [0.45]])
+    for kind in ("pfaffian", "schur"):
+        closed = partition_function_closed(spec, kind)
+        trunc = partition_function_truncated(spec, kind, 40)
+        assert trunc <= closed * (1 + 1e-14)
+        assert abs(trunc - closed) / closed < 1e-9

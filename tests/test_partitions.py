@@ -1,10 +1,12 @@
+import numpy as np
 import pytest
 
 from pfschur.partitions import (check_partition, conjugate, contains,
                                 enumerate_up_to_weight,
                                 even_conjugate_subpartitions,
-                                is_even_conjugate, partition_from_points,
-                                point_configuration, subpartitions)
+                                horizontal_strips, is_even_conjugate,
+                                partition_from_points, point_configuration,
+                                subpartitions)
 
 
 def euler_p(n, _cache={0: 1}):
@@ -84,6 +86,29 @@ def test_enumeration_no_duplicates_and_length_cap():
     lst = enumerate_up_to_weight(10, max_length=2)
     assert len(set(lst)) == len(lst)
     assert all(len(lam) <= 2 for lam in lst)
+
+
+@pytest.mark.parametrize("L, cap", [(0, None), (9, None), (12, 3), (10, 1)])
+def test_strip_transfers_match_the_branching_rule(L, cap):
+    """up and down against the dense matrix of the one-variable skew Schur
+    function: x^(|lam| - |nu|) when lam/nu is a horizontal strip, else 0."""
+    parts = enumerate_up_to_weight(L, cap)
+    strips = horizontal_strips(L, cap)
+    x = 0.37
+
+    def strip(lam, nu):
+        if len(nu) > len(lam):
+            return False
+        nu = nu + (0,) * (len(lam) - len(nu))
+        return all((lam + (0,))[j + 1] <= nu[j] <= lam[j] for j in range(len(lam)))
+    M = np.array([[x ** (sum(lam) - sum(nu)) if strip(lam, nu) else 0.0
+                   for nu in parts] for lam in parts])
+    # positive parts: no cancellation, so every entry is relatively accurate
+    h = np.random.default_rng(L).uniform(0.5, 1.5, size=len(parts)) * (1 + 2j)
+    assert np.allclose(strips.up(h, x), M @ h, rtol=1e-14, atol=0)
+    assert np.allclose(strips.down(h, x), M.T @ h, rtol=1e-14, atol=0)
+    assert list(strips.length) == [len(lam) for lam in parts]
+    assert list(strips.even) == [is_even_conjugate(lam) for lam in parts]
 
 
 def test_even_conjugate_subpartitions():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from pfschur.partitions import enumerate_up_to_weight, subpartitions
+from pfschur.partitions import enumerate_up_to_weight, horizontal_strips, subpartitions
 from pfschur.symfunc import (H0, DivergenceError, Specialization, cauchy_H,
-                             complete_homogeneous, elementary, monomial,
-                             power_sum, schur, skew_schur, tau)
+                             clear_caches, complete_homogeneous, elementary,
+                             monomial, power_sum, schur, skew_schur, tau)
 
 
 def ssyt_schur(lam, values):
@@ -178,3 +178,10 @@ def test_specialization_json():
     assert Specialization.from_json(s.to_json()) == s
     assert s.max_abs() == 0.5
     assert abs(s.min_abs() - abs(0.25 + 0.1j)) < 1e-15
+
+
+def test_clear_caches_drops_the_strip_tables():
+    horizontal_strips(6, 2)
+    assert horizontal_strips.cache_info().currsize > 0
+    clear_caches()
+    assert horizontal_strips.cache_info().currsize == 0
