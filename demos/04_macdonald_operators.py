@@ -20,7 +20,7 @@ ys = [0.25, 0.1]
 # Schur polynomials diagonalize the operators at t = q
 for lam in [(), (1,), (2,), (2, 1)]:
     ev = eigenvalue(lam, 2, 1, 0.3)
-    res, = eigen_residual([lam], [0.4, 0.2], 1, 0.3)
+    (res,), = eigen_residual([lam], [0.4, 0.2], [1], 0.3)
     print(f"lambda={str(lam):8s} eigenvalue={ev:.6f} residual={res:.1e}")
 
 # direct vs contour on a product-form function

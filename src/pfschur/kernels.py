@@ -456,7 +456,8 @@ def correlation_via_q_extraction(X, Y, T, cfg=None, rq=None, full_output=False):
     the one quadrature runs over the d <= 2 q-circles. full_output gives the
     stripped sites and `imag_defect` (0.0 when every site is stripped) and
     adds the q-circles' radius `rq` and the quadrature's `nodes` and
-    `last_delta`.
+    `last_delta`. A QuadratureError is re-raised naming the extraction and
+    its positions, with the same estimates.
     """
     cfg = cfg or KernelConfig()
     X = X if isinstance(X, Specialization) else Specialization(X)
@@ -489,9 +490,12 @@ def correlation_via_q_extraction(X, Y, T, cfg=None, rq=None, full_output=False):
         return v
 
     qc = quad.circle(rq, nodes=max(32, cfg.start_nodes // 2))
-    value, outer = quad.integrate_n(
-        f, [qc] * d, tol=max(cfg.quad_tol, 1e-9 if d == 1 else 1e-7),
-        max_nodes=quad.MAX_NODES_2D, full_output=True)
+    try:
+        value, outer = quad.integrate_n(
+            f, [qc] * d, tol=max(cfg.quad_tol, 1e-9 if d == 1 else 1e-7),
+            max_nodes=quad.MAX_NODES_2D, full_output=True)
+    except quad.QuadratureError as exc:
+        raise exc.naming(f"q-extraction at T={T_eff}") from exc
     info.update(imag_defect=abs(value.imag), rq=rq, **outer)
     return (value.real, info) if full_output else value.real
 

@@ -3,11 +3,14 @@
 `apply_direct` is the literal finite sum over r-subsets with shift operators;
 it is the ground truth every contour formula here is tested against, and
 `eigen_residual` checks the Schur eigenrelation on it for many partitions
-with one direct action on the vector of their Schur values. The contour
-routes need care with which poles a contour encloses:
+and several orders at once: one direct action per order on the vector of
+their Schur values, with the Schur values at xs, the spectra and every e_r
+computed once. The contour routes need care with which poles a contour
+encloses:
 
 * the one-operator action on a product-form function integrates over small
-  circles around the points x_i only;
+  circles around the points x_i only, a quarter of the safe radius wide
+  (`contour_radius`), so each converges at its first doubling;
 * the iterated one-row actions (several q's) additionally need, for every
   earlier variable, circles around the shift images q_k x_i of the later
   variables; without them the residues that shift the same variable twice
@@ -25,7 +28,8 @@ the iterated actions are it on the product forms of Z(.; Y) and F(.; Y)
 (g = prod_y 1/(1 - xy), and f = 1/(1 - u) for Z, f = 1 for F), and the
 coupling-product check in `kernels` multiplies the same pair factor. Each
 action is one call of `quadrature.integrate_product` on these factors, over
-circles from `quadrature.circles_around` that start at its 16 nodes. The
+circles from `quadrature.circles_around` that start at its 16 nodes; a
+quadrature that does not converge is re-raised naming the action. The
 stated contour encloses only simple poles, at the x_i, so `stated_action_Z`
 sums its residues from the same factors exactly, with no quadrature.
 """
@@ -86,30 +90,33 @@ def apply_direct(F, xs, r, q, t=None):
 
 def eigenvalue(lam, n, r, q, t=None):
     """e_r evaluated at the spectrum (q^{lam_1} t^{n-1}, ..., q^{lam_n} t^0)."""
-    return complex(_eigenvalues([tuple(lam)], n, r, q, q if t is None else t)[0])
+    return complex(_elementary([tuple(lam)], n, r, q, q if t is None else t)[r][0])
 
 
-def _eigenvalues(lams, n, r, q, t):
-    """`eigenvalue` of every partition in lams, as one array: e_r at each
-    spectrum by the recursion of `symfunc.elementary`, run over the
-    partitions at once."""
+def _elementary(lams, n, top, q, t):
+    """e_0, ..., e_top at the spectrum of every partition in lams, each as
+    one array over the partitions, by the recursion of
+    `symfunc.elementary` run over the partitions at once."""
     spectra = np.array([[q ** part * t ** (n - 1 - i) for i, part
                          in enumerate(lam + (0,) * (n - len(lam)))]
                         for lam in lams], dtype=complex).reshape(len(lams), n)
-    e = [np.ones(len(lams), complex)] + [np.zeros(len(lams), complex)] * r
+    e = [np.ones(len(lams), complex)] + [np.zeros(len(lams), complex)] * top
     for v in spectra.T:
-        for k in range(r, 0, -1):
+        for k in range(top, 0, -1):
             e[k] = e[k] + v * e[k - 1]
-    return e[r]
+    return e
 
 
-def eigen_residual(lams, xs, r, q, t=None):
+def eigen_residual(lams, xs, orders, q, t=None):
     """Residuals of the Schur eigenrelation D_r s_lam = e_r(spectrum) s_lam
-    at the point xs, one per partition in lams, as an array; each is
-    relative to the scale |s_lam(xs)| + 1.
+    at the point xs, one row per order r in orders and one column per
+    partition in lams, as an array of shape (len(orders), len(lams)); each
+    is relative to the scale |s_lam(xs)| + 1.
 
-    One direct action serves every partition: `apply_direct` acts on the
-    vector of their Schur values, one Specialization per shifted point set.
+    One direct action per order serves every partition: `apply_direct` acts
+    on the vector of their Schur values, one Specialization per shifted
+    point set. The Schur values at xs, the spectra and e_1 ... e_max(orders)
+    are computed once for all orders.
     """
     if t is None:
         t = q
@@ -117,14 +124,16 @@ def eigen_residual(lams, xs, r, q, t=None):
     lams = [tuple(lam) for lam in lams]
     if any(len(lam) > n for lam in lams):
         raise ValueError("partition has more rows than variables")
+    orders = list(orders)
 
     def F(v):
         s = Specialization(v)
         return np.array([schur(lam, s) for lam in lams])
-    lhs = apply_direct(F, xs, r, q, t)
     sval = F(xs)
-    rhs = _eigenvalues(lams, n, r, q, t) * sval
-    return np.abs(lhs - rhs) / (np.abs(sval) + 1.0)
+    e = _elementary(lams, n, max(orders, default=0), q, t)
+    return np.array([np.abs(apply_direct(F, xs, r, q, t) - e[r] * sval)
+                     / (np.abs(sval) + 1.0)
+                     for r in orders]).reshape(len(orders), len(lams))
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +206,19 @@ def _cauchy_form(ys, with_boundary):
 
 
 def contour_radius(xs, q):
-    """Half the largest safe radius for circles around the x_i: circles
-    pairwise disjoint, q-images of every circle outside all circles, and 0
-    outside every circle."""
+    """A quarter of the largest safe radius R for circles around the x_i:
+    circles pairwise disjoint, q-images of every circle outside all
+    circles, 0 outside every circle, and every circle inside the unit disk.
+
+    The last bound keeps out the poles of the regular factors, which lie
+    outside the unit disk when |q|, |x_j|, |y| < 1: z = +-1 of f(z^2),
+    1/(q x_j) of f(q z x_j) and 1/(q y) of a Cauchy g(q z). With the bounds
+    met, every singularity of the integrand off the circle around x_i stays
+    at least R from x_i, so the trapezoid error on a circle of radius R/4
+    falls like 4^-N at N nodes (Trefethen & Weideman, SIAM Rev. 56, 2014):
+    the 16-node estimate is within about 4^-16 = 2e-10, and the first
+    doubling, 16 -> 32, meets a tolerance of 1e-9.
+    """
     xs = [complex(x) for x in xs]
     bounds = []
     for i in range(len(xs)):
@@ -209,7 +228,8 @@ def contour_radius(xs, q):
             # q-image of circle i must stay off circle j: |qx_i - x_j| > (|q|+1) rad
             bounds.append(abs(q * xs[i] - xs[j]) / (abs(q) + 1))
         bounds.append(abs(xs[i]))  # keep 0 outside
-    rad = 0.5 * min(bounds)
+        bounds.append(1 - abs(xs[i]))  # stay inside the unit disk
+    rad = 0.25 * min(bounds)
     if rad <= 0:
         raise ContourConditionError("no positive radius satisfies the contour conditions")
     return rad
@@ -222,7 +242,8 @@ def apply_via_contour(G, xs, r, q, tol=1e-9, full_output=False):
     all r variables run over the same contour. Assumes t = q. f and g must
     accept numpy arrays. The value is G(xs)/r! times the integral of the
     one-row integrand (`_factors`) at r equal shifts q. full_output adds the
-    radius to the quadrature's `nodes` and `last_delta`.
+    radius to the quadrature's `nodes` and `last_delta`. A QuadratureError
+    is re-raised naming the action and r, with the same estimates.
     """
     if not isinstance(G, ProductFormFunction):
         raise TypeError("G must be a ProductFormFunction")
@@ -230,9 +251,12 @@ def apply_via_contour(G, xs, r, q, tol=1e-9, full_output=False):
     _check_order(r, len(xs))
     radius = contour_radius(xs, q)
     contour = quad.circles_around(xs, radius)
-    integral, info = quad.integrate_product(*_factors([q] * r, xs, G),
-                                            [contour] * r, tol=tol,
-                                            full_output=True)
+    try:
+        integral, info = quad.integrate_product(*_factors([q] * r, xs, G),
+                                                [contour] * r, tol=tol,
+                                                full_output=True)
+    except quad.QuadratureError as exc:
+        raise exc.naming(f"contour action r={r}") from exc
     value = G.value(xs) * integral / math.factorial(r)
     if full_output:
         info = dict(info)
@@ -389,14 +413,16 @@ def _validate_disks(qs, centers, radii):
                             "an earlier-variable pole reaches a later variable")
 
 
-def _iterated_action(qs, X, Y, with_boundary, radii, tol, contour_mode):
+def _iterated_action(qs, X, Y, with_boundary, radii, tol, contour_mode,
+                     full_output):
     qs = [complex(q) for q in qs]
     xs = [complex(x) for x in X]
     ys = [complex(y) for y in Y]
     d = len(qs)
     partition = z_partition if with_boundary else f_partition
     if d == 0:
-        return partition(xs, ys)
+        value = partition(xs, ys)
+        return (value, {"nodes": (), "last_delta": 0.0}) if full_output else value
     if contour_mode == "shift_images":
         centers = _image_centers(qs, xs)
     elif contour_mode == "stated":
@@ -418,12 +444,20 @@ def _iterated_action(qs, X, Y, with_boundary, radii, tol, contour_mode):
         _validate_disks(qs, centers, radii)
 
     contours = [quad.circles_around(centers[j], radii[j]) for j in range(d)]
-    integral = quad.integrate_product(
-        *_factors(qs, xs, _cauchy_form(ys, with_boundary)), contours, tol=tol)
-    return partition(xs, ys) * integral
+    try:
+        integral, info = quad.integrate_product(
+            *_factors(qs, xs, _cauchy_form(ys, with_boundary)), contours,
+            tol=tol, full_output=True)
+    except quad.QuadratureError as exc:
+        shifts = ", ".join(f"{q:.6g}" for q in qs)
+        raise exc.naming(f"iterated {'Z' if with_boundary else 'F'} action "
+                         f"qs=({shifts})") from exc
+    value = partition(xs, ys) * integral
+    return (value, info) if full_output else value
 
 
-def iterated_action_Z(qs, X, Y, radii=None, tol=1e-9, contour_mode="shift_images"):
+def iterated_action_Z(qs, X, Y, radii=None, tol=1e-9, contour_mode="shift_images",
+                      full_output=False):
     """d-fold one-row action on the free-boundary partition function Z(X;Y).
 
     Returns the operator value (not divided by Z). With the default
@@ -431,14 +465,18 @@ def iterated_action_Z(qs, X, Y, radii=None, tol=1e-9, contour_mode="shift_images
     actions; the "stated" contour keeps bare x-circles only, whose
     q-coefficients are still the correlation quantities. Without radii,
     `choose_radii` sets them, scaled down on shift-image contours until
-    each level's circles are disjoint (`_separated`).
+    each level's circles are disjoint (`_separated`). full_output adds the
+    quadrature's `nodes` and `last_delta`. A QuadratureError is re-raised
+    naming the action and its qs, with the same estimates.
     """
-    return _iterated_action(qs, X, Y, True, radii, tol, contour_mode)
+    return _iterated_action(qs, X, Y, True, radii, tol, contour_mode, full_output)
 
 
-def iterated_action_F(qs, X, Y, radii=None, tol=1e-9, contour_mode="shift_images"):
-    """d-fold one-row action on the two-sided partition function F(X;Y)."""
-    return _iterated_action(qs, X, Y, False, radii, tol, contour_mode)
+def iterated_action_F(qs, X, Y, radii=None, tol=1e-9, contour_mode="shift_images",
+                      full_output=False):
+    """d-fold one-row action on the two-sided partition function F(X;Y);
+    full_output and errors as in `iterated_action_Z`."""
+    return _iterated_action(qs, X, Y, False, radii, tol, contour_mode, full_output)
 
 
 def stated_action_Z(qs, X, Y):

@@ -144,6 +144,50 @@ def test_nonconvergence_names_the_entry(tmp_path, capsys):
     assert "last two estimates" in err
 
 
+def _shipped_config(tmp_path, name, **changes):
+    raw = json.loads((CONFIGS / f"{name}.json").read_text())
+    raw.update(changes)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    return cfg
+
+
+def test_verify_macdonald_reads_quadrature_tol(tmp_path):
+    out = tmp_path / "report.json"
+    nodes = {}
+    for tol in (1e-9, 1e-12):
+        cfg = _shipped_config(tmp_path, "m1_singleton", quadrature={"tol": tol})
+        assert run_cli(["verify-macdonald", "--config", str(cfg),
+                        "--out", str(out)]) == 0
+        rows = read_report(out)["results"]
+        row, = [r for r in rows if r["method"] == "contour_action"]
+        nodes[tol] = row["diagnostics"]["max_nodes"]
+        for r in rows:
+            if r["method"] == "iterated_actions":
+                assert {"nodes", "last_delta"} <= set(r["diagnostics"])
+    # no draw can be accepted before the first doubling, 16 -> 32 nodes
+    assert nodes == {1e-9: 32, 1e-12: 64}
+
+
+def test_verify_macdonald_nonconvergence_names_the_action(tmp_path, capsys):
+    # seed 2's first contour-action draw has r = 1, so the failing
+    # quadrature is one-dimensional
+    cfg = _shipped_config(tmp_path, "m1_singleton", seed=2,
+                          quadrature={"tol": 1e-300})
+    assert run_cli(["verify-macdonald", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical non-convergence: contour action r=1: contour "
+                          "integral did not converge at 32768 nodes/circle; "
+                          "last two estimates ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_quadrature_tol_must_be_positive(tmp_path, capsys):
+    cfg = _shipped_config(tmp_path, "m1_singleton", quadrature={"tol": 0})
+    assert run_cli(["verify-macdonald", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("config error: quadrature.tol: 0.0")
+
+
 def test_golden_report_regression(tmp_path):
     golden = json.loads(
         (Path(__file__).parent / "goldens" / "m1_singleton_kernel.json").read_text())

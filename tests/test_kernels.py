@@ -204,6 +204,17 @@ def test_q_extraction_deep_negative_site():
     assert info["stripped_deterministic"] == [-7]
 
 
+def test_q_extraction_names_the_integral_that_failed(monkeypatch):
+    def fail(*args, **kwargs):
+        raise QuadratureError("double contour integral did not converge", (1j, 2j))
+    monkeypatch.setattr(kernels.quad, "integrate_n", fail)
+    with pytest.raises(QuadratureError) as exc:
+        correlation_via_q_extraction(X2, X2, [0, -7, 1], CFG)
+    assert str(exc.value) == ("q-extraction at T=[0, 1]: double contour "
+                              "integral did not converge")
+    assert exc.value.estimates == (1j, 2j)
+
+
 def test_q_extraction_guards():
     with pytest.raises(ValueError):
         correlation_via_q_extraction(X2, X2, [0, 1, 2], CFG)

@@ -6,9 +6,10 @@ import pytest
 from pfschur import quadrature as quad
 from pfschur.macdonald import (ContourConditionError, ProductFormFunction,
                                _image_centers, _validate_disks, apply_direct,
-                               apply_via_contour, choose_radii, eigen_residual,
-                               eigenvalue, f_partition, iterated_action_F,
-                               iterated_action_Z, stated_action_Z, z_partition)
+                               apply_via_contour, choose_radii, contour_radius,
+                               eigen_residual, eigenvalue, f_partition,
+                               iterated_action_F, iterated_action_Z,
+                               stated_action_Z, z_partition)
 from pfschur.measures import ProcessSpec, observable_expectation_oracle
 from pfschur.symfunc import Specialization, schur
 
@@ -47,27 +48,35 @@ def test_apply_direct_rejects_coincident_points():
 
 
 def test_eigen_residual_examples():
-    assert eigen_residual([()], [0.5, 0.3], 1, 0.41, 0.41) < 1e-12
+    (res,), = eigen_residual([()], [0.5, 0.3], [1], 0.41, 0.41)
+    assert res < 1e-12
     # eigenvalue at lam=(2,1), n=2, q=t=0.3 is q^3 + q
     want = 0.3 ** 3 + 0.3
     assert abs(eigenvalue((2, 1), 2, 1, 0.3) - want) < 1e-15
-    assert eigen_residual([(2, 1)], [0.4, 0.2], 1, 0.3) < 1e-10
-    assert eigen_residual([(1,)], [0.7], 1, 0.3) < 1e-15
+    (res,), = eigen_residual([(2, 1)], [0.4, 0.2], [1], 0.3)
+    assert res < 1e-10
+    (res,), = eigen_residual([(1,)], [0.7], [1], 0.3)
+    assert res < 1e-15
 
 
 def test_eigen_residual_of_many_partitions_matches_one_at_a_time():
+    # one call over the orders (1, 2, 3) against the literal residual of
+    # each partition and order
     lams = [(), (1,), (2,), (1, 1), (3, 1), (2, 2, 1)]
     xs, q, t = [0.5, 0.3, 0.15], 0.4 * np.exp(1.1j), 0.4 * np.exp(1.1j)
-    for r in (1, 2, 3):
-        got = eigen_residual(lams, xs, r, q, t)
-        assert got.shape == (len(lams),)
-        for lam, res in zip(lams, got):
+    orders = (1, 2, 3)
+    got = eigen_residual(lams, xs, orders, q, t)
+    assert got.shape == (len(orders), len(lams))
+    for r, row in zip(orders, got):
+        for lam, res in zip(lams, row):
             F = lambda v, lam=lam: schur(lam, Specialization(v))
             s = F(xs)
             alone = abs(apply_direct(F, xs, r, q, t) - eigenvalue(lam, 3, r, q, t) * s)
             assert abs(res - alone / (abs(s) + 1)) < 1e-15
+        # each row is bitwise the call at that order alone
+        assert np.array_equal(row, eigen_residual(lams, xs, [r], q, t)[0])
     with pytest.raises(ValueError, match="more rows than variables"):
-        eigen_residual([(1,), (1, 1, 1)], [0.5, 0.3], 1, q)
+        eigen_residual([(1,), (1, 1, 1)], [0.5, 0.3], [1], q)
 
 
 def test_eigen_residual_battery():
@@ -267,11 +276,11 @@ def test_iterated_d2_is_integrate2_of_the_old_integrand(monkeypatch, action, mod
     qs = [0.4 + 0.1j, 0.35 - 0.2j]
     integrate_product, seen = quad.integrate_product, []
 
-    def spy(ones, pair, contours, tol):
+    def spy(ones, pair, contours, tol, full_output=False):
         value, info = integrate_product(ones, pair, contours, tol=tol,
                                         full_output=True)
         seen.append((contours, tol, value, info["nodes"]))
-        return value
+        return (value, info) if full_output else value
     monkeypatch.setattr(quad, "integrate_product", spy)
     action(qs, xs, ys, contour_mode=mode)
     ((c1, c2), tol, value, nodes), = seen
@@ -308,6 +317,52 @@ def test_contour_action_random_draws_match_direct():
                 direct = apply_direct(G, list(xs), r, q)
                 value = apply_via_contour(G, list(xs), r, q, tol=1e-9)
                 assert abs(value - direct) < 1e-8 * abs(direct), (n, r, xs, q)
+
+
+def test_contour_circles_stay_inside_the_unit_disk():
+    # the regular factors have poles outside the unit disk (z = 1 of
+    # f(z^2), 1/(q x), 1/(q y)); at n = 1 and x near 1 a circle bounded only
+    # by the other points, the q-images and 0 enclosed them
+    rng = np.random.default_rng(7)
+    for i in range(150):
+        n = 1 + i % 3
+        xs = rng.uniform(0.05, 0.9, n)
+        while n > 1 and np.diff(np.sort(xs)).min() < 0.02:
+            xs = rng.uniform(0.05, 0.9, n)
+        G = standard_G(rng.uniform(0.05, 0.9, 2))
+        q = rng.uniform(0.1, 0.95) * np.exp(2j * np.pi * rng.random())
+        r = int(rng.integers(1, min(n, 2) + 1))
+        assert max(abs(x) for x in xs) + contour_radius(list(xs), q) < 1
+        direct = apply_direct(G, list(xs), r, q)
+        value = apply_via_contour(G, list(xs), r, q)
+        assert abs(value - direct) < 1e-12 * (abs(direct) + 1), (xs, q, r)
+    # a radius of 0.378 around x = 0.882 enclosed z = 1
+    G, q = standard_G([0.551, 0.564]), -0.286 - 0.575j
+    direct = apply_direct(G, [0.882], 1, q)
+    assert abs(apply_via_contour(G, [0.882], 1, q) - direct) < 1e-12 * abs(direct)
+
+
+def test_contour_action_names_the_integral_that_failed():
+    G = standard_G([0.25, 0.1])
+    with pytest.raises(quad.QuadratureError) as exc:
+        apply_via_contour(G, [0.5, 0.3], 1, 0.35 + 0.1j, tol=0)
+    assert str(exc.value).startswith(
+        "contour action r=1: contour integral did not converge at 32768 nodes")
+    prev, last = exc.value.estimates
+    assert prev != last and abs(prev - last) < 1e-12
+    with pytest.raises(quad.QuadratureError) as exc:
+        iterated_action_F([0.35 + 0.1j], [0.5, 0.3], [0.25, 0.1], tol=0)
+    assert str(exc.value).startswith("iterated F action qs=(0.35+0.1j): ")
+    assert len(exc.value.estimates) == 2
+
+
+def test_iterated_actions_report_their_quadrature():
+    xs, ys, qs = [0.3, 0.2], [0.25, 0.1], [0.4 + 0.1j, 0.35 - 0.2j]
+    for action in (iterated_action_Z, iterated_action_F):
+        value, info = action(qs, xs, ys, full_output=True)
+        assert value == action(qs, xs, ys)
+        assert set(info) == {"nodes", "last_delta"}
+        assert len(info["nodes"]) == 2 and 0 < info["last_delta"] < 1e-9 * abs(value)
 
 
 def test_contour_action_rejects_orders_outside_1_to_n():
