@@ -115,11 +115,10 @@ def _convergence(info):
     return {"nodes": list(info["nodes"]), "last_delta": float(info["last_delta"])}
 
 
-def battery_contour_action(seed=0, tol=1e-8, draws=20, quad_tol=1e-9):
-    """`apply_via_contour` against `apply_direct` on random product forms,
-    each contour integral at quadrature tolerance quad_tol; the row also
-    carries the largest accepted node count (`max_nodes`) and last-doubling
-    delta (`max_last_delta`) over the draws."""
+def battery_contour_action(seed=0, tol=1e-8, draws=20):
+    """`apply_via_contour` against `apply_direct` on random product forms;
+    the row also carries the largest accepted node count (`max_nodes`) and
+    last-doubling delta (`max_last_delta`) over the draws."""
     rng = np.random.default_rng(seed)
     worst, max_nodes, max_last_delta = 0.0, 0, 0.0
     for _ in range(draws):
@@ -134,8 +133,8 @@ def battery_contour_action(seed=0, tol=1e-8, draws=20, quad_tol=1e-9):
             g=lambda x, a=ys[0], b=ys[1]: 1.0 / ((1.0 - a * x) * (1.0 - b * x)))
         r = int(rng.integers(1, min(n, 2) + 1))
         direct = macdonald.apply_direct(G, list(xs), r, q)
-        contour, info = macdonald.apply_via_contour(
-            G, list(xs), r, q, tol=quad_tol, full_output=True)
+        contour, info = macdonald.apply_via_contour(G, list(xs), r, q,
+                                                    full_output=True)
         worst = max(worst, abs(direct - contour) / (abs(direct) + 1))
         max_nodes = max(max_nodes, int(np.max(info["nodes"])))
         max_last_delta = max(max_last_delta, float(info["last_delta"]))
@@ -143,11 +142,10 @@ def battery_contour_action(seed=0, tol=1e-8, draws=20, quad_tol=1e-9):
                  {"max_nodes": max_nodes, "max_last_delta": max_last_delta})]
 
 
-def battery_iterated_actions(seed=0, tol=1e-6, quad_tol=1e-9):
+def battery_iterated_actions(seed=0, tol=1e-6):
     """Iterated Z and F actions against composed direct actions, and Z's
-    normalized action against the observable oracle; each contour integral
-    at quadrature tolerance quad_tol, and each row carries its `nodes` and
-    `last_delta`."""
+    normalized action against the observable oracle; each row carries its
+    quadrature's `nodes` and `last_delta`."""
     rng = np.random.default_rng(seed)
     rows = []
     xs, ys = [0.3, 0.2], [0.25, 0.1]
@@ -157,24 +155,21 @@ def battery_iterated_actions(seed=0, tol=1e-6, quad_tol=1e-9):
     Zf = lambda v: macdonald.z_partition(v, ys)
     comp = macdonald.apply_direct(lambda v: macdonald.apply_direct(Zf, v, 1, q1),
                                   xs, 1, q2)
-    cont, info = macdonald.iterated_action_Z([q1, q2], xs, ys, tol=quad_tol,
-                                             full_output=True)
+    cont, info = macdonald.iterated_action_Z([q1, q2], xs, ys, full_output=True)
     rows.append(_row("iterated Z action d=2 vs composition", abs(comp - cont), tol,
                      _convergence(info)))
 
     Ff = lambda v: macdonald.f_partition(v, ys)
     compF = macdonald.apply_direct(lambda v: macdonald.apply_direct(Ff, v, 1, q1),
                                    xs, 1, q2)
-    contF, info = macdonald.iterated_action_F([q1, q2], xs, ys, tol=quad_tol,
-                                              full_output=True)
+    contF, info = macdonald.iterated_action_F([q1, q2], xs, ys, full_output=True)
     rows.append(_row("iterated F action d=2 vs composition", abs(compF - contF), tol,
                      _convergence(info)))
 
     # expectation route: normalized action vs truncated observable sum
     spec = measures.ProcessSpec([xs], [ys])
     qs = [0.35, 0.2 + 0.15j]
-    act, info = macdonald.iterated_action_Z(qs, xs, ys, tol=quad_tol,
-                                            full_output=True)
+    act, info = macdonald.iterated_action_Z(qs, xs, ys, full_output=True)
     act = act / macdonald.z_partition(xs, ys)
     diag = measures.truncation_diagnostic(spec, 30)
     obs = measures.observable_expectation_oracle([qs], spec, L=30)

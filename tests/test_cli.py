@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from pfschur import macdonald
 from pfschur.cli import main
 from pfschur.measures import ProcessSpec, correlation_oracle, truncation_diagnostic
 from pfschur.partitions import enumerate_up_to_weight
+from pfschur.quadrature import QuadratureError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -152,40 +154,38 @@ def _shipped_config(tmp_path, name, **changes):
     return cfg
 
 
-def test_verify_macdonald_reads_quadrature_tol(tmp_path):
-    out = tmp_path / "report.json"
-    nodes = {}
-    for tol in (1e-9, 1e-12):
-        cfg = _shipped_config(tmp_path, "m1_singleton", quadrature={"tol": tol})
+def test_verify_macdonald_does_not_read_quadrature_tol(tmp_path):
+    # quadrature.tol is only kernel.quad_tol's fallback: verify-macdonald
+    # runs its contour quadratures at a fixed 1e-9 with or without it
+    raw = json.loads((CONFIGS / "m1_singleton.json").read_text())
+    raw.pop("quadrature")
+    cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    results = []
+    for quadrature in (None, {"tol": 1e-3}):
+        cfg.write_text(json.dumps(raw if quadrature is None
+                                  else {**raw, "quadrature": quadrature}))
         assert run_cli(["verify-macdonald", "--config", str(cfg),
                         "--out", str(out)]) == 0
-        rows = read_report(out)["results"]
-        row, = [r for r in rows if r["method"] == "contour_action"]
-        nodes[tol] = row["diagnostics"]["max_nodes"]
-        for r in rows:
-            if r["method"] == "iterated_actions":
-                assert {"nodes", "last_delta"} <= set(r["diagnostics"])
-    # no draw can be accepted before the first doubling, 16 -> 32 nodes
-    assert nodes == {1e-9: 32, 1e-12: 64}
+        results.append(read_report(out)["results"])
+    assert results[0] == results[1]
+    row, = [r for r in results[0] if r["method"] == "contour_action"]
+    assert row["diagnostics"]["max_nodes"] == 32
+    for r in results[0]:
+        if r["method"] == "iterated_actions":
+            assert {"nodes", "last_delta"} <= set(r["diagnostics"])
 
 
-def test_verify_macdonald_nonconvergence_names_the_action(tmp_path, capsys):
-    # seed 2's first contour-action draw has r = 1, so the failing
-    # quadrature is one-dimensional
-    cfg = _shipped_config(tmp_path, "m1_singleton", seed=2,
-                          quadrature={"tol": 1e-300})
+def test_verify_macdonald_nonconvergence_names_the_action(tmp_path, capsys,
+                                                          monkeypatch):
+    # seed 2's first contour-action draw has r = 1
+    def fail(*args, **kwargs):
+        raise QuadratureError("contour integral did not converge", (1j, 2j))
+    monkeypatch.setattr(macdonald.quad, "integrate_product", fail)
+    cfg = _shipped_config(tmp_path, "m1_singleton", seed=2)
     assert run_cli(["verify-macdonald", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("numerical non-convergence: contour action r=1: contour "
-                          "integral did not converge at 32768 nodes/circle; "
-                          "last two estimates ")
-    assert len(err.strip().splitlines()) == 1
-
-
-def test_quadrature_tol_must_be_positive(tmp_path, capsys):
-    cfg = _shipped_config(tmp_path, "m1_singleton", quadrature={"tol": 0})
-    assert run_cli(["verify-macdonald", "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err.startswith("config error: quadrature.tol: 0.0")
+    assert err == ("numerical non-convergence: contour action r=1: contour "
+                   "integral did not converge; last two estimates 0+1j, 0+2j\n")
 
 
 def test_golden_report_regression(tmp_path):

@@ -349,7 +349,7 @@ def test_contour_action_names_the_integral_that_failed():
     assert str(exc.value).startswith(
         "contour action r=1: contour integral did not converge at 32768 nodes")
     prev, last = exc.value.estimates
-    assert prev != last and abs(prev - last) < 1e-12
+    assert abs(prev - last) < 1e-12
     with pytest.raises(quad.QuadratureError) as exc:
         iterated_action_F([0.35 + 0.1j], [0.5, 0.3], [0.25, 0.1], tol=0)
     assert str(exc.value).startswith("iterated F action qs=(0.35+0.1j): ")
