@@ -13,7 +13,7 @@ import json
 import sys
 import time
 
-from . import kernels, measures, verify
+from . import kernels, measures, partitions, symfunc, verify
 from .macdonald import ContourConditionError
 from .quadrature import QuadratureError
 
@@ -153,6 +153,13 @@ def _emit(report, out_path, fmt):
         sys.stdout.write(text)
 
 
+def _cache_calls():
+    """(hits, misses) so far of every memo cache the commands reach."""
+    return {fn.__name__: fn.cache_info()[:2] for fn in (
+        symfunc._h_table, symfunc._skew_schur_cached, symfunc._tau_cached,
+        partitions.enumerate_up_to_weight, partitions.horizontal_strips)}
+
+
 def _battery_report(rows_by_name, digest):
     results = []
     ok = True
@@ -193,7 +200,7 @@ def main(argv=None):
         return EXIT_CONFIG
 
     spec, points, cfg = cfgd["spec"], cfgd["points"], cfgd["kernel_cfg"]
-    t_start = time.time()
+    t_start, caches_before = time.time(), _cache_calls()
     try:
         if args.command == "verify-symfunc":
             report = _battery_report({"symfunc": verify.battery_symfunc(cfgd["seed"]),
@@ -290,7 +297,11 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    report["timing"] = {"elapsed_s": time.time() - t_start}
+    rates = {}      # each cache's hit rate over this command; None: not called
+    for name, (hits, misses) in _cache_calls().items():
+        hits, misses = hits - caches_before[name][0], misses - caches_before[name][1]
+        rates[name] = hits / (hits + misses) if hits + misses else None
+    report["timing"] = {"elapsed_s": time.time() - t_start, "cache_hit_rate": rates}
     _emit(report, args.out, args.format)
     if report.get("verdict") == "FAIL" or report.get("all_pass") is False:
         return EXIT_THRESHOLD

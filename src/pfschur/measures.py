@@ -7,19 +7,23 @@ Macdonald I.5.11): s_{lam/mu}(x) = x^{|lam|-|mu|} when lam/mu is a horizontal
 strip and 0 otherwise. So the sum is one dynamic program over the list of
 partitions of weight <= L: per level, one transfer per variable on vectors
 indexed by that list (`partitions.horizontal_strips`, whose index tables
-are built once per (L, row cap)). Row counts are pruned by
-the only mechanism that kills a weight exactly: a factor in k variables
-vanishes when its shape has more than k rows, which caps length(lam^(i)) by
-the number of variables at levels i..m. `process_weight` and the
-Jacobi-Trudi `symfunc` functions stay as the independent per-sequence
-reference. Everything downstream (kernels, q-extraction, contour actions)
-is tested against these sums.
+are built once per (L, row cap)). Row counts are pruned by the only
+mechanism that kills a weight exactly: a factor in k variables vanishes
+when its shape has more than k rows, which caps length(lam^(i)) by the
+number of variables at levels i..m. The oracles' level factors (point
+indicators, q-observables) are arrays over the same list, read from its row
+array. `process_weight` and the Jacobi-Trudi `symfunc` functions stay as the
+independent per-sequence reference. Everything downstream (kernels,
+q-extraction, contour actions) is tested against these sums.
 """
+
+import math
+import numbers
 
 import numpy as np
 
-from .partitions import contains  # noqa: F401 (perfbench traces it here)
-from .partitions import enumerate_up_to_weight, horizontal_strips, point_configuration
+from .partitions import contains, point_configuration  # noqa: F401 (perfbench traces them here)
+from .partitions import enumerate_up_to_weight, horizontal_strips
 from .symfunc import (H0, Specialization, cauchy_H, schur, skew_schur, tau)
 
 
@@ -48,19 +52,12 @@ class ProcessSpec:
     def m(self):
         return len(self.rho_plus)
 
-    def all_values(self):
-        vals = []
-        for fam in self.rho_plus + self.rho_minus:
-            vals.extend(fam.values)
-        return vals
-
     def max_abs(self):
-        vals = self.all_values()
-        return max(abs(v) for v in vals) if vals else 0.0
+        return max((abs(v) for fam in self.rho_plus + self.rho_minus for v in fam),
+                   default=0.0)
 
     def max_abs_plus(self):
-        vals = [v for fam in self.rho_plus for v in fam.values]
-        return max(abs(v) for v in vals) if vals else 0.0
+        return max((abs(v) for fam in self.rho_plus for v in fam), default=0.0)
 
     def to_json(self):
         return {"rho_plus": [s.to_json() for s in self.rho_plus],
@@ -72,12 +69,20 @@ class ProcessSpec:
                    [Specialization.from_json(s) for s in data["rho_minus"]])
 
 
+def _integer(value, what):
+    if isinstance(value, float) and value.is_integer() or (
+            isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+        return int(value)
+    raise ValueError(f"{what} {value!r} is not an integer")
+
+
 class PointSet:
     """Points (level, position) of the configuration, positions distinct
-    within each level."""
+    within each level. Coordinates are integers or integral floats."""
 
     def __init__(self, points):
-        self.points = tuple((int(l), int(t)) for l, t in points)
+        self.points = tuple((_integer(l, "level"), _integer(t, "position"))
+                            for l, t in points)
         seen = {}
         for lvl, t in self.points:
             if lvl < 1:
@@ -169,15 +174,15 @@ def sequence_partitions(spec, L, kind="pfaffian"):
     return enumerate_up_to_weight(L, max(_level_row_caps(spec, kind)))
 
 
-def _sequence_sum(spec, L, kind="pfaffian", level_weights=None):
+def _sequence_sum(spec, L, kind="pfaffian", level_factors=None):
     """Dynamic program over levels for sums of process weights times
-    optional per-level multipliers (indicator or observable factors).
+    optional per-level factors f_i(lam^(i)) (indicators or observables),
+    one array per level 0..m-1 over the partition list of the strips.
 
     Every (skew) Schur factor is applied one variable at a time by the
     branching rule, so a level step is a chain of one-variable transfers
     over one partition list; a cap masks the rows a level cannot hold."""
     caps = _level_row_caps(spec, kind)
-    parts = enumerate_up_to_weight(L, max(caps))
     strips = horizontal_strips(L, max(caps))
 
     def across(h, move, family, cap=None):
@@ -185,26 +190,13 @@ def _sequence_sum(spec, L, kind="pfaffian", level_weights=None):
             h = move(h, x.real)
         return h if cap is None else np.where(strips.length <= cap, h, 0)
 
-    def weigh(h, i):
-        if level_weights is None:
-            return h
-        live = np.flatnonzero(h)
-        vals = np.array([level_weights[i](parts[k]) for k in live])
-        out = np.zeros(len(h), dtype=np.result_type(h, vals))
-        out[live] = h[live] * vals
-        return out
-
     # level 0: tau is the even-conjugate indicator moved up over rho^-_0,
-    # s_lam(rho^-_0) the indicator of the empty partition (entry 0)
-    if kind == "pfaffian":
-        h = strips.even.astype(float)
-    else:
-        h = np.zeros(len(parts))
-        h[0] = 1.0
-    h = weigh(across(h, strips.up, spec.rho_minus[0], caps[0]), 0)
-    for i in range(1, spec.m):
-        h = across(h, strips.down, spec.rho_plus[i - 1], caps[i])
-        h = weigh(across(h, strips.up, spec.rho_minus[i], caps[i]), i)
+    # s_lam(rho^-_0) the indicator of the empty partition
+    h = (strips.even if kind == "pfaffian" else strips.length == 0).astype(float)
+    for i, w in enumerate(level_factors or [1.0] * spec.m):
+        if i:
+            h = across(h, strips.down, spec.rho_plus[i - 1], caps[i])
+        h = across(h, strips.up, spec.rho_minus[i], caps[i]) * w
     return complex(across(h, strips.down, spec.rho_plus[-1])[0])
 
 
@@ -223,55 +215,50 @@ def truncation_diagnostic(spec, L, kind="pfaffian"):
     return abs(s_l - s_prev) / abs(s_l)
 
 
+def _expectation(spec, L, level_factor):
+    """Truncated expectation of prod_i f_i(lam^(i)): level_factor(i, rows)
+    gives f_i from the partition list's row array (an empty product: 1)."""
+    rows = horizontal_strips(L, max(_level_row_caps(spec, "pfaffian"))).rows
+    factors = [level_factor(i, rows) for i in range(spec.m)]
+    return _sequence_sum(spec, L, "pfaffian", factors) / _sequence_sum(spec, L).real
+
+
 def correlation_oracle(spec, T, L=30, n_terms=None):
-    """Probability that every point of T lies in the level configurations,
-    by truncated enumeration; the denominator is the same truncated sum."""
+    """Probability that every point of T lies in the level configurations
+    {lam_i - i : 1 <= i <= n_terms}, by truncated enumeration."""
     if not isinstance(T, PointSet):
         T = PointSet(T)
-    m = spec.m
-    per_level = T.by_level(m)
+    per_level = T.by_level(spec.m)
     if not T.points:
         return 1.0
     if n_terms is None:
         n_terms = L + max(0, -min(t for _, t in T.points)) + 1
-    targets = {lvl: set(ts) for lvl, ts in per_level.items()}
+    if n_terms < 1:
+        raise ValueError("n_terms must be >= 1")
 
-    def make_weight(lvl):
-        want = targets.get(lvl + 1, set())
-        if not want:
-            return lambda lam: 1.0
-        return lambda lam: 1.0 if want <= point_configuration(lam, n_terms) else 0.0
+    def indicator(i, rows):
+        # past the stored rows lam_i - i = -i: t < -depth is a point iff -t <= n_terms
+        depth = rows.shape[1]
+        coords = rows[:, :n_terms] - np.arange(1, min(depth, n_terms) + 1)
+        return np.all([(coords == t).any(axis=1) | (depth < -t <= n_terms)
+                       for t in per_level[i + 1]], axis=0)
 
-    weights = [make_weight(i) for i in range(m)]
-    num = _sequence_sum(spec, L, "pfaffian", weights).real
-    den = _sequence_sum(spec, L, "pfaffian").real
-    return num / den
+    return _expectation(spec, L, indicator).real
 
 
 def observable_expectation_oracle(qs_by_level, spec, L=30, ns=None):
     """Truncated expectation of prod over levels i and their q's of
     sum_{k=1}^{n_i} q^{lam^(i)_k + n_i - k}."""
-    m = spec.m
     qs_by_level = [list(map(complex, qs)) for qs in qs_by_level]
-    if len(qs_by_level) != m:
+    if len(qs_by_level) != spec.m:
         raise ValueError("need one q-list per level")
     if ns is None:
         ns = [len(s) for s in spec.rho_plus]
 
-    def make_weight(i):
+    def observable(i, rows):
         qs, n = qs_by_level[i], ns[i]
-        if not qs:
-            return lambda lam: 1.0
+        lam = np.pad(rows[:, :n], ((0, 0), (0, max(0, n - rows.shape[1]))))
+        powers = lam + np.arange(n - 1, -1, -1)
+        return math.prod((q ** powers).sum(axis=1) for q in qs)
 
-        def w(lam):
-            lamp = tuple(lam) + (0,) * max(0, n - len(lam))
-            out = 1.0 + 0j
-            for q in qs:
-                out *= sum(q ** (lamp[k] + n - k - 1) for k in range(n))
-            return out
-        return w
-
-    weights = [make_weight(i) for i in range(m)]
-    num = _sequence_sum(spec, L, "pfaffian", weights)
-    den = _sequence_sum(spec, L, "pfaffian").real
-    return num / den
+    return _expectation(spec, L, observable)

@@ -73,8 +73,8 @@ def enumerate_up_to_weight(L, max_length=None):
 class HorizontalStrips:
     """One-variable transfers across the horizontal strips lam/nu
     (lam_{j+1} <= nu_j <= lam_j) between entries of
-    ``enumerate_up_to_weight(L, max_length)``, on vectors indexed by that
-    list, plus each entry's row count and even-conjugate flag.
+    ``enumerate_up_to_weight(L, max_length)``, on vectors indexed by that list,
+    plus each entry's zero-padded rows, row count and even-conjugate flag.
 
     A strip is added one row at a time: moving up from nu, raise the
     bottom row first, then the one above it, each to at most the value of
@@ -89,7 +89,7 @@ class HorizontalStrips:
     def __init__(self, parts):
         n = len(parts)
         depth = max(map(len, parts))
-        rows = np.zeros((n, depth), dtype=np.int64)
+        self.rows = rows = np.zeros((n, depth), dtype=np.int64)
         for i, lam in enumerate(parts):
             rows[i, :len(lam)] = lam
         self.length = np.count_nonzero(rows, axis=1)

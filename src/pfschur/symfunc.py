@@ -72,10 +72,12 @@ class Specialization:
     def from_json(cls, data):
         vals = []
         for v in data:
-            if isinstance(v, (list, tuple)):
+            if not isinstance(v, (list, tuple)):
+                vals.append(complex(v))
+            elif len(v) == 2:
                 vals.append(complex(v[0], v[1]))
             else:
-                vals.append(complex(v))
+                raise ValueError(f"complex entry {v!r} must be [re, im]")
         return cls(vals)
 
 

@@ -212,11 +212,10 @@ def battery_partition_function(spec, L, tol=1e-8):
                      {"verdict": "union form matches"
                       if rel_union < tol < rel_literal else "inconclusive",
                       "literal_rel_err": rel_literal}))
-    # the config's own process; S_L and S_{L-5} give the truncation diagnostic
+    # the config's own process
     closed = measures.partition_function_closed(spec, "pfaffian")
     s_l = measures.partition_function_truncated(spec, "pfaffian", L)
-    s_prev = measures.partition_function_truncated(spec, "pfaffian", max(0, L - 5))
-    diag = abs(s_l - s_prev) / abs(s_l)
+    diag = measures.truncation_diagnostic(spec, L)
     rows.append(_row(f"config process pfaffian truncated vs closed (L={L})",
                      abs(closed - s_l) / abs(closed), max(10 * diag, 1e-8),
                      {"truncation_diagnostic": diag}))

@@ -107,16 +107,24 @@ def test_compare_br_sign_breaches_threshold(tmp_path):
 def test_report_schema_and_determinism(tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
-    for out in (out1, out2):
-        assert run_cli(["correlate", "--config", str(CONFIGS / "m1_singleton.json"),
-                        "--method", "kernel", "--out", str(out)]) == 0
-    r1, r2 = read_report(out1), read_report(out2)
-    for report in (r1, r2):
-        assert set(report) >= {"config_digest", "results", "timing"}
-        row = report["results"][0]
-        assert set(row) >= {"T", "method", "value", "imag_defect", "diagnostics"}
-    assert strip_timing(r1) == strip_timing(r2)
-    assert r1["config_digest"] == r2["config_digest"]
+    for method in ("kernel", "oracle"):
+        for out in (out1, out2):
+            assert run_cli(["correlate", "--config", str(CONFIGS / "m1_singleton.json"),
+                            "--method", method, "--out", str(out)]) == 0
+        r1, r2 = read_report(out1), read_report(out2)
+        for report in (r1, r2):
+            assert set(report) >= {"config_digest", "results", "timing"}
+            row = report["results"][0]
+            assert set(row) >= {"T", "method", "value", "imag_defect", "diagnostics"}
+            # memo-cache hit rates over the command, None for a cache it never called
+            rates = report["timing"]["cache_hit_rate"]
+            assert set(rates) == {"_h_table", "_skew_schur_cached", "_tau_cached",
+                                  "enumerate_up_to_weight", "horizontal_strips"}
+            assert all(r is None or 0 <= r <= 1 for r in rates.values())
+        assert strip_timing(r1) == strip_timing(r2)
+        assert r1["config_digest"] == r2["config_digest"]
+    # the second oracle run reads the first one's strip tables
+    assert r2["timing"]["cache_hit_rate"]["horizontal_strips"] == 1.0
 
 
 def test_nonconvergence_exits_2(tmp_path, capsys):
@@ -299,6 +307,14 @@ CONFIG_FAULTS = {
     "boolean seed": {**_BASE, "seed": False},
     "boolean quad_tol": {**_BASE, "kernel": {"quad_tol": True}},
     "negative seed": {**_BASE, "seed": -5},
+    "complex entry of one number": {
+        "process": {"rho_plus": [[[0.5]]], "rho_minus": [[0.5]]}, "points": [[1, 0]]},
+    "complex entry of three numbers": {
+        "process": {"rho_plus": [[[0.5, 0, 7]]], "rho_minus": [[0.5]]},
+        "points": [[1, 0]]},
+    "non-integral point position": {**_BASE, "points": [[1, 0.5]]},
+    "non-integral point level": {**_BASE, "points": [[1.9, 0]]},
+    "boolean point level": {**_BASE, "points": [[True, 0]]},
 }
 
 
@@ -316,13 +332,16 @@ def test_config_fault_is_one_config_error_line(tmp_path, capsys, fault):
 def test_integral_floats_are_accepted_as_integers(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**_BASE, "truncation_weight": 20.0, "seed": 3.0,
+                               "points": [[1.0, 2.0]],
                                "quadrature": {"start_nodes": 64.0},
                                "kernel": {"max_nodes": 256.0}}))
     out = tmp_path / "report.json"
     assert run_cli(["correlate", "--config", str(cfg), "--method", "oracle",
                     "--out", str(out)]) == 0
-    L = read_report(out)["results"][0]["diagnostics"]["L"]
+    row, = read_report(out)["results"]
+    L = row["diagnostics"]["L"]
     assert L == 20 and isinstance(L, int)
+    assert row["T"] == [[1, 2]]
 
 
 def test_booleans_are_not_numbers(tmp_path, capsys):

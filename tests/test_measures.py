@@ -215,7 +215,8 @@ def _literal_sums(spec, L, weightings):
 def _reference_cases():
     """Seeded random specs with m <= 3, plus a Schur-process spec whose
     rho^-_0 has fewer variables than level 2's row cap, so the level-0 cap
-    sits below the next level's."""
+    sits below the next level's, and two specs at L = 0, whose partition
+    list is the empty partition alone."""
     rng = random.Random(20170516)
 
     def family(lo):
@@ -225,22 +226,31 @@ def _reference_cases():
         cases.append((ProcessSpec([family(1) for _ in range(m)],
                                   [family(0) for _ in range(m)]), L))
     cases.append((ProcessSpec([[0.45], [0.4, 0.3]], [[0.5], [0.35]]), 7))
+    cases.append((ProcessSpec([[0.45], [0.4, 0.3]], [[0.5], [0.35]]), 0))
+    cases.append((ProcessSpec([[0.5, 0.25]], [[0.5]]), 0))
     return cases
 
 
 @pytest.mark.parametrize("spec, L", _reference_cases())
 def test_oracles_match_a_literal_sequence_sum(spec, L):
     """The strip-transfer dynamic program against the literal sum of the
-    product weights over every enumerated sequence."""
+    product weights over every enumerated sequence. The point sets probe
+    the oracle's indicator at its edges against `point_configuration`."""
     m = spec.m
     level = random.Random(L * 10 + m).randint(1, m)
-    n_terms = L + 4
-    T = [(level, -1), (level, 0)]
+    cap = sum(len(s) for s in spec.rho_plus)       # the partition list's row cap
+    point_sets = [                                  # (T, n_terms)
+        ([(level, -1), (level, 0)], L + 4),
+        ([(level, -cap - 2), (level, -1)], L + cap + 2),   # below every row, a point
+        ([(level, 0)], max(1, cap - 1)),                   # n_terms below the row cap
+        ([(level, -2)], 1),                                # below -n_terms: never a point
+        ([(level, -cap - 2)], cap + 1),                    # below the rows and -n_terms
+    ]
     q = complex(-0.45, 0.3)
     qs = [[q, q.conjugate()] if i == level - 1 else [] for i in range(m)]
     ns = [len(s) for s in spec.rho_plus]
 
-    def indicator(i):
+    def indicator(i, T, n_terms):
         want = {t for lvl, t in T if lvl == i + 1}
         return lambda lam: float(want <= point_configuration(lam, n_terms))
 
@@ -253,11 +263,14 @@ def test_oracles_match_a_literal_sequence_sum(spec, L):
                              for q in qs[i])
         return w
 
-    pf, sc, (num, obs) = _literal_sums(
-        spec, L, [[indicator(i) for i in range(m)], [observable(i) for i in range(m)]])
+    pf, sc, (obs, *nums) = _literal_sums(
+        spec, L, [[observable(i) for i in range(m)]]
+        + [[indicator(i, T, n_terms) for i in range(m)] for T, n_terms in point_sets])
     assert abs(partition_function_truncated(spec, "pfaffian", L) - pf) < 1e-13 * pf
     assert abs(partition_function_truncated(spec, "schur", L) - sc) < 1e-13 * sc
-    assert abs(correlation_oracle(spec, T, L=L, n_terms=n_terms) - num.real / pf) < 1e-13
+    for (T, n_terms), num in zip(point_sets, nums):
+        got = correlation_oracle(spec, T, L=L, n_terms=n_terms)
+        assert abs(got - num.real / pf) <= 1e-13 * abs(num.real / pf), (T, n_terms)
     got = observable_expectation_oracle(qs, spec, L=L, ns=ns)
     assert abs(got - obs / pf) < 1e-13 * max(1.0, abs(obs / pf))
 
