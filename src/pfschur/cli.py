@@ -51,7 +51,9 @@ def _load_config(path, overrides):
 
     def number(kind, name, value, default):
         try:
-            if isinstance(value, bool):  # a bool is an int, but JSON true is no number
+            # int() and float() parse strings and take a bool as an int,
+            # but neither "20" nor true is a JSON number
+            if isinstance(value, (str, bool)):
                 raise TypeError
             result = kind(value)
         except (TypeError, ValueError, OverflowError):

@@ -1,12 +1,15 @@
 """Macdonald (q,t) difference operators on functions of n variables.
 
 `apply_direct` is the literal finite sum over r-subsets with shift operators;
-it is the ground truth every contour formula here is tested against, and
-`eigen_residual` checks the Schur eigenrelation on it for many partitions
-and several orders at once: one direct action per order on the vector of
-their Schur values, with the Schur values at xs, the spectra and every e_r
-computed once. The contour routes need care with which poles a contour
-encloses:
+it is the ground truth every contour formula here is tested against. Its
+point, q and t may be numbers or arrays over a batch of points: the subset
+weights are the same arithmetic either way and broadcast over the batch.
+`eigen_residual` checks the Schur eigenrelation on it for many partitions,
+several orders and a batch of points at once: one direct action per order
+on the table of Schur values that `symfunc.schur_table` gives at each
+shifted point set of the whole batch, with the Schur values at xs, the
+spectra and every e_r computed once. The contour routes need care with
+which poles a contour encloses:
 
 * the one-operator action on a product-form function integrates over small
   circles around the points x_i only, a quarter of the safe radius wide
@@ -41,7 +44,8 @@ from itertools import combinations, permutations
 import numpy as np
 
 from . import quadrature as quad
-from .symfunc import Specialization, H0, cauchy_H, schur
+from .symfunc import Specialization, H0, cauchy_H, schur_table
+from .symfunc import schur  # noqa: F401 (perfbench traces it here)
 
 
 class ContourConditionError(ValueError):
@@ -60,18 +64,22 @@ def _check_order(r, n):
 def apply_direct(F, xs, r, q, t=None):
     """Order-r Macdonald difference operator applied to F at the point xs.
 
-    F takes a sequence of len(xs) complex numbers. t defaults to q (the
-    Schur case). Coincident points are rejected: the subset weights have
-    poles at x_i = x_j.
+    F takes a sequence of len(xs) coordinates. t defaults to q (the Schur
+    case). Each coordinate, and q and t, is a number or an array over one
+    batch of points; the subset weights broadcast over the batch, so F is
+    called once per subset with the shifted coordinates of the whole batch
+    and may return values of shape (...,) + batch. Coincident points are
+    rejected: the subset weights have poles at x_i = x_j.
     """
     if t is None:
         t = q
-    xs = [complex(x) for x in xs]
+    xs = [x if isinstance(x, np.ndarray) else complex(x) for x in xs]
     n = len(xs)
     _check_order(r, n)
     for i in range(n):
         for j in range(i + 1, n):
-            if xs[i] == xs[j]:
+            same = xs[i] == xs[j]
+            if same if isinstance(same, bool) else same.any():
                 raise ValueError("coincident points: the subset weights are singular")
     total = 0j
     for I in combinations(range(n), r):
@@ -95,28 +103,35 @@ def eigenvalue(lam, n, r, q, t=None):
 
 def _elementary(lams, n, top, q, t):
     """e_0, ..., e_top at the spectrum of every partition in lams, each as
-    one array over the partitions, by the recursion of
-    `symfunc.elementary` run over the partitions at once."""
-    spectra = np.array([[q ** part * t ** (n - 1 - i) for i, part
-                         in enumerate(lam + (0,) * (n - len(lam)))]
-                        for lam in lams], dtype=complex).reshape(len(lams), n)
-    e = [np.ones(len(lams), complex)] + [np.zeros(len(lams), complex)] * top
-    for v in spectra.T:
+    an array of shape (len(lams),) + batch when q and t are numbers or
+    arrays over a batch, by the recursion of `symfunc.elementary` run over
+    the partitions and the batch at once."""
+    q, t = np.asarray(q, complex), np.asarray(t, complex)
+    batch = np.broadcast_shapes(q.shape, t.shape)
+    parts = np.array([lam + (0,) * (n - len(lam)) for lam in lams],
+                     dtype=int).reshape((len(lams), n) + (1,) * len(batch))
+    e = [np.ones((len(lams),) + batch, complex)]
+    e += [np.zeros_like(e[0])] * top
+    for i in range(n):
+        v = q ** parts[:, i] * t ** (n - 1 - i)
         for k in range(top, 0, -1):
             e[k] = e[k] + v * e[k - 1]
     return e
 
 
-def eigen_residual(lams, xs, orders, q, t=None):
+def eigen_residual(lams, xs, orders, q, t=None, full_output=False):
     """Residuals of the Schur eigenrelation D_r s_lam = e_r(spectrum) s_lam
     at the point xs, one row per order r in orders and one column per
-    partition in lams, as an array of shape (len(orders), len(lams)); each
-    is relative to the scale |s_lam(xs)| + 1.
+    partition in lams; each is relative to the scale |s_lam(xs)| + 1.
 
-    One direct action per order serves every partition: `apply_direct` acts
-    on the vector of their Schur values, one Specialization per shifted
-    point set. The Schur values at xs, the spectra and e_1 ... e_max(orders)
-    are computed once for all orders.
+    xs, q and t may be batched as in `apply_direct`, and the result has
+    shape (len(orders), len(lams)) + batch. One direct action per order
+    serves every partition and every point of the batch: `apply_direct`
+    acts on the table `symfunc.schur_table` gives at each shifted point
+    set. The Schur values at xs, the spectra and e_1 ... e_max(orders) are
+    computed once for all orders. With full_output, also returns the number
+    of point sets evaluated (`point_sets`) and of Schur values computed
+    (`schur_values`).
     """
     if t is None:
         t = q
@@ -125,15 +140,19 @@ def eigen_residual(lams, xs, orders, q, t=None):
     if any(len(lam) > n for lam in lams):
         raise ValueError("partition has more rows than variables")
     orders = list(orders)
+    counts = {"point_sets": 0, "schur_values": 0}
 
     def F(v):
-        s = Specialization(v)
-        return np.array([schur(lam, s) for lam in lams])
+        table = schur_table(lams, v)
+        counts["point_sets"] += int(np.prod(table.shape[1:]))
+        counts["schur_values"] += table.size
+        return table
     sval = F(xs)
     e = _elementary(lams, n, max(orders, default=0), q, t)
-    return np.array([np.abs(apply_direct(F, xs, r, q, t) - e[r] * sval)
-                     / (np.abs(sval) + 1.0)
-                     for r in orders]).reshape(len(orders), len(lams))
+    res = np.array([np.abs(apply_direct(F, xs, r, q, t) - e[r] * sval)
+                    / (np.abs(sval) + 1.0)
+                    for r in orders]).reshape((len(orders),) + sval.shape)
+    return (res, counts) if full_output else res
 
 
 # ---------------------------------------------------------------------------

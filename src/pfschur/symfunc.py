@@ -3,9 +3,12 @@
 A specialization is a finite ordered list of complex numbers. Everything here
 is double-precision complex; identities are checked to tolerances, never
 symbolically. Schur and skew Schur functions are Jacobi-Trudi determinants
-of complete homogeneous functions; the h-tables and the (partition,
+of complete homogeneous functions, their matrices read from an h-table by
+one index formula (`_jacobi_trudi`). The h-tables and the (partition,
 specialization) evaluations are memoized because the verify batteries and
-the per-sequence `measures.process_weight` reach the same cells many times.
+the per-sequence `measures.process_weight` reach the same cells many times;
+`schur_table` evaluates many partitions at a batch of point sets as arrays,
+with no memo.
 """
 
 from functools import lru_cache
@@ -70,14 +73,18 @@ class Specialization:
 
     @classmethod
     def from_json(cls, data):
+        """Each entry a number or [re, im]; a string or a boolean is no
+        number here, although complex() would take it."""
         vals = []
         for v in data:
             if not isinstance(v, (list, tuple)):
-                vals.append(complex(v))
-            elif len(v) == 2:
-                vals.append(complex(v[0], v[1]))
-            else:
+                v = [v]
+            elif len(v) != 2:
                 raise ValueError(f"complex entry {v!r} must be [re, im]")
+            bad = [part for part in v if isinstance(part, (str, bool))]
+            if bad:
+                raise ValueError(f"{bad[0]!r} is not a number")
+            vals.append(complex(*v))
         return cls(vals)
 
 
@@ -144,6 +151,16 @@ def monomial(alpha, s):
     return total
 
 
+def _jacobi_trudi(h, lam, mu):
+    """Jacobi-Trudi matrices (h_{lam_i - mu_j - i + j})_{i,j} of the rows of
+    lam over mu, integer arrays of shape (..., ell). h's last axis holds
+    h_0, h_1, ... and one trailing 0, which every negative index reads; the
+    result has shape h.shape[:-1] + lam.shape[:-1] + (ell, ell)."""
+    r = np.arange(lam.shape[-1])
+    idx = (lam - r)[..., :, None] - (mu - r)[..., None, :]
+    return h[..., np.maximum(idx, -1)]
+
+
 @lru_cache(maxsize=400000)
 def _skew_schur_cached(lam, mu, values):
     ell = len(lam)
@@ -151,13 +168,8 @@ def _skew_schur_cached(lam, mu, values):
         return 1.0 + 0j
     mu = mu + (0,) * (ell - len(mu))
     degree = lam[0] + ell  # largest h-index is lam_1 - 1 + ell
-    h = _h_table(values, degree)
-    M = np.empty((ell, ell), dtype=complex)
-    for i in range(ell):
-        for j in range(ell):
-            idx = lam[i] - mu[j] - i + j
-            M[i, j] = h[idx] if idx >= 0 else 0.0
-    return complex(np.linalg.det(M))
+    h = np.array(_h_table(values, degree) + (0j,))
+    return complex(np.linalg.det(_jacobi_trudi(h, np.array(lam), np.array(mu))))
 
 
 def schur(lam, s):
@@ -165,6 +177,33 @@ def schur(lam, s):
 
     Vanishes (to rounding) when length(lam) > len(s)."""
     return _skew_schur_cached(tuple(lam), (), _values(s))
+
+
+def schur_table(lams, point):
+    """s_lam for every lam in lams at a batch of point sets, as an array of
+    shape (len(lams),) + batch.
+
+    point holds the n coordinates, each a number or an array over the batch.
+    One h-recursion runs over the whole batch and one stacked determinant
+    serves every partition: each is padded with zero rows to the longest,
+    which leaves its Jacobi-Trudi determinant unchanged (the padding block is
+    unitriangular). Nothing is memoized. A row count beyond n gives the
+    rounding-level value `schur` gives.
+    """
+    lams = [tuple(lam) for lam in lams]
+    ell = max(map(len, lams), default=0)
+    point = [np.asarray(x, dtype=complex) for x in point]
+    batch = np.broadcast_shapes(*(x.shape for x in point))
+    degree = max((lam[0] for lam in lams if lam), default=0) + ell
+    h = np.zeros(batch + (degree + 2,), complex)  # h_0..h_degree, then the 0
+    h[..., 0] = 1.0
+    for x in point:
+        for k in range(1, degree + 1):
+            h[..., k] += x * h[..., k - 1]
+    lam = np.array([lam + (0,) * (ell - len(lam)) for lam in lams],
+                   dtype=int).reshape(len(lams), ell)
+    det = np.linalg.det(_jacobi_trudi(h, lam, np.zeros_like(lam)))
+    return np.moveaxis(det, -1, 0)
 
 
 def skew_schur(lam, mu, s):

@@ -83,30 +83,40 @@ def battery_eigenrelation(seed=0, tol=1e-10, draws=50):
 
     Schur polynomials diagonalize the difference operators only on the
     t = q line (off it the eigenfunctions are the (q,t) deformations), so
-    the random draws put both parameters at a common annulus point. The
-    t != q machinery stays exercised through the cases where the relation
-    is parameter-free (single-box shapes, n = 1).
+    the random draws put both parameters at a common annulus point. Each
+    draw is one q and one point set for each n in (2, 3); the draws are
+    made first and then checked as one batch, one `eigen_residual` call per
+    n over every order 1..n and every draw. The row carries `draws`, the
+    point sets evaluated (`point_sets`, the draws' points and their shifts)
+    and the Schur values computed (`schur_values`). The t != q machinery
+    stays exercised through the cases where the relation is parameter-free
+    (single-box shapes, n = 1).
     """
     rng = np.random.default_rng(seed)
-    rows = []
-    worst = 0.0
-    lams = [lam for lam in enumerate_up_to_weight(5) if len(lam) <= 3]
+    qs, points = [], {2: [], 3: []}
     for _ in range(draws):
-        q = t = (0.1 + 0.6 * rng.random()) * np.exp(2j * np.pi * rng.random())
+        qs.append((0.1 + 0.6 * rng.random()) * np.exp(2j * np.pi * rng.random()))
         for n in (2, 3):
             xs = rng.uniform(0.15, 0.85, n)
             while min(abs(a - b) for a, b in combinations(xs, 2)) < 0.05:
                 xs = rng.uniform(0.15, 0.85, n)
-            fits = [lam for lam in lams if len(lam) <= n]
-            worst = max(worst, macdonald.eigen_residual(
-                fits, list(xs), range(1, n + 1), q, t).max())
+            points[n].append(xs)
+    q = np.array(qs, dtype=complex)
+    lams = [lam for lam in enumerate_up_to_weight(5) if len(lam) <= 3]
+    worst, counts = 0.0, {"draws": draws, "point_sets": 0, "schur_values": 0}
+    for n, xs in points.items():
+        res, info = macdonald.eigen_residual(
+            [lam for lam in lams if len(lam) <= n], list(np.reshape(xs, (draws, n)).T),
+            range(1, n + 1), q, q, full_output=True)
+        worst = max(worst, res.max(initial=0.0))
+        for key in ("point_sets", "schur_values"):
+            counts[key] += info[key]
     tneq = (0.2 + 0.4 * rng.random()) * np.exp(2j * np.pi * rng.random())
     qneq = (0.2 + 0.4 * rng.random()) * np.exp(2j * np.pi * rng.random())
     (worst_box,), = macdonald.eigen_residual([(1,)], [0.4, 0.2], [1], qneq, tneq)
-    rows.append(_row(f"eigenrelation |lam|<=5, n in 2..3, {draws} random annulus q=t",
-                     worst, tol))
-    rows.append(_row("single-box eigenrelation at t != q", worst_box, tol))
-    return rows
+    return [_row(f"eigenrelation |lam|<=5, n in 2..3, {draws} random annulus q=t",
+                 worst, tol, counts),
+            _row("single-box eigenrelation at t != q", worst_box, tol)]
 
 
 def _convergence(info):

@@ -315,6 +315,18 @@ CONFIG_FAULTS = {
     "non-integral point position": {**_BASE, "points": [[1, 0.5]]},
     "non-integral point level": {**_BASE, "points": [[1.9, 0]]},
     "boolean point level": {**_BASE, "points": [[True, 0]]},
+    "string truncation_weight": {**_BASE, "truncation_weight": "20"},
+    "string seed": {**_BASE, "seed": "7"},
+    "string quad_tol": {**_BASE, "kernel": {"quad_tol": "1e-8"}},
+    "string radius": {**_BASE, "kernel": {"radii": {"k11": "1.5"}}},
+    "NaN quad_tol": {**_BASE, "kernel": {"quad_tol": float("nan")}},
+    "string specialization value": {
+        "process": {"rho_plus": [["0.5"]], "rho_minus": [[0.5]]}, "points": [[1, 0]]},
+    "boolean specialization value": {
+        "process": {"rho_plus": [[True]], "rho_minus": [[0.5]]}, "points": [[1, 0]]},
+    "string part of a complex entry": {
+        "process": {"rho_plus": [[["0.5", 0]]], "rho_minus": [[0.5]]},
+        "points": [[1, 0]]},
 }
 
 
@@ -351,6 +363,20 @@ def test_booleans_are_not_numbers(tmp_path, capsys):
     assert run_cli(["correlate", "--config", str(cfg), "--method", "oracle"]) == 1
     err = capsys.readouterr().err
     for name in ("truncation_weight: True", "seed: False", "kernel.quad_tol: True"):
+        assert f"{name} is not a number" in err
+
+
+def test_strings_are_not_numbers(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "process": {"rho_plus": [["0.5"]], "rho_minus": [[0.5]]},
+        "points": [[1, 0]], "truncation_weight": "20", "seed": "7",
+        "kernel": {"quad_tol": "1e-8"}}))
+    assert run_cli(["correlate", "--config", str(cfg), "--method", "oracle"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+    for name in ("process: '0.5'", "truncation_weight: '20'", "seed: '7'",
+                 "kernel.quad_tol: '1e-8'"):
         assert f"{name} is not a number" in err
 
 

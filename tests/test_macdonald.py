@@ -1,8 +1,12 @@
+import json
 import math
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pfschur import macdonald, symfunc, verify
 from pfschur import quadrature as quad
 from pfschur.macdonald import (ContourConditionError, ProductFormFunction,
                                _image_centers, _validate_disks, apply_direct,
@@ -11,7 +15,8 @@ from pfschur.macdonald import (ContourConditionError, ProductFormFunction,
                                iterated_action_F, iterated_action_Z,
                                stated_action_Z, z_partition)
 from pfschur.measures import ProcessSpec, observable_expectation_oracle
-from pfschur.symfunc import Specialization, schur
+from pfschur.partitions import enumerate_up_to_weight
+from pfschur.symfunc import Specialization, schur, schur_table
 
 
 def standard_G(ys):
@@ -83,6 +88,106 @@ def test_eigen_residual_battery():
     from pfschur.verify import battery_eigenrelation
     rows = battery_eigenrelation(seed=123, draws=10)
     assert all(r["pass"] for r in rows)
+
+
+def subset_moduli(F, xs, r, q, t):
+    """Sum of the moduli of the terms of the order-r subset sum at one
+    point, written out here: the scale of apply_direct's rounding."""
+    n, total = len(xs), 0.0
+    for I in combinations(range(n), r):
+        w = 1.0
+        for i in I:
+            for j in set(range(n)) - set(I):
+                w *= (t * xs[i] - xs[j]) / (xs[i] - xs[j])
+        shifted = [q * x if k in I else x for k, x in enumerate(xs)]
+        total = total + np.abs(q ** (r * (r - 1) // 2) * w * np.asarray(F(shifted)))
+    return total
+
+
+def batch_draws(rng, n, size):
+    xs = [rng.uniform(0.15, 0.85, size) for _ in range(n)]
+    q = (0.1 + 0.6 * rng.random(size)) * np.exp(2j * np.pi * rng.random(size))
+    return xs, q
+
+
+def test_apply_direct_over_a_batch_matches_one_point_at_a_time():
+    rng = np.random.default_rng(77)
+    lams = [(), (1,), (2, 1), (3,)]
+    table = lambda v: schur_table(lams, v)
+    polynomial = lambda v: sum(x * x for x in v) + v[0] / (1 - 0.3 * v[-1])
+    for n in range(1, 5):
+        xs, q = batch_draws(rng, n, 6)
+        t = 0.5 * np.exp(2j * np.pi * rng.random(6))
+        for r in range(1, n + 1):
+            for F, tt in ((table, None), (table, t), (polynomial, t), (polynomial, 0.3)):
+                got = apply_direct(F, xs, r, q, tt)
+                for b in range(6):
+                    point = [x[b] for x in xs]
+                    tb = q[b] if tt is None else np.broadcast_to(tt, 6)[b]
+                    want = apply_direct(F, point, r, q[b], tb)
+                    scale = subset_moduli(F, point, r, q[b], tb)
+                    assert np.all(np.abs(got[..., b] - want) <= 1e-15 * scale), (n, r)
+    xs, q = batch_draws(rng, 2, 6)
+    xs[1][4] = xs[0][4]
+    with pytest.raises(ValueError, match="coincident"):
+        apply_direct(table, xs, 1, q)
+
+
+def test_scalar_apply_direct_is_bitwise_the_recorded_subset_sum(monkeypatch):
+    # the contour battery's draws, against values the scalar subset sum
+    # gave before apply_direct took batches of points
+    golden = json.loads((Path(__file__).parent / "goldens"
+                         / "contour_battery_direct_1234.json").read_text())["values"]
+    seen, direct = [], macdonald.apply_direct
+
+    def recorded(*args, **kwargs):
+        seen.append(direct(*args, **kwargs))
+        return seen[-1]
+    monkeypatch.setattr(macdonald, "apply_direct", recorded)
+    verify.battery_contour_action(1234)
+    assert not any(isinstance(v, np.ndarray) for v in seen)
+    assert [[v.real.hex(), v.imag.hex()] for v in seen] == golden
+
+
+def test_eigen_residual_over_a_batch_matches_one_point_at_a_time():
+    rng = np.random.default_rng(78)
+    lams = [lam for lam in enumerate_up_to_weight(5) if len(lam) <= 3]
+    orders = (1, 2, 3)
+    xs, q = batch_draws(rng, 3, 8)
+    got = eigen_residual(lams, xs, orders, q, q)
+    assert got.shape == (len(orders), len(lams), 8)
+    F = lambda v: schur_table(lams, v)
+    for b in range(8):
+        point = [x[b] for x in xs]
+        want = eigen_residual(lams, point, orders, q[b], q[b])
+        scale = np.abs(F(point)) + 1
+        for k, r in enumerate(orders):
+            bound = 1e-15 * subset_moduli(F, point, r, q[b], q[b]) / scale
+            assert np.all(np.abs(got[k, :, b] - want[k]) <= bound), (b, r)
+
+
+def test_eigenrelation_battery_is_one_batched_call_per_n(monkeypatch):
+    calls, residual = [], macdonald.eigen_residual
+
+    def spy(lams, xs, orders, q, t=None, **kwargs):
+        calls.append((len(xs), np.shape(q)))
+        return residual(lams, xs, orders, q, t, **kwargs)
+
+    def no_schur(*args):
+        raise AssertionError("the battery evaluates no Schur value one at a time")
+    monkeypatch.setattr(macdonald, "eigen_residual", spy)
+    monkeypatch.setattr(symfunc, "schur", no_schur)
+    monkeypatch.setattr(macdonald, "schur", no_schur)
+    before = symfunc._skew_schur_cached.cache_info().currsize
+    row, box = verify.battery_eigenrelation(1234)
+    assert symfunc._skew_schur_cached.cache_info().currsize == before
+    # one call per n over the 50 draws, then the single box at t != q
+    assert calls == [(2, (50,)), (3, (50,)), (2, ())]
+    # 12 partitions fit n = 2 and 16 fit n = 3; n = 2 evaluates its point
+    # and 2 + 1 shifted sets, n = 3 its point and 3 + 3 + 1
+    assert (row["draws"], row["point_sets"], row["schur_values"]) == (
+        50, 50 * (4 + 8), 50 * (4 * 12 + 8 * 16))
+    assert row["pass"] and box["pass"]
 
 
 def test_contour_action_one_variable_residue():

@@ -4,7 +4,8 @@ import pytest
 from pfschur.partitions import enumerate_up_to_weight, horizontal_strips, subpartitions
 from pfschur.symfunc import (H0, DivergenceError, Specialization, cauchy_H,
                              clear_caches, complete_homogeneous, elementary,
-                             monomial, power_sum, schur, skew_schur, tau)
+                             monomial, power_sum, schur, schur_table,
+                             skew_schur, tau)
 
 
 def ssyt_schur(lam, values):
@@ -172,12 +173,38 @@ def test_even_conjugate_schur_sum_converges_to_H0():
     assert errs[0] > errs[1] > errs[2]  # geometric decay
 
 
+def test_schur_table_matches_schur_one_point_at_a_time():
+    # every lam of weight <= 8 with at most n + 1 rows, () and the rows
+    # beyond n (rounding-level values) included, over a (2, 3) batch of
+    # complex point sets inside the unit disk
+    rng = np.random.default_rng(2017)
+    for n in range(1, 6):
+        lams = [lam for lam in enumerate_up_to_weight(8) if len(lam) <= n + 1]
+        point = [0.95 * np.sqrt(rng.random((2, 3)))
+                 * np.exp(2j * np.pi * rng.random((2, 3))) for _ in range(n)]
+        table = schur_table(lams, point)
+        assert table.shape == (len(lams), 2, 3)
+        for b in np.ndindex(2, 3):
+            s = Specialization([x[b] for x in point])
+            for lam, got in zip(lams, table[(slice(None),) + b]):
+                want = schur(lam, s)
+                assert abs(got - want) <= 1e-14 * (abs(want) + 1), (n, lam, b)
+    # numbers for coordinates give one point set; no partitions, no rows
+    assert schur_table([(2, 1), ()], [0.5, 0.25]).shape == (2,)
+    assert abs(schur_table([(2, 1)], [0.5, 0.25])[0] - schur((2, 1), [0.5, 0.25])) < 1e-16
+    assert schur_table([], [np.zeros(4)]).shape == (0, 4)
+
+
 def test_specialization_json():
     s = Specialization([0.5, 0.25 + 0.1j])
     assert s.to_json() == [0.5, [0.25, 0.1]]
     assert Specialization.from_json(s.to_json()) == s
     assert s.max_abs() == 0.5
     assert abs(s.min_abs() - abs(0.25 + 0.1j)) < 1e-15
+    # complex() parses strings and takes true as 1, but neither is a number
+    for entry in ("0.5", True, ["0.5", 0], [0.5, False]):
+        with pytest.raises(ValueError, match="is not a number"):
+            Specialization.from_json([entry])
 
 
 def test_clear_caches_drops_the_strip_tables():
