@@ -1,5 +1,9 @@
 """Batch front-end: JSON config in, JSON/CSV report out.
 
+Every correlation row (`correlate`'s, `compare`'s two) is built by
+`verify.correlation_row`, and a command computes each route once: the
+sweeps are handed the oracle value. `BATTERIES` tabulates `verify-*`.
+
 Exit codes: 0 success, 1 config error, 2 numerical non-convergence,
 3 acceptance-threshold breach in `compare` or a failing row in a `verify-*`
 report (written before the exit).
@@ -42,8 +46,8 @@ def _load_config(path, overrides):
         raise ConfigError(f"{path}: the top level must be a JSON object")
     problems = []
 
-    def section(name):
-        value = raw.get(name, {})
+    def section(name, parent=raw):
+        value = parent.get(name.split(".")[-1], {})
         if isinstance(value, dict):
             return value
         problems.append(f"{name}: must be a JSON object")
@@ -51,18 +55,10 @@ def _load_config(path, overrides):
 
     def number(kind, name, value, default):
         try:
-            # int() and float() parse strings and take a bool as an int,
-            # but neither "20" nor true is a JSON number
-            if isinstance(value, (str, bool)):
-                raise TypeError
-            result = kind(value)
-        except (TypeError, ValueError, OverflowError):
-            problems.append(f"{name}: {value!r} is not a number")
+            return symfunc.json_number(value, kind)
+        except ValueError as exc:
+            problems.append(f"{name}: {exc}")
             return default
-        if kind is int and isinstance(value, float) and result != value:
-            problems.append(f"{name}: {value!r} is not an integer")
-            return default
-        return result
 
     spec = points = None
     try:
@@ -92,14 +88,9 @@ def _load_config(path, overrides):
     if overrides.sign_convention:
         sign = {"paper": kernels.SIGN_PAPER, "br": kernels.SIGN_BR}[
             overrides.sign_convention]
-    radii = kcfg_raw.get("radii", {})
-    if isinstance(radii, dict):
-        radii = {key: number(float, f"kernel.radii.{key}", r, None)
-                 for key, r in radii.items()}
-        radii = {key: r for key, r in radii.items() if r is not None}
-    else:
-        problems.append("kernel.radii: must be a JSON object")
-        radii = {}
+    radii = {key: number(float, f"kernel.radii.{key}", r, None)
+             for key, r in section("kernel.radii", kcfg_raw).items()}
+    radii = {key: r for key, r in radii.items() if r is not None}
     # --tol overrides kernel.quad_tol, which defaults to quadrature.tol
     quad_tol = overrides.tol if overrides.tol is not None else number(
         float, "kernel.quad_tol", kcfg_raw.get("quad_tol", tol), tol)
@@ -139,14 +130,12 @@ def _emit(report, out_path, fmt):
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["T", "method", "value", "imag_defect", "diagnostics"])
+        head = ["T", "method", "value", "imag_defect"]
+        writer.writerow(head + ["diagnostics"])
         for row in report.get("results", []):
-            writer.writerow([json.dumps(row.get("T")), row.get("method"),
-                             row.get("value"), row.get("imag_defect"),
+            writer.writerow([json.dumps(row.get("T")), *map(row.get, head[1:]),
                              json.dumps({k: v for k, v in row.items()
-                                         if k not in ("T", "method", "value",
-                                                      "imag_defect")},
-                                        default=str)])
+                                         if k not in head}, default=str)])
         text = buf.getvalue()
     if out_path:
         with open(out_path, "w") as fh:
@@ -162,17 +151,33 @@ def _cache_calls():
         partitions.enumerate_up_to_weight, partitions.horizontal_strips)}
 
 
-def _battery_report(rows_by_name, digest):
+# the report sections of each verify-* command, each filled with the rows of
+# its battery; the batteries are looked up in `verify` when a command runs
+BATTERIES = {
+    "verify-symfunc": {
+        "symfunc": lambda c: verify.battery_symfunc(c["seed"]),
+        "quadrature": lambda c: verify.battery_quadrature()},
+    "verify-macdonald": {
+        "eigenrelation": lambda c: verify.battery_eigenrelation(c["seed"]),
+        "contour_action": lambda c: verify.battery_contour_action(c["seed"]),
+        "iterated_actions": lambda c: verify.battery_iterated_actions(c["seed"])},
+    "verify-partition-function": {
+        "partition_function":
+            lambda c: verify.battery_partition_function(c["spec"], c["L"])},
+    "verify-pfaffian": {"pfaffian": lambda c: verify.battery_pfaffian(c["seed"])},
+}
+
+
+def _battery_report(command, cfgd):
     results = []
-    ok = True
-    for section, rows in rows_by_name.items():
-        for row in rows:
+    for section, battery in BATTERIES[command].items():
+        for row in battery(cfgd):
             diagnostics = {k: v for k, v in row.items() if k != "value"}
             results.append({"T": None, "method": section, "value": row["value"],
                             "imag_defect": None, "diagnostics": diagnostics,
                             "name": row["name"], "pass": row["pass"]})
-            ok = ok and row["pass"]
-    return {"config_digest": digest, "results": results, "all_pass": ok}
+    return {"config_digest": cfgd["digest"], "results": results,
+            "all_pass": all(row["pass"] for row in results)}
 
 
 def main(argv=None):
@@ -180,8 +185,7 @@ def main(argv=None):
         prog="pfschur",
         description="Verification lab for Pfaffian Schur correlation formulas")
     parser.add_argument("command", choices=[
-        "verify-symfunc", "verify-macdonald", "verify-partition-function",
-        "verify-pfaffian", "correlate", "compare", "sweep-radii"])
+        *BATTERIES, "correlate", "compare", "sweep-radii"])
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--method", default="oracle",
                         choices=["oracle", "kernel", "q-extraction"])
@@ -204,89 +208,33 @@ def main(argv=None):
     spec, points, cfg = cfgd["spec"], cfgd["points"], cfgd["kernel_cfg"]
     t_start, caches_before = time.time(), _cache_calls()
     try:
-        if args.command == "verify-symfunc":
-            report = _battery_report({"symfunc": verify.battery_symfunc(cfgd["seed"]),
-                                      "quadrature": verify.battery_quadrature()},
-                                     cfgd["digest"])
-        elif args.command == "verify-macdonald":
-            report = _battery_report(
-                {"eigenrelation": verify.battery_eigenrelation(cfgd["seed"]),
-                 "contour_action": verify.battery_contour_action(cfgd["seed"]),
-                 "iterated_actions": verify.battery_iterated_actions(cfgd["seed"])},
-                cfgd["digest"])
-        elif args.command == "verify-partition-function":
-            report = _battery_report(
-                {"partition_function": verify.battery_partition_function(
-                    spec, cfgd["L"])}, cfgd["digest"])
-        elif args.command == "verify-pfaffian":
-            report = _battery_report(
-                {"pfaffian": verify.battery_pfaffian(cfgd["seed"])}, cfgd["digest"])
+        if args.command in BATTERIES:
+            report = _battery_report(args.command, cfgd)
         elif args.command == "correlate":
-            results = []
-            T = points
-            if args.method == "oracle":
-                L = cfgd["L"]
-                value = measures.correlation_oracle(spec, T, L=L)
-                results.append({"T": T.to_json(), "method": "oracle",
-                                "value": value, "imag_defect": 0.0,
-                                "diagnostics": {
-                                    "L": L,
-                                    "truncation_diagnostic":
-                                        measures.truncation_diagnostic(spec, L),
-                                    "partitions": len(
-                                        measures.sequence_partitions(spec, L))}})
-            elif args.method == "kernel":
-                value, info = kernels.correlation_via_kernel(spec, T, cfg,
-                                                             full_output=True)
-                results.append({"T": T.to_json(), "method": "kernel",
-                                "value": value,
-                                "imag_defect": info["imag_defect"],
-                                "diagnostics": {
-                                    "defect": info["defect"],
-                                    "max_last_delta": info["max_last_delta"],
-                                    "nodes": info.get("nodes", {})}})
-            else:
-                if spec.m != 1:
-                    raise ConfigError("q-extraction requires a single-level process")
-                ts = [t for _, t in T.points]
-                try:
-                    value, info = kernels.correlation_via_q_extraction(
-                        spec.rho_plus[0], spec.rho_minus[0], ts, cfg,
-                        full_output=True)
-                except ContourConditionError:
+            try:
+                row = verify.correlation_row(args.method, spec, points, cfg,
+                                             cfgd["L"])
+            except ValueError as exc:  # q-extraction's input checks
+                if args.method != "q-extraction" or isinstance(
+                        exc, ContourConditionError):
                     raise
-                except ValueError as exc:  # the extraction's input checks
-                    raise ConfigError(str(exc)) from exc
-                results.append({"T": T.to_json(), "method": "q-extraction",
-                                "value": value,
-                                "imag_defect": info["imag_defect"],
-                                "diagnostics": {
-                                    k: info[k] for k in ("rq", "nodes", "last_delta")
-                                    if k in info}})
-            report = {"config_digest": cfgd["digest"], "results": results}
+                raise ConfigError(str(exc)) from exc
+            report = {"config_digest": cfgd["digest"], "results": [row]}
         elif args.command == "compare":
-            cmp_out = verify.compare_methods(spec, points, cfg, L=cfgd["L"])
-            results = [{"T": points.to_json(),
-                        "imag_defect": r.get("imag_defect"),
-                        "diagnostics": {k: v for k, v in r.items()
-                                        if k not in ("method", "value",
-                                                     "imag_defect")},
-                        **r} for r in cmp_out["results"]]
-            report = {"config_digest": cfgd["digest"], "results": results,
-                      "truncation_diagnostic": cmp_out["truncation_diagnostic"],
-                      "sign_adjudication": cmp_out["sign_adjudication"]}
+            report = {"config_digest": cfgd["digest"],
+                      **verify.compare_methods(spec, points, cfg, L=cfgd["L"])}
+            oracle, kernel = report["results"]
             if args.sweep_radii:
                 report["radius_sweep"] = kernels.radius_sweep(
-                    spec, points, cfg, oracle_kwargs={"L": cfgd["L"]})
-            kern = next(r for r in report["results"] if r["method"] == "kernel")
+                    spec, points, cfg, oracle["value"])
             tol = max(1e-3, 10 * report["truncation_diagnostic"])
             report["threshold"] = tol
-            report["verdict"] = "FAIL" if kern["delta_vs_oracle"] >= tol else "PASS"
+            report["verdict"] = "FAIL" if kernel["delta_vs_oracle"] >= tol else "PASS"
         else:  # sweep-radii
-            report = {"config_digest": cfgd["digest"],
-                      "results": [],
+            report = {"config_digest": cfgd["digest"], "results": [],
                       "radius_sweep": kernels.radius_sweep(
-                          spec, points, cfg, oracle_kwargs={"L": cfgd["L"]})}
+                          spec, points, cfg,
+                          measures.correlation_oracle(spec, points, L=cfgd["L"]))}
     except QuadratureError as exc:
         prev, last = exc.estimates
         print(f"numerical non-convergence: {exc}; last two estimates "

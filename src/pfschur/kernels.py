@@ -166,12 +166,10 @@ def _entry_integral(kind, ti, tj, fz, fw, rz, rw, cfg, sign=1.0):
         def f(z, w):
             return (sign * (z - w) / (w * (z * z - 1) * (z * w - 1))
                     * fz(z) * fw(w) * z ** (-ti) * w ** (-tj))
-    elif kind == "K22":
+    else:  # K22
         def f(z, w):
             return (sign * (z - w) / (z * w * (z * w - 1))
                     * fz(z) * fw(w) * z ** (-ti) * w ** (-tj))
-    else:
-        raise ValueError(kind)
     cz = quad.circle(rz, nodes=cfg.start_nodes)
     cw = quad.circle(rw, nodes=cfg.start_nodes)
     return quad.integrate2(f, cz, cw, tol=cfg.quad_tol,
@@ -192,6 +190,22 @@ def kernel_entry_process(which, i, u, j, v, spec, T, cfg=None, full_output=False
     return (value, info) if full_output else value
 
 
+def _k22_sign(cfg):
+    """The K22 coupling's sign: +1 under the paper's (zw - 1), -1 under
+    Borodin-Rains' (1 - zw)."""
+    return 1.0 if cfg.sign_convention == SIGN_PAPER else -1.0
+
+
+def _k12_variant(i, j, cfg):
+    """The w circle of the K12 entry of a level-i and a level-j point,
+    k12_w_lt (|zw| < 1) for i < j (i <= j under the "literal" k12_regime)
+    and k12_w_gt otherwise, and the levels whose slot factors its z and w
+    slots read, (i, j) or under the "display" h_assignment (j, i)."""
+    lt = i < j if cfg.k12_regime == "strict" else i <= j
+    a, b = (i, j) if cfg.h_assignment == "slot" else (j, i)
+    return ("k12_w_lt" if lt else "k12_w_gt"), a, b
+
+
 def _kernel_entry(which, i, ti, j, tj, spec, cfg):
     radii = _resolved_radii(spec, cfg)
     num1, den1, num2, den2 = _slot_values(spec)
@@ -204,19 +218,16 @@ def _kernel_entry(which, i, ti, j, tj, spec, cfg):
         value, info = _entry_integral("K11", ti, tj, fz, fw,
                                       radii["k11"], radii["k11"], cfg)
     elif which == "K22":
-        sign = 1.0 if cfg.sign_convention == SIGN_PAPER else -1.0
         fz = lambda z: _rational(z, num2[i], den2[i])
         fw = lambda w: _rational(w, num2[j], den2[j])
-        value, info = _entry_integral("K22", ti, tj, fz, fw,
-                                      radii["k22"], radii["k22"], cfg, sign)
+        value, info = _entry_integral("K22", ti, tj, fz, fw, radii["k22"],
+                                      radii["k22"], cfg, _k22_sign(cfg))
     elif which == "K12":
-        lt = (i < j) if cfg.k12_regime == "strict" else (i <= j)
-        rw = radii["k12_w_lt"] if lt else radii["k12_w_gt"]
-        a, b = (i, j) if cfg.h_assignment == "slot" else (j, i)
+        wc, a, b = _k12_variant(i, j, cfg)
         fz = lambda z: _rational(z, num1[a], den1[a])
         fw = lambda w: _rational(w, num2[b], den2[b])
         value, info = _entry_integral("K12", ti, tj, fz, fw,
-                                      radii["k11"], rw, cfg)
+                                      radii["k11"], radii[wc], cfg)
     else:
         raise ValueError(f"unknown kernel block {which!r}")
     return value, info
@@ -303,14 +314,13 @@ def _layout(spec, pts, cfg):
     num1, den1, num2, den2 = _slot_values(spec)
     factors = {"outer": {lvl: (num1[lvl], den1[lvl]) for lvl in num1},
                "inner": {lvl: (num2[lvl], den2[lvl]) for lvl in num2}}
-    sign = 1.0 if cfg.sign_convention == SIGN_PAPER else -1.0
     columns = {c: {} for c in radii}  # per circle, (level, t) -> column
-    table = [(zc, wc, s, [], [], []) for zc, wc, s in (
+    table = {(zc, wc): (s, [], [], []) for zc, wc, s in (
         ("k11", "k11", 1.0), ("k11", "k12_w_lt", 1.0),
-        ("k11", "k12_w_gt", 1.0), ("k22", "k22", sign))]
+        ("k11", "k12_w_gt", 1.0), ("k22", "k22", _k22_sign(cfg)))}
 
-    def add(row, e, zkey, wkey):
-        zc, wc, _, entries, zcols, wcols = table[row]
+    def add(zc, wc, e, zkey, wkey):
+        _, entries, zcols, wcols = table[zc, wc]
         entries.append(e)
         zcols.append(columns[zc].setdefault(zkey, len(columns[zc])))
         wcols.append(columns[wc].setdefault(wkey, len(columns[wc])))
@@ -318,14 +328,14 @@ def _layout(spec, pts, cfg):
     for p, (i, ti) in enumerate(pts):
         for q, (j, tj) in enumerate(pts):
             e = 3 * (d * p + q)
-            lt = (i < j) if cfg.k12_regime == "strict" else (i <= j)
-            a, b = (i, j) if cfg.h_assignment == "slot" else (j, i)
-            add(0, e, (i, ti), (j, tj))
-            add(1 if lt else 2, e + 1, (a, ti), (b, tj))
-            add(3, e + 2, (i, ti), (j, tj))
+            wc, a, b = _k12_variant(i, j, cfg)
+            add("k11", "k11", e, (i, ti), (j, tj))
+            add("k11", wc, e + 1, (a, ti), (b, tj))
+            add("k22", "k22", e + 2, (i, ti), (j, tj))
     circles = {c: (radii[c], "outer" if c == "k11" else "inner", list(keys))
                for c, keys in columns.items() if keys}
-    return circles, [row for row in table if row[3]], factors
+    return circles, [(zc, wc, *row) for (zc, wc), row in table.items()
+                     if row[1]], factors
 
 
 def _estimate(n, live, circles, table, factors):
@@ -417,8 +427,8 @@ def correlation_via_kernel(spec, T, cfg=None, full_output=False):
     if not isinstance(T, PointSet):
         T = PointSet(T)
     if not T.points:
-        return ((1.0, {"imag_defect": 0.0, "defect": 0.0, "max_last_delta": 0.0})
-                if full_output else 1.0)
+        return ((1.0, {"imag_defect": 0.0, "defect": 0.0, "max_last_delta": 0.0,
+                       "nodes": {}}) if full_output else 1.0)
     S, info = assemble_kernel(spec, T, cfg, full_output=True)
     pf = pfaffian(S)
     out = {"imag_defect": abs(pf.imag), "defect": info["defect"],
@@ -545,29 +555,25 @@ def _inadmissible_radii(spec):
             "k22": default_radii(spec)["k22"]}
 
 
-def radius_sweep(spec, T, cfg=None, oracle_value=None, oracle_kwargs=None,
-                 samples=3):
+def radius_sweep(spec, T, cfg, oracle_value, samples=3):
     """Scan kernel radius configurations (including a deliberately
-    inadmissible k11 that encloses the 1/x poles) and report agreement with
-    the enumeration oracle for each."""
-    from .measures import correlation_oracle
-    cfg = cfg or KernelConfig()
-    if not isinstance(T, PointSet):
-        T = PointSet(T)
-    if oracle_value is None:
-        oracle_value = correlation_oracle(spec, T, **(oracle_kwargs or {}))
+    inadmissible k11 that encloses the 1/x poles) and report each one's
+    agreement with oracle_value, the enumeration oracle's correlation of T.
+    A configuration whose quadrature does not converge, or whose radii or
+    contours are rejected with a ValueError, is an error row; any other
+    exception propagates."""
     rows = []
 
     def try_config(radii, note):
-        trial = replace(cfg, radii=radii)
         try:
-            value = correlation_via_kernel(spec, T, trial)
-            delta = abs(value - oracle_value)
-            rows.append({"radii": radii, "note": note, "value": value,
-                         "delta": delta, "pass": bool(delta < 1e-3)})
-        except Exception as exc:  # inadmissible configs report their failure
+            value = correlation_via_kernel(spec, T, replace(cfg, radii=radii))
+        except (quad.QuadratureError, ValueError) as exc:
             rows.append({"radii": radii, "note": note, "error": str(exc),
                          "pass": False})
+            return
+        delta = abs(value - oracle_value)
+        rows.append({"radii": radii, "note": note, "value": value,
+                     "delta": delta, "pass": bool(delta < 1e-3)})
 
     for fr in np.linspace(0.25, 0.75, samples):
         try_config(_radii_at(spec, fr), f"admissible fraction {fr:.2f}")

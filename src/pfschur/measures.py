@@ -18,13 +18,13 @@ q-extraction, contour actions) is tested against these sums.
 """
 
 import math
-import numbers
 
 import numpy as np
 
 from .partitions import contains, point_configuration  # noqa: F401 (perfbench traces them here)
 from .partitions import enumerate_up_to_weight, horizontal_strips
-from .symfunc import (H0, Specialization, cauchy_H, schur, skew_schur, tau)
+from .symfunc import (H0, Specialization, cauchy_H, json_number, schur,
+                      skew_schur, tau)
 
 
 class ProcessSpec:
@@ -69,20 +69,21 @@ class ProcessSpec:
                    [Specialization.from_json(s) for s in data["rho_minus"]])
 
 
-def _integer(value, what):
-    if isinstance(value, float) and value.is_integer() or (
-            isinstance(value, numbers.Integral) and not isinstance(value, bool)):
-        return int(value)
-    raise ValueError(f"{what} {value!r} is not an integer")
-
-
 class PointSet:
     """Points (level, position) of the configuration, positions distinct
-    within each level. Coordinates are integers or integral floats."""
+    within each level. Each point is a [level, position] pair of integers
+    (`json_number`: an integral float is taken, a string or a bool is not)."""
 
     def __init__(self, points):
-        self.points = tuple((_integer(l, "level"), _integer(t, "position"))
-                            for l, t in points)
+        pairs = []
+        for p in points:
+            try:
+                lvl, t = p
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"point {p!r} is not a [level, position] pair") from None
+            pairs.append((json_number(lvl, int), json_number(t, int)))
+        self.points = tuple(pairs)
         seen = {}
         for lvl, t in self.points:
             if lvl < 1:

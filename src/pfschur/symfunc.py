@@ -11,6 +11,7 @@ the per-sequence `measures.process_weight` reach the same cells many times;
 with no memo.
 """
 
+import numbers
 from functools import lru_cache
 from itertools import permutations
 
@@ -21,6 +22,21 @@ from .partitions import even_conjugate_subpartitions, horizontal_strips
 
 class DivergenceError(ValueError):
     """An infinite product fails its |.| < 1 convergence condition."""
+
+
+def json_number(value, kind=float):
+    """kind(value) for a JSON number: an int or a float, and an integral one
+    when kind is int; else a ValueError giving the value. int(), float() and
+    complex() would also parse a string and take a bool as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{value!r} is not a number")
+    try:
+        result = kind(value)
+    except (ValueError, OverflowError):  # int() of a nan or an infinity
+        raise ValueError(f"{value!r} is not a number") from None
+    if kind is int and result != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return result
 
 
 class Specialization:
@@ -73,18 +89,15 @@ class Specialization:
 
     @classmethod
     def from_json(cls, data):
-        """Each entry a number or [re, im]; a string or a boolean is no
-        number here, although complex() would take it."""
+        """Each entry a JSON number or [re, im] (`json_number`)."""
         vals = []
         for v in data:
             if not isinstance(v, (list, tuple)):
-                v = [v]
+                vals.append(json_number(v, complex))
             elif len(v) != 2:
                 raise ValueError(f"complex entry {v!r} must be [re, im]")
-            bad = [part for part in v if isinstance(part, (str, bool))]
-            if bad:
-                raise ValueError(f"{bad[0]!r} is not a number")
-            vals.append(complex(*v))
+            else:
+                vals.append(complex(*map(json_number, v)))
         return cls(vals)
 
 

@@ -162,19 +162,14 @@ def battery_iterated_actions(seed=0, tol=1e-6):
     q1 = (0.3 + 0.2 * rng.random()) * np.exp(2j * np.pi * rng.random())
     q2 = (0.3 + 0.2 * rng.random()) * np.exp(2j * np.pi * rng.random())
 
-    Zf = lambda v: macdonald.z_partition(v, ys)
-    comp = macdonald.apply_direct(lambda v: macdonald.apply_direct(Zf, v, 1, q1),
-                                  xs, 1, q2)
-    cont, info = macdonald.iterated_action_Z([q1, q2], xs, ys, full_output=True)
-    rows.append(_row("iterated Z action d=2 vs composition", abs(comp - cont), tol,
-                     _convergence(info)))
-
-    Ff = lambda v: macdonald.f_partition(v, ys)
-    compF = macdonald.apply_direct(lambda v: macdonald.apply_direct(Ff, v, 1, q1),
-                                   xs, 1, q2)
-    contF, info = macdonald.iterated_action_F([q1, q2], xs, ys, full_output=True)
-    rows.append(_row("iterated F action d=2 vs composition", abs(compF - contF), tol,
-                     _convergence(info)))
+    for name, G, action in (
+            ("Z", macdonald.z_partition, macdonald.iterated_action_Z),
+            ("F", macdonald.f_partition, macdonald.iterated_action_F)):
+        inner = lambda v: macdonald.apply_direct(lambda u: G(u, ys), v, 1, q1)
+        comp = macdonald.apply_direct(inner, xs, 1, q2)
+        cont, info = action([q1, q2], xs, ys, full_output=True)
+        rows.append(_row(f"iterated {name} action d=2 vs composition",
+                         abs(comp - cont), tol, _convergence(info)))
 
     # expectation route: normalized action vs truncated observable sum
     spec = measures.ProcessSpec([xs], [ys])
@@ -275,29 +270,61 @@ def battery_pfaffian(seed=0, tol=1e-9):
 # correlations
 # ---------------------------------------------------------------------------
 
-def compare_methods(spec, T, cfg, L=30):
-    """Per-point-set comparison of the oracle and kernel routes, plus the K22
-    sign adjudication."""
+# each correlation route's diagnostics, in report order: the oracle's
+# weight cap, truncation diagnostic and partition-list size; the kernel's
+# skew defect, largest last-doubling delta and per-entry node counts;
+# q-extraction's q-circle radius, node counts and last-doubling delta
+_ROUTE_DIAGNOSTICS = {"oracle": ("L", "truncation_diagnostic", "partitions"),
+                      "kernel": ("defect", "max_last_delta", "nodes"),
+                      "q-extraction": ("rq", "nodes", "last_delta")}
+
+
+def correlation_row(method, spec, T, cfg, L):
+    """The report row {"T", "method", "value", "imag_defect", "diagnostics"}
+    of one route to the correlation of the points T, the oracle summing to
+    weight L. q-extraction's input faults, a second level among them, are
+    ValueErrors."""
     if not isinstance(T, measures.PointSet):
         T = measures.PointSet(T)
-    diag = measures.truncation_diagnostic(spec, L)
-    oracle = measures.correlation_oracle(spec, T, L=L)
-    val, info = kernels.correlation_via_kernel(spec, T, cfg, full_output=True)
+    if method == "oracle":
+        value = measures.correlation_oracle(spec, T, L=L)
+        info = {"imag_defect": 0.0, "L": L,
+                "truncation_diagnostic": measures.truncation_diagnostic(spec, L),
+                "partitions": len(measures.sequence_partitions(spec, L))}
+    elif method == "kernel":
+        value, info = kernels.correlation_via_kernel(spec, T, cfg, full_output=True)
+    else:
+        if spec.m != 1:
+            raise ValueError("q-extraction requires a single-level process")
+        value, info = kernels.correlation_via_q_extraction(
+            spec.rho_plus[0], spec.rho_minus[0], [t for _, t in T.points], cfg,
+            full_output=True)
+    return {"T": T.to_json(), "method": method, "value": value,
+            "imag_defect": info["imag_defect"],
+            "diagnostics": {k: info[k] for k in _ROUTE_DIAGNOSTICS[method]
+                            if k in info}}
+
+
+def compare_methods(spec, T, cfg, L=30):
+    """The oracle and the kernel row of the points T (`correlation_row`), the
+    kernel row with its distance `delta_vs_oracle` from the oracle value,
+    the oracle's truncation diagnostic, and the K22 sign adjudication: that
+    distance under cfg's sign convention and under the other one."""
+    oracle = correlation_row("oracle", spec, T, cfg, L)
+    kernel = correlation_row("kernel", spec, T, cfg, L)
+    delta = kernel["delta_vs_oracle"] = abs(kernel["value"] - oracle["value"])
     flipped = replace(cfg, sign_convention=(
         kernels.SIGN_BR if cfg.sign_convention == kernels.SIGN_PAPER
         else kernels.SIGN_PAPER))
     val_flip = kernels.correlation_via_kernel(spec, T, flipped)
     return {
-        "truncation_diagnostic": diag,
-        "results": [{"method": "oracle", "value": oracle, "imag_defect": 0.0},
-                    {"method": "kernel", "value": val,
-                     "imag_defect": info["imag_defect"],
-                     "delta_vs_oracle": abs(val - oracle)}],
+        "truncation_diagnostic": oracle["diagnostics"]["truncation_diagnostic"],
+        "results": [oracle, kernel],
         "sign_adjudication": {
             "convention": cfg.sign_convention,
-            "delta": abs(val - oracle),
+            "delta": delta,
             "flipped_convention": flipped.sign_convention,
-            "flipped_delta": abs(val_flip - oracle),
+            "flipped_delta": abs(val_flip - oracle["value"]),
         },
     }
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -102,6 +103,39 @@ def test_compare_br_sign_breaches_threshold(tmp_path):
     assert code == 3
     report = read_report(out)
     assert report["verdict"] == "FAIL"
+
+
+@pytest.mark.parametrize("name", ["m1_singleton", "m1_twovar", "m2_d11"])
+def test_compare_rows_carry_the_correlate_diagnostics(tmp_path, name):
+    out = tmp_path / "report.json"
+    assert run_cli(["compare", "--config", str(CONFIGS / f"{name}.json"),
+                    "--out", str(out)]) == 0
+    oracle, kernel = read_report(out)["results"]
+    for row in (oracle, kernel):
+        assert run_cli(["correlate", "--config", str(CONFIGS / f"{name}.json"),
+                        "--method", row["method"], "--out", str(out)]) == 0
+        assert row["diagnostics"] == read_report(out)["results"][0]["diagnostics"]
+    # the distance from the oracle sits on the kernel row only
+    assert "delta_vs_oracle" in kernel and "delta_vs_oracle" not in oracle
+    assert "delta_vs_oracle" not in kernel["diagnostics"]
+
+
+@pytest.mark.parametrize("command", [["compare", "--sweep-radii"], ["sweep-radii"]],
+                         ids=["compare", "sweep-radii"])
+def test_a_sweep_computes_the_oracle_once(tmp_path, monkeypatch, command):
+    from pfschur import measures
+    calls, oracle = [], measures.correlation_oracle
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return oracle(*args, **kwargs)
+    monkeypatch.setattr(measures, "correlation_oracle", spy)
+    out = tmp_path / "report.json"
+    assert run_cli([command[0], "--config", str(CONFIGS / "m1_singleton.json"),
+                    "--out", str(out), *command[1:]]) == 0
+    assert len(calls) == 1
+    sweep = read_report(out)["radius_sweep"]
+    assert sweep["oracle"] == oracle(*calls[0], L=40)
 
 
 def test_report_schema_and_determinism(tmp_path):
@@ -280,10 +314,11 @@ def test_sweep_radii_command(tmp_path):
 
 
 def test_console_entry_point():
+    env = {**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src")}
     proc = subprocess.run(
         [sys.executable, "-m", "pfschur.cli", "correlate",
          "--config", str(CONFIGS / "m1_singleton.json"), "--method", "oracle"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"][0]["method"] == "oracle"
 
@@ -327,6 +362,23 @@ CONFIG_FAULTS = {
     "string part of a complex entry": {
         "process": {"rho_plus": [[["0.5", 0]]], "rho_minus": [[0.5]]},
         "points": [[1, 0]]},
+    "null specialization value": {
+        "process": {"rho_plus": [[None]], "rho_minus": [[0.5]]}, "points": [[1, 0]]},
+    "object specialization value": {
+        "process": {"rho_plus": [[{"a": 1}]], "rho_minus": [[0.5]]},
+        "points": [[1, 0]]},
+    "point that is a bare number": {**_BASE, "points": [1]},
+    "point of three coordinates": {**_BASE, "points": [[1, 0, 3]]},
+}
+# the config-error line of faults whose text names the field and the value
+FAULT_LINES = {
+    "null specialization value": "config error: process: None is not a number",
+    "object specialization value":
+        "config error: process: {'a': 1} is not a number",
+    "point that is a bare number":
+        "config error: points: point 1 is not a [level, position] pair",
+    "point of three coordinates":
+        "config error: points: point [1, 0, 3] is not a [level, position] pair",
 }
 
 
@@ -339,6 +391,14 @@ def test_config_fault_is_one_config_error_line(tmp_path, capsys, fault):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: "), lines
+
+
+@pytest.mark.parametrize("fault", FAULT_LINES)
+def test_config_fault_names_the_field_and_the_value(tmp_path, capsys, fault):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CONFIG_FAULTS[fault]))
+    assert run_cli(["correlate", "--config", str(cfg), "--method", "oracle"]) == 1
+    assert capsys.readouterr().err == FAULT_LINES[fault] + "\n"
 
 
 def test_integral_floats_are_accepted_as_integers(tmp_path):

@@ -237,7 +237,9 @@ def test_principal_pfaffian_factorization():
 
 
 def test_radius_sweep_reports_inadmissible_reading():
-    out = radius_sweep(SPEC_M1, [(1, 0)], CFG, samples=2)
+    oracle = correlation_oracle(SPEC_M1, [(1, 0)], L=40)
+    out = radius_sweep(SPEC_M1, [(1, 0)], CFG, oracle, samples=2)
+    assert out["oracle"] == oracle
     assert any(r["pass"] for r in out["rows"])
     bad = [r for r in out["rows"] if "encloses" in r["note"]]
     assert bad and not bad[0]["pass"]
@@ -258,3 +260,21 @@ def test_radius_sweep_trials_keep_every_other_field(monkeypatch):
     for trial in seen:
         assert trial.max_nodes == 2 ** 10
         assert trial == replace(cfg, radii=trial.radii)
+
+
+def test_radius_sweep_turns_nonconvergence_into_an_error_row(monkeypatch):
+    def fail(spec, T, cfg, full_output=False):
+        raise QuadratureError("kernel entry did not converge", (0j, 1j))
+    monkeypatch.setattr(kernels, "correlation_via_kernel", fail)
+    out = radius_sweep(SPEC_M1, [(1, 0)], CFG, 0.5, samples=2)
+    assert [row["error"] for row in out["rows"]] == \
+        ["kernel entry did not converge"] * 3
+    assert not any(row["pass"] for row in out["rows"])
+
+
+def test_radius_sweep_lets_a_programming_error_through(monkeypatch):
+    def bug(spec, T, cfg, full_output=False):
+        raise TypeError("bug in assembly")
+    monkeypatch.setattr(kernels, "correlation_via_kernel", bug)
+    with pytest.raises(TypeError, match="bug in assembly"):
+        radius_sweep(SPEC_M1, [(1, 0)], CFG, 0.5, samples=2)
