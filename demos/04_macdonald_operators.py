@@ -23,9 +23,9 @@ for lam in [(), (1,), (2,), (2, 1)]:
     (res,), = eigen_residual([lam], [0.4, 0.2], [1], 0.3)
     print(f"lambda={str(lam):8s} eigenvalue={ev:.6f} residual={res:.1e}")
 
-# direct vs contour on a product-form function
-G = ProductFormFunction(f=lambda x: 1 / (1 - x),
-                        g=lambda x: 1 / ((1 - ys[0] * x) * (1 - ys[1] * x)))
+# direct vs contour on the product form of Z(X; Y): prod_{i<j} 1/(1 - x_i x_j)
+# times prod_i g(x_i), with the Cauchy g(x) = prod_y 1/(1 - x y)
+G = ProductFormFunction(ys)
 for r in (1, 2):
     direct = apply_direct(G, xs, r, q)
     contour = apply_via_contour(G, xs, r, q)

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import quadrature as quad
-from .macdonald import (ContourConditionError, _cauchy_form, _pair, choose_radii,
+from .macdonald import (ContourConditionError, _pair, choose_radii,
                         stated_action_Z, z_partition)
 from .macdonald import iterated_action_Z  # noqa: F401 (perfbench traces it here)
 from .measures import PointSet, ProcessSpec
@@ -527,7 +527,6 @@ def verify_principal_pfaffian_factorization(qs, zs):
         for b in range(a + 1, 2 * d):
             if u[a] == u[b]:
                 raise ValueError("coincident substitution points")
-    Z = _cauchy_form([], True)  # the pair factor reads only Z's f(u) = 1/(1 - u)
     prod = 1.0 + 0j
     for j in range(d):
         den = zs[j] - qs[j] * zs[j]
@@ -540,7 +539,7 @@ def verify_principal_pfaffian_factorization(qs, zs):
                 * (1 - qs[j] * qs[k] * zs[j] * zs[k]) * (1 - zs[j] * zs[k])
             if den == 0:
                 raise ValueError("pole coincidence among the z, qz points")
-            prod *= _pair(zs[j], zs[k], qs[j], qs[k], Z)
+            prod *= _pair(zs[j], zs[k], qs[j], qs[k], with_boundary=True)
     pf = pfaffian(schur_pfaffian_matrix(u))
     return abs(pf - prod) / (abs(prod) + 1.0)
 

@@ -22,19 +22,26 @@ which poles a contour encloses:
   q-power coefficients are still exactly the correlation quantities (both
   facts are pinned down in the test suite).
 
-Every contour action integrates one integrand, written once for a product
-form G = prod_{i<j} f(x_i x_j) prod_i g(x_i) and one-row shifts q_1, ...,
-q_d: per variable z_j the x-poles (`_x_poles`) times the ratio of G with z_j
-shifted by q_j (`_regular`), and per pair a factor that reads only f
-(`_pair`). `apply_via_contour` is G(xs)/r! times it at r equal shifts q;
-the iterated actions are it on the product forms of Z(.; Y) and F(.; Y)
-(g = prod_y 1/(1 - xy), and f = 1/(1 - u) for Z, f = 1 for F), and the
-coupling-product check in `kernels` multiplies the same pair factor. Each
-action is one call of `quadrature.integrate_product` on these factors, over
-circles from `quadrature.circles_around` that start at its 16 nodes; a
-quadrature that does not converge is re-raised naming the action. The
-stated contour encloses only simple poles, at the x_i, so `stated_action_Z`
-sums its residues from the same factors exactly, with no quadrature.
+Every product form here is the Cauchy form G = prod_{i<j} f(x_i x_j)
+prod_i g(x_i) of Z(.; Y) and F(.; Y): g = prod_y 1/(1 - xy), and f =
+1/(1 - u) for Z, f = 1 for F. `ProductFormFunction` is built from that data
+(the ys, and whether the boundary factor f is present) and derives f, g and
+G's value from it. Every contour action integrates one integrand, written
+once for it and one-row shifts q_1, ..., q_d: per variable z_j the x-poles
+(`_x_poles`) times the ratio of G with z_j shifted by q_j (`_regular`), and
+per pair a factor that reads only whether f is present (`_pair`); the ratio
+and the pair factor multiply their reciprocal factors out and divide once
+per point. `apply_via_contour` is G(xs)/r! times the integrand at r equal
+shifts q; its xs, q and ys may be arrays over a batch of draws, which one
+quadrature pass evaluates together, each draw accepted at its own first
+converged doubling. The iterated actions are the integrand on the product
+forms of Z and F, and the coupling-product check in `kernels` multiplies the
+same pair factor. Each action is one call of `quadrature.integrate_product`
+on these factors, over circles from `quadrature.circles_around` that start
+at its 16 nodes; a quadrature that does not converge is re-raised naming the
+action (and on a batch the draw). The stated contour encloses only simple
+poles, at the x_i, so `stated_action_Z` sums its residues from the same
+factors exactly, with no quadrature.
 """
 
 import math
@@ -56,6 +63,11 @@ class ContourConditionError(ValueError):
 # direct action
 # ---------------------------------------------------------------------------
 
+def _coordinates(xs):
+    """Each coordinate as complex, or as it is if it is an array over a batch."""
+    return [x if isinstance(x, np.ndarray) else complex(x) for x in xs]
+
+
 def _check_order(r, n):
     if not 1 <= r <= n:
         raise ValueError(f"operator order r={r} must be in [1, n={n}]")
@@ -73,7 +85,7 @@ def apply_direct(F, xs, r, q, t=None):
     """
     if t is None:
         t = q
-    xs = [x if isinstance(x, np.ndarray) else complex(x) for x in xs]
+    xs = _coordinates(xs)
     n = len(xs)
     _check_order(r, n)
     for i in range(n):
@@ -161,17 +173,33 @@ def eigen_residual(lams, xs, orders, q, t=None, full_output=False):
 
 @dataclass(frozen=True)
 class ProductFormFunction:
-    """G(X) = prod_{i<j} f(x_i x_j) * prod_i g(x_i) with numpy-friendly f, g."""
-    f: callable
-    g: callable
+    """G(X) = prod_{i<j} f(x_i x_j) * prod_i g(x_i) in the Cauchy form of
+    both partition functions: g(x) = prod_y 1/(1 - x y) over the ys, and
+    f(u) = 1/(1 - u) with the boundary factor (Z(X; Y)) or f = 1 without it
+    (F(X; Y)). Each y, like each coordinate G is evaluated at, is a number
+    or an array over one batch of draws."""
+    ys: tuple
+    with_boundary: bool = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "ys", tuple(self.ys))
+
+    def f(self, u):
+        return 1.0 / (1.0 - u) if self.with_boundary else 1.0
+
+    def g(self, x):
+        den = 1.0
+        for y in self.ys:
+            den = den * (1.0 - y * x)
+        return 1.0 / den
 
     def value(self, xs):
-        xs = [complex(x) for x in xs]
+        xs = _coordinates(xs)
         out = 1.0 + 0j
         for a in range(len(xs)):
             for b in range(a + 1, len(xs)):
-                out *= complex(self.f(xs[a] * xs[b]))
-            out *= complex(self.g(xs[a]))
+                out = out * self.f(xs[a] * xs[b])
+            out = out * self.g(xs[a])
         return out
 
     def __call__(self, xs):
@@ -192,20 +220,34 @@ def _x_poles(z, q, xs):
 
 def _regular(z, q, xs, G):
     """The factors of the integrand of z, the variable shifted by q, that are
-    analytic near every x_i: at z = x_i they are G(..., q x_i, ...)/G(xs)."""
-    num, den = G.g(q * z) * G.f(z * z), G.g(z) * G.f(q * z * z)
-    for x in xs:
-        num = num * G.f(q * z * x)
-        den = den * G.f(z * x)
+    analytic near every x_i: at z = x_i they are G(..., q x_i, ...)/G(xs).
+    For the Cauchy form the ratio's reciprocal factors are multiplied out,
+    so it costs one division per point."""
+    qz = q * z
+    num, den = 1.0, 1.0
+    for y in G.ys:
+        num, den = num * (1 - z * y), den * (1 - qz * y)
+    if G.with_boundary:
+        num, den = num * (1 - qz * z), den * (1 - z * z)
+        for x in xs:
+            num, den = num * (1 - z * x), den * (1 - qz * x)
     return num / den
 
 
-def _pair(zj, zk, qj, qk, G):
-    """The factor of an earlier variable zj (shift qj) and a later zk (qk);
-    it reads only G.f."""
-    f, u = G.f, zj * zk
-    return ((qj * zj - qk * zk) * (zj - zk) * (f(qj * qk * u) * f(u))
-            / ((zj - qk * zk) * (qj * zj - zk) * (f(qj * u) * f(qk * u))))
+def _pair(zj, zk, qj, qk, with_boundary):
+    """The factor of an earlier variable zj (shift qj) and a later zk (qk).
+
+    With a = qj zj and b = qk zk it is (a - b)(zj - zk)/((zj - b)(a - zk)),
+    times f(ab) f(zj zk)/(f(a zk) f(zj b)) with the boundary factor f(u) =
+    1/(1 - u). There each 1 - a w is written a (1/a - w) and each 1 - zj w
+    as zj (1/zj - w); the a's and zj's cancel, so a grid point costs
+    differences, products and one division."""
+    a, b = qj * zj, qk * zk
+    num, den = (a - b) * (zj - zk), (zj - b) * (a - zk)
+    if with_boundary:
+        ia, iz = 1 / a, 1 / zj
+        num, den = num * (ia - zk) * (iz - b), den * (ia - b) * (iz - zk)
+    return num / den
 
 
 def _factors(qs, xs, G):
@@ -213,21 +255,14 @@ def _factors(qs, xs, G):
     as the one-variable factors and the pair factor of
     `quadrature.integrate_product`."""
     ones = [lambda z, q=q: _x_poles(z, q, xs) * _regular(z, q, xs, G) for q in qs]
-    return ones, lambda j, k, zj, zk: _pair(zj, zk, qs[j], qs[k], G)
-
-
-def _cauchy_form(ys, with_boundary):
-    """Z(.; Y) (with_boundary) or F(.; Y) as a product form: g(x) =
-    prod_y 1/(1 - x y), and f(u) = 1/(1 - u) for Z, 1 for F."""
-    return ProductFormFunction(
-        f=(lambda u: 1 / (1 - u)) if with_boundary else (lambda u: 1.0),
-        g=lambda x: 1 / math.prod(1 - x * y for y in ys))
+    return ones, lambda j, k, zj, zk: _pair(zj, zk, qs[j], qs[k], G.with_boundary)
 
 
 def contour_radius(xs, q):
     """A quarter of the largest safe radius R for circles around the x_i:
     circles pairwise disjoint, q-images of every circle outside all
     circles, 0 outside every circle, and every circle inside the unit disk.
+    The xs and q may be arrays over a batch, and so is the radius.
 
     The last bound keeps out the poles of the regular factors, which lie
     outside the unit disk when |q|, |x_j|, |y| < 1: z = +-1 of f(z^2),
@@ -238,7 +273,6 @@ def contour_radius(xs, q):
     the 16-node estimate is within about 4^-16 = 2e-10, and the first
     doubling, 16 -> 32, meets a tolerance of 1e-9.
     """
-    xs = [complex(x) for x in xs]
     bounds = []
     for i in range(len(xs)):
         for j in range(len(xs)):
@@ -248,8 +282,8 @@ def contour_radius(xs, q):
             bounds.append(abs(q * xs[i] - xs[j]) / (abs(q) + 1))
         bounds.append(abs(xs[i]))  # keep 0 outside
         bounds.append(1 - abs(xs[i]))  # stay inside the unit disk
-    rad = 0.25 * min(bounds)
-    if rad <= 0:
+    rad = 0.25 * np.min(bounds, axis=0)
+    if np.any(rad <= 0):
         raise ContourConditionError("no positive radius satisfies the contour conditions")
     return rad
 
@@ -258,15 +292,21 @@ def apply_via_contour(G, xs, r, q, tol=1e-9, full_output=False):
     """Order-r action on a product-form G by the r-fold contour integral.
 
     The contour is the union of circles around the x_i of `contour_radius`;
-    all r variables run over the same contour. Assumes t = q. f and g must
-    accept numpy arrays. The value is G(xs)/r! times the integral of the
-    one-row integrand (`_factors`) at r equal shifts q. full_output adds the
-    radius to the quadrature's `nodes` and `last_delta`. A QuadratureError
-    is re-raised naming the action and r, with the same estimates.
+    all r variables run over the same contour. Assumes t = q. The value is
+    G(xs)/r! times the integral of the one-row integrand (`_factors`) at r
+    equal shifts q. Each coordinate of xs, q and each y of G is a number or
+    an array over one batch of draws: one `quadrature.integrate_product`
+    pass then evaluates every draw's circles at each doubling and accepts
+    each draw at its own first converged doubling, and the value is an
+    array over the batch. full_output adds the radius to the quadrature's
+    `nodes`, `last_delta` and `grid_points` (per draw on a batch: a list of
+    node counts, arrays of deltas and radii). A QuadratureError is re-raised
+    naming the action and r, and on a batch the draw, with the same
+    estimates.
     """
     if not isinstance(G, ProductFormFunction):
         raise TypeError("G must be a ProductFormFunction")
-    xs = [complex(x) for x in xs]
+    xs = _coordinates(xs)
     _check_order(r, len(xs))
     radius = contour_radius(xs, q)
     contour = quad.circles_around(xs, radius)
@@ -441,7 +481,8 @@ def _iterated_action(qs, X, Y, with_boundary, radii, tol, contour_mode,
     partition = z_partition if with_boundary else f_partition
     if d == 0:
         value = partition(xs, ys)
-        return (value, {"nodes": (), "last_delta": 0.0}) if full_output else value
+        return ((value, {"nodes": (), "last_delta": 0.0, "grid_points": 0})
+                if full_output else value)
     if contour_mode == "shift_images":
         centers = _image_centers(qs, xs)
     elif contour_mode == "stated":
@@ -465,7 +506,7 @@ def _iterated_action(qs, X, Y, with_boundary, radii, tol, contour_mode,
     contours = [quad.circles_around(centers[j], radii[j]) for j in range(d)]
     try:
         integral, info = quad.integrate_product(
-            *_factors(qs, xs, _cauchy_form(ys, with_boundary)), contours,
+            *_factors(qs, xs, ProductFormFunction(ys, with_boundary)), contours,
             tol=tol, full_output=True)
     except quad.QuadratureError as exc:
         shifts = ", ".join(f"{q:.6g}" for q in qs)
@@ -485,8 +526,8 @@ def iterated_action_Z(qs, X, Y, radii=None, tol=1e-9, contour_mode="shift_images
     q-coefficients are still the correlation quantities. Without radii,
     `choose_radii` sets them, scaled down on shift-image contours until
     each level's circles are disjoint (`_separated`). full_output adds the
-    quadrature's `nodes` and `last_delta`. A QuadratureError is re-raised
-    naming the action and its qs, with the same estimates.
+    quadrature's `nodes`, `last_delta` and `grid_points`. A QuadratureError
+    is re-raised naming the action and its qs, with the same estimates.
     """
     return _iterated_action(qs, X, Y, True, radii, tol, contour_mode, full_output)
 
@@ -509,13 +550,14 @@ def stated_action_Z(qs, X, Y):
     """
     xs = [complex(x) for x in X]
     ys = [complex(y) for y in Y]
-    G = _cauchy_form(ys, True)
+    G = ProductFormFunction(ys)
     # Res_{z=x_i} _x_poles(z, q, xs) = (q x_i - x_i) _x_poles(x_i, q, the other x's)
     res = [[(q - 1) * x * _x_poles(x, q, xs[:i] + xs[i + 1:])
             * _regular(x, q, xs, G) for i, x in enumerate(xs)]
            for q in qs]
     total = sum(math.prod(res[j][i] for j, i in enumerate(I))
-                * math.prod(_pair(xs[I[j]], xs[I[k]], qs[j], qs[k], G)
+                * math.prod(_pair(xs[I[j]], xs[I[k]], qs[j], qs[k],
+                                  with_boundary=True)
                             for j, k in combinations(range(len(qs)), 2))
                 for I in permutations(range(len(xs)), len(qs)))
     return z_partition(xs, ys) * total

@@ -65,8 +65,23 @@ class ProcessSpec:
 
     @classmethod
     def from_json(cls, data):
-        return cls([Specialization.from_json(s) for s in data["rho_plus"]],
-                   [Specialization.from_json(s) for s in data["rho_minus"]])
+        """From {"rho_plus": [...], "rho_minus": [...]}, each a list of
+        families and each family a list of values
+        (`Specialization.from_json`); a wrongly shaped field is a ValueError
+        naming the field and its value."""
+        if not isinstance(data, dict):
+            raise ValueError(f"{data!r} is not an object with rho_plus and rho_minus")
+        families = []
+        for key in ("rho_plus", "rho_minus"):
+            if key not in data:
+                raise ValueError(f"{key} is missing")
+            if not isinstance(data[key], (list, tuple)):
+                raise ValueError(f"{key} {data[key]!r} is not a list of families")
+            for s in data[key]:
+                if not isinstance(s, (list, tuple)):
+                    raise ValueError(f"{key} family {s!r} is not a list of values")
+            families.append([Specialization.from_json(s) for s in data[key]])
+        return cls(*families)
 
 
 class PointSet:
@@ -75,6 +90,8 @@ class PointSet:
     (`json_number`: an integral float is taken, a string or a bool is not)."""
 
     def __init__(self, points):
+        if not isinstance(points, (list, tuple)):
+            raise ValueError(f"{points!r} is not a list of [level, position] pairs")
         pairs = []
         for p in points:
             try:

@@ -8,6 +8,16 @@ written with +,*,/ and ** broadcast transparently); `integrate2` hands the
 two node sets shaped (N,1) and (1,M) so a product-form integrand evaluates
 as an outer product without building meshes by hand.
 
+A circle's center and radius may also be arrays over a batch of draws, one
+circle per draw. Its nodes then carry the batch as trailing axes, shape
+(N,) + batch, so an integrand whose parameters are numbers or arrays over
+the same batch broadcasts against them unchanged, and an integral returns
+one estimate per draw. The batch is evaluated whole at every doubling;
+`converge` accepts each draw at its own first converged doubling. Every
+integral reports `grid_points`, the integrand points it evaluated: per
+doubling, circles times nodes per contour, multiplied over the contours and
+the draws.
+
 One function, `converge`, runs the doubling loop for any number of
 integrals sharing a node sequence, accepting each at its own first
 converged doubling; `integrate`, `integrate2`, `integrate_n` (one or two
@@ -27,6 +37,7 @@ All integrals are normalized by 1/(2*pi*i): `integrate(f, c)` approximates
 (1/(2*pi*i)) oint_c f(z) dz.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,12 +73,13 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class Circle:
-    center: complex = 0j
-    radius: float = 1.0
+    center: complex = 0j  # a number, or an array over a batch of draws
+    radius: float = 1.0   # likewise
     orientation: int = 1  # +1 counterclockwise, -1 clockwise
 
     def __post_init__(self):
-        if self.radius <= 0:
+        positive = self.radius > 0
+        if not (positive if isinstance(positive, bool) else positive.all()):
             raise ValueError("circle radius must be positive")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
@@ -99,7 +111,7 @@ def circle(radius=1.0, center=0j, orientation=1, nodes=64):
 
 def circles_around(points, radius, orientation=1, nodes=16):
     """Union of same-radius circles centered at the given points, from 16
-    nodes per circle.
+    nodes per circle. The points and the radius may be arrays over a batch.
 
     The one-operator Macdonald contours built here sit at a quarter of the
     safe radius around their poles (`macdonald.contour_radius`), so the
@@ -110,14 +122,28 @@ def circles_around(points, radius, orientation=1, nodes=16):
     a few doublings. A higher start only forces a final grid twice as fine
     as needed (4x the points in 2-D).
     """
-    return ContourSpec(tuple(Circle(complex(p), float(radius), orientation)
-                             for p in points), nodes)
+    return ContourSpec(tuple(Circle(_number(p, complex), _number(radius, float),
+                                    orientation) for p in points), nodes)
+
+
+def _number(value, kind):
+    """An array over a batch as it is, anything else as kind(value)."""
+    return value if isinstance(value, np.ndarray) else kind(value)
+
+
+def _batch(contours):
+    """The batch shape of the contours' circles: () for plain circles."""
+    return np.broadcast_shapes(*(np.shape(v) for c in contours for circ in c.circles
+                                 for v in (circ.center, circ.radius)))
 
 
 def nodes_weights(c: Circle, n):
-    """The n trapezoid nodes of one circle and their weights."""
+    """The n trapezoid nodes of one circle and their weights, each of shape
+    (n,) + the circle's batch shape."""
     theta = 2 * np.pi * np.arange(n) / n
-    z = c.center + c.radius * np.exp(1j * theta)
+    batch_axes = np.broadcast(c.center, c.radius).ndim
+    unit = np.exp(1j * theta).reshape((n,) + (1,) * batch_axes)
+    z = c.center + c.radius * unit
     # (1/2pi i) oint f dz = (1/n) sum f(z_k) (z_k - center), signed by orientation
     w = c.orientation * (z - c.center) / n
     return z, w
@@ -132,7 +158,7 @@ def _nodes(contour, n):
 
 def _estimate1(f, contour, n):
     z, w = _nodes(contour, n)
-    return np.sum(np.asarray(f(z)) * w)
+    return np.sum(np.asarray(f(z)) * w, axis=0)
 
 
 def _converged(new, old, tol):
@@ -171,15 +197,30 @@ def converge(estimate, size, n, max_nodes, tol, failure):
     return value, step, delta
 
 
-def _single(estimate, n, max_nodes, tol, full_output, what, nodes):
-    """One integral through `converge`; nodes(k) is the node count reported
-    for acceptance at doubling k."""
-    value, step, delta = converge(
-        lambda k, live: [estimate(k)], 1, n, max_nodes, tol,
-        lambda i, k: f"{what} did not converge at {n << k} nodes/circle")
-    if full_output:
-        return value[0], {"nodes": nodes(step[0]), "last_delta": delta[0]}
-    return value[0]
+def _single(estimate, contours, max_nodes, tol, full_output, what):
+    """One integral over the contours through `converge`, or one per draw
+    when their circles are batched; estimate(k) gives the estimate (of the
+    batch's shape) with every contour at its start doubled k times. The
+    reported `nodes` are per circle, one count per contour (a number for one
+    contour), a list of them over the draws of a batch; a draw that does not
+    converge is named in the error."""
+    batch, starts = _batch(contours), [c.nodes for c in contours]
+    size, n = math.prod(batch), max(starts)
+
+    def failure(i, k):
+        draw = f" (draw {i} of {size})" if batch else ""
+        return f"{what} did not converge at {n << k} nodes/circle{draw}"
+    value, step, delta = converge(lambda k, live: np.reshape(estimate(k), size),
+                                  size, n, max_nodes, tol, failure)
+    value = np.reshape(value, batch)[()]
+    if not full_output:
+        return value
+    nodes = [tuple(s << k for s in starts) if len(starts) > 1 else starts[0] << k
+             for k in step]
+    points = sum(size * math.prod(len(c.circles) * (c.nodes << k) for c in contours)
+                 for k in range(max(step) + 1))
+    return value, {"nodes": nodes if batch else nodes[0],
+                   "last_delta": np.reshape(delta, batch)[()], "grid_points": points}
 
 
 def integrate(f, contour, tol=1e-9, max_nodes=MAX_NODES, full_output=False):
@@ -189,8 +230,8 @@ def integrate(f, contour, tol=1e-9, max_nodes=MAX_NODES, full_output=False):
     less than tol (relative when the magnitude exceeds 1, absolute below).
     """
     n = contour.nodes
-    return _single(lambda k: _estimate1(f, contour, n << k), n, max_nodes,
-                   tol, full_output, "contour integral", lambda k: n << k)
+    return _single(lambda k: _estimate1(f, contour, n << k), [contour], max_nodes,
+                   tol, full_output, "contour integral")
 
 
 def estimate_bilinear(core, gz, gw, c1, c2, n1, n2):
@@ -203,26 +244,30 @@ def estimate_bilinear(core, gz, gw, c1, c2, n1, n2):
     to the full grid, so a core of z alone may return shape (N,1). Entry t
     is sum_ab Gz[a,t] C[a,b] Gw[b,t], weights in Gz and Gw, with the core
     grid C evaluated once, in row blocks of at most _CHUNK elements (at
-    least one row).
+    least one row). On batched circles every array carries the batch as
+    trailing axes, the blocks count its draws, and the estimates have shape
+    (columns,) + batch.
     """
     z, wz = _nodes(c1, n1)
     w, ww = _nodes(c2, n2)
-    Gz = gz(z) * wz.reshape(-1, 1)
-    Gw = gw(w) * ww.reshape(-1, 1)
-    rows = max(1, _CHUNK // len(w))
+    first = tuple(range(2, z.ndim + 1)) + (0, 1)  # batch axes first
+    Gz = (gz(z) * wz[:, None]).transpose(first)
+    Gw = (gw(w) * ww[:, None]).transpose(first)
+    rows = max(1, _CHUNK // w.size)
     total = 0j
     for start in range(0, len(z), rows):
-        zc = z[start:start + rows].reshape(-1, 1)
-        C = np.broadcast_to(core(zc, w.reshape(1, -1)), (len(zc), len(w)))
+        zc = z[start:start + rows, None]
+        C = np.broadcast_to(core(zc, w[None]), zc.shape[:1] + w.shape)
         # per column a (1 x rows) @ (rows x 1) product: one column sums in
         # the order of the matrix product Gz^T C Gw
-        dots = Gz[start:start + rows].T[:, None, :] @ (C @ Gw).T[:, :, None]
-        total = total + dots[:, 0, 0]
-    return total
+        dots = (Gz[..., start:start + rows, :].swapaxes(-1, -2)[..., :, None, :]
+                @ (C.transpose(first) @ Gw).swapaxes(-1, -2)[..., :, :, None])
+        total = total + dots[..., 0, 0]
+    return np.moveaxis(total, -1, 0)
 
 
 def _unit(v):
-    return np.ones((len(v), 1))
+    return np.ones((len(v), 1) + v.shape[1:])
 
 
 def integrate2(f, c1, c2, tol=1e-9, max_nodes=MAX_NODES_2D, full_output=False):
@@ -234,8 +279,7 @@ def integrate2(f, c1, c2, tol=1e-9, max_nodes=MAX_NODES_2D, full_output=False):
     n1, n2 = c1.nodes, c2.nodes
     return _single(
         lambda k: estimate_bilinear(f, _unit, _unit, c1, c2, n1 << k, n2 << k)[0],
-        max(n1, n2), max_nodes, tol, full_output, "double contour integral",
-        lambda k: (n1 << k, n2 << k))
+        [c1, c2], max_nodes, tol, full_output, "double contour integral")
 
 
 def integrate_n(f, contours, tol=1e-9, max_nodes=MAX_NODES_ND, full_output=False):
@@ -262,7 +306,9 @@ def integrate_product(ones, pair, contours, tol=1e-9, max_nodes=None,
     estimate is `estimate_bilinear` of pair(m, m + 1) dotted with the scale,
     one grid per doubling and block of tuples (see _COLUMNS). Each contour
     doubles from its own start. max_nodes defaults to the cap of the
-    dimension: MAX_NODES, MAX_NODES_2D or MAX_NODES_ND.
+    dimension: MAX_NODES, MAX_NODES_2D or MAX_NODES_ND. On batched circles
+    the factors receive nodes with the batch as trailing axes and the
+    integral is one estimate per draw, accepted at the draw's own doubling.
     """
     d = len(contours)
     if max_nodes is None:
@@ -270,13 +316,13 @@ def integrate_product(ones, pair, contours, tol=1e-9, max_nodes=None,
     if d == 1:
         return integrate(ones[0], contours[0], tol=tol, max_nodes=max_nodes,
                          full_output=full_output)
-    m, starts = d - 2, [c.nodes for c in contours]
+    m, starts, batch = d - 2, [c.nodes for c in contours], _batch(contours)
 
     def column(k, zs):
         def g(z):
-            v = np.reshape(ones[k](z), (-1, 1))
+            v = np.broadcast_to(ones[k](z), z.shape)[:, None]
             for j, zj in enumerate(zs):
-                v = v * pair(j, k, zj, z.reshape(-1, 1))
+                v = v * pair(j, k, zj, z[:, None])
             return v
         return g
 
@@ -285,23 +331,22 @@ def integrate_product(ones, pair, contours, tol=1e-9, max_nodes=None,
         outer = [_nodes(c, n) for c, n in zip(contours[:m], ns)]
         shape = tuple(len(z) for z, _ in outer)
         count = int(np.prod(shape))
-        width = max(1, _COLUMNS // max(len(c.circles) * n for c, n
-                                       in zip(contours[m:], ns[m:])))
+        width = max(1, _COLUMNS // (math.prod(batch) * max(
+            len(c.circles) * n for c, n in zip(contours[m:], ns[m:]))))
         total = 0j
         for start in range(0, count, width):
             cols = np.arange(start, min(start + width, count))
             at = np.unravel_index(cols, shape) if m else ()
             zs = [z[i] for (z, _), i in zip(outer, at)]
-            scale = np.ones(len(cols))
+            scale = np.ones((len(cols),) + batch)
             for j, ((_, w), i) in enumerate(zip(outer, at)):
                 scale = scale * w[i] * ones[j](zs[j])
                 for h in range(j + 1, m):
                     scale = scale * pair(j, h, zs[j], zs[h])
-            total += estimate_bilinear(
+            total = total + np.sum(estimate_bilinear(
                 lambda a, b: pair(m, m + 1, a, b), column(m, zs),
                 column(m + 1, zs), contours[m], contours[m + 1],
-                ns[m], ns[m + 1]) @ scale
+                ns[m], ns[m + 1]) * scale, axis=0)
         return total
     what = "double contour integral" if d == 2 else f"{d}-fold contour integral"
-    return _single(estimate, max(starts), max_nodes, tol, full_output, what,
-                   lambda k: tuple(s << k for s in starts))
+    return _single(estimate, contours, max_nodes, tol, full_output, what)

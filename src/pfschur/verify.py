@@ -120,17 +120,24 @@ def battery_eigenrelation(seed=0, tol=1e-10, draws=50):
 
 
 def _convergence(info):
-    """A contour action's node counts at acceptance and last-doubling delta,
-    as report-row fields."""
-    return {"nodes": list(info["nodes"]), "last_delta": float(info["last_delta"])}
+    """A contour action's node counts at acceptance, last-doubling delta and
+    evaluated grid points, as report-row fields."""
+    return {"nodes": list(info["nodes"]), "last_delta": float(info["last_delta"]),
+            "grid_points": info["grid_points"]}
 
 
 def battery_contour_action(seed=0, tol=1e-8, draws=20):
-    """`apply_via_contour` against `apply_direct` on random product forms;
-    the row also carries the largest accepted node count (`max_nodes`) and
-    last-doubling delta (`max_last_delta`) over the draws."""
+    """`apply_via_contour` against `apply_direct` on random product forms.
+
+    Each draw is a point set, a Cauchy product form and q, with its direct
+    action computed as it is drawn; the draws are then grouped by their
+    (n, r) shape and checked with one batched `apply_via_contour` call per
+    shape. The row also carries the largest accepted node count
+    (`max_nodes`) and last-doubling delta (`max_last_delta`) over the
+    draws, their number (`draws`) and the quadrature's evaluated
+    `grid_points`."""
     rng = np.random.default_rng(seed)
-    worst, max_nodes, max_last_delta = 0.0, 0, 0.0
+    shapes = {}
     for _ in range(draws):
         n = int(rng.integers(2, 4))
         xs = np.sort(rng.uniform(0.15, 0.85, n))
@@ -138,18 +145,24 @@ def battery_contour_action(seed=0, tol=1e-8, draws=20):
             xs = np.sort(rng.uniform(0.15, 0.85, n))
         ys = rng.uniform(0.05, 0.5, 2)
         q = (0.2 + 0.5 * rng.random()) * np.exp(2j * np.pi * rng.random())
-        G = macdonald.ProductFormFunction(
-            f=lambda x: 1.0 / (1.0 - x),
-            g=lambda x, a=ys[0], b=ys[1]: 1.0 / ((1.0 - a * x) * (1.0 - b * x)))
         r = int(rng.integers(1, min(n, 2) + 1))
-        direct = macdonald.apply_direct(G, list(xs), r, q)
-        contour, info = macdonald.apply_via_contour(G, list(xs), r, q,
-                                                    full_output=True)
-        worst = max(worst, abs(direct - contour) / (abs(direct) + 1))
+        direct = macdonald.apply_direct(macdonald.ProductFormFunction(ys), list(xs),
+                                        r, q)
+        shapes.setdefault((n, r), []).append((xs, ys, q, direct))
+    worst, max_nodes, max_last_delta, grid_points = 0.0, 0, 0.0, 0
+    for (n, r), group in shapes.items():
+        xs, ys, q, direct = (np.array(v) for v in zip(*group))
+        contour, info = macdonald.apply_via_contour(
+            macdonald.ProductFormFunction(list(ys.T)), list(xs.T), r, q,
+            full_output=True)
+        worst = max(worst, float(np.max(np.abs(direct - contour)
+                                        / (np.abs(direct) + 1))))
         max_nodes = max(max_nodes, int(np.max(info["nodes"])))
-        max_last_delta = max(max_last_delta, float(info["last_delta"]))
+        max_last_delta = max(max_last_delta, float(np.max(info["last_delta"])))
+        grid_points += info["grid_points"]
     return [_row(f"contour action vs direct, {draws} product-form draws", worst, tol,
-                 {"max_nodes": max_nodes, "max_last_delta": max_last_delta})]
+                 {"max_nodes": max_nodes, "max_last_delta": max_last_delta,
+                  "draws": draws, "grid_points": grid_points})]
 
 
 def battery_iterated_actions(seed=0, tol=1e-6):

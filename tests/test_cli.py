@@ -321,6 +321,12 @@ def test_console_entry_point():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"][0]["method"] == "oracle"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pfschur", "verify-pfaffian",
+         "--config", str(CONFIGS / "m1_singleton.json")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_pass"] is True
 
 
 _BASE = {"process": {"rho_plus": [[0.5]], "rho_minus": [[0.5]]},
@@ -369,6 +375,10 @@ CONFIG_FAULTS = {
         "points": [[1, 0]]},
     "point that is a bare number": {**_BASE, "points": [1]},
     "point of three coordinates": {**_BASE, "points": [[1, 0, 3]]},
+    "family that is a bare number": {
+        "process": {"rho_plus": [5], "rho_minus": [[0.5]]}, "points": [[1, 0]]},
+    "points that are a bare number": {**_BASE, "points": 5},
+    "process that is a list": {**_BASE, "process": [1]},
 }
 # the config-error line of faults whose text names the field and the value
 FAULT_LINES = {
@@ -379,6 +389,12 @@ FAULT_LINES = {
         "config error: points: point 1 is not a [level, position] pair",
     "point of three coordinates":
         "config error: points: point [1, 0, 3] is not a [level, position] pair",
+    "family that is a bare number":
+        "config error: process: rho_plus family 5 is not a list of values",
+    "points that are a bare number":
+        "config error: points: 5 is not a list of [level, position] pairs",
+    "process that is a list":
+        "config error: process: [1] is not an object with rho_plus and rho_minus",
 }
 
 

@@ -20,9 +20,7 @@ from pfschur.symfunc import Specialization, schur, schur_table
 
 
 def standard_G(ys):
-    return ProductFormFunction(
-        f=lambda x: 1.0 / (1.0 - x),
-        g=lambda x: 1.0 / np.prod([1.0 - y * x for y in np.atleast_1d(ys)], axis=0))
+    return ProductFormFunction(ys)
 
 
 def test_apply_direct_constant_collapses():
@@ -357,6 +355,28 @@ def _old_iterated_integrand(z1, z2, qs, xs, ys, with_boundary):
     return v
 
 
+def _old_pair(zj, zk, qj, qk, f):
+    """The pair factor as it was written before its reciprocal factors were
+    multiplied out: with Z's f(u) = 1/(1 - u), five divisions per point."""
+    u = zj * zk
+    return ((qj * zj - qk * zk) * (zj - zk) * (f(qj * qk * u) * f(u))
+            / ((zj - qk * zk) * (qj * zj - zk) * (f(qj * u) * f(qk * u))))
+
+
+def test_pair_factor_is_the_five_division_formula():
+    rng = np.random.default_rng(1520)
+    for with_boundary in (True, False):
+        f = ProductFormFunction((), with_boundary).f
+        for _ in range(40):
+            (cj, ck), (rj, rk) = rng.uniform(0.15, 0.85, 2), rng.uniform(0.01, 0.1, 2)
+            zj = cj + rj * np.exp(2j * np.pi * rng.random((24, 1)))
+            zk = ck + rk * np.exp(2j * np.pi * rng.random((1, 40)))
+            qj, qk = (0.1 + 0.8 * rng.random(2)) * np.exp(2j * np.pi * rng.random(2))
+            want = _old_pair(zj, zk, qj, qk, f)
+            got = macdonald._pair(zj, zk, qj, qk, with_boundary)
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), with_boundary
+
+
 def _close(a, b):
     return abs(a - b) <= 1e-13 * abs(b)
 
@@ -424,6 +444,67 @@ def test_contour_action_random_draws_match_direct():
                 assert abs(value - direct) < 1e-8 * abs(direct), (n, r, xs, q)
 
 
+def contour_draws(rng, n, size):
+    """size separated point sets of n points, two ys each, and q's, as the
+    contour battery draws them."""
+    xs = []
+    for _ in range(size):
+        x = np.sort(rng.uniform(0.15, 0.85, n))
+        while min(np.diff(x)) < 0.08:
+            x = np.sort(rng.uniform(0.15, 0.85, n))
+        xs.append(x)
+    ys = rng.uniform(0.05, 0.5, (size, 2))
+    q = (0.2 + 0.5 * rng.random(size)) * np.exp(2j * np.pi * rng.random(size))
+    return np.array(xs), ys, q
+
+
+def test_contour_action_over_a_batch_matches_one_draw_at_a_time():
+    rng = np.random.default_rng(1518)
+    for n in (2, 3, 4):
+        for r in range(1, min(n, 3) + 1):
+            xs, ys, q = contour_draws(rng, n, 3)
+            got, info = apply_via_contour(ProductFormFunction(list(ys.T)),
+                                          list(xs.T), r, q, full_output=True)
+            assert got.shape == (3,) and len(info["nodes"]) == 3
+            for b in range(3):
+                want, alone = apply_via_contour(standard_G(ys[b]), list(xs[b]), r,
+                                                q[b], full_output=True)
+                assert _close(got[b], want), (n, r, b)
+                assert info["nodes"][b] == alone["nodes"], (n, r, b)
+                assert abs(info["radius"][b] - alone["radius"]) <= 1e-15 * alone["radius"]
+            assert info["grid_points"] == 3 * alone["grid_points"]
+
+
+def test_contour_battery_is_one_batched_call_per_shape(monkeypatch):
+    calls, contour = [], macdonald.apply_via_contour
+
+    def spy(G, xs, r, q, **kwargs):
+        calls.append((len(xs), r, np.shape(q)))
+        return contour(G, xs, r, q, **kwargs)
+    monkeypatch.setattr(macdonald, "apply_via_contour", spy)
+    row, = verify.battery_contour_action(1234)
+    # the 20 draws at seed 1234 fall into four (n, r) shapes
+    assert sorted(calls) == [(2, 1, (3,)), (2, 2, (7,)), (3, 1, (4,)), (3, 2, (6,))]
+    # per draw, n circles of 16 and then 32 nodes for each of r variables
+    assert (row["draws"], row["grid_points"]) == (
+        20, sum(size * ((16 * n) ** r + (32 * n) ** r)
+                for n, r, (size,) in calls))
+    assert row["pass"] and row["max_nodes"] == 32
+
+
+def test_contour_action_over_a_batch_names_the_draw_that_failed():
+    rng = np.random.default_rng(1519)
+    xs, ys, q = contour_draws(rng, 2, 3)
+    with pytest.raises(quad.QuadratureError) as exc:
+        apply_via_contour(ProductFormFunction(list(ys.T)), list(xs.T), 1, q, tol=0)
+    assert str(exc.value).startswith(
+        "contour action r=1: contour integral did not converge at 32768 "
+        "nodes/circle (draw 0 of 3)")
+    with pytest.raises(quad.QuadratureError) as alone:
+        apply_via_contour(standard_G(ys[0]), list(xs[0]), 1, q[0], tol=0)
+    assert all(_close(a, b) for a, b in zip(exc.value.estimates, alone.value.estimates))
+
+
 def test_contour_circles_stay_inside_the_unit_disk():
     # the regular factors have poles outside the unit disk (z = 1 of
     # f(z^2), 1/(q x), 1/(q y)); at n = 1 and x near 1 a circle bounded only
@@ -466,8 +547,13 @@ def test_iterated_actions_report_their_quadrature():
     for action in (iterated_action_Z, iterated_action_F):
         value, info = action(qs, xs, ys, full_output=True)
         assert value == action(qs, xs, ys)
-        assert set(info) == {"nodes", "last_delta"}
+        assert set(info) == {"nodes", "last_delta", "grid_points"}
         assert len(info["nodes"]) == 2 and 0 < info["last_delta"] < 1e-9 * abs(value)
+        # the earlier variable's four circles (the x_i and their q_2-images)
+        # against the later one's two, at every doubling from 16 nodes
+        K = (info["nodes"][0] // 16).bit_length() - 1
+        assert info["grid_points"] == sum((4 * 16 << k) * (2 * 16 << k)
+                                          for k in range(K + 1))
 
 
 def test_contour_action_rejects_orders_outside_1_to_n():

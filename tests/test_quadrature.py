@@ -241,3 +241,29 @@ def test_chunk_keeps_temporaries_below_the_mmap_threshold():
     n = 2 * quadrature._CHUNK
     estimate_bilinear(core, ones, ones, circle(1.0), circle(0.5), 16, n)
     assert rows == [1] * 16
+
+
+def test_batched_circles_give_each_draw_its_own_integral_in_bounded_blocks():
+    # one circle per draw on each contour and a pole p over the same batch;
+    # every draw is the integral on its own circles, and every core grid
+    # the batch evaluates holds at most _CHUNK elements
+    centers, radii = np.array([0.1, -0.2, 0.3j]), np.array([0.5, 0.6, 0.4])
+    p = centers + 0.1
+    integrand = lambda z, w, p: (z + w) / ((z - p) * (w - 0.1 * z))
+    sizes = []
+
+    def f(z, w):
+        sizes.append(np.broadcast(z, w).size)
+        return integrand(z, w, p)
+    c1 = circles_around([centers], radii, nodes=64)
+    c2 = circles_around([np.zeros(3)], 2 * radii, nodes=64)
+    got, info = integrate2(f, c1, c2, tol=1e-12, full_output=True)
+    assert got.shape == (3,) and max(sizes) <= quadrature._CHUNK
+    assert info["grid_points"] == sum(sizes)
+    for b in range(3):
+        want, alone = integrate2(lambda z, w: integrand(z, w, p[b]),
+                                 circle(radii[b], centers[b], nodes=64),
+                                 circle(2 * radii[b], nodes=64), tol=1e-12,
+                                 full_output=True)
+        assert abs(got[b] - want) <= 1e-13 * abs(want)
+        assert info["nodes"][b] == alone["nodes"]

@@ -34,3 +34,12 @@ def test_contour_action_row_reports_its_node_counts():
     row, = verify.battery_contour_action(seed=1234)
     assert {"max_nodes", "max_last_delta"} <= set(row)
     assert row["max_nodes"] == 32
+    # the grid points the battery evaluated when it ran one draw at a time
+    assert (row["draws"], row["grid_points"]) == (20, 105824)
+
+
+def test_iterated_action_rows_report_their_grid_points():
+    # the d = 2 actions at seed 1234: four circles against two, accepted
+    # at 64, 64 and 32 nodes
+    rows = verify.battery_iterated_actions(seed=1234)
+    assert [row["grid_points"] for row in rows] == [43008, 43008, 10240]
