@@ -11,6 +11,7 @@ report (written before the exit).
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -32,6 +33,9 @@ class ConfigError(ValueError):
 
 
 def _load_config(path, overrides):
+    """The config at `path` under the flags in `overrides`. Its `kernel` keys
+    are `kernels.KernelConfig`'s fields, each left out keeping its default;
+    every fault, an unknown key too, is one part of the ConfigError."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -53,7 +57,7 @@ def _load_config(path, overrides):
         problems.append(f"{name}: must be a JSON object")
         return {}
 
-    def number(kind, name, value, default):
+    def number(kind, name, value, default=None):
         try:
             return symfunc.json_number(value, kind)
         except ValueError as exc:
@@ -78,32 +82,27 @@ def _load_config(path, overrides):
     if L < 0:
         problems.append("truncation_weight: must be nonnegative")
 
-    qcfg = section("quadrature")
-    tol = number(float, "quadrature.tol", qcfg.get("tol", 1e-8), 1e-8)
-    start_nodes = number(int, "quadrature.start_nodes",
-                         qcfg.get("start_nodes", 64), 64)
-
-    kcfg_raw = section("kernel")
-    sign = kcfg_raw.get("sign_convention", kernels.SIGN_PAPER)
+    fields = {f.name: f for f in dataclasses.fields(kernels.KernelConfig)}
+    kernel = {**section("kernel")}
+    if overrides.tol is not None:
+        kernel["quad_tol"] = overrides.tol
     if overrides.sign_convention:
-        sign = {"paper": kernels.SIGN_PAPER, "br": kernels.SIGN_BR}[
-            overrides.sign_convention]
-    radii = {key: number(float, f"kernel.radii.{key}", r, None)
-             for key, r in section("kernel.radii", kcfg_raw).items()}
-    radii = {key: r for key, r in radii.items() if r is not None}
-    # --tol overrides kernel.quad_tol, which defaults to quadrature.tol
-    quad_tol = overrides.tol if overrides.tol is not None else number(
-        float, "kernel.quad_tol", kcfg_raw.get("quad_tol", tol), tol)
-    cfg = kernels.KernelConfig(
-        quad_tol=quad_tol,
-        start_nodes=start_nodes,
-        max_nodes=number(int, "kernel.max_nodes",
-                         kcfg_raw.get("max_nodes", kernels.KernelConfig.max_nodes),
-                         kernels.KernelConfig.max_nodes),
-        sign_convention=sign,
-        h_assignment=kcfg_raw.get("h_assignment", "slot"),
-        k12_regime=kcfg_raw.get("k12_regime", "strict"),
-        radii=radii)
+        kernel["sign_convention"] = {"paper": kernels.SIGN_PAPER,
+                                     "br": kernels.SIGN_BR}[overrides.sign_convention]
+    for name, value, keys in (
+            ("", raw, ("process", "points", "truncation_weight", "kernel", "seed")),
+            ("process.", raw.get("process"), ("rho_plus", "rho_minus")),
+            ("kernel.", kernel, fields)):
+        if isinstance(value, dict):
+            problems += [f"{name}{key}: unknown key" for key in value if key not in keys]
+    kernel = {key: number(f.type, f"kernel.{key}", kernel[key], f.default)
+              if f.type in (int, float) else kernel[key]
+              for key, f in fields.items() if key in kernel}
+    if "radii" in kernel:
+        radii = {key: number(float, f"kernel.radii.{key}", r)
+                 for key, r in section("kernel.radii", kernel).items()}
+        kernel["radii"] = {key: r for key, r in radii.items() if r is not None}
+    cfg = kernels.KernelConfig(**kernel)
     try:
         cfg.validate()
         if spec is not None:
@@ -120,7 +119,7 @@ def _load_config(path, overrides):
         raise ConfigError("; ".join(problems))
     digest = hashlib.sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
-    return {"raw": raw, "spec": spec, "points": points, "L": L,
+    return {"spec": spec, "points": points, "L": L,
             "kernel_cfg": cfg, "seed": seed, "digest": digest}
 
 
@@ -169,13 +168,11 @@ BATTERIES = {
 
 
 def _battery_report(command, cfgd):
-    results = []
-    for section, battery in BATTERIES[command].items():
-        for row in battery(cfgd):
-            diagnostics = {k: v for k, v in row.items() if k != "value"}
-            results.append({"T": None, "method": section, "value": row["value"],
-                            "imag_defect": None, "diagnostics": diagnostics,
-                            "name": row["name"], "pass": row["pass"]})
+    results = [{"T": None, "method": section, "imag_defect": None,
+                **{key: row.pop(key) for key in ("name", "value", "pass")},
+                "diagnostics": row}
+               for section, battery in BATTERIES[command].items()
+               for row in map(dict, battery(cfgd))]
     return {"config_digest": cfgd["digest"], "results": results,
             "all_pass": all(row["pass"] for row in results)}
 

@@ -57,6 +57,7 @@ SIGN_BR = "borodin_rains_1_minus_zw"
 
 @dataclass
 class KernelConfig:
+    """A config's `kernel` section: a field it leaves out keeps its default."""
     quad_tol: float = 1e-8
     start_nodes: int = 64
     max_nodes: int = quad.MAX_NODES_2D
@@ -499,11 +500,12 @@ def correlation_via_q_extraction(X, Y, T, cfg=None, rq=None, full_output=False):
             v = v * q ** (-t - n - 1)
         return v
 
-    qc = quad.circle(rq, nodes=max(32, cfg.start_nodes // 2))
+    # the q-circles start low enough to double at least once within the cap
+    qc = quad.circle(rq, nodes=min(max(32, cfg.start_nodes // 2), cfg.max_nodes // 2))
     try:
         value, outer = quad.integrate_n(
             f, [qc] * d, tol=max(cfg.quad_tol, 1e-9 if d == 1 else 1e-7),
-            max_nodes=quad.MAX_NODES_2D, full_output=True)
+            max_nodes=cfg.max_nodes, full_output=True)
     except quad.QuadratureError as exc:
         raise exc.naming(f"q-extraction at T={T_eff}") from exc
     info.update(imag_defect=abs(value.imag), rq=rq, **outer)

@@ -197,15 +197,15 @@ def _shipped_config(tmp_path, name, **changes):
 
 
 def test_verify_macdonald_does_not_read_quadrature_tol(tmp_path):
-    # quadrature.tol is only kernel.quad_tol's fallback: verify-macdonald
-    # runs its contour quadratures at a fixed 1e-9 with or without it
+    # kernel.quad_tol is the kernel routes' tolerance: verify-macdonald runs
+    # its contour quadratures at a fixed 1e-9 with or without it
     raw = json.loads((CONFIGS / "m1_singleton.json").read_text())
-    raw.pop("quadrature")
+    raw["kernel"].pop("quad_tol")
     cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
     results = []
-    for quadrature in (None, {"tol": 1e-3}):
-        cfg.write_text(json.dumps(raw if quadrature is None
-                                  else {**raw, "quadrature": quadrature}))
+    for quad_tol in (None, 1e-3):
+        cfg.write_text(json.dumps(raw if quad_tol is None else {
+            **raw, "kernel": {**raw["kernel"], "quad_tol": quad_tol}}))
         assert run_cli(["verify-macdonald", "--config", str(cfg),
                         "--out", str(out)]) == 0
         results.append(read_report(out)["results"])
@@ -304,6 +304,16 @@ def test_verify_report_with_a_failing_row_exits_3(tmp_path, monkeypatch):
     assert report["results"][0]["name"] == "failing row"
 
 
+def test_battery_rows_write_name_and_pass_once(tmp_path):
+    out = tmp_path / "report.json"
+    assert run_cli(["verify-macdonald", "--config", str(CONFIGS / "m1_singleton.json"),
+                    "--out", str(out)]) == 0
+    results = read_report(out)["results"]
+    assert results and all({"name", "pass"} <= set(row) for row in results)
+    for row in results:
+        assert not {"name", "pass", "value"} & set(row["diagnostics"]), row
+
+
 def test_sweep_radii_command(tmp_path):
     out = tmp_path / "report.json"
     assert run_cli(["sweep-radii", "--config", str(CONFIGS / "m1_singleton.json"),
@@ -333,7 +343,7 @@ _BASE = {"process": {"rho_plus": [[0.5]], "rho_minus": [[0.5]]},
          "points": [[1, 0]]}
 CONFIG_FAULTS = {
     "max_nodes below one doubling": {**_BASE, "kernel": {"max_nodes": 100}},
-    "start_nodes not a power of two": {**_BASE, "quadrature": {"start_nodes": 48}},
+    "start_nodes not a power of two": {**_BASE, "kernel": {"start_nodes": 48}},
     "top level not an object": [_BASE],
     "non-numeric truncation_weight": {**_BASE, "truncation_weight": "forty"},
     "empty specialization family": {
@@ -341,7 +351,7 @@ CONFIG_FAULTS = {
     "nan quad_tol": {**_BASE, "kernel": {"quad_tol": "nan"}},
     "unknown radius name": {**_BASE, "kernel": {"radii": {"k_11": 1.5}}},
     "non-integral truncation_weight": {**_BASE, "truncation_weight": 30.7},
-    "non-integral start_nodes": {**_BASE, "quadrature": {"start_nodes": 64.5}},
+    "non-integral start_nodes": {**_BASE, "kernel": {"start_nodes": 64.5}},
     "non-integral max_nodes": {**_BASE, "kernel": {"max_nodes": 256.5}},
     "non-integral seed": {**_BASE, "seed": 3.5},
     "boolean truncation_weight": {**_BASE, "truncation_weight": True},
@@ -379,6 +389,13 @@ CONFIG_FAULTS = {
         "process": {"rho_plus": [5], "rho_minus": [[0.5]]}, "points": [[1, 0]]},
     "points that are a bare number": {**_BASE, "points": 5},
     "process that is a list": {**_BASE, "process": [1]},
+    "misspelled top-level key": {**_BASE, "truncation_wieght": 40},
+    "misspelled kernel key": {
+        **_BASE, "kernel": {"sign_conventoin": "borodin_rains_1_minus_zw"}},
+    "extra process key": {
+        "process": {**_BASE["process"], "rho_zero": [[0.5]]}, "points": [[1, 0]]},
+    "leftover quadrature section": {
+        **_BASE, "quadrature": {"tol": 1e-9, "start_nodes": 64}},
 }
 # the config-error line of faults whose text names the field and the value
 FAULT_LINES = {
@@ -395,6 +412,10 @@ FAULT_LINES = {
         "config error: points: 5 is not a list of [level, position] pairs",
     "process that is a list":
         "config error: process: [1] is not an object with rho_plus and rho_minus",
+    "misspelled top-level key": "config error: truncation_wieght: unknown key",
+    "misspelled kernel key": "config error: kernel.sign_conventoin: unknown key",
+    "extra process key": "config error: process.rho_zero: unknown key",
+    "leftover quadrature section": "config error: quadrature: unknown key",
 }
 
 
@@ -421,8 +442,7 @@ def test_integral_floats_are_accepted_as_integers(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**_BASE, "truncation_weight": 20.0, "seed": 3.0,
                                "points": [[1.0, 2.0]],
-                               "quadrature": {"start_nodes": 64.0},
-                               "kernel": {"max_nodes": 256.0}}))
+                               "kernel": {"start_nodes": 64.0, "max_nodes": 256.0}}))
     out = tmp_path / "report.json"
     assert run_cli(["correlate", "--config", str(cfg), "--method", "oracle",
                     "--out", str(out)]) == 0
@@ -494,7 +514,11 @@ def test_tol_flag_overrides_the_kernel_quad_tol(tmp_path, monkeypatch, capsys):
                     "--tol", "1e-2", "--out", out]) == 0
     assert run_cli(["correlate", "--config", config, "--method", "kernel",
                     "--out", out]) == 0
-    assert [cfg.quad_tol for cfg in seen] == [1e-2, 1e-8]
+    # without kernel.quad_tol the kernel runs at KernelConfig's default
+    unset = _shipped_config(tmp_path, "m1_singleton", kernel={})
+    assert run_cli(["correlate", "--config", str(unset), "--method", "kernel",
+                    "--out", out]) == 0
+    assert [cfg.quad_tol for cfg in seen] == [1e-2, 1e-8, 1e-8]
     for bad in ("-1", "nan"):
         assert run_cli(["correlate", "--config", config, "--method", "kernel",
                         "--tol", bad]) == 1
@@ -502,9 +526,10 @@ def test_tol_flag_overrides_the_kernel_quad_tol(tmp_path, monkeypatch, capsys):
     assert lines == ["config error: kernel: quad_tol must be positive and finite"] * 2
 
 
-def _q_extraction(tmp_path, process, points):
+def _q_extraction(tmp_path, process, points, kernel=None):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"process": process, "points": points}))
+    cfg.write_text(json.dumps({"process": process, "points": points,
+                               "kernel": kernel or {}}))
     out = tmp_path / "report.json"
     return run_cli(["correlate", "--config", str(cfg), "--method", "q-extraction",
                     "--out", str(out)]), out
@@ -534,3 +559,21 @@ def test_q_extraction_with_every_point_stripped_reports_one(tmp_path):
     assert row["value"] == 1.0 and row["imag_defect"] == 0.0
     spec = ProcessSpec.from_json(process)
     assert abs(correlation_oracle(spec, [(1, -5)], L=30) - 1.0) < 1e-12
+
+
+def test_q_extraction_keeps_within_kernel_max_nodes(tmp_path, capsys):
+    # m1_twovar's process: converged within the cap, or exit 2 naming the extraction
+    process = {"rho_plus": [[0.5, 0.25]], "rho_minus": [[0.5, 0.25]]}
+    code, out = _q_extraction(tmp_path, process, [[1, 0], [1, 2]],
+                              {"start_nodes": 16, "max_nodes": 32})
+    assert code == 0
+    row, = read_report(out)["results"]
+    assert max(row["diagnostics"]["nodes"]) <= 32
+    assert abs(row["value"] - correlation_oracle(
+        ProcessSpec.from_json(process), [(1, 0), (1, 2)], L=40)) < 1e-3
+    code, _ = _q_extraction(tmp_path, process, [[1, 10]],
+                            {"start_nodes": 8, "max_nodes": 16})
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "numerical non-convergence: q-extraction at T=[10]: contour integral "
+        "did not converge at 16 nodes/circle;")
