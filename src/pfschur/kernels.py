@@ -20,15 +20,21 @@ K11 on k11 x k11, K22 on k22 x k22, and K12 with z on k11 and w on the
 k12_w_lt or the k12_w_gt circle. Every coupling is (z - w)/(zw - 1) times
 factors of z alone and of w alone, so a block is the bilinear form
 G_z^T (W C W) G_w whose columns are the points' slot factors and powers;
-K21 is -K12^T. Each circle's nodes and weighted columns are computed once
-per node count and shared by the blocks that read them (K11 and both K12
-blocks read the k11 circle). On trapezoid nodes of origin-centered circles
-the core C is a rank-one term plus a Hankel matrix, so each block is summed
-by FFT in O(n log n) per column, with no n x n array (`_coupled_block`; the
-dense `_core` is its tested reference). The node count doubles for all
-circles together, each entry is accepted at the first doubling where it
-converges, and a block, or a circle no open block reads, is no longer
-evaluated once every entry on it has converged.
+K21 is -K12^T. On trapezoid nodes of origin-centered circles the core C is
+a rank-one term plus a Hankel matrix, so each block is summed by FFT in
+O(n log n) per column, with no n x n array (the dense `_core` is its tested
+reference). Each doubling is one array pass (`_Assembly.estimate`) over the
+circles that the blocks with an unconverged entry read: one
+`quadrature.nodes_weights` call on their radii, one broadcast for all their
+slot factors and columns, one ifft per side of the blocks, one fft for every
+block's Hankel symbol and one matrix product per block; the blocks that read
+a circle share its columns (K11 and both K12 blocks read k11). The n
+trapezoid nodes of a circle are its 2n nodes [::2] bit for bit, so a
+doubling keeps the columns it has and evaluates the slot factors only at the
+new odd nodes: each node of a circle is evaluated once per assembly. The
+node count doubles for all circles together, each entry is accepted at the
+first doubling where it converges, and a block, or a circle no open block
+reads, is no longer evaluated once every entry on it has converged.
 `kernel_entry_process` keeps the literal per-entry integrand on
 `quadrature.integrate2` as the independent check.
 
@@ -40,6 +46,8 @@ sweep reports can show them failing.
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -67,19 +75,21 @@ class KernelConfig:
     radii: dict = field(default_factory=dict)
 
     def validate(self):
-        if self.sign_convention not in (SIGN_PAPER, SIGN_BR):
-            raise ValueError(f"unknown sign convention {self.sign_convention!r}")
-        if self.h_assignment not in ("slot", "display"):
-            raise ValueError(f"unknown h_assignment {self.h_assignment!r}")
-        if self.k12_regime not in ("strict", "literal"):
-            raise ValueError(f"unknown k12_regime {self.k12_regime!r}")
-        if not 0 < self.quad_tol < math.inf:
-            raise ValueError("quad_tol must be positive and finite")
+        """Raise one ValueError that names every fault, joined by "; "."""
         n = self.start_nodes
-        if n < 8 or n & (n - 1):
-            raise ValueError("start_nodes must be a power of two >= 8")
-        if self.max_nodes < 2 * n:
-            raise ValueError("max_nodes must allow one doubling of start_nodes")
+        faults = [fault for bad, fault in (
+            (self.sign_convention not in (SIGN_PAPER, SIGN_BR),
+             f"unknown sign convention {self.sign_convention!r}"),
+            (self.h_assignment not in ("slot", "display"),
+             f"unknown h_assignment {self.h_assignment!r}"),
+            (self.k12_regime not in ("strict", "literal"),
+             f"unknown k12_regime {self.k12_regime!r}"),
+            (not 0 < self.quad_tol < math.inf, "quad_tol must be positive and finite"),
+            (n < 8 or n & (n - 1), "start_nodes must be a power of two >= 8"),
+            (self.max_nodes < 2 * n, "max_nodes must allow one doubling of start_nodes"),
+        ) if bad]
+        if faults:
+            raise ValueError("; ".join(faults))
 
 
 def _radii_at(spec, fr):
@@ -262,111 +272,194 @@ def kernel_entry_single(which, k, l, X, Y, T, cfg=None, full_output=False):
 
 def _core(z, w):
     """The coupling factor shared by all three blocks; the rest of each
-    block's coupling depends on z or on w alone. `_coupled_block` sums it in
-    FFT form; this dense form is the reference that form is tested against."""
+    block's coupling depends on z or on w alone. `_Assembly.estimate` sums
+    it in FFT form; this dense form is the reference that form is tested
+    against."""
     return (z - w) / (z * w - 1)
 
 
-def _columns(z, keys, side, factors):
-    """One column per (level, t) key: the level's slot factor times z^{-t},
-    times 1/(z^2 - 1) on an outer slot and 1/z on an inner one."""
-    rational = {lvl: _rational(z, *factors[side][lvl])
-                for lvl in {lvl for lvl, _ in keys}}
-    pre = 1 / (z * z - 1) if side == "outer" else 1 / z
-    return np.stack([rational[lvl] * z ** (-t) * pre for lvl, t in keys], axis=1)
-
-
-def _coupled_block(zside, wside):
-    """sum_ab A[a, p] _core(z_a, w_b) B[b, q] on n trapezoid nodes of two
-    origin-centered circles, without the n x n grid of the core, from the
-    z side (z, ifft(A (z - 1/z)), (1/z) A) and the w side (w, ifft(B),
-    column sums of B). Each side depends on one circle only, so blocks that
-    share a circle share it.
-
-    The core is -1/z + (z - 1/z) / (zw - 1), and on the nodes
-    z_a = r_z omega^a, w_b = r_w omega^b (omega = exp(2 pi i/n)) the second
-    denominator depends only on (a + b) mod n:
-    h[j] = 1/(r_z r_w omega^j - 1) = 1/(z_j w_0 - 1). The Hankel sum over
-    a + b is a convolution, so with h^ = fft(h) the block is
-    n ifft(A (z - 1/z))^T diag(h^) ifft(B) plus the rank-one term of -1/z:
-    O(n log n) per column (Trefethen & Weideman, SIAM Rev. 56, 2014).
-    """
-    (z, Az, a), (w, Bw, b) = zside, wside
-    h_hat = np.fft.fft(1 / (z * w[0] - 1))
-    return len(z) * (Az * h_hat[:, None]).T @ Bw - np.outer(a, b)
-
-
 _BLOCKS = ("K11", "K12", "K22")
+# the circles in column order, and the (z circle, w circle) of the blocks
+# K11, K12 at |zw| < 1, K12 at |zw| > 1 and K22
+_CIRCLES = ("k11", "k12_w_lt", "k12_w_gt", "k22")
+_TABLE = ((0, 0), (0, 1), (0, 2), (3, 3))
 
 
-def _layout(spec, pts, cfg):
-    """The circles and the block table of an assembly over the points pts,
-    and the slot factors their columns read.
+def _padded(rows):
+    """Value tuples as the rows of one complex array, padded with zeros."""
+    width = max(map(len, rows), default=0)
+    return np.array([[*values, *[0] * (width - len(values))] for values in rows],
+                    dtype=complex).reshape(len(rows), width)
 
-    `circles` maps each circle a block reads (k11 outer; k22, k12_w_lt and
-    k12_w_gt inner) to (radius, side, keys), keys being the distinct
-    (level, t) whose columns its blocks read. The table has a row (z circle,
-    w circle, sign, entries, z columns, w columns) for each of K11, K12 at
-    |zw| < 1, K12 at |zw| > 1 and K22 that holds entries: their flat indices
-    3 * (d * p + q) + block and the column each reads on either circle.
+
+class _Assembly:
+    """One kernel assembly over the points pts: index arrays built once, and
+    `estimate`, which evaluates every block that holds a live entry in one
+    array pass per node count.
+
+    A column is one (level, t) that a block reads on a circle: the level's
+    slot factor on that circle times z^{-t}, times 1/(z^2 - 1) on the outer
+    circle k11 and 1/z on an inner one. Columns are numbered circle by circle
+    in `_CIRCLES` order, and `col_circle`, `col_row` and `col_t` give each
+    column's circle, slot-factor row and t. A slot-factor row is one (circle,
+    level): its values are one row of `nums` and of `dens`, padded with
+    zeros, whose factors (1 - 0/z) and 1/(1 - 0 z) are exactly 1. `blocks` has
+    a row (z circle, w circle, entries, z columns, w columns) for each of the
+    `_TABLE` blocks that holds entries: their flat indices 3 (d p + q) + block
+    and the column each reads on either circle, counted within the circle.
+    `node_evaluations` counts the circle nodes at which slot factors were
+    evaluated.
     """
-    d = len(pts)
-    radii = _resolved_radii(spec, cfg)
-    num1, den1, num2, den2 = _slot_values(spec)
-    factors = {"outer": {lvl: (num1[lvl], den1[lvl]) for lvl in num1},
-               "inner": {lvl: (num2[lvl], den2[lvl]) for lvl in num2}}
-    columns = {c: {} for c in radii}  # per circle, (level, t) -> column
-    table = {(zc, wc): (s, [], [], []) for zc, wc, s in (
-        ("k11", "k11", 1.0), ("k11", "k12_w_lt", 1.0),
-        ("k11", "k12_w_gt", 1.0), ("k22", "k22", _k22_sign(cfg)))}
 
-    def add(zc, wc, e, zkey, wkey):
-        _, entries, zcols, wcols = table[zc, wc]
-        entries.append(e)
-        zcols.append(columns[zc].setdefault(zkey, len(columns[zc])))
-        wcols.append(columns[wc].setdefault(wkey, len(columns[wc])))
+    def __init__(self, spec, pts, cfg):
+        d = len(pts)
+        self.size = 3 * d * d
+        self.radii = _resolved_radii(spec, cfg)
+        self.radius = np.array([self.radii[c] for c in _CIRCLES])
+        # K11 and K22 read the points themselves on k11 and k22. K12 reads,
+        # for a level-i and a level-j point, a (level, t) on k11 that depends
+        # on the first point and one on its w circle that depends on the
+        # second, so its table is built one pair of levels at a time.
+        keys = [dict(zip(pts, range(d))) if c in (0, 3) else {}
+                for c in range(len(_CIRCLES))]
+        e = 3 * np.arange(d * d)
+        tables = {0: (e, *np.divmod(np.arange(d * d), d))}
+        tables[3] = (e + 2, *tables[0][1:])
+        k12 = {1: ([], [], []), 2: ([], [], [])}  # entries, z and w columns
+        at_level = {}
+        for p, (i, _) in enumerate(pts):
+            at_level.setdefault(i, []).append(p)
+        for i, ps in at_level.items():
+            for j, qs in at_level.items():
+                wc, a, b = _k12_variant(i, j, cfg)
+                c = _CIRCLES.index(wc)
+                entries, zcols, wcols = k12[c]
+                zk = [keys[0].setdefault((a, pts[p][1]), len(keys[0])) for p in ps]
+                wk = [keys[c].setdefault((b, pts[q][1]), len(keys[c])) for q in qs]
+                entries += [3 * (d * p + q) + 1 for p in ps for q in qs]
+                zcols += [col for col in zk for _ in qs]
+                wcols += wk * len(ps)
+        tables.update({c: tuple(map(np.array, table)) for c, table in k12.items()})
+        self.blocks = [(zc, wc, *tables[blk]) for blk, (zc, wc) in enumerate(_TABLE)
+                       if len(tables[blk][0])]
+        self.sign = np.ones(self.size)
+        self.sign[2::3] = _k22_sign(cfg)
+        rows = {}  # (circle, level) -> slot-factor row
+        cols = [(c, rows.setdefault((c, lvl), len(rows)), t)
+                for c, circle_keys in enumerate(keys) for lvl, t in circle_keys]
+        self.col_circle, self.col_row, self.col_t = np.array(
+            cols, dtype=int).reshape(-1, 3).T
+        self.counts = [len(circle_keys) for circle_keys in keys]
+        num1, den1, num2, den2 = _slot_values(spec)
+        self.row_circle = np.array([c for c, _ in rows], dtype=int)
+        self.nums = _padded([(num1 if c == 0 else num2)[lvl] for c, lvl in rows])
+        self.dens = _padded([(den1 if c == 0 else den2)[lvl] for c, lvl in rows])
+        self.node_evaluations = 0
+        self._plans = {}
+        # the last node count, and the columns held at it, unweighted
+        self._n, self._held, self._U = 0, np.zeros(len(cols), dtype=bool), None
 
-    for p, (i, ti) in enumerate(pts):
-        for q, (j, tj) in enumerate(pts):
-            e = 3 * (d * p + q)
-            wc, a, b = _k12_variant(i, j, cfg)
-            add("k11", "k11", e, (i, ti), (j, tj))
-            add("k11", wc, e + 1, (a, ti), (b, tj))
-            add("k22", "k22", e + 2, (i, ti), (j, tj))
-    circles = {c: (radii[c], "outer" if c == "k11" else "inner", list(keys))
-               for c, keys in columns.items() if keys}
-    return circles, [(zc, wc, *row) for (zc, wc), row in table.items()
-                     if row[1]], factors
+    def _plan(self, live):
+        """The index arrays of a pass over the blocks numbered `live`: the
+        circles they read (`radius`, `outer`), and for the slot-factor rows
+        and the columns on those circles (`cols` marks the columns), the
+        circle each is on among them (`row_on`, `col_on`), each column's row
+        among them and its -t, the z-side and w-side columns; per block, its
+        z and w circle among them and its circles' columns on either side."""
+        pairs = [self.blocks[k][:2] for k in live]
+        circles = sorted({c for pair in pairs for c in pair})
+        used = np.zeros(len(_CIRCLES), dtype=bool)
+        used[circles] = True
+        at = np.zeros(len(_CIRCLES), dtype=int)  # index among the used
+        at[circles] = np.arange(len(circles))
+        rows, cols = used[self.row_circle], used[self.col_circle]
+        rank = np.zeros(len(rows), dtype=int)  # a used row's index among them
+        rank[rows] = np.arange(rows.sum())
+        on = at[self.col_circle[cols]]
+        sides = [sorted({pair[s] for pair in pairs}) for s in (0, 1)]
+        start = [dict(zip(side, accumulate((self.counts[c] for c in side), initial=0)))
+                 for side in sides]
+        zcols, wcols = (np.array([c in side for c in circles])[on] for side in sides)
+        return SimpleNamespace(
+            cols=cols, radius=self.radius[circles], outer=np.array(circles) == 0,
+            row_on=at[self.row_circle[rows]], nums=self.nums[rows].T[:, None],
+            dens=self.dens[rows].T[:, None], col_on=on, col_row=rank[self.col_row[cols]],
+            neg_t=-self.col_t[cols], zcols=zcols, zon=on[zcols], wcols=wcols,
+            blocks=[(k, at[zc], at[wc],
+                     slice(start[0][zc], start[0][zc] + self.counts[zc]),
+                     slice(start[1][wc], start[1][wc] + self.counts[wc]))
+                    for k, (zc, wc) in zip(live, pairs)])
 
+    def _columns(self, z, plan):
+        """The unweighted columns of a plan's circles at their nodes z, shape
+        (nodes, used circles): every slot-factor row and every column in one
+        broadcast."""
+        def product(x):  # of 1 - x over the values, x replaced in place
+            return np.prod(np.subtract(1, x, out=x), axis=0)
+        zr = z[:, plan.row_on]
+        v = product(plan.nums / zr) / product(plan.dens * zr)
+        pre = 1 / np.where(plan.outer, z * z - 1, z)
+        return v[:, plan.col_row] * z[:, plan.col_on] ** plan.neg_t * pre[:, plan.col_on]
 
-def _estimate(n, live, circles, table, factors):
-    """The entries of every block that holds a live entry, at n nodes per
-    circle, in one flat array over all 3 d^2 entries (0 for the others).
-    A circle's nodes, weights and weighted columns, and each of its sides
-    for `_coupled_block`, are computed once, and only if such a block reads
-    them."""
-    est = np.zeros(sum(len(row[3]) for row in table), dtype=complex)
-    cols, sides = {}, {}  # circle -> nodes, columns; (circle, "z"/"w") -> side
+    def _unweighted(self, n, z, plan):
+        """The unweighted columns of a plan's circles at their n nodes z. The
+        n/2 trapezoid nodes of a circle are its n nodes [::2] bitwise, so
+        after a doubling the columns held at n/2 nodes are kept and only the
+        new odd nodes are evaluated."""
+        if self._n * 2 == n and not (plan.cols & ~self._held).any():
+            U = np.empty((n, len(plan.col_on)), dtype=complex)
+            U[0::2] = self._U[:, plan.cols[self._held]]
+            U[1::2] = self._columns(z[1::2], plan)
+            self.node_evaluations += z.size // 2
+        else:
+            U = self._columns(z, plan)
+            self.node_evaluations += z.size
+        self._n, self._held, self._U = n, plan.cols, U
+        return U
 
-    def side(c, s):
-        if c not in cols:
-            r, slot, keys = circles[c]
-            z, wz = quad.nodes_weights(quad.Circle(0j, r), n)
-            cols[c] = z, _columns(z, keys, slot, factors) * wz[:, None]
-        if (c, s) not in sides:
-            z, A = cols[c]
-            if s == "z":
-                Az = np.fft.ifft(A * (z - 1 / z)[:, None], axis=0)
-                sides[c, s] = z, Az, (1 / z) @ A
-            else:
-                sides[c, s] = z, np.fft.ifft(A, axis=0), A.sum(axis=0)
-        return sides[c, s]
+    def estimate(self, n, live):
+        """The entries of every block that holds a live entry (live marks
+        entries in a boolean array over all 3 d^2), at n nodes per circle, in
+        one flat array (0 for the other entries).
 
-    for zc, wc, sign, entries, zcols, wcols in table:
-        if not live.isdisjoint(entries):
-            block = _coupled_block(side(zc, "z"), side(wc, "w"))
-            est[entries] = sign * block[zcols, wcols]
-    return est
+        Each block is sum_ab A[a, p] _core(z_a, w_b) B[b, q] over the
+        weighted columns A on its z circle and B on its w circle, without the
+        n x n grid of the core. The core is -1/z + (z - 1/z) / (zw - 1), and
+        on the nodes z_a = r_z omega^a, w_b = r_w omega^b
+        (omega = exp(2 pi i/n)) the second denominator depends only on
+        (a + b) mod n: h[j] = 1/(r_z r_w omega^j - 1) = 1/(z_j w_0 - 1). The
+        Hankel sum over a + b is a convolution, so with h^ = fft(h) the block
+        is n ifft(A (z - 1/z))^T diag(h^) ifft(B) plus the rank-one term of
+        -1/z: O(n log n) per column (Trefethen & Weideman, SIAM Rev. 56,
+        2014). One call gives the nodes and weights of every circle the live
+        blocks read, one broadcast their columns, one ifft transforms every
+        z-side column and one every w-side column, one fft gives every
+        block's h^, and each block is one matrix product.
+        """
+        est = np.zeros(self.size, dtype=complex)
+        live = tuple(k for k, b in enumerate(self.blocks) if live[b[2]].any())
+        if not live:
+            return est
+        if live not in self._plans:
+            self._plans[live] = self._plan(live)
+        plan = self._plans[live]
+        z, wz = quad.nodes_weights(quad.Circle(0j, plan.radius), n)
+        A = self._unweighted(n, z, plan) * wz[:, plan.col_on]
+        zi = 1 / z
+        Az = A[:, plan.zcols]
+        a = np.einsum("ij,ij->j", zi[:, plan.zon], Az)
+        Az = np.fft.ifft(Az * (z - zi)[:, plan.zon], axis=0)
+        Bw = A[:, plan.wcols]
+        b = Bw.sum(axis=0)
+        Bw = np.fft.ifft(Bw, axis=0)
+        _, zon, won, _, _ = zip(*plan.blocks)
+        # n is a power of two, so scaling h^ by it is exact
+        h_hat = n * np.fft.fft(1 / (z[:, zon] * z[0, won] - 1), axis=0)
+        for h, (k, _, _, zs, ws) in zip(h_hat.T, plan.blocks):
+            entries, zcols, wcols = self.blocks[k][2:]
+            block = (Az[:, zs] * h[:, None]).T @ Bw[:, ws] - a[zs, None] * b[ws]
+            est[entries] = block[zcols, wcols]
+        return est * self.sign
 
 
 def assemble_kernel(spec, T, cfg=None, full_output=False):
@@ -380,8 +473,10 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
     count from the first doubling at which it converges to cfg.quad_tol, so
     the per-entry `nodes` match the per-entry route. An entry not converged
     at cfg.max_nodes raises QuadratureError naming it. full_output adds the
-    points, the per-entry node counts, the skew projection defect and
-    `max_last_delta`, the largest last-doubling delta over all entries.
+    points, the per-entry node counts, the skew projection defect,
+    `max_last_delta`, the largest last-doubling delta over all entries, the
+    four circles' `radii` and `node_evaluations`, the circle nodes at which
+    slot factors were evaluated.
     """
     cfg = cfg or KernelConfig()
     cfg.validate()
@@ -390,10 +485,7 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
     per_level = T.by_level(spec.m)
     pts = [(lvl, t) for lvl in range(1, spec.m + 1) for t in per_level[lvl]]
     d = len(pts)
-    circles, table, factors = _layout(spec, pts, cfg)
-
-    def estimate(k, live):
-        return _estimate(cfg.start_nodes << k, live, circles, table, factors)
+    asm = _Assembly(spec, pts, cfg)
 
     def failure(e, k):
         p, q, blk = np.unravel_index(e, (d, d, 3))
@@ -401,8 +493,9 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
         return (f"kernel entry {_BLOCKS[blk]}[{p},{q}] did not converge "
                 f"at ({n}, {n}) nodes")
 
-    value, step, delta = quad.converge(estimate, 3 * d * d, cfg.start_nodes,
-                                       cfg.max_nodes, cfg.quad_tol, failure)
+    value, step, delta = quad.converge(
+        lambda k, live: asm.estimate(cfg.start_nodes << k, live), 3 * d * d,
+        cfg.start_nodes, cfg.max_nodes, cfg.quad_tol, failure)
     V = np.array(value, dtype=complex).reshape(d, d, 3)
     K = np.zeros((2 * d, 2 * d), dtype=complex)
     K[0::2, 0::2], K[0::2, 1::2], K[1::2, 1::2] = V[..., 0], V[..., 1], V[..., 2]
@@ -418,23 +511,29 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
              for p in range(d) for q in range(d)
              for which, blk in (("K11", 0), ("K12", 1), ("K21", 1), ("K22", 2))}
     return S, {"points": pts, "nodes": nodes, "defect": S.defect,
-               "max_last_delta": float(max(delta, default=0.0))}
+               "max_last_delta": float(max(delta, default=0.0)),
+               "radii": asm.radii, "node_evaluations": asm.node_evaluations}
 
 
 def correlation_via_kernel(spec, T, cfg=None, full_output=False):
     """Pfaffian of the assembled kernel; the imaginary part is pure
-    quadrature noise and is reported alongside."""
+    quadrature noise and is reported alongside, with the assembly's skew
+    `defect`, `max_last_delta`, per-entry `nodes`, `radii` and
+    `node_evaluations`."""
     cfg = cfg or KernelConfig()
     if not isinstance(T, PointSet):
         T = PointSet(T)
     if not T.points:
         return ((1.0, {"imag_defect": 0.0, "defect": 0.0, "max_last_delta": 0.0,
-                       "nodes": {}}) if full_output else 1.0)
+                       "nodes": {}, "radii": {}, "node_evaluations": 0})
+                if full_output else 1.0)
+    if not full_output:
+        return pfaffian(assemble_kernel(spec, T, cfg)).real
     S, info = assemble_kernel(spec, T, cfg, full_output=True)
     pf = pfaffian(S)
-    out = {"imag_defect": abs(pf.imag), "defect": info["defect"],
-           "max_last_delta": info["max_last_delta"], "nodes": info["nodes"]}
-    return (pf.real, out) if full_output else pf.real
+    out = {"imag_defect": abs(pf.imag), **{k: info[k] for k in (
+        "defect", "max_last_delta", "nodes", "radii", "node_evaluations")}}
+    return pf.real, out
 
 
 # ---------------------------------------------------------------------------

@@ -161,8 +161,10 @@ def _estimate1(f, contour, n):
     return np.sum(np.asarray(f(z)) * w, axis=0)
 
 
-def _converged(new, old, tol):
-    return abs(new - old) < tol * max(1.0, abs(new))
+def _modulus(x):
+    """|x| of a complex array as a scalar's abs() gives it, bit for bit: the
+    vectorized np.abs may differ from it in the last bit."""
+    return np.hypot(x.real, x.imag)
 
 
 def converge(estimate, size, n, max_nodes, tol, failure):
@@ -170,31 +172,35 @@ def converge(estimate, size, n, max_nodes, tol, failure):
 
     `size` integrals share one node sequence: n nodes per circle, doubled
     while the count stays within max_nodes. estimate(k, live) returns the
-    `size` estimates at n * 2**k nodes; only the entries whose indices are
-    in the set `live` are read, so an estimator may skip work that serves no
-    live entry. Each entry is accepted at the first doubling where it passes
-    `_converged` against its own previous estimate, and then leaves `live`.
-    Returns lists of the accepted estimates, the doubling k at which each
-    was accepted, and its last-doubling delta. If an entry is still live at
-    the cap, QuadratureError carries failure(index, k) as its message and
-    the last two estimates of the first such entry.
+    `size` estimates at n * 2**k nodes; only the entries that the boolean
+    array `live` marks are read, so an estimator may skip work that serves
+    no live entry. An entry is accepted at the first doubling where it
+    differs from its own previous estimate by less than tol, relative when
+    its magnitude exceeds 1 and absolute below (one array test over the live
+    entries; a NaN never passes), and then leaves `live`. Returns lists of
+    the accepted estimates, the doubling k at which each was accepted, and
+    its last-doubling delta. If an entry is still live at the cap,
+    QuadratureError carries failure(index, k) as its message and the last
+    two estimates of the first such entry.
     """
-    value, step, delta = [0j] * size, [0] * size, [0.0] * size
-    live = set(range(size))
+    value = np.zeros(size, dtype=complex)
+    step = np.zeros(size, dtype=int)
+    delta = np.zeros(size)
+    live = np.ones(size, dtype=bool)
     prev = old = estimate(0, live)
     k = 0
-    while live and n << (k + 1) <= max_nodes:
+    while live.any() and n << (k + 1) <= max_nodes:
         k += 1
         new = estimate(k, live)
-        for i in sorted(live):
-            if _converged(new[i], old[i], tol):
-                value[i], step[i], delta[i] = new[i], k, abs(new[i] - old[i])
-                live.remove(i)
+        diff = _modulus(new - old)
+        done = live & (diff < tol * np.maximum(1.0, _modulus(new)))
+        value[done], step[done], delta[done] = new[done], k, diff[done]
+        live &= ~done
         old, prev = new, old
-    if live:
-        i = min(live)
+    if live.any():
+        i = int(np.argmax(live))
         raise QuadratureError(failure(i, k), (prev[i], old[i]))
-    return value, step, delta
+    return list(value), step.tolist(), list(delta)
 
 
 def _single(estimate, contours, max_nodes, tol, full_output, what):

@@ -12,7 +12,8 @@ from itertools import combinations
 import numpy as np
 
 from . import kernels, macdonald, measures, quadrature, symfunc
-from .partitions import enumerate_up_to_weight, is_even_conjugate, subpartitions
+from .partitions import (enumerate_up_to_weight, even_conjugate_subpartitions,
+                         subpartitions)
 from .pfaffian import (_pfaffian_expand, _pfaffian_ltl, pfaffian,
                        verify_schur_pfaffian)
 from .symfunc import Specialization
@@ -64,13 +65,18 @@ def battery_symfunc(seed=0, tol=1e-10):
         worst = max(worst, abs(h0 - exp0))
     rows.append(_row("H, H0 product vs exponential", worst, 1e-12))
 
-    # sum of Schur over even-conjugate shapes converges to H0
+    # sum of Schur over even-conjugate shapes converges to H0. In two
+    # variables those of weight at most 60 are (a, a), a <= 30, the
+    # subpartitions of (30, 30) with even conjugate; H0 = 1/(1 - x1 x2), and
+    # the shapes above weight 60 add the tail (x1 x2)^31/(1 - x1 x2), at most
+    # 0.36^31/0.64 ~ 2.7e-14 here
     xv = rng.uniform(0.1, 0.6, 2)
     X = Specialization(xv)
     target = symfunc.H0(X)
-    total = sum(symfunc.schur(mu, X)
-                for mu in enumerate_up_to_weight(40, 2) if is_even_conjugate(mu))
-    rows.append(_row("even-conjugate Schur sum -> H0", abs(total - target), 1e-10))
+    total = sum(symfunc.schur(mu, X) for mu in even_conjugate_subpartitions((30, 30)))
+    x12 = float(np.prod(xv))
+    rows.append(_row("even-conjugate Schur sum -> H0", abs(total - target), 1e-10,
+                     {"tail_bound": x12 ** 31 / (1 - x12)}))
     return rows
 
 
@@ -285,11 +291,14 @@ def battery_pfaffian(seed=0, tol=1e-9):
 
 # each correlation route's diagnostics, in report order: the oracle's
 # weight cap, truncation diagnostic and partition-list size; the kernel's
-# skew defect, largest last-doubling delta and per-entry node counts;
-# q-extraction's q-circle radius, node counts and last-doubling delta
+# skew defect, largest last-doubling delta, per-entry node counts, circle
+# radii and the circle nodes at which its slot factors were evaluated;
+# q-extraction's q-circle radius, node counts, last-doubling delta and
+# evaluated grid points
 _ROUTE_DIAGNOSTICS = {"oracle": ("L", "truncation_diagnostic", "partitions"),
-                      "kernel": ("defect", "max_last_delta", "nodes"),
-                      "q-extraction": ("rq", "nodes", "last_delta")}
+                      "kernel": ("defect", "max_last_delta", "nodes", "radii",
+                                 "node_evaluations"),
+                      "q-extraction": ("rq", "nodes", "last_delta", "grid_points")}
 
 
 def correlation_row(method, spec, T, cfg, L):

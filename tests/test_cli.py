@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pfschur import macdonald
+from pfschur import kernels, macdonald
 from pfschur.cli import main
 from pfschur.measures import ProcessSpec, correlation_oracle, truncation_diagnostic
 from pfschur.partitions import enumerate_up_to_weight
@@ -244,6 +244,17 @@ def test_golden_report_regression(tmp_path):
     assert got["diagnostics"]["nodes"] == want["diagnostics"]["nodes"]
 
 
+def test_kernel_row_reports_its_radii_and_node_evaluations(tmp_path):
+    out = tmp_path / "report.json"
+    assert run_cli(["correlate", "--config", str(CONFIGS / "m1_singleton.json"),
+                    "--method", "kernel", "--out", str(out)]) == 0
+    diagnostics = read_report(out)["results"][0]["diagnostics"]
+    spec = ProcessSpec([[0.5]], [[0.5]])
+    assert diagnostics["radii"] == kernels.default_radii(spec)
+    # k11, k12_w_gt and k22 at 64 nodes, then only their 64 new nodes at 128
+    assert diagnostics["node_evaluations"] == 3 * 128
+
+
 def test_compare_with_sweep_flag(tmp_path):
     out = tmp_path / "report.json"
     assert run_cli(["compare", "--config", str(CONFIGS / "m1_singleton.json"),
@@ -396,6 +407,8 @@ CONFIG_FAULTS = {
         "process": {**_BASE["process"], "rho_zero": [[0.5]]}, "points": [[1, 0]]},
     "leftover quadrature section": {
         **_BASE, "quadrature": {"tol": 1e-9, "start_nodes": 64}},
+    "two kernel faults": {
+        **_BASE, "kernel": {"sign_convention": None, "start_nodes": 48}},
 }
 # the config-error line of faults whose text names the field and the value
 FAULT_LINES = {
@@ -416,6 +429,8 @@ FAULT_LINES = {
     "misspelled kernel key": "config error: kernel.sign_conventoin: unknown key",
     "extra process key": "config error: process.rho_zero: unknown key",
     "leftover quadrature section": "config error: quadrature: unknown key",
+    "two kernel faults": "config error: kernel: unknown sign convention None; "
+                         "start_nodes must be a power of two >= 8",
 }
 
 
@@ -482,7 +497,7 @@ def test_correlate_q_extraction(tmp_path):
                     "--method", "q-extraction", "--out", str(out)]) == 0
     row, = read_report(out)["results"]
     assert row["method"] == "q-extraction"
-    assert set(row["diagnostics"]) == {"rq", "nodes", "last_delta"}
+    assert set(row["diagnostics"]) == {"rq", "nodes", "last_delta", "grid_points"}
     spec = ProcessSpec([[0.5, 0.25]], [[0.5, 0.25]])
     assert abs(row["value"] - correlation_oracle(spec, [(1, 0), (1, 2)], L=40)) < 1e-3
 

@@ -1,9 +1,11 @@
-"""The FFT form of the kernel blocks against the dense core product.
+"""The one-pass kernel assembly against the dense core product.
 
-`kernels._estimate` evaluates each circle's weighted slot columns once and
-sums every block's coupling (z - w)/(zw - 1) on them as a rank-one term plus
-a Hankel convolution (`kernels._coupled_block`); `quadrature.estimate_bilinear`
-with `kernels._core` evaluates the same trapezoid sum on the dense n x n grid.
+`kernels._Assembly.estimate` evaluates the slot columns of every circle a
+live block reads in one broadcast and sums every block's coupling
+(z - w)/(zw - 1) on them as a rank-one term plus a Hankel convolution;
+`quadrature.estimate_bilinear` with `kernels._core` evaluates the same
+trapezoid sum on the dense n x n grid, from columns built with the per-entry
+route's slot factors (`kernels._rational`).
 """
 
 import tracemalloc
@@ -21,54 +23,74 @@ SPEC = ProcessSpec([[0.4, 0.2], [0.3]], [[0.35], [0.25, 0.1]])
 # level-major, with points at both levels so both K12 blocks hold entries
 PTS = [(1, 0), (1, -3), (2, 2), (2, -5)]
 RADII = {"default": {}, "inadmissible": kernels._inadmissible_radii(SPEC)}
-ALL = set(range(3 * len(PTS) ** 2))
+ALL = np.ones(3 * len(PTS) ** 2, dtype=bool)
+K11 = np.arange(len(ALL)) % 3 == 0  # the K11 block alone reads only the k11 circle
 
 
-def _dense(circles, row, n, factors):
-    """A block's entries from the dense core, and for each entry the sum of
-    the moduli of its n^2 summands: the scale of its rounding error."""
-    zc, wc, sign, _, zcols, wcols = row
-    (rz, zside, zkeys), (rw, wside, wkeys) = circles[zc], circles[wc]
-    # one column pair per entry of the block
-    R = quad.estimate_bilinear(
-        kernels._core, lambda z: kernels._columns(z, zkeys, zside, factors)[:, zcols],
-        lambda w: kernels._columns(w, wkeys, wside, factors)[:, wcols],
-        quad.circle(rz), quad.circle(rw), n, n)
-    (z, wz), (w, ww) = (quad.nodes_weights(quad.Circle(0j, r), n)
-                        for r in (rz, rw))
-    A = np.abs(kernels._columns(z, zkeys, zside, factors) * wz[:, None])
-    B = np.abs(kernels._columns(w, wkeys, wside, factors) * ww[:, None])
-    scale = A.T @ np.abs(kernels._core(z[:, None], w[None, :])) @ B
-    return sign * R, scale[zcols, wcols]
+def _dense(cfg, n):
+    """Every entry from the dense core, and for each entry the sum of the
+    moduli of its n^2 summands: the scale of its rounding error."""
+    radii = kernels._resolved_radii(SPEC, cfg)
+    num1, den1, num2, den2 = kernels._slot_values(SPEC)
+
+    def outer(lvl, t):
+        return lambda z: kernels._rational(z, num1[lvl], den1[lvl]) * z ** (-t) / (z * z - 1)
+
+    def inner(lvl, t):
+        return lambda z: kernels._rational(z, num2[lvl], den2[lvl]) * z ** (-t) / z
+    groups = {}  # (z circle, w circle) -> entries, z columns, w columns
+    d = len(PTS)
+    for p, (i, ti) in enumerate(PTS):
+        for q, (j, tj) in enumerate(PTS):
+            wc, a, b = kernels._k12_variant(i, j, cfg)
+            e = 3 * (d * p + q)
+            for key, entry in ((("k11", "k11"), (e, outer(i, ti), outer(j, tj))),
+                               (("k11", wc), (e + 1, outer(a, ti), inner(b, tj))),
+                               (("k22", "k22"), (e + 2, inner(i, ti), inner(j, tj)))):
+                groups.setdefault(key, []).append(entry)
+    ref, scale = np.zeros(len(ALL), dtype=complex), np.zeros(len(ALL))
+    sign = {"k11": 1.0, "k22": kernels._k22_sign(cfg)}
+    for (zc, wc), group in groups.items():
+        entries, gz, gw = zip(*group)
+        entries = list(entries)
+
+        def cols(fs):
+            return lambda z: np.stack([f(z) for f in fs], axis=1)
+        ref[entries] = sign[zc] * quad.estimate_bilinear(
+            kernels._core, cols(gz), cols(gw), quad.circle(radii[zc]),
+            quad.circle(radii[wc]), n, n)
+        (z, wz), (w, ww) = (quad.nodes_weights(quad.Circle(0j, radii[c]), n)
+                            for c in (zc, wc))
+        A = np.abs(cols(gz)(z) * wz[:, None])
+        B = np.abs(cols(gw)(w) * ww[:, None])
+        scale[entries] = np.einsum("ae,ab,be->e", A,
+                                   np.abs(kernels._core(z[:, None], w[None, :])), B)
+    return ref, scale
 
 
 @pytest.mark.parametrize("n", [64, 256, 1024])
 @pytest.mark.parametrize("radii", RADII)
 def test_fft_grids_match_the_dense_core(radii, n):
     cfg = KernelConfig(sign_convention=SIGN_BR, radii=RADII[radii])
-    circles, table, factors = kernels._layout(SPEC, PTS, cfg)
+    asm = kernels._Assembly(SPEC, PTS, cfg)
     # K11, K12 at |zw| < 1, K12 at |zw| > 1, K22
-    assert [row[:2] for row in table] == [("k11", "k11"), ("k11", "k12_w_lt"),
-                                          ("k11", "k12_w_gt"), ("k22", "k22")]
-    r11 = circles["k11"][0]
-    assert r11 * circles["k12_w_lt"][0] < 1 < r11 * circles["k12_w_gt"][0]
-    fft = kernels._estimate(n, ALL, circles, table, factors)
-    for row in table:
-        entries = row[3]
-        dense, scale = _dense(circles, row, n, factors)
-        assert len(entries) > 0
-        # relative to the summands: under the inadmissible reading every K11
-        # entry is 0 analytically, and both sums are rounding noise
-        assert np.all(np.abs(fft[entries] - dense) <= 1e-12 * scale)
+    assert [[kernels._CIRCLES[c] for c in b[:2]] for b in asm.blocks] == [
+        ["k11", "k11"], ["k11", "k12_w_lt"], ["k11", "k12_w_gt"], ["k22", "k22"]]
+    r11 = asm.radii["k11"]
+    assert r11 * asm.radii["k12_w_lt"] < 1 < r11 * asm.radii["k12_w_gt"]
+    fft = asm.estimate(n, ALL)
+    dense, scale = _dense(cfg, n)
+    # relative to the summands: under the inadmissible reading every K11
+    # entry is 0 analytically, and both sums are rounding noise
+    assert np.all(np.abs(fft - dense) <= 1e-12 * scale)
 
 
 def test_fft_grid_builds_no_node_by_node_array():
-    circles, table, factors = kernels._layout(SPEC, PTS, KernelConfig())
-    k11 = set(table[0][3])  # the K11 block alone reads only the k11 circle
-    kernels._estimate(64, k11, circles, table, factors)  # numpy's FFT plan caches fill
+    asm = kernels._Assembly(SPEC, PTS, KernelConfig())
+    asm.estimate(64, K11)  # numpy's FFT plan caches fill
     tracemalloc.start()
     try:
-        kernels._estimate(8192, k11, circles, table, factors)
+        asm.estimate(8192, K11)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -76,39 +98,64 @@ def test_fft_grid_builds_no_node_by_node_array():
     assert peak < 4 * 2 ** 20
 
 
-def test_each_circle_is_evaluated_once_per_doubling(monkeypatch):
-    calls = []
-    columns, nodes_weights = kernels._columns, quad.nodes_weights
+def test_the_estimate_after_a_doubling_is_a_fresh_estimate():
+    # the n-node columns are kept as the 2n-node columns [::2], so the
+    # estimate at 2n is the one a fresh assembly makes, bit for bit, also
+    # when a block has left the pass in between
+    cfg = KernelConfig()
+    kept = kernels._Assembly(SPEC, PTS, cfg)
+    for n, live in ((64, ALL), (128, ALL), (256, ~K11), (512, K11), (1024, K11)):
+        doubled = kept.estimate(n, live)
+        fresh = kernels._Assembly(SPEC, PTS, cfg).estimate(n, live)
+        assert np.array_equal(doubled, fresh), n
 
-    def spy_columns(z, keys, side, factors):
-        calls.append(("columns", len(z), abs(z[0])))
-        return columns(z, keys, side, factors)
+
+def test_each_circle_is_evaluated_once_per_doubling(monkeypatch):
+    # at most once per doubling, and each node of it once per assembly
+    evaluated, passes = [], []
+    columns, nodes_weights = kernels._Assembly._columns, quad.nodes_weights
+
+    def spy_columns(self, z, plan):
+        evaluated.extend(z.T.ravel())
+        return columns(self, z, plan)
 
     def spy_nodes_weights(c, n):
-        calls.append(("nodes_weights", n, c.radius))
+        passes.append((n, tuple(np.atleast_1d(c.radius))))
         return nodes_weights(c, n)
-    monkeypatch.setattr(kernels, "_columns", spy_columns)
+    monkeypatch.setattr(kernels._Assembly, "_columns", spy_columns)
     monkeypatch.setattr(quad, "nodes_weights", spy_nodes_weights)
-    kernels.assemble_kernel(SPEC, PointSet(PTS), KernelConfig())
-    # no circle twice at one node count, and all four read at the first
-    assert len(calls) == len(set(calls))
-    per_doubling = Counter((what, n) for what, n, _ in calls)
-    assert per_doubling[("columns", 64)] == per_doubling[("nodes_weights", 64)] == 4
-    assert len(per_doubling) >= 4  # at least one doubling of each
+    S, info = kernels.assemble_kernel(SPEC, PointSet(PTS), KernelConfig(),
+                                      full_output=True)
+    # one call for all circles per doubling, all four read at the first
+    assert [n for n, _ in passes] == [64 << k for k in range(len(passes))]
+    assert len(passes[0][1]) == 4 and len(passes) >= 2
+    # no node twice, and every node of each circle at the last count it was read
+    assert max(Counter(evaluated).values()) == 1
+    last = {r: n for n, radii in passes for r in radii}
+    want = np.concatenate([nodes_weights(quad.Circle(0j, r), n)[0]
+                           for r, n in last.items()])
+    assert set(evaluated) == set(want)
+    assert info["node_evaluations"] == len(evaluated) == sum(last.values())
 
 
 def test_each_circle_side_is_transformed_once_per_doubling(monkeypatch):
-    # K11 and both K12 blocks read the k11 circle's z side, K11 also its w
-    # side: 6 distinct transforms for the 4 blocks, not 2 per block
+    # K11 and both K12 blocks read the k11 circle's z side, K22 the k22
+    # circle's: one ifft over those columns, one over every w-side column,
+    # and one fft for the four blocks' h^
     spec = ProcessSpec([[0.4, 0.2], [0.3]], [[0.35], [0.25, 0.1]])
     pts = [(1, 0), (1, 2), (2, -1), (2, 1)]
-    circles, table, factors = kernels._layout(spec, pts, KernelConfig())
-    assert len(table) == 4
-    sizes, ifft = [], np.fft.ifft
+    asm = kernels._Assembly(spec, pts, KernelConfig())
+    assert len(asm.blocks) == 4
+    calls = []
 
-    def spy(a, *args, **kwargs):
-        sizes.append(len(a))
-        return ifft(a, *args, **kwargs)
-    monkeypatch.setattr(np.fft, "ifft", spy)
-    kernels._estimate(64, set(range(3 * len(pts) ** 2)), circles, table, factors)
-    assert sizes == [64] * 6
+    def spy(name, transform):
+        def f(a, *args, **kwargs):
+            calls.append((name, a.shape))
+            return transform(a, *args, **kwargs)
+        return f
+    monkeypatch.setattr(np.fft, "ifft", spy("ifft", np.fft.ifft))
+    monkeypatch.setattr(np.fft, "fft", spy("fft", np.fft.fft))
+    asm.estimate(64, np.ones(3 * len(pts) ** 2, dtype=bool))
+    count = Counter(asm.col_circle.tolist())
+    assert calls == [("ifft", (64, count[0] + count[3])),
+                     ("ifft", (64, len(asm.col_circle))), ("fft", (64, 4))]

@@ -79,6 +79,61 @@ def test_nonconvergence_raises_with_estimates():
     assert len(exc.value.estimates) == 2
 
 
+def _converge_by_entry(estimate, size, n, max_nodes, tol, failure):
+    """The doubling loop written entry by entry: the reference for
+    `quadrature.converge`'s one array test per doubling."""
+    value, step, delta = [0j] * size, [0] * size, [0.0] * size
+    live = set(range(size))
+    prev = old = estimate(0, live)
+    k = 0
+    while live and n << (k + 1) <= max_nodes:
+        k += 1
+        new = estimate(k, live)
+        for i in sorted(live):
+            if abs(new[i] - old[i]) < tol * max(1.0, abs(new[i])):
+                value[i], step[i], delta[i] = new[i], k, abs(new[i] - old[i])
+                live.remove(i)
+        old, prev = new, old
+    if live:
+        i = min(live)
+        raise QuadratureError(failure(i, k), (prev[i], old[i]))
+    return value, step, delta
+
+
+def _table(seed, size=60, doublings=9):
+    """Estimates per doubling that settle at their own rates, on scales
+    either side of 1, with NaN and infinite estimates among them."""
+    rng = np.random.default_rng(seed)
+    target = 10.0 ** rng.uniform(-4, 4, size) * np.exp(2j * np.pi * rng.random(size))
+    error = 10.0 ** rng.uniform(-10, 0, size) * np.exp(2j * np.pi * rng.random(size))
+    rate = 10.0 ** -rng.uniform(1, 4, size)
+    table = target + error * rate ** np.arange(doublings)[:, None]
+    table[0, 3] = table[2, 4] = np.nan
+    table[1, 5] = np.inf
+    table[:, 6] = np.nan  # never converges
+    return table
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_converge_accepts_as_the_entrywise_loop_does(seed):
+    table = _table(seed)
+
+    def run(converge, table, size):
+        return converge(lambda k, live: table[k], size, 8, 8 << (len(table) - 1),
+                        1e-8, lambda i, k: f"entry {i} at doubling {k}")
+    with pytest.raises(QuadratureError) as want:
+        run(_converge_by_entry, table, table.shape[1])
+    with pytest.raises(QuadratureError) as got:
+        run(quadrature.converge, table, table.shape[1])
+    assert str(got.value) == str(want.value) == "entry 6 at doubling 8"
+    assert np.array_equal(got.value.estimates, want.value.estimates, equal_nan=True)
+    table = np.delete(table, 6, axis=1)
+    want = run(_converge_by_entry, table, table.shape[1])
+    got = run(quadrature.converge, table, table.shape[1])
+    assert got[1] == want[1] and len(set(want[1])) > 3
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
+
+
 def test_estimate_bilinear_is_entrywise_dense_sum_in_row_chunks(monkeypatch):
     sizes = []
 

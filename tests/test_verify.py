@@ -23,7 +23,8 @@ def test_sign_adjudication_flips_only_the_sign(monkeypatch):
 
 
 def test_symfunc_battery_passes_on_every_seed():
-    failed = [(seed, row["name"]) for seed in range(60)
+    # at 182 and 783 the even-conjugate shapes above weight 40 add more than 1e-10
+    failed = [(seed, row["name"]) for seed in [*range(60), 182, 783]
               for row in verify.battery_symfunc(seed) if not row["pass"]]
     assert failed == []
 
