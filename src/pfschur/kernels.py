@@ -23,18 +23,22 @@ G_z^T (W C W) G_w whose columns are the points' slot factors and powers;
 K21 is -K12^T. On trapezoid nodes of origin-centered circles the core C is
 a rank-one term plus a Hankel matrix, so each block is summed by FFT in
 O(n log n) per column, with no n x n array (the dense `_core` is its tested
-reference). Each doubling is one array pass (`_Assembly.estimate`) over the
+reference). A pass (`_Assembly._pass`) is one array evaluation of the
 circles that the blocks with an unconverged entry read: one
 `quadrature.nodes_weights` call on their radii, one broadcast for all their
 slot factors and columns, one ifft per side of the blocks, one fft for every
-block's Hankel symbol and one matrix product per block; the blocks that read
-a circle share its columns (K11 and both K12 blocks read k11). The n
-trapezoid nodes of a circle are its 2n nodes [::2] bit for bit, so a
-doubling keeps the columns it has and evaluates the slot factors only at the
-new odd nodes: each node of a circle is evaluated once per assembly. The
-node count doubles for all circles together, each entry is accepted at the
-first doubling where it converges, and a block, or a circle no open block
-reads, is no longer evaluated once every entry on it has converged.
+block's Hankel symbol and one matrix product per block and node count; the
+blocks that read a circle share its columns (K11 and both K12 blocks read
+k11). The n trapezoid nodes of a circle are its 2n nodes [::2] bit for bit,
+so the n-node transforms are the 2n-node ones folded in half (Trefethen &
+Weideman, SIAM Rev. 56, 2014), and the first pass evaluates 4 x start_nodes
+nodes per circle and serves the estimates at start_nodes, twice that and
+four times that. Each later pass serves one doubling: it keeps the columns
+it has and evaluates the slot factors only at the new odd nodes, so each
+node of a circle is evaluated once per assembly. The node count doubles for
+all circles together, each entry is accepted at the first doubling where it
+converges, and a block, or a circle no open block reads, is no longer
+evaluated once every entry on it has converged.
 `kernel_entry_process` keeps the literal per-entry integrand on
 `quadrature.integrate2` as the independent check.
 
@@ -295,7 +299,7 @@ def _padded(rows):
 class _Assembly:
     """One kernel assembly over the points pts: index arrays built once, and
     `estimate`, which evaluates every block that holds a live entry in one
-    array pass per node count.
+    array pass for the first three node counts and one per count after.
 
     A column is one (level, t) that a block reads on a circle: the level's
     slot factor on that circle times z^{-t}, times 1/(z^2 - 1) on the outer
@@ -354,8 +358,11 @@ class _Assembly:
         self.row_circle = np.array([c for c, _ in rows], dtype=int)
         self.nums = _padded([(num1 if c == 0 else num2)[lvl] for c, lvl in rows])
         self.dens = _padded([(den1 if c == 0 else den2)[lvl] for c, lvl in rows])
+        self.max_nodes = cfg.max_nodes
         self.node_evaluations = 0
         self._plans = {}
+        # the blocks of the last pass, and its estimates per node count
+        self._served = (), {}
         # the last node count, and the columns held at it, unweighted
         self._n, self._held, self._U = 0, np.zeros(len(cols), dtype=bool), None
 
@@ -422,44 +429,82 @@ class _Assembly:
         entries in a boolean array over all 3 d^2), at n nodes per circle, in
         one flat array (0 for the other entries).
 
-        Each block is sum_ab A[a, p] _core(z_a, w_b) B[b, q] over the
-        weighted columns A on its z circle and B on its w circle, without the
-        n x n grid of the core. The core is -1/z + (z - 1/z) / (zw - 1), and
-        on the nodes z_a = r_z omega^a, w_b = r_w omega^b
-        (omega = exp(2 pi i/n)) the second denominator depends only on
-        (a + b) mod n: h[j] = 1/(r_z r_w omega^j - 1) = 1/(z_j w_0 - 1). The
-        Hankel sum over a + b is a convolution, so with h^ = fft(h) the block
-        is n ifft(A (z - 1/z))^T diag(h^) ifft(B) plus the rank-one term of
-        -1/z: O(n log n) per column (Trefethen & Weideman, SIAM Rev. 56,
-        2014). One call gives the nodes and weights of every circle the live
-        blocks read, one broadcast their columns, one ifft transforms every
-        z-side column and one every w-side column, one fft gives every
-        block's h^, and each block is one matrix product.
+        An estimate that the last pass served is handed out from it. Any
+        other starts a pass (`_pass`): the first pass of an assembly
+        evaluates 4n nodes per circle, or 2n if 4n exceeds max_nodes, and
+        serves every count from there down to n; a later pass evaluates n
+        nodes and serves n.
         """
         est = np.zeros(self.size, dtype=complex)
         live = tuple(k for k, b in enumerate(self.blocks) if live[b[2]].any())
         if not live:
             return est
+        blocks, served = self._served
+        if n not in served or not set(live) <= set(blocks):
+            fine = n
+            while not self._n and fine < 4 * n and 2 * fine <= self.max_nodes:
+                fine *= 2
+            blocks, served = self._served = live, self._pass(fine, n, live)
+        for k in live:
+            entries = self.blocks[k][2]
+            est[entries] = served[n][entries]
+        return est
+
+    def _pass(self, N, n, live):
+        """One evaluation of the blocks numbered `live` at N nodes per
+        circle, and their estimates at N, N/2, ... down to n nodes, as
+        {count: estimates}.
+
+        Each block is sum_ab A[a, p] _core(z_a, w_b) B[b, q] over the
+        weighted columns A on its z circle and B on its w circle, without the
+        N x N grid of the core. The core is -1/z + (z - 1/z) / (zw - 1), and
+        on the nodes z_a = r_z omega^a, w_b = r_w omega^b
+        (omega = exp(2 pi i/N)) the second denominator depends only on
+        (a + b) mod N: h[j] = 1/(r_z r_w omega^j - 1) = 1/(z_j w_0 - 1). The
+        Hankel sum over a + b is a convolution, so with h^ = fft(h) the block
+        is N ifft(A (z - 1/z))^T diag(h^) ifft(B) plus the rank-one term of
+        -1/z: O(N log N) per column (Trefethen & Weideman, SIAM Rev. 56,
+        2014). One call gives the nodes and weights of every circle the live
+        blocks read, one broadcast their columns, one ifft transforms every
+        z-side column and one every w-side column, one fft gives every
+        block's h^, and each block is one matrix product.
+
+        The m = N/s nodes of a circle are its N nodes [::s] and their weights
+        s times the N-node weights, so the m-node transforms need no new
+        evaluation: ifft_m(x[::s]) is ifft_N(x) folded, X.reshape(s, m).sum(0),
+        and m fft_m(h[::s]) is N fft_N(h) folded and divided by s^2. The
+        factors s of the two iffts and 1/s^2 of h^ cancel in each block, so
+        the transforms are folded in half per count and not scaled; the
+        rank-one sums are s times sums over the strided rows.
+        """
         if live not in self._plans:
             self._plans[live] = self._plan(live)
         plan = self._plans[live]
-        z, wz = quad.nodes_weights(quad.Circle(0j, plan.radius), n)
-        A = self._unweighted(n, z, plan) * wz[:, plan.col_on]
+        z, wz = quad.nodes_weights(quad.Circle(0j, plan.radius), N)
+        A = self._unweighted(N, z, plan) * wz[:, plan.col_on]
         zi = 1 / z
+        strides = [1 << k for k in range((N // n).bit_length())]
         Az = A[:, plan.zcols]
-        a = np.einsum("ij,ij->j", zi[:, plan.zon], Az)
+        a = [s * np.einsum("ij,ij->j", zi[::s, plan.zon], Az[::s]) for s in strides]
         Az = np.fft.ifft(Az * (z - zi)[:, plan.zon], axis=0)
         Bw = A[:, plan.wcols]
-        b = Bw.sum(axis=0)
+        b = [s * Bw[::s].sum(axis=0) for s in strides]
         Bw = np.fft.ifft(Bw, axis=0)
         _, zon, won, _, _ = zip(*plan.blocks)
-        # n is a power of two, so scaling h^ by it is exact
-        h_hat = n * np.fft.fft(1 / (z[:, zon] * z[0, won] - 1), axis=0)
-        for h, (k, _, _, zs, ws) in zip(h_hat.T, plan.blocks):
-            entries, zcols, wcols = self.blocks[k][2:]
-            block = (Az[:, zs] * h[:, None]).T @ Bw[:, ws] - a[zs, None] * b[ws]
-            est[entries] = block[zcols, wcols]
-        return est * self.sign
+        # N is a power of two, so scaling h^ by it is exact
+        h_hat = N * np.fft.fft(1 / (z[:, zon] * z[0, won] - 1), axis=0)
+        served = {}
+        for s, a_s, b_s in zip(strides, a, b):
+            if s > 1:
+                Az, Bw, h_hat = (x[:len(x) // 2] + x[len(x) // 2:]
+                                 for x in (Az, Bw, h_hat))
+            est = np.zeros(self.size, dtype=complex)
+            for h, (k, _, _, zs, ws) in zip(h_hat.T, plan.blocks):
+                entries, zcols, wcols = self.blocks[k][2:]
+                block = (Az[:, zs] * h[:, None]).T @ Bw[:, ws] - a_s[zs, None] * b_s[ws]
+                est[entries] = block[zcols, wcols]
+            served[N // s] = est * self.sign
+        return served
 
 
 def assemble_kernel(spec, T, cfg=None, full_output=False):
@@ -471,12 +516,16 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
     k22 x k22) and K21 is -K12^T. All circles double their node count
     together from cfg.start_nodes; each entry keeps its estimate and node
     count from the first doubling at which it converges to cfg.quad_tol, so
-    the per-entry `nodes` match the per-entry route. An entry not converged
-    at cfg.max_nodes raises QuadratureError naming it. full_output adds the
-    points, the per-entry node counts, the skew projection defect,
-    `max_last_delta`, the largest last-doubling delta over all entries, the
-    four circles' `radii` and `node_evaluations`, the circle nodes at which
-    slot factors were evaluated.
+    the per-entry `nodes` match the per-entry route. The first pass
+    evaluates 4 x cfg.start_nodes nodes per circle (2 x when cfg.max_nodes
+    allows no more) and gives the estimates at the first three counts; each
+    later pass gives one doubling. An entry not converged at cfg.max_nodes
+    raises QuadratureError naming it. full_output adds the points, the
+    per-entry node counts, the skew projection defect, `max_last_delta`, the
+    largest last-doubling delta over all entries, the four circles' `radii`
+    and `node_evaluations`, the circle nodes at which slot factors were
+    evaluated: the first pass's count for every circle it read, even where
+    every entry converges at a lower count.
     """
     cfg = cfg or KernelConfig()
     cfg.validate()
@@ -517,23 +566,35 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
 
 def correlation_via_kernel(spec, T, cfg=None, full_output=False):
     """Pfaffian of the assembled kernel; the imaginary part is pure
-    quadrature noise and is reported alongside, with the assembly's skew
-    `defect`, `max_last_delta`, per-entry `nodes`, `radii` and
-    `node_evaluations`."""
+    quadrature noise and is reported alongside, with the assembled `matrix`
+    (a SkewMatrix) and the assembly's skew `defect`, `max_last_delta`,
+    per-entry `nodes`, `radii` and `node_evaluations`."""
     cfg = cfg or KernelConfig()
     if not isinstance(T, PointSet):
         T = PointSet(T)
     if not T.points:
-        return ((1.0, {"imag_defect": 0.0, "defect": 0.0, "max_last_delta": 0.0,
-                       "nodes": {}, "radii": {}, "node_evaluations": 0})
+        return ((1.0, {"imag_defect": 0.0, "matrix": SkewMatrix(np.zeros((0, 0))),
+                       "defect": 0.0, "max_last_delta": 0.0, "nodes": {},
+                       "radii": {}, "node_evaluations": 0})
                 if full_output else 1.0)
     if not full_output:
         return pfaffian(assemble_kernel(spec, T, cfg)).real
     S, info = assemble_kernel(spec, T, cfg, full_output=True)
     pf = pfaffian(S)
-    out = {"imag_defect": abs(pf.imag), **{k: info[k] for k in (
+    out = {"imag_defect": abs(pf.imag), "matrix": S, **{k: info[k] for k in (
         "defect", "max_last_delta", "nodes", "radii", "node_evaluations")}}
     return pf.real, out
+
+
+def with_other_k22_sign(S):
+    """The matrix of the assembled kernel S under the other K22 sign
+    convention: S's with its K22 block negated. The sign multiplies the K22
+    entries and nothing else, and `quadrature.converge` tests only moduli,
+    so the other convention's assembly accepts every entry at the same node
+    count and gives this matrix bit for bit."""
+    K = S.matrix.copy()
+    K[1::2, 1::2] = -K[1::2, 1::2]
+    return K
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ All integrals are normalized by 1/(2*pi*i): `integrate(f, c)` approximates
 (1/(2*pi*i)) oint_c f(z) dz.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -137,12 +138,20 @@ def _batch(contours):
                                  for v in (circ.center, circ.radius)))
 
 
+@functools.lru_cache(maxsize=32)
+def _roots_of_unity(n):
+    """exp(2 pi i k/n) for k < n, computed once per n and read-only."""
+    theta = 2 * np.pi * np.arange(n) / n
+    unit = np.exp(1j * theta)
+    unit.flags.writeable = False
+    return unit
+
+
 def nodes_weights(c: Circle, n):
     """The n trapezoid nodes of one circle and their weights, each of shape
     (n,) + the circle's batch shape."""
-    theta = 2 * np.pi * np.arange(n) / n
     batch_axes = np.broadcast(c.center, c.radius).ndim
-    unit = np.exp(1j * theta).reshape((n,) + (1,) * batch_axes)
+    unit = _roots_of_unity(n).reshape((n,) + (1,) * batch_axes)
     z = c.center + c.radius * unit
     # (1/2pi i) oint f dz = (1/n) sum f(z_k) (z_k - center), signed by orientation
     w = c.orientation * (z - c.center) / n

@@ -6,7 +6,6 @@ assert on them. Randomness is driven by an explicit seed for reproducible
 reports.
 """
 
-from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -250,22 +249,34 @@ def battery_partition_function(spec, L, tol=1e-8):
 # Pfaffian core
 # ---------------------------------------------------------------------------
 
+def _evaluated(dims, routes=1):
+    """A row's evaluation counts: the Pfaffians it took (`pfaffians`), one
+    per route at each of the dimensions `dims`, which it lists."""
+    return {"pfaffians": routes * len(dims), "dims": list(dims)}
+
+
 def battery_pfaffian(seed=0, tol=1e-9):
+    """The Pfaffian core: Pf^2 = det, the Schur Pfaffian identity, the
+    expansion against the elimination, and the coupling-product
+    factorization. Each row carries the number of Pfaffians it evaluated
+    and their dimensions."""
     rng = np.random.default_rng(seed)
     rows = []
     worst = 0.0
-    for dim in range(2, 13, 2):
+    dims = range(2, 13, 2)
+    for dim in dims:
         A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         A = A - A.T
         det = np.linalg.det(A)
         worst = max(worst, abs(pfaffian(A) ** 2 - det) / abs(det))
-    rows.append(_row("Pf^2 = det, dims 2..12", worst, tol))
+    rows.append(_row("Pf^2 = det, dims 2..12", worst, tol, _evaluated(dims)))
 
     worst = 0.0
     for d in (1, 2, 3):
         u = (0.1 + 0.75 * rng.random(2 * d)) * np.exp(2j * np.pi * rng.random(2 * d))
         worst = max(worst, verify_schur_pfaffian(u))
-    rows.append(_row("Schur Pfaffian identity d<=3", worst, 1e-10))
+    rows.append(_row("Schur Pfaffian identity d<=3", worst, 1e-10,
+                     _evaluated([2, 4, 6])))
 
     worst = 0.0
     for dim in (4, 6, 8):
@@ -274,14 +285,16 @@ def battery_pfaffian(seed=0, tol=1e-9):
         pe = _pfaffian_expand(np.array(A))
         pl = _pfaffian_ltl(np.array(A))
         worst = max(worst, abs(pe - pl) / (abs(pe) + 1))
-    rows.append(_row("expansion vs elimination paths", worst, 1e-10))
+    rows.append(_row("expansion vs elimination paths", worst, 1e-10,
+                     _evaluated((4, 6, 8), routes=2)))
 
     worst = 0.0
     for d in (1, 2, 3):
         qs = (0.15 + 0.5 * rng.random(d)) * np.exp(2j * np.pi * rng.random(d))
         zs = (0.15 + 0.5 * rng.random(d)) * np.exp(2j * np.pi * rng.random(d))
         worst = max(worst, kernels.verify_principal_pfaffian_factorization(qs, zs))
-    rows.append(_row("coupling-product = Pf(M) factorization d<=3", worst, 1e-9))
+    rows.append(_row("coupling-product = Pf(M) factorization d<=3", worst, 1e-9,
+                     _evaluated([2, 4, 6])))
     return rows
 
 
@@ -301,11 +314,11 @@ _ROUTE_DIAGNOSTICS = {"oracle": ("L", "truncation_diagnostic", "partitions"),
                       "q-extraction": ("rq", "nodes", "last_delta", "grid_points")}
 
 
-def correlation_row(method, spec, T, cfg, L):
+def correlation_row(method, spec, T, cfg, L, full_output=False):
     """The report row {"T", "method", "value", "imag_defect", "diagnostics"}
     of one route to the correlation of the points T, the oracle summing to
-    weight L. q-extraction's input faults, a second level among them, are
-    ValueErrors."""
+    weight L; full_output adds the route's whole info dict. q-extraction's
+    input faults, a second level among them, are ValueErrors."""
     if not isinstance(T, measures.PointSet):
         T = measures.PointSet(T)
     if method == "oracle":
@@ -321,31 +334,34 @@ def correlation_row(method, spec, T, cfg, L):
         value, info = kernels.correlation_via_q_extraction(
             spec.rho_plus[0], spec.rho_minus[0], [t for _, t in T.points], cfg,
             full_output=True)
-    return {"T": T.to_json(), "method": method, "value": value,
-            "imag_defect": info["imag_defect"],
-            "diagnostics": {k: info[k] for k in _ROUTE_DIAGNOSTICS[method]
-                            if k in info}}
+    row = {"T": T.to_json(), "method": method, "value": value,
+           "imag_defect": info["imag_defect"],
+           "diagnostics": {k: info[k] for k in _ROUTE_DIAGNOSTICS[method]
+                           if k in info}}
+    return (row, info) if full_output else row
 
 
 def compare_methods(spec, T, cfg, L=30):
     """The oracle and the kernel row of the points T (`correlation_row`), the
     kernel row with its distance `delta_vs_oracle` from the oracle value,
     the oracle's truncation diagnostic, and the K22 sign adjudication: that
-    distance under cfg's sign convention and under the other one."""
+    distance under cfg's sign convention and under the other one. The
+    kernel is assembled once: the other convention's value is the Pfaffian
+    of the same matrix with its K22 block negated
+    (`kernels.with_other_k22_sign`)."""
     oracle = correlation_row("oracle", spec, T, cfg, L)
-    kernel = correlation_row("kernel", spec, T, cfg, L)
+    kernel, info = correlation_row("kernel", spec, T, cfg, L, full_output=True)
     delta = kernel["delta_vs_oracle"] = abs(kernel["value"] - oracle["value"])
-    flipped = replace(cfg, sign_convention=(
-        kernels.SIGN_BR if cfg.sign_convention == kernels.SIGN_PAPER
-        else kernels.SIGN_PAPER))
-    val_flip = kernels.correlation_via_kernel(spec, T, flipped)
+    val_flip = pfaffian(kernels.with_other_k22_sign(info["matrix"])).real
     return {
         "truncation_diagnostic": oracle["diagnostics"]["truncation_diagnostic"],
         "results": [oracle, kernel],
         "sign_adjudication": {
             "convention": cfg.sign_convention,
             "delta": delta,
-            "flipped_convention": flipped.sign_convention,
+            "flipped_convention": (kernels.SIGN_BR
+                                   if cfg.sign_convention == kernels.SIGN_PAPER
+                                   else kernels.SIGN_PAPER),
             "flipped_delta": abs(val_flip - oracle["value"]),
         },
     }

@@ -251,8 +251,9 @@ def test_kernel_row_reports_its_radii_and_node_evaluations(tmp_path):
     diagnostics = read_report(out)["results"][0]["diagnostics"]
     spec = ProcessSpec([[0.5]], [[0.5]])
     assert diagnostics["radii"] == kernels.default_radii(spec)
-    # k11, k12_w_gt and k22 at 64 nodes, then only their 64 new nodes at 128
-    assert diagnostics["node_evaluations"] == 3 * 128
+    # k11, k12_w_gt and k22 in one pass at 4 x 64 nodes, which also serves
+    # the estimates at 64 and 128, where every entry converges
+    assert diagnostics["node_evaluations"] == 3 * 256
 
 
 def test_compare_with_sweep_flag(tmp_path):
@@ -317,12 +318,17 @@ def test_verify_report_with_a_failing_row_exits_3(tmp_path, monkeypatch):
 
 def test_battery_rows_write_name_and_pass_once(tmp_path):
     out = tmp_path / "report.json"
-    assert run_cli(["verify-macdonald", "--config", str(CONFIGS / "m1_singleton.json"),
-                    "--out", str(out)]) == 0
-    results = read_report(out)["results"]
-    assert results and all({"name", "pass"} <= set(row) for row in results)
-    for row in results:
-        assert not {"name", "pass", "value"} & set(row["diagnostics"]), row
+    for command in ("verify-macdonald", "verify-pfaffian"):
+        assert run_cli([command, "--config", str(CONFIGS / "m1_singleton.json"),
+                        "--out", str(out)]) == 0
+        results = read_report(out)["results"]
+        assert results and all({"name", "pass"} <= set(row) for row in results)
+        for row in results:
+            assert not {"name", "pass", "value"} & set(row["diagnostics"]), row
+    # each verify-pfaffian row counts the Pfaffians it took and their dimensions
+    assert [(row["diagnostics"]["pfaffians"], row["diagnostics"]["dims"])
+            for row in results] == [(6, [2, 4, 6, 8, 10, 12]), (3, [2, 4, 6]),
+                                    (6, [4, 6, 8]), (3, [2, 4, 6])]
 
 
 def test_sweep_radii_command(tmp_path):

@@ -2,7 +2,8 @@
 
 `kernels._Assembly.estimate` evaluates the slot columns of every circle a
 live block reads in one broadcast and sums every block's coupling
-(z - w)/(zw - 1) on them as a rank-one term plus a Hankel convolution;
+(z - w)/(zw - 1) on them as a rank-one term plus a Hankel convolution, at
+the coarser counts of its first pass by folding the transforms;
 `quadrature.estimate_bilinear` with `kernels._core` evaluates the same
 trapezoid sum on the dense n x n grid, from columns built with the per-entry
 route's slot factors (`kernels._rational`).
@@ -68,7 +69,7 @@ def _dense(cfg, n):
     return ref, scale
 
 
-@pytest.mark.parametrize("n", [64, 256, 1024])
+@pytest.mark.parametrize("n", [64, 128, 256, 1024])
 @pytest.mark.parametrize("radii", RADII)
 def test_fft_grids_match_the_dense_core(radii, n):
     cfg = KernelConfig(sign_convention=SIGN_BR, radii=RADII[radii])
@@ -78,7 +79,11 @@ def test_fft_grids_match_the_dense_core(radii, n):
         ["k11", "k11"], ["k11", "k12_w_lt"], ["k11", "k12_w_gt"], ["k22", "k22"]]
     r11 = asm.radii["k11"]
     assert r11 * asm.radii["k12_w_lt"] < 1 < r11 * asm.radii["k12_w_gt"]
-    fft = asm.estimate(n, ALL)
+    # the counts in converge's order: the first pass evaluates 256 nodes and
+    # folds its transforms down to 128 and 64; 512 and 1024 are nested passes
+    counts = (64, 128, 256, 512, 1024)
+    for count in counts[:counts.index(n) + 1]:
+        fft = asm.estimate(count, ALL)
     dense, scale = _dense(cfg, n)
     # relative to the summands: under the inadmissible reading every K11
     # entry is 0 analytically, and both sums are rounding noise
@@ -98,20 +103,28 @@ def test_fft_grid_builds_no_node_by_node_array():
     assert peak < 4 * 2 ** 20
 
 
-def test_the_estimate_after_a_doubling_is_a_fresh_estimate():
-    # the n-node columns are kept as the 2n-node columns [::2], so the
-    # estimate at 2n is the one a fresh assembly makes, bit for bit, also
-    # when a block has left the pass in between
+def test_the_columns_kept_after_a_doubling_are_a_fresh_assemblys():
+    # the columns held at N nodes are kept as the 2N-node columns [::2], so
+    # after every pass they are what a fresh assembly evaluates at its
+    # count, bit for bit, also when a block has left the pass in between;
+    # the estimates served from them match the dense core
     cfg = KernelConfig()
     kept = kernels._Assembly(SPEC, PTS, cfg)
-    for n, live in ((64, ALL), (128, ALL), (256, ~K11), (512, K11), (1024, K11)):
-        doubled = kept.estimate(n, live)
-        fresh = kernels._Assembly(SPEC, PTS, cfg).estimate(n, live)
-        assert np.array_equal(doubled, fresh), n
+    for n, live in ((64, ALL), (128, ALL), (256, ~K11), (512, K11)):
+        est = kept.estimate(n, live)
+        fresh = kernels._Assembly(SPEC, PTS, cfg)
+        plan = fresh._plan(kept._served[0])
+        z, _ = quad.nodes_weights(quad.Circle(0j, plan.radius), kept._n)
+        assert kept._n == max(n, 256)
+        assert kept._U.tobytes() == fresh._columns(z, plan).tobytes(), n
+        dense, scale = _dense(cfg, n)
+        assert np.all(np.abs(est - dense)[live] <= 1e-12 * scale[live]), n
+        assert not est[~live].any()
 
 
-def test_each_circle_is_evaluated_once_per_doubling(monkeypatch):
-    # at most once per doubling, and each node of it once per assembly
+def _spy_passes(monkeypatch):
+    """The (n, radii) of every `nodes_weights` call and every node at which
+    `_Assembly._columns` evaluated slot factors, as they are made."""
     evaluated, passes = [], []
     columns, nodes_weights = kernels._Assembly._columns, quad.nodes_weights
 
@@ -124,10 +137,20 @@ def test_each_circle_is_evaluated_once_per_doubling(monkeypatch):
         return nodes_weights(c, n)
     monkeypatch.setattr(kernels._Assembly, "_columns", spy_columns)
     monkeypatch.setattr(quad, "nodes_weights", spy_nodes_weights)
-    S, info = kernels.assemble_kernel(SPEC, PointSet(PTS), KernelConfig(),
-                                      full_output=True)
-    # one call for all circles per doubling, all four read at the first
-    assert [n for n, _ in passes] == [64 << k for k in range(len(passes))]
+    return evaluated, passes
+
+
+def test_each_circle_is_evaluated_once_per_doubling(monkeypatch):
+    # the first pass evaluates 4 x 64 nodes per circle for the counts 64,
+    # 128 and 256, each later pass one doubling, and each node of a circle
+    # is evaluated once per assembly
+    nodes_weights = quad.nodes_weights
+    evaluated, passes = _spy_passes(monkeypatch)
+    # at 1e-10 some entries converge only at 512 nodes, a nested pass
+    S, info = kernels.assemble_kernel(SPEC, PointSet(PTS),
+                                      KernelConfig(quad_tol=1e-10), full_output=True)
+    # one call for all circles per pass, all four read at the first
+    assert [n for n, _ in passes] == [256 << k for k in range(len(passes))]
     assert len(passes[0][1]) == 4 and len(passes) >= 2
     # no node twice, and every node of each circle at the last count it was read
     assert max(Counter(evaluated).values()) == 1
@@ -138,10 +161,26 @@ def test_each_circle_is_evaluated_once_per_doubling(monkeypatch):
     assert info["node_evaluations"] == len(evaluated) == sum(last.values())
 
 
+@pytest.mark.parametrize("max_nodes,first", [(128, 128), (200, 128), (300, 256),
+                                             (8192, 256)])
+def test_the_first_pass_stays_at_a_count_converge_reaches(monkeypatch, max_nodes,
+                                                          first):
+    # converge doubles 64 while the count stays within max_nodes, which need
+    # not be a power of two; every entry of this kernel converges at 128
+    spec, pts = ProcessSpec([[0.5]], [[0.5]]), PointSet([(1, 0)])
+    _, passes = _spy_passes(monkeypatch)
+    S, info = kernels.assemble_kernel(spec, pts, KernelConfig(max_nodes=max_nodes),
+                                      full_output=True)
+    assert [n for n, _ in passes] == [first]
+    assert set(info["nodes"].values()) == {(128, 128)}
+    assert info["node_evaluations"] == 3 * first
+
+
 def test_each_circle_side_is_transformed_once_per_doubling(monkeypatch):
     # K11 and both K12 blocks read the k11 circle's z side, K22 the k22
     # circle's: one ifft over those columns, one over every w-side column,
-    # and one fft for the four blocks' h^
+    # and one fft for the four blocks' h^, at 256 nodes for the counts 64,
+    # 128 and 256, and then once per doubling
     spec = ProcessSpec([[0.4, 0.2], [0.3]], [[0.35], [0.25, 0.1]])
     pts = [(1, 0), (1, 2), (2, -1), (2, 1)]
     asm = kernels._Assembly(spec, pts, KernelConfig())
@@ -155,7 +194,10 @@ def test_each_circle_side_is_transformed_once_per_doubling(monkeypatch):
         return f
     monkeypatch.setattr(np.fft, "ifft", spy("ifft", np.fft.ifft))
     monkeypatch.setattr(np.fft, "fft", spy("fft", np.fft.fft))
-    asm.estimate(64, np.ones(3 * len(pts) ** 2, dtype=bool))
     count = Counter(asm.col_circle.tolist())
-    assert calls == [("ifft", (64, count[0] + count[3])),
-                     ("ifft", (64, len(asm.col_circle))), ("fft", (64, 4))]
+    every = np.ones(3 * len(pts) ** 2, dtype=bool)
+    for n in (64, 128, 256, 512):
+        asm.estimate(n, every)
+    assert calls == [call for n in (256, 512) for call in (
+        ("ifft", (n, count[0] + count[3])), ("ifft", (n, len(asm.col_circle))),
+        ("fft", (n, 4)))]

@@ -31,6 +31,19 @@ def test_spectral_accuracy_64_nodes():
     assert abs(val - 1.0) < 1e-12
 
 
+def test_nodes_reuse_one_read_only_array_of_roots_of_unity():
+    for n in (8, 64, 4096):
+        fresh = np.exp(1j * (2 * np.pi * np.arange(n) / n))
+        for c in (Circle(0j, 0.7), Circle(0.1 + 0.2j, np.array([0.5, 2.0]))):
+            z, _ = quadrature.nodes_weights(c, n)
+            want = c.center + c.radius * fresh.reshape((n,) + (1,) * np.ndim(c.radius))
+            assert z.tobytes() == want.tobytes() and z.flags.writeable  # bit for bit
+        unit = quadrature._roots_of_unity(n)
+        assert unit is quadrature._roots_of_unity(n)
+        with pytest.raises(ValueError):
+            unit[0] = 0
+
+
 def test_orientation_reversal_negates():
     rng = np.random.default_rng(0)
     a, b = rng.uniform(0.1, 0.6, 2)

@@ -1,25 +1,44 @@
 from dataclasses import replace
 
-from pfschur import kernels, verify
+import numpy as np
+
+from pfschur import kernels, measures, verify
 from pfschur.kernels import SIGN_BR, SIGN_PAPER, KernelConfig
 from pfschur.measures import PointSet, ProcessSpec
 
 
-def test_sign_adjudication_flips_only_the_sign(monkeypatch):
-    seen = []
+SPEC = ProcessSpec([[0.4], [0.3]], [[0.35], [0.25]])
+POINTS = PointSet([(1, 0), (2, 0)])
+# every field away from its default, so a flip that dropped one would show
+CFG = KernelConfig(quad_tol=1e-7, start_nodes=32, max_nodes=2 ** 10,
+                   h_assignment="display", k12_regime="literal", radii={"k22": 0.7})
 
-    def record(spec, T, cfg, full_output=False):
+
+def test_compare_assembles_the_kernel_once(monkeypatch):
+    seen, assemble = [], kernels.assemble_kernel
+
+    def spy(spec, T, cfg=None, full_output=False):
         seen.append(cfg)
-        return (0.0, {"imag_defect": 0.0}) if full_output else 0.0
-    monkeypatch.setattr(kernels, "correlation_via_kernel", record)
-    spec = ProcessSpec([[0.4], [0.3]], [[0.35], [0.25]])
-    cfg = KernelConfig(quad_tol=1e-7, start_nodes=32, max_nodes=2 ** 10,
-                       h_assignment="display", k12_regime="literal",
-                       radii={"k22": 0.7})
-    out = verify.compare_methods(spec, PointSet([(1, 0), (2, 0)]), cfg, L=6)
-    assert seen == [cfg, replace(cfg, sign_convention=SIGN_BR)]
-    assert out["sign_adjudication"]["flipped_convention"] == SIGN_BR
-    assert cfg.sign_convention == SIGN_PAPER
+        return assemble(spec, T, cfg, full_output)
+    monkeypatch.setattr(kernels, "assemble_kernel", spy)
+    verify.compare_methods(SPEC, POINTS, CFG, L=6)
+    assert seen == [CFG]
+
+
+def test_sign_adjudication_flips_only_the_sign():
+    # the flipped delta is bit for bit what a second assembly under cfg
+    # with only its sign convention changed gives
+    oracle = measures.correlation_oracle(SPEC, POINTS, L=6)
+    for convention, other in ((SIGN_PAPER, SIGN_BR), (SIGN_BR, SIGN_PAPER)):
+        cfg = replace(CFG, sign_convention=convention)
+        out = verify.compare_methods(SPEC, POINTS, cfg, L=6)["sign_adjudication"]
+        assert (out["convention"], out["flipped_convention"]) == (convention, other)
+        flipped = replace(cfg, sign_convention=other)
+        assert out["flipped_delta"] == abs(
+            kernels.correlation_via_kernel(SPEC, POINTS, flipped) - oracle)
+        S = kernels.assemble_kernel(SPEC, POINTS, cfg)
+        assert np.array_equal(kernels.with_other_k22_sign(S),
+                              kernels.assemble_kernel(SPEC, POINTS, flipped).matrix)
 
 
 def test_symfunc_battery_passes_on_every_seed():
