@@ -33,12 +33,11 @@ k11). The n trapezoid nodes of a circle are its 2n nodes [::2] bit for bit,
 so the n-node transforms are the 2n-node ones folded in half (Trefethen &
 Weideman, SIAM Rev. 56, 2014), and the first pass evaluates 4 x start_nodes
 nodes per circle and serves the estimates at start_nodes, twice that and
-four times that. Each later pass serves one doubling: it keeps the columns
-it has and evaluates the slot factors only at the new odd nodes, so each
-node of a circle is evaluated once per assembly. The node count doubles for
-all circles together, each entry is accepted at the first doubling where it
-converges, and a block, or a circle no open block reads, is no longer
-evaluated once every entry on it has converged.
+four times that. Each later pass evaluates all its nodes afresh and serves
+one doubling. The node count doubles for all circles together, each entry
+is accepted at the first doubling where it converges, and a block, or a
+circle no open block reads, is no longer evaluated once every entry on it
+has converged.
 `kernel_entry_process` keeps the literal per-entry integrand on
 `quadrature.integrate2` as the independent check.
 
@@ -299,7 +298,8 @@ def _padded(rows):
 class _Assembly:
     """One kernel assembly over the points pts: index arrays built once, and
     `estimate`, which evaluates every block that holds a live entry in one
-    array pass for the first three node counts and one per count after.
+    array pass for the first three node counts and one per count after. A
+    pass keeps nothing of the one before but the estimates it served.
 
     A column is one (level, t) that a block reads on a circle: the level's
     slot factor on that circle times z^{-t}, times 1/(z^2 - 1) on the outer
@@ -312,7 +312,7 @@ class _Assembly:
     `_TABLE` blocks that holds entries: their flat indices 3 (d p + q) + block
     and the column each reads on either circle, counted within the circle.
     `node_evaluations` counts the circle nodes at which slot factors were
-    evaluated.
+    evaluated: each pass's count for every circle it read.
     """
 
     def __init__(self, spec, pts, cfg):
@@ -360,19 +360,15 @@ class _Assembly:
         self.dens = _padded([(den1 if c == 0 else den2)[lvl] for c, lvl in rows])
         self.max_nodes = cfg.max_nodes
         self.node_evaluations = 0
-        self._plans = {}
-        # the blocks of the last pass, and its estimates per node count
-        self._served = (), {}
-        # the last node count, and the columns held at it, unweighted
-        self._n, self._held, self._U = 0, np.zeros(len(cols), dtype=bool), None
+        self._served = {}  # the last pass's estimates per node count
 
     def _plan(self, live):
         """The index arrays of a pass over the blocks numbered `live`: the
         circles they read (`radius`, `outer`), and for the slot-factor rows
-        and the columns on those circles (`cols` marks the columns), the
-        circle each is on among them (`row_on`, `col_on`), each column's row
-        among them and its -t, the z-side and w-side columns; per block, its
-        z and w circle among them and its circles' columns on either side."""
+        and the columns on those circles, the circle each is on among them
+        (`row_on`, `col_on`), each column's row among them and its -t, the
+        z-side and w-side columns; per block, its z and w circle among them
+        and its circles' columns on either side."""
         pairs = [self.blocks[k][:2] for k in live]
         circles = sorted({c for pair in pairs for c in pair})
         used = np.zeros(len(_CIRCLES), dtype=bool)
@@ -388,7 +384,7 @@ class _Assembly:
                  for side in sides]
         zcols, wcols = (np.array([c in side for c in circles])[on] for side in sides)
         return SimpleNamespace(
-            cols=cols, radius=self.radius[circles], outer=np.array(circles) == 0,
+            radius=self.radius[circles], outer=np.array(circles) == 0,
             row_on=at[self.row_circle[rows]], nums=self.nums[rows].T[:, None],
             dens=self.dens[rows].T[:, None], col_on=on, col_row=rank[self.col_row[cols]],
             neg_t=-self.col_t[cols], zcols=zcols, zon=on[zcols], wcols=wcols,
@@ -408,47 +404,26 @@ class _Assembly:
         pre = 1 / np.where(plan.outer, z * z - 1, z)
         return v[:, plan.col_row] * z[:, plan.col_on] ** plan.neg_t * pre[:, plan.col_on]
 
-    def _unweighted(self, n, z, plan):
-        """The unweighted columns of a plan's circles at their n nodes z. The
-        n/2 trapezoid nodes of a circle are its n nodes [::2] bitwise, so
-        after a doubling the columns held at n/2 nodes are kept and only the
-        new odd nodes are evaluated."""
-        if self._n * 2 == n and not (plan.cols & ~self._held).any():
-            U = np.empty((n, len(plan.col_on)), dtype=complex)
-            U[0::2] = self._U[:, plan.cols[self._held]]
-            U[1::2] = self._columns(z[1::2], plan)
-            self.node_evaluations += z.size // 2
-        else:
-            U = self._columns(z, plan)
-            self.node_evaluations += z.size
-        self._n, self._held, self._U = n, plan.cols, U
-        return U
-
     def estimate(self, n, live):
-        """The entries of every block that holds a live entry (live marks
-        entries in a boolean array over all 3 d^2), at n nodes per circle, in
-        one flat array (0 for the other entries).
-
-        An estimate that the last pass served is handed out from it. Any
-        other starts a pass (`_pass`): the first pass of an assembly
+        """The entries at n nodes per circle in one flat array over all
+        3 d^2 entries, of which only those that live marks (a boolean array)
+        are to be read. `quadrature.converge` asks for the counts in doubling
+        order and only shrinks the live set, so a count the last pass served
+        is handed out from it. Any other starts a pass (`_pass`) over the
+        blocks that still hold a live entry: the first pass of an assembly
         evaluates 4n nodes per circle, or 2n if 4n exceeds max_nodes, and
         serves every count from there down to n; a later pass evaluates n
         nodes and serves n.
         """
-        est = np.zeros(self.size, dtype=complex)
-        live = tuple(k for k, b in enumerate(self.blocks) if live[b[2]].any())
-        if not live:
-            return est
-        blocks, served = self._served
-        if n not in served or not set(live) <= set(blocks):
-            fine = n
-            while not self._n and fine < 4 * n and 2 * fine <= self.max_nodes:
-                fine *= 2
-            blocks, served = self._served = live, self._pass(fine, n, live)
-        for k in live:
-            entries = self.blocks[k][2]
-            est[entries] = served[n][entries]
-        return est
+        if not self.size:  # no points
+            return np.zeros(0, dtype=complex)
+        if n not in self._served:
+            live = tuple(k for k, b in enumerate(self.blocks) if live[b[2]].any())
+            N = n
+            while not self._served and N < 4 * n and 2 * N <= self.max_nodes:
+                N *= 2
+            self._served = self._pass(N, n, live)
+        return self._served[n]
 
     def _pass(self, N, n, live):
         """One evaluation of the blocks numbered `live` at N nodes per
@@ -477,11 +452,10 @@ class _Assembly:
         the transforms are folded in half per count and not scaled; the
         rank-one sums are s times sums over the strided rows.
         """
-        if live not in self._plans:
-            self._plans[live] = self._plan(live)
-        plan = self._plans[live]
+        plan = self._plan(live)
         z, wz = quad.nodes_weights(quad.Circle(0j, plan.radius), N)
-        A = self._unweighted(N, z, plan) * wz[:, plan.col_on]
+        A = self._columns(z, plan) * wz[:, plan.col_on]
+        self.node_evaluations += z.size
         zi = 1 / z
         strides = [1 << k for k in range((N // n).bit_length())]
         Az = A[:, plan.zcols]
@@ -519,13 +493,14 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
     the per-entry `nodes` match the per-entry route. The first pass
     evaluates 4 x cfg.start_nodes nodes per circle (2 x when cfg.max_nodes
     allows no more) and gives the estimates at the first three counts; each
-    later pass gives one doubling. An entry not converged at cfg.max_nodes
-    raises QuadratureError naming it. full_output adds the points, the
-    per-entry node counts, the skew projection defect, `max_last_delta`, the
-    largest last-doubling delta over all entries, the four circles' `radii`
-    and `node_evaluations`, the circle nodes at which slot factors were
-    evaluated: the first pass's count for every circle it read, even where
-    every entry converges at a lower count.
+    later pass evaluates afresh the circles that the blocks with an
+    unconverged entry read and gives one doubling. An entry not converged at
+    cfg.max_nodes raises QuadratureError naming it. full_output adds the
+    points, the per-entry node counts, the skew projection defect,
+    `max_last_delta`, the largest last-doubling delta over all entries, the
+    four circles' `radii` and `node_evaluations`, the circle nodes at which
+    slot factors were evaluated: each pass's count for every circle it read,
+    the first pass's even where every entry converges at a lower count.
     """
     cfg = cfg or KernelConfig()
     cfg.validate()
@@ -602,7 +577,8 @@ def with_other_k22_sign(S):
 # ---------------------------------------------------------------------------
 
 def _pick_rq(xs, ys, d):
-    """Scan a small grid of q-circle radii and keep the one with the widest
+    """Scan a small grid of q-circle radii and keep, among those whose
+    stated contours are admissible (`choose_radii`), the one with the widest
     contour margins."""
     best, best_r1 = None, -1.0
     for rq in (0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8):
@@ -617,7 +593,7 @@ def _pick_rq(xs, ys, d):
     return best
 
 
-def correlation_via_q_extraction(X, Y, T, cfg=None, rq=None, full_output=False):
+def correlation_via_q_extraction(X, Y, T, cfg=None, full_output=False):
     """Single-partition correlation as the q-power coefficient of the
     iterated one-row action, extracted by quadrature over q-circles.
 
@@ -626,9 +602,9 @@ def correlation_via_q_extraction(X, Y, T, cfg=None, rq=None, full_output=False):
     stated-contour action is its exact residue sum (`stated_action_Z`), so
     the one quadrature runs over the d <= 2 q-circles. full_output gives the
     stripped sites and `imag_defect` (0.0 when every site is stripped) and
-    adds the q-circles' radius `rq` and the quadrature's `nodes` and
-    `last_delta`. A QuadratureError is re-raised naming the extraction and
-    its positions, with the same estimates.
+    adds the q-circles' radius `rq` (`_pick_rq`) and the quadrature's
+    `nodes` and `last_delta`. A QuadratureError is re-raised naming the
+    extraction and its positions, with the same estimates.
     """
     cfg = cfg or KernelConfig()
     X = X if isinstance(X, Specialization) else Specialization(X)
@@ -649,9 +625,7 @@ def correlation_via_q_extraction(X, Y, T, cfg=None, rq=None, full_output=False):
         return (1.0, info) if full_output else 1.0
     if d > 2:
         raise ValueError("q-extraction supports d <= 2 positions at or above -n")
-    if rq is None:
-        rq = _pick_rq(xs, ys, d)
-    choose_radii([rq] * d, xs, ys)  # the stated contours must be admissible
+    rq = _pick_rq(xs, ys, d)
     Z0 = z_partition(xs, ys)
 
     def f(*qs):

@@ -227,9 +227,10 @@ def partition_function_truncated(spec, kind="pfaffian", L=30):
 
 def truncation_diagnostic(spec, L, kind="pfaffian"):
     """Tail indicator |S_L - S_{L-5}| / S_L; weights decay geometrically so
-    this bounds the truncation error up to a modest constant."""
+    this bounds the truncation error up to a modest constant. Below L = 5,
+    S_{L-5} is the empty sum 0 and the indicator reads 1."""
     s_l = partition_function_truncated(spec, kind, L)
-    s_prev = partition_function_truncated(spec, kind, max(0, L - 5))
+    s_prev = partition_function_truncated(spec, kind, L - 5) if L >= 5 else 0.0
     return abs(s_l - s_prev) / abs(s_l)
 
 

@@ -186,11 +186,14 @@ def converge(estimate, size, n, max_nodes, tol, failure):
     no live entry. An entry is accepted at the first doubling where it
     differs from its own previous estimate by less than tol, relative when
     its magnitude exceeds 1 and absolute below (one array test over the live
-    entries; a NaN never passes), and then leaves `live`. Returns lists of
-    the accepted estimates, the doubling k at which each was accepted, and
-    its last-doubling delta. If an entry is still live at the cap,
-    QuadratureError carries failure(index, k) as its message and the last
-    two estimates of the first such entry.
+    entries; a NaN never passes), and then leaves `live`. An estimator may
+    rely on the calling order: every entry is live at the first call, k runs
+    0, 1, 2, ... in doubling order, the live set only shrinks from one call
+    to the next, and no call follows the last entry's acceptance. Returns
+    lists of the accepted estimates, the doubling k at which each was
+    accepted, and its last-doubling delta. If an entry is still live at the
+    cap, QuadratureError carries failure(index, k) as its message and the
+    last two estimates of the first such entry.
     """
     value = np.zeros(size, dtype=complex)
     step = np.zeros(size, dtype=int)

@@ -292,6 +292,19 @@ def test_verify_partition_function_truncation_flag(tmp_path):
     assert read_report(out)["all_pass"]
 
 
+def test_compare_at_truncation_zero_does_not_blame_the_kernel(tmp_path):
+    # the oracle at L = 0 keeps only the empty partition: its diagnostic
+    # reads 1, so the threshold is 10 and the kernel's gap passes
+    out = tmp_path / "report.json"
+    assert run_cli(["compare", "--config", str(CONFIGS / "m1_singleton.json"),
+                    "--truncation", "0", "--out", str(out)]) == 0
+    report = read_report(out)
+    oracle, kernel = report["results"]
+    assert oracle["value"] == 0.0 and kernel["delta_vs_oracle"] > 0.1
+    assert report["truncation_diagnostic"] == 1.0
+    assert report["threshold"] == 10.0 and report["verdict"] == "PASS"
+
+
 def test_verify_partition_function_checks_the_configs_process(tmp_path):
     # the config's own L = 20; the fixed specs stay at L = 40
     out = tmp_path / "report.json"

@@ -80,7 +80,7 @@ def test_fft_grids_match_the_dense_core(radii, n):
     r11 = asm.radii["k11"]
     assert r11 * asm.radii["k12_w_lt"] < 1 < r11 * asm.radii["k12_w_gt"]
     # the counts in converge's order: the first pass evaluates 256 nodes and
-    # folds its transforms down to 128 and 64; 512 and 1024 are nested passes
+    # folds its transforms down to 128 and 64; 512 and 1024 are later passes
     counts = (64, 128, 256, 512, 1024)
     for count in counts[:counts.index(n) + 1]:
         fft = asm.estimate(count, ALL)
@@ -103,62 +103,70 @@ def test_fft_grid_builds_no_node_by_node_array():
     assert peak < 4 * 2 ** 20
 
 
-def test_the_columns_kept_after_a_doubling_are_a_fresh_assemblys():
-    # the columns held at N nodes are kept as the 2N-node columns [::2], so
-    # after every pass they are what a fresh assembly evaluates at its
-    # count, bit for bit, also when a block has left the pass in between;
-    # the estimates served from them match the dense core
-    cfg = KernelConfig()
-    kept = kernels._Assembly(SPEC, PTS, cfg)
-    for n, live in ((64, ALL), (128, ALL), (256, ~K11), (512, K11)):
-        est = kept.estimate(n, live)
-        fresh = kernels._Assembly(SPEC, PTS, cfg)
-        plan = fresh._plan(kept._served[0])
-        z, _ = quad.nodes_weights(quad.Circle(0j, plan.radius), kept._n)
-        assert kept._n == max(n, 256)
-        assert kept._U.tobytes() == fresh._columns(z, plan).tobytes(), n
-        dense, scale = _dense(cfg, n)
-        assert np.all(np.abs(est - dense)[live] <= 1e-12 * scale[live]), n
-        assert not est[~live].any()
-
-
 def _spy_passes(monkeypatch):
-    """The (n, radii) of every `nodes_weights` call and every node at which
-    `_Assembly._columns` evaluated slot factors, as they are made."""
-    evaluated, passes = [], []
-    columns, nodes_weights = kernels._Assembly._columns, quad.nodes_weights
+    """The (n, radii) of every `nodes_weights` call, and for every
+    `_Assembly.estimate` call its assembly, count, live entries and estimate
+    and the number of `nodes_weights` calls made by its return."""
+    calls, passes = [], []
+    estimate, nodes_weights = kernels._Assembly.estimate, quad.nodes_weights
 
-    def spy_columns(self, z, plan):
-        evaluated.extend(z.T.ravel())
-        return columns(self, z, plan)
+    def spy_estimate(self, n, live):
+        est = estimate(self, n, live)
+        calls.append((self, n, live.copy(), est.copy(), len(passes)))
+        return est
 
     def spy_nodes_weights(c, n):
         passes.append((n, tuple(np.atleast_1d(c.radius))))
         return nodes_weights(c, n)
-    monkeypatch.setattr(kernels._Assembly, "_columns", spy_columns)
+    monkeypatch.setattr(kernels._Assembly, "estimate", spy_estimate)
     monkeypatch.setattr(quad, "nodes_weights", spy_nodes_weights)
-    return evaluated, passes
+    return calls, passes
 
 
-def test_each_circle_is_evaluated_once_per_doubling(monkeypatch):
-    # the first pass evaluates 4 x 64 nodes per circle for the counts 64,
-    # 128 and 256, each later pass one doubling, and each node of a circle
-    # is evaluated once per assembly
-    nodes_weights = quad.nodes_weights
-    evaluated, passes = _spy_passes(monkeypatch)
-    # at 1e-10 some entries converge only at 512 nodes, a nested pass
+def _later_passes(monkeypatch):
+    """The spied calls of an assembly at quad_tol 1e-10, where some entries
+    converge only after the first pass, and its node_evaluations."""
+    calls, passes = _spy_passes(monkeypatch)
     S, info = kernels.assemble_kernel(SPEC, PointSet(PTS),
                                       KernelConfig(quad_tol=1e-10), full_output=True)
-    # one call for all circles per pass, all four read at the first
+    return calls, passes, info["node_evaluations"]
+
+
+def test_later_passes_read_only_the_circles_of_live_blocks(monkeypatch):
+    # the first pass reads all four circles at 4 x 64 nodes for the counts
+    # 64, 128 and 256; each later pass reads, at its one count, the circles
+    # of the blocks that still hold a live entry
+    calls, passes, node_evaluations = _later_passes(monkeypatch)
     assert [n for n, _ in passes] == [256 << k for k in range(len(passes))]
-    assert len(passes[0][1]) == 4 and len(passes) >= 2
-    # no node twice, and every node of each circle at the last count it was read
-    assert max(Counter(evaluated).values()) == 1
-    last = {r: n for n, radii in passes for r in radii}
-    want = np.concatenate([nodes_weights(quad.Circle(0j, r), n)[0]
-                           for r, n in last.items()])
-    assert set(evaluated) == set(want)
-    assert info["node_evaluations"] == len(evaluated) == sum(last.values())
+    assert len(passes) >= 2
+    asm = calls[0][0]
+    assert passes[0][1] == tuple(asm.radius)
+    made = [0, *(c[4] for c in calls)]
+    started = [(n, live) for (_, n, live, _, _), before, after
+               in zip(calls, made, made[1:]) if after > before]
+    assert [n for n, _ in started] == [64, *(n for n, _ in passes[1:])]
+    for (n, live), (_, radii) in zip(started[1:], passes[1:]):
+        circles = {c for zc, wc, entries, *_ in asm.blocks if live[entries].any()
+                   for c in (zc, wc)}
+        assert radii == tuple(asm.radius[sorted(circles)]), n
+    assert node_evaluations == sum(n * len(radii) for n, radii in passes)
+
+
+def test_a_later_pass_matches_the_dense_core(monkeypatch):
+    calls, passes, _ = _later_passes(monkeypatch)
+    later = [(n, live, est) for _, n, live, est, _ in calls if n > 256]
+    assert len(later) == len(passes) - 1
+    for n, live, est in later:
+        dense, scale = _dense(KernelConfig(quad_tol=1e-10), n)
+        assert np.all(np.abs(est - dense)[live] <= 1e-12 * scale[live]), n
+
+
+def test_an_assembly_without_points_evaluates_nothing(monkeypatch):
+    _, passes = _spy_passes(monkeypatch)
+    S, info = kernels.assemble_kernel(SPEC, PointSet([]), KernelConfig(),
+                                      full_output=True)
+    assert S.matrix.shape == (0, 0) and info["node_evaluations"] == 0
+    assert passes == []
 
 
 @pytest.mark.parametrize("max_nodes,first", [(128, 128), (200, 128), (300, 256),

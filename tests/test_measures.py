@@ -175,6 +175,14 @@ def test_truncation_diagnostic_positive_and_small():
     assert 0 <= d < 1e-12
 
 
+def test_truncation_diagnostic_reads_one_below_five():
+    # S_{L-5} is the empty sum 0 there, so S_0, which keeps only the empty
+    # partition, is not compared with itself
+    spec = ProcessSpec([[0.5]], [[0.5]])
+    assert [truncation_diagnostic(spec, L) for L in range(5)] == [1.0] * 5
+    assert 0 < truncation_diagnostic(spec, 5) < 1
+
+
 def _sequences(m, L):
     """Every (lams, mus) with all weights <= L and mu^(i) contained in
     lam^(i) and lam^(i+1): the only pruning is containment, outside which
