@@ -4,14 +4,17 @@ Every correlation row (`correlate`'s, `compare`'s two) is built by
 `verify.correlation_row`, and a command computes each route once: the
 sweeps are handed the oracle value. `BATTERIES` tabulates `verify-*`.
 
-Exit codes: 0 success, 1 config error, 2 numerical non-convergence,
+Exit codes: 0 success, 1 config error (a config that cannot be read or a
+report that cannot be written among them), 2 numerical non-convergence,
 3 acceptance-threshold breach in `compare` or a failing row in a `verify-*`
-report (written before the exit).
+report (written before the exit). The argument parser is built once per
+process, on the first `main` call.
 """
 
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -37,10 +40,14 @@ def _load_config(path, overrides):
     are `kernels.KernelConfig`'s fields, each left out keeping its default;
     every fault, an unknown key too, is one part of the ConfigError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: "
@@ -137,8 +144,12 @@ def _emit(report, out_path, fmt):
                                          if k not in head}, default=str)])
         text = buf.getvalue()
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report to {out_path}: "
+                              f"{exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -177,7 +188,10 @@ def _battery_report(command, cfgd):
             "all_pass": all(row["pass"] for row in results)}
 
 
-def main(argv=None):
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The command-line parser, built on the first call and then reused:
+    parse_args reads it and leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="pfschur",
         description="Verification lab for Pfaffian Schur correlation formulas")
@@ -194,14 +208,23 @@ def main(argv=None):
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--truncation", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
+    return parser
 
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
-        cfgd = _load_config(args.config, args)
+        return _run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+
+def _run(args):
+    """The command of the parsed args: its exit code, with its report
+    written; a config fault, an unwritable report among them, raises
+    ConfigError."""
+    cfgd = _load_config(args.config, args)
     spec, points, cfg = cfgd["spec"], cfgd["points"], cfgd["kernel_cfg"]
     t_start, caches_before = time.time(), _cache_calls()
     try:
@@ -240,9 +263,6 @@ def main(argv=None):
     except ContourConditionError as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
     rates = {}      # each cache's hit rate over this command; None: not called
     for name, (hits, misses) in _cache_calls().items():

@@ -30,22 +30,23 @@ class SkewMatrix:
 
 def _pfaffian_expand(A):
     """Recursive first-row expansion, exponential in the dimension: the
-    reference that the elimination is checked against."""
-    n = A.shape[0]
-    if n == 0:
-        return 1.0 + 0j
-    if n == 2:
-        return A[0, 1]
-    total = 0j
-    rest = list(range(1, n))
-    for jpos, j in enumerate(rest):
-        aij = A[0, j]
-        if aij == 0:
-            continue
-        keep = [k for k in rest if k != j]
-        sign = -1.0 if jpos % 2 else 1.0  # (-1)^j for column j of the first row
-        total += sign * aij * _pfaffian_expand(A[np.ix_(keep, keep)])
-    return total
+    reference that the elimination is checked against. Each minor is the
+    tuple of its row indices into A, so no minor is copied."""
+    def expand(rows):
+        if not rows:
+            return 1.0 + 0j
+        if len(rows) == 2:
+            return A[rows]
+        first, rest = rows[0], rows[1:]
+        total = 0j
+        for jpos, j in enumerate(rest):
+            aij = A[first, j]
+            if aij == 0:
+                continue
+            sign = -1.0 if jpos % 2 else 1.0  # (-1)^j for column j of the first row
+            total += sign * aij * expand(rest[:jpos] + rest[jpos + 1:])
+        return total
+    return expand(tuple(range(A.shape[0])))
 
 
 def _pfaffian_ltl(A):
@@ -93,16 +94,13 @@ def pfaffian(A):
 def schur_pfaffian_matrix(u):
     """The skew matrix with entries (u_j - u_k)/(1 - u_j u_k)."""
     u = np.asarray(u, dtype=complex)
-    n = len(u)
-    M = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            if j != k:
-                den = 1 - u[j] * u[k]
-                if den == 0:
-                    raise ValueError(f"singular pair u_j*u_k = 1 at ({u[j]}, {u[k]})")
-                M[j, k] = (u[j] - u[k]) / den
-    return M
+    den = 1 - u[:, None] * u
+    off = ~np.eye(len(u), dtype=bool)
+    singular = np.argwhere(off & (den == 0))
+    if len(singular):
+        j, k = singular[0]
+        raise ValueError(f"singular pair u_j*u_k = 1 at ({u[j]}, {u[k]})")
+    return np.divide(u[:, None] - u, den, out=np.zeros(den.shape, complex), where=off)
 
 
 def verify_schur_pfaffian(u):

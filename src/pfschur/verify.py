@@ -2,8 +2,15 @@
 
 Each battery returns a list of result rows (dicts with at least "name",
 "value", "tol", "pass") so the CLI can serialize them and the test suite can
-assert on them. Randomness is driven by an explicit seed for reproducible
-reports.
+assert on them, and each row counts the evaluations behind its number.
+Randomness is driven by an explicit seed for reproducible reports.
+
+A battery whose checks share one computation takes them as arrays: the
+eigenrelation draws as one `eigen_residual` call per n, the contour-action
+draws as one batched `apply_via_contour` call per (n, r) shape, the 33
+quadrature moments as one `integrate` call over a batch of circles, and the
+power sums of each H/H0 draw as one array. A batched draw is still accepted
+at its own doubling, and every check keeps its row, name and tolerance.
 """
 
 from itertools import combinations
@@ -36,9 +43,8 @@ def battery_symfunc(seed=0, tol=1e-10):
 
     # branching over a split of variables
     worst = 0.0
-    for lam in enumerate_up_to_weight(6):
-        if len(lam) > 4:
-            continue
+    shapes = [lam for lam in enumerate_up_to_weight(6) if len(lam) <= 4]
+    for lam in shapes:
         xv = rng.uniform(0.1, 0.7, 2)
         yv = rng.uniform(0.1, 0.7, 2)
         X, Y = Specialization(xv), Specialization(yv)
@@ -46,23 +52,23 @@ def battery_symfunc(seed=0, tol=1e-10):
         rhs = sum(symfunc.skew_schur(lam, mu, X) * symfunc.schur(mu, Y)
                   for mu in subpartitions(lam))
         worst = max(worst, abs(lhs - rhs))
-    rows.append(_row("branching |lam|<=6", worst, tol))
+    rows.append(_row("branching |lam|<=6", worst, tol, {"shapes": len(shapes)}))
 
-    # product forms vs power-sum exponentials, truncated at k = 60
-    worst = 0.0
-    for _ in range(5):
+    # product forms vs power-sum exponentials, truncated at k = 60: the power
+    # sums p_1..p_120 of x and p_1..p_60 of y, one array each
+    worst, ks, draws = 0.0, np.arange(1, 61), 5
+    for _ in range(draws):
         xv = rng.uniform(0.05, 0.6, 3)
         yv = rng.uniform(0.05, 0.6, 2)
         X, Y = Specialization(xv), Specialization(yv)
-        hxy = symfunc.cauchy_H(X, Y)
-        exp_form = np.exp(sum(symfunc.power_sum(k, X) * symfunc.power_sum(k, Y) / k
-                              for k in range(1, 61)))
-        worst = max(worst, abs(hxy - exp_form))
-        h0 = symfunc.H0(X)
-        exp0 = np.exp(sum((symfunc.power_sum(k, X) ** 2 - symfunc.power_sum(2 * k, X))
-                          / (2 * k) for k in range(1, 61)))
-        worst = max(worst, abs(h0 - exp0))
-    rows.append(_row("H, H0 product vs exponential", worst, 1e-12))
+        px = np.sum(xv ** np.arange(1, 121)[:, None], axis=1)
+        py = np.sum(yv ** ks[:, None], axis=1)
+        exp_form = np.exp(np.sum(px[:60] * py / ks))
+        worst = max(worst, abs(symfunc.cauchy_H(X, Y) - exp_form))
+        exp0 = np.exp(np.sum((px[:60] ** 2 - px[1::2]) / (2 * ks)))
+        worst = max(worst, abs(symfunc.H0(X) - exp0))
+    rows.append(_row("H, H0 product vs exponential", worst, 1e-12,
+                     {"power_sums": draws * (120 + 60)}))
 
     # sum of Schur over even-conjugate shapes converges to H0. In two
     # variables those of weight at most 60 are (a, a), a <= 30, the
@@ -72,10 +78,11 @@ def battery_symfunc(seed=0, tol=1e-10):
     xv = rng.uniform(0.1, 0.6, 2)
     X = Specialization(xv)
     target = symfunc.H0(X)
-    total = sum(symfunc.schur(mu, X) for mu in even_conjugate_subpartitions((30, 30)))
+    shapes = even_conjugate_subpartitions((30, 30))
+    total = sum(symfunc.schur(mu, X) for mu in shapes)
     x12 = float(np.prod(xv))
     rows.append(_row("even-conjugate Schur sum -> H0", abs(total - target), 1e-10,
-                     {"tail_bound": x12 ** 31 / (1 - x12)}))
+                     {"tail_bound": x12 ** 31 / (1 - x12), "shapes": len(shapes)}))
     return rows
 
 
@@ -211,11 +218,17 @@ def battery_partition_function(spec, L, tol=1e-8):
     Fixed m = 1 and m = 2 specs at weight 40 and tol, with the H0-union
     adjudication, then the pfaffian partition function of `spec` itself at
     weight L, within ten times its truncation diagnostic (at least 1e-8).
+    Each row carries `partitions`, the size of the partition list its
+    truncated sum runs over (`measures.sequence_partitions`).
     """
     rows = []
     fixed_L = 40
     m1 = measures.ProcessSpec([[0.5]], [[0.5]])
     m2 = measures.ProcessSpec([[0.5], [0.4]], [[0.45], [0.35]])
+
+    def partitions(process, L, kind="pfaffian"):
+        return {"partitions": len(measures.sequence_partitions(process, L, kind))}
+
     truncated = {}
     for name, fixed in (("m=1 singleton", m1), ("m=2 singletons", m2)):
         for kind in ("pfaffian", "schur"):
@@ -224,7 +237,7 @@ def battery_partition_function(spec, L, tol=1e-8):
                 fixed, kind, fixed_L)
             rel = abs(closed - trunc) / abs(closed)
             rows.append(_row(f"{name} {kind} truncated vs closed (L={fixed_L})",
-                             rel, tol))
+                             rel, tol, partitions(fixed, fixed_L, kind)))
     # adjudication: union H0 vs literal per-level product at m=2
     closed_union = measures.partition_function_closed(m2, "pfaffian", h0_union=True)
     closed_literal = measures.partition_function_closed(m2, "pfaffian", h0_union=False)
@@ -234,14 +247,14 @@ def battery_partition_function(spec, L, tol=1e-8):
     rows.append(_row("m=2 H0-union form vs oracle", rel_union, tol,
                      {"verdict": "union form matches"
                       if rel_union < tol < rel_literal else "inconclusive",
-                      "literal_rel_err": rel_literal}))
+                      "literal_rel_err": rel_literal, **partitions(m2, fixed_L)}))
     # the config's own process
     closed = measures.partition_function_closed(spec, "pfaffian")
     s_l = measures.partition_function_truncated(spec, "pfaffian", L)
     diag = measures.truncation_diagnostic(spec, L)
     rows.append(_row(f"config process pfaffian truncated vs closed (L={L})",
                      abs(closed - s_l) / abs(closed), max(10 * diag, 1e-8),
-                     {"truncation_diagnostic": diag}))
+                     {"truncation_diagnostic": diag, **partitions(spec, L)}))
     return rows
 
 
@@ -368,17 +381,23 @@ def compare_methods(spec, T, cfg, L=30):
 
 
 def battery_quadrature(tol=1e-12):
-    rows = []
-    c = quadrature.circle(1.0)
-    worst = 0.0
-    for r in (0.5, 1.0, 2.0):
-        cr = quadrature.circle(r)
-        for k in range(-5, 6):
-            val = quadrature.integrate(lambda z, k=k: z ** k, cr)
-            want = 1.0 if k == -1 else 0.0
-            worst = max(worst, abs(val - want))
-    rows.append(_row("moment test z^k over circles", worst, tol))
+    """The trapezoid rule on exact moments and near a pole.
 
-    val = quadrature._estimate1(lambda z: 1 / (z - 0.5), c, 64)
+    The moment test integrates z^k over the circles of radius 0.5, 1 and 2
+    for k = -5..5, 33 integrals taken by one `quadrature.integrate` call
+    over a batch of circles, each accepted at its own doubling; only k = -1
+    has a nonzero integral, 1. Its row carries the number of `integrals`
+    and the `grid_points` they evaluated. The pole row takes the 64-node
+    estimate of 1/(z - 0.5) on the unit circle, whose residue is 1.
+    """
+    radius = np.repeat([0.5, 1.0, 2.0], 11)
+    k = np.tile(np.arange(-5, 6), 3)
+    batch = quadrature.ContourSpec((quadrature.Circle(0j, radius),))
+    val, info = quadrature.integrate(lambda z: z ** k, batch, full_output=True)
+    worst = float(np.max(np.abs(val - (k == -1))))
+    rows = [_row("moment test z^k over circles", worst, tol,
+                 {"integrals": len(k), "grid_points": info["grid_points"]})]
+
+    val = quadrature._estimate1(lambda z: 1 / (z - 0.5), quadrature.circle(1.0), 64)
     rows.append(_row("64-node pole accuracy", abs(val - 1.0), 1e-12))
     return rows

@@ -43,6 +43,31 @@ def test_missing_config_exits_1(tmp_path):
     assert run_cli(["correlate", "--config", str(tmp_path / "nope.json")]) == 1
 
 
+@pytest.mark.parametrize("unreadable", ["directory", "not utf-8"])
+def test_unreadable_config_is_one_config_error_line(tmp_path, capsys, unreadable):
+    if unreadable == "directory":
+        path, reason = tmp_path, "Is a directory"
+    else:
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        reason = "'utf-8' codec can't decode byte 0xff in position 0"
+    assert run_cli(["correlate", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot read config {path}: {reason}")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_unwritable_out_is_one_config_error_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert run_cli(["verify-pfaffian", "--config", str(CONFIGS / "m1_singleton.json"),
+                    "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.parent.exists()
+    assert captured.err == (f"config error: cannot write report to {out}: "
+                            "No such file or directory\n")
+
+
 def test_invalid_values_exit_1(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -159,6 +184,25 @@ def test_report_schema_and_determinism(tmp_path):
         assert r1["config_digest"] == r2["config_digest"]
     # the second oracle run reads the first one's strip tables
     assert r2["timing"]["cache_hit_rate"]["horizontal_strips"] == 1.0
+
+
+def test_a_reused_parser_leaks_no_flag(tmp_path):
+    # the parser is built once per process: a second call without the flags
+    # gives what a fresh process gives, and so does the first call
+    config = str(CONFIGS / "m1_singleton.json")
+    calls = [["compare", "--config", config, "--tol", "1e-6", "--sign-convention", "br"],
+             ["compare", "--config", config]]
+    env = {**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src")}
+    for i, argv in enumerate(calls):
+        out = tmp_path / f"r{i}.json"
+        code = run_cli([*argv, "--out", str(out)])
+        fresh = subprocess.run([sys.executable, "-m", "pfschur", *argv],
+                               capture_output=True, text=True, env=env)
+        assert code == fresh.returncode
+        assert strip_timing(read_report(out)) == strip_timing(json.loads(fresh.stdout))
+    first, second = (read_report(tmp_path / f"r{i}.json") for i in range(2))
+    assert first["sign_adjudication"]["convention"] == kernels.SIGN_BR
+    assert second["sign_adjudication"]["convention"] == kernels.SIGN_PAPER
 
 
 def test_nonconvergence_exits_2(tmp_path, capsys):

@@ -109,8 +109,25 @@ def test_schur_pfaffian_identity():
         assert verify_schur_pfaffian(u) < tol
 
 
+def test_schur_pfaffian_matrix_equals_the_double_loop():
+    # the broadcast's complex products may be fused where the scalar ones
+    # are not, so entries agree to a few units in the last place
+    rng = np.random.default_rng(7)
+    for n in (0, 2, 4, 6, 8):
+        u = (0.1 + 0.75 * rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+        loop = np.zeros((n, n), dtype=complex)
+        for j in range(n):
+            for k in range(n):
+                if j != k:
+                    loop[j, k] = (u[j] - u[k]) / (1 - u[j] * u[k])
+        M = schur_pfaffian_matrix(u)
+        assert M.shape == (n, n)
+        assert np.all(np.abs(M - loop) <= 8 * np.finfo(float).eps * np.abs(loop))
+
+
 def test_schur_pfaffian_singular_pair_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"singular pair u_j\*u_k = 1 at \(\(2\+0j\), "
+                       r"\(0\.5\+0j\)\)"):
         schur_pfaffian_matrix([2.0, 0.5, 0.1, 0.2])
 
 

@@ -7,17 +7,19 @@ code, the stored stderr and the stored JSON report, `timing` left out. Keys,
 strings, booleans and integers must match exactly, and floats to 1e-12
 absolute or 1e-9 relative.
 
-The goldens in `tests/goldens/reports/`, one file per config, were written
-by running this file as a script,
+The goldens in `tests/goldens/reports/` hold one file per config, one entry
+per variant. Running this file as a script with variant names rewrites
+those entries in every config's file and leaves every other entry as it is:
 
-    PYTHONPATH=src python tests/test_reports.py
+    PYTHONPATH=src python tests/test_reports.py verify-symfunc
 
-on the commit before the kernel assembly's later passes stopped keeping the
-previous count's columns, so they pin the reports that refactor must leave
-alone. Rerun it only where a change is meant to move a report, and say which
-numbers moved and why.
+Rewrite an entry only where a change is meant to move that command's
+report, name only the variants it moves, and say which fields moved and
+why; an entry that a change must leave alone stays pinned to the commit
+that wrote it.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -105,9 +107,14 @@ def test_report_matches_its_golden(config, variant):
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(
+        description="Rewrite the named variants' golden entries for every config.")
+    parser.add_argument("variants", nargs="+", choices=VARIANTS)
+    names = parser.parse_args().variants
     GOLDENS.mkdir(parents=True, exist_ok=True)
     for config in CONFIGS:
-        goldens = {variant: run(config, variant) for variant in VARIANTS}
-        (GOLDENS / f"{config}.json").write_text(
-            json.dumps(goldens, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {GOLDENS / f'{config}.json'}", file=sys.stderr)
+        path = GOLDENS / f"{config}.json"
+        goldens = json.loads(path.read_text()) if path.exists() else {}
+        goldens.update({variant: run(config, variant) for variant in names})
+        path.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {', '.join(names)} in {path}", file=sys.stderr)

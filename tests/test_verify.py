@@ -1,8 +1,9 @@
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 
-from pfschur import kernels, measures, verify
+from pfschur import kernels, measures, quadrature, verify
 from pfschur.kernels import SIGN_BR, SIGN_PAPER, KernelConfig
 from pfschur.measures import PointSet, ProcessSpec
 
@@ -63,3 +64,25 @@ def test_iterated_action_rows_report_their_grid_points():
     # at 64, 64 and 32 nodes
     rows = verify.battery_iterated_actions(seed=1234)
     assert [row["grid_points"] for row in rows] == [43008, 43008, 10240]
+
+
+def test_the_batched_moment_test_matches_one_integral_at_a_time(monkeypatch):
+    calls, integrate = [], quadrature.integrate
+
+    def spy(f, contour, **kwargs):
+        out = integrate(f, contour, **kwargs)
+        calls.append((contour, out))
+        return out
+    monkeypatch.setattr(quadrature, "integrate", spy)
+    row, _ = verify.battery_quadrature()
+    (contour, (values, info)), = calls
+    pairs = list(product((0.5, 1.0, 2.0), range(-5, 6)))
+    assert list(contour.circles[0].radius) == [r for r, _ in pairs]
+    assert (row["integrals"], row["grid_points"]) == (33, info["grid_points"])
+    for i, (r, k) in enumerate(pairs):
+        value, one = integrate(lambda z, k=k: z ** k, quadrature.circle(r),
+                               full_output=True)
+        assert info["nodes"][i] == one["nodes"]
+        # the batch sums its nodes in another order: within 1e-15 of the
+        # summands' scale, sum |z^k w| = r^(k+1)
+        assert abs(values[i] - value) <= 1e-15 * max(1.0, r ** (k + 1))
