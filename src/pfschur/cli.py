@@ -44,10 +44,9 @@ def _load_config(path, overrides):
             raw = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read config {path}: {reason}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: "
