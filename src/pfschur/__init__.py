@@ -23,8 +23,7 @@ from .measures import (PointSet, ProcessSpec, correlation_oracle,
                        partition_function_closed, partition_function_truncated,
                        process_weight, truncation_diagnostic)
 from .kernels import (KernelConfig, assemble_kernel, correlation_via_kernel,
-                      correlation_via_q_extraction, default_radii,
-                      kernel_entry_process, kernel_entry_single, radius_sweep,
+                      correlation_via_q_extraction, default_radii, radius_sweep,
                       verify_principal_pfaffian_factorization)
 
 __version__ = "0.1.0"

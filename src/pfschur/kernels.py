@@ -22,8 +22,8 @@ factors of z alone and of w alone, so a block is the bilinear form
 G_z^T (W C W) G_w whose columns are the points' slot factors and powers;
 K21 is -K12^T. On trapezoid nodes of origin-centered circles the core C is
 a rank-one term plus a Hankel matrix, so each block is summed by FFT in
-O(n log n) per column, with no n x n array (the dense `_core` is its tested
-reference). A pass (`_Assembly._pass`) is one array evaluation of the
+O(n log n) per column, with no n x n array (the tests check it against the
+dense-grid sums). A pass (`_Assembly._pass`) is one array evaluation of the
 circles that the blocks with an unconverged entry read: one
 `quadrature.nodes_weights` call on their radii, one broadcast for all their
 slot factors and columns, one ifft per side of the blocks, one fft for every
@@ -38,8 +38,6 @@ one doubling. The node count doubles for all circles together, each entry
 is accepted at the first doubling where it converges, and a block, or a
 circle no open block reads, is no longer evaluated once every entry on it
 has converged.
-`kernel_entry_process` keeps the literal per-entry integrand on
-`quadrature.integrate2` as the independent check.
 
 Every convention here (signs, the strict dichotomy, the per-slot level
 assignment of the rational factors) was fixed by agreement with the
@@ -58,7 +56,7 @@ from . import quadrature as quad
 from .macdonald import (ContourConditionError, _pair, choose_radii,
                         stated_action_Z, z_partition)
 from .macdonald import iterated_action_Z  # noqa: F401 (perfbench traces it here)
-from .measures import PointSet, ProcessSpec
+from .measures import PointSet
 from .pfaffian import SkewMatrix, pfaffian, schur_pfaffian_matrix
 from .symfunc import Specialization
 
@@ -161,49 +159,6 @@ def _slot_values(spec):
     return num1, den1, num2, den2
 
 
-def _rational(z, nums, dens):
-    v = np.ones_like(z)
-    for zeta in nums:
-        v = v * (1 - zeta / z)
-    for zeta in dens:
-        v = v / (1 - zeta * z)
-    return v
-
-
-def _entry_integral(kind, ti, tj, fz, fw, rz, rw, cfg, sign=1.0):
-    """Shared quadrature driver; kind selects the coupling prefactor."""
-    if kind == "K11":
-        def f(z, w):
-            return (sign * (z - w) / ((z * z - 1) * (w * w - 1) * (z * w - 1))
-                    * fz(z) * fw(w) * z ** (-ti) * w ** (-tj))
-    elif kind == "K12":
-        def f(z, w):
-            return (sign * (z - w) / (w * (z * z - 1) * (z * w - 1))
-                    * fz(z) * fw(w) * z ** (-ti) * w ** (-tj))
-    else:  # K22
-        def f(z, w):
-            return (sign * (z - w) / (z * w * (z * w - 1))
-                    * fz(z) * fw(w) * z ** (-ti) * w ** (-tj))
-    cz = quad.circle(rz, nodes=cfg.start_nodes)
-    cw = quad.circle(rw, nodes=cfg.start_nodes)
-    return quad.integrate2(f, cz, cw, tol=cfg.quad_tol,
-                           max_nodes=cfg.max_nodes, full_output=True)
-
-
-def kernel_entry_process(which, i, u, j, v, spec, T, cfg=None, full_output=False):
-    """One 2x2-block entry of the process kernel for points (i, u) and (j, v),
-    where u, v index the positions listed at levels i and j (1-based)."""
-    cfg = cfg or KernelConfig()
-    cfg.validate()
-    if not isinstance(T, PointSet):
-        T = PointSet(T)
-    per_level = T.by_level(spec.m)
-    ti = per_level[i][u - 1]
-    tj = per_level[j][v - 1]
-    value, info = _kernel_entry(which, i, ti, j, tj, spec, cfg)
-    return (value, info) if full_output else value
-
-
 def _k22_sign(cfg):
     """The K22 coupling's sign: +1 under the paper's (zw - 1), -1 under
     Borodin-Rains' (1 - zw)."""
@@ -218,67 +173,6 @@ def _k12_variant(i, j, cfg):
     lt = i < j if cfg.k12_regime == "strict" else i <= j
     a, b = (i, j) if cfg.h_assignment == "slot" else (j, i)
     return ("k12_w_lt" if lt else "k12_w_gt"), a, b
-
-
-def _kernel_entry(which, i, ti, j, tj, spec, cfg):
-    radii = _resolved_radii(spec, cfg)
-    num1, den1, num2, den2 = _slot_values(spec)
-    if which == "K21":
-        value, info = _kernel_entry("K12", j, tj, i, ti, spec, cfg)
-        return -value, info
-    if which == "K11":
-        fz = lambda z: _rational(z, num1[i], den1[i])
-        fw = lambda w: _rational(w, num1[j], den1[j])
-        value, info = _entry_integral("K11", ti, tj, fz, fw,
-                                      radii["k11"], radii["k11"], cfg)
-    elif which == "K22":
-        fz = lambda z: _rational(z, num2[i], den2[i])
-        fw = lambda w: _rational(w, num2[j], den2[j])
-        value, info = _entry_integral("K22", ti, tj, fz, fw, radii["k22"],
-                                      radii["k22"], cfg, _k22_sign(cfg))
-    elif which == "K12":
-        wc, a, b = _k12_variant(i, j, cfg)
-        fz = lambda z: _rational(z, num1[a], den1[a])
-        fw = lambda w: _rational(w, num2[b], den2[b])
-        value, info = _entry_integral("K12", ti, tj, fz, fw,
-                                      radii["k11"], radii[wc], cfg)
-    else:
-        raise ValueError(f"unknown kernel block {which!r}")
-    return value, info
-
-
-def kernel_entry_single(which, k, l, X, Y, T, cfg=None, full_output=False):
-    """Single-partition kernel entry for points t_k, t_l of T (1-based k, l).
-
-    Wraps the process kernel at m = 1 with rho^+ = X, rho^- = Y. The
-    Pfaffian representation is derived under n = |X| = |Y| > max(d, d - min T);
-    violations are reported in the info dict, not rejected, because the
-    kernel route remains numerically exact beyond that bound.
-    """
-    cfg = cfg or KernelConfig()
-    X = X if isinstance(X, Specialization) else Specialization(X)
-    Y = Y if isinstance(Y, Specialization) else Specialization(Y)
-    if len(X) != len(Y):
-        raise ValueError("the single-partition kernel expects |X| = |Y|")
-    spec = ProcessSpec([X], [Y])
-    T = [int(t) for t in T]
-    pts = PointSet([(1, t) for t in T])
-    value, info = kernel_entry_process(which, 1, k, 1, l, spec, pts, cfg,
-                                       full_output=True)
-    n, d = len(X), len(T)
-    if n <= max(d, d - min(T)):
-        info = dict(info)
-        info["hypothesis_warning"] = (
-            f"n={n} <= max(d, d - min T)={max(d, d - min(T))}")
-    return (value, info) if full_output else value
-
-
-def _core(z, w):
-    """The coupling factor shared by all three blocks; the rest of each
-    block's coupling depends on z or on w alone. `_Assembly.estimate` sums
-    it in FFT form; this dense form is the reference that form is tested
-    against."""
-    return (z - w) / (z * w - 1)
 
 
 _BLOCKS = ("K11", "K12", "K22")
@@ -430,8 +324,9 @@ class _Assembly:
         circle, and their estimates at N, N/2, ... down to n nodes, as
         {count: estimates}.
 
-        Each block is sum_ab A[a, p] _core(z_a, w_b) B[b, q] over the
-        weighted columns A on its z circle and B on its w circle, without the
+        Each block is sum_ab A[a, p] C(z_a, w_b) B[b, q] over the weighted
+        columns A on its z circle and B on its w circle, C(z, w) being the
+        coupling (z - w)/(zw - 1), without the
         N x N grid of the core. The core is -1/z + (z - 1/z) / (zw - 1), and
         on the nodes z_a = r_z omega^a, w_b = r_w omega^b
         (omega = exp(2 pi i/N)) the second denominator depends only on
@@ -489,8 +384,8 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
     on k11 x k11, K12 on k11 x k12_w_lt and k11 x k12_w_gt, K22 on
     k22 x k22) and K21 is -K12^T. All circles double their node count
     together from cfg.start_nodes; each entry keeps its estimate and node
-    count from the first doubling at which it converges to cfg.quad_tol, so
-    the per-entry `nodes` match the per-entry route. The first pass
+    count from the first doubling at which it converges to cfg.quad_tol, as
+    if it were summed on its own. The first pass
     evaluates 4 x cfg.start_nodes nodes per circle (2 x when cfg.max_nodes
     allows no more) and gives the estimates at the first three counts; each
     later pass evaluates afresh the circles that the blocks with an
@@ -545,13 +440,6 @@ def correlation_via_kernel(spec, T, cfg=None, full_output=False):
     (a SkewMatrix) and the assembly's skew `defect`, `max_last_delta`,
     per-entry `nodes`, `radii` and `node_evaluations`."""
     cfg = cfg or KernelConfig()
-    if not isinstance(T, PointSet):
-        T = PointSet(T)
-    if not T.points:
-        return ((1.0, {"imag_defect": 0.0, "matrix": SkewMatrix(np.zeros((0, 0))),
-                       "defect": 0.0, "max_last_delta": 0.0, "nodes": {},
-                       "radii": {}, "node_evaluations": 0})
-                if full_output else 1.0)
     if not full_output:
         return pfaffian(assemble_kernel(spec, T, cfg)).real
     S, info = assemble_kernel(spec, T, cfg, full_output=True)

@@ -25,10 +25,6 @@ def check_partition(parts):
     return t
 
 
-def weight(lam):
-    return sum(lam)
-
-
 def conjugate(lam):
     """Transpose of the Young diagram: row i of the result counts parts >= i+1."""
     if not lam:
@@ -180,12 +176,3 @@ def point_configuration(lam, n):
         raise ValueError("n must be >= 1")
     return {(lam[i] if i < len(lam) else 0) - (i + 1) for i in range(n)}
 
-
-def partition_from_points(points):
-    """Invert point_configuration: recover the partition from {lam_i - i}.
-
-    The points must be the full configuration for some n >= length(lam).
-    """
-    vals = sorted(points, reverse=True)
-    lam = tuple(v + i + 1 for i, v in enumerate(vals))
-    return check_partition(lam)

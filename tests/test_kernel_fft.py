@@ -4,9 +4,8 @@
 live block reads in one broadcast and sums every block's coupling
 (z - w)/(zw - 1) on them as a rank-one term plus a Hankel convolution, at
 the coarser counts of its first pass by folding the transforms;
-`quadrature.estimate_bilinear` with `kernels._core` evaluates the same
-trapezoid sum on the dense n x n grid, from columns built with the per-entry
-route's slot factors (`kernels._rational`).
+`kernel_reference.dense` evaluates the same trapezoid sum on the dense n x n
+grid, from slot factors of its own.
 """
 
 import tracemalloc
@@ -15,6 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from kernel_reference import dense
 from pfschur import kernels
 from pfschur import quadrature as quad
 from pfschur.kernels import SIGN_BR, KernelConfig
@@ -26,47 +26,6 @@ PTS = [(1, 0), (1, -3), (2, 2), (2, -5)]
 RADII = {"default": {}, "inadmissible": kernels._inadmissible_radii(SPEC)}
 ALL = np.ones(3 * len(PTS) ** 2, dtype=bool)
 K11 = np.arange(len(ALL)) % 3 == 0  # the K11 block alone reads only the k11 circle
-
-
-def _dense(cfg, n):
-    """Every entry from the dense core, and for each entry the sum of the
-    moduli of its n^2 summands: the scale of its rounding error."""
-    radii = kernels._resolved_radii(SPEC, cfg)
-    num1, den1, num2, den2 = kernels._slot_values(SPEC)
-
-    def outer(lvl, t):
-        return lambda z: kernels._rational(z, num1[lvl], den1[lvl]) * z ** (-t) / (z * z - 1)
-
-    def inner(lvl, t):
-        return lambda z: kernels._rational(z, num2[lvl], den2[lvl]) * z ** (-t) / z
-    groups = {}  # (z circle, w circle) -> entries, z columns, w columns
-    d = len(PTS)
-    for p, (i, ti) in enumerate(PTS):
-        for q, (j, tj) in enumerate(PTS):
-            wc, a, b = kernels._k12_variant(i, j, cfg)
-            e = 3 * (d * p + q)
-            for key, entry in ((("k11", "k11"), (e, outer(i, ti), outer(j, tj))),
-                               (("k11", wc), (e + 1, outer(a, ti), inner(b, tj))),
-                               (("k22", "k22"), (e + 2, inner(i, ti), inner(j, tj)))):
-                groups.setdefault(key, []).append(entry)
-    ref, scale = np.zeros(len(ALL), dtype=complex), np.zeros(len(ALL))
-    sign = {"k11": 1.0, "k22": kernels._k22_sign(cfg)}
-    for (zc, wc), group in groups.items():
-        entries, gz, gw = zip(*group)
-        entries = list(entries)
-
-        def cols(fs):
-            return lambda z: np.stack([f(z) for f in fs], axis=1)
-        ref[entries] = sign[zc] * quad.estimate_bilinear(
-            kernels._core, cols(gz), cols(gw), quad.circle(radii[zc]),
-            quad.circle(radii[wc]), n, n)
-        (z, wz), (w, ww) = (quad.nodes_weights(quad.Circle(0j, radii[c]), n)
-                            for c in (zc, wc))
-        A = np.abs(cols(gz)(z) * wz[:, None])
-        B = np.abs(cols(gw)(w) * ww[:, None])
-        scale[entries] = np.einsum("ae,ab,be->e", A,
-                                   np.abs(kernels._core(z[:, None], w[None, :])), B)
-    return ref, scale
 
 
 @pytest.mark.parametrize("n", [64, 128, 256, 1024])
@@ -84,10 +43,10 @@ def test_fft_grids_match_the_dense_core(radii, n):
     counts = (64, 128, 256, 512, 1024)
     for count in counts[:counts.index(n) + 1]:
         fft = asm.estimate(count, ALL)
-    dense, scale = _dense(cfg, n)
+    dense_sums, scale = dense(SPEC, PTS, cfg, n)
     # relative to the summands: under the inadmissible reading every K11
     # entry is 0 analytically, and both sums are rounding noise
-    assert np.all(np.abs(fft - dense) <= 1e-12 * scale)
+    assert np.all(np.abs(fft - dense_sums) <= 1e-12 * scale)
 
 
 def test_fft_grid_builds_no_node_by_node_array():
@@ -157,8 +116,8 @@ def test_a_later_pass_matches_the_dense_core(monkeypatch):
     later = [(n, live, est) for _, n, live, est, _ in calls if n > 256]
     assert len(later) == len(passes) - 1
     for n, live, est in later:
-        dense, scale = _dense(KernelConfig(quad_tol=1e-10), n)
-        assert np.all(np.abs(est - dense)[live] <= 1e-12 * scale[live]), n
+        dense_sums, scale = dense(SPEC, PTS, KernelConfig(quad_tol=1e-10), n)
+        assert np.all(np.abs(est - dense_sums)[live] <= 1e-12 * scale[live]), n
 
 
 def test_an_assembly_without_points_evaluates_nothing(monkeypatch):

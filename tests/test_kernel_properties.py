@@ -1,25 +1,26 @@
-"""Property test: the block-assembled kernel against the per-entry route.
+"""Property test: the block-assembled kernel against the per-entry dense sums.
 
-`assemble_kernel` estimates every entry on four shared node grids;
-`kernel_entry_process` integrates one entry's literal integrand on its own.
-On random admissible specs, under every variant switch, the two must give
-the same entries to 1e-12, accept them at the same node counts, and fail on
-the same entry with the same last two estimates when the node cap is too
-small. The inadmissible radius reading is checked the same way on the
-shipped configs.
+`assemble_kernel` sums every block by FFT on four shared node grids;
+`kernel_reference.reference` takes each entry's trapezoid sum on the dense
+n x n grid and doubles it under the same `quadrature.converge`. On random
+admissible specs, under every variant switch, the two must give the same
+entries to 1e-12, accept them at the same node counts, and fail on the same
+entry with the same last two estimates when the node cap is too small. The
+inadmissible radius reading is checked the same way on the shipped configs.
 """
 
 import json
-import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 
+from kernel_reference import reference  # noqa: E402
 from pfschur.kernels import (SIGN_BR, KernelConfig, _inadmissible_radii,  # noqa: E402
-                             _radii_at, assemble_kernel, kernel_entry_process)
+                             _radii_at, assemble_kernel)
 from pfschur.measures import PointSet, ProcessSpec  # noqa: E402
 from pfschur.quadrature import QuadratureError  # noqa: E402
 
@@ -41,7 +42,7 @@ VARIANTS = {"paper": {}, "br": {"sign_convention": SIGN_BR},
 @st.composite
 def cases(draw):
     """(rho^+ families, rho^- families, points) as plain lists."""
-    m = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 3))
     family = st.lists(st.floats(0.1, 0.55, exclude_min=True, exclude_max=True),
                       min_size=1, max_size=3)
     plus = [draw(family) for _ in range(m)]
@@ -53,37 +54,35 @@ def cases(draw):
     return plus, minus, points
 
 
-def _reference(which, p, q, slots, spec, T, cfg):
-    (i, u), (j, v) = slots[p], slots[q]
-    return kernel_entry_process(which, i, u, j, v, spec, T, cfg, full_output=True)
-
-
 def _close(a, b):
     return abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
 
 def _assert_blocks_match(spec, T, cfg):
     per_level = T.by_level(spec.m)
-    # (level, 1-based position within the level) in assembly order
-    slots = [(lvl, u + 1) for lvl in range(1, spec.m + 1)
-             for u in range(len(per_level[lvl]))]
+    pts = [(lvl, t) for lvl in range(1, spec.m + 1) for t in per_level[lvl]]
     try:
         S, info = assemble_kernel(spec, T, cfg, full_output=True)
     except QuadratureError as exc:
-        which, p, q = re.search(r"(K\d\d)\[(\d+),(\d+)\]", str(exc)).groups()
         with pytest.raises(QuadratureError) as ref:
-            _reference(which, int(p), int(q), slots, spec, T, cfg)
+            reference(spec, pts, cfg)
+        assert str(ref.value) == str(exc)
         assert all(_close(a, b) for a, b in zip(exc.estimates, ref.value.estimates))
         return
-    d = len(slots)
+    value, step, _ = reference(spec, pts, cfg)
+    d = len(pts)
+    V = np.reshape(value, (d, d, 3))
+    nodes = cfg.start_nodes << np.reshape(step, (d, d, 3))
     for p in range(d):
         for q in range(d):
-            for which, (ro, co) in (("K11", (0, 0)), ("K12", (0, 1)),
-                                    ("K21", (1, 0)), ("K22", (1, 1))):
-                value, ref = _reference(which, p, q, slots, spec, T, cfg)
+            # K21[p,q] is -K12[q,p] on both sides
+            for which, (ro, co), (a, b, blk), sign in (
+                    ("K11", (0, 0), (p, q, 0), 1), ("K12", (0, 1), (p, q, 1), 1),
+                    ("K21", (1, 0), (q, p, 1), -1), ("K22", (1, 1), (p, q, 2), 1)):
                 name = f"{which}[{p},{q}]"
-                assert _close(S.matrix[2 * p + ro, 2 * q + co], value), name
-                assert info["nodes"][name] == ref["nodes"], name
+                entry = S.matrix[2 * p + ro, 2 * q + co]
+                assert _close(entry, sign * V[a, b, blk]), name
+                assert info["nodes"][name] == (nodes[a, b, blk],) * 2, name
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

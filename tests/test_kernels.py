@@ -3,11 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kernel_reference import reference
 from pfschur import kernels
-from pfschur.kernels import (SIGN_BR, SIGN_PAPER, KernelConfig,
-                             assemble_kernel, correlation_via_kernel,
+from pfschur.kernels import (SIGN_BR, KernelConfig, assemble_kernel,
+                             correlation_via_kernel,
                              correlation_via_q_extraction, default_radii,
-                             kernel_entry_process, kernel_entry_single,
                              radius_sweep,
                              verify_principal_pfaffian_factorization)
 from pfschur.measures import PointSet, ProcessSpec, correlation_oracle
@@ -29,49 +29,27 @@ def test_default_radii_admissible():
     assert radii["k12_w_gt"] * radii["k11"] > 1
 
 
+def _reference_blocks(spec, pts, cfg=CFG):
+    """The reference entries over the level-major points pts as a
+    (d, d, 3) array: K11, K12 and K22 of each pair."""
+    value, _, _ = reference(spec, pts, cfg)
+    return np.reshape(value, (len(pts), len(pts), 3))
+
+
 def test_k11_antisymmetry():
-    T = PointSet([(1, 0), (1, 2)])
-    kkk = kernel_entry_process("K11", 1, 1, 1, 1, SPEC_M1, T, CFG)
-    assert abs(kkk) < 1e-7  # integrand odd under z <-> w
-    kkl = kernel_entry_process("K11", 1, 1, 1, 2, SPEC_M1, T, CFG)
-    klk = kernel_entry_process("K11", 1, 2, 1, 1, SPEC_M1, T, CFG)
-    assert abs(kkl + klk) < 1e-7
-    assert abs(kkl) > 1e-4  # not trivially zero off the diagonal
+    k11 = _reference_blocks(SPEC_M1, [(1, 0), (1, 2)])[..., 0]
+    assert abs(k11[0, 0]) < 1e-7  # integrand odd under z <-> w
+    assert abs(k11[0, 1] + k11[1, 0]) < 1e-7
+    assert abs(k11[0, 1]) > 1e-4  # not trivially zero off the diagonal
 
 
 def test_process_blockwise_skew_relations():
-    T = PointSet([(1, 0), (2, 1)])
-    for which in ("K11", "K22"):
-        a = kernel_entry_process(which, 1, 1, 2, 1, SPEC_M2, T, CFG)
-        b = kernel_entry_process(which, 2, 1, 1, 1, SPEC_M2, T, CFG)
-        assert abs(a + b) < 1e-7, which
-    k21 = kernel_entry_process("K21", 1, 1, 2, 1, SPEC_M2, T, CFG)
-    k12 = kernel_entry_process("K12", 2, 1, 1, 1, SPEC_M2, T, CFG)
-    assert k21 == -k12
-
-
-def test_single_equals_process_at_m1():
-    T = [0, 2]
-    pts = PointSet([(1, t) for t in T])
-    for which in ("K11", "K12", "K21", "K22"):
-        for (k, l) in ((1, 1), (1, 2), (2, 1)):
-            single = kernel_entry_single(which, k, l, X2, X2, T, CFG)
-            process = kernel_entry_process(which, 1, k, 1, l, SPEC_M1, pts, CFG)
-            assert abs(single - process) < 1e-12, (which, k, l)
-
-
-def test_single_requires_equal_lengths():
-    with pytest.raises(ValueError):
-        kernel_entry_single("K11", 1, 1, X2, Specialization([0.5]), [0], CFG)
-
-
-def test_single_hypothesis_warning():
-    _, info = kernel_entry_single("K11", 1, 1, X2, X2, [0, 2], CFG,
-                                  full_output=True)
-    assert "hypothesis_warning" in info  # n = d - min T is out of bounds
-    _, info2 = kernel_entry_single("K11", 1, 1, X2, X2, [0], CFG,
-                                   full_output=True)
-    assert "hypothesis_warning" not in info2
+    pts = [(1, 0), (2, 1)]
+    V = _reference_blocks(SPEC_M2, pts)
+    for which, blk in (("K11", 0), ("K22", 2)):
+        assert abs(V[0, 1, blk] + V[1, 0, blk]) < 1e-7, which
+    K = assemble_kernel(SPEC_M2, PointSet(pts), CFG).matrix
+    assert K[1, 2] == -K[2, 1]  # K21[0,1] = -K12[1,0]
 
 
 def test_assemble_structure_d1():
@@ -90,8 +68,7 @@ def test_assemble_names_the_entry_that_failed_to_converge():
         assemble_kernel(SPEC_M2, T, KernelConfig(max_nodes=128))
     assert "K12[0,1]" in str(exc.value) and "(128, 128)" in str(exc.value)
     with pytest.raises(QuadratureError) as ref:
-        kernel_entry_process("K12", 1, 1, 2, 1, SPEC_M2, T,
-                             KernelConfig(max_nodes=128))
+        reference(SPEC_M2, [(1, 0), (2, 0)], KernelConfig(max_nodes=128))
     assert np.allclose(exc.value.estimates, ref.value.estimates,
                        rtol=1e-12, atol=1e-12)
 
@@ -106,6 +83,16 @@ def test_assemble_permutation_invariance():
 
 def test_correlation_empty_T():
     assert correlation_via_kernel(SPEC_M1, PointSet([]), CFG) == 1.0
+
+
+def test_correlation_empty_T_validates_the_config():
+    with pytest.raises(ValueError, match="quad_tol"):
+        correlation_via_kernel(SPEC_M1, PointSet([]), KernelConfig(quad_tol=-1))
+    value, info = correlation_via_kernel(SPEC_M1, PointSet([]), CFG,
+                                         full_output=True)
+    assert value == 1.0
+    assert info["radii"] == default_radii(SPEC_M1)
+    assert info["nodes"] == {} and info["node_evaluations"] == 0
 
 
 def test_correlation_matches_oracle_m1():
@@ -169,12 +156,9 @@ def test_literal_k12_regime_fails_m2():
 
 def test_quadrature_stability_under_tol_halving():
     T = PointSet([(1, 0), (1, 2)])
-    for which, k, l in (("K11", 1, 2), ("K12", 1, 1), ("K22", 1, 2)):
-        loose = kernel_entry_process(which, 1, k, 1, l, SPEC_M1, T,
-                                     KernelConfig(quad_tol=1e-6))
-        tight = kernel_entry_process(which, 1, k, 1, l, SPEC_M1, T,
-                                     KernelConfig(quad_tol=5e-7))
-        assert abs(loose - tight) < 1e-6
+    loose = assemble_kernel(SPEC_M1, T, KernelConfig(quad_tol=1e-6)).matrix
+    tight = assemble_kernel(SPEC_M1, T, KernelConfig(quad_tol=5e-7)).matrix
+    assert np.max(np.abs(loose - tight)) < 1e-6
 
 
 def test_radius_robustness():

@@ -5,8 +5,7 @@ from pfschur.partitions import (check_partition, conjugate, contains,
                                 enumerate_up_to_weight,
                                 even_conjugate_subpartitions,
                                 horizontal_strips, is_even_conjugate,
-                                partition_from_points, point_configuration,
-                                subpartitions)
+                                point_configuration, subpartitions)
 
 
 def euler_p(n, _cache={0: 1}):
@@ -140,4 +139,3 @@ def test_point_configuration_roundtrip():
         n = max(len(lam), 1) + 2
         pts = point_configuration(lam, n)
         assert len(pts) == n  # strictly decreasing values
-        assert partition_from_points(pts) == lam
