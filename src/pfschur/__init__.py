@@ -4,14 +4,21 @@ Closed-form objects (partition functions, Macdonald difference operator
 actions, double-contour Pfaffian correlation kernels) are computed
 numerically and cross-checked against brute-force enumeration oracles at
 desk scale.
+
+Importing the package pins BLAS to one thread before numpy loads, unless the
+environment sets it: threads slow the lab's small matrix products down.
 """
 
-from .partitions import (check_partition, conjugate, enumerate_up_to_weight,
+import os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+from .partitions import (conjugate, enumerate_up_to_weight,
                          even_conjugate_subpartitions, is_even_conjugate,
                          point_configuration)
-from .symfunc import (H0, DivergenceError, Specialization, cauchy_H,
-                      complete_homogeneous, elementary, monomial, power_sum,
-                      schur, skew_schur, tau)
+from .symfunc import (H0, DivergenceError, Specialization, cauchy_H, schur,
+                      skew_schur, tau)
 from .quadrature import (Circle, ContourSpec, QuadratureError, circle,
                          circles_around, integrate, integrate2)
 from .pfaffian import SkewMatrix, pfaffian, verify_schur_pfaffian

@@ -116,8 +116,8 @@ def eigenvalue(lam, n, r, q, t=None):
 def _elementary(lams, n, top, q, t):
     """e_0, ..., e_top at the spectrum of every partition in lams, each as
     an array of shape (len(lams),) + batch when q and t are numbers or
-    arrays over a batch, by the recursion of `symfunc.elementary` run over
-    the partitions and the batch at once."""
+    arrays over a batch: multiplying in a value v of the spectrum turns e_k
+    into e_k + v e_{k-1}, run over the partitions and the batch at once."""
     q, t = np.asarray(q, complex), np.asarray(t, complex)
     batch = np.broadcast_shapes(q.shape, t.shape)
     parts = np.array([lam + (0,) * (n - len(lam)) for lam in lams],

@@ -225,12 +225,12 @@ def partition_function_truncated(spec, kind="pfaffian", L=30):
     return _sequence_sum(spec, L, kind).real
 
 
-def truncation_diagnostic(spec, L, kind="pfaffian"):
-    """Tail indicator |S_L - S_{L-5}| / S_L; weights decay geometrically so
-    this bounds the truncation error up to a modest constant. Below L = 5,
-    S_{L-5} is the empty sum 0 and the indicator reads 1."""
-    s_l = partition_function_truncated(spec, kind, L)
-    s_prev = partition_function_truncated(spec, kind, L - 5) if L >= 5 else 0.0
+def truncation_diagnostic(spec, L):
+    """Tail indicator |S_L - S_{L-5}| / S_L of the pfaffian sum; weights decay
+    geometrically so this bounds the truncation error up to a modest
+    constant. Below L = 5, S_{L-5} is the empty sum 0 and the indicator 1."""
+    s_l = partition_function_truncated(spec, L=L)
+    s_prev = partition_function_truncated(spec, L=L - 5) if L >= 5 else 0.0
     return abs(s_l - s_prev) / abs(s_l)
 
 

@@ -9,22 +9,6 @@ from functools import lru_cache
 import numpy as np
 
 
-def check_partition(parts):
-    """Normalize an iterable into a partition tuple, dropping trailing zeros.
-
-    Raises ValueError if the entries are not weakly decreasing nonnegative
-    integers.
-    """
-    t = tuple(int(p) for p in parts)
-    while t and t[-1] == 0:
-        t = t[:-1]
-    if any(p <= 0 for p in t):
-        raise ValueError(f"partition parts must be positive: {parts!r}")
-    if any(t[i] < t[i + 1] for i in range(len(t) - 1)):
-        raise ValueError(f"partition parts must be weakly decreasing: {parts!r}")
-    return t
-
-
 def conjugate(lam):
     """Transpose of the Young diagram: row i of the result counts parts >= i+1."""
     if not lam:

@@ -105,14 +105,14 @@ class ContourSpec:
                                  for c in self.circles), self.nodes)
 
 
-def circle(radius=1.0, center=0j, orientation=1, nodes=64):
-    """Single origin-or-offset circle as a ContourSpec."""
-    return ContourSpec((Circle(complex(center), float(radius), orientation),), nodes)
+def circle(radius=1.0, center=0j, nodes=64):
+    """One counterclockwise circle as a ContourSpec (`reversed`: clockwise)."""
+    return ContourSpec((Circle(complex(center), float(radius)),), nodes)
 
 
-def circles_around(points, radius, orientation=1, nodes=16):
-    """Union of same-radius circles centered at the given points, from 16
-    nodes per circle. The points and the radius may be arrays over a batch.
+def circles_around(points, radius, nodes=16):
+    """Union of same-radius counterclockwise circles centered at the points,
+    from 16 nodes per circle; the points and radius may be arrays over a batch.
 
     The one-operator Macdonald contours built here sit at a quarter of the
     safe radius around their poles (`macdonald.contour_radius`), so the
@@ -123,8 +123,8 @@ def circles_around(points, radius, orientation=1, nodes=16):
     a few doublings. A higher start only forces a final grid twice as fine
     as needed (4x the points in 2-D).
     """
-    return ContourSpec(tuple(Circle(_number(p, complex), _number(radius, float),
-                                    orientation) for p in points), nodes)
+    return ContourSpec(tuple(Circle(_number(p, complex), _number(radius, float))
+                             for p in points), nodes)
 
 
 def _number(value, kind):

@@ -13,7 +13,6 @@ with no memo.
 
 import numbers
 from functools import lru_cache
-from itertools import permutations
 
 import numpy as np
 
@@ -73,16 +72,6 @@ class Specialization:
 
     __or__ = union
 
-    def max_abs(self):
-        if not self.values:
-            raise ValueError("empty specialization has no max_abs")
-        return max(abs(v) for v in self.values)
-
-    def min_abs(self):
-        if not self.values:
-            raise ValueError("empty specialization has no min_abs")
-        return min(abs(v) for v in self.values)
-
     def to_json(self):
         """Bare reals where the imaginary part is exactly zero, else [re, im]."""
         return [v.real if v.imag == 0 else [v.real, v.imag] for v in self.values]
@@ -105,13 +94,6 @@ def _values(s):
     return s.values if isinstance(s, Specialization) else tuple(complex(v) for v in s)
 
 
-def power_sum(r, s):
-    """p_r = sum of r-th powers; additive over disjoint unions."""
-    if r < 1:
-        raise ValueError("power sum index must be >= 1")
-    return sum(v ** r for v in _values(s))
-
-
 @lru_cache(maxsize=65536)
 def _h_table(values, degree):
     """h_0..h_degree by one-variable-at-a-time geometric convolution:
@@ -122,46 +104,6 @@ def _h_table(values, degree):
         for k in range(1, degree + 1):
             h[k] += x * h[k - 1]
     return tuple(h)
-
-
-def complete_homogeneous(r, s):
-    """h_r(s); h_0 = 1 and h_r = 0 for r < 0 (the Jacobi-Trudi convention)."""
-    if r < 0:
-        return 0j
-    return _h_table(_values(s), r)[r]
-
-
-def elementary(r, s):
-    """e_r(s) via the coefficient of t^r in prod (1 + v t)."""
-    vals = _values(s)
-    if r < 0:
-        return 0j
-    if r > len(vals):
-        return 0j
-    e = [0j] * (r + 1)
-    e[0] = 1.0 + 0j
-    for v in vals:
-        for k in range(r, 0, -1):
-            e[k] += v * e[k - 1]
-    return e[r]
-
-
-def monomial(alpha, s):
-    """Monomial symmetric polynomial: sum of x^beta over the distinct
-    rearrangements beta of alpha zero-padded to len(s). Used only as an
-    independent oracle, so the brute-force enumeration is intentional."""
-    vals = _values(s)
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) > len(vals):
-        raise ValueError("monomial exponent vector longer than the specialization")
-    padded = alpha + (0,) * (len(vals) - len(alpha))
-    total = 0j
-    for beta in set(permutations(padded)):
-        term = 1.0 + 0j
-        for v, b in zip(vals, beta):
-            term *= v ** b
-        total += term
-    return total
 
 
 def _jacobi_trudi(h, lam, mu):

@@ -11,6 +11,8 @@ draws as one batched `apply_via_contour` call per (n, r) shape, the 33
 quadrature moments as one `integrate` call over a batch of circles, and the
 power sums of each H/H0 draw as one array. A batched draw is still accepted
 at its own doubling, and every check keeps its row, name and tolerance.
+Tolerances are literals, but the eigenrelation and contour-action batteries
+take a `tol` and `draws`, which tests set to force a failure or shrink a run.
 """
 
 from itertools import combinations
@@ -37,7 +39,7 @@ def _row(name, value, tol, extra=None):
 # symmetric functions
 # ---------------------------------------------------------------------------
 
-def battery_symfunc(seed=0, tol=1e-10):
+def battery_symfunc(seed=0):
     rng = np.random.default_rng(seed)
     rows = []
 
@@ -52,7 +54,7 @@ def battery_symfunc(seed=0, tol=1e-10):
         rhs = sum(symfunc.skew_schur(lam, mu, X) * symfunc.schur(mu, Y)
                   for mu in subpartitions(lam))
         worst = max(worst, abs(lhs - rhs))
-    rows.append(_row("branching |lam|<=6", worst, tol, {"shapes": len(shapes)}))
+    rows.append(_row("branching |lam|<=6", worst, 1e-10, {"shapes": len(shapes)}))
 
     # product forms vs power-sum exponentials, truncated at k = 60: the power
     # sums p_1..p_120 of x and p_1..p_60 of y, one array each
@@ -177,7 +179,7 @@ def battery_contour_action(seed=0, tol=1e-8, draws=20):
                   "draws": draws, "grid_points": grid_points})]
 
 
-def battery_iterated_actions(seed=0, tol=1e-6):
+def battery_iterated_actions(seed=0):
     """Iterated Z and F actions against composed direct actions, and Z's
     normalized action against the observable oracle; each row carries its
     quadrature's `nodes` and `last_delta`."""
@@ -194,7 +196,7 @@ def battery_iterated_actions(seed=0, tol=1e-6):
         comp = macdonald.apply_direct(inner, xs, 1, q2)
         cont, info = action([q1, q2], xs, ys, full_output=True)
         rows.append(_row(f"iterated {name} action d=2 vs composition",
-                         abs(comp - cont), tol, _convergence(info)))
+                         abs(comp - cont), 1e-6, _convergence(info)))
 
     # expectation route: normalized action vs truncated observable sum
     spec = measures.ProcessSpec([xs], [ys])
@@ -212,11 +214,11 @@ def battery_iterated_actions(seed=0, tol=1e-6):
 # partition functions
 # ---------------------------------------------------------------------------
 
-def battery_partition_function(spec, L, tol=1e-8):
+def battery_partition_function(spec, L):
     """Closed-form partition functions against their truncated sums.
 
-    Fixed m = 1 and m = 2 specs at weight 40 and tol, with the H0-union
-    adjudication, then the pfaffian partition function of `spec` itself at
+    Fixed m = 1 and m = 2 specs at weight 40 and tolerance 1e-8, with the
+    H0-union adjudication, then `spec`'s own pfaffian partition function at
     weight L, within ten times its truncation diagnostic (at least 1e-8).
     Each row carries `partitions`, the size of the partition list its
     truncated sum runs over (`measures.sequence_partitions`).
@@ -237,16 +239,16 @@ def battery_partition_function(spec, L, tol=1e-8):
                 fixed, kind, fixed_L)
             rel = abs(closed - trunc) / abs(closed)
             rows.append(_row(f"{name} {kind} truncated vs closed (L={fixed_L})",
-                             rel, tol, partitions(fixed, fixed_L, kind)))
+                             rel, 1e-8, partitions(fixed, fixed_L, kind)))
     # adjudication: union H0 vs literal per-level product at m=2
     closed_union = measures.partition_function_closed(m2, "pfaffian", h0_union=True)
     closed_literal = measures.partition_function_closed(m2, "pfaffian", h0_union=False)
     trunc = truncated[m2, "pfaffian"]
     rel_union = abs(closed_union - trunc) / trunc
     rel_literal = abs(closed_literal - trunc) / trunc
-    rows.append(_row("m=2 H0-union form vs oracle", rel_union, tol,
+    rows.append(_row("m=2 H0-union form vs oracle", rel_union, 1e-8,
                      {"verdict": "union form matches"
-                      if rel_union < tol < rel_literal else "inconclusive",
+                      if rel_union < 1e-8 < rel_literal else "inconclusive",
                       "literal_rel_err": rel_literal, **partitions(m2, fixed_L)}))
     # the config's own process
     closed = measures.partition_function_closed(spec, "pfaffian")
@@ -268,7 +270,7 @@ def _evaluated(dims, routes=1):
     return {"pfaffians": routes * len(dims), "dims": list(dims)}
 
 
-def battery_pfaffian(seed=0, tol=1e-9):
+def battery_pfaffian(seed=0):
     """The Pfaffian core: Pf^2 = det, the Schur Pfaffian identity, the
     expansion against the elimination, and the coupling-product
     factorization. Each row carries the number of Pfaffians it evaluated
@@ -282,7 +284,7 @@ def battery_pfaffian(seed=0, tol=1e-9):
         A = A - A.T
         det = np.linalg.det(A)
         worst = max(worst, abs(pfaffian(A) ** 2 - det) / abs(det))
-    rows.append(_row("Pf^2 = det, dims 2..12", worst, tol, _evaluated(dims)))
+    rows.append(_row("Pf^2 = det, dims 2..12", worst, 1e-9, _evaluated(dims)))
 
     worst = 0.0
     for d in (1, 2, 3):
@@ -357,17 +359,19 @@ def correlation_row(method, spec, T, cfg, L, full_output=False):
 def compare_methods(spec, T, cfg, L=30):
     """The oracle and the kernel row of the points T (`correlation_row`), the
     kernel row with its distance `delta_vs_oracle` from the oracle value,
-    the oracle's truncation diagnostic, and the K22 sign adjudication: that
-    distance under cfg's sign convention and under the other one. The
-    kernel is assembled once: the other convention's value is the Pfaffian
-    of the same matrix with its K22 block negated
-    (`kernels.with_other_k22_sign`)."""
+    the oracle's truncation diagnostic, the K22 sign adjudication (that
+    distance under cfg's sign convention and under the other one, whose
+    value is the Pfaffian of the same matrix with its K22 block negated:
+    `kernels.with_other_k22_sign`), and the verdict: FAIL when the distance
+    reaches the threshold, max(1e-3, 10 x the diagnostic), else PASS."""
     oracle = correlation_row("oracle", spec, T, cfg, L)
     kernel, info = correlation_row("kernel", spec, T, cfg, L, full_output=True)
     delta = kernel["delta_vs_oracle"] = abs(kernel["value"] - oracle["value"])
     val_flip = pfaffian(kernels.with_other_k22_sign(info["matrix"])).real
+    diag = oracle["diagnostics"]["truncation_diagnostic"]
+    threshold = max(1e-3, 10 * diag)
     return {
-        "truncation_diagnostic": oracle["diagnostics"]["truncation_diagnostic"],
+        "truncation_diagnostic": diag,
         "results": [oracle, kernel],
         "sign_adjudication": {
             "convention": cfg.sign_convention,
@@ -377,10 +381,12 @@ def compare_methods(spec, T, cfg, L=30):
                                    else kernels.SIGN_PAPER),
             "flipped_delta": abs(val_flip - oracle["value"]),
         },
+        "threshold": threshold,
+        "verdict": "FAIL" if delta >= threshold else "PASS",
     }
 
 
-def battery_quadrature(tol=1e-12):
+def battery_quadrature():
     """The trapezoid rule on exact moments and near a pole.
 
     The moment test integrates z^k over the circles of radius 0.5, 1 and 2
@@ -395,7 +401,7 @@ def battery_quadrature(tol=1e-12):
     batch = quadrature.ContourSpec((quadrature.Circle(0j, radius),))
     val, info = quadrature.integrate(lambda z: z ** k, batch, full_output=True)
     worst = float(np.max(np.abs(val - (k == -1))))
-    rows = [_row("moment test z^k over circles", worst, tol,
+    rows = [_row("moment test z^k over circles", worst, 1e-12,
                  {"integrals": len(k), "grid_points": info["grid_points"]})]
 
     val = quadrature._estimate1(lambda z: 1 / (z - 0.5), quadrature.circle(1.0), 64)

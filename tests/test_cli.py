@@ -413,6 +413,20 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["all_pass"] is True
 
 
+def test_importing_the_package_pins_blas_to_one_thread():
+    # unset, each variable reads "1" after the import; a set one is kept
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = str(CONFIGS.parent / "src")
+    for preset in ({}, {"OMP_NUM_THREADS": "2"}):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import os, pfschur; "
+             f"print(*map(os.environ.get, {names!r}))"],
+            capture_output=True, text=True, env={**env, **preset}, check=True)
+        want = {name: "1" for name in names} | preset
+        assert proc.stdout.split() == [want[name] for name in names]
+
+
 _BASE = {"process": {"rho_plus": [[0.5]], "rho_minus": [[0.5]]},
          "points": [[1, 0]]}
 CONFIG_FAULTS = {

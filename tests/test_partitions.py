@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from pfschur.partitions import (check_partition, conjugate, contains,
-                                enumerate_up_to_weight,
+from pfschur.partitions import (conjugate, contains, enumerate_up_to_weight,
                                 even_conjugate_subpartitions,
                                 horizontal_strips, is_even_conjugate,
                                 point_configuration, subpartitions)
@@ -26,15 +25,6 @@ def euler_p(n, _cache={0: 1}):
         k += 1
     _cache[n] = total
     return total
-
-
-def test_check_partition():
-    assert check_partition([3, 1, 0, 0]) == (3, 1)
-    assert check_partition([]) == ()
-    with pytest.raises(ValueError):
-        check_partition([1, 2])
-    with pytest.raises(ValueError):
-        check_partition([2, -1])
 
 
 def test_conjugate_examples():

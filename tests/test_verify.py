@@ -42,6 +42,18 @@ def test_sign_adjudication_flips_only_the_sign():
                               kernels.assemble_kernel(SPEC, POINTS, flipped).matrix)
 
 
+def test_compare_verdict_passes_the_paper_sign_and_fails_the_br_sign():
+    # configs/m1_twovar.json at L = 40: the diagnostic is far below 1e-4,
+    # so the threshold is 1e-3, which only the BR sign's gap reaches
+    spec = ProcessSpec([[0.5, 0.25]], [[0.5, 0.25]])
+    points = PointSet([(1, 0), (1, 2)])
+    for convention, verdict in ((SIGN_PAPER, "PASS"), (SIGN_BR, "FAIL")):
+        out = verify.compare_methods(spec, points, KernelConfig(
+            quad_tol=1e-8, sign_convention=convention), L=40)
+        assert out["threshold"] == 1e-3
+        assert out["verdict"] == verdict
+
+
 def test_symfunc_battery_passes_on_every_seed():
     # at 182 and 783 the even-conjugate shapes above weight 40 add more than 1e-10
     failed = [(seed, row["name"]) for seed in [*range(60), 182, 783]
