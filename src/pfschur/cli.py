@@ -6,7 +6,8 @@ sweeps are handed the oracle value. `BATTERIES` tabulates `verify-*`.
 
 Exit codes: 0 success, 1 config error (a config that cannot be read or a
 report that cannot be written among them), 2 numerical non-convergence,
-3 a FAIL verdict of `compare` or a failing row in a `verify-*` report
+3 a `compare` verdict other than PASS (FAIL, or INCONCLUSIVE where a short
+truncation raised the threshold) or a failing row in a `verify-*` report
 (written before the exit). The argument parser is built once per process,
 on the first `main` call.
 """
@@ -265,7 +266,7 @@ def _run(args):
         rates[name] = hits / (hits + misses) if hits + misses else None
     report["timing"] = {"elapsed_s": time.time() - t_start, "cache_hit_rate": rates}
     _emit(report, args.out, args.format)
-    if report.get("verdict") == "FAIL" or report.get("all_pass") is False:
+    if report.get("verdict", "PASS") != "PASS" or report.get("all_pass") is False:
         return EXIT_THRESHOLD
     return EXIT_OK
 

@@ -12,8 +12,9 @@ spectra and every e_r computed once. The contour routes need care with
 which poles a contour encloses:
 
 * the one-operator action on a product-form function integrates over small
-  circles around the points x_i only, a quarter of the safe radius wide
-  (`contour_radius`), so each converges at its first doubling;
+  circles around the points x_i only, a sixteenth of the safe radius wide
+  (`contour_radius`), so each converges at its first doubling, 8 -> 16
+  nodes, from one 16-node pass;
 * the iterated one-row actions (several q's) additionally need, for every
   earlier variable, circles around the shift images q_k x_i of the later
   variables; without them the residues that shift the same variable twice
@@ -38,8 +39,9 @@ converged doubling. The iterated actions are the integrand on the product
 forms of Z and F, and the coupling-product check in `kernels` multiplies the
 same pair factor. Each action is one call of `quadrature.integrate_product`
 on these factors, over circles from `quadrature.circles_around` that start
-at its 16 nodes; a quadrature that does not converge is re-raised naming the
-action (and on a batch the draw). The stated contour encloses only simple
+at 8 nodes for `apply_via_contour` and 16 for the iterated actions; a
+quadrature that does not converge is re-raised naming the action (and on a
+batch the draw). The stated contour encloses only simple
 poles, at the x_i, so `stated_action_Z` sums its residues from the same
 factors exactly, with no quadrature.
 """
@@ -259,7 +261,7 @@ def _factors(qs, xs, G):
 
 
 def contour_radius(xs, q):
-    """A quarter of the largest safe radius R for circles around the x_i:
+    """A sixteenth of the largest safe radius R for circles around the x_i:
     circles pairwise disjoint, q-images of every circle outside all
     circles, 0 outside every circle, and every circle inside the unit disk.
     The xs and q may be arrays over a batch, and so is the radius.
@@ -268,10 +270,11 @@ def contour_radius(xs, q):
     outside the unit disk when |q|, |x_j|, |y| < 1: z = +-1 of f(z^2),
     1/(q x_j) of f(q z x_j) and 1/(q y) of a Cauchy g(q z). With the bounds
     met, every singularity of the integrand off the circle around x_i stays
-    at least R from x_i, so the trapezoid error on a circle of radius R/4
-    falls like 4^-N at N nodes (Trefethen & Weideman, SIAM Rev. 56, 2014):
-    the 16-node estimate is within about 4^-16 = 2e-10, and the first
-    doubling, 16 -> 32, meets a tolerance of 1e-9.
+    at least R from x_i, so the trapezoid error on a circle of radius R/16
+    falls like 16^-N at N nodes (Trefethen & Weideman, SIAM Rev. 56, 2014):
+    the 8-node estimate is within about 16^-8 = 2.3e-10, as the 16-node one
+    was at R/4, and the first doubling, 8 -> 16, meets a tolerance of 1e-9
+    with the 16-node estimate within 16^-16.
     """
     bounds = []
     for i in range(len(xs)):
@@ -282,7 +285,7 @@ def contour_radius(xs, q):
             bounds.append(abs(q * xs[i] - xs[j]) / (abs(q) + 1))
         bounds.append(abs(xs[i]))  # keep 0 outside
         bounds.append(1 - abs(xs[i]))  # stay inside the unit disk
-    rad = 0.25 * np.min(bounds, axis=0)
+    rad = np.min(bounds, axis=0) / 16
     if np.any(rad <= 0):
         raise ContourConditionError("no positive radius satisfies the contour conditions")
     return rad
@@ -291,14 +294,15 @@ def contour_radius(xs, q):
 def apply_via_contour(G, xs, r, q, tol=1e-9, full_output=False):
     """Order-r action on a product-form G by the r-fold contour integral.
 
-    The contour is the union of circles around the x_i of `contour_radius`;
-    all r variables run over the same contour. Assumes t = q. The value is
-    G(xs)/r! times the integral of the one-row integrand (`_factors`) at r
-    equal shifts q. Each coordinate of xs, q and each y of G is a number or
-    an array over one batch of draws: one `quadrature.integrate_product`
-    pass then evaluates every draw's circles at each doubling and accepts
-    each draw at its own first converged doubling, and the value is an
-    array over the batch. full_output adds the radius to the quadrature's
+    The contour is the union of circles around the x_i of `contour_radius`,
+    from 8 nodes per circle; all r variables run over the same contour.
+    Assumes t = q. The value is G(xs)/r! times the integral of the one-row
+    integrand (`_factors`) at r equal shifts q, accepted at 8 -> 16 nodes
+    from one 16-node pass: (16 n)^r grid points. Each coordinate of xs, q
+    and each y of G is a number or an array over one batch of draws: one
+    `quadrature.integrate_product` pass then evaluates every draw's circles
+    and accepts each draw at its own first converged doubling, and the
+    value is an array over the batch. full_output adds the radius to the quadrature's
     `nodes`, `last_delta` and `grid_points` (per draw on a batch: a list of
     node counts, arrays of deltas and radii). A QuadratureError is re-raised
     naming the action and r, and on a batch the draw, with the same
@@ -309,7 +313,7 @@ def apply_via_contour(G, xs, r, q, tol=1e-9, full_output=False):
     xs = _coordinates(xs)
     _check_order(r, len(xs))
     radius = contour_radius(xs, q)
-    contour = quad.circles_around(xs, radius)
+    contour = quad.circles_around(xs, radius, nodes=8)
     try:
         integral, info = quad.integrate_product(*_factors([q] * r, xs, G),
                                                 [contour] * r, tol=tol,

@@ -12,22 +12,29 @@ A circle's center and radius may also be arrays over a batch of draws, one
 circle per draw. Its nodes then carry the batch as trailing axes, shape
 (N,) + batch, so an integrand whose parameters are numbers or arrays over
 the same batch broadcasts against them unchanged, and an integral returns
-one estimate per draw. The batch is evaluated whole at every doubling;
-`converge` accepts each draw at its own first converged doubling. Every
-integral reports `grid_points`, the integrand points it evaluated: per
-doubling, circles times nodes per contour, multiplied over the contours and
-the draws.
+one estimate per draw. The batch is evaluated whole at every pass;
+`converge` accepts each draw at its own first converged doubling.
 
 One function, `converge`, runs the doubling loop for any number of
 integrals sharing a node sequence, accepting each at its own first
 converged doubling; `integrate`, `integrate2`, `integrate_n` (one or two
-contours) and `integrate_product` are single-integral wrappers over it.
-Each contour's nodes and weights are one vector concatenated over its
-circles. A contour starts at 64 nodes per circle (`circle`, `ContourSpec`),
-except the small circles of `circles_around`, which start at 16.
+contours) and `integrate_product` are single-integral wrappers over it,
+through `_single`. The n trapezoid nodes of a circle are its 2n nodes [::2]
+bit for bit, and their weights twice the 2n-node ones, so the first pass of
+every integral evaluates 2n nodes per circle and serves both the n-node and
+the 2n-node estimate, the former summed over each contour's even-indexed
+nodes (as `kernels._Assembly` folds its passes); each later pass evaluates
+its nodes afresh and serves one count. Every integral reports
+`grid_points`, the integrand points of the passes it evaluated: per pass,
+circles times nodes per contour, multiplied over the contours and the
+draws. Each contour's nodes and weights are one vector concatenated over
+its circles, from one broadcast over their stacked centers, radii and
+orientations. A contour starts at 64 nodes per circle (`circle`,
+`ContourSpec`), except the small circles of `circles_around`, which start
+at 16 unless asked for fewer.
 `estimate_bilinear`, one double integral per column of two column
 matrices, is the one summation of every two-dimensional grid, so every
-integral over d >= 2 contours is one bilinear sum per doubling:
+integral over d >= 2 contours is one bilinear sum per pass:
 `integrate2` with unit columns and its integrand as the grid,
 `integrate_product` (one-variable and pairwise factors) with each tuple of
 nodes of the outer d - 2 variables as a column and the last pairwise factor
@@ -112,16 +119,17 @@ def circle(radius=1.0, center=0j, nodes=64):
 
 def circles_around(points, radius, nodes=16):
     """Union of same-radius counterclockwise circles centered at the points,
-    from 16 nodes per circle; the points and radius may be arrays over a batch.
+    from `nodes` per circle; the points and radius may be arrays over a batch.
 
-    The one-operator Macdonald contours built here sit at a quarter of the
+    The one-operator Macdonald contours built here sit at a sixteenth of the
     safe radius around their poles (`macdonald.contour_radius`), so the
-    trapezoid error falls like 4^-N: the 16-node estimate is within about
-    2e-10 and `converge`, which doubles until two estimates agree, accepts
-    at the first doubling, 16 -> 32, for tolerances down to 1e-9. The
-    iterated actions' circles, at 0.8 of each other's radius, accept within
-    a few doublings. A higher start only forces a final grid twice as fine
-    as needed (4x the points in 2-D).
+    trapezoid error falls like 16^-N: from 8 nodes, the 8-node estimate is
+    within about 16^-8 = 2.3e-10 and `converge`, which doubles until two
+    estimates agree, accepts at the first doubling, 8 -> 16, for tolerances
+    down to 1e-9, both estimates from one 16-node pass. The iterated
+    actions' circles, at 0.8 of each other's radius, start at 16 nodes and
+    accept within a few doublings. A higher start only forces a final grid
+    twice as fine as needed (4x the points in 2-D).
     """
     return ContourSpec(tuple(Circle(_number(p, complex), _number(radius, float))
                              for p in points), nodes)
@@ -160,14 +168,35 @@ def nodes_weights(c: Circle, n):
 
 def _nodes(contour, n):
     """The n trapezoid nodes of every circle of a contour, and their
-    weights, each as one vector concatenated over the circles."""
-    zw = [nodes_weights(c, n) for c in contour.circles]
-    return np.concatenate([z for z, _ in zw]), np.concatenate([w for _, w in zw])
+    weights, each as one vector concatenated over the circles, shape
+    (circles * n,) + batch: one broadcast over the circles' stacked centers,
+    radii and orientations, the same bits as `nodes_weights` circle by
+    circle. The circles of a contour share one shape of center and one of
+    radius (a number, or an array over the batch)."""
+    circles = contour.circles
+    center = np.array([c.center for c in circles], complex)
+    radius = np.array([c.radius for c in circles], float)
+    orientation = np.array([c.orientation for c in circles])
+    batch = np.broadcast_shapes(center.shape[1:], radius.shape[1:])
+
+    def per_circle(a):
+        """a as (circles, 1) + its batch shape, aligned to the batch's end."""
+        return a.reshape(a.shape[:1] + (1,) * (len(batch) + 2 - a.ndim) + a.shape[1:])
+    center = per_circle(center)
+    z = center + per_circle(radius) * _roots_of_unity(n).reshape((n,) + (1,) * len(batch))
+    w = per_circle(orientation) * (z - center) / n
+    return z.reshape((-1,) + batch), w.reshape((-1,) + batch)
 
 
-def _estimate1(f, contour, n):
+def _estimate1(f, contour, n, fold=False):
+    """The n-node estimate of (1/2pi i) oint f over the contour; with fold,
+    the pair of it and the n/2-node estimate from the same evaluation."""
     z, w = _nodes(contour, n)
-    return np.sum(np.asarray(f(z)) * w, axis=0)
+    fw = np.asarray(f(z)) * w
+    total = np.sum(fw, axis=0)
+    # the n/2 nodes of a circle are its n nodes [::2], their weights twice
+    # the n-node ones; a contour's circles all hold an even count of nodes
+    return (total, 2 * np.sum(fw[::2], axis=0)) if fold else total
 
 
 def _modulus(x):
@@ -217,26 +246,42 @@ def converge(estimate, size, n, max_nodes, tol, failure):
 
 def _single(estimate, contours, max_nodes, tol, full_output, what):
     """One integral over the contours through `converge`, or one per draw
-    when their circles are batched; estimate(k) gives the estimate (of the
-    batch's shape) with every contour at its start doubled k times. The
+    when their circles are batched. estimate(k, fold) gives the estimate (of
+    the batch's shape) with every contour at its start doubled k times, and
+    with fold the pair of it and the estimate at k - 1 from the even-indexed
+    half of the same nodes. The first pass, when max_nodes allows one
+    doubling, is estimate(1, True): it serves k = 0 and k = 1, which
+    `converge` then always asks for. Each later pass evaluates its nodes
+    afresh and serves one k, and a pass keeps nothing once it is served. The
     reported `nodes` are per circle, one count per contour (a number for one
-    contour), a list of them over the draws of a batch; a draw that does not
-    converge is named in the error."""
+    contour), a list of them over the draws of a batch; `grid_points` counts
+    the points of the passes evaluated; a draw that does not converge is
+    named in the error."""
     batch, starts = _batch(contours), [c.nodes for c in contours]
     size, n = math.prod(batch), max(starts)
+    passes, served = [], {}
+
+    def at(k, live):
+        if k not in served:
+            if k == 0 and n << 1 <= max_nodes:
+                passes.append(1)
+                served[1], served[0] = estimate(1, True)
+            else:
+                passes.append(k)
+                served[k] = estimate(k, False)
+        return np.reshape(served.pop(k), size)
 
     def failure(i, k):
         draw = f" (draw {i} of {size})" if batch else ""
         return f"{what} did not converge at {n << k} nodes/circle{draw}"
-    value, step, delta = converge(lambda k, live: np.reshape(estimate(k), size),
-                                  size, n, max_nodes, tol, failure)
+    value, step, delta = converge(at, size, n, max_nodes, tol, failure)
     value = np.reshape(value, batch)[()]
     if not full_output:
         return value
     nodes = [tuple(s << k for s in starts) if len(starts) > 1 else starts[0] << k
              for k in step]
     points = sum(size * math.prod(len(c.circles) * (c.nodes << k) for c in contours)
-                 for k in range(max(step) + 1))
+                 for k in passes)
     return value, {"nodes": nodes if batch else nodes[0],
                    "last_delta": np.reshape(delta, batch)[()], "grid_points": points}
 
@@ -248,11 +293,19 @@ def integrate(f, contour, tol=1e-9, max_nodes=MAX_NODES, full_output=False):
     less than tol (relative when the magnitude exceeds 1, absolute below).
     """
     n = contour.nodes
-    return _single(lambda k: _estimate1(f, contour, n << k), [contour], max_nodes,
-                   tol, full_output, "contour integral")
+    return _single(lambda k, fold: _estimate1(f, contour, n << k, fold), [contour],
+                   max_nodes, tol, full_output, "contour integral")
 
 
-def estimate_bilinear(core, gz, gw, c1, c2, n1, n2):
+def _dots(G, C, W):
+    """Per column t, sum_ab G[a,t] C[a,b] W[b,t] over the trailing two axes,
+    as a (1 x rows) @ (rows x 1) product per column: one column sums in the
+    order of the matrix product G^T C W."""
+    return (G.swapaxes(-1, -2)[..., :, None, :]
+            @ (C @ W).swapaxes(-1, -2)[..., :, :, None])[..., 0, 0]
+
+
+def estimate_bilinear(core, gz, gw, c1, c2, n1, n2, fold=None):
     """Tensor-product trapezoid estimates of a vector of double integrals at
     one node count.
 
@@ -265,23 +318,33 @@ def estimate_bilinear(core, gz, gw, c1, c2, n1, n2):
     least one row). On batched circles every array carries the batch as
     trailing axes, the blocks count its draws, and the estimates have shape
     (columns,) + batch.
+
+    fold, a boolean array over the columns, also asks for the estimates of
+    the columns it marks at n1/2 and n2/2 nodes: the same sums over the
+    even-indexed rows of Gz and Gw, their weights doubled, and the grid at
+    those rows and columns. The n/2 nodes of a circle are its n nodes [::2]
+    bit for bit, so the pass evaluates nothing more, and it returns the pair
+    (estimates, folded estimates).
     """
     z, wz = _nodes(c1, n1)
     w, ww = _nodes(c2, n2)
     first = tuple(range(2, z.ndim + 1)) + (0, 1)  # batch axes first
     Gz = (gz(z) * wz[:, None]).transpose(first)
     Gw = (gw(w) * ww[:, None]).transpose(first)
+    if fold is not None:
+        Hz, Hw = 2 * Gz[..., ::2, fold], 2 * Gw[..., ::2, fold]
     rows = max(1, _CHUNK // w.size)
-    total = 0j
+    total = half = 0j
     for start in range(0, len(z), rows):
         zc = z[start:start + rows, None]
-        C = np.broadcast_to(core(zc, w[None]), zc.shape[:1] + w.shape)
-        # per column a (1 x rows) @ (rows x 1) product: one column sums in
-        # the order of the matrix product Gz^T C Gw
-        dots = (Gz[..., start:start + rows, :].swapaxes(-1, -2)[..., :, None, :]
-                @ (C.transpose(first) @ Gw).swapaxes(-1, -2)[..., :, :, None])
-        total = total + dots[..., 0, 0]
-    return np.moveaxis(total, -1, 0)
+        C = np.broadcast_to(core(zc, w[None]), zc.shape[:1] + w.shape).transpose(first)
+        total = total + _dots(Gz[..., start:start + rows, :], C, Gw)
+        if fold is not None:
+            # the block's even-indexed rows: rows lo:hi of Hz
+            lo, hi = (start + 1) // 2, (start + len(zc) + 1) // 2
+            half = half + _dots(Hz[..., lo:hi, :], C[..., start % 2::2, ::2], Hw)
+    total = np.moveaxis(total, -1, 0)
+    return total if fold is None else (total, np.moveaxis(half, -1, 0))
 
 
 def _unit(v):
@@ -295,9 +358,13 @@ def integrate2(f, c1, c2, tol=1e-9, max_nodes=MAX_NODES_2D, full_output=False):
     value grid. Both node counts double jointly under one convergence test.
     """
     n1, n2 = c1.nodes, c2.nodes
-    return _single(
-        lambda k: estimate_bilinear(f, _unit, _unit, c1, c2, n1 << k, n2 << k)[0],
-        [c1, c2], max_nodes, tol, full_output, "double contour integral")
+
+    def estimate(k, fold):
+        out = estimate_bilinear(f, _unit, _unit, c1, c2, n1 << k, n2 << k,
+                                fold=np.ones(1, bool) if fold else None)
+        return tuple(v[0] for v in out) if fold else out[0]
+    return _single(estimate, [c1, c2], max_nodes, tol, full_output,
+                   "double contour integral")
 
 
 def integrate_n(f, contours, tol=1e-9, max_nodes=MAX_NODES_ND, full_output=False):
@@ -322,8 +389,10 @@ def integrate_product(ones, pair, contours, tol=1e-9, max_nodes=None,
     variables fold into those variables' columns, and its one-variable
     factors, mutual pair factors and weights form a scale vector, so the
     estimate is `estimate_bilinear` of pair(m, m + 1) dotted with the scale,
-    one grid per doubling and block of tuples (see _COLUMNS). Each contour
-    doubles from its own start. max_nodes defaults to the cap of the
+    one grid per pass and block of tuples (see _COLUMNS). On the first pass
+    the tuples of even-indexed outer nodes, their scale doubled per outer
+    contour, also give the half-node estimate. Each contour doubles from its
+    own start. max_nodes defaults to the cap of the
     dimension: MAX_NODES, MAX_NODES_2D or MAX_NODES_ND. On batched circles
     the factors receive nodes with the batch as trailing axes and the
     integral is one estimate per draw, accepted at the draw's own doubling.
@@ -344,14 +413,14 @@ def integrate_product(ones, pair, contours, tol=1e-9, max_nodes=None,
             return v
         return g
 
-    def estimate(k):
+    def estimate(k, fold):
         ns = [s << k for s in starts]
         outer = [_nodes(c, n) for c, n in zip(contours[:m], ns)]
         shape = tuple(len(z) for z, _ in outer)
         count = int(np.prod(shape))
         width = max(1, _COLUMNS // (math.prod(batch) * max(
             len(c.circles) * n for c, n in zip(contours[m:], ns[m:]))))
-        total = 0j
+        total = half = 0j
         for start in range(0, count, width):
             cols = np.arange(start, min(start + width, count))
             at = np.unravel_index(cols, shape) if m else ()
@@ -361,10 +430,19 @@ def integrate_product(ones, pair, contours, tol=1e-9, max_nodes=None,
                 scale = scale * w[i] * ones[j](zs[j])
                 for h in range(j + 1, m):
                     scale = scale * pair(j, h, zs[j], zs[h])
-            total = total + np.sum(estimate_bilinear(
+            # the tuples of even-indexed outer nodes are the half-node tuples
+            even = np.ones(len(cols), bool)
+            for i in at:
+                even &= i % 2 == 0
+            out = estimate_bilinear(
                 lambda a, b: pair(m, m + 1, a, b), column(m, zs),
                 column(m + 1, zs), contours[m], contours[m + 1],
-                ns[m], ns[m + 1]) * scale, axis=0)
-        return total
+                ns[m], ns[m + 1], fold=even if fold else None)
+            if fold:
+                out, folded = out
+                # each outer weight doubled: 2**m, exact
+                half = half + np.sum(folded * scale[even], axis=0) * 2 ** m
+            total = total + np.sum(out * scale, axis=0)
+        return (total, half) if fold else total
     what = "double contour integral" if d == 2 else f"{d}-fold contour integral"
     return _single(estimate, contours, max_nodes, tol, full_output, what)

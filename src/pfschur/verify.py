@@ -362,8 +362,11 @@ def compare_methods(spec, T, cfg, L=30):
     the oracle's truncation diagnostic, the K22 sign adjudication (that
     distance under cfg's sign convention and under the other one, whose
     value is the Pfaffian of the same matrix with its K22 block negated:
-    `kernels.with_other_k22_sign`), and the verdict: FAIL when the distance
-    reaches the threshold, max(1e-3, 10 x the diagnostic), else PASS."""
+    `kernels.with_other_k22_sign`), and the verdict against the threshold,
+    max(1e-3, 10 x the diagnostic): FAIL when the distance reaches it;
+    INCONCLUSIVE when it stays below a threshold that the truncation has
+    raised above 1e-3, since a short oracle cannot tell a wrong kernel from
+    a right one there; PASS otherwise."""
     oracle = correlation_row("oracle", spec, T, cfg, L)
     kernel, info = correlation_row("kernel", spec, T, cfg, L, full_output=True)
     delta = kernel["delta_vs_oracle"] = abs(kernel["value"] - oracle["value"])
@@ -382,7 +385,8 @@ def compare_methods(spec, T, cfg, L=30):
             "flipped_delta": abs(val_flip - oracle["value"]),
         },
         "threshold": threshold,
-        "verdict": "FAIL" if delta >= threshold else "PASS",
+        "verdict": ("FAIL" if delta >= threshold
+                    else "INCONCLUSIVE" if threshold > 1e-3 else "PASS"),
     }
 
 

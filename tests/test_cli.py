@@ -255,7 +255,7 @@ def test_verify_macdonald_does_not_read_quadrature_tol(tmp_path):
         results.append(read_report(out)["results"])
     assert results[0] == results[1]
     row, = [r for r in results[0] if r["method"] == "contour_action"]
-    assert row["diagnostics"]["max_nodes"] == 32
+    assert row["diagnostics"]["max_nodes"] == 16
     for r in results[0]:
         if r["method"] == "iterated_actions":
             assert {"nodes", "last_delta"} <= set(r["diagnostics"])
@@ -338,15 +338,32 @@ def test_verify_partition_function_truncation_flag(tmp_path):
 
 def test_compare_at_truncation_zero_does_not_blame_the_kernel(tmp_path):
     # the oracle at L = 0 keeps only the empty partition: its diagnostic
-    # reads 1, so the threshold is 10 and the kernel's gap passes
+    # reads 1, so the threshold is 10 and the kernel's gap is inconclusive
     out = tmp_path / "report.json"
     assert run_cli(["compare", "--config", str(CONFIGS / "m1_singleton.json"),
-                    "--truncation", "0", "--out", str(out)]) == 0
+                    "--truncation", "0", "--out", str(out)]) == 3
     report = read_report(out)
     oracle, kernel = report["results"]
     assert oracle["value"] == 0.0 and kernel["delta_vs_oracle"] > 0.1
     assert report["truncation_diagnostic"] == 1.0
-    assert report["threshold"] == 10.0 and report["verdict"] == "PASS"
+    assert report["threshold"] == 10.0 and report["verdict"] == "INCONCLUSIVE"
+
+
+@pytest.mark.parametrize("sign, truncation, verdict", [
+    ("br", 3, "INCONCLUSIVE"), ("br", 8, "INCONCLUSIVE"), ("br", 12, "INCONCLUSIVE"),
+    ("br", 40, "FAIL"), ("paper", 40, "PASS")])
+def test_a_short_truncation_cannot_pass_the_br_sign(tmp_path, sign, truncation,
+                                                    verdict):
+    # the BR sign misses by 2.7e-3 on m1_twovar; below L = 20 the threshold
+    # max(1e-3, 10 x diagnostic) exceeds that gap (10, 0.44, 8.4e-3)
+    out = tmp_path / "report.json"
+    code = run_cli(["compare", "--config", str(CONFIGS / "m1_twovar.json"),
+                    "--sign-convention", sign, "--truncation", str(truncation),
+                    "--out", str(out)])
+    report = read_report(out)
+    assert report["verdict"] == verdict
+    assert code == (0 if verdict == "PASS" else 3)
+    assert (report["threshold"] > 1e-3) == (verdict == "INCONCLUSIVE")
 
 
 def test_verify_partition_function_checks_the_configs_process(tmp_path):

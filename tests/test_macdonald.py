@@ -387,7 +387,7 @@ def test_contour_action_r2_is_integrate2_of_the_old_integrand():
     G = standard_G([0.25, 0.1])
     for tol in (1e-9, 1e-12):
         value, info = apply_via_contour(G, xs, 2, q, tol=tol, full_output=True)
-        contour = quad.circles_around(xs, info["radius"])
+        contour = quad.circles_around(xs, info["radius"], nodes=8)
         ref, ref_info = quad.integrate2(_old_contour_integrand(G, xs, q), contour,
                                         contour, tol=tol, full_output=True)
         assert info["nodes"] == ref_info["nodes"]
@@ -424,11 +424,11 @@ def test_contour_action_r3_matches_direct():
     direct = apply_direct(G, xs, 3, q)
     value, info = apply_via_contour(G, xs, 3, q, tol=1e-8, full_output=True)
     assert abs(value - direct) < 1e-8 * abs(direct)
-    assert info["nodes"] == (32, 32, 32)
+    assert info["nodes"] == (16, 16, 16)
 
 
 def test_contour_action_random_draws_match_direct():
-    # the circles start at 16 nodes: every accepted estimate must still be
+    # the circles start at 8 nodes: every accepted estimate must still be
     # the direct action, at n in {2, 3, 4} and r up to 3
     rng = np.random.default_rng(4107)
     for n in (2, 3, 4):
@@ -485,11 +485,11 @@ def test_contour_battery_is_one_batched_call_per_shape(monkeypatch):
     row, = verify.battery_contour_action(1234)
     # the 20 draws at seed 1234 fall into four (n, r) shapes
     assert sorted(calls) == [(2, 1, (3,)), (2, 2, (7,)), (3, 1, (4,)), (3, 2, (6,))]
-    # per draw, n circles of 16 and then 32 nodes for each of r variables
+    # per draw one pass, n circles of 16 nodes for each of r variables, which
+    # serves the 8-node estimate too
     assert (row["draws"], row["grid_points"]) == (
-        20, sum(size * ((16 * n) ** r + (32 * n) ** r)
-                for n, r, (size,) in calls))
-    assert row["pass"] and row["max_nodes"] == 32
+        20, sum(size * (16 * n) ** r for n, r, (size,) in calls))
+    assert row["pass"] and row["max_nodes"] == 16
 
 
 def test_contour_action_over_a_batch_names_the_draw_that_failed():
@@ -550,10 +550,11 @@ def test_iterated_actions_report_their_quadrature():
         assert set(info) == {"nodes", "last_delta", "grid_points"}
         assert len(info["nodes"]) == 2 and 0 < info["last_delta"] < 1e-9 * abs(value)
         # the earlier variable's four circles (the x_i and their q_2-images)
-        # against the later one's two, at every doubling from 16 nodes
+        # against the later one's two, at every pass from the 32-node one,
+        # which serves the 16-node start too
         K = (info["nodes"][0] // 16).bit_length() - 1
         assert info["grid_points"] == sum((4 * 16 << k) * (2 * 16 << k)
-                                          for k in range(K + 1))
+                                          for k in range(1, K + 1))
 
 
 def test_contour_action_rejects_orders_outside_1_to_n():

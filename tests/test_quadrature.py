@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -262,10 +263,11 @@ def test_integrate_product_d3_evaluates_its_last_pair_grid_once_per_doubling():
     _, info = integrate_product(D3_ONES, pair, contours, tol=1e-11,
                                 full_output=True)
     # every outer node is one column of one block, so the (z1, z2) grid of
-    # every doubling is evaluated once: 32 x 16 nodes at the start
+    # every pass is evaluated once: the first pass at 64 x 32 nodes serves
+    # the start, 32 x 16, too
     K = (info["nodes"][1] // 32).bit_length() - 1
     assert K >= 1
-    assert sum(sizes) == sum((32 << k) * (16 << k) for k in range(K + 1))
+    assert sum(sizes) == sum((32 << k) * (16 << k) for k in range(1, K + 1))
 
 
 def test_integrate_product_column_blocks_give_the_same_estimate(monkeypatch):
@@ -282,7 +284,7 @@ def test_integrate_product_column_blocks_give_the_same_estimate(monkeypatch):
     assert abs(got - want) < 1e-14 * abs(want)
     K = (info["nodes"][0] // 16).bit_length() - 1
     assert sum(sizes) == sum((32 << k) * (16 << k) * (32 << k)
-                             for k in range(K + 1))
+                             for k in range(1, K + 1))
 
 
 def test_one_d3_estimate_at_the_cap_stays_within_64_MiB():
@@ -335,3 +337,144 @@ def test_batched_circles_give_each_draw_its_own_integral_in_bounded_blocks():
                                  full_output=True)
         assert abs(got[b] - want) <= 1e-13 * abs(want)
         assert info["nodes"][b] == alone["nodes"]
+
+
+def _stacked_nodes_equal_per_circle(contour, n):
+    z, w = quadrature._nodes(contour, n)
+    zw = [quadrature.nodes_weights(c, n) for c in contour.circles]
+    return (np.array_equal(z, np.concatenate([a for a, _ in zw]))
+            and np.array_equal(w, np.concatenate([b for _, b in zw])))
+
+
+def test_contour_nodes_are_the_per_circle_nodes_bit_for_bit():
+    plain = circles_around([0.3, -0.4 + 0.1j, 0.2j], 0.15)
+    batched = circles_around([np.array([0.3, 0.1j]), np.array([-0.4, 0.5])],
+                             np.array([0.1, 0.2]))
+    # a batch of radii about one center, and a batch of centers at one radius
+    radii = ContourSpec((Circle(0j, np.array([[0.5, 1.0], [2.0, 0.7]])),))
+    centers = circles_around([np.array([0.3, 0.1j]), np.array([-0.4, 0.5])], 0.1)
+    for contour in (plain, batched, radii, centers, plain.reversed(),
+                    batched.reversed()):
+        for n in (8, 64, 1024):
+            assert _stacked_nodes_equal_per_circle(contour, n)
+
+
+def _f1(z):
+    return (z + 0.7) / ((z - 0.3) * (z + 0.2 - 0.1j)) + z ** 3
+
+
+def _f2(z, w):
+    return (z + w) / ((z - 0.3) * (w - 0.4 * z) * (w + 0.1))
+
+
+def _d3(*zs):
+    """The integrand of D3_ONES and d3_pair on broadcast node arrays."""
+    v = 1.0
+    for j, z in enumerate(zs):
+        v = v * D3_ONES[j](z)
+        for k in range(j + 1, 3):
+            v = v * d3_pair(j, k, z, zs[k])
+    return v
+
+
+def _route(contours, tol, spy=lambda f: f, **kwargs):
+    """integrate, integrate2 or integrate_product on the contours, by their
+    number; spy wraps the integrand (d3_pair at three contours)."""
+    if len(contours) == 1:
+        return integrate(spy(_f1), contours[0], tol=tol, **kwargs)
+    if len(contours) == 2:
+        return integrate2(spy(_f2), *contours, tol=tol, **kwargs)
+    return integrate_product(D3_ONES, spy(d3_pair), contours, tol=tol, **kwargs)
+
+
+S = np.array([1.0, 0.9, 0.8])  # per-draw radius scale of the batched cases
+# contours, tolerance and the node counts at acceptance, as each contour
+# doubled one grid per count before the first pass served two
+FOLD_CASES = {
+    "integrate": ([circle(0.8, nodes=8)], 1e-12, 64),
+    "integrate batched": ([ContourSpec((Circle(0j, 0.8 * S),), 8)], 1e-12,
+                          [64, 128, 128]),
+    "integrate2": ([circle(0.6, nodes=8), circle(1.0, nodes=16)], 1e-12, (128, 256)),
+    "integrate2 batched": ([ContourSpec((Circle(0j, 0.6 * S),), 8),
+                            ContourSpec((Circle(0j, 1.2 * S),), 8)], 1e-12,
+                           [(128, 128), (128, 128), (128, 128)]),
+    "integrate_product d=3": ([circles_around([0.3, -0.4], 0.15, nodes=8),
+                               circle(0.7, nodes=16),
+                               circles_around([0.1, 0.0], 0.05, nodes=8)], 1e-11,
+                              (64, 128, 64)),
+    "integrate_product d=3 batched": ([circles_around([0.3, -0.4], 0.15 * S, nodes=8),
+                                       ContourSpec((Circle(0j, 0.7 * S),), 8),
+                                       circles_around([0.1, 0.0], 0.05 * S, nodes=8)],
+                                      1e-6, [(32, 32, 32), (32, 32, 32),
+                                             (64, 64, 64)]),
+}
+
+
+def _summand_scale(contours):
+    """sum |integrand x weights| over the tensor grid of the contours at
+    their start, per draw: the scale of an estimate's rounding there."""
+    d, zs, ws = len(contours), [], []
+    for j, c in enumerate(contours):
+        z, w = quadrature._nodes(c, c.nodes)
+        shape = (1,) * j + (len(z),) + (1,) * (d - 1 - j) + z.shape[1:]
+        zs.append(z.reshape(shape))
+        ws.append(w.reshape(shape))
+    integrand = (_f1, _f2, _d3)[d - 1]
+    return np.sum(np.abs(integrand(*zs) * math.prod(ws)), axis=tuple(range(d)))
+
+
+@pytest.mark.parametrize("case", FOLD_CASES)
+def test_the_first_pass_serves_the_start_from_its_even_nodes(monkeypatch, case):
+    contours, tol, nodes = FOLD_CASES[case]
+    starts, converge = [], quadrature.converge
+
+    def spy(estimate, *args):
+        def recorded(k, live):
+            out = estimate(k, live)
+            if k == 0:
+                starts.append(out)
+            return out
+        return converge(recorded, *args)
+    monkeypatch.setattr(quadrature, "converge", spy)
+    _, info = _route(contours, tol, full_output=True)
+    assert info["nodes"] == nodes
+    # capped below one doubling, the route sums the start's grid on its own
+    n = max(c.nodes for c in contours)
+    with pytest.raises(QuadratureError) as exc:
+        _route(contours, tol, max_nodes=2 * n - 1)
+    assert f"at {n} nodes/circle" in str(exc.value)
+    prev, last = exc.value.estimates
+    assert prev == last
+    folded, alone = (np.reshape(v, _summand_scale(contours).shape) for v in starts)
+    assert np.all(np.abs(folded - alone) <= 1e-15 * _summand_scale(contours))
+    if len(contours) == 1:
+        assert np.array_equal(alone, _estimate1(_f1, contours[0], n))
+    elif len(contours) == 2:
+        ones = lambda v: np.ones((len(v), 1) + v.shape[1:])
+        assert np.array_equal(alone, estimate_bilinear(
+            _f2, ones, ones, *contours, *(c.nodes for c in contours))[0])
+
+
+@pytest.mark.parametrize("case", FOLD_CASES)
+def test_grid_points_count_the_points_evaluated(monkeypatch, case):
+    contours, tol, nodes = FOLD_CASES[case]
+    sizes = []
+
+    def spy(f):
+        def counted(*args):
+            if len(args) < 4 or args[:2] == (1, 2):  # the d = 3 grid is pair(1, 2)
+                sizes.append(np.broadcast(*args[-2:]).size)
+            return f(*args)
+        return counted
+    # one outer tuple per block, so the d = 3 grids sum to the whole tensor grid
+    monkeypatch.setattr(quadrature, "_COLUMNS", 1)
+    _, info = _route(contours, tol, spy, full_output=True)
+    assert info["grid_points"] == sum(sizes)
+    # one pass per doubling from the first: the start's own grid is never
+    # evaluated
+    K = int(np.max(np.reshape(info["nodes"], (-1, len(contours)))[:, 0])
+            // contours[0].nodes).bit_length() - 1
+    draws = np.prod(quadrature._batch(contours), dtype=int)
+    assert sum(sizes) == sum(draws * np.prod([len(c.circles) * (c.nodes << k)
+                                              for c in contours])
+                             for k in range(1, K + 1))

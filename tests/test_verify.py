@@ -62,20 +62,29 @@ def test_symfunc_battery_passes_on_every_seed():
 
 
 def test_contour_action_row_reports_its_node_counts():
-    # the seed of the shipped configs: at a quarter of the safe radius every
-    # draw is accepted at the first doubling, 16 -> 32 nodes
+    # the seed of the shipped configs: at a sixteenth of the safe radius
+    # every draw is accepted at the first doubling, 8 -> 16 nodes
     row, = verify.battery_contour_action(seed=1234)
     assert {"max_nodes", "max_last_delta"} <= set(row)
-    assert row["max_nodes"] == 32
-    # the grid points the battery evaluated when it ran one draw at a time
-    assert (row["draws"], row["grid_points"]) == (20, 105824)
+    assert row["max_nodes"] == 16
+    # one 16-node pass per draw serves both estimates
+    assert (row["draws"], row["grid_points"]) == (20, 21280)
+
+
+def test_contour_action_battery_accepts_every_draw_at_16_nodes():
+    # at a sixteenth of the safe radius the 8-node estimate is within about
+    # 16^-8 = 2.3e-10, so every draw of seeds 0-19 is accepted at 8 -> 16
+    rows = [row for seed in range(20) for row in verify.battery_contour_action(seed)]
+    assert all(row["pass"] for row in rows)
+    assert {row["max_nodes"] for row in rows} == {16}
+    assert max(row["value"] for row in rows) <= 1e-13
 
 
 def test_iterated_action_rows_report_their_grid_points():
     # the d = 2 actions at seed 1234: four circles against two, accepted
-    # at 64, 64 and 32 nodes
+    # at 64, 64 and 32 nodes, the first pass at 32 serving the 16-node start
     rows = verify.battery_iterated_actions(seed=1234)
-    assert [row["grid_points"] for row in rows] == [43008, 43008, 10240]
+    assert [row["grid_points"] for row in rows] == [40960, 40960, 8192]
 
 
 def test_the_batched_moment_test_matches_one_integral_at_a_time(monkeypatch):
