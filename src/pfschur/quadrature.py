@@ -127,9 +127,12 @@ def circles_around(points, radius, nodes=16):
     within about 16^-8 = 2.3e-10 and `converge`, which doubles until two
     estimates agree, accepts at the first doubling, 8 -> 16, for tolerances
     down to 1e-9, both estimates from one 16-node pass. The iterated
-    actions' circles, at 0.8 of each other's radius, start at 16 nodes and
-    accept within a few doublings. A higher start only forces a final grid
-    twice as fine as needed (4x the points in 2-D).
+    actions' circles, each level a quarter of the radius of the one before
+    (`macdonald.choose_radii`), start at 16 nodes: the shift-image poles a
+    circle encloses stay within |q|/4 of its radius, so the error falls
+    like (|q|/4)^N, and circles several radii apart accept at the first
+    doubling, 16 -> 32, from one 32-node pass. A higher start only forces a final grid twice as fine as
+    needed (4x the points in 2-D).
     """
     return ContourSpec(tuple(Circle(_number(p, complex), _number(radius, float))
                              for p in points), nodes)
@@ -144,6 +147,21 @@ def _batch(contours):
     """The batch shape of the contours' circles: () for plain circles."""
     return np.broadcast_shapes(*(np.shape(v) for c in contours for circ in c.circles
                                  for v in (circ.center, circ.radius)))
+
+
+def _broadcast(contours):
+    """The contours with every circle's center and radius broadcast to their
+    common batch shape, so a plain circle among batched ones is the same
+    circle in every draw; the contours as they are when each already has
+    that shape."""
+    batch = _batch(contours)
+    if all(np.shape(v) == batch for c in contours for circ in c.circles
+           for v in (circ.center, circ.radius)):
+        return list(contours)
+    return [ContourSpec(tuple(Circle(np.broadcast_to(circ.center, batch),
+                                     np.broadcast_to(circ.radius, batch),
+                                     circ.orientation) for circ in c.circles),
+                        c.nodes) for c in contours]
 
 
 @functools.lru_cache(maxsize=32)
@@ -356,7 +374,9 @@ def integrate2(f, c1, c2, tol=1e-9, max_nodes=MAX_NODES_2D, full_output=False):
 
     f receives node arrays shaped (N,1) and (1,M); broadcasting gives the
     value grid. Both node counts double jointly under one convergence test.
+    A plain circle among batched ones is broadcast to the batch.
     """
+    c1, c2 = _broadcast([c1, c2])
     n1, n2 = c1.nodes, c2.nodes
 
     def estimate(k, fold):
@@ -396,6 +416,8 @@ def integrate_product(ones, pair, contours, tol=1e-9, max_nodes=None,
     dimension: MAX_NODES, MAX_NODES_2D or MAX_NODES_ND. On batched circles
     the factors receive nodes with the batch as trailing axes and the
     integral is one estimate per draw, accepted at the draw's own doubling.
+    The contours need not all carry the batch: a plain circle among batched
+    ones is broadcast to the batch, the same circle in every draw.
     """
     d = len(contours)
     if max_nodes is None:
@@ -403,6 +425,7 @@ def integrate_product(ones, pair, contours, tol=1e-9, max_nodes=None,
     if d == 1:
         return integrate(ones[0], contours[0], tol=tol, max_nodes=max_nodes,
                          full_output=full_output)
+    contours = _broadcast(contours)
     m, starts, batch = d - 2, [c.nodes for c in contours], _batch(contours)
 
     def column(k, zs):

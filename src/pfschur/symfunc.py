@@ -4,15 +4,19 @@ A specialization is a finite ordered list of complex numbers. Everything here
 is double-precision complex; identities are checked to tolerances, never
 symbolically. Schur and skew Schur functions are Jacobi-Trudi determinants
 of complete homogeneous functions, their matrices read from an h-table by
-one index formula (`_jacobi_trudi`). The h-tables and the (partition,
-specialization) evaluations are memoized because the verify batteries and
-the per-sequence `measures.process_weight` reach the same cells many times;
-`schur_table` evaluates many partitions at a batch of point sets as arrays,
-with no memo.
+one index formula (`_jacobi_trudi`), and their determinants taken by
+LAPACK. The h-tables and the (partition, specialization) evaluations are
+memoized because the verify batteries and the per-sequence
+`measures.process_weight` reach the same cells many times. `schur_table`
+evaluates many partitions at a batch of point sets as arrays, with no memo
+and no LAPACK call: it expands the determinants itself, so `schur` stays an
+independent check of it.
 """
 
+import math
 import numbers
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -139,26 +143,62 @@ def schur_table(lams, point):
     shape (len(lams),) + batch.
 
     point holds the n coordinates, each a number or an array over the batch.
-    One h-recursion runs over the whole batch and one stacked determinant
-    serves every partition: each is padded with zero rows to the longest,
-    which leaves its Jacobi-Trudi determinant unchanged (the padding block is
-    unitriangular). Nothing is memoized. A row count beyond n gives the
-    rounding-level value `schur` gives.
+    One h-recursion runs over the whole batch, and one cofactor expansion
+    serves every partition at every row count: each partition is padded
+    with zero rows to the longest, ell rows, which leaves its Jacobi-Trudi
+    determinant unchanged (the padding block is unitriangular), and the
+    determinants are expanded along their rows from the last up
+    (`_expansion`), one array pass per row over every partition, every
+    minor and the whole batch. That is ell 2^(ell-1) products per value and
+    no LAPACK call; the values stay within 2e-15 of `schur`'s LAPACK
+    determinants, relative to |s_lam| + 1, up to ell = 6. Nothing is
+    memoized. A row count beyond n gives a rounding-level value, as `schur`
+    does.
     """
     lams = [tuple(lam) for lam in lams]
     ell = max(map(len, lams), default=0)
-    point = [np.asarray(x, dtype=complex) for x in point]
-    batch = np.broadcast_shapes(*(x.shape for x in point))
+    batch = np.broadcast_shapes(*map(np.shape, point))
+    size = math.prod(batch)
+    coords = np.empty((len(point),) + batch, complex)
+    for i, x in enumerate(point):
+        coords[i] = x
     degree = max((lam[0] for lam in lams if lam), default=0) + ell
-    h = np.zeros(batch + (degree + 2,), complex)  # h_0..h_degree, then the 0
-    h[..., 0] = 1.0
-    for x in point:
+    h = np.zeros((degree + 2, size), complex)  # h_0..h_degree, then the 0
+    h[0] = 1.0
+    for x in coords.reshape(len(point), size):
         for k in range(1, degree + 1):
-            h[..., k] += x * h[..., k - 1]
+            h[k] += x * h[k - 1]
     lam = np.array([lam + (0,) * (ell - len(lam)) for lam in lams],
                    dtype=int).reshape(len(lams), ell)
-    det = np.linalg.det(_jacobi_trudi(h, lam, np.zeros_like(lam)))
-    return np.moveaxis(det, -1, 0)
+    minors = np.ones((1, len(lams), size), complex)
+    for k, (cols, rest) in enumerate(_expansion(ell), 1):
+        i = ell - k
+        # row i, column c of lam's matrix is h_{lam_i - i + c}; a negative
+        # index reads the trailing 0
+        terms = h[np.maximum(lam[:, i] - i + cols[..., None], -1)] * minors[rest]
+        terms[:, 1::2] *= -1
+        minors = np.sum(terms, axis=1)
+    return minors[0].reshape((len(lams),) + batch)
+
+
+@lru_cache(maxsize=None)
+def _expansion(ell):
+    """The cofactor expansion of an ell x ell determinant along its rows,
+    from the last up, as index arrays computed once per ell: for k = 1 ..
+    ell, the k-subsets S of the columns in `combinations` order, as the rows
+    of `cols`, and for each column S[p] the position in level k - 1's list
+    of S without it, as `rest`. The minor of the last k rows on the columns
+    S is then the sum over p of (-1)^p M[ell - k, S[p]] times that minor."""
+    levels, index = [], {(): 0}
+    for k in range(1, ell + 1):
+        subsets = list(combinations(range(ell), k))
+        cols = np.array(subsets, int)
+        rest = np.array([[index[S[:p] + S[p + 1:]] for p in range(k)]
+                         for S in subsets])
+        cols.flags.writeable = rest.flags.writeable = False
+        levels.append((cols, rest))
+        index = {S: a for a, S in enumerate(subsets)}
+    return tuple(levels)
 
 
 def skew_schur(lam, mu, s):

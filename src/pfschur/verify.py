@@ -134,10 +134,11 @@ def battery_eigenrelation(seed=0, tol=1e-10, draws=50):
 
 
 def _convergence(info):
-    """A contour action's node counts at acceptance, last-doubling delta and
-    evaluated grid points, as report-row fields."""
+    """An iterated action's node counts at acceptance, last-doubling delta,
+    evaluated grid points and per-level circle radii, as report-row
+    fields."""
     return {"nodes": list(info["nodes"]), "last_delta": float(info["last_delta"]),
-            "grid_points": info["grid_points"]}
+            "grid_points": info["grid_points"], "radii": list(info["radii"])}
 
 
 def battery_contour_action(seed=0, tol=1e-8, draws=20):
@@ -182,7 +183,8 @@ def battery_contour_action(seed=0, tol=1e-8, draws=20):
 def battery_iterated_actions(seed=0):
     """Iterated Z and F actions against composed direct actions, and Z's
     normalized action against the observable oracle; each row carries its
-    quadrature's `nodes` and `last_delta`."""
+    quadrature's `nodes`, `last_delta` and `grid_points`, and the `radii` of
+    its contour levels."""
     rng = np.random.default_rng(seed)
     rows = []
     xs, ys = [0.3, 0.2], [0.25, 0.1]

@@ -547,8 +547,11 @@ def test_iterated_actions_report_their_quadrature():
     for action in (iterated_action_Z, iterated_action_F):
         value, info = action(qs, xs, ys, full_output=True)
         assert value == action(qs, xs, ys)
-        assert set(info) == {"nodes", "last_delta", "grid_points"}
+        assert set(info) == {"nodes", "last_delta", "grid_points", "radii"}
         assert len(info["nodes"]) == 2 and 0 < info["last_delta"] < 1e-9 * abs(value)
+        # a quarter of the radius per level, as choose_radii sets them
+        assert info["radii"] == choose_radii(qs, xs, ys)
+        assert info["radii"][1] == 0.25 * info["radii"][0]
         # the earlier variable's four circles (the x_i and their q_2-images)
         # against the later one's two, at every pass from the 32-node one,
         # which serves the 16-node start too
@@ -666,14 +669,52 @@ def test_iterated_d3_shrinks_radii_to_close_shift_images():
     for qs, xs, ys in [(qs, xs, ys)] + _intersecting_d3_draws(2017, 2):
         comp = _composition(qs, xs, ys, z_partition)
         assert abs(iterated_action_Z(qs, xs, ys) - comp) < 1e-9 * abs(comp)
-    # a shift-image locus that still crosses an earlier level keeps raising
+    # at levels 0.8 of each other's radius a z_k/q_j locus of this draw
+    # crossed an earlier level; at a quarter it is clear, and the action is
+    # the composition to rounding (9.4e-16 relative)
     xs = [0.5826989820985194, 0.42784004336343395]
     ys = [0.25558996009091484, 0.3716688284324764]
     qs = [-0.23903101171977237 - 0.41759550972921383j,
           -0.24192240398389162 + 0.5469091317388677j,
           0.39656576780946845 - 0.05151451292277064j]
+    comp = _composition(qs, xs, ys, z_partition)
+    assert abs(iterated_action_Z(qs, xs, ys) - comp) < 1e-14 * abs(comp)
+    # q_3 x_1 = q_1 x_2 = 0.2: for z_2 on the level-2 circle around q_3 x_1
+    # the pole z_1 = z_2/q_1 circles x_2 at radius r_2/|q_1| = r_1/1.6,
+    # inside the level-1 circle around x_2, and the check raises
     with pytest.raises(ContourConditionError, match="z_k/q_j pole reaches"):
-        iterated_action_Z(qs, xs, ys)
+        iterated_action_Z([0.4, 0.3 + 0.1j, 0.5], [0.4, 0.5], [0.25, 0.1])
+
+
+def _level_spacing(qs, xs, radii):
+    """The least distance between two circle centers of one shift-image
+    level, in radii of that level."""
+    centers = _image_centers([complex(q) for q in qs], [complex(x) for x in xs])
+    return min([math.inf] + [abs(a - b) / r for cs, r in zip(centers, radii)
+                             for i, a in enumerate(cs) for b in cs[i + 1:]])
+
+
+def test_iterated_actions_match_the_composition_on_random_draws():
+    # n <= 3 points and 1-3 ys in (0.1, 0.6), |q| <= 0.7: 24 draws at d = 1
+    # and 2 each, and two at d = 3. Each circle's enclosed shift-image loci
+    # lie within |q|/4 of its radius, so only the nearest center of its own
+    # level, at s radii, can hold the trapezoid error above (|q|/4)^N: every
+    # d <= 2 draw with s >= 5 (5^-16 = 6.6e-12) is accepted at 16 -> 32
+    rng = np.random.default_rng(2404)
+    first, spaced = [], 0
+    for d in [1, 2] * 12 + [3, 3]:
+        xs = list(rng.uniform(0.1, 0.6, int(rng.integers(1, 4))))
+        ys = list(rng.uniform(0.1, 0.6, int(rng.integers(1, 4))))
+        qs = list(rng.uniform(0.05, 0.7, d) * np.exp(2j * np.pi * rng.random(d)))
+        for action, partition in ((iterated_action_Z, z_partition),
+                                  (iterated_action_F, f_partition)):
+            comp = _composition(qs, xs, ys, partition)
+            value, info = action(qs, xs, ys, full_output=True)
+            assert abs(value - comp) < 1e-9 * abs(comp), (d, xs, ys, qs)
+            if d <= 2 and _level_spacing(qs, xs, info["radii"]) >= 5:
+                spaced += 1
+                first.append(info["nodes"] in (32, (32,) * d))
+    assert all(first) and spaced >= 40
 
 
 def test_stated_residue_sum_d3_equals_stated_quadrature():

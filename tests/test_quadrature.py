@@ -287,6 +287,37 @@ def test_integrate_product_column_blocks_give_the_same_estimate(monkeypatch):
                              for k in range(1, K + 1))
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_plain_circle_among_batched_contours_is_broadcast_to_the_batch(d):
+    # each contour in turn plain, the others over a batch of three radii:
+    # the integral is the one with that circle repeated in every draw
+    scale = np.array([1.0, 0.9, 0.8])
+    plain = [circles_around([0.3, -0.4], 0.15, nodes=8), circle(0.7, nodes=8),
+             circles_around([0.1, 0.0], 0.05, nodes=8)][3 - d:]
+    ones = D3_ONES[3 - d:]
+
+    def batched(c, s):
+        return ContourSpec(tuple(Circle(np.full(3, circ.center),
+                                        np.full(3, circ.radius) * s)
+                                 for circ in c.circles), c.nodes)
+    for j in range(d):
+        contours = [c if i == j else batched(c, scale) for i, c in enumerate(plain)]
+        by_hand = [batched(c, 1.0 if i == j else scale) for i, c in enumerate(plain)]
+        got, info = integrate_product(ones, d3_pair, contours, tol=1e-9,
+                                      full_output=True)
+        want, want_info = integrate_product(ones, d3_pair, by_hand, tol=1e-9,
+                                            full_output=True)
+        assert got.shape == (3,) and np.array_equal(got, want), j
+        assert (info["nodes"], info["grid_points"]) == (
+            want_info["nodes"], want_info["grid_points"])
+    if d == 2:
+        f = lambda z, w: ones[0](z) * ones[1](w) * d3_pair(0, 1, z, w)
+        got = integrate2(f, plain[0], batched(plain[1], scale), tol=1e-9)
+        want = integrate2(f, batched(plain[0], 1.0), batched(plain[1], scale),
+                          tol=1e-9)
+        assert np.array_equal(got, want)
+
+
 def test_one_d3_estimate_at_the_cap_stays_within_64_MiB():
     # started at the cap, the doubling loop makes one estimate and stops;
     # its 1024 outer tuples take four column blocks

@@ -81,10 +81,28 @@ def test_contour_action_battery_accepts_every_draw_at_16_nodes():
 
 
 def test_iterated_action_rows_report_their_grid_points():
-    # the d = 2 actions at seed 1234: four circles against two, accepted
-    # at 64, 64 and 32 nodes, the first pass at 32 serving the 16-node start
+    # the d = 2 actions at seed 1234: four circles against two, each level a
+    # quarter of the radius of the one before, so every row is accepted at
+    # 32 nodes from one 32-node pass that serves the 16-node start
     rows = verify.battery_iterated_actions(seed=1234)
-    assert [row["grid_points"] for row in rows] == [40960, 40960, 8192]
+    assert [row["grid_points"] for row in rows] == [8192, 8192, 8192]
+    assert [row["nodes"] for row in rows] == [[32, 32]] * 3
+    assert all(row["radii"][1] == 0.25 * row["radii"][0] for row in rows)
+
+
+def test_eigenrelation_battery_takes_no_lapack_determinant(monkeypatch):
+    # schur_table expands its determinants itself; a call per matrix stack
+    # to np.linalg.det would show here before it shows in the benchmark
+    calls, det = [], np.linalg.det
+
+    def spy(a):
+        calls.append(np.shape(a))
+        return det(a)
+    monkeypatch.setattr(np.linalg, "det", spy)
+    row, box = verify.battery_eigenrelation(seed=1234)
+    assert calls == []
+    assert (row["point_sets"], row["schur_values"]) == (600, 8800)
+    assert row["pass"] and box["pass"]
 
 
 def test_the_batched_moment_test_matches_one_integral_at_a_time(monkeypatch):
