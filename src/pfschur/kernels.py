@@ -438,7 +438,13 @@ def correlation_via_kernel(spec, T, cfg=None, full_output=False):
     """Pfaffian of the assembled kernel; the imaginary part is pure
     quadrature noise and is reported alongside, with the assembled `matrix`
     (a SkewMatrix) and the assembly's skew `defect`, `max_last_delta`,
-    per-entry `nodes`, `radii` and `node_evaluations`."""
+    per-entry `nodes`, `radii` and `node_evaluations`.
+
+    full_output also gives `rel_last_delta`, max_last_delta over |value|
+    (None when the value is 0). Every entry passes its own absolute test,
+    but at deep points the summands grow like r^|t| and the value falls far
+    below their errors: there this ratio exceeds 1, where the value itself
+    gives no sign of it."""
     cfg = cfg or KernelConfig()
     if not full_output:
         return pfaffian(assemble_kernel(spec, T, cfg)).real
@@ -446,6 +452,8 @@ def correlation_via_kernel(spec, T, cfg=None, full_output=False):
     pf = pfaffian(S)
     out = {"imag_defect": abs(pf.imag), "matrix": S, **{k: info[k] for k in (
         "defect", "max_last_delta", "nodes", "radii", "node_evaluations")}}
+    out["rel_last_delta"] = (info["max_last_delta"] / abs(pf.real)
+                             if pf.real else None)
     return pf.real, out
 
 

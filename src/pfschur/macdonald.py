@@ -12,18 +12,20 @@ spectra and every e_r computed once. The contour routes need care with
 which poles a contour encloses:
 
 * the one-operator action on a product-form function integrates over small
-  circles around the points x_i only, a sixteenth of the safe radius wide
-  (`contour_radius`), so each converges at its first doubling, 8 -> 16
-  nodes, from one 16-node pass;
+  circles around the points x_i only, 1/256 of the safe radius wide
+  (`contour_radius`), so the trapezoid error falls like 256^-N and each
+  converges at its first doubling, 4 -> 8 nodes, from one 8-node pass;
 * the iterated one-row actions (several q's) additionally need, for every
   earlier variable, circles around the shift images q_k x_i of the later
   variables; without them the residues that shift the same variable twice
   are lost and the integral no longer equals the composed operator. Each
-  level's circles are a quarter of the radius of the one before
+  level's circles are a sixteenth of the radius of the one before
   (`choose_radii`), so the shift-image pole loci a circle encloses stay
-  within |q|/4 of its radius, the trapezoid error falls like (|q|/4)^N, and
-  an action whose circles lie several radii apart is accepted at its first
-  doubling, 16 -> 32 nodes, from one 32-node pass. The bare x-circle
+  within |q|/16 of its radius, and every circle lies within a sixteenth of
+  the distance from its center to the other centers of its level, to 0 and
+  to the unit circle (`_separated`): the trapezoid error falls like 16^-N,
+  and every action is accepted at its first doubling, 8 -> 16 nodes, from
+  one 16-node pass. The bare x-circle
   contour is kept as ``contour_mode="stated"`` because its q-power
   coefficients are still exactly the correlation quantities (both facts
   are pinned down in the test suite).
@@ -44,7 +46,7 @@ converged doubling. The iterated actions are the integrand on the product
 forms of Z and F, and the coupling-product check in `kernels` multiplies the
 same pair factor. Each action is one call of `quadrature.integrate_product`
 on these factors, over circles from `quadrature.circles_around` that start
-at 8 nodes for `apply_via_contour` and 16 for the iterated actions; a
+at 4 nodes for `apply_via_contour` and 8 for the iterated actions; a
 quadrature that does not converge is re-raised naming the action (and on a
 batch the draw). The stated contour encloses only simple
 poles, at the x_i, so `stated_action_Z` sums its residues from the same
@@ -266,7 +268,7 @@ def _factors(qs, xs, G):
 
 
 def contour_radius(xs, q):
-    """A sixteenth of the largest safe radius R for circles around the x_i:
+    """1/256 of the largest safe radius R for circles around the x_i:
     circles pairwise disjoint, q-images of every circle outside all
     circles, 0 outside every circle, and every circle inside the unit disk.
     The xs and q may be arrays over a batch, and so is the radius.
@@ -275,11 +277,11 @@ def contour_radius(xs, q):
     outside the unit disk when |q|, |x_j|, |y| < 1: z = +-1 of f(z^2),
     1/(q x_j) of f(q z x_j) and 1/(q y) of a Cauchy g(q z). With the bounds
     met, every singularity of the integrand off the circle around x_i stays
-    at least R from x_i, so the trapezoid error on a circle of radius R/16
-    falls like 16^-N at N nodes (Trefethen & Weideman, SIAM Rev. 56, 2014):
-    the 8-node estimate is within about 16^-8 = 2.3e-10, as the 16-node one
-    was at R/4, and the first doubling, 8 -> 16, meets a tolerance of 1e-9
-    with the 16-node estimate within 16^-16.
+    at least R from x_i, so the trapezoid error on a circle of radius R/256
+    falls like 256^-N at N nodes (Trefethen & Weideman, SIAM Rev. 56, 2014):
+    the 4-node estimate is within about 256^-4 = 2.3e-10, as the 8-node one
+    was at R/16, and the first doubling, 4 -> 8, meets a tolerance of 1e-9
+    with the 8-node estimate within 256^-8 = 5.4e-20.
     """
     bounds = []
     for i in range(len(xs)):
@@ -290,7 +292,7 @@ def contour_radius(xs, q):
             bounds.append(abs(q * xs[i] - xs[j]) / (abs(q) + 1))
         bounds.append(abs(xs[i]))  # keep 0 outside
         bounds.append(1 - abs(xs[i]))  # stay inside the unit disk
-    rad = np.min(bounds, axis=0) / 16
+    rad = np.min(bounds, axis=0) / 256
     if np.any(rad <= 0):
         raise ContourConditionError("no positive radius satisfies the contour conditions")
     return rad
@@ -300,10 +302,10 @@ def apply_via_contour(G, xs, r, q, tol=1e-9, full_output=False):
     """Order-r action on a product-form G by the r-fold contour integral.
 
     The contour is the union of circles around the x_i of `contour_radius`,
-    from 8 nodes per circle; all r variables run over the same contour.
+    from 4 nodes per circle; all r variables run over the same contour.
     Assumes t = q. The value is G(xs)/r! times the integral of the one-row
-    integrand (`_factors`) at r equal shifts q, accepted at 8 -> 16 nodes
-    from one 16-node pass: (16 n)^r grid points. Each coordinate of xs, q
+    integrand (`_factors`) at r equal shifts q, accepted at 4 -> 8 nodes
+    from one 8-node pass: (8 n)^r grid points. Each coordinate of xs, q
     and each y of G is a number or an array over one batch of draws: one
     `quadrature.integrate_product` pass then evaluates every draw's circles
     and accepts each draw at its own first converged doubling, and the
@@ -318,7 +320,7 @@ def apply_via_contour(G, xs, r, q, tol=1e-9, full_output=False):
     xs = _coordinates(xs)
     _check_order(r, len(xs))
     radius = contour_radius(xs, q)
-    contour = quad.circles_around(xs, radius, nodes=8)
+    contour = quad.circles_around(xs, radius, nodes=4)
     try:
         integral, info = quad.integrate_product(*_factors([q] * r, xs, G),
                                                 [contour] * r, tol=tol,
@@ -364,7 +366,7 @@ def _stated_condition_distance(qs, xs, ys):
 
 
 def choose_radii(qs, xs, ys):
-    """Radii r_1 > ... > r_d, each a quarter of the one before, passing the
+    """Radii r_1 > ... > r_d, each a sixteenth of the one before, passing the
     stated distance checks.
 
     The gap D between the shifted/inverted point set and the x_i must cover
@@ -376,12 +378,13 @@ def choose_radii(qs, xs, ys):
     The ratio sets how fast the iterated actions converge. A level-j circle
     encloses, besides its center, the pole locus z_j = q_k z_k of a later
     variable's circle: a circle about the same center of radius
-    |q_k| r_k = |q_k| 4^-(k-j) r_j, within |q|/4 of r_j. So the trapezoid
-    error from the poles inside falls like (|q|/4)^N at N nodes (Trefethen &
-    Weideman, SIAM Rev. 56, 2014), at most 4^-16 = 2.3e-10 at 16 nodes for
-    |q| < 1, and an action whose circles lie several radii from their
-    neighbors is accepted at its first doubling, 16 -> 32, from one 32-node
-    pass.
+    |q_k| r_k = |q_k| 16^-(k-j) r_j, within |q|/16 of r_j. So the trapezoid
+    error from the poles inside falls like (|q|/16)^N at N nodes (Trefethen &
+    Weideman, SIAM Rev. 56, 2014), at most 16^-8 = 2.3e-10 at 8 nodes for
+    |q| < 1. The shift-image contours also keep every singularity outside a
+    circle at least 16 radii away (`_separated`), so their actions are
+    accepted at the first doubling, 8 -> 16, from one 16-node pass. r_1
+    does not depend on the ratio, and `kernels._pick_rq` reads only r_1.
     """
     qs = [complex(q) for q in qs]
     xs = [complex(x) for x in xs]
@@ -404,7 +407,7 @@ def choose_radii(qs, xs, ys):
     r1 = min(r1, 0.9 * (1 - max(abs(x) for x in xs)))
     if r1 <= 0:
         raise ContourConditionError("stated radius conditions admit no positive r_1")
-    return [r1 * 0.25 ** j for j in range(d)]
+    return [r1 * 0.0625 ** j for j in range(d)]
 
 
 def _image_centers(qs, xs):
@@ -427,12 +430,25 @@ def _image_centers(qs, xs):
 
 
 def _separated(radii, centers):
-    """The radii scaled down together, keeping their ratios, so that no
-    level's radius exceeds 0.45 of the spacing of its circle centers.
-    `choose_radii` caps r_1 so at the x_i alone; the shift images among an
-    earlier level's centers may lie closer."""
-    scale = min([1.0] + [0.45 * abs(a - b) / r for r, cs in zip(radii, centers)
-                         for i, a in enumerate(cs) for b in cs[i + 1:]])
+    """The radii scaled down together, keeping their ratios, so that every
+    circle lies within a sixteenth of the distance from its center to the
+    other centers of its level, to 0 and to the unit circle.
+
+    The integrand's poles at the other centers and at 0, and the poles of
+    its regular factors beyond the unit circle, then lie at least 16 radii
+    from a circle's center, as the shift-image loci it encloses lie within
+    |q|/16 of its radius (`choose_radii`), so the trapezoid error falls like
+    16^-N: within about 16^-8 = 2.3e-10 at 8 nodes, and the first doubling,
+    8 -> 16, meets a tolerance of 1e-9. `choose_radii` caps r_1 more loosely
+    and at the x_i alone; the shift images among an earlier level's centers
+    may lie closer to each other and to 0.
+    """
+    gaps = [min([abs(c), 1 - abs(c)] + [abs(c - b) for i, b in enumerate(cs)
+                                        if i != a]) / (16 * r)
+            for r, cs in zip(radii, centers) for a, c in enumerate(cs)]
+    scale = min([1.0] + gaps)
+    if scale <= 0:
+        raise ContourConditionError("a contour circle center lies off the unit disk")
     return [r * scale for r in radii]
 
 
@@ -547,7 +563,9 @@ def iterated_action_Z(qs, X, Y, radii=None, tol=1e-9, contour_mode="shift_images
     actions; the "stated" contour keeps bare x-circles only, whose
     q-coefficients are still the correlation quantities. Without radii,
     `choose_radii` sets them, scaled down on shift-image contours until
-    each level's circles are disjoint (`_separated`). full_output adds the
+    every circle lies within a sixteenth of the distance from its center to
+    the other centers of its level, to 0 and to the unit circle
+    (`_separated`). full_output adds the
     quadrature's `nodes`, `last_delta` and `grid_points`, and the per-level
     `radii` the contours used. A QuadratureError is re-raised naming the
     action and its qs, with the same estimates.

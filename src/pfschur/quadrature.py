@@ -31,7 +31,7 @@ draws. Each contour's nodes and weights are one vector concatenated over
 its circles, from one broadcast over their stacked centers, radii and
 orientations. A contour starts at 64 nodes per circle (`circle`,
 `ContourSpec`), except the small circles of `circles_around`, which start
-at 16 unless asked for fewer.
+at 8 unless asked for another count.
 `estimate_bilinear`, one double integral per column of two column
 matrices, is the one summation of every two-dimensional grid, so every
 integral over d >= 2 contours is one bilinear sum per pass:
@@ -96,7 +96,7 @@ class Circle:
 @dataclass(frozen=True)
 class ContourSpec:
     circles: tuple
-    nodes: int = 64  # starting nodes per circle; power of two >= 8
+    nodes: int = 64  # starting nodes per circle; power of two >= 4
 
     def __post_init__(self):
         circles = tuple(self.circles)
@@ -104,8 +104,8 @@ class ContourSpec:
             raise ValueError("a contour needs at least one circle")
         object.__setattr__(self, "circles", circles)
         n = self.nodes
-        if n < 8 or (n & (n - 1)) != 0:
-            raise ValueError("nodes per circle must be a power of two >= 8")
+        if n < 4 or (n & (n - 1)) != 0:
+            raise ValueError("nodes per circle must be a power of two >= 4")
 
     def reversed(self):
         return ContourSpec(tuple(Circle(c.center, c.radius, -c.orientation)
@@ -117,22 +117,23 @@ def circle(radius=1.0, center=0j, nodes=64):
     return ContourSpec((Circle(complex(center), float(radius)),), nodes)
 
 
-def circles_around(points, radius, nodes=16):
+def circles_around(points, radius, nodes=8):
     """Union of same-radius counterclockwise circles centered at the points,
     from `nodes` per circle; the points and radius may be arrays over a batch.
 
-    The one-operator Macdonald contours built here sit at a sixteenth of the
-    safe radius around their poles (`macdonald.contour_radius`), so the
-    trapezoid error falls like 16^-N: from 8 nodes, the 8-node estimate is
-    within about 16^-8 = 2.3e-10 and `converge`, which doubles until two
-    estimates agree, accepts at the first doubling, 8 -> 16, for tolerances
-    down to 1e-9, both estimates from one 16-node pass. The iterated
-    actions' circles, each level a quarter of the radius of the one before
-    (`macdonald.choose_radii`), start at 16 nodes: the shift-image poles a
-    circle encloses stay within |q|/4 of its radius, so the error falls
-    like (|q|/4)^N, and circles several radii apart accept at the first
-    doubling, 16 -> 32, from one 32-node pass. A higher start only forces a final grid twice as fine as
-    needed (4x the points in 2-D).
+    The one-operator Macdonald contours built here sit at 1/256 of the safe
+    radius around their poles (`macdonald.contour_radius`), so the
+    trapezoid error falls like 256^-N: from 4 nodes, the 4-node estimate is
+    within about 256^-4 = 2.3e-10 and `converge`, which doubles until two
+    estimates agree, accepts at the first doubling, 4 -> 8, for tolerances
+    down to 1e-9, both estimates from one 8-node pass. The iterated
+    actions' circles, each level a sixteenth of the radius of the one
+    before (`macdonald.choose_radii`) and within a sixteenth of the distance
+    to their level's other centers, to 0 and to the unit circle
+    (`macdonald._separated`), start at 8 nodes: the error falls like 16^-N,
+    within about 16^-8 = 2.3e-10 at 8 nodes, and they accept at the first
+    doubling, 8 -> 16, from one 16-node pass. A higher start only forces a
+    final grid twice as fine as needed (4x the points in 2-D).
     """
     return ContourSpec(tuple(Circle(_number(p, complex), _number(radius, float))
                              for p in points), nodes)

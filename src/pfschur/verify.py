@@ -111,9 +111,10 @@ def battery_eigenrelation(seed=0, tol=1e-10, draws=50):
     for _ in range(draws):
         qs.append((0.1 + 0.6 * rng.random()) * np.exp(2j * np.pi * rng.random()))
         for n in (2, 3):
-            xs = rng.uniform(0.15, 0.85, n)
+            # the rejection test reads Python floats, the same draws faster
+            xs = rng.uniform(0.15, 0.85, n).tolist()
             while min(abs(a - b) for a, b in combinations(xs, 2)) < 0.05:
-                xs = rng.uniform(0.15, 0.85, n)
+                xs = rng.uniform(0.15, 0.85, n).tolist()
             points[n].append(xs)
     q = np.array(qs, dtype=complex)
     lams = [lam for lam in enumerate_up_to_weight(5) if len(lam) <= 3]
@@ -155,14 +156,13 @@ def battery_contour_action(seed=0, tol=1e-8, draws=20):
     shapes = {}
     for _ in range(draws):
         n = int(rng.integers(2, 4))
-        xs = np.sort(rng.uniform(0.15, 0.85, n))
-        while min(np.diff(xs)) < 0.08:
-            xs = np.sort(rng.uniform(0.15, 0.85, n))
+        xs = sorted(rng.uniform(0.15, 0.85, n).tolist())
+        while min(b - a for a, b in zip(xs, xs[1:])) < 0.08:
+            xs = sorted(rng.uniform(0.15, 0.85, n).tolist())
         ys = rng.uniform(0.05, 0.5, 2)
         q = (0.2 + 0.5 * rng.random()) * np.exp(2j * np.pi * rng.random())
         r = int(rng.integers(1, min(n, 2) + 1))
-        direct = macdonald.apply_direct(macdonald.ProductFormFunction(ys), list(xs),
-                                        r, q)
+        direct = macdonald.apply_direct(macdonald.ProductFormFunction(ys), xs, r, q)
         shapes.setdefault((n, r), []).append((xs, ys, q, direct))
     worst, max_nodes, max_last_delta, grid_points = 0.0, 0, 0.0, 0
     for (n, r), group in shapes.items():
@@ -321,13 +321,14 @@ def battery_pfaffian(seed=0):
 
 # each correlation route's diagnostics, in report order: the oracle's
 # weight cap, truncation diagnostic and partition-list size; the kernel's
-# skew defect, largest last-doubling delta, per-entry node counts, circle
-# radii and the circle nodes at which its slot factors were evaluated;
+# skew defect, largest last-doubling delta and that delta over |value|,
+# per-entry node counts, circle radii and the circle nodes at which its slot
+# factors were evaluated;
 # q-extraction's q-circle radius, node counts, last-doubling delta and
 # evaluated grid points
 _ROUTE_DIAGNOSTICS = {"oracle": ("L", "truncation_diagnostic", "partitions"),
-                      "kernel": ("defect", "max_last_delta", "nodes", "radii",
-                                 "node_evaluations"),
+                      "kernel": ("defect", "max_last_delta", "rel_last_delta",
+                                 "nodes", "radii", "node_evaluations"),
                       "q-extraction": ("rq", "nodes", "last_delta", "grid_points")}
 
 

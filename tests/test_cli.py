@@ -255,7 +255,7 @@ def test_verify_macdonald_does_not_read_quadrature_tol(tmp_path):
         results.append(read_report(out)["results"])
     assert results[0] == results[1]
     row, = [r for r in results[0] if r["method"] == "contour_action"]
-    assert row["diagnostics"]["max_nodes"] == 16
+    assert row["diagnostics"]["max_nodes"] == 8
     for r in results[0]:
         if r["method"] == "iterated_actions":
             assert {"nodes", "last_delta"} <= set(r["diagnostics"])
@@ -298,6 +298,28 @@ def test_kernel_row_reports_its_radii_and_node_evaluations(tmp_path):
     # k11, k12_w_gt and k22 in one pass at 4 x 64 nodes, which also serves
     # the estimates at 64 and 128, where every entry converges
     assert diagnostics["node_evaluations"] == 3 * 256
+
+
+def test_kernel_row_flags_its_depth_failure(tmp_path):
+    # at (1, 50) every entry passes its absolute test, but the summands grow
+    # like r^|t| and the Pfaffian, -1.57e-26, is a negative density; only
+    # the last-doubling delta over |value| (2.6e17) shows it
+    out, cfg = tmp_path / "report.json", tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"process": {"rho_plus": [[0.6, 0.3, 0.2]],
+                                           "rho_minus": [[0.45, 0.35, 0.1]]},
+                               "points": [[1, 50]]}))
+    assert run_cli(["correlate", "--config", str(cfg), "--method", "kernel",
+                    "--out", str(out)]) == 0
+    row, = read_report(out)["results"]
+    assert row["value"] < 0 and row["diagnostics"]["rel_last_delta"] > 1
+    for name in ("m1_singleton", "m1_twovar", "m2_d11"):
+        assert run_cli(["correlate", "--config", str(CONFIGS / f"{name}.json"),
+                        "--method", "kernel", "--out", str(out)]) == 0
+        row, = read_report(out)["results"]
+        diagnostics = row["diagnostics"]
+        assert diagnostics["rel_last_delta"] == (diagnostics["max_last_delta"]
+                                                 / abs(row["value"]))
+        assert diagnostics["rel_last_delta"] < 1e-5
 
 
 def test_compare_with_sweep_flag(tmp_path):

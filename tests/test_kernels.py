@@ -129,6 +129,14 @@ def test_correlation_deep_negative_site_process():
     assert abs(val - orc) < 1e-6
 
 
+def test_rel_last_delta_is_null_at_a_zero_value(monkeypatch):
+    monkeypatch.setattr(kernels, "pfaffian", lambda S: 0j)
+    value, info = correlation_via_kernel(SPEC_M2, PointSet([(1, 0)]), CFG,
+                                         full_output=True)
+    assert value == 0 and info["max_last_delta"] > 0
+    assert info["rel_last_delta"] is None
+
+
 def test_sign_adjudication():
     # flipping (zw-1) to (1-zw) in K22 must break the m=2 agreement
     T = [(1, 0), (2, 0)]

@@ -9,11 +9,11 @@ import pytest
 from pfschur import macdonald, symfunc, verify
 from pfschur import quadrature as quad
 from pfschur.macdonald import (ContourConditionError, ProductFormFunction,
-                               _image_centers, _validate_disks, apply_direct,
-                               apply_via_contour, choose_radii, contour_radius,
-                               eigen_residual, eigenvalue, f_partition,
-                               iterated_action_F, iterated_action_Z,
-                               stated_action_Z, z_partition)
+                               _image_centers, _separated, _validate_disks,
+                               apply_direct, apply_via_contour, choose_radii,
+                               contour_radius, eigen_residual, eigenvalue,
+                               f_partition, iterated_action_F,
+                               iterated_action_Z, stated_action_Z, z_partition)
 from pfschur.measures import ProcessSpec, observable_expectation_oracle
 from pfschur.partitions import enumerate_up_to_weight
 from pfschur.symfunc import Specialization, schur, schur_table
@@ -387,7 +387,7 @@ def test_contour_action_r2_is_integrate2_of_the_old_integrand():
     G = standard_G([0.25, 0.1])
     for tol in (1e-9, 1e-12):
         value, info = apply_via_contour(G, xs, 2, q, tol=tol, full_output=True)
-        contour = quad.circles_around(xs, info["radius"], nodes=8)
+        contour = quad.circles_around(xs, info["radius"], nodes=4)
         ref, ref_info = quad.integrate2(_old_contour_integrand(G, xs, q), contour,
                                         contour, tol=tol, full_output=True)
         assert info["nodes"] == ref_info["nodes"]
@@ -424,11 +424,11 @@ def test_contour_action_r3_matches_direct():
     direct = apply_direct(G, xs, 3, q)
     value, info = apply_via_contour(G, xs, 3, q, tol=1e-8, full_output=True)
     assert abs(value - direct) < 1e-8 * abs(direct)
-    assert info["nodes"] == (16, 16, 16)
+    assert info["nodes"] == (8, 8, 8)
 
 
 def test_contour_action_random_draws_match_direct():
-    # the circles start at 8 nodes: every accepted estimate must still be
+    # the circles start at 4 nodes: every accepted estimate must still be
     # the direct action, at n in {2, 3, 4} and r up to 3
     rng = np.random.default_rng(4107)
     for n in (2, 3, 4):
@@ -485,11 +485,11 @@ def test_contour_battery_is_one_batched_call_per_shape(monkeypatch):
     row, = verify.battery_contour_action(1234)
     # the 20 draws at seed 1234 fall into four (n, r) shapes
     assert sorted(calls) == [(2, 1, (3,)), (2, 2, (7,)), (3, 1, (4,)), (3, 2, (6,))]
-    # per draw one pass, n circles of 16 nodes for each of r variables, which
-    # serves the 8-node estimate too
+    # per draw one pass, n circles of 8 nodes for each of r variables, which
+    # serves the 4-node estimate too
     assert (row["draws"], row["grid_points"]) == (
-        20, sum(size * (16 * n) ** r for n, r, (size,) in calls))
-    assert row["pass"] and row["max_nodes"] == 16
+        20, sum(size * (8 * n) ** r for n, r, (size,) in calls))
+    assert row["pass"] and row["max_nodes"] == 8
 
 
 def test_contour_action_over_a_batch_names_the_draw_that_failed():
@@ -549,15 +549,17 @@ def test_iterated_actions_report_their_quadrature():
         assert value == action(qs, xs, ys)
         assert set(info) == {"nodes", "last_delta", "grid_points", "radii"}
         assert len(info["nodes"]) == 2 and 0 < info["last_delta"] < 1e-9 * abs(value)
-        # a quarter of the radius per level, as choose_radii sets them
+        # a sixteenth of the radius per level, as choose_radii sets them:
+        # here every circle already lies within a sixteenth of its distance
+        # to the other centers of its level, to 0 and to the unit circle, so
+        # _separated leaves them as they are
         assert info["radii"] == choose_radii(qs, xs, ys)
-        assert info["radii"][1] == 0.25 * info["radii"][0]
+        assert info["radii"][1] == info["radii"][0] / 16
         # the earlier variable's four circles (the x_i and their q_2-images)
-        # against the later one's two, at every pass from the 32-node one,
-        # which serves the 16-node start too
-        K = (info["nodes"][0] // 16).bit_length() - 1
-        assert info["grid_points"] == sum((4 * 16 << k) * (2 * 16 << k)
-                                          for k in range(1, K + 1))
+        # against the later one's two, at every pass from the 16-node one,
+        # which serves the 8-node start too; that pass is the only one
+        assert info["nodes"] == (16, 16)
+        assert info["grid_points"] == (4 * 16) * (2 * 16)
 
 
 def test_contour_action_rejects_orders_outside_1_to_n():
@@ -686,22 +688,15 @@ def test_iterated_d3_shrinks_radii_to_close_shift_images():
         iterated_action_Z([0.4, 0.3 + 0.1j, 0.5], [0.4, 0.5], [0.25, 0.1])
 
 
-def _level_spacing(qs, xs, radii):
-    """The least distance between two circle centers of one shift-image
-    level, in radii of that level."""
-    centers = _image_centers([complex(q) for q in qs], [complex(x) for x in xs])
-    return min([math.inf] + [abs(a - b) / r for cs, r in zip(centers, radii)
-                             for i, a in enumerate(cs) for b in cs[i + 1:]])
-
-
 def test_iterated_actions_match_the_composition_on_random_draws():
     # n <= 3 points and 1-3 ys in (0.1, 0.6), |q| <= 0.7: 24 draws at d = 1
     # and 2 each, and two at d = 3. Each circle's enclosed shift-image loci
-    # lie within |q|/4 of its radius, so only the nearest center of its own
-    # level, at s radii, can hold the trapezoid error above (|q|/4)^N: every
-    # d <= 2 draw with s >= 5 (5^-16 = 6.6e-12) is accepted at 16 -> 32
+    # lie within |q|/16 of its radius, and the other centers of its level, 0
+    # and the unit circle at least 16 radii from its center, so the
+    # trapezoid error falls like 16^-N: every one of the 48 d <= 2 actions
+    # is accepted at the first doubling, 8 -> 16
     rng = np.random.default_rng(2404)
-    first, spaced = [], 0
+    first = []
     for d in [1, 2] * 12 + [3, 3]:
         xs = list(rng.uniform(0.1, 0.6, int(rng.integers(1, 4))))
         ys = list(rng.uniform(0.1, 0.6, int(rng.integers(1, 4))))
@@ -711,10 +706,36 @@ def test_iterated_actions_match_the_composition_on_random_draws():
             comp = _composition(qs, xs, ys, partition)
             value, info = action(qs, xs, ys, full_output=True)
             assert abs(value - comp) < 1e-9 * abs(comp), (d, xs, ys, qs)
-            if d <= 2 and _level_spacing(qs, xs, info["radii"]) >= 5:
-                spaced += 1
-                first.append(info["nodes"] in (32, (32,) * d))
-    assert all(first) and spaced >= 40
+            if d <= 2:
+                first.append(info["nodes"] in (16, (16,) * d))
+    assert len(first) == 48 and all(first)
+
+
+def test_d4_default_radii_keep_0_outside_every_circle():
+    # the level-0 centers include q_2 q_3 q_4 x at |.| = 7.9e-4, and
+    # choose_radii's r_1 = 1.6e-3 around it encloses 0; the default radii,
+    # scaled so every circle lies within a sixteenth of its center's
+    # distance to 0, pass the disk checks, and the action, one 16-node pass
+    # of 4.2e6 grid points, is the composition
+    qs = [0.438109980856251 - 0.4733220751055826j,
+          -0.08841076984217433 - 0.09910878569057528j,
+          -0.09779319600584474 + 0.0021068581210672145j,
+          0.04947332573418526 + 0.08193405514745078j]
+    xs, ys = [0.6389867501818189], [0.1931078245306091, 0.36989593846967517]
+    centers, radii = _image_centers(qs, xs), choose_radii(qs, xs, ys)
+    with pytest.raises(ContourConditionError, match="encloses 0"):
+        _validate_disks(qs, centers, radii)
+    _validate_disks(qs, centers, _separated(radii, centers))
+    comp = _composition(qs, xs, ys, z_partition)
+    value, info = iterated_action_Z(qs, xs, ys, full_output=True)
+    assert info["nodes"] == (16,) * 4
+    assert abs(value - comp) < 1e-9 * abs(comp)
+
+
+def test_a_shift_image_center_off_the_unit_disk_is_a_contour_error():
+    # |q_2 x| = 1.14: no scaling keeps a circle about it inside the unit disk
+    with pytest.raises(ContourConditionError, match="center lies off the unit disk"):
+        iterated_action_Z([0.3, 1.9], [0.6], [0.2])
 
 
 def test_stated_residue_sum_d3_equals_stated_quadrature():

@@ -180,7 +180,8 @@ def test_contour_validation():
     with pytest.raises(ValueError):
         ContourSpec((Circle(0, 1.0),), nodes=48)  # not a power of two
     with pytest.raises(ValueError):
-        ContourSpec((Circle(0, 1.0),), nodes=4)   # too few
+        ContourSpec((Circle(0, 1.0),), nodes=2)   # too few
+    assert ContourSpec((Circle(0, 1.0),), nodes=4).nodes == 4
     with pytest.raises(ValueError):
         ContourSpec((), nodes=64)
 

@@ -62,32 +62,32 @@ def test_symfunc_battery_passes_on_every_seed():
 
 
 def test_contour_action_row_reports_its_node_counts():
-    # the seed of the shipped configs: at a sixteenth of the safe radius
-    # every draw is accepted at the first doubling, 8 -> 16 nodes
+    # the seed of the shipped configs: at 1/256 of the safe radius every
+    # draw is accepted at the first doubling, 4 -> 8 nodes
     row, = verify.battery_contour_action(seed=1234)
     assert {"max_nodes", "max_last_delta"} <= set(row)
-    assert row["max_nodes"] == 16
-    # one 16-node pass per draw serves both estimates
-    assert (row["draws"], row["grid_points"]) == (20, 21280)
+    assert row["max_nodes"] == 8
+    # one 8-node pass per draw serves both estimates
+    assert (row["draws"], row["grid_points"]) == (20, 5392)
 
 
-def test_contour_action_battery_accepts_every_draw_at_16_nodes():
-    # at a sixteenth of the safe radius the 8-node estimate is within about
-    # 16^-8 = 2.3e-10, so every draw of seeds 0-19 is accepted at 8 -> 16
-    rows = [row for seed in range(20) for row in verify.battery_contour_action(seed)]
+def test_contour_action_battery_accepts_every_draw_at_8_nodes():
+    # at 1/256 of the safe radius the 4-node estimate is within about
+    # 256^-4 = 2.3e-10, so every draw of seeds 0-199 is accepted at 4 -> 8
+    rows = [row for seed in range(200) for row in verify.battery_contour_action(seed)]
     assert all(row["pass"] for row in rows)
-    assert {row["max_nodes"] for row in rows} == {16}
+    assert {row["max_nodes"] for row in rows} == {8}
     assert max(row["value"] for row in rows) <= 1e-13
 
 
 def test_iterated_action_rows_report_their_grid_points():
     # the d = 2 actions at seed 1234: four circles against two, each level a
-    # quarter of the radius of the one before, so every row is accepted at
-    # 32 nodes from one 32-node pass that serves the 16-node start
+    # sixteenth of the radius of the one before, so every row is accepted at
+    # 16 nodes from one 16-node pass that serves the 8-node start
     rows = verify.battery_iterated_actions(seed=1234)
-    assert [row["grid_points"] for row in rows] == [8192, 8192, 8192]
-    assert [row["nodes"] for row in rows] == [[32, 32]] * 3
-    assert all(row["radii"][1] == 0.25 * row["radii"][0] for row in rows)
+    assert [row["grid_points"] for row in rows] == [2048, 2048, 2048]
+    assert [row["nodes"] for row in rows] == [[16, 16]] * 3
+    assert all(row["radii"][1] == row["radii"][0] / 16 for row in rows)
 
 
 def test_eigenrelation_battery_takes_no_lapack_determinant(monkeypatch):
