@@ -2,7 +2,8 @@
 
 Every correlation row (`correlate`'s, `compare`'s two) is built by
 `verify.correlation_row`, and a command computes each route once: the
-sweeps are handed the oracle value. `BATTERIES` tabulates `verify-*`.
+sweeps are handed the oracle value. `--method` names a route of
+`verify.ROUTES`, and `BATTERIES` tabulates `verify-*`.
 
 Exit codes: 0 success, 1 config error (a config that cannot be read or a
 report that cannot be written among them), 2 numerical non-convergence,
@@ -179,13 +180,19 @@ BATTERIES = {
 
 
 def _battery_report(command, cfgd):
-    results = [{"T": None, "method": section, "imag_defect": None,
-                **{key: row.pop(key) for key in ("name", "value", "pass")},
-                "diagnostics": row}
-               for section, battery in BATTERIES[command].items()
-               for row in map(dict, battery(cfgd))]
+    """The report of a verify-* command, with the wall seconds of each of
+    its sections in `timing`."""
+    results, sections = [], {}
+    for section, battery in BATTERIES[command].items():
+        start = time.perf_counter()
+        rows = battery(cfgd)
+        sections[section] = time.perf_counter() - start
+        results += [{"T": None, "method": section, "imag_defect": None,
+                     **{key: row.pop(key) for key in ("name", "value", "pass")},
+                     "diagnostics": row} for row in map(dict, rows)]
     return {"config_digest": cfgd["digest"], "results": results,
-            "all_pass": all(row["pass"] for row in results)}
+            "all_pass": all(row["pass"] for row in results),
+            "timing": {"sections": sections}}
 
 
 @functools.lru_cache(maxsize=None)
@@ -198,8 +205,7 @@ def _parser():
     parser.add_argument("command", choices=[
         *BATTERIES, "correlate", "compare", "sweep-radii"])
     parser.add_argument("--config", required=True, help="JSON config path")
-    parser.add_argument("--method", default="oracle",
-                        choices=["oracle", "kernel", "q-extraction"])
+    parser.add_argument("--method", default="oracle", choices=list(verify.ROUTES))
     parser.add_argument("--out", default=None, help="report path (stdout if omitted)")
     parser.add_argument("--format", default="json", choices=["json", "csv"])
     parser.add_argument("--sweep-radii", action="store_true",
@@ -234,10 +240,9 @@ def _run(args):
             try:
                 row = verify.correlation_row(args.method, spec, points, cfg,
                                              cfgd["L"])
-            except ValueError as exc:  # q-extraction's input checks
-                if args.method != "q-extraction" or isinstance(
-                        exc, ContourConditionError):
-                    raise
+            except ContourConditionError:
+                raise
+            except ValueError as exc:  # the route's input checks
                 raise ConfigError(str(exc)) from exc
             report = {"config_digest": cfgd["digest"], "results": [row]}
         elif args.command == "compare":
@@ -264,7 +269,8 @@ def _run(args):
     for name, (hits, misses) in _cache_calls().items():
         hits, misses = hits - caches_before[name][0], misses - caches_before[name][1]
         rates[name] = hits / (hits + misses) if hits + misses else None
-    report["timing"] = {"elapsed_s": time.time() - t_start, "cache_hit_rate": rates}
+    report.setdefault("timing", {}).update(elapsed_s=time.time() - t_start,
+                                           cache_hit_rate=rates)
     _emit(report, args.out, args.format)
     if report.get("verdict", "PASS") != "PASS" or report.get("all_pass") is False:
         return EXIT_THRESHOLD

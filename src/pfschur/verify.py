@@ -319,43 +319,48 @@ def battery_pfaffian(seed=0):
 # correlations
 # ---------------------------------------------------------------------------
 
-# each correlation route's diagnostics, in report order: the oracle's
-# weight cap, truncation diagnostic and partition-list size; the kernel's
-# skew defect, largest last-doubling delta and that delta over |value|,
-# per-entry node counts, circle radii and the circle nodes at which its slot
-# factors were evaluated;
-# q-extraction's q-circle radius, node counts, last-doubling delta and
-# evaluated grid points
-_ROUTE_DIAGNOSTICS = {"oracle": ("L", "truncation_diagnostic", "partitions"),
-                      "kernel": ("defect", "max_last_delta", "rel_last_delta",
-                                 "nodes", "radii", "node_evaluations"),
-                      "q-extraction": ("rq", "nodes", "last_delta", "grid_points")}
+# each correlation route: its (value, info) on (spec, T, cfg, L), the info
+# keys its row reports as diagnostics, in report order, and the fault that
+# rules a spec out (None: none does). The functions are looked up in their
+# modules at each call, so a patched module attribute is the one that runs.
+# The oracle reports its weight cap, truncation diagnostic and partition-list
+# size; the kernel its skew defect, largest last-doubling delta and that
+# delta over |value|, per-entry node counts, circle radii and the circle
+# nodes at which its slot factors were evaluated; q-extraction its q-circle
+# radius, node counts, last-doubling delta and evaluated grid points
+ROUTES = {
+    "oracle": (lambda spec, T, cfg, L: (measures.correlation_oracle(spec, T, L=L), {
+        "imag_defect": 0.0, "L": L,
+        "truncation_diagnostic": measures.truncation_diagnostic(spec, L),
+        "partitions": len(measures.sequence_partitions(spec, L))}),
+        ("L", "truncation_diagnostic", "partitions"), None),
+    "kernel": (lambda spec, T, cfg, L: kernels.correlation_via_kernel(
+        spec, T, cfg, full_output=True),
+        ("defect", "max_last_delta", "rel_last_delta", "nodes", "radii",
+         "node_evaluations"), None),
+    "q-extraction": (lambda spec, T, cfg, L: kernels.correlation_via_q_extraction(
+        spec.rho_plus[0], spec.rho_minus[0], [t for _, t in T.points], cfg,
+        full_output=True), ("rq", "nodes", "last_delta", "grid_points"),
+        lambda spec: spec.m != 1 and "q-extraction requires a single-level process"),
+}
 
 
 def correlation_row(method, spec, T, cfg, L, full_output=False):
     """The report row {"T", "method", "value", "imag_defect", "diagnostics"}
-    of one route to the correlation of the points T, the oracle summing to
-    weight L; full_output adds the route's whole info dict. q-extraction's
-    input faults, a second level among them, are ValueErrors."""
+    of the route `method` (a key of `ROUTES`) to the correlation of the
+    points T, the oracle summing to weight L; full_output adds the route's
+    whole info dict. A spec the route rules out, and any other input fault
+    of the route, is a ValueError."""
     if not isinstance(T, measures.PointSet):
         T = measures.PointSet(T)
-    if method == "oracle":
-        value = measures.correlation_oracle(spec, T, L=L)
-        info = {"imag_defect": 0.0, "L": L,
-                "truncation_diagnostic": measures.truncation_diagnostic(spec, L),
-                "partitions": len(measures.sequence_partitions(spec, L))}
-    elif method == "kernel":
-        value, info = kernels.correlation_via_kernel(spec, T, cfg, full_output=True)
-    else:
-        if spec.m != 1:
-            raise ValueError("q-extraction requires a single-level process")
-        value, info = kernels.correlation_via_q_extraction(
-            spec.rho_plus[0], spec.rho_minus[0], [t for _, t in T.points], cfg,
-            full_output=True)
+    run, keys, rules_out = ROUTES[method]
+    fault = rules_out and rules_out(spec)
+    if fault:
+        raise ValueError(fault)
+    value, info = run(spec, T, cfg, L)
     row = {"T": T.to_json(), "method": method, "value": value,
            "imag_defect": info["imag_defect"],
-           "diagnostics": {k: info[k] for k in _ROUTE_DIAGNOSTICS[method]
-                           if k in info}}
+           "diagnostics": {k: info[k] for k in keys if k in info}}
     return (row, info) if full_output else row
 
 

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from pfschur import kernels, macdonald
-from pfschur.cli import main
+from pfschur import kernels, macdonald, measures, verify
+from pfschur.cli import BATTERIES, _load_config, _parser, main
 from pfschur.measures import ProcessSpec, correlation_oracle, truncation_diagnostic
 from pfschur.partitions import enumerate_up_to_weight
 from pfschur.quadrature import QuadratureError
@@ -184,6 +184,58 @@ def test_report_schema_and_determinism(tmp_path):
         assert r1["config_digest"] == r2["config_digest"]
     # the second oracle run reads the first one's strip tables
     assert r2["timing"]["cache_hit_rate"]["horizontal_strips"] == 1.0
+
+
+def test_verify_reports_time_each_battery_section(tmp_path):
+    # `timing` gains the sections' wall seconds; the rest of the report
+    # stays deterministic, and a correlation command has no sections
+    config = str(CONFIGS / "m1_twovar.json")
+    for command, sections in BATTERIES.items():
+        out = tmp_path / f"{command}.json"
+        assert run_cli([command, "--config", config, "--out", str(out)]) == 0
+        timing = read_report(out)["timing"]
+        assert set(timing["sections"]) == set(sections)
+        assert all(0 <= s <= timing["elapsed_s"] for s in timing["sections"].values())
+    out = tmp_path / "correlate.json"
+    assert run_cli(["correlate", "--config", config, "--out", str(out)]) == 0
+    assert "sections" not in read_report(out)["timing"]
+
+
+def test_method_choices_are_the_route_table():
+    method, = [a for a in _parser()._actions if a.dest == "method"]
+    assert method.choices == list(verify.ROUTES)
+    assert method.default in verify.ROUTES
+
+
+@pytest.mark.parametrize("config", ["m1_singleton", "m1_twovar", "m2_d11"])
+def test_each_route_reports_its_declared_diagnostics_in_table_order(config):
+    cfgd = _load_config(str(CONFIGS / f"{config}.json"), _parser().parse_args(
+        ["correlate", "--config", "unused"]))
+    for method, (_, keys, rules_out) in verify.ROUTES.items():
+        if rules_out and rules_out(cfgd["spec"]):
+            with pytest.raises(ValueError, match=rules_out(cfgd["spec"])):
+                verify.correlation_row(method, cfgd["spec"], cfgd["points"],
+                                       cfgd["kernel_cfg"], cfgd["L"])
+            continue
+        row = verify.correlation_row(method, cfgd["spec"], cfgd["points"],
+                                     cfgd["kernel_cfg"], cfgd["L"])
+        assert list(row["diagnostics"]) == list(keys), method
+
+
+def test_correlate_calls_the_oracle_through_its_module(tmp_path, monkeypatch):
+    # the route table looks the oracle up at each call, so a patched
+    # `measures.correlation_oracle` (as the benchmark's tracer installs) runs
+    calls = []
+
+    def spy(spec, T, L):
+        calls.append(L)
+        return 0.25
+    monkeypatch.setattr(measures, "correlation_oracle", spy)
+    out = tmp_path / "report.json"
+    assert run_cli(["correlate", "--config", str(CONFIGS / "m1_singleton.json"),
+                    "--method", "oracle", "--truncation", "12", "--out", str(out)]) == 0
+    assert calls == [12]
+    assert read_report(out)["results"][0]["value"] == 0.25
 
 
 def test_a_reused_parser_leaks_no_flag(tmp_path):

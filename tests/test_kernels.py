@@ -137,6 +137,21 @@ def test_rel_last_delta_is_null_at_a_zero_value(monkeypatch):
     assert info["rel_last_delta"] is None
 
 
+def test_skew_diagonal_is_exactly_zero_under_the_inadmissible_radii():
+    # K11[p,p] and K22[p,p] vanish by skew symmetry. Under the inadmissible
+    # reading their rounding noise grows like r^|t|, and tested for
+    # convergence it failed K11[0,0] at every count up to the cap; the sites
+    # lie below -n at level 2, so the value is 1.
+    spec = ProcessSpec([[0.1, 0.177, 0.152], [0.333, 0.319]],
+                       [[0.333, 0.252, 0.5], [0.337]])
+    cfg = replace(CFG, radii=kernels._inadmissible_radii(spec))
+    for t in (-8, -9, -10):
+        S, info = assemble_kernel(spec, PointSet([(2, t)]), cfg, full_output=True)
+        assert info["nodes"]["K11[0,0]"] == info["nodes"]["K22[0,0]"] == (128, 128)
+        assert info["defect"] == 0.0
+        assert abs(pfaffian(S).real - 1) < 1e-6, t
+
+
 def test_sign_adjudication():
     # flipping (zw-1) to (1-zw) in K22 must break the m=2 agreement
     T = [(1, 0), (2, 0)]
