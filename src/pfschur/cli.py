@@ -132,6 +132,9 @@ def _load_config(path, overrides):
 
 
 def _emit(report, out_path, fmt):
+    """The report as JSON, or as CSV with one line per result row and per
+    radius-sweep row (method `radius_sweep`, the sweep's `oracle` value among
+    its diagnostics), to out_path or stdout."""
     if fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"
     else:
@@ -139,7 +142,10 @@ def _emit(report, out_path, fmt):
         writer = csv.writer(buf)
         head = ["T", "method", "value", "imag_defect"]
         writer.writerow(head + ["diagnostics"])
-        for row in report.get("results", []):
+        sweep = report.get("radius_sweep")
+        sweep_rows = [{"method": "radius_sweep", "oracle": sweep["oracle"], **row}
+                      for row in sweep["rows"]] if sweep else []
+        for row in report.get("results", []) + sweep_rows:
             writer.writerow([json.dumps(row.get("T")), *map(row.get, head[1:]),
                              json.dumps({k: v for k, v in row.items()
                                          if k not in head}, default=str)])
@@ -184,9 +190,7 @@ def _battery_report(command, cfgd):
     its sections in `timing`."""
     results, sections = [], {}
     for section, battery in BATTERIES[command].items():
-        start = time.perf_counter()
-        rows = battery(cfgd)
-        sections[section] = time.perf_counter() - start
+        rows = verify.timed(sections, section, lambda: battery(cfgd))
         results += [{"T": None, "method": section, "imag_defect": None,
                      **{key: row.pop(key) for key in ("name", "value", "pass")},
                      "diagnostics": row} for row in map(dict, rows)]
@@ -249,13 +253,19 @@ def _run(args):
             report = {"config_digest": cfgd["digest"],
                       **verify.compare_methods(spec, points, cfg, L=cfgd["L"])}
             if args.sweep_radii:
-                report["radius_sweep"] = kernels.radius_sweep(
-                    spec, points, cfg, report["results"][0]["value"])
+                report["radius_sweep"] = verify.timed(
+                    report["timing"]["sections"], "radius_sweep",
+                    lambda: kernels.radius_sweep(spec, points, cfg,
+                                                 report["results"][0]["value"]))
         else:  # sweep-radii
+            sections = {}
+            oracle = verify.timed(sections, "oracle", lambda: measures.correlation_oracle(
+                spec, points, L=cfgd["L"]))
             report = {"config_digest": cfgd["digest"], "results": [],
-                      "radius_sweep": kernels.radius_sweep(
-                          spec, points, cfg,
-                          measures.correlation_oracle(spec, points, L=cfgd["L"]))}
+                      "radius_sweep": verify.timed(
+                          sections, "radius_sweep",
+                          lambda: kernels.radius_sweep(spec, points, cfg, oracle)),
+                      "timing": {"sections": sections}}
     except QuadratureError as exc:
         prev, last = exc.estimates
         print(f"numerical non-convergence: {exc}; last two estimates "

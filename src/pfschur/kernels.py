@@ -17,13 +17,14 @@ level, and the powers z^{-t}:
 
 `assemble_kernel` builds the whole matrix from four blocks on four circles:
 K11 on k11 x k11, K22 on k22 x k22, and K12 with z on k11 and w on the
-k12_w_lt or the k12_w_gt circle. Every coupling is (z - w)/(zw - 1) times
+k12_w_lt or the k12_w_gt circle, integrating every K12 entry and the K11
+and K22 entries above the diagonal. Every coupling is (z - w)/(zw - 1) times
 factors of z alone and of w alone, so a block is the bilinear form
-G_z^T (W C W) G_w whose columns are the points' slot factors and powers;
-K21 is -K12^T. On trapezoid nodes of origin-centered circles the core C is
-a rank-one term plus a Hankel matrix, so each block is summed by FFT in
-O(n log n) per column, with no n x n array (the tests check it against the
-dense-grid sums). A pass (`_Assembly._pass`) is one array evaluation of the
+G_z^T (W C W) G_w whose columns are the points' slot factors and powers.
+On trapezoid nodes of origin-centered circles the core C is a rank-one
+term plus a Hankel matrix, so each block is summed by FFT in O(n log n) per
+column, with no n x n array (the tests check it against the dense-grid
+sums). A pass (`_Assembly._pass`) is one array evaluation of the
 circles that the blocks with an unconverged entry read: one
 `quadrature.nodes_weights` call on their radii, one broadcast for all their
 slot factors and columns, one ifft per side of the blocks, one fft for every
@@ -47,7 +48,7 @@ sweep reports can show them failing.
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from itertools import accumulate, combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -204,7 +205,8 @@ class _Assembly:
     zeros, whose factors (1 - 0/z) and 1/(1 - 0 z) are exactly 1. `blocks` has
     a row (z circle, w circle, entries, z columns, w columns) for each of the
     `_TABLE` blocks that holds entries: their flat indices 3 (d p + q) + block
-    and the column each reads on either circle, counted within the circle.
+    and the column each reads on either circle, counted within the circle:
+    every K12[p,q] and K11[p,q] and K22[p,q] with p < q. Other slots stay 0.
     `node_evaluations` counts the circle nodes at which slot factors were
     evaluated: each pass's count for every circle it read.
     """
@@ -220,9 +222,8 @@ class _Assembly:
         # second, so its table is built one pair of levels at a time.
         keys = [dict(zip(pts, range(d))) if c in (0, 3) else {}
                 for c in range(len(_CIRCLES))]
-        e = 3 * np.arange(d * d)
-        tables = {0: (e, *np.divmod(np.arange(d * d), d))}
-        tables[3] = (e + 2, *tables[0][1:])
+        p, q = np.array([*combinations(range(d), 2)], dtype=int).reshape(-1, 2).T
+        tables = {0: (3 * (d * p + q), p, q), 3: (3 * (d * p + q) + 2, p, q)}
         k12 = {1: ([], [], []), 2: ([], [], [])}  # entries, z and w columns
         at_level = {}
         for p, (i, _) in enumerate(pts):
@@ -240,10 +241,6 @@ class _Assembly:
         tables.update({c: tuple(map(np.array, table)) for c, table in k12.items()})
         self.blocks = [(zc, wc, *tables[blk]) for blk, (zc, wc) in enumerate(_TABLE)
                        if len(tables[blk][0])]
-        self.sign = np.ones(self.size)
-        self.sign[2::3] = _k22_sign(cfg)
-        # K11[p,p] and K22[p,p], 0 by skew symmetry: no rounding noise to test
-        self.diagonal = np.add.outer(3 * (d + 1) * np.arange(d), [0, 2]).ravel()
         rows = {}  # (circle, level) -> slot-factor row
         cols = [(c, rows.setdefault((c, lvl), len(rows)), t)
                 for c, circle_keys in enumerate(keys) for lvl, t in circle_keys]
@@ -374,8 +371,7 @@ class _Assembly:
                 entries, zcols, wcols = self.blocks[k][2:]
                 block = (Az[:, zs] * h[:, None]).T @ Bw[:, ws] - a_s[zs, None] * b_s[ws]
                 est[entries] = block[zcols, wcols]
-            est[self.diagonal] = 0
-            served[N // s] = est * self.sign
+            served[N // s] = est
         return served
 
 
@@ -383,23 +379,24 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
     """The 2d x 2d skew matrix over the points of T, ordered level-major with
     listing order within a level.
 
-    The K11, K12 and K22 entries come from four blocks on four circles (K11
-    on k11 x k11, K12 on k11 x k12_w_lt and k11 x k12_w_gt, K22 on
-    k22 x k22) and K21 is -K12^T. All circles double their node count
-    together from cfg.start_nodes; each entry keeps its estimate and node
-    count from the first doubling at which it converges to cfg.quad_tol, as
-    if it were summed on its own. The first pass
-    evaluates 4 x cfg.start_nodes nodes per circle (2 x when cfg.max_nodes
-    allows no more) and gives the estimates at the first three counts; each
-    later pass evaluates afresh the circles that the blocks with an
-    unconverged entry read and gives one doubling. An entry not converged at
-    cfg.max_nodes raises QuadratureError naming it. full_output adds the
-    points, the per-entry node counts, the skew projection defect,
-    `max_last_delta`, the largest last-doubling delta over all entries, the
-    four circles' `radii` and `node_evaluations`, the circle nodes at which
-    slot factors were evaluated: each pass's count for every circle it read,
-    the first pass's even where every entry converges at a lower count.
-    K11[p,p] and K22[p,p] are 0 by skew symmetry and served as exactly 0.
+    The integrals U of K12 and of K11 and K22 above the diagonal come from
+    four blocks on four circles (K11 on k11 x k11, K12 on k11 x k12_w_lt and
+    k11 x k12_w_gt, K22 on k22 x k22). This is the one place that knows the
+    matrix's structure: K11 = U - U^T, K22 = `_k22_sign` x (U - U^T), K12 is
+    U and K21 is -K12^T, so the matrix is exactly skew. All circles double
+    their node count together from cfg.start_nodes; each integral keeps its
+    estimate and node count from the first doubling at which it converges to
+    cfg.quad_tol, as if it were summed on its own. The first pass evaluates
+    4 x cfg.start_nodes nodes per circle (2 x when cfg.max_nodes allows no
+    more) and gives the estimates at the first three counts; each later pass
+    evaluates afresh the circles that the blocks with an unconverged entry
+    read and gives one doubling. An entry not converged at cfg.max_nodes
+    raises QuadratureError naming it. full_output adds the points, the node
+    counts of the integrated entries (`nodes`), `max_last_delta`, the
+    largest last-doubling delta over them, the four circles' `radii` and
+    `node_evaluations`, the circle nodes at which slot factors were
+    evaluated: each pass's count for every circle it read, the first pass's
+    even where every entry converges at a lower count.
     """
     cfg = cfg or KernelConfig()
     cfg.validate()
@@ -410,11 +407,13 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
     d = len(pts)
     asm = _Assembly(spec, pts, cfg)
 
-    def failure(e, k):
+    def name(e):
         p, q, blk = np.unravel_index(e, (d, d, 3))
+        return f"{_BLOCKS[blk]}[{p},{q}]"
+
+    def failure(e, k):
         n = cfg.start_nodes << k
-        return (f"kernel entry {_BLOCKS[blk]}[{p},{q}] did not converge "
-                f"at ({n}, {n}) nodes")
+        return f"kernel entry {name(e)} did not converge at ({n}, {n}) nodes"
 
     value, step, delta = quad.converge(
         lambda k, live: asm.estimate(cfg.start_nodes << k, live), 3 * d * d,
@@ -422,18 +421,14 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
     V = np.array(value, dtype=complex).reshape(d, d, 3)
     K = np.zeros((2 * d, 2 * d), dtype=complex)
     K[0::2, 0::2], K[0::2, 1::2], K[1::2, 1::2] = V[..., 0], V[..., 1], V[..., 2]
-    K[1::2, 0::2] = -V[..., 1].T
+    K = K - K.T
+    K[1::2, 1::2] *= _k22_sign(cfg)
     S = SkewMatrix(K)
     if not full_output:
         return S
-
-    def nodes_at(p, q, blk):
-        return (cfg.start_nodes << step[3 * (d * p + q) + blk],) * 2
-    nodes = {f"{which}[{p},{q}]": nodes_at(q, p, 1) if which == "K21"
-             else nodes_at(p, q, blk)
-             for p in range(d) for q in range(d)
-             for which, blk in (("K11", 0), ("K12", 1), ("K21", 1), ("K22", 2))}
-    return S, {"points": pts, "nodes": nodes, "defect": S.defect,
+    nodes = {name(e): (cfg.start_nodes << step[e],) * 2
+             for block in asm.blocks for e in block[2].tolist()}
+    return S, {"points": pts, "nodes": nodes,
                "max_last_delta": float(max(delta, default=0.0)),
                "radii": asm.radii, "node_evaluations": asm.node_evaluations}
 
@@ -441,8 +436,8 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
 def correlation_via_kernel(spec, T, cfg=None, full_output=False):
     """Pfaffian of the assembled kernel; the imaginary part is pure
     quadrature noise and is reported alongside, with the assembled `matrix`
-    (a SkewMatrix) and the assembly's skew `defect`, `max_last_delta`,
-    per-entry `nodes`, `radii` and `node_evaluations`.
+    (a SkewMatrix) and the assembly's `max_last_delta`, the node counts of
+    the integrated entries (`nodes`), `radii` and `node_evaluations`.
 
     full_output also gives `rel_last_delta`, max_last_delta over |value|
     (None when the value is 0). Every entry passes its own absolute test,
@@ -457,7 +452,7 @@ def correlation_via_kernel(spec, T, cfg=None, full_output=False):
     S, info = assemble_kernel(spec, T, cfg, full_output=True)
     pf = pfaffian(S)
     out = {"imag_defect": abs(pf.imag), "matrix": S, **{k: info[k] for k in (
-        "defect", "max_last_delta", "nodes", "radii", "node_evaluations")}}
+        "max_last_delta", "nodes", "radii", "node_evaluations")}}
     out["rel_last_delta"] = (info["max_last_delta"] / abs(pf.real)
                              if pf.real else None)
     return pf.real, out
@@ -465,10 +460,9 @@ def correlation_via_kernel(spec, T, cfg=None, full_output=False):
 
 def with_other_k22_sign(S):
     """The matrix of the assembled kernel S under the other K22 sign
-    convention: S's with its K22 block negated. The sign multiplies the K22
-    entries and nothing else, and `quadrature.converge` tests only moduli,
-    so the other convention's assembly accepts every entry at the same node
-    count and gives this matrix bit for bit."""
+    convention: S's with its K22 block negated. `assemble_kernel` applies
+    the sign to the K22 block after every integral is accepted, so the other
+    convention's assembly gives this matrix bit for bit."""
     K = S.matrix.copy()
     K[1::2, 1::2] = -K[1::2, 1::2]
     return K

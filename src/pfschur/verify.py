@@ -15,6 +15,7 @@ Tolerances are literals, but the eigenrelation and contour-action batteries
 take a `tol` and `draws`, which tests set to force a failure or shrink a run.
 """
 
+import time
 from itertools import combinations
 
 import numpy as np
@@ -25,6 +26,14 @@ from .partitions import (enumerate_up_to_weight, even_conjugate_subpartitions,
 from .pfaffian import (_pfaffian_expand, _pfaffian_ltl, pfaffian,
                        verify_schur_pfaffian)
 from .symfunc import Specialization
+
+
+def timed(sections, name, run):
+    """run(), with its wall seconds recorded as sections[name]."""
+    start = time.perf_counter()
+    out = run()
+    sections[name] = time.perf_counter() - start
+    return out
 
 
 def _row(name, value, tol, extra=None):
@@ -324,10 +333,10 @@ def battery_pfaffian(seed=0):
 # rules a spec out (None: none does). The functions are looked up in their
 # modules at each call, so a patched module attribute is the one that runs.
 # The oracle reports its weight cap, truncation diagnostic and partition-list
-# size; the kernel its skew defect, largest last-doubling delta and that
-# delta over |value|, per-entry node counts, circle radii and the circle
-# nodes at which its slot factors were evaluated; q-extraction its q-circle
-# radius, node counts, last-doubling delta and evaluated grid points
+# size; the kernel its largest last-doubling delta and that over |value|,
+# its integrated entries' node counts, circle radii and the circle nodes at
+# which its slot factors were evaluated; q-extraction its q-circle radius,
+# node counts, last-doubling delta and evaluated grid points
 ROUTES = {
     "oracle": (lambda spec, T, cfg, L: (measures.correlation_oracle(spec, T, L=L), {
         "imag_defect": 0.0, "L": L,
@@ -336,8 +345,8 @@ ROUTES = {
         ("L", "truncation_diagnostic", "partitions"), None),
     "kernel": (lambda spec, T, cfg, L: kernels.correlation_via_kernel(
         spec, T, cfg, full_output=True),
-        ("defect", "max_last_delta", "rel_last_delta", "nodes", "radii",
-         "node_evaluations"), None),
+        ("max_last_delta", "rel_last_delta", "nodes", "radii", "node_evaluations"),
+        None),
     "q-extraction": (lambda spec, T, cfg, L: kernels.correlation_via_q_extraction(
         spec.rho_plus[0], spec.rho_minus[0], [t for _, t in T.points], cfg,
         full_output=True), ("rq", "nodes", "last_delta", "grid_points"),
@@ -374,9 +383,12 @@ def compare_methods(spec, T, cfg, L=30):
     max(1e-3, 10 x the diagnostic): FAIL when the distance reaches it;
     INCONCLUSIVE when it stays below a threshold that the truncation has
     raised above 1e-3, since a short oracle cannot tell a wrong kernel from
-    a right one there; PASS otherwise."""
-    oracle = correlation_row("oracle", spec, T, cfg, L)
-    kernel, info = correlation_row("kernel", spec, T, cfg, L, full_output=True)
+    a right one there; PASS otherwise. `timing` holds the wall seconds of
+    each row under `sections`."""
+    sections = {}
+    oracle = timed(sections, "oracle", lambda: correlation_row("oracle", spec, T, cfg, L))
+    kernel, info = timed(sections, "kernel", lambda: correlation_row(
+        "kernel", spec, T, cfg, L, full_output=True))
     delta = kernel["delta_vs_oracle"] = abs(kernel["value"] - oracle["value"])
     val_flip = pfaffian(kernels.with_other_k22_sign(info["matrix"])).real
     diag = oracle["diagnostics"]["truncation_diagnostic"]
@@ -395,6 +407,7 @@ def compare_methods(spec, T, cfg, L=30):
         "threshold": threshold,
         "verdict": ("FAIL" if delta >= threshold
                     else "INCONCLUSIVE" if threshold > 1e-3 else "PASS"),
+        "timing": {"sections": sections},
     }
 
 

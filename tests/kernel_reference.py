@@ -9,7 +9,10 @@ z^{-t}, times 1/(z^2 - 1) on the outer circle k11 and 1/z on an inner one.
 `dense` sums it with `quadrature.estimate_bilinear` on the full grid of both
 circles' nodes, from slot factors built here (`_rational`) on the value
 tuples of `kernels._slot_values`; `kernels._Assembly` sums the same grid by
-FFT without building it. `reference` runs the dense sums through
+FFT without building it. Both sum the integrals alone: the K22 sign and
+the skew completion are `assemble_kernel`'s. `dense` sums all 3 d^2
+entries, the skew partners and the diagonal included; `reference` runs the
+dense sums of the entries the assembly integrates (`integrated`) through
 `quadrature.converge` as `assemble_kernel` runs the FFT sums, so the two
 accept each entry at the same doubling and fail on the same entry. The
 points are level-major, with listing order within a level.
@@ -38,8 +41,8 @@ def _core(z, w):
 
 def _groups(spec, pts, cfg):
     """The entries grouped by the two circles they are summed on, as rows
-    (z radius, w radius, sign, flat entries, z columns, w columns), a column
-    being a function of a node vector."""
+    (z radius, w radius, flat entries, z columns, w columns), a column being
+    a function of a node vector."""
     radii = kernels._resolved_radii(spec, cfg)
     num1, den1, num2, den2 = kernels._slot_values(spec)
 
@@ -58,13 +61,19 @@ def _groups(spec, pts, cfg):
                                (("k11", wc), (e + 1, outer(a, ti), inner(b, tj))),
                                (("k22", "k22"), (e + 2, inner(i, ti), inner(j, tj)))):
                 groups.setdefault(key, []).append(entry)
-    sign = {"k11": 1.0, "k22": kernels._k22_sign(cfg)}
     rows = []
     for (zc, wc), group in groups.items():
         entries, gz, gw = zip(*group)
-        rows.append((radii[zc], radii[wc], sign[zc], np.array(entries),
+        rows.append((radii[zc], radii[wc], np.array(entries),
                      np.array(gz, dtype=object), np.array(gw, dtype=object)))
     return rows
+
+
+def integrated(d):
+    """Which of the 3 d^2 flat entries `assemble_kernel` integrates: every
+    K12 entry, and the K11 and K22 entries above the diagonal."""
+    p, q, block = np.unravel_index(np.arange(3 * d * d), (d, d, 3))
+    return (block == 1) | (p < q)
 
 
 def _stack(columns):
@@ -77,10 +86,10 @@ def _sums(groups, size, n, live):
     """The entries that live marks at n nodes per circle, in one flat array
     of `size`; the others are 0."""
     est = np.zeros(size, dtype=complex)
-    for rz, rw, sign, entries, gz, gw in groups:
+    for rz, rw, entries, gz, gw in groups:
         keep = live[entries]
         if keep.any():
-            est[entries[keep]] = sign * quad.estimate_bilinear(
+            est[entries[keep]] = quad.estimate_bilinear(
                 _core, _stack(gz[keep]), _stack(gw[keep]), quad.circle(rz),
                 quad.circle(rw), n, n)
     return est
@@ -92,7 +101,7 @@ def dense(spec, pts, cfg, n):
     groups = _groups(spec, pts, cfg)
     size = 3 * len(pts) ** 2
     scale = np.zeros(size)
-    for rz, rw, _, entries, gz, gw in groups:
+    for rz, rw, entries, gz, gw in groups:
         (z, wz), (w, ww) = (quad.nodes_weights(quad.Circle(0j, r), n) for r in (rz, rw))
         A = np.abs(_stack(gz)(z) * wz[:, None])
         B = np.abs(_stack(gw)(w) * ww[:, None])
@@ -102,14 +111,16 @@ def dense(spec, pts, cfg, n):
 
 
 def reference(spec, pts, cfg):
-    """The dense sums doubled from cfg.start_nodes under `quadrature.converge`
-    as `assemble_kernel` doubles its own: lists of each entry's accepted
-    value, the doubling at which it was accepted and its last-doubling delta.
+    """The dense sums of the `integrated` entries doubled from
+    cfg.start_nodes under `quadrature.converge` as `assemble_kernel` doubles
+    its own: lists of each entry's accepted value (0 where not integrated),
+    the doubling at which it was accepted and its last-doubling delta.
     An entry not converged at cfg.max_nodes raises the QuadratureError that
     `assemble_kernel` raises for it: the same message, with the dense last
     two estimates."""
     groups = _groups(spec, pts, cfg)
     d = len(pts)
+    kept = integrated(d)
 
     def failure(e, k):
         p, q, blk = np.unravel_index(e, (d, d, 3))
@@ -117,5 +128,5 @@ def reference(spec, pts, cfg):
         return (f"kernel entry {kernels._BLOCKS[blk]}[{p},{q}] did not converge "
                 f"at ({n}, {n}) nodes")
     return quad.converge(
-        lambda k, live: _sums(groups, 3 * d * d, cfg.start_nodes << k, live),
+        lambda k, live: _sums(groups, 3 * d * d, cfg.start_nodes << k, live & kept),
         3 * d * d, cfg.start_nodes, cfg.max_nodes, cfg.quad_tol, failure)

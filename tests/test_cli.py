@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -201,6 +202,50 @@ def test_verify_reports_time_each_battery_section(tmp_path):
     assert "sections" not in read_report(out)["timing"]
 
 
+@pytest.mark.parametrize("command,sections", [
+    (["compare"], {"oracle", "kernel"}),
+    (["compare", "--sweep-radii"], {"oracle", "kernel", "radius_sweep"}),
+    (["sweep-radii"], {"oracle", "radius_sweep"})],
+    ids=["compare", "compare-sweep-radii", "sweep-radii"])
+def test_compare_and_sweep_reports_time_their_stages(tmp_path, command, sections):
+    # `timing` gains each stage's wall seconds; the rest stays deterministic
+    config = str(CONFIGS / "m1_singleton.json")
+    reports = []
+    for k in range(2):
+        out = tmp_path / f"{k}.json"
+        assert run_cli([command[0], "--config", config, "--out", str(out),
+                        *command[1:]]) == 0
+        reports.append(read_report(out))
+    timing = reports[0]["timing"]
+    assert set(timing["sections"]) == sections
+    assert all(0 <= s <= timing["elapsed_s"] for s in timing["sections"].values())
+    assert strip_timing(reports[0]) == strip_timing(reports[1])
+
+
+@pytest.mark.parametrize("command", [["compare", "--sweep-radii"], ["sweep-radii"]],
+                         ids=["compare", "sweep-radii"])
+def test_csv_reports_carry_the_radius_sweep_rows(tmp_path, command):
+    # one line per sweep row, after the result rows, with the JSON report's
+    # value and its other fields, and the sweep's oracle, as diagnostics
+    config = str(CONFIGS / "m1_singleton.json")
+    out, csv_out = tmp_path / "report.json", tmp_path / "report.csv"
+    assert run_cli([command[0], "--config", config, "--out", str(out),
+                    *command[1:]]) == 0
+    assert run_cli([command[0], "--config", config, "--out", str(csv_out),
+                    "--format", "csv", *command[1:]]) == 0
+    report = read_report(out)
+    lines = list(csv.DictReader(csv_out.read_text().splitlines()))
+    sweep = report["radius_sweep"]
+    assert len(lines) == len(report["results"]) + len(sweep["rows"]) == (
+        len(report["results"]) + 4)
+    for line, row in zip(lines[len(report["results"]):], sweep["rows"]):
+        assert line["method"] == "radius_sweep" and line["T"] == "null"
+        assert float(line["value"]) == row["value"]
+        diagnostics = json.loads(line["diagnostics"])
+        assert diagnostics == {"oracle": sweep["oracle"],
+                               **{k: v for k, v in row.items() if k != "value"}}
+
+
 def test_method_choices_are_the_route_table():
     method, = [a for a in _parser()._actions if a.dest == "method"]
     assert method.choices == list(verify.ROUTES)
@@ -347,9 +392,9 @@ def test_kernel_row_reports_its_radii_and_node_evaluations(tmp_path):
     diagnostics = read_report(out)["results"][0]["diagnostics"]
     spec = ProcessSpec([[0.5]], [[0.5]])
     assert diagnostics["radii"] == kernels.default_radii(spec)
-    # k11, k12_w_gt and k22 in one pass at 4 x 64 nodes, which also serves
-    # the estimates at 64 and 128, where every entry converges
-    assert diagnostics["node_evaluations"] == 3 * 256
+    # K12[0,0] alone, on k11 and k12_w_gt, in one pass at 4 x 64 nodes,
+    # which also serves the estimates at 64 and 128, where it converges
+    assert diagnostics["node_evaluations"] == 2 * 256
 
 
 def test_kernel_row_flags_its_depth_failure(tmp_path):

@@ -5,7 +5,9 @@ live block reads in one broadcast and sums every block's coupling
 (z - w)/(zw - 1) on them as a rank-one term plus a Hankel convolution, at
 the coarser counts of its first pass by folding the transforms;
 `kernel_reference.dense` evaluates the same trapezoid sum on the dense n x n
-grid, from slot factors of its own.
+grid, from slot factors of its own. The assembly integrates every K12 entry
+and the K11 and K22 entries above the diagonal (`integrated`); the dense
+sums of the others are the skew partners of those, or 0 on the diagonal.
 """
 
 import tracemalloc
@@ -14,7 +16,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kernel_reference import dense
+from kernel_reference import dense, integrated
 from pfschur import kernels
 from pfschur import quadrature as quad
 from pfschur.kernels import SIGN_BR, KernelConfig
@@ -46,7 +48,14 @@ def test_fft_grids_match_the_dense_core(radii, n):
     dense_sums, scale = dense(SPEC, PTS, cfg, n)
     # relative to the summands: under the inadmissible reading every K11
     # entry is 0 analytically, and both sums are rounding noise
-    assert np.all(np.abs(fft - dense_sums) <= 1e-12 * scale)
+    kept = integrated(len(PTS))
+    assert np.all(np.abs(fft - dense_sums)[kept] <= 1e-12 * scale[kept])
+    assert not fft[~kept].any()
+    # the K11 and K22 sums the assembly leaves out are minus their partners
+    # above the diagonal, and 0 on it, on the same grid
+    V, S = (np.reshape(x, (len(PTS), len(PTS), 3))[..., ::2]
+            for x in (dense_sums, scale))
+    assert np.all(np.abs(V + V.transpose(1, 0, 2)) <= 1e-12 * S)
 
 
 def test_fft_grid_builds_no_node_by_node_array():
@@ -133,14 +142,15 @@ def test_an_assembly_without_points_evaluates_nothing(monkeypatch):
 def test_the_first_pass_stays_at_a_count_converge_reaches(monkeypatch, max_nodes,
                                                           first):
     # converge doubles 64 while the count stays within max_nodes, which need
-    # not be a power of two; every entry of this kernel converges at 128
+    # not be a power of two; the one entry of this kernel, K12[0,0],
+    # converges at 128 and reads two circles, k11 and k12_w_gt
     spec, pts = ProcessSpec([[0.5]], [[0.5]]), PointSet([(1, 0)])
     _, passes = _spy_passes(monkeypatch)
     S, info = kernels.assemble_kernel(spec, pts, KernelConfig(max_nodes=max_nodes),
                                       full_output=True)
     assert [n for n, _ in passes] == [first]
     assert set(info["nodes"].values()) == {(128, 128)}
-    assert info["node_evaluations"] == 3 * first
+    assert info["node_evaluations"] == 2 * first
 
 
 def test_each_circle_side_is_transformed_once_per_doubling(monkeypatch):

@@ -4,9 +4,11 @@
 `kernel_reference.reference` takes each entry's trapezoid sum on the dense
 n x n grid and doubles it under the same `quadrature.converge`. On random
 admissible specs, under every variant switch, the two must give the same
-entries to 1e-12, accept them at the same node counts, and fail on the same
-entry with the same last two estimates when the node cap is too small. The
-inadmissible radius reading is checked the same way on the shipped configs.
+integrated entries (every K12, and K11 and K22 above the diagonal, K22
+under its sign) to 1e-12, accept them at the same node counts, and fail on
+the same entry with the same last two estimates when the node cap is too
+small; the assembled matrix must be exactly skew. The inadmissible radius
+reading is checked the same way on the shipped configs.
 """
 
 import json
@@ -19,8 +21,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 
 from kernel_reference import reference  # noqa: E402
-from pfschur.kernels import (SIGN_BR, KernelConfig, _inadmissible_radii,  # noqa: E402
-                             _radii_at, assemble_kernel)
+from pfschur.kernels import (SIGN_BR, SIGN_PAPER, KernelConfig,  # noqa: E402
+                             _inadmissible_radii, _radii_at, assemble_kernel)
 from pfschur.measures import PointSet, ProcessSpec  # noqa: E402
 from pfschur.quadrature import QuadratureError  # noqa: E402
 
@@ -73,16 +75,23 @@ def _assert_blocks_match(spec, T, cfg):
     d = len(pts)
     V = np.reshape(value, (d, d, 3))
     nodes = cfg.start_nodes << np.reshape(step, (d, d, 3))
+    K = S.matrix
+    # the lower entries are minus the upper ones, the diagonal 0
+    assert np.array_equal(K, -K.T)
+    k22 = 1 if cfg.sign_convention == SIGN_PAPER else -1
+    names = set()
     for p in range(d):
         for q in range(d):
-            # K21[p,q] is -K12[q,p] on both sides
-            for which, (ro, co), (a, b, blk), sign in (
-                    ("K11", (0, 0), (p, q, 0), 1), ("K12", (0, 1), (p, q, 1), 1),
-                    ("K21", (1, 0), (q, p, 1), -1), ("K22", (1, 1), (p, q, 2), 1)):
+            for which, (ro, co), blk, sign in (
+                    ("K11", (0, 0), 0, 1), ("K12", (0, 1), 1, 1),
+                    ("K22", (1, 1), 2, k22)):
+                if which != "K12" and p >= q:
+                    continue  # not integrated
                 name = f"{which}[{p},{q}]"
-                entry = S.matrix[2 * p + ro, 2 * q + co]
-                assert _close(entry, sign * V[a, b, blk]), name
-                assert info["nodes"][name] == (nodes[a, b, blk],) * 2, name
+                names.add(name)
+                assert _close(K[2 * p + ro, 2 * q + co], sign * V[p, q, blk]), name
+                assert info["nodes"][name] == (nodes[p, q, blk],) * 2, name
+    assert set(info["nodes"]) == names
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -102,7 +111,8 @@ def test_blocks_match_per_entry_route(variant, case):
 def test_blocks_match_under_the_inadmissible_reading(name):
     # radius_sweep's k11 circle enclosing the 1/x poles, on the shipped
     # configs; on random specs with deep points its summands grow like
-    # r^|t| and the diagonal K11 entries become rounding noise at quad_tol
+    # r^|t| and the K11 entries, 0 analytically, become rounding noise at
+    # quad_tol
     raw = json.loads((CONFIGS / f"{name}.json").read_text())
     spec = ProcessSpec.from_json(raw["process"])
     radii = _inadmissible_radii(spec)

@@ -1,19 +1,24 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kernel_reference import reference
+from kernel_reference import dense, reference
 from pfschur import kernels
 from pfschur.kernels import (SIGN_BR, KernelConfig, assemble_kernel,
                              correlation_via_kernel,
                              correlation_via_q_extraction, default_radii,
                              radius_sweep,
-                             verify_principal_pfaffian_factorization)
+                             verify_principal_pfaffian_factorization,
+                             with_other_k22_sign)
 from pfschur.measures import PointSet, ProcessSpec, correlation_oracle
 from pfschur.pfaffian import pfaffian
 from pfschur.quadrature import QuadratureError
 from pfschur.symfunc import Specialization
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 X2 = Specialization([0.5, 0.25])
 SPEC_M1 = ProcessSpec([X2], [X2])
@@ -29,10 +34,11 @@ def test_default_radii_admissible():
     assert radii["k12_w_gt"] * radii["k11"] > 1
 
 
-def _reference_blocks(spec, pts, cfg=CFG):
-    """The reference entries over the level-major points pts as a
-    (d, d, 3) array: K11, K12 and K22 of each pair."""
-    value, _, _ = reference(spec, pts, cfg)
+def _reference_blocks(spec, pts, cfg=CFG, n=256):
+    """The dense-grid sums at n nodes per circle over the level-major points
+    pts as a (d, d, 3) array: the integrals K11, K12 and K22 of each pair,
+    the diagonal and lower entries that the assembly leaves out included."""
+    value, _ = dense(spec, pts, cfg, n)
     return np.reshape(value, (len(pts), len(pts), 3))
 
 
@@ -58,7 +64,7 @@ def test_assemble_structure_d1():
     assert K.shape == (2, 2)
     assert K[0, 0] == 0 and K[1, 1] == 0
     assert K[0, 1] == -K[1, 0]
-    assert info["defect"] < 10 * CFG.quad_tol
+    assert list(info["nodes"]) == ["K12[0,0]"]
     assert 0 < info["max_last_delta"] < CFG.quad_tol * max(1, abs(K[0, 1]))
 
 
@@ -138,18 +144,57 @@ def test_rel_last_delta_is_null_at_a_zero_value(monkeypatch):
 
 
 def test_skew_diagonal_is_exactly_zero_under_the_inadmissible_radii():
-    # K11[p,p] and K22[p,p] vanish by skew symmetry. Under the inadmissible
-    # reading their rounding noise grows like r^|t|, and tested for
-    # convergence it failed K11[0,0] at every count up to the cap; the sites
-    # lie below -n at level 2, so the value is 1.
+    # K11[p,p] and K22[p,p] vanish by skew symmetry and are not integrated.
+    # Under the inadmissible reading their rounding noise grows like r^|t|,
+    # and tested for convergence it failed K11[0,0] at every count up to the
+    # cap; the sites lie below -n at level 2, so the value is 1.
     spec = ProcessSpec([[0.1, 0.177, 0.152], [0.333, 0.319]],
                        [[0.333, 0.252, 0.5], [0.337]])
     cfg = replace(CFG, radii=kernels._inadmissible_radii(spec))
     for t in (-8, -9, -10):
         S, info = assemble_kernel(spec, PointSet([(2, t)]), cfg, full_output=True)
-        assert info["nodes"]["K11[0,0]"] == info["nodes"]["K22[0,0]"] == (128, 128)
-        assert info["defect"] == 0.0
+        assert list(info["nodes"]) == ["K12[0,0]"]
+        assert S.matrix[0, 0] == S.matrix[1, 1] == 0
         assert abs(pfaffian(S).real - 1) < 1e-6, t
+
+
+def test_d1_integrates_k12_alone_on_two_circles(monkeypatch):
+    # at d = 1 the K11 and K22 blocks hold no entry worth integrating, so
+    # the first pass evaluates k11 and k12_w_gt and never the k22 circle
+    raw = json.loads((CONFIGS / "m1_singleton.json").read_text())
+    spec = ProcessSpec.from_json(raw["process"])
+    circles = []
+    nodes_weights = kernels.quad.nodes_weights
+
+    def spy(c, n):
+        circles.append((n, tuple(np.atleast_1d(c.radius))))
+        return nodes_weights(c, n)
+    monkeypatch.setattr(kernels.quad, "nodes_weights", spy)
+    S, info = assemble_kernel(spec, PointSet(raw["points"]), CFG, full_output=True)
+    first = 4 * CFG.start_nodes
+    assert info["nodes"] == {"K12[0,0]": (128, 128)}
+    assert info["node_evaluations"] == 2 * first
+    radii = info["radii"]
+    assert circles == [(first, (radii["k11"], radii["k12_w_gt"]))]
+
+
+# a d = 3 spec over two levels, with points at both, and each variant
+SPEC_D3 = ProcessSpec([[0.4, 0.2], [0.3]], [[0.35], [0.25, 0.15]])
+T_D3 = PointSet([(1, 0), (1, 2), (2, -1)])
+D3_VARIANTS = {"paper": {}, "display": {"h_assignment": "display"},
+               "literal": {"k12_regime": "literal"},
+               "inadmissible": {"radii": kernels._inadmissible_radii(SPEC_D3)}}
+
+
+@pytest.mark.parametrize("variant", D3_VARIANTS)
+def test_the_k22_sign_is_the_last_step_of_the_assembly(variant):
+    # the other sign's matrix is the paper sign's with its K22 block
+    # negated, entry for entry exactly
+    cfg = KernelConfig(**D3_VARIANTS[variant])
+    paper = assemble_kernel(SPEC_D3, T_D3, cfg)
+    br = assemble_kernel(SPEC_D3, T_D3, replace(cfg, sign_convention=SIGN_BR))
+    assert np.array_equal(br.matrix, with_other_k22_sign(paper))
+    assert np.abs(br.matrix[1::2, 1::2]).max() > 0
 
 
 def test_sign_adjudication():
