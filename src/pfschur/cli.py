@@ -133,8 +133,8 @@ def _load_config(path, overrides):
 
 def _emit(report, out_path, fmt):
     """The report as JSON, or as CSV with one line per result row and per
-    radius-sweep row (method `radius_sweep`, the sweep's `oracle` value among
-    its diagnostics), to out_path or stdout."""
+    radius-sweep row (method `radius_sweep`, the sweep's points as its `T`
+    and its `oracle` value among its diagnostics), to out_path or stdout."""
     if fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"
     else:
@@ -143,7 +143,8 @@ def _emit(report, out_path, fmt):
         head = ["T", "method", "value", "imag_defect"]
         writer.writerow(head + ["diagnostics"])
         sweep = report.get("radius_sweep")
-        sweep_rows = [{"method": "radius_sweep", "oracle": sweep["oracle"], **row}
+        sweep_rows = [{"T": sweep["T"], "method": "radius_sweep",
+                       "oracle": sweep["oracle"], **row}
                       for row in sweep["rows"]] if sweep else []
         for row in report.get("results", []) + sweep_rows:
             writer.writerow([json.dumps(row.get("T")), *map(row.get, head[1:]),
@@ -236,7 +237,7 @@ def _run(args):
     ConfigError."""
     cfgd = _load_config(args.config, args)
     spec, points, cfg = cfgd["spec"], cfgd["points"], cfgd["kernel_cfg"]
-    t_start, caches_before = time.time(), _cache_calls()
+    t_start, caches_before = time.perf_counter(), _cache_calls()
     try:
         if args.command in BATTERIES:
             report = _battery_report(args.command, cfgd)
@@ -279,7 +280,7 @@ def _run(args):
     for name, (hits, misses) in _cache_calls().items():
         hits, misses = hits - caches_before[name][0], misses - caches_before[name][1]
         rates[name] = hits / (hits + misses) if hits + misses else None
-    report.setdefault("timing", {}).update(elapsed_s=time.time() - t_start,
+    report.setdefault("timing", {}).update(elapsed_s=time.perf_counter() - t_start,
                                            cache_hit_rate=rates)
     _emit(report, args.out, args.format)
     if report.get("verdict", "PASS") != "PASS" or report.get("all_pass") is False:

@@ -24,7 +24,7 @@ G_z^T (W C W) G_w whose columns are the points' slot factors and powers.
 On trapezoid nodes of origin-centered circles the core C is a rank-one
 term plus a Hankel matrix, so each block is summed by FFT in O(n log n) per
 column, with no n x n array (the tests check it against the dense-grid
-sums). A pass (`_Assembly._pass`) is one array evaluation of the
+sums). A pass (`_Assembly.estimate`) is one array evaluation of the
 circles that the blocks with an unconverged entry read: one
 `quadrature.nodes_weights` call on their radii, one broadcast for all their
 slot factors and columns, one ifft per side of the blocks, one fft for every
@@ -192,9 +192,9 @@ def _padded(rows):
 
 class _Assembly:
     """One kernel assembly over the points pts: index arrays built once, and
-    `estimate`, which evaluates every block that holds a live entry in one
-    array pass for the first three node counts and one per count after. A
-    pass keeps nothing of the one before but the estimates it served.
+    `estimate`, one array pass over every block that holds a live entry,
+    which serves the first three node counts on the first pass and one count
+    on each later pass. A pass keeps nothing of another.
 
     A column is one (level, t) that a block reads on a circle: the level's
     slot factor on that circle times z^{-t}, times 1/(z^2 - 1) on the outer
@@ -251,9 +251,8 @@ class _Assembly:
         self.row_circle = np.array([c for c, _ in rows], dtype=int)
         self.nums = _padded([(num1 if c == 0 else num2)[lvl] for c, lvl in rows])
         self.dens = _padded([(den1 if c == 0 else den2)[lvl] for c, lvl in rows])
-        self.max_nodes = cfg.max_nodes
+        self.start_nodes, self.max_nodes = cfg.start_nodes, cfg.max_nodes
         self.node_evaluations = 0
-        self._served = {}  # the last pass's estimates per node count
 
     def _plan(self, live):
         """The index arrays of a pass over the blocks numbered `live`: the
@@ -297,31 +296,15 @@ class _Assembly:
         pre = 1 / np.where(plan.outer, z * z - 1, z)
         return v[:, plan.col_row] * z[:, plan.col_on] ** plan.neg_t * pre[:, plan.col_on]
 
-    def estimate(self, n, live):
-        """The entries at n nodes per circle in one flat array over all
-        3 d^2 entries, of which only those that live marks (a boolean array)
-        are to be read. `quadrature.converge` asks for the counts in doubling
-        order and only shrinks the live set, so a count the last pass served
-        is handed out from it. Any other starts a pass (`_pass`) over the
-        blocks that still hold a live entry: the first pass of an assembly
-        evaluates 4n nodes per circle, or 2n if 4n exceeds max_nodes, and
-        serves every count from there down to n; a later pass evaluates n
-        nodes and serves n.
-        """
-        if not self.size:  # no points
-            return np.zeros(0, dtype=complex)
-        if n not in self._served:
-            live = tuple(k for k, b in enumerate(self.blocks) if live[b[2]].any())
-            N = n
-            while not self._served and N < 4 * n and 2 * N <= self.max_nodes:
-                N *= 2
-            self._served = self._pass(N, n, live)
-        return self._served[n]
-
-    def _pass(self, N, n, live):
-        """One evaluation of the blocks numbered `live` at N nodes per
-        circle, and their estimates at N, N/2, ... down to n nodes, as
-        {count: estimates}.
+    def estimate(self, k, live):
+        """One pass over the blocks that hold an entry that live (a boolean
+        array over all 3 d^2 entries) marks, as `quadrature.converge` takes
+        it: the list of the entries at n = start_nodes * 2**k nodes per
+        circle and, on the first pass (k = 0), at 2n and 4n, each one flat
+        array over all the entries, of which only the live ones are to be
+        read. The pass evaluates N nodes per circle, the largest count it
+        serves: 4n on the first pass, or 2n if 4n exceeds max_nodes, and n on
+        a later one.
 
         Each block is sum_ab A[a, p] C(z_a, w_b) B[b, q] over the weighted
         columns A on its z circle and B on its w circle, C(z, w) being the
@@ -346,12 +329,18 @@ class _Assembly:
         the transforms are folded in half per count and not scaled; the
         rank-one sums are s times sums over the strided rows.
         """
-        plan = self._plan(live)
+        if not self.size:  # no points
+            return [np.zeros(0, dtype=complex)]
+        n = N = self.start_nodes << k
+        while k == 0 and N < 4 * n and 2 * N <= self.max_nodes:
+            N *= 2
+        plan = self._plan([b for b, block in enumerate(self.blocks)
+                           if live[block[2]].any()])
         z, wz = quad.nodes_weights(quad.Circle(0j, plan.radius), N)
         A = self._columns(z, plan) * wz[:, plan.col_on]
         self.node_evaluations += z.size
         zi = 1 / z
-        strides = [1 << k for k in range((N // n).bit_length())]
+        strides = [1 << j for j in range((N // n).bit_length())]
         Az = A[:, plan.zcols]
         a = [s * np.einsum("ij,ij->j", zi[::s, plan.zon], Az[::s]) for s in strides]
         Az = np.fft.ifft(Az * (z - zi)[:, plan.zon], axis=0)
@@ -361,18 +350,18 @@ class _Assembly:
         _, zon, won, _, _ = zip(*plan.blocks)
         # N is a power of two, so scaling h^ by it is exact
         h_hat = N * np.fft.fft(1 / (z[:, zon] * z[0, won] - 1), axis=0)
-        served = {}
+        out = []
         for s, a_s, b_s in zip(strides, a, b):
             if s > 1:
                 Az, Bw, h_hat = (x[:len(x) // 2] + x[len(x) // 2:]
                                  for x in (Az, Bw, h_hat))
             est = np.zeros(self.size, dtype=complex)
-            for h, (k, _, _, zs, ws) in zip(h_hat.T, plan.blocks):
-                entries, zcols, wcols = self.blocks[k][2:]
+            for h, (blk, _, _, zs, ws) in zip(h_hat.T, plan.blocks):
+                entries, zcols, wcols = self.blocks[blk][2:]
                 block = (Az[:, zs] * h[:, None]).T @ Bw[:, ws] - a_s[zs, None] * b_s[ws]
                 est[entries] = block[zcols, wcols]
-            served[N // s] = est
-        return served
+            out.append(est)
+        return out[::-1]
 
 
 def assemble_kernel(spec, T, cfg=None, full_output=False):
@@ -415,9 +404,8 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
         n = cfg.start_nodes << k
         return f"kernel entry {name(e)} did not converge at ({n}, {n}) nodes"
 
-    value, step, delta = quad.converge(
-        lambda k, live: asm.estimate(cfg.start_nodes << k, live), 3 * d * d,
-        cfg.start_nodes, cfg.max_nodes, cfg.quad_tol, failure)
+    value, step, delta = quad.converge(asm.estimate, 3 * d * d, cfg.start_nodes,
+                                       cfg.max_nodes, cfg.quad_tol, failure)
     V = np.array(value, dtype=complex).reshape(d, d, 3)
     K = np.zeros((2 * d, 2 * d), dtype=complex)
     K[0::2, 0::2], K[0::2, 1::2], K[1::2, 1::2] = V[..., 0], V[..., 1], V[..., 2]
@@ -530,8 +518,10 @@ def correlation_via_q_extraction(X, Y, T, cfg=None, full_output=False):
             v = v * q ** (-t - n - 1)
         return v
 
-    # the q-circles start low enough to double at least once within the cap
-    qc = quad.circle(rq, nodes=min(max(32, cfg.start_nodes // 2), cfg.max_nodes // 2))
+    # the q-circles start low enough to double at least once within the cap,
+    # at a power of two however the cap is set
+    half_cap = 1 << ((cfg.max_nodes // 2).bit_length() - 1)
+    qc = quad.circle(rq, nodes=min(max(32, cfg.start_nodes // 2), half_cap))
     try:
         value, outer = quad.integrate_n(
             f, [qc] * d, tol=max(cfg.quad_tol, 1e-9 if d == 1 else 1e-7),
@@ -589,10 +579,12 @@ def _inadmissible_radii(spec):
 def radius_sweep(spec, T, cfg, oracle_value, samples=3):
     """Scan kernel radius configurations (including a deliberately
     inadmissible k11 that encloses the 1/x poles) and report each one's
-    agreement with oracle_value, the enumeration oracle's correlation of T.
-    A configuration whose quadrature does not converge, or whose radii or
-    contours are rejected with a ValueError, is an error row; any other
-    exception propagates."""
+    agreement with oracle_value, the enumeration oracle's correlation of T,
+    with the points T themselves. A configuration whose quadrature does not
+    converge, or whose radii or contours are rejected with a ValueError, is
+    an error row; any other exception propagates."""
+    if not isinstance(T, PointSet):
+        T = PointSet(T)
     rows = []
 
     def try_config(radii, note):
@@ -610,4 +602,4 @@ def radius_sweep(spec, T, cfg, oracle_value, samples=3):
         try_config(_radii_at(spec, fr), f"admissible fraction {fr:.2f}")
     try_config(_inadmissible_radii(spec),
                "k11 encloses 1/x poles (inadmissible reading)")
-    return {"oracle": oracle_value, "rows": rows}
+    return {"T": T.to_json(), "oracle": oracle_value, "rows": rows}

@@ -17,28 +17,30 @@ one estimate per draw. The batch is evaluated whole at every pass;
 
 One function, `converge`, runs the doubling loop for any number of
 integrals sharing a node sequence, accepting each at its own first
-converged doubling; `integrate`, `integrate2`, `integrate_n` (one or two
-contours) and `integrate_product` are single-integral wrappers over it,
-through `_single`. The n trapezoid nodes of a circle are its 2n nodes [::2]
-bit for bit, and their weights twice the 2n-node ones, so the first pass of
-every integral evaluates 2n nodes per circle and serves both the n-node and
-the 2n-node estimate, the former summed over each contour's even-indexed
-nodes (as `kernels._Assembly` folds its passes); each later pass evaluates
-its nodes afresh and serves one count. Every integral reports
-`grid_points`, the integrand points of the passes it evaluated: per pass,
-circles times nodes per contour, multiplied over the contours and the
-draws. Each contour's nodes and weights are one vector concatenated over
-its circles, from one broadcast over their stacked centers, radii and
-orientations. A contour starts at 64 nodes per circle (`circle`,
+converged doubling, from the list of estimates that each pass of an
+estimator returns, one per node count the pass serves. `integrate` and
+`integrate_product`, and through them `integrate2` and `integrate_n` (one
+or two contours), are single-integral wrappers over it, through `_single`.
+The n trapezoid nodes of a circle are its 2n nodes [::2] bit for bit, and
+their weights twice the 2n-node ones, so the first pass of every integral
+evaluates 2n nodes per circle and serves both the n-node and the 2n-node
+estimate, the former summed over each contour's even-indexed nodes (as
+`kernels._Assembly` folds its passes); each later pass evaluates its nodes
+afresh and serves one count. Every integral reports `grid_points`, the
+integrand points of the passes it evaluated: per pass, circles times nodes
+per contour, multiplied over the contours and the draws. Each contour's
+nodes and weights are one vector concatenated over its circles, from one
+broadcast over their stacked centers, radii and orientations. A contour starts at 64 nodes per circle (`circle`,
 `ContourSpec`), except the small circles of `circles_around`, which start
 at 8 unless asked for another count.
 `estimate_bilinear`, one double integral per column of two column
 matrices, is the one summation of every two-dimensional grid, so every
 integral over d >= 2 contours is one bilinear sum per pass:
-`integrate2` with unit columns and its integrand as the grid,
 `integrate_product` (one-variable and pairwise factors) with each tuple of
 nodes of the outer d - 2 variables as a column and the last pairwise factor
-as the only grid. Grids are evaluated in row blocks of `_CHUNK` elements.
+as the only grid, `integrate2` its d = 2 case with unit one-variable
+factors and its integrand as the pair. Grids are evaluated in row blocks
+of `_CHUNK` elements.
 
 All integrals are normalized by 1/(2*pi*i): `integrate(f, c)` approximates
 (1/(2*pi*i)) oint_c f(z) dz.
@@ -228,30 +230,32 @@ def converge(estimate, size, n, max_nodes, tol, failure):
     """The node-doubling loop behind every integral in the package.
 
     `size` integrals share one node sequence: n nodes per circle, doubled
-    while the count stays within max_nodes. estimate(k, live) returns the
-    `size` estimates at n * 2**k nodes; only the entries that the boolean
-    array `live` marks are read, so an estimator may skip work that serves
-    no live entry. An entry is accepted at the first doubling where it
-    differs from its own previous estimate by less than tol, relative when
-    its magnitude exceeds 1 and absolute below (one array test over the live
-    entries; a NaN never passes), and then leaves `live`. An estimator may
-    rely on the calling order: every entry is live at the first call, k runs
-    0, 1, 2, ... in doubling order, the live set only shrinks from one call
-    to the next, and no call follows the last entry's acceptance. Returns
-    lists of the accepted estimates, the doubling k at which each was
-    accepted, and its last-doubling delta. If an entry is still live at the
-    cap, QuadratureError carries failure(index, k) as its message and the
-    last two estimates of the first such entry.
+    while the count stays within max_nodes. estimate(k, live) evaluates one
+    pass and returns the list of the `size` estimates at n * 2**k,
+    n * 2**(k+1), ... nodes, one array per count the pass serves; they are
+    taken in order, and estimate is called again only at the first count no
+    pass served. Only the entries that the boolean array `live` marks are
+    read, so an estimator may skip work that serves no live entry. An entry
+    is accepted at the first doubling where it differs from its own previous
+    estimate by less than tol, relative when its magnitude exceeds 1 and
+    absolute below (one array test over the live entries; a NaN never
+    passes), and then leaves `live`. Returns lists of the accepted
+    estimates, the doubling k at which each was accepted, and its
+    last-doubling delta. If an entry is still live at the cap,
+    QuadratureError carries failure(index, k) as its message and the last
+    two estimates of the first such entry.
     """
     value = np.zeros(size, dtype=complex)
     step = np.zeros(size, dtype=int)
     delta = np.zeros(size)
     live = np.ones(size, dtype=bool)
-    prev = old = estimate(0, live)
+    pending = list(estimate(0, live))
+    prev = old = pending.pop(0)
     k = 0
     while live.any() and n << (k + 1) <= max_nodes:
         k += 1
-        new = estimate(k, live)
+        pending = pending or list(estimate(k, live))
+        new = pending.pop(0)
         diff = _modulus(new - old)
         done = live & (diff < tol * np.maximum(1.0, _modulus(new)))
         value[done], step[done], delta[done] = new[done], k, diff[done]
@@ -269,26 +273,21 @@ def _single(estimate, contours, max_nodes, tol, full_output, what):
     the batch's shape) with every contour at its start doubled k times, and
     with fold the pair of it and the estimate at k - 1 from the even-indexed
     half of the same nodes. The first pass, when max_nodes allows one
-    doubling, is estimate(1, True): it serves k = 0 and k = 1, which
-    `converge` then always asks for. Each later pass evaluates its nodes
-    afresh and serves one k, and a pass keeps nothing once it is served. The
-    reported `nodes` are per circle, one count per contour (a number for one
-    contour), a list of them over the draws of a batch; `grid_points` counts
-    the points of the passes evaluated; a draw that does not converge is
-    named in the error."""
+    doubling, is estimate(1, True) and serves k = 0 and k = 1; each later
+    pass evaluates its nodes afresh and serves one k. The reported `nodes`
+    are per circle, one count per contour (a number for one contour), a list
+    of them over the draws of a batch; `grid_points` counts the points of
+    the passes evaluated; a draw that does not converge is named in the
+    error."""
     batch, starts = _batch(contours), [c.nodes for c in contours]
     size, n = math.prod(batch), max(starts)
-    passes, served = [], {}
+    passes = []
 
     def at(k, live):
-        if k not in served:
-            if k == 0 and n << 1 <= max_nodes:
-                passes.append(1)
-                served[1], served[0] = estimate(1, True)
-            else:
-                passes.append(k)
-                served[k] = estimate(k, False)
-        return np.reshape(served.pop(k), size)
+        fold = k == 0 and n << 1 <= max_nodes
+        passes.append(k + fold)
+        out = estimate(1, True)[::-1] if fold else [estimate(k, False)]
+        return [np.reshape(v, size) for v in out]
 
     def failure(i, k):
         draw = f" (draw {i} of {size})" if batch else ""
@@ -366,26 +365,17 @@ def estimate_bilinear(core, gz, gw, c1, c2, n1, n2, fold=None):
     return total if fold is None else (total, np.moveaxis(half, -1, 0))
 
 
-def _unit(v):
-    return np.ones((len(v), 1) + v.shape[1:])
-
-
 def integrate2(f, c1, c2, tol=1e-9, max_nodes=MAX_NODES_2D, full_output=False):
-    """(1/2pi i)^2 double contour integral, tensor-product trapezoid rule.
+    """(1/2pi i)^2 double contour integral, tensor-product trapezoid rule:
+    `integrate_product` with unit one-variable factors and f as the pair.
 
     f receives node arrays shaped (N,1) and (1,M); broadcasting gives the
     value grid. Both node counts double jointly under one convergence test.
     A plain circle among batched ones is broadcast to the batch.
     """
-    c1, c2 = _broadcast([c1, c2])
-    n1, n2 = c1.nodes, c2.nodes
-
-    def estimate(k, fold):
-        out = estimate_bilinear(f, _unit, _unit, c1, c2, n1 << k, n2 << k,
-                                fold=np.ones(1, bool) if fold else None)
-        return tuple(v[0] for v in out) if fold else out[0]
-    return _single(estimate, [c1, c2], max_nodes, tol, full_output,
-                   "double contour integral")
+    return integrate_product((lambda z: 1.0,) * 2, lambda j, k, z, w: f(z, w),
+                             [c1, c2], tol=tol, max_nodes=max_nodes,
+                             full_output=full_output)
 
 
 def integrate_n(f, contours, tol=1e-9, max_nodes=MAX_NODES_ND, full_output=False):

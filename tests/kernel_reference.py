@@ -128,5 +128,5 @@ def reference(spec, pts, cfg):
         return (f"kernel entry {kernels._BLOCKS[blk]}[{p},{q}] did not converge "
                 f"at ({n}, {n}) nodes")
     return quad.converge(
-        lambda k, live: _sums(groups, 3 * d * d, cfg.start_nodes << k, live & kept),
+        lambda k, live: [_sums(groups, 3 * d * d, cfg.start_nodes << k, live & kept)],
         3 * d * d, cfg.start_nodes, cfg.max_nodes, cfg.quad_tol, failure)

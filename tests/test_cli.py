@@ -225,8 +225,9 @@ def test_compare_and_sweep_reports_time_their_stages(tmp_path, command, sections
 @pytest.mark.parametrize("command", [["compare", "--sweep-radii"], ["sweep-radii"]],
                          ids=["compare", "sweep-radii"])
 def test_csv_reports_carry_the_radius_sweep_rows(tmp_path, command):
-    # one line per sweep row, after the result rows, with the JSON report's
-    # value and its other fields, and the sweep's oracle, as diagnostics
+    # one line per sweep row, after the result rows, with the sweep's points
+    # as T, the JSON report's value, and its other fields and the sweep's
+    # oracle as diagnostics
     config = str(CONFIGS / "m1_singleton.json")
     out, csv_out = tmp_path / "report.json", tmp_path / "report.csv"
     assert run_cli([command[0], "--config", config, "--out", str(out),
@@ -239,7 +240,8 @@ def test_csv_reports_carry_the_radius_sweep_rows(tmp_path, command):
     assert len(lines) == len(report["results"]) + len(sweep["rows"]) == (
         len(report["results"]) + 4)
     for line, row in zip(lines[len(report["results"]):], sweep["rows"]):
-        assert line["method"] == "radius_sweep" and line["T"] == "null"
+        assert line["method"] == "radius_sweep"
+        assert json.loads(line["T"]) == sweep["T"] == [[1, 0]]
         assert float(line["value"]) == row["value"]
         diagnostics = json.loads(line["diagnostics"])
         assert diagnostics == {"oracle": sweep["oracle"],
@@ -761,6 +763,22 @@ def _q_extraction(tmp_path, process, points, kernel=None):
     out = tmp_path / "report.json"
     return run_cli(["correlate", "--config", str(cfg), "--method", "q-extraction",
                     "--out", str(out)]), out
+
+
+def test_q_extraction_starts_at_a_power_of_two_under_any_cap(tmp_path):
+    # validation accepts a max_nodes that is not a power of two; the
+    # q-circles start at 16, the largest power of two within half of 48,
+    # and double once to 32
+    cfg = _shipped_config(tmp_path, "m1_twovar",
+                          kernel={"start_nodes": 16, "max_nodes": 48})
+    out = tmp_path / "report.json"
+    assert run_cli(["correlate", "--config", str(cfg), "--method", "q-extraction",
+                    "--out", str(out)]) == 0
+    row, = read_report(out)["results"]
+    assert row["diagnostics"]["nodes"] == [32, 32]
+    oracle = correlation_oracle(ProcessSpec.from_json(json.loads(cfg.read_text())[
+        "process"]), [(1, 0), (1, 2)], L=40)
+    assert abs(row["value"] - oracle) < 1e-12
 
 
 def test_q_extraction_of_more_than_two_live_points_is_a_config_error(tmp_path, capsys):

@@ -40,11 +40,12 @@ def test_fft_grids_match_the_dense_core(radii, n):
         ["k11", "k11"], ["k11", "k12_w_lt"], ["k11", "k12_w_gt"], ["k22", "k22"]]
     r11 = asm.radii["k11"]
     assert r11 * asm.radii["k12_w_lt"] < 1 < r11 * asm.radii["k12_w_gt"]
-    # the counts in converge's order: the first pass evaluates 256 nodes and
-    # folds its transforms down to 128 and 64; 512 and 1024 are later passes
-    counts = (64, 128, 256, 512, 1024)
-    for count in counts[:counts.index(n) + 1]:
-        fft = asm.estimate(count, ALL)
+    # the first pass evaluates 256 nodes and folds its transforms down to
+    # 128 and 64; 512 and 1024 are later passes, at 64 doubled 3 and 4 times
+    k = (64, 128, 256, 512, 1024).index(n)
+    first = asm.estimate(0, ALL)
+    assert len(first) == 3
+    fft = first[k] if k < 3 else asm.estimate(k, ALL)[0]
     dense_sums, scale = dense(SPEC, PTS, cfg, n)
     # relative to the summands: under the inadmissible reading every K11
     # entry is 0 analytically, and both sums are rounding noise
@@ -60,10 +61,10 @@ def test_fft_grids_match_the_dense_core(radii, n):
 
 def test_fft_grid_builds_no_node_by_node_array():
     asm = kernels._Assembly(SPEC, PTS, KernelConfig())
-    asm.estimate(64, K11)  # numpy's FFT plan caches fill
+    asm.estimate(0, K11)  # numpy's FFT plan caches fill
     tracemalloc.start()
     try:
-        asm.estimate(8192, K11)
+        asm.estimate(7, K11)  # one pass at 64 x 2**7 = 8192 nodes
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -73,14 +74,15 @@ def test_fft_grid_builds_no_node_by_node_array():
 
 def _spy_passes(monkeypatch):
     """The (n, radii) of every `nodes_weights` call, and for every
-    `_Assembly.estimate` call its assembly, count, live entries and estimate
-    and the number of `nodes_weights` calls made by its return."""
+    `_Assembly.estimate` call its assembly, doubling k, live entries and
+    served estimates and the number of `nodes_weights` calls made by its
+    return."""
     calls, passes = [], []
     estimate, nodes_weights = kernels._Assembly.estimate, quad.nodes_weights
 
-    def spy_estimate(self, n, live):
-        est = estimate(self, n, live)
-        calls.append((self, n, live.copy(), est.copy(), len(passes)))
+    def spy_estimate(self, k, live):
+        est = estimate(self, k, live)
+        calls.append((self, k, live.copy(), est, len(passes)))
         return est
 
     def spy_nodes_weights(c, n):
@@ -109,11 +111,13 @@ def test_later_passes_read_only_the_circles_of_live_blocks(monkeypatch):
     assert len(passes) >= 2
     asm = calls[0][0]
     assert passes[0][1] == tuple(asm.radius)
-    made = [0, *(c[4] for c in calls)]
-    started = [(n, live) for (_, n, live, _, _), before, after
-               in zip(calls, made, made[1:]) if after > before]
-    assert [n for n, _ in started] == [64, *(n for n, _ in passes[1:])]
-    for (n, live), (_, radii) in zip(started[1:], passes[1:]):
+    # each estimate call is one pass, the first serving three counts and each
+    # later one its one count: converge asks again at the first count no
+    # pass served
+    assert [k for _, k, *_ in calls] == [0, *range(3, len(passes) + 2)]
+    assert [len(est) for *_, est, _ in calls] == [3] + [1] * (len(passes) - 1)
+    assert [made for *_, made in calls] == list(range(1, len(passes) + 1))
+    for (_, _, live, _, _), (n, radii) in zip(calls[1:], passes[1:]):
         circles = {c for zc, wc, entries, *_ in asm.blocks if live[entries].any()
                    for c in (zc, wc)}
         assert radii == tuple(asm.radius[sorted(circles)]), n
@@ -122,7 +126,7 @@ def test_later_passes_read_only_the_circles_of_live_blocks(monkeypatch):
 
 def test_a_later_pass_matches_the_dense_core(monkeypatch):
     calls, passes, _ = _later_passes(monkeypatch)
-    later = [(n, live, est) for _, n, live, est, _ in calls if n > 256]
+    later = [(64 << k, live, est) for _, k, live, (est,), _ in calls[1:]]
     assert len(later) == len(passes) - 1
     for n, live, est in later:
         dense_sums, scale = dense(SPEC, PTS, KernelConfig(quad_tol=1e-10), n)
@@ -173,8 +177,8 @@ def test_each_circle_side_is_transformed_once_per_doubling(monkeypatch):
     monkeypatch.setattr(np.fft, "fft", spy("fft", np.fft.fft))
     count = Counter(asm.col_circle.tolist())
     every = np.ones(3 * len(pts) ** 2, dtype=bool)
-    for n in (64, 128, 256, 512):
-        asm.estimate(n, every)
+    for k in (0, 3):  # the counts 64, 128 and 256, then 512
+        asm.estimate(k, every)
     assert calls == [call for n in (256, 512) for call in (
         ("ifft", (n, count[0] + count[3])), ("ifft", (n, len(asm.col_circle))),
         ("fft", (n, 4)))]

@@ -291,7 +291,7 @@ def test_principal_pfaffian_factorization():
 def test_radius_sweep_reports_inadmissible_reading():
     oracle = correlation_oracle(SPEC_M1, [(1, 0)], L=40)
     out = radius_sweep(SPEC_M1, [(1, 0)], CFG, oracle, samples=2)
-    assert out["oracle"] == oracle
+    assert out["oracle"] == oracle and out["T"] == [[1, 0]]
     assert any(r["pass"] for r in out["rows"])
     bad = [r for r in out["rows"] if "encloses" in r["note"]]
     assert bad and not bad[0]["pass"]

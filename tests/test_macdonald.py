@@ -408,6 +408,7 @@ def test_iterated_d2_is_integrate2_of_the_old_integrand(monkeypatch, action, mod
         return (value, info) if full_output else value
     monkeypatch.setattr(quad, "integrate_product", spy)
     action(qs, xs, ys, contour_mode=mode)
+    monkeypatch.undo()  # integrate2 calls integrate_product itself
     ((c1, c2), tol, value, nodes), = seen
     ref, ref_info = quad.integrate2(
         lambda z1, z2: _old_iterated_integrand(z1, z2, qs, xs, ys,

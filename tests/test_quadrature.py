@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -128,24 +129,60 @@ def _table(seed, size=60, doublings=9):
     return table
 
 
+def _run(converge, estimate, table):
+    """converge over the table's columns, one row per doubling from 8 nodes,
+    capped at its last row."""
+    return converge(estimate, table.shape[1], 8, 8 << (len(table) - 1), 1e-8,
+                    lambda i, k: f"entry {i} at doubling {k}")
+
+
+def _passes(table, sizes, asked):
+    """An estimator over the table's rows whose passes serve sizes[0],
+    sizes[1], ... counts in turn, cycling; every k it is asked for is
+    appended to asked."""
+    sizes = itertools.cycle(sizes)
+
+    def estimate(k, live):
+        asked.append(k)
+        return list(table[k:k + next(sizes)])
+    return estimate
+
+
+def _starts(sizes, count):
+    """The first doubling of each pass, the passes serving sizes[0],
+    sizes[1], ... counts in turn, that serves one of the doublings below
+    count."""
+    return list(itertools.takewhile(lambda k: k < count, itertools.accumulate(
+        itertools.cycle(sizes), initial=0)))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_converge_accepts_as_the_entrywise_loop_does(seed):
+    # passes serving one count each, or 3, 1 and 2 counts in turn, give the
+    # acceptances and the failure of the loop that takes one count per call,
+    # bit for bit; converge asks for no count a pass served, and for none
+    # after the last acceptance
     table = _table(seed)
-
-    def run(converge, table, size):
-        return converge(lambda k, live: table[k], size, 8, 8 << (len(table) - 1),
-                        1e-8, lambda i, k: f"entry {i} at doubling {k}")
     with pytest.raises(QuadratureError) as want:
-        run(_converge_by_entry, table, table.shape[1])
-    with pytest.raises(QuadratureError) as got:
-        run(quadrature.converge, table, table.shape[1])
-    assert str(got.value) == str(want.value) == "entry 6 at doubling 8"
-    assert np.array_equal(got.value.estimates, want.value.estimates, equal_nan=True)
-    table = np.delete(table, 6, axis=1)
-    want = run(_converge_by_entry, table, table.shape[1])
-    got = run(quadrature.converge, table, table.shape[1])
-    assert got[1] == want[1] and len(set(want[1])) > 3
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
+        _run(_converge_by_entry, lambda k, live: table[k], table)
+    for sizes in [(1,), (3, 1, 2)]:
+        asked = []
+        with pytest.raises(QuadratureError) as got:
+            _run(quadrature.converge, _passes(table, sizes, asked), table)
+        assert str(got.value) == str(want.value) == "entry 6 at doubling 8"
+        assert np.array_equal(got.value.estimates, want.value.estimates,
+                              equal_nan=True)
+        assert asked == _starts(sizes, len(table))
+    # three more doublings, which no entry needs once entry 6 is gone
+    table = np.delete(np.concatenate([table, table[-3:]]), 6, axis=1)
+    want = _run(_converge_by_entry, lambda k, live: table[k], table)
+    assert len(set(want[1])) > 3 and max(want[1]) < len(table) - 3
+    for sizes in [(1,), (3, 1, 2)]:
+        asked = []
+        got = _run(quadrature.converge, _passes(table, sizes, asked), table)
+        assert got[1] == want[1]
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
+        assert asked == _starts(sizes, max(want[1]) + 1)
 
 
 def test_estimate_bilinear_is_entrywise_dense_sum_in_row_chunks(monkeypatch):
@@ -213,16 +250,35 @@ def test_nonconvergence_names_the_nodes_reached():
     assert "at 64 nodes/circle" in str(exc.value)
 
 
+def _tensor_sum(f, contours, nodes):
+    """The tensor trapezoid sum of f(z, w) at the given nodes per circle of
+    each contour, written out node by node."""
+    def nodes_weights(contour, n):
+        return [(c.center + c.radius * np.exp(2j * np.pi * a / n),
+                 c.orientation * c.radius * np.exp(2j * np.pi * a / n) / n)
+                for c in contour.circles for a in range(n)]
+    return sum(f(z, w) * wz * ww for z, wz in nodes_weights(contours[0], nodes[0])
+               for w, ww in nodes_weights(contours[1], nodes[1]))
+
+
 def test_integrate_product_d2_is_integrate2_of_the_product():
     core = lambda z, w: (z - w) / (z * w - 4)
     gz, gw = (lambda z: 1 / (z - 0.3)), (lambda w: w ** 2 / (w - 0.2))
+    f = lambda z, w: core(z, w) * gz(z) * gw(w)
     c1, c2 = circles_around([0.3, -0.5], 0.1), circle(0.6, nodes=32)
-    want, want_info = integrate2(lambda z, w: core(z, w) * gz(z) * gw(w), c1, c2,
-                                 tol=1e-12, full_output=True)
     got, info = integrate_product([gz, gw], lambda j, k, z, w: core(z, w),
                                   [c1, c2], tol=1e-12, full_output=True)
-    assert abs(got - want) < 1e-13 * max(1.0, abs(want))
-    assert info["nodes"] == want_info["nodes"]
+    product, product_info = integrate2(f, c1, c2, tol=1e-12, full_output=True)
+    assert product_info["nodes"] == info["nodes"]
+    # both are the sum at the accepted counts, which differs from the one at
+    # half of them by less than tol, as the one at half does not from a
+    # quarter
+    n1, n2 = info["nodes"]
+    want, half, quarter = (_tensor_sum(f, [c1, c2], (n1 // s, n2 // s))
+                           for s in (1, 2, 4))
+    for value in (got, product):
+        assert abs(value - want) < 1e-13 * max(1.0, abs(want))
+    assert abs(want - half) < 1e-12 <= abs(half - quarter)
 
 
 D3_ONES = [lambda z: 1 / (z - 0.3), lambda z: z / (z + 0.4),
@@ -477,7 +533,10 @@ def test_the_first_pass_serves_the_start_from_its_even_nodes(monkeypatch, case):
     assert f"at {n} nodes/circle" in str(exc.value)
     prev, last = exc.value.estimates
     assert prev == last
-    folded, alone = (np.reshape(v, _summand_scale(contours).shape) for v in starts)
+    # the first pass served the start and its doubling, the capped one the start
+    (folded, _), (alone,) = starts
+    folded, alone = (np.reshape(v, _summand_scale(contours).shape)
+                     for v in (folded, alone))
     assert np.all(np.abs(folded - alone) <= 1e-15 * _summand_scale(contours))
     if len(contours) == 1:
         assert np.array_equal(alone, _estimate1(_f1, contours[0], n))
