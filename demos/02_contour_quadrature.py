@@ -8,13 +8,13 @@ orientation handling, and additivity over unions of circles.
 import numpy as np
 
 from pfschur import ContourSpec, circle, circles_around, integrate, integrate2
-from pfschur.quadrature import _estimate1
+from pfschur.quadrature import _estimate1, nodes_weights
 
 # a simple pole inside: the answer is the residue
 c = circle(1.0)
 print("(1/2pi i) oint dz/(z-0.5) over |z|=1:")
 for n in (8, 16, 32, 64):
-    est = _estimate1(lambda z: 1 / (z - 0.5), c, n)
+    est = _estimate1(lambda z: 1 / (z - 0.5), nodes_weights(c, n, ()))
     print(f"  {n:3d} nodes -> error {abs(est - 1):.2e}")
 
 val, info = integrate(lambda z: 1 / (z - 0.5), c, tol=1e-12, full_output=True)

@@ -27,7 +27,7 @@ for T in ([0], [-1], [0, 2]):
 qe = correlation_via_q_extraction(X, X, [0], cfg)
 print(f"  T=[0] via q-coefficient extraction: {qe:.10f}")
 
-S, info = assemble_kernel(spec, [(1, 0), (1, 2)], cfg, full_output=True)
+K, info = assemble_kernel(spec, [(1, 0), (1, 2)], cfg, full_output=True)
 print(f"\nassembled 4x4 kernel: {info['node_evaluations']} circle nodes evaluated "
       f"for its {len(info['nodes'])} integrated entries")
 print(f"largest last-doubling delta (the quadrature error estimate): "

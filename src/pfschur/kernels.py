@@ -58,7 +58,7 @@ from .macdonald import (ContourConditionError, _pair, choose_radii,
                         stated_action_Z, z_partition)
 from .macdonald import iterated_action_Z  # noqa: F401 (perfbench traces it here)
 from .measures import PointSet
-from .pfaffian import SkewMatrix, pfaffian, schur_pfaffian_matrix
+from .pfaffian import pfaffian, schur_pfaffian_matrix
 from .symfunc import Specialization
 
 SIGN_PAPER = "paper_zw_minus_1"
@@ -336,7 +336,8 @@ class _Assembly:
             N *= 2
         plan = self._plan([b for b, block in enumerate(self.blocks)
                            if live[block[2]].any()])
-        z, wz = quad.nodes_weights(quad.Circle(0j, plan.radius), N)
+        z, wz = quad.nodes_weights(quad.ContourSpec((quad.Circle(0j, plan.radius),)),
+                                   N, plan.radius.shape)
         A = self._columns(z, plan) * wz[:, plan.col_on]
         self.node_evaluations += z.size
         zi = 1 / z
@@ -365,17 +366,19 @@ class _Assembly:
 
 
 def assemble_kernel(spec, T, cfg=None, full_output=False):
-    """The 2d x 2d skew matrix over the points of T, ordered level-major with
-    listing order within a level.
+    """The 2d x 2d skew matrix over the points of T, an array ordered
+    level-major with listing order within a level.
 
     The integrals U of K12 and of K11 and K22 above the diagonal come from
     four blocks on four circles (K11 on k11 x k11, K12 on k11 x k12_w_lt and
     k11 x k12_w_gt, K22 on k22 x k22). This is the one place that knows the
     matrix's structure: K11 = U - U^T, K22 = `_k22_sign` x (U - U^T), K12 is
-    U and K21 is -K12^T, so the matrix is exactly skew. All circles double
-    their node count together from cfg.start_nodes; each integral keeps its
-    estimate and node count from the first doubling at which it converges to
-    cfg.quad_tol, as if it were summed on its own. The first pass evaluates
+    U and K21 is -K12^T, so the matrix is exactly skew and goes to
+    `pfaffian` as it is, with no projection (`pfaffian.SkewMatrix` is for
+    input that may not be). All circles double their node count together
+    from cfg.start_nodes; each integral keeps its estimate and node count
+    from the first doubling at which it converges to cfg.quad_tol, as if it
+    were summed on its own. The first pass evaluates
     4 x cfg.start_nodes nodes per circle (2 x when cfg.max_nodes allows no
     more) and gives the estimates at the first three counts; each later pass
     evaluates afresh the circles that the blocks with an unconverged entry
@@ -411,12 +414,11 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
     K[0::2, 0::2], K[0::2, 1::2], K[1::2, 1::2] = V[..., 0], V[..., 1], V[..., 2]
     K = K - K.T
     K[1::2, 1::2] *= _k22_sign(cfg)
-    S = SkewMatrix(K)
     if not full_output:
-        return S
+        return K
     nodes = {name(e): (cfg.start_nodes << step[e],) * 2
              for block in asm.blocks for e in block[2].tolist()}
-    return S, {"points": pts, "nodes": nodes,
+    return K, {"points": pts, "nodes": nodes,
                "max_last_delta": float(max(delta, default=0.0)),
                "radii": asm.radii, "node_evaluations": asm.node_evaluations}
 
@@ -424,7 +426,7 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
 def correlation_via_kernel(spec, T, cfg=None, full_output=False):
     """Pfaffian of the assembled kernel; the imaginary part is pure
     quadrature noise and is reported alongside, with the assembled `matrix`
-    (a SkewMatrix) and the assembly's `max_last_delta`, the node counts of
+    (an array) and the assembly's `max_last_delta`, the node counts of
     the integrated entries (`nodes`), `radii` and `node_evaluations`.
 
     full_output also gives `rel_last_delta`, max_last_delta over |value|
@@ -437,21 +439,22 @@ def correlation_via_kernel(spec, T, cfg=None, full_output=False):
     cfg = cfg or KernelConfig()
     if not full_output:
         return pfaffian(assemble_kernel(spec, T, cfg)).real
-    S, info = assemble_kernel(spec, T, cfg, full_output=True)
-    pf = pfaffian(S)
-    out = {"imag_defect": abs(pf.imag), "matrix": S, **{k: info[k] for k in (
+    K, info = assemble_kernel(spec, T, cfg, full_output=True)
+    pf = pfaffian(K)
+    out = {"imag_defect": abs(pf.imag), "matrix": K, **{k: info[k] for k in (
         "max_last_delta", "nodes", "radii", "node_evaluations")}}
     out["rel_last_delta"] = (info["max_last_delta"] / abs(pf.real)
                              if pf.real else None)
     return pf.real, out
 
 
-def with_other_k22_sign(S):
-    """The matrix of the assembled kernel S under the other K22 sign
-    convention: S's with its K22 block negated. `assemble_kernel` applies
-    the sign to the K22 block after every integral is accepted, so the other
-    convention's assembly gives this matrix bit for bit."""
-    K = S.matrix.copy()
+def with_other_k22_sign(K):
+    """The assembled kernel matrix K under the other K22 sign convention: a
+    copy with its K22 block negated. `assemble_kernel` applies the sign to
+    the K22 block after every integral is accepted, so the other
+    convention's assembly gives this matrix up to the sign of a zero, such
+    as the diagonal's, which the Pfaffian never reads."""
+    K = K.copy()
     K[1::2, 1::2] = -K[1::2, 1::2]
     return K
 

@@ -53,6 +53,7 @@ poles, at the x_i, so `stated_action_Z` sums its residues from the same
 factors exactly, with no quadrature.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -271,7 +272,8 @@ def contour_radius(xs, q):
     """1/256 of the largest safe radius R for circles around the x_i:
     circles pairwise disjoint, q-images of every circle outside all
     circles, 0 outside every circle, and every circle inside the unit disk.
-    The xs and q may be arrays over a batch, and so is the radius.
+    The xs and q, all or some of them, may be arrays over a batch, and so
+    is the radius.
 
     The last bound keeps out the poles of the regular factors, which lie
     outside the unit disk when |q|, |x_j|, |y| < 1: z = +-1 of f(z^2),
@@ -292,7 +294,8 @@ def contour_radius(xs, q):
             bounds.append(abs(q * xs[i] - xs[j]) / (abs(q) + 1))
         bounds.append(abs(xs[i]))  # keep 0 outside
         bounds.append(1 - abs(xs[i]))  # stay inside the unit disk
-    rad = np.min(bounds, axis=0) / 256
+    # elementwise, so a partly batched point broadcasts its plain bounds
+    rad = functools.reduce(np.minimum, bounds) / 256
     if np.any(rad <= 0):
         raise ContourConditionError("no positive radius satisfies the contour conditions")
     return rad

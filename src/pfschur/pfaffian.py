@@ -13,9 +13,10 @@ class SkewMatrix:
     """Dense skew-symmetric matrix produced by projecting (A - A^T)/2.
 
     The asymmetry of the input is not an error: the projection defect
-    max|A + A^T|/2 is recorded instead. An assembled kernel is completed
-    from its upper entries, so its projection is exact and its defect 0; its
-    quadrature error is the kernel's `max_last_delta`.
+    max|A + A^T|/2 is recorded instead. It is for matrices that may not be
+    exactly skew, such as input from outside the program; an assembled
+    kernel is completed from its upper entries, exactly skew, and goes to
+    `pfaffian` as the array itself.
     """
 
     def __init__(self, entries):

@@ -12,7 +12,10 @@ A circle's center and radius may also be arrays over a batch of draws, one
 circle per draw. Its nodes then carry the batch as trailing axes, shape
 (N,) + batch, so an integrand whose parameters are numbers or arrays over
 the same batch broadcasts against them unchanged, and an integral returns
-one estimate per draw. The batch is evaluated whole at every pass;
+one estimate per draw. An integral's batch is the broadcast shape of all
+its circles' centers and radii (`_batch`), taken once per integral; a plain
+circle among batched ones, on the same contour or another, is the same
+circle in every draw. The batch is evaluated whole at every pass;
 `converge` accepts each draw at its own first converged doubling.
 
 One function, `converge`, runs the doubling loop for any number of
@@ -20,7 +23,10 @@ integrals sharing a node sequence, accepting each at its own first
 converged doubling, from the list of estimates that each pass of an
 estimator returns, one per node count the pass serves. `integrate` and
 `integrate_product`, and through them `integrate2` and `integrate_n` (one
-or two contours), are single-integral wrappers over it, through `_single`.
+or two contours), are single-integral wrappers over it, through `_single`,
+which builds every pass's nodes and weights of all the contours in one
+place, from `nodes_weights`, the one node generator of the package (the
+kernel assembly takes its circles' nodes from it too).
 The n trapezoid nodes of a circle are its 2n nodes [::2] bit for bit, and
 their weights twice the 2n-node ones, so the first pass of every integral
 evaluates 2n nodes per circle and serves both the n-node and the 2n-node
@@ -29,18 +35,17 @@ estimate, the former summed over each contour's even-indexed nodes (as
 afresh and serves one count. Every integral reports `grid_points`, the
 integrand points of the passes it evaluated: per pass, circles times nodes
 per contour, multiplied over the contours and the draws. Each contour's
-nodes and weights are one vector concatenated over its circles, from one
-broadcast over their stacked centers, radii and orientations. A contour starts at 64 nodes per circle (`circle`,
-`ContourSpec`), except the small circles of `circles_around`, which start
-at 8 unless asked for another count.
-`estimate_bilinear`, one double integral per column of two column
-matrices, is the one summation of every two-dimensional grid, so every
-integral over d >= 2 contours is one bilinear sum per pass:
-`integrate_product` (one-variable and pairwise factors) with each tuple of
-nodes of the outer d - 2 variables as a column and the last pairwise factor
-as the only grid, `integrate2` its d = 2 case with unit one-variable
-factors and its integrand as the pair. Grids are evaluated in row blocks
-of `_CHUNK` elements.
+nodes and weights are one vector concatenated over its circles. A contour
+starts at 64 nodes per circle (`circle`, `ContourSpec`), except the small
+circles of `circles_around`, which start at 8 unless asked for another
+count. `estimate_bilinear`, one double integral per column of two column
+matrices on the nodes and weights of two contours, is the one summation of
+every two-dimensional grid, so every integral over d >= 2 contours is one
+bilinear sum per pass: `integrate_product` (one-variable and pairwise
+factors) with each tuple of nodes of the outer d - 2 variables as a column
+and the last pairwise factor as the only grid, `integrate2` its d = 2 case
+with unit one-variable factors and its integrand as the pair. Grids are
+evaluated in row blocks of `_CHUNK` elements.
 
 All integrals are normalized by 1/(2*pi*i): `integrate(f, c)` approximates
 (1/(2*pi*i)) oint_c f(z) dz.
@@ -137,34 +142,13 @@ def circles_around(points, radius, nodes=8):
     doubling, 8 -> 16, from one 16-node pass. A higher start only forces a
     final grid twice as fine as needed (4x the points in 2-D).
     """
-    return ContourSpec(tuple(Circle(_number(p, complex), _number(radius, float))
-                             for p in points), nodes)
-
-
-def _number(value, kind):
-    """An array over a batch as it is, anything else as kind(value)."""
-    return value if isinstance(value, np.ndarray) else kind(value)
+    return ContourSpec(tuple(Circle(p, radius) for p in points), nodes)
 
 
 def _batch(contours):
     """The batch shape of the contours' circles: () for plain circles."""
     return np.broadcast_shapes(*(np.shape(v) for c in contours for circ in c.circles
                                  for v in (circ.center, circ.radius)))
-
-
-def _broadcast(contours):
-    """The contours with every circle's center and radius broadcast to their
-    common batch shape, so a plain circle among batched ones is the same
-    circle in every draw; the contours as they are when each already has
-    that shape."""
-    batch = _batch(contours)
-    if all(np.shape(v) == batch for c in contours for circ in c.circles
-           for v in (circ.center, circ.radius)):
-        return list(contours)
-    return [ContourSpec(tuple(Circle(np.broadcast_to(circ.center, batch),
-                                     np.broadcast_to(circ.radius, batch),
-                                     circ.orientation) for circ in c.circles),
-                        c.nodes) for c in contours]
 
 
 @functools.lru_cache(maxsize=32)
@@ -176,43 +160,36 @@ def _roots_of_unity(n):
     return unit
 
 
-def nodes_weights(c: Circle, n):
-    """The n trapezoid nodes of one circle and their weights, each of shape
-    (n,) + the circle's batch shape."""
-    batch_axes = np.broadcast(c.center, c.radius).ndim
-    unit = _roots_of_unity(n).reshape((n,) + (1,) * batch_axes)
-    z = c.center + c.radius * unit
-    # (1/2pi i) oint f dz = (1/n) sum f(z_k) (z_k - center), signed by orientation
-    w = c.orientation * (z - c.center) / n
-    return z, w
+def nodes_weights(contour, n, batch):
+    """The n trapezoid nodes of every circle of a contour and their weights,
+    each one vector over the circles, shape (circles * n,) + batch.
 
-
-def _nodes(contour, n):
-    """The n trapezoid nodes of every circle of a contour, and their
-    weights, each as one vector concatenated over the circles, shape
-    (circles * n,) + batch: one broadcast over the circles' stacked centers,
-    radii and orientations, the same bits as `nodes_weights` circle by
-    circle. The circles of a contour share one shape of center and one of
-    radius (a number, or an array over the batch)."""
-    circles = contour.circles
-    center = np.array([c.center for c in circles], complex)
-    radius = np.array([c.radius for c in circles], float)
-    orientation = np.array([c.orientation for c in circles])
-    batch = np.broadcast_shapes(center.shape[1:], radius.shape[1:])
-
-    def per_circle(a):
-        """a as (circles, 1) + its batch shape, aligned to the batch's end."""
-        return a.reshape(a.shape[:1] + (1,) * (len(batch) + 2 - a.ndim) + a.shape[1:])
-    center = per_circle(center)
-    z = center + per_circle(radius) * _roots_of_unity(n).reshape((n,) + (1,) * len(batch))
-    w = per_circle(orientation) * (z - center) / n
+    The one node generator of the package. batch is the integral's batch
+    shape (`_batch`), to which every circle's center and radius broadcast,
+    so a plain circle among batched ones is the same circle in every draw.
+    Circle c's nodes are c.center + c.radius * exp(2 pi i a/n) for a < n,
+    and their weights c.orientation * (node - c.center) / n: with them
+    (1/2pi i) oint f dz is sum f(z_a) w_a. Each circle is computed into its
+    rows of one preallocated array, so a number stays a scalar operand and
+    only an array over the batch is broadcast.
+    """
+    unit = _roots_of_unity(n).reshape((n,) + (1,) * len(batch))
+    z = np.empty((len(contour.circles), n) + batch, complex)
+    w = np.empty_like(z)
+    for zc, wc, c in zip(z, w, contour.circles):
+        np.multiply(c.radius, unit, out=zc)
+        zc += c.center
+        np.subtract(zc, c.center, out=wc)
+        wc *= c.orientation
+        wc /= n
     return z.reshape((-1,) + batch), w.reshape((-1,) + batch)
 
 
-def _estimate1(f, contour, n, fold=False):
-    """The n-node estimate of (1/2pi i) oint f over the contour; with fold,
-    the pair of it and the n/2-node estimate from the same evaluation."""
-    z, w = _nodes(contour, n)
+def _estimate1(f, nodes, fold=False):
+    """The estimate of (1/2pi i) oint f at the nodes and weights of one
+    contour (`nodes_weights`); with fold, the pair of it and the estimate
+    at half the nodes from the same evaluation."""
+    z, w = nodes
     fw = np.asarray(f(z)) * w
     total = np.sum(fw, axis=0)
     # the n/2 nodes of a circle are its n nodes [::2], their weights twice
@@ -267,26 +244,29 @@ def converge(estimate, size, n, max_nodes, tol, failure):
     return list(value), step.tolist(), list(delta)
 
 
-def _single(estimate, contours, max_nodes, tol, full_output, what):
+def _single(estimate, contours, batch, max_nodes, tol, full_output, what):
     """One integral over the contours through `converge`, or one per draw
-    when their circles are batched. estimate(k, fold) gives the estimate (of
-    the batch's shape) with every contour at its start doubled k times, and
-    with fold the pair of it and the estimate at k - 1 from the even-indexed
-    half of the same nodes. The first pass, when max_nodes allows one
-    doubling, is estimate(1, True) and serves k = 0 and k = 1; each later
-    pass evaluates its nodes afresh and serves one k. The reported `nodes`
-    are per circle, one count per contour (a number for one contour), a list
-    of them over the draws of a batch; `grid_points` counts the points of
-    the passes evaluated; a draw that does not converge is named in the
-    error."""
-    batch, starts = _batch(contours), [c.nodes for c in contours]
+    of batch, the contours' batch shape (`_batch`). Each pass takes every
+    contour's nodes and weights (`nodes_weights`) at its start doubled k
+    times, and estimate(nodes, fold) gives the estimate on them (of the
+    batch's shape), with fold the pair of it and the estimate at k - 1 from
+    the even-indexed half of the same nodes. The first pass, when max_nodes
+    allows one doubling, is at k = 1 with fold and serves k = 0 and k = 1;
+    each later pass evaluates its nodes afresh and serves one k. The
+    reported `nodes` are per circle, one count per contour (a number for
+    one contour), a list of them over the draws of a batch; `grid_points`
+    counts the points of the passes evaluated; a draw that does not converge
+    is named in the error."""
+    starts = [c.nodes for c in contours]
     size, n = math.prod(batch), max(starts)
     passes = []
 
     def at(k, live):
         fold = k == 0 and n << 1 <= max_nodes
         passes.append(k + fold)
-        out = estimate(1, True)[::-1] if fold else [estimate(k, False)]
+        nodes = [nodes_weights(c, s << (k + fold), batch)
+                 for c, s in zip(contours, starts)]
+        out = estimate(nodes, True)[::-1] if fold else [estimate(nodes, False)]
         return [np.reshape(v, size) for v in out]
 
     def failure(i, k):
@@ -310,9 +290,9 @@ def integrate(f, contour, tol=1e-9, max_nodes=MAX_NODES, full_output=False):
     Doubles the per-circle node count until successive estimates differ by
     less than tol (relative when the magnitude exceeds 1, absolute below).
     """
-    n = contour.nodes
-    return _single(lambda k, fold: _estimate1(f, contour, n << k, fold), [contour],
-                   max_nodes, tol, full_output, "contour integral")
+    return _single(lambda nodes, fold: _estimate1(f, nodes[0], fold), [contour],
+                   _batch([contour]), max_nodes, tol, full_output,
+                   "contour integral")
 
 
 def _dots(G, C, W):
@@ -323,9 +303,10 @@ def _dots(G, C, W):
             @ (C @ W).swapaxes(-1, -2)[..., :, :, None])[..., 0, 0]
 
 
-def estimate_bilinear(core, gz, gw, c1, c2, n1, n2, fold=None):
+def estimate_bilinear(core, gz, gw, z_nodes, w_nodes, fold=None):
     """Tensor-product trapezoid estimates of a vector of double integrals at
-    one node count.
+    one node count: z_nodes and w_nodes are the nodes and weights of the two
+    contours (`nodes_weights`).
 
     Entry t estimates (1/2pi i)^2 oint oint gz(z)[t] core(z, w) gw(w)[t]
     dz dw: gz and gw map a node vector to a (nodes, columns) matrix, core
@@ -338,14 +319,13 @@ def estimate_bilinear(core, gz, gw, c1, c2, n1, n2, fold=None):
     (columns,) + batch.
 
     fold, a boolean array over the columns, also asks for the estimates of
-    the columns it marks at n1/2 and n2/2 nodes: the same sums over the
-    even-indexed rows of Gz and Gw, their weights doubled, and the grid at
+    the columns it marks at half the nodes of each contour: the same sums
+    over the even-indexed rows of Gz and Gw, their weights doubled, and the grid at
     those rows and columns. The n/2 nodes of a circle are its n nodes [::2]
     bit for bit, so the pass evaluates nothing more, and it returns the pair
     (estimates, folded estimates).
     """
-    z, wz = _nodes(c1, n1)
-    w, ww = _nodes(c2, n2)
+    (z, wz), (w, ww) = z_nodes, w_nodes
     first = tuple(range(2, z.ndim + 1)) + (0, 1)  # batch axes first
     Gz = (gz(z) * wz[:, None]).transpose(first)
     Gw = (gw(w) * ww[:, None]).transpose(first)
@@ -416,8 +396,7 @@ def integrate_product(ones, pair, contours, tol=1e-9, max_nodes=None,
     if d == 1:
         return integrate(ones[0], contours[0], tol=tol, max_nodes=max_nodes,
                          full_output=full_output)
-    contours = _broadcast(contours)
-    m, starts, batch = d - 2, [c.nodes for c in contours], _batch(contours)
+    m, batch = d - 2, _batch(contours)
 
     def column(k, zs):
         def g(z):
@@ -427,13 +406,12 @@ def integrate_product(ones, pair, contours, tol=1e-9, max_nodes=None,
             return v
         return g
 
-    def estimate(k, fold):
-        ns = [s << k for s in starts]
-        outer = [_nodes(c, n) for c, n in zip(contours[:m], ns)]
+    def estimate(nodes, fold):
+        outer = nodes[:m]
         shape = tuple(len(z) for z, _ in outer)
         count = int(np.prod(shape))
         width = max(1, _COLUMNS // (math.prod(batch) * max(
-            len(c.circles) * n for c, n in zip(contours[m:], ns[m:]))))
+            len(z) for z, _ in nodes[m:])))
         total = half = 0j
         for start in range(0, count, width):
             cols = np.arange(start, min(start + width, count))
@@ -450,8 +428,7 @@ def integrate_product(ones, pair, contours, tol=1e-9, max_nodes=None,
                 even &= i % 2 == 0
             out = estimate_bilinear(
                 lambda a, b: pair(m, m + 1, a, b), column(m, zs),
-                column(m + 1, zs), contours[m], contours[m + 1],
-                ns[m], ns[m + 1], fold=even if fold else None)
+                column(m + 1, zs), *nodes[m:], fold=even if fold else None)
             if fold:
                 out, folded = out
                 # each outer weight doubled: 2**m, exact
@@ -459,4 +436,4 @@ def integrate_product(ones, pair, contours, tol=1e-9, max_nodes=None,
             total = total + np.sum(out * scale, axis=0)
         return (total, half) if fold else total
     what = "double contour integral" if d == 2 else f"{d}-fold contour integral"
-    return _single(estimate, contours, max_nodes, tol, full_output, what)
+    return _single(estimate, contours, batch, max_nodes, tol, full_output, what)

@@ -429,6 +429,7 @@ def battery_quadrature():
     rows = [_row("moment test z^k over circles", worst, 1e-12,
                  {"integrals": len(k), "grid_points": info["grid_points"]})]
 
-    val = quadrature._estimate1(lambda z: 1 / (z - 0.5), quadrature.circle(1.0), 64)
+    val = quadrature._estimate1(lambda z: 1 / (z - 0.5),
+                                quadrature.nodes_weights(quadrature.circle(1.0), 64, ()))
     rows.append(_row("64-node pole accuracy", abs(val - 1.0), 1e-12))
     return rows

@@ -90,8 +90,9 @@ def _sums(groups, size, n, live):
         keep = live[entries]
         if keep.any():
             est[entries[keep]] = quad.estimate_bilinear(
-                _core, _stack(gz[keep]), _stack(gw[keep]), quad.circle(rz),
-                quad.circle(rw), n, n)
+                _core, _stack(gz[keep]), _stack(gw[keep]),
+                quad.nodes_weights(quad.circle(rz), n, ()),
+                quad.nodes_weights(quad.circle(rw), n, ()))
     return est
 
 
@@ -102,7 +103,7 @@ def dense(spec, pts, cfg, n):
     size = 3 * len(pts) ** 2
     scale = np.zeros(size)
     for rz, rw, entries, gz, gw in groups:
-        (z, wz), (w, ww) = (quad.nodes_weights(quad.Circle(0j, r), n) for r in (rz, rw))
+        (z, wz), (w, ww) = (quad.nodes_weights(quad.circle(r), n, ()) for r in (rz, rw))
         A = np.abs(_stack(gz)(z) * wz[:, None])
         B = np.abs(_stack(gw)(w) * ww[:, None])
         scale[entries] = np.einsum("ae,ab,be->e", A,

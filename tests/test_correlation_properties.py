@@ -50,6 +50,6 @@ def test_kernel_pfaffian_matches_the_oracle(case):
     bound = 10 * truncation_diagnostic(spec, L) + QUADRATURE_FLOOR
     assert abs(correlation_via_kernel(spec, T) - oracle) <= bound
     # Pf^2 = det, on the scale of Hadamard's bound on |det|
-    K = assemble_kernel(spec, T).matrix
+    K = assemble_kernel(spec, T)
     hadamard = np.prod(np.linalg.norm(K, axis=1))
     assert abs(pfaffian(K) ** 2 - np.linalg.det(K)) <= 1e-12 * hadamard

@@ -85,9 +85,9 @@ def _spy_passes(monkeypatch):
         calls.append((self, k, live.copy(), est, len(passes)))
         return est
 
-    def spy_nodes_weights(c, n):
-        passes.append((n, tuple(np.atleast_1d(c.radius))))
-        return nodes_weights(c, n)
+    def spy_nodes_weights(contour, n, batch):
+        passes.append((n, tuple(np.atleast_1d(contour.circles[0].radius))))
+        return nodes_weights(contour, n, batch)
     monkeypatch.setattr(kernels._Assembly, "estimate", spy_estimate)
     monkeypatch.setattr(quad, "nodes_weights", spy_nodes_weights)
     return calls, passes
@@ -97,7 +97,7 @@ def _later_passes(monkeypatch):
     """The spied calls of an assembly at quad_tol 1e-10, where some entries
     converge only after the first pass, and its node_evaluations."""
     calls, passes = _spy_passes(monkeypatch)
-    S, info = kernels.assemble_kernel(SPEC, PointSet(PTS),
+    K, info = kernels.assemble_kernel(SPEC, PointSet(PTS),
                                       KernelConfig(quad_tol=1e-10), full_output=True)
     return calls, passes, info["node_evaluations"]
 
@@ -135,9 +135,9 @@ def test_a_later_pass_matches_the_dense_core(monkeypatch):
 
 def test_an_assembly_without_points_evaluates_nothing(monkeypatch):
     _, passes = _spy_passes(monkeypatch)
-    S, info = kernels.assemble_kernel(SPEC, PointSet([]), KernelConfig(),
+    K, info = kernels.assemble_kernel(SPEC, PointSet([]), KernelConfig(),
                                       full_output=True)
-    assert S.matrix.shape == (0, 0) and info["node_evaluations"] == 0
+    assert K.shape == (0, 0) and info["node_evaluations"] == 0
     assert passes == []
 
 
@@ -150,7 +150,7 @@ def test_the_first_pass_stays_at_a_count_converge_reaches(monkeypatch, max_nodes
     # converges at 128 and reads two circles, k11 and k12_w_gt
     spec, pts = ProcessSpec([[0.5]], [[0.5]]), PointSet([(1, 0)])
     _, passes = _spy_passes(monkeypatch)
-    S, info = kernels.assemble_kernel(spec, pts, KernelConfig(max_nodes=max_nodes),
+    K, info = kernels.assemble_kernel(spec, pts, KernelConfig(max_nodes=max_nodes),
                                       full_output=True)
     assert [n for n, _ in passes] == [first]
     assert set(info["nodes"].values()) == {(128, 128)}

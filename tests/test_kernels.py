@@ -54,13 +54,12 @@ def test_process_blockwise_skew_relations():
     V = _reference_blocks(SPEC_M2, pts)
     for which, blk in (("K11", 0), ("K22", 2)):
         assert abs(V[0, 1, blk] + V[1, 0, blk]) < 1e-7, which
-    K = assemble_kernel(SPEC_M2, PointSet(pts), CFG).matrix
+    K = assemble_kernel(SPEC_M2, PointSet(pts), CFG)
     assert K[1, 2] == -K[2, 1]  # K21[0,1] = -K12[1,0]
 
 
 def test_assemble_structure_d1():
-    S, info = assemble_kernel(SPEC_M1, PointSet([(1, 0)]), CFG, full_output=True)
-    K = S.matrix
+    K, info = assemble_kernel(SPEC_M1, PointSet([(1, 0)]), CFG, full_output=True)
     assert K.shape == (2, 2)
     assert K[0, 0] == 0 and K[1, 1] == 0
     assert K[0, 1] == -K[1, 0]
@@ -152,10 +151,10 @@ def test_skew_diagonal_is_exactly_zero_under_the_inadmissible_radii():
                        [[0.333, 0.252, 0.5], [0.337]])
     cfg = replace(CFG, radii=kernels._inadmissible_radii(spec))
     for t in (-8, -9, -10):
-        S, info = assemble_kernel(spec, PointSet([(2, t)]), cfg, full_output=True)
+        K, info = assemble_kernel(spec, PointSet([(2, t)]), cfg, full_output=True)
         assert list(info["nodes"]) == ["K12[0,0]"]
-        assert S.matrix[0, 0] == S.matrix[1, 1] == 0
-        assert abs(pfaffian(S).real - 1) < 1e-6, t
+        assert K[0, 0] == K[1, 1] == 0
+        assert abs(pfaffian(K).real - 1) < 1e-6, t
 
 
 def test_d1_integrates_k12_alone_on_two_circles(monkeypatch):
@@ -166,11 +165,11 @@ def test_d1_integrates_k12_alone_on_two_circles(monkeypatch):
     circles = []
     nodes_weights = kernels.quad.nodes_weights
 
-    def spy(c, n):
-        circles.append((n, tuple(np.atleast_1d(c.radius))))
-        return nodes_weights(c, n)
+    def spy(contour, n, batch):
+        circles.append((n, tuple(np.atleast_1d(contour.circles[0].radius))))
+        return nodes_weights(contour, n, batch)
     monkeypatch.setattr(kernels.quad, "nodes_weights", spy)
-    S, info = assemble_kernel(spec, PointSet(raw["points"]), CFG, full_output=True)
+    K, info = assemble_kernel(spec, PointSet(raw["points"]), CFG, full_output=True)
     first = 4 * CFG.start_nodes
     assert info["nodes"] == {"K12[0,0]": (128, 128)}
     assert info["node_evaluations"] == 2 * first
@@ -193,8 +192,8 @@ def test_the_k22_sign_is_the_last_step_of_the_assembly(variant):
     cfg = KernelConfig(**D3_VARIANTS[variant])
     paper = assemble_kernel(SPEC_D3, T_D3, cfg)
     br = assemble_kernel(SPEC_D3, T_D3, replace(cfg, sign_convention=SIGN_BR))
-    assert np.array_equal(br.matrix, with_other_k22_sign(paper))
-    assert np.abs(br.matrix[1::2, 1::2]).max() > 0
+    assert np.array_equal(br, with_other_k22_sign(paper))
+    assert np.abs(br[1::2, 1::2]).max() > 0
 
 
 def test_sign_adjudication():
@@ -224,8 +223,8 @@ def test_literal_k12_regime_fails_m2():
 
 def test_quadrature_stability_under_tol_halving():
     T = PointSet([(1, 0), (1, 2)])
-    loose = assemble_kernel(SPEC_M1, T, KernelConfig(quad_tol=1e-6)).matrix
-    tight = assemble_kernel(SPEC_M1, T, KernelConfig(quad_tol=5e-7)).matrix
+    loose = assemble_kernel(SPEC_M1, T, KernelConfig(quad_tol=1e-6))
+    tight = assemble_kernel(SPEC_M1, T, KernelConfig(quad_tol=5e-7))
     assert np.max(np.abs(loose - tight)) < 1e-6
 
 

@@ -506,6 +506,19 @@ def test_contour_action_over_a_batch_names_the_draw_that_failed():
     assert all(_close(a, b) for a, b in zip(exc.value.estimates, alone.value.estimates))
 
 
+def test_contour_action_at_a_partly_batched_point_matches_apply_direct():
+    # one coordinate over a batch of two draws, the others plain: the radius
+    # is one per draw and the plain circles are the same in every draw
+    xs = [0.3, np.array([0.6, 0.7]), 0.45]
+    G = ProductFormFunction([np.array([0.3, 0.25]), 0.2])
+    q = 0.4 * np.exp(0.7j)
+    assert contour_radius(xs, q).shape == (2,)
+    for r in (1, 2):
+        got = apply_via_contour(G, xs, r, q)
+        want = apply_direct(G, xs, r, q)
+        assert got.shape == (2,) and all(_close(g, w) for g, w in zip(got, want)), r
+
+
 def test_contour_circles_stay_inside_the_unit_disk():
     # the regular factors have poles outside the unit disk (z = 1 of
     # f(z^2), 1/(q x), 1/(q y)); at n = 1 and x near 1 a circle bounded only

@@ -9,7 +9,7 @@ from pfschur import quadrature
 from pfschur.quadrature import (Circle, ContourSpec, QuadratureError, circle,
                                 circles_around, estimate_bilinear, integrate,
                                 integrate2, integrate_n, integrate_product,
-                                _estimate1)
+                                nodes_weights, _estimate1)
 
 
 def test_residue_examples():
@@ -29,7 +29,7 @@ def test_moments():
 
 
 def test_spectral_accuracy_64_nodes():
-    val = _estimate1(lambda z: 1 / (z - 0.5), circle(1.0), 64)
+    val = _estimate1(lambda z: 1 / (z - 0.5), nodes_weights(circle(1.0), 64, ()))
     assert abs(val - 1.0) < 1e-12
 
 
@@ -37,7 +37,7 @@ def test_nodes_reuse_one_read_only_array_of_roots_of_unity():
     for n in (8, 64, 4096):
         fresh = np.exp(1j * (2 * np.pi * np.arange(n) / n))
         for c in (Circle(0j, 0.7), Circle(0.1 + 0.2j, np.array([0.5, 2.0]))):
-            z, _ = quadrature.nodes_weights(c, n)
+            z, _ = nodes_weights(ContourSpec((c,)), n, np.shape(c.radius))
             want = c.center + c.radius * fresh.reshape((n,) + (1,) * np.ndim(c.radius))
             assert z.tobytes() == want.tobytes() and z.flags.writeable  # bit for bit
         unit = quadrature._roots_of_unity(n)
@@ -197,7 +197,8 @@ def test_estimate_bilinear_is_entrywise_dense_sum_in_row_chunks(monkeypatch):
     gw = lambda w: np.stack([w ** b / (w - 0.3) for _, b in pairs], axis=1)
     c1, c2 = circle(1.2), circle(0.6)
     monkeypatch.setattr(quadrature, "_CHUNK", 2 ** 9)
-    entries = estimate_bilinear(core, gz, gw, c1, c2, 64, 64)
+    entries = estimate_bilinear(core, gz, gw, nodes_weights(c1, 64, ()),
+                                nodes_weights(c2, 64, ()))
     assert len(sizes) == 8 and max(sizes) <= 2 ** 9
     assert entries.shape == (len(pairs),)
     # the 64 x 64 trapezoid sum written out: nodes r e^(2 pi i k/64), each
@@ -397,7 +398,8 @@ def test_chunk_keeps_temporaries_below_the_mmap_threshold():
     core = lambda z, w: rows.append(z.shape[0]) or (z - w) / (z * w - 4)
     ones = lambda v: np.ones((len(v), 1))
     n = 2 * quadrature._CHUNK
-    estimate_bilinear(core, ones, ones, circle(1.0), circle(0.5), 16, n)
+    estimate_bilinear(core, ones, ones, nodes_weights(circle(1.0), 16, ()),
+                      nodes_weights(circle(0.5), n, ()))
     assert rows == [1] * 16
 
 
@@ -427,11 +429,29 @@ def test_batched_circles_give_each_draw_its_own_integral_in_bounded_blocks():
         assert info["nodes"][b] == alone["nodes"]
 
 
-def _stacked_nodes_equal_per_circle(contour, n):
-    z, w = quadrature._nodes(contour, n)
-    zw = [quadrature.nodes_weights(c, n) for c in contour.circles]
-    return (np.array_equal(z, np.concatenate([a for a, _ in zw]))
-            and np.array_equal(w, np.concatenate([b for _, b in zw])))
+def _circle_nodes(c, n):
+    """The n trapezoid nodes of one circle and their weights, each of shape
+    (n,) + the circle's batch shape: the formula that `nodes_weights`
+    evaluates for every circle of a contour, written for one circle."""
+    batch_axes = np.broadcast(c.center, c.radius).ndim
+    unit = quadrature._roots_of_unity(n).reshape((n,) + (1,) * batch_axes)
+    z = c.center + c.radius * unit
+    # (1/2pi i) oint f dz = (1/n) sum f(z_k) (z_k - center), signed by orientation
+    w = c.orientation * (z - c.center) / n
+    return z, w
+
+
+def _generator_matches_per_circle(contour, n):
+    """Whether `nodes_weights` gives the per-circle nodes and weights of the
+    circles, their centers and radii broadcast to the contour's batch,
+    concatenated, bit for bit."""
+    batch = quadrature._batch([contour])
+    per_circle = [_circle_nodes(Circle(np.broadcast_to(c.center, batch),
+                                       np.broadcast_to(c.radius, batch),
+                                       c.orientation), n)
+                  for c in contour.circles]
+    return all(got.tobytes() == np.concatenate([v[i] for v in per_circle]).tobytes()
+               for i, got in enumerate(nodes_weights(contour, n, batch)))
 
 
 def test_contour_nodes_are_the_per_circle_nodes_bit_for_bit():
@@ -441,10 +461,33 @@ def test_contour_nodes_are_the_per_circle_nodes_bit_for_bit():
     # a batch of radii about one center, and a batch of centers at one radius
     radii = ContourSpec((Circle(0j, np.array([[0.5, 1.0], [2.0, 0.7]])),))
     centers = circles_around([np.array([0.3, 0.1j]), np.array([-0.4, 0.5])], 0.1)
-    for contour in (plain, batched, radii, centers, plain.reversed(),
-                    batched.reversed()):
+    # plain circles among batched ones, the same circles in every draw
+    mixed = ContourSpec(plain.circles[:2] + batched.circles + centers.circles[:1])
+    for contour in (plain, batched, radii, centers, mixed, plain.reversed(),
+                    batched.reversed(), mixed.reversed()):
         for n in (8, 64, 1024):
-            assert _stacked_nodes_equal_per_circle(contour, n)
+            assert _generator_matches_per_circle(contour, n)
+
+
+def test_a_contour_mixing_plain_and_batched_circles_integrates_each_draw():
+    # a plain circle about the pole 0.3 and a circle about a batch of poles
+    # p: each draw is the integral over its own two circles
+    p, r = np.array([-0.4, -0.3 + 0.1j, 0.5j]), np.array([0.1, 0.05, 0.2])
+    integrand = lambda z, p: (z + 0.7) / ((z - 0.3) * (z - p)) + z ** 3
+    contour = ContourSpec((Circle(0.3, 0.1), Circle(p, r)), 8)
+    got, info = integrate(lambda z: integrand(z, p), contour, tol=1e-12,
+                          full_output=True)
+    assert got.shape == (3,)
+    for b in range(3):
+        alone = ContourSpec((Circle(0.3, 0.1), Circle(p[b], r[b])), 8)
+        want, one = integrate(lambda z: integrand(z, p[b]), alone, tol=1e-12,
+                              full_output=True)
+        assert info["nodes"][b] == one["nodes"]
+        # the batch sums its nodes in another order: within 1e-15 of the
+        # summands' scale
+        z, w = nodes_weights(alone, one["nodes"], ())
+        scale = np.sum(np.abs(integrand(z, p[b]) * w))
+        assert abs(got[b] - want) <= 1e-15 * scale
 
 
 def _f1(z):
@@ -503,7 +546,7 @@ def _summand_scale(contours):
     their start, per draw: the scale of an estimate's rounding there."""
     d, zs, ws = len(contours), [], []
     for j, c in enumerate(contours):
-        z, w = quadrature._nodes(c, c.nodes)
+        z, w = nodes_weights(c, c.nodes, quadrature._batch(contours))
         shape = (1,) * j + (len(z),) + (1,) * (d - 1 - j) + z.shape[1:]
         zs.append(z.reshape(shape))
         ws.append(w.reshape(shape))
@@ -538,12 +581,13 @@ def test_the_first_pass_serves_the_start_from_its_even_nodes(monkeypatch, case):
     folded, alone = (np.reshape(v, _summand_scale(contours).shape)
                      for v in (folded, alone))
     assert np.all(np.abs(folded - alone) <= 1e-15 * _summand_scale(contours))
+    batch = quadrature._batch(contours)
+    nodes = [nodes_weights(c, c.nodes, batch) for c in contours]
     if len(contours) == 1:
-        assert np.array_equal(alone, _estimate1(_f1, contours[0], n))
+        assert np.array_equal(alone, _estimate1(_f1, nodes[0]))
     elif len(contours) == 2:
         ones = lambda v: np.ones((len(v), 1) + v.shape[1:])
-        assert np.array_equal(alone, estimate_bilinear(
-            _f2, ones, ones, *contours, *(c.nodes for c in contours))[0])
+        assert np.array_equal(alone, estimate_bilinear(_f2, ones, ones, *nodes)[0])
 
 
 @pytest.mark.parametrize("case", FOLD_CASES)

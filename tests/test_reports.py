@@ -13,6 +13,14 @@ those entries in every config's file and leaves every other entry as it is:
 
     PYTHONPATH=src python tests/test_reports.py verify-symfunc
 
+With `--dump FILE` it writes every variant's report on every config to
+FILE instead, `timing` left out and every float as its repr, so that two
+commits whose reports agree bit for bit give identical files:
+
+    PYTHONPATH=src python tests/test_reports.py --dump before.json
+    (check out the other commit, dump to after.json)
+    cmp before.json after.json
+
 Rewrite an entry only where a change is meant to move that command's
 report, name only the variants it moves, and say which fields moved and
 why; an entry that a change must leave alone stays pinned to the commit
@@ -90,6 +98,23 @@ def mismatches(got, want, path="$"):
     return [] if got == want else [f"{path}: {got!r} != {want!r}"]
 
 
+def exact(value):
+    """value with every float replaced by its repr, so JSON keeps each bit."""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, dict):
+        return {key: exact(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [exact(v) for v in value]
+    return value
+
+
+def test_exact_keeps_every_bit_of_a_float():
+    assert exact({"a": [0.1 + 0.2, -0.0, 1, "x", None]}) == {
+        "a": ["0.30000000000000004", "-0.0", 1, "x", None]}
+    assert exact(float("nan")) == "nan" and exact(True) is True
+
+
 def test_mismatches_reads_floats_to_the_stated_tolerance():
     assert mismatches({"a": [1.0, "x", True, 3]}, {"a": [1.0, "x", True, 3]}) == []
     assert mismatches(1e-13, 0.0) == [] and mismatches(1.0 + 1e-10, 1.0) == []
@@ -109,8 +134,20 @@ def test_report_matches_its_golden(config, variant):
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(
         description="Rewrite the named variants' golden entries for every config.")
-    parser.add_argument("variants", nargs="+", choices=VARIANTS)
-    names = parser.parse_args().variants
+    parser.add_argument("variants", nargs="*", help=f"any of {', '.join(VARIANTS)}")
+    parser.add_argument("--dump", metavar="FILE",
+                        help="write every variant's report on every config to FILE, "
+                             "floats as repr, and rewrite no golden")
+    args = parser.parse_args()
+    if args.dump:
+        reports = {config: {variant: exact(run(config, variant)) for variant in VARIANTS}
+                   for config in CONFIGS}
+        Path(args.dump).write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
+        print(f"wrote every report to {args.dump}", file=sys.stderr)
+        sys.exit()
+    names = args.variants
+    if not names or not set(names) <= set(VARIANTS):
+        parser.error(f"name the variants to rewrite, from {', '.join(VARIANTS)}")
     GOLDENS.mkdir(parents=True, exist_ok=True)
     for config in CONFIGS:
         path = GOLDENS / f"{config}.json"

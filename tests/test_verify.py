@@ -37,9 +37,9 @@ def test_sign_adjudication_flips_only_the_sign():
         flipped = replace(cfg, sign_convention=other)
         assert out["flipped_delta"] == abs(
             kernels.correlation_via_kernel(SPEC, POINTS, flipped) - oracle)
-        S = kernels.assemble_kernel(SPEC, POINTS, cfg)
-        assert np.array_equal(kernels.with_other_k22_sign(S),
-                              kernels.assemble_kernel(SPEC, POINTS, flipped).matrix)
+        K = kernels.assemble_kernel(SPEC, POINTS, cfg)
+        assert np.array_equal(kernels.with_other_k22_sign(K),
+                              kernels.assemble_kernel(SPEC, POINTS, flipped))
 
 
 def test_compare_verdict_passes_the_paper_sign_and_fails_the_br_sign():
