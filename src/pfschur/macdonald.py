@@ -53,7 +53,6 @@ poles, at the x_i, so `stated_action_Z` sums its residues from the same
 factors exactly, with no quadrature.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -285,17 +284,14 @@ def contour_radius(xs, q):
     was at R/16, and the first doubling, 4 -> 8, meets a tolerance of 1e-9
     with the 8-node estimate within 256^-8 = 5.4e-20.
     """
-    bounds = []
-    for i in range(len(xs)):
-        for j in range(len(xs)):
-            if i != j:
-                bounds.append(abs(xs[i] - xs[j]) / 2)
-            # q-image of circle i must stay off circle j: |qx_i - x_j| > (|q|+1) rad
-            bounds.append(abs(q * xs[i] - xs[j]) / (abs(q) + 1))
-        bounds.append(abs(xs[i]))  # keep 0 outside
-        bounds.append(1 - abs(xs[i]))  # stay inside the unit disk
-    # elementwise, so a partly batched point broadcasts its plain bounds
-    rad = functools.reduce(np.minimum, bounds) / 256
+    x = np.stack(np.broadcast_arrays(*xs))     # coordinate i, then the batch
+    gaps = np.abs(x[:, None] - x) / 2           # circles i != j disjoint
+    gaps[np.diag_indices(len(x))] = np.inf
+    # q-image of circle i must stay off circle j: |qx_i - x_j| > (|q|+1) rad
+    images = np.abs(q * x[:, None] - x) / (np.abs(q) + 1)
+    # keep 0 outside and stay inside the unit disk
+    rad = np.minimum(np.minimum(gaps, images).min(axis=(0, 1)),
+                     np.minimum(np.abs(x), 1 - np.abs(x)).min(axis=0)) / 256
     if np.any(rad <= 0):
         raise ContourConditionError("no positive radius satisfies the contour conditions")
     return rad

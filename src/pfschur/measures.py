@@ -7,7 +7,11 @@ Macdonald I.5.11): s_{lam/mu}(x) = x^{|lam|-|mu|} when lam/mu is a horizontal
 strip and 0 otherwise. So the sum is one dynamic program over the list of
 partitions of weight <= L: per level, one transfer per variable on vectors
 indexed by that list (`partitions.horizontal_strips`, whose index tables
-are built once per (L, row cap)). Row counts are pruned by the only
+are built once per (L, row cap)). One pass answers each question: its sums
+(an expectation's numerator and Z, and both again at the weight cap L - 5
+for the truncation estimates) ride a leading axis of the transfers, and
+the L - 5 sums read the weight-<=L-5 prefix of the same weight-major list,
+since a horizontal strip only adds boxes. Row counts are pruned by the only
 mechanism that kills a weight exactly: a factor in k variables vanishes
 when its shape has more than k rows, which caps length(lam^(i)) by the
 number of variables at levels i..m. The oracles' level factors (point
@@ -192,16 +196,24 @@ def sequence_partitions(spec, L, kind="pfaffian"):
     return enumerate_up_to_weight(L, max(_level_row_caps(spec, kind)))
 
 
-def _sequence_sum(spec, L, kind="pfaffian", level_factors=None):
-    """Dynamic program over levels for sums of process weights times
-    optional per-level factors f_i(lam^(i)) (indicators or observables),
-    one array per level 0..m-1 over the partition list of the strips.
+def _sequence_sum(spec, L, kind="pfaffian", level_factor=None, cut=None):
+    """Sums of process weights by one dynamic program over levels: with
+    level_factor, [the sum times prod_i f_i(lam^(i)), Z], where
+    level_factor(i, rows) gives f_i (an indicator or observable) over the
+    partition list from its row array; without it, [Z]. Given cut, the same
+    sums follow over the sequences whose partitions weigh <= cut.
 
     Every (skew) Schur factor is applied one variable at a time by the
     branching rule, so a level step is a chain of one-variable transfers
-    over one partition list; a cap masks the rows a level cannot hold."""
+    over one partition list; a cap masks the rows a level cannot hold. The
+    sums ride the transfers' leading axis. A cut sum masks each lam^(i) to
+    the list's weight-<=cut prefix (the list is weight-major); a horizontal
+    strip only adds boxes, so every partition between two levels weighs no
+    more than the lam^(i) it lies in, and the masked program is the program
+    on the weight-<=cut list itself (for cut < 0, the empty sum 0)."""
     caps = _level_row_caps(spec, kind)
     strips = horizontal_strips(L, max(caps))
+    keep = [strips.rows.sum(axis=1) <= c for c in (L, cut) if c is not None]
 
     def across(h, move, family, cap=None):
         for x in family:              # ProcessSpec values are real
@@ -211,47 +223,43 @@ def _sequence_sum(spec, L, kind="pfaffian", level_factors=None):
     # level 0: tau is the even-conjugate indicator moved up over rho^-_0,
     # s_lam(rho^-_0) the indicator of the empty partition
     h = (strips.even if kind == "pfaffian" else strips.length == 0).astype(float)
-    for i, w in enumerate(level_factors or [1.0] * spec.m):
+    for i in range(spec.m):
         if i:
             h = across(h, strips.down, spec.rho_plus[i - 1], caps[i])
-        h = across(h, strips.up, spec.rho_minus[i], caps[i]) * w
-    return complex(across(h, strips.down, spec.rho_plus[-1])[0])
+        fs = [1.0] if level_factor is None else [level_factor(i, strips.rows), 1.0]
+        h = across(h, strips.up, spec.rho_minus[i], caps[i]) * np.array(
+            [f * k for k in keep for f in fs])
+    return across(h, strips.down, spec.rho_plus[-1])[:, 0].tolist()
 
 
 def partition_function_truncated(spec, kind="pfaffian", L=30):
-    """Weight-capped partition function; monotone nondecreasing in L."""
-    if L < 0:
-        raise ValueError("weight cap must be nonnegative")
-    return _sequence_sum(spec, L, kind).real
+    """Weight-capped partition function; monotone nondecreasing in L. A
+    negative L is a ValueError (`enumerate_up_to_weight`)."""
+    return _sequence_sum(spec, L, kind)[0].real
 
 
 def truncation_diagnostic(spec, L):
-    """Tail indicator |S_L - S_{L-5}| / S_L of the pfaffian sum; weights decay
-    geometrically so this bounds the truncation error up to a modest
-    constant. Below L = 5, S_{L-5} is the empty sum 0 and the indicator 1."""
-    s_l = partition_function_truncated(spec, L=L)
-    s_prev = partition_function_truncated(spec, L=L - 5) if L >= 5 else 0.0
-    return abs(s_l - s_prev) / abs(s_l)
+    """Tail indicator |S_L - S_{L-5}| / S_L of the pfaffian sum, both sums
+    from one pass over the weight-<=L list (S_{L-5} reads its weight-<=L-5
+    prefix); weights decay geometrically so this bounds the truncation
+    error up to a modest constant. Below L = 5, S_{L-5} is the empty sum 0
+    and the indicator 1."""
+    s_l, s_prev = _sequence_sum(spec, L, cut=L - 5)
+    return abs(s_l - s_prev) / s_l
 
 
-def _expectation(spec, L, level_factor):
-    """Truncated expectation of prod_i f_i(lam^(i)): level_factor(i, rows)
-    gives f_i from the partition list's row array (an empty product: 1)."""
-    rows = horizontal_strips(L, max(_level_row_caps(spec, "pfaffian"))).rows
-    factors = [level_factor(i, rows) for i in range(spec.m)]
-    return _sequence_sum(spec, L, "pfaffian", factors) / _sequence_sum(spec, L).real
-
-
-def correlation_oracle(spec, T, L=30, n_terms=None):
+def correlation_oracle(spec, T, L=30, n_terms=None, full_output=False):
     """Probability that every point of T lies in the level configurations
-    {lam_i - i : 1 <= i <= n_terms}, by truncated enumeration."""
+    {lam_i - i : 1 <= i <= n_terms}, by truncated enumeration. full_output
+    adds the info of the same pass: `imag_defect` 0, the weight cap `L`,
+    Z's `truncation_diagnostic`, the value's own truncation estimate
+    `value_truncation` |E_L - E_{L-5}| / |E_L| (None when E_L is 0; E_{L-5}
+    is 0 below L = 5) and the size of the partition list, `partitions`."""
     if not isinstance(T, PointSet):
         T = PointSet(T)
     per_level = T.by_level(spec.m)
-    if not T.points:
-        return 1.0
     if n_terms is None:
-        n_terms = L + max(0, -min(t for _, t in T.points)) + 1
+        n_terms = L + max(0, -min((t for _, t in T.points), default=0)) + 1
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
 
@@ -262,7 +270,14 @@ def correlation_oracle(spec, T, L=30, n_terms=None):
         return np.all([(coords == t).any(axis=1) | (depth < -t <= n_terms)
                        for t in per_level[i + 1]], axis=0)
 
-    return _expectation(spec, L, indicator).real
+    num, z, num_cut, z_cut = _sequence_sum(spec, L, level_factor=indicator, cut=L - 5)
+    value = num / z if T.points else 1.0
+    if not full_output:
+        return value
+    prev = num_cut / z_cut if z_cut else 0.0
+    return value, {"imag_defect": 0.0, "L": L, "partitions": len(sequence_partitions(spec, L)),
+                   "truncation_diagnostic": abs(z - z_cut) / z,
+                   "value_truncation": abs(value - prev) / value if value else None}
 
 
 def observable_expectation_oracle(qs_by_level, spec, L=30, ns=None):
@@ -280,4 +295,5 @@ def observable_expectation_oracle(qs_by_level, spec, L=30, ns=None):
         powers = lam + np.arange(n - 1, -1, -1)
         return math.prod((q ** powers).sum(axis=1) for q in qs)
 
-    return _expectation(spec, L, observable)
+    num, z = _sequence_sum(spec, L, level_factor=observable)
+    return num / z

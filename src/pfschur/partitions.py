@@ -64,7 +64,8 @@ class HorizontalStrips:
     x^(rise). So each row keeps the (chain, position) cell of every entry
     in a dense chains-by-positions grid, and a step is one product with a
     triangular Toeplitz matrix of powers of x. Moving down is the
-    transpose: suffix sums, top row first."""
+    transpose: suffix sums, top row first. A transfer acts on the last axis
+    of h, so leading axes carry several sums through one pass."""
 
     def __init__(self, parts):
         n = len(parts)
@@ -77,14 +78,15 @@ class HorizontalStrips:
         k = np.arange(rows.max(initial=0) + 1)
         lag = k[None, :] - k[:, None]
         self._lag = np.where(lag >= 0, lag, len(k))     # below the diagonal: the 0 past x^k
-        self._grids = []            # per row: (cell of each entry, chains, width)
+        self._grids = []    # per row: (cell of each entry, entry of each cell, width)
         for r in range(depth):
             _, chain = np.unique(np.delete(rows, r, axis=1), axis=0,
                                  return_inverse=True)
             width = rows[:, r].max() + 1
             cells = chain.ravel() * width + rows[:, r]
-            self._grids.append((cells.astype(np.min_scalar_type(cells.max())),
-                                chain.max() + 1, width))
+            source = np.full((chain.max() + 1) * width, n)     # n: no entry, a 0
+            source[cells] = np.arange(n)
+            self._grids.append((cells, source, width))
 
     def _toeplitz(self, x):
         """T[a, b] = x^(b - a) for a <= b, else 0; its leading w x w block
@@ -107,11 +109,12 @@ class HorizontalStrips:
 
 
 def _chain_sums(h, grid, T):
-    """h laid out on one row's chains-by-positions grid, times T, read back."""
-    cells, chains, width = grid
-    H = np.zeros(chains * width, dtype=h.dtype)
-    H[cells] = h
-    return (H.reshape(chains, width) @ T[:width, :width]).reshape(-1)[cells]
+    """h gathered onto one row's chains-by-positions grid (a cell that no
+    entry holds reads the 0 appended past h), times T, read back; the
+    leading axes of h stack into the rows of one matrix product."""
+    cells, source, width = grid
+    H = np.concatenate((h, np.zeros(h.shape[:-1] + (1,))), axis=-1).take(source, axis=-1)
+    return (H.reshape(-1, width) @ T[:width, :width]).reshape(H.shape).take(cells, axis=-1)
 
 
 @lru_cache(maxsize=None)

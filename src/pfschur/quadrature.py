@@ -341,8 +341,9 @@ def estimate_bilinear(core, gz, gw, z_nodes, w_nodes, fold=None):
             # the block's even-indexed rows: rows lo:hi of Hz
             lo, hi = (start + 1) // 2, (start + len(zc) + 1) // 2
             half = half + _dots(Hz[..., lo:hi, :], C[..., start % 2::2, ::2], Hw)
-    total = np.moveaxis(total, -1, 0)
-    return total if fold is None else (total, np.moveaxis(half, -1, 0))
+    back = (z.ndim - 1, *range(z.ndim - 1))         # the columns first again
+    return total.transpose(back) if fold is None else (total.transpose(back),
+                                                         half.transpose(back))
 
 
 def integrate2(f, c1, c2, tol=1e-9, max_nodes=MAX_NODES_2D, full_output=False):
@@ -378,12 +379,13 @@ def integrate_product(ones, pair, contours, tol=1e-9, max_nodes=None,
     At d = 1 this is `integrate`. At d >= 2 each tuple of nodes of the outer
     m = d - 2 variables is one column: its pair factors with the last two
     variables fold into those variables' columns, and its one-variable
-    factors, mutual pair factors and weights form a scale vector, so the
-    estimate is `estimate_bilinear` of pair(m, m + 1) dotted with the scale,
-    one grid per pass and block of tuples (see _COLUMNS). On the first pass
-    the tuples of even-indexed outer nodes, their scale doubled per outer
-    contour, also give the half-node estimate. Each contour doubles from its
-    own start. max_nodes defaults to the cap of the
+    factors, mutual pair factors and weights scale its column of variable
+    m, so the estimate is the sum of the columns of `estimate_bilinear` of
+    pair(m, m + 1), one grid per pass and block of tuples (see _COLUMNS). On
+    the first pass the tuples of even-indexed outer nodes, doubled per outer
+    contour, also give the half-node estimate. At d = 2 the one column is
+    the empty tuple, of scale 1, and no outer array is built. Each contour
+    doubles from its own start. max_nodes defaults to the cap of the
     dimension: MAX_NODES, MAX_NODES_2D or MAX_NODES_ND. On batched circles
     the factors receive nodes with the batch as trailing axes and the
     integral is one estimate per draw, accepted at the draw's own doubling.
@@ -398,9 +400,9 @@ def integrate_product(ones, pair, contours, tol=1e-9, max_nodes=None,
                          full_output=full_output)
     m, batch = d - 2, _batch(contours)
 
-    def column(k, zs):
+    def column(k, zs, scale=1.0):
         def g(z):
-            v = np.broadcast_to(ones[k](z), z.shape)[:, None]
+            v = np.broadcast_to(ones[k](z), z.shape)[:, None] * scale
             for j, zj in enumerate(zs):
                 v = v * pair(j, k, zj, z[:, None])
             return v
@@ -409,31 +411,29 @@ def integrate_product(ones, pair, contours, tol=1e-9, max_nodes=None,
     def estimate(nodes, fold):
         outer = nodes[:m]
         shape = tuple(len(z) for z, _ in outer)
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         width = max(1, _COLUMNS // (math.prod(batch) * max(
             len(z) for z, _ in nodes[m:])))
         total = half = 0j
         for start in range(0, count, width):
-            cols = np.arange(start, min(start + width, count))
-            at = np.unravel_index(cols, shape) if m else ()
+            at = np.unravel_index(np.arange(start, min(start + width, count)),
+                                  shape) if m else ()
             zs = [z[i] for (z, _), i in zip(outer, at)]
-            scale = np.ones((len(cols),) + batch)
+            scale = 1.0
             for j, ((_, w), i) in enumerate(zip(outer, at)):
                 scale = scale * w[i] * ones[j](zs[j])
                 for h in range(j + 1, m):
                     scale = scale * pair(j, h, zs[j], zs[h])
             # the tuples of even-indexed outer nodes are the half-node tuples
-            even = np.ones(len(cols), bool)
-            for i in at:
-                even &= i % 2 == 0
+            even = np.atleast_1d(sum(i % 2 for i in at) == 0)
             out = estimate_bilinear(
-                lambda a, b: pair(m, m + 1, a, b), column(m, zs),
+                lambda a, b: pair(m, m + 1, a, b), column(m, zs, scale),
                 column(m + 1, zs), *nodes[m:], fold=even if fold else None)
             if fold:
                 out, folded = out
                 # each outer weight doubled: 2**m, exact
-                half = half + np.sum(folded * scale[even], axis=0) * 2 ** m
-            total = total + np.sum(out * scale, axis=0)
+                half = half + folded.sum(axis=0) * 2 ** m
+            total = total + out.sum(axis=0)
         return (total, half) if fold else total
     what = "double contour integral" if d == 2 else f"{d}-fold contour integral"
     return _single(estimate, contours, batch, max_nodes, tol, full_output, what)

@@ -332,17 +332,15 @@ def battery_pfaffian(seed=0):
 # keys its row reports as diagnostics, in report order, and the fault that
 # rules a spec out (None: none does). The functions are looked up in their
 # modules at each call, so a patched module attribute is the one that runs.
-# The oracle reports its weight cap, truncation diagnostic and partition-list
-# size; the kernel its largest last-doubling delta and that over |value|,
-# its integrated entries' node counts, circle radii and the circle nodes at
-# which its slot factors were evaluated; q-extraction its q-circle radius,
-# node counts, last-doubling delta and evaluated grid points
+# The oracle reports its weight cap, truncation diagnostic, value truncation
+# and partition-list size from one pass; the kernel its largest last-doubling
+# delta and that over |value|, its integrated entries' node counts, circle
+# radii and the circle nodes at which its slot factors were evaluated;
+# q-extraction its q-circle radius, node counts, last delta and grid points
 ROUTES = {
-    "oracle": (lambda spec, T, cfg, L: (measures.correlation_oracle(spec, T, L=L), {
-        "imag_defect": 0.0, "L": L,
-        "truncation_diagnostic": measures.truncation_diagnostic(spec, L),
-        "partitions": len(measures.sequence_partitions(spec, L))}),
-        ("L", "truncation_diagnostic", "partitions"), None),
+    "oracle": (lambda spec, T, cfg, L: measures.correlation_oracle(
+        spec, T, L=L, full_output=True),
+        ("L", "truncation_diagnostic", "value_truncation", "partitions"), None),
     "kernel": (lambda spec, T, cfg, L: kernels.correlation_via_kernel(
         spec, T, cfg, full_output=True),
         ("max_last_delta", "rel_last_delta", "nodes", "radii", "node_evaluations"),

@@ -98,6 +98,9 @@ def test_correlate_oracle_row_diagnostics(tmp_path):
                     "--method", "oracle", "--out", str(out)]) == 0
     row, = read_report(out)["results"]
     spec = ProcessSpec([[0.4], [0.3]], [[0.35], [0.25]])
+    # the value's own truncation estimate, against the oracle at L and L - 5
+    e_l, e_cut = (correlation_oracle(spec, [(1, 0), (2, 0)], L=L) for L in (20, 15))
+    assert abs(row["diagnostics"].pop("value_truncation") - abs(e_l - e_cut) / e_l) < 1e-14
     assert row["diagnostics"] == {
         "L": 20, "truncation_diagnostic": truncation_diagnostic(spec, 20),
         "partitions": len(enumerate_up_to_weight(20, 2))}
@@ -271,18 +274,21 @@ def test_each_route_reports_its_declared_diagnostics_in_table_order(config):
 
 def test_correlate_calls_the_oracle_through_its_module(tmp_path, monkeypatch):
     # the route table looks the oracle up at each call, so a patched
-    # `measures.correlation_oracle` (as the benchmark's tracer installs) runs
+    # `measures.correlation_oracle` (as the benchmark's tracer installs) runs;
+    # the route takes the value and its diagnostics from one call
     calls = []
 
-    def spy(spec, T, L):
-        calls.append(L)
-        return 0.25
+    def spy(spec, T, L, full_output):
+        calls.append((L, full_output))
+        return 0.25, {"imag_defect": 0.0, "L": L, "value_truncation": None}
     monkeypatch.setattr(measures, "correlation_oracle", spy)
     out = tmp_path / "report.json"
     assert run_cli(["correlate", "--config", str(CONFIGS / "m1_singleton.json"),
                     "--method", "oracle", "--truncation", "12", "--out", str(out)]) == 0
-    assert calls == [12]
-    assert read_report(out)["results"][0]["value"] == 0.25
+    assert calls == [(12, True)]
+    row, = read_report(out)["results"]
+    assert row["value"] == 0.25
+    assert row["diagnostics"] == {"L": 12, "value_truncation": None}
 
 
 def test_a_reused_parser_leaks_no_flag(tmp_path):

@@ -183,6 +183,49 @@ def test_truncation_diagnostic_reads_one_below_five():
     assert 0 < truncation_diagnostic(spec, 5) < 1
 
 
+def test_value_truncation_is_the_step_of_two_oracle_calls():
+    # |E_L - E_{L-5}| / |E_L| from one pass, against the oracle at L and at
+    # L - 5; below L = 5, E_{L-5} is 0, and a value of 0 has no estimate
+    spec = ProcessSpec([[0.5, 0.25]], [[0.4, 0.2]])
+    for T, L in (([(1, 0)], 12), ([(1, -1), (1, 1)], 9), ([(1, 2)], 5), ([(1, 0)], 3)):
+        value, info = correlation_oracle(spec, T, L=L, full_output=True)
+        e_l = correlation_oracle(spec, T, L=L)
+        e_cut = correlation_oracle(spec, T, L=L - 5) if L >= 5 else 0.0
+        assert abs(value - e_l) <= 1e-14 * e_l
+        assert abs(info["value_truncation"] - abs(e_l - e_cut) / e_l) <= 1e-13, (T, L)
+        assert info["truncation_diagnostic"] == truncation_diagnostic(spec, L)
+        assert (info["L"], info["imag_defect"]) == (L, 0.0)
+    assert 1e-4 < correlation_oracle(spec, [(1, 0)], L=12, full_output=True)[1][
+        "value_truncation"] < 1
+    assert correlation_oracle(spec, [(1, 4)], L=3, full_output=True)[1][
+        "value_truncation"] is None                 # out of reach at L = 3
+
+
+def test_each_oracle_question_takes_one_pass_at_its_own_weight(monkeypatch):
+    from pfschur import measures, verify
+    passes, weights = [], set()
+    sequence_sum, strips = measures._sequence_sum, measures.horizontal_strips
+
+    def spy_sum(spec, L, *args, **kwargs):
+        passes.append(L)
+        return sequence_sum(spec, L, *args, **kwargs)
+
+    def spy_strips(L, max_length=None):
+        weights.add(L)
+        return strips(L, max_length)
+    monkeypatch.setattr(measures, "_sequence_sum", spy_sum)
+    monkeypatch.setattr(measures, "horizontal_strips", spy_strips)
+    spec = ProcessSpec([[0.5, 0.25], [0.3]], [[0.4, 0.2], [0.35]])
+    for L, question in (
+            (12, lambda: verify.correlation_row("oracle", spec, [(1, 0), (2, -1)], None, 12)),
+            (11, lambda: truncation_diagnostic(spec, 11)),
+            (10, lambda: observable_expectation_oracle([[0.3], [0.2j]], spec, L=10)),
+            (9, lambda: correlation_oracle(spec, [(2, 1)], L=9))):
+        passes.clear(), weights.clear()
+        question()
+        assert passes == [L] and weights == {L}
+
+
 def _sequences(m, L):
     """Every (lams, mus) with all weights <= L and mu^(i) contained in
     lam^(i) and lam^(i+1): the only pruning is containment, outside which

@@ -21,6 +21,13 @@ commits whose reports agree bit for bit give identical files:
     (check out the other commit, dump to after.json)
     cmp before.json after.json
 
+With `--against OLD` as well, it then lists every report path that moved
+from the dump OLD: keys added or removed, floats that moved beyond the
+golden tolerance apart from those that moved only in their last bits, and
+anything else that changed:
+
+    PYTHONPATH=src python tests/test_reports.py --dump after.json --against before.json
+
 Rewrite an entry only where a change is meant to move that command's
 report, name only the variants it moves, and say which fields moved and
 why; an entry that a change must leave alone stays pinned to the commit
@@ -109,6 +116,36 @@ def exact(value):
     return value
 
 
+def moves(got, want, path="$"):
+    """Where the dump got moved from the dump want, one line per path: keys
+    added or removed, floats (kept as their repr) moved beyond the golden
+    tolerance or only in their last bits, anything else changed."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        return ([f"added {path}.{key}" for key in got if key not in want]
+                + [f"removed {path}.{key}" for key in want if key not in got]
+                + [m for key in want if key in got
+                   for m in moves(got[key], want[key], f"{path}.{key}")])
+    if isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
+        return [m for i, (g, w) in enumerate(zip(got, want))
+                for m in moves(g, w, f"{path}[{i}]")]
+    if got == want:
+        return []
+    if isinstance(got, str) and isinstance(want, str):
+        with contextlib.suppress(ValueError):      # a float's repr, not another string
+            kind = "moved" if mismatches(float(got), float(want)) else "last bits"
+            return [f"{kind} {path}: {want} -> {got}"]
+    return [f"changed {path}: {want!r} -> {got!r}"]
+
+
+def test_moves_tells_added_keys_and_moved_floats_from_last_bits():
+    old = {"r": {"a": "0.1", "b": "1.0", "c": [1, "PASS"], "gone": 2}}
+    new = {"r": {"a": "0.10000000000000002", "b": "1.5", "c": [1, "FAIL"], "new": None}}
+    assert moves(new, old) == [
+        "added $.r.new", "removed $.r.gone", "last bits $.r.a: 0.1 -> 0.10000000000000002",
+        "moved $.r.b: 1.0 -> 1.5", "changed $.r.c[1]: 'PASS' -> 'FAIL'"]
+    assert moves(old, old) == [] and moves([1], [1, 2]) == ["changed $: [1, 2] -> [1]"]
+
+
 def test_exact_keeps_every_bit_of_a_float():
     assert exact({"a": [0.1 + 0.2, -0.0, 1, "x", None]}) == {
         "a": ["0.30000000000000004", "-0.0", 1, "x", None]}
@@ -138,12 +175,20 @@ if __name__ == "__main__":
     parser.add_argument("--dump", metavar="FILE",
                         help="write every variant's report on every config to FILE, "
                              "floats as repr, and rewrite no golden")
+    parser.add_argument("--against", metavar="OLD",
+                        help="with --dump, list every report path that moved from "
+                             "the dump OLD")
     args = parser.parse_args()
+    if args.against and not args.dump:
+        parser.error("--against needs --dump")
     if args.dump:
         reports = {config: {variant: exact(run(config, variant)) for variant in VARIANTS}
                    for config in CONFIGS}
         Path(args.dump).write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
         print(f"wrote every report to {args.dump}", file=sys.stderr)
+        if args.against:
+            moved = moves(reports, json.loads(Path(args.against).read_text()))
+            print("\n".join(moved + [f"{len(moved)} paths moved from {args.against}"]))
         sys.exit()
     names = args.variants
     if not names or not set(names) <= set(VARIANTS):
