@@ -284,7 +284,7 @@ def contour_radius(xs, q):
     was at R/16, and the first doubling, 4 -> 8, meets a tolerance of 1e-9
     with the 8-node estimate within 256^-8 = 5.4e-20.
     """
-    x = np.stack(np.broadcast_arrays(*xs))     # coordinate i, then the batch
+    x = np.stack(np.broadcast_arrays(*xs, q)[:-1])     # coordinate i, then xs' and q's batch
     gaps = np.abs(x[:, None] - x) / 2           # circles i != j disjoint
     gaps[np.diag_indices(len(x))] = np.inf
     # q-image of circle i must stay off circle j: |qx_i - x_j| > (|q|+1) rad

@@ -213,7 +213,7 @@ def _sequence_sum(spec, L, kind="pfaffian", level_factor=None, cut=None):
     on the weight-<=cut list itself (for cut < 0, the empty sum 0)."""
     caps = _level_row_caps(spec, kind)
     strips = horizontal_strips(L, max(caps))
-    keep = [strips.rows.sum(axis=1) <= c for c in (L, cut) if c is not None]
+    keep = [1.0] + ([strips.rows.sum(axis=1) <= cut] if cut is not None else [])
 
     def across(h, move, family, cap=None):
         for x in family:              # ProcessSpec values are real
@@ -222,13 +222,15 @@ def _sequence_sum(spec, L, kind="pfaffian", level_factor=None, cut=None):
 
     # level 0: tau is the even-conjugate indicator moved up over rho^-_0,
     # s_lam(rho^-_0) the indicator of the empty partition
-    h = (strips.even if kind == "pfaffian" else strips.length == 0).astype(float)
+    h = (strips.even if kind == "pfaffian" else strips.length == 0).astype(float)[None]
     for i in range(spec.m):
         if i:
             h = across(h, strips.down, spec.rho_plus[i - 1], caps[i])
+        h = across(h, strips.up, spec.rho_minus[i], caps[i])
         fs = [1.0] if level_factor is None else [level_factor(i, strips.rows), 1.0]
-        h = across(h, strips.up, spec.rho_minus[i], caps[i]) * np.array(
-            [f * k for k in keep for f in fs])
+        if len(fs) * len(keep) > 1:       # Z alone takes no factor
+            h = h * np.stack([np.broadcast_to(f * k, strips.length.shape)
+                              for k in keep for f in fs])
     return across(h, strips.down, spec.rho_plus[-1])[:, 0].tolist()
 
 
@@ -238,14 +240,16 @@ def partition_function_truncated(spec, kind="pfaffian", L=30):
     return _sequence_sum(spec, L, kind)[0].real
 
 
-def truncation_diagnostic(spec, L):
+def truncation_diagnostic(spec, L, full_output=False):
     """Tail indicator |S_L - S_{L-5}| / S_L of the pfaffian sum, both sums
     from one pass over the weight-<=L list (S_{L-5} reads its weight-<=L-5
     prefix); weights decay geometrically so this bounds the truncation
     error up to a modest constant. Below L = 5, S_{L-5} is the empty sum 0
-    and the indicator 1."""
+    and the indicator 1. full_output returns (indicator, S_L), S_L as
+    `partition_function_truncated` gives it, from the same pass."""
     s_l, s_prev = _sequence_sum(spec, L, cut=L - 5)
-    return abs(s_l - s_prev) / s_l
+    diag = abs(s_l - s_prev) / s_l
+    return (diag, s_l) if full_output else diag
 
 
 def correlation_oracle(spec, T, L=30, n_terms=None, full_output=False):
@@ -258,6 +262,8 @@ def correlation_oracle(spec, T, L=30, n_terms=None, full_output=False):
     if not isinstance(T, PointSet):
         T = PointSet(T)
     per_level = T.by_level(spec.m)
+    if not T.points and not full_output:
+        return 1.0
     if n_terms is None:
         n_terms = L + max(0, -min((t for _, t in T.points), default=0)) + 1
     if n_terms < 1:
@@ -270,11 +276,11 @@ def correlation_oracle(spec, T, L=30, n_terms=None, full_output=False):
         return np.all([(coords == t).any(axis=1) | (depth < -t <= n_terms)
                        for t in per_level[i + 1]], axis=0)
 
+    if not full_output:         # a value alone carries no cut sums
+        num, z = _sequence_sum(spec, L, level_factor=indicator)
+        return num / z
     num, z, num_cut, z_cut = _sequence_sum(spec, L, level_factor=indicator, cut=L - 5)
-    value = num / z if T.points else 1.0
-    if not full_output:
-        return value
-    prev = num_cut / z_cut if z_cut else 0.0
+    value, prev = num / z, (num_cut / z_cut if z_cut else 0.0)
     return value, {"imag_defect": 0.0, "L": L, "partitions": len(sequence_partitions(spec, L)),
                    "truncation_diagnostic": abs(z - z_cut) / z,
                    "value_truncation": abs(value - prev) / value if value else None}

@@ -263,8 +263,7 @@ def battery_partition_function(spec, L):
                       "literal_rel_err": rel_literal, **partitions(m2, fixed_L)}))
     # the config's own process
     closed = measures.partition_function_closed(spec, "pfaffian")
-    s_l = measures.partition_function_truncated(spec, "pfaffian", L)
-    diag = measures.truncation_diagnostic(spec, L)
+    diag, s_l = measures.truncation_diagnostic(spec, L, full_output=True)
     rows.append(_row(f"config process pfaffian truncated vs closed (L={L})",
                      abs(closed - s_l) / abs(closed), max(10 * diag, 1e-8),
                      {"truncation_diagnostic": diag, **partitions(spec, L)}))

@@ -519,6 +519,23 @@ def test_contour_action_at_a_partly_batched_point_matches_apply_direct():
         assert got.shape == (2,) and all(_close(g, w) for g, w in zip(got, want)), r
 
 
+def test_contour_action_at_a_plain_point_with_batched_q_matches_apply_direct():
+    # plain coordinates and q over a batch: one radius per q draw, each the
+    # radius of that draw alone, whether the batch is shorter, as long as or
+    # longer than the coordinate list
+    G = ProductFormFunction([0.3, 0.2])
+    xs = [0.3, 0.6]
+    for qs in (np.array([0.4 * np.exp(0.7j)]), np.array([0.4, 0.9 * np.exp(2j)]),
+               np.array([0.4, -0.5, 0.3 + 0.6j])):
+        rad = contour_radius(xs, qs)
+        assert rad.shape == qs.shape
+        assert all(rad[b] == contour_radius(xs, q) for b, q in enumerate(qs))
+        for r in (1, 2):
+            got = apply_via_contour(G, xs, r, qs)
+            assert got.shape == qs.shape
+            assert all(_close(g, apply_direct(G, xs, r, q)) for g, q in zip(got, qs)), (qs, r)
+
+
 def test_contour_circles_stay_inside_the_unit_disk():
     # the regular factors have poles outside the unit disk (z = 1 of
     # f(z^2), 1/(q x), 1/(q y)); at n = 1 and x near 1 a circle bounded only

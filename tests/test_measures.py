@@ -175,6 +175,14 @@ def test_truncation_diagnostic_positive_and_small():
     assert 0 <= d < 1e-12
 
 
+def test_truncation_diagnostic_hands_back_the_partition_function_it_read():
+    spec = ProcessSpec([[0.5, 0.25], [0.3]], [[0.4, 0.2], [0.35]])
+    for L in (3, 12):
+        diag, s_l = truncation_diagnostic(spec, L, full_output=True)
+        assert diag == truncation_diagnostic(spec, L)
+        assert s_l == partition_function_truncated(spec, "pfaffian", L)
+
+
 def test_truncation_diagnostic_reads_one_below_five():
     # S_{L-5} is the empty sum 0 there, so S_0, which keeps only the empty
     # partition, is not compared with itself
@@ -203,11 +211,12 @@ def test_value_truncation_is_the_step_of_two_oracle_calls():
 
 def test_each_oracle_question_takes_one_pass_at_its_own_weight(monkeypatch):
     from pfschur import measures, verify
-    passes, weights = [], set()
+    passes, cuts, weights = [], [], set()
     sequence_sum, strips = measures._sequence_sum, measures.horizontal_strips
 
     def spy_sum(spec, L, *args, **kwargs):
         passes.append(L)
+        cuts.append(kwargs.get("cut"))
         return sequence_sum(spec, L, *args, **kwargs)
 
     def spy_strips(L, max_length=None):
@@ -216,14 +225,22 @@ def test_each_oracle_question_takes_one_pass_at_its_own_weight(monkeypatch):
     monkeypatch.setattr(measures, "_sequence_sum", spy_sum)
     monkeypatch.setattr(measures, "horizontal_strips", spy_strips)
     spec = ProcessSpec([[0.5, 0.25], [0.3]], [[0.4, 0.2], [0.35]])
-    for L, question in (
-            (12, lambda: verify.correlation_row("oracle", spec, [(1, 0), (2, -1)], None, 12)),
-            (11, lambda: truncation_diagnostic(spec, 11)),
-            (10, lambda: observable_expectation_oracle([[0.3], [0.2j]], spec, L=10)),
-            (9, lambda: correlation_oracle(spec, [(2, 1)], L=9))):
-        passes.clear(), weights.clear()
+    # a value alone asks for no L - 5 sums
+    for L, cut, question in (
+            (12, 7, lambda: verify.correlation_row("oracle", spec, [(1, 0), (2, -1)], None, 12)),
+            (11, 6, lambda: truncation_diagnostic(spec, 11)),
+            (10, None, lambda: observable_expectation_oracle([[0.3], [0.2j]], spec, L=10)),
+            (9, None, lambda: correlation_oracle(spec, [(2, 1)], L=9))):
+        passes.clear(), cuts.clear(), weights.clear()
         question()
-        assert passes == [L] and weights == {L}
+        assert passes == [L] and cuts == [cut] and weights == {L}, L
+    passes.clear()
+    assert correlation_oracle(spec, [], L=9) == 1.0 and passes == []
+    # the partition-function battery: its four fixed specs, then one pass
+    # for the config's S_L and its truncation diagnostic
+    passes.clear(), cuts.clear()
+    verify.battery_partition_function(spec, 8)
+    assert passes == [40] * 4 + [8] and cuts == [None] * 4 + [3]
 
 
 def _sequences(m, L):
