@@ -25,10 +25,11 @@ which poles a contour encloses:
   the distance from its center to the other centers of its level, to 0 and
   to the unit circle (`_separated`): the trapezoid error falls like 16^-N,
   and every action is accepted at its first doubling, 8 -> 16 nodes, from
-  one 16-node pass. The bare x-circle
-  contour is kept as ``contour_mode="stated"`` because its q-power
-  coefficients are still exactly the correlation quantities (both facts
-  are pinned down in the test suite).
+  one 16-node pass. The radii are always derived from the qs, xs and ys.
+  The Z action keeps the bare x-circle contour as
+  ``contour_mode="stated"`` because its q-power coefficients are still
+  exactly the correlation quantities (both facts are pinned down in the
+  test suite); it is the quadrature reference of `stated_action_Z`.
 
 Every product form here is the Cauchy form G = prod_{i<j} f(x_i x_j)
 prod_i g(x_i) of Z(.; Y) and F(.; Y): g = prod_y 1/(1 - xy), and f =
@@ -117,9 +118,10 @@ def apply_direct(F, xs, r, q, t=None):
     return q ** (r * (r - 1) // 2) * total
 
 
-def eigenvalue(lam, n, r, q, t=None):
-    """e_r evaluated at the spectrum (q^{lam_1} t^{n-1}, ..., q^{lam_n} t^0)."""
-    return complex(_elementary([tuple(lam)], n, r, q, q if t is None else t)[r][0])
+def eigenvalue(lam, n, r, q):
+    """e_r evaluated at the spectrum (q^{lam_1} t^{n-1}, ..., q^{lam_n} t^0)
+    at t = q, where the Schur polynomials are the eigenfunctions."""
+    return complex(_elementary([tuple(lam)], n, r, q, q)[r][0])
 
 
 def _elementary(lams, n, top, q, t):
@@ -506,8 +508,7 @@ def _validate_disks(qs, centers, radii):
                             "an earlier-variable pole reaches a later variable")
 
 
-def _iterated_action(qs, X, Y, with_boundary, radii, tol, contour_mode,
-                     full_output):
+def _iterated_action(qs, X, Y, with_boundary, tol, contour_mode, full_output):
     qs = [complex(q) for q in qs]
     xs = [complex(x) for x in X]
     ys = [complex(y) for y in Y]
@@ -518,25 +519,16 @@ def _iterated_action(qs, X, Y, with_boundary, radii, tol, contour_mode,
         return ((value, {"nodes": (), "last_delta": 0.0, "grid_points": 0,
                          "radii": []})
                 if full_output else value)
-    if contour_mode == "shift_images":
-        centers = _image_centers(qs, xs)
-    elif contour_mode == "stated":
+    if contour_mode not in ("shift_images", "stated"):
+        raise ValueError("contour_mode must be 'shift_images' or 'stated'")
+    radii = choose_radii(qs, xs, ys)
+    if contour_mode == "stated":
         centers = [list(xs)] * d
     else:
-        raise ValueError("contour_mode must be 'shift_images' or 'stated'")
-    if radii is None:
-        radii = choose_radii(qs, xs, ys)
-        if contour_mode == "shift_images":
-            radii = _separated(radii, centers)
-    if len(radii) != d or any(radii[i] <= radii[i + 1] for i in range(d - 1)):
-        raise ContourConditionError("radii must strictly decrease, one per operator")
-    # stated distance check (hard error per the contract)
-    D = _stated_condition_distance(qs, xs, ys)
-    if D <= radii[0]:
-        raise ContourConditionError(
-            f"distance condition fails: gap {D:.3g} <= r_1 {radii[0]:.3g}")
-    if contour_mode == "shift_images" and d > 1:
-        _validate_disks(qs, centers, radii)
+        centers = _image_centers(qs, xs)
+        radii = _separated(radii, centers)
+        if d > 1:
+            _validate_disks(qs, centers, radii)
 
     contours = [quad.circles_around(centers[j], radii[j]) for j in range(d)]
     try:
@@ -553,30 +545,30 @@ def _iterated_action(qs, X, Y, with_boundary, radii, tol, contour_mode,
     return value
 
 
-def iterated_action_Z(qs, X, Y, radii=None, tol=1e-9, contour_mode="shift_images",
+def iterated_action_Z(qs, X, Y, tol=1e-9, contour_mode="shift_images",
                       full_output=False):
     """d-fold one-row action on the free-boundary partition function Z(X;Y).
 
     Returns the operator value (not divided by Z). With the default
     shift-image contours this equals the composition of the d direct
     actions; the "stated" contour keeps bare x-circles only, whose
-    q-coefficients are still the correlation quantities. Without radii,
-    `choose_radii` sets them, scaled down on shift-image contours until
-    every circle lies within a sixteenth of the distance from its center to
-    the other centers of its level, to 0 and to the unit circle
-    (`_separated`). full_output adds the
-    quadrature's `nodes`, `last_delta` and `grid_points`, and the per-level
-    `radii` the contours used. A QuadratureError is re-raised naming the
-    action and its qs, with the same estimates.
+    q-coefficients are still the correlation quantities, and is the
+    quadrature reference of `stated_action_Z`. `choose_radii` sets the
+    radii, scaled down on shift-image contours until every circle lies
+    within a sixteenth of the distance from its center to the other centers
+    of its level, to 0 and to the unit circle (`_separated`). full_output
+    adds the quadrature's `nodes`, `last_delta` and `grid_points`, and the
+    per-level `radii` the contours used. A QuadratureError is re-raised
+    naming the action and its qs, with the same estimates.
     """
-    return _iterated_action(qs, X, Y, True, radii, tol, contour_mode, full_output)
+    return _iterated_action(qs, X, Y, True, tol, contour_mode, full_output)
 
 
-def iterated_action_F(qs, X, Y, radii=None, tol=1e-9, contour_mode="shift_images",
-                      full_output=False):
-    """d-fold one-row action on the two-sided partition function F(X;Y);
-    full_output and errors as in `iterated_action_Z`."""
-    return _iterated_action(qs, X, Y, False, radii, tol, contour_mode, full_output)
+def iterated_action_F(qs, X, Y, tol=1e-9, full_output=False):
+    """d-fold one-row action on the two-sided partition function F(X;Y), on
+    the shift-image contours; full_output and errors as in
+    `iterated_action_Z`."""
+    return _iterated_action(qs, X, Y, False, tol, "shift_images", full_output)
 
 
 def stated_action_Z(qs, X, Y):

@@ -252,9 +252,9 @@ def truncation_diagnostic(spec, L, full_output=False):
     return (diag, s_l) if full_output else diag
 
 
-def correlation_oracle(spec, T, L=30, n_terms=None, full_output=False):
+def correlation_oracle(spec, T, L=30, full_output=False):
     """Probability that every point of T lies in the level configurations
-    {lam_i - i : 1 <= i <= n_terms}, by truncated enumeration. full_output
+    {lam_i - i : i >= 1}, by truncated enumeration. full_output
     adds the info of the same pass: `imag_defect` 0, the weight cap `L`,
     Z's `truncation_diagnostic`, the value's own truncation estimate
     `value_truncation` |E_L - E_{L-5}| / |E_L| (None when E_L is 0; E_{L-5}
@@ -264,16 +264,12 @@ def correlation_oracle(spec, T, L=30, n_terms=None, full_output=False):
     per_level = T.by_level(spec.m)
     if not T.points and not full_output:
         return 1.0
-    if n_terms is None:
-        n_terms = L + max(0, -min((t for _, t in T.points), default=0)) + 1
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
 
     def indicator(i, rows):
-        # past the stored rows lam_i - i = -i: t < -depth is a point iff -t <= n_terms
+        # past the stored rows lam_i - i = -i: every t < -depth is a point
         depth = rows.shape[1]
-        coords = rows[:, :n_terms] - np.arange(1, min(depth, n_terms) + 1)
-        return np.all([(coords == t).any(axis=1) | (depth < -t <= n_terms)
+        coords = rows - np.arange(1, depth + 1)
+        return np.all([(coords == t).any(axis=1) | (-t > depth)
                        for t in per_level[i + 1]], axis=0)
 
     if not full_output:         # a value alone carries no cut sums
@@ -286,17 +282,16 @@ def correlation_oracle(spec, T, L=30, n_terms=None, full_output=False):
                    "value_truncation": abs(value - prev) / value if value else None}
 
 
-def observable_expectation_oracle(qs_by_level, spec, L=30, ns=None):
+def observable_expectation_oracle(qs_by_level, spec, L=30):
     """Truncated expectation of prod over levels i and their q's of
-    sum_{k=1}^{n_i} q^{lam^(i)_k + n_i - k}."""
+    sum_{k=1}^{n_i} q^{lam^(i)_k + n_i - k}, n_i the number of rho^+_i
+    values."""
     qs_by_level = [list(map(complex, qs)) for qs in qs_by_level]
     if len(qs_by_level) != spec.m:
         raise ValueError("need one q-list per level")
-    if ns is None:
-        ns = [len(s) for s in spec.rho_plus]
 
     def observable(i, rows):
-        qs, n = qs_by_level[i], ns[i]
+        qs, n = qs_by_level[i], len(spec.rho_plus[i])
         lam = np.pad(rows[:, :n], ((0, 0), (0, max(0, n - rows.shape[1]))))
         powers = lam + np.arange(n - 1, -1, -1)
         return math.prod((q ** powers).sum(axis=1) for q in qs)

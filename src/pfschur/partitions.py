@@ -108,11 +108,25 @@ class HorizontalStrips:
         return h
 
 
+# Bytes of one gathered grid block of `_chain_sums`: as quadrature's 64 KiB
+# blocks, under glibc's 128 KiB mmap threshold, so that the temporaries of
+# a large grid are reused from the heap instead of being mapped and
+# unmapped on every transfer.
+_GRID_BYTES = 2 ** 16
+
+
 def _chain_sums(h, grid, T):
     """h gathered onto one row's chains-by-positions grid (a cell that no
     entry holds reads the 0 appended past h), times T, read back; the
-    leading axes of h stack into the rows of one matrix product."""
+    leading axes of h stack into the rows of one matrix product. Sums whose
+    grids together pass `_GRID_BYTES` go through in blocks of as many whole
+    sums as stay within it, at least one."""
     cells, source, width = grid
+    sums, per_sum = h.size // h.shape[-1], len(source) * max(h.itemsize, T.itemsize)
+    if sums > 1 and sums * per_sum > _GRID_BYTES:
+        block, flat = max(1, _GRID_BYTES // per_sum), h.reshape(sums, -1)
+        return np.concatenate([_chain_sums(flat[start:start + block], grid, T)
+                               for start in range(0, sums, block)]).reshape(h.shape)
     H = np.concatenate((h, np.zeros(h.shape[:-1] + (1,))), axis=-1).take(source, axis=-1)
     return (H.reshape(-1, width) @ T[:width, :width]).reshape(H.shape).take(cells, axis=-1)
 

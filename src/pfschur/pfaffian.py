@@ -53,15 +53,16 @@ def _pfaffian_expand(A):
 def _pfaffian_ltl(A):
     """Pivoted skew elimination: congruence transforms accumulate the Pfaffian
     as the product of the (2k, 2k+1) pivots, with each row/column interchange
-    flipping the sign."""
+    flipping the sign. An interchange swaps whole rows and columns: the
+    eliminated ones are never read again."""
     A = A.copy()
     n = A.shape[0]
     val = 1.0 + 0j
     for k in range(0, n - 1, 2):
         kp = k + 1 + int(np.argmax(np.abs(A[k + 1:, k])))
         if kp != k + 1:
-            A[[k + 1, kp], k:] = A[[kp, k + 1], k:]
-            A[k:, [k + 1, kp]] = A[k:, [kp, k + 1]]
+            A[[k + 1, kp]] = A[[kp, k + 1]]
+            A[:, [k + 1, kp]] = A[:, [kp, k + 1]]
             val = -val
         pivot = A[k + 1, k]
         if pivot == 0:
@@ -69,8 +70,8 @@ def _pfaffian_ltl(A):
         val *= A[k, k + 1]
         if k + 2 < n:
             tau = A[k, k + 2:] / A[k, k + 1]
-            A[k + 2:, k + 2:] += (np.outer(tau, A[k + 2:, k + 1])
-                                  - np.outer(A[k + 2:, k + 1], tau))
+            c = A[k + 2:, k + 1]
+            A[k + 2:, k + 2:] += tau[:, None] * c - c[:, None] * tau
     return val
 
 

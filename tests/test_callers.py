@@ -1,5 +1,6 @@
 """Every top-level function and class of the package, and every method of
-its classes, has a caller.
+its classes, has a caller, and every optional parameter of each is passed
+by some caller.
 
 A name defined in src/pfschur/ must be referred to somewhere in src/, demos/
 or perfbench/*.py (the benchmark's harness, not its tests). A reference is a
@@ -12,6 +13,15 @@ References inside a definition to its own name, or to the name of a
 definition around it, do not count, so recursion is not a caller. A
 re-export in src/pfschur/__init__.py is not a caller either, and neither are
 tests: code that only a test calls belongs with the tests.
+
+An optional parameter (one with a default) of a package function, method
+or class constructor must be passed, by position or by keyword, at some
+call of that name in the same files; a call with *args or **kwargs passes
+every parameter it could reach. A call through a local alias counts as a
+call of each name the alias is bound to: `name = f`, `name = f if c else
+g`, and a loop `for a, f in ((x, f), (y, g))` over a literal tuple of
+tuples. `TEST_ONLY_OPTIONS` lists the few options that only tests set, each
+with its reason.
 """
 
 import ast
@@ -74,3 +84,123 @@ def uncalled():
 
 def test_every_top_level_definition_has_a_caller():
     assert uncalled() == []
+
+
+# (qualified name, parameter): options that only tests set, and why
+TEST_ONLY_OPTIONS = {
+    ("verify.battery_eigenrelation", "tol"): "tests force a failing row",
+    ("verify.battery_eigenrelation", "draws"): "tests shrink the run",
+    ("verify.battery_contour_action", "tol"): "tests force a failing row",
+    ("verify.battery_contour_action", "draws"): "tests shrink the run",
+    ("macdonald.apply_via_contour", "tol"): "tests tighten the quadrature",
+    ("macdonald.iterated_action_Z", "tol"): "tests tighten the quadrature",
+    ("macdonald.iterated_action_F", "tol"): "tests tighten the quadrature",
+}
+
+
+def _options(path):
+    """(qualified name, call name, positional parameters, optional
+    parameters) of each function, method and class constructor of a package
+    module; a method's positional parameters leave out self, a class's are
+    those of its __init__, and a dunder method other than __init__ is not
+    listed."""
+    def signature(fn, bound):
+        args = fn.args
+        positional = [a.arg for a in args.posonlyargs + args.args][bound:]
+        optional = positional[len(positional) - len(args.defaults):]
+        optional += [a.arg for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                     if default is not None]
+        return positional, optional
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in _parse(path).body:
+        if isinstance(node, functions):
+            yield f"{path.stem}.{node.name}", node.name, *signature(node, 0)
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if not isinstance(sub, functions):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in sub.decorator_list)
+                if sub.name == "__init__":
+                    yield f"{path.stem}.{node.name}", node.name, *signature(sub, 1)
+                elif not sub.name.startswith("__"):
+                    yield (f"{path.stem}.{node.name}.{sub.name}", sub.name,
+                           *signature(sub, 0 if static else 1))
+
+
+def _names(node):
+    """The names an expression may evaluate to, as far as an alias goes."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.IfExp):
+        return _names(node.body) | _names(node.orelse)
+    return set()
+
+
+def _aliases(tree):
+    """Each local name bound to a function by a plain assignment or by a
+    loop over a literal tuple of tuples, and the names it is bound to."""
+    bound = {}
+    for node in ast.walk(tree):
+        pairs = []
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            pairs = [(node.targets[0], node.value)]
+        elif isinstance(node, ast.For) and isinstance(node.target, ast.Tuple) \
+                and isinstance(node.iter, (ast.Tuple, ast.List)):
+            pairs = [pair for item in node.iter.elts if isinstance(item, ast.Tuple)
+                     and len(item.elts) == len(node.target.elts)
+                     for pair in zip(node.target.elts, item.elts)]
+        for target, value in pairs:
+            if isinstance(target, ast.Name) and _names(value):
+                bound.setdefault(target.id, set()).update(_names(value))
+    return bound
+
+
+def _calls(node, aliases, own=frozenset()):
+    """(callee name, positional count or None, keyword names or None) of
+    each call under node, None where *args or **kwargs may pass anything;
+    a call inside a definition of the same name is not counted."""
+    if isinstance(node, DEFINITIONS):
+        own = own | {node.name}
+    if isinstance(node, ast.Call):
+        positional = (None if any(isinstance(a, ast.Starred) for a in node.args)
+                      else len(node.args))
+        keywords = (None if any(k.arg is None for k in node.keywords)
+                    else {k.arg for k in node.keywords})
+        for name in _names(node.func):
+            for callee in ({name} | aliases.get(name, set())) - own:
+                yield callee, positional, keywords
+    for child in ast.iter_child_nodes(node):
+        yield from _calls(child, aliases, own)
+
+
+def unpassed():
+    """The optional parameters that no call in src/, demos/ or perfbench/*.py
+    passes, as (qualified name, parameter)."""
+    calls = {}
+    for path in CALLERS:
+        tree = _parse(path)
+        for callee, positional, keywords in _calls(tree, _aliases(tree)):
+            calls.setdefault(callee, []).append((positional, keywords))
+
+    def passed(name, index, param):
+        return any(positional is None or keywords is None
+                   or (index is not None and index < positional) or param in keywords
+                   for positional, keywords in calls.get(name, []))
+    return sorted((qualified, param) for path in sorted(PACKAGE.glob("*.py"))
+                  for qualified, name, positional, optional in _options(path)
+                  for param in optional
+                  if not passed(name, positional.index(param)
+                                if param in positional else None, param))
+
+
+def test_every_option_is_passed_by_a_caller():
+    stray = [option for option in unpassed() if option not in TEST_ONLY_OPTIONS]
+    assert not stray, "only tests set " + ", ".join(
+        f"{qualified}({param})" for qualified, param in stray)
+
+
+def test_every_listed_option_is_still_only_set_by_tests():
+    assert set(TEST_ONLY_OPTIONS) <= set(unpassed())

@@ -289,7 +289,7 @@ def test_principal_pfaffian_factorization():
 
 def test_radius_sweep_reports_inadmissible_reading():
     oracle = correlation_oracle(SPEC_M1, [(1, 0)], L=40)
-    out = radius_sweep(SPEC_M1, [(1, 0)], CFG, oracle, samples=2)
+    out = radius_sweep(SPEC_M1, [(1, 0)], CFG, oracle)
     assert out["oracle"] == oracle and out["T"] == [[1, 0]]
     assert any(r["pass"] for r in out["rows"])
     bad = [r for r in out["rows"] if "encloses" in r["note"]]
@@ -306,8 +306,8 @@ def test_radius_sweep_trials_keep_every_other_field(monkeypatch):
     cfg = KernelConfig(quad_tol=1e-7, start_nodes=32, max_nodes=2 ** 10,
                        sign_convention=SIGN_BR, h_assignment="display",
                        k12_regime="literal")
-    radius_sweep(SPEC_M1, [(1, 0)], cfg, oracle_value=0.0, samples=2)
-    assert len(seen) == 3
+    radius_sweep(SPEC_M1, [(1, 0)], cfg, oracle_value=0.0)
+    assert len(seen) == 4
     for trial in seen:
         assert trial.max_nodes == 2 ** 10
         assert trial == replace(cfg, radii=trial.radii)
@@ -317,9 +317,9 @@ def test_radius_sweep_turns_nonconvergence_into_an_error_row(monkeypatch):
     def fail(spec, T, cfg, full_output=False):
         raise QuadratureError("kernel entry did not converge", (0j, 1j))
     monkeypatch.setattr(kernels, "correlation_via_kernel", fail)
-    out = radius_sweep(SPEC_M1, [(1, 0)], CFG, 0.5, samples=2)
+    out = radius_sweep(SPEC_M1, [(1, 0)], CFG, 0.5)
     assert [row["error"] for row in out["rows"]] == \
-        ["kernel entry did not converge"] * 3
+        ["kernel entry did not converge"] * 4
     assert not any(row["pass"] for row in out["rows"])
 
 
@@ -328,4 +328,4 @@ def test_radius_sweep_lets_a_programming_error_through(monkeypatch):
         raise TypeError("bug in assembly")
     monkeypatch.setattr(kernels, "correlation_via_kernel", bug)
     with pytest.raises(TypeError, match="bug in assembly"):
-        radius_sweep(SPEC_M1, [(1, 0)], CFG, 0.5, samples=2)
+        radius_sweep(SPEC_M1, [(1, 0)], CFG, 0.5)

@@ -134,10 +134,9 @@ def test_correlation_window_complementation():
     # of points there, computed by direct enumeration
     X = Specialization([0.5, 0.25])
     spec = ProcessSpec([X], [X])
-    L, n_terms = 20, 26
+    L = 20
     window = range(-6, L + 1)
-    total = sum(correlation_oracle(spec, [(1, t)], L=L, n_terms=n_terms)
-                for t in window)
+    total = sum(correlation_oracle(spec, [(1, t)], L=L) for t in window)
 
     from pfschur.partitions import point_configuration
     num = 0.0
@@ -145,7 +144,7 @@ def test_correlation_window_complementation():
     for lam in enumerate_up_to_weight(L, 2):
         w = (tau(lam, X) * schur(lam, X)).real
         den += w
-        pts = point_configuration(lam, n_terms)
+        pts = point_configuration(lam, 26)          # every site down to -26
         num += w * sum(1 for t in window if t in pts)
     assert abs(total - num / den) < 1e-9
 
@@ -307,20 +306,20 @@ def test_oracles_match_a_literal_sequence_sum(spec, L):
     m = spec.m
     level = random.Random(L * 10 + m).randint(1, m)
     cap = sum(len(s) for s in spec.rho_plus)       # the partition list's row cap
-    point_sets = [                                  # (T, n_terms)
-        ([(level, -1), (level, 0)], L + 4),
-        ([(level, -cap - 2), (level, -1)], L + cap + 2),   # below every row, a point
-        ([(level, 0)], max(1, cap - 1)),                   # n_terms below the row cap
-        ([(level, -2)], 1),                                # below -n_terms: never a point
-        ([(level, -cap - 2)], cap + 1),                    # below the rows and -n_terms
+    point_sets = [
+        [(level, -1), (level, 0)],
+        [(level, -cap - 2), (level, -1)],           # below every row, a point
+        [(level, -cap)],                            # the site of the lowest row
+        [(level, -cap - 1)],                        # just below the rows
     ]
     q = complex(-0.45, 0.3)
     qs = [[q, q.conjugate()] if i == level - 1 else [] for i in range(m)]
     ns = [len(s) for s in spec.rho_plus]
 
-    def indicator(i, T, n_terms):
+    def indicator(i, T):
         want = {t for lvl, t in T if lvl == i + 1}
-        return lambda lam: float(want <= point_configuration(lam, n_terms))
+        # every site down to -(L + cap + 3), past every point of T
+        return lambda lam: float(want <= point_configuration(lam, L + cap + 3))
 
     def observable(i):
         n = ns[i]
@@ -333,13 +332,13 @@ def test_oracles_match_a_literal_sequence_sum(spec, L):
 
     pf, sc, (obs, *nums) = _literal_sums(
         spec, L, [[observable(i) for i in range(m)]]
-        + [[indicator(i, T, n_terms) for i in range(m)] for T, n_terms in point_sets])
+        + [[indicator(i, T) for i in range(m)] for T in point_sets])
     assert abs(partition_function_truncated(spec, "pfaffian", L) - pf) < 1e-13 * pf
     assert abs(partition_function_truncated(spec, "schur", L) - sc) < 1e-13 * sc
-    for (T, n_terms), num in zip(point_sets, nums):
-        got = correlation_oracle(spec, T, L=L, n_terms=n_terms)
-        assert abs(got - num.real / pf) <= 1e-13 * abs(num.real / pf), (T, n_terms)
-    got = observable_expectation_oracle(qs, spec, L=L, ns=ns)
+    for T, num in zip(point_sets, nums):
+        got = correlation_oracle(spec, T, L=L)
+        assert abs(got - num.real / pf) <= 1e-13 * abs(num.real / pf), T
+    got = observable_expectation_oracle(qs, spec, L=L)
     assert abs(got - obs / pf) < 1e-13 * max(1.0, abs(obs / pf))
 
 

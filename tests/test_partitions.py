@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pfschur import partitions
 from pfschur.partitions import (conjugate, contains, enumerate_up_to_weight,
                                 even_conjugate_subpartitions,
                                 horizontal_strips, is_even_conjugate,
@@ -98,6 +99,34 @@ def test_strip_transfers_match_the_branching_rule(L, cap):
     assert np.allclose(strips.down(h, x), M.T @ h, rtol=1e-14, atol=0)
     assert list(strips.length) == [len(lam) for lam in parts]
     assert list(strips.even) == [is_even_conjugate(lam) for lam in parts]
+
+
+@pytest.mark.parametrize("L, cap, budget, scale", [
+    (20, 3, 1, 1.0),                            # one sum per block
+    (20, 3, 2 ** 14, 1 + 2j),                   # two, then a last one
+    (40, 3, partitions._GRID_BYTES, 1.0),       # the shipped budget: one each
+])
+def test_blocked_transfers_match_one_block(monkeypatch, L, cap, budget, scale):
+    """Five stacked sums through grids past the byte budget go in blocks of
+    whole sums and give the one-block sums. A row's products add the same
+    terms in both, but OpenBLAS may order them differently at another row
+    count, so they agree to rounding (1 ulp seen at (40, 3)), not bitwise."""
+    strips = horizontal_strips(L, cap)
+    h = np.random.default_rng(L).uniform(0.5, 1.5, size=(5, len(strips.length))) * scale
+    chain_sums, calls = partitions._chain_sums, []
+
+    def spy(h, grid, T):
+        calls.append(h.shape)
+        return chain_sums(h, grid, T)
+    monkeypatch.setattr(partitions, "_GRID_BYTES", 2 ** 62)
+    whole = strips.up(h, 0.37), strips.down(h, 0.37)
+    monkeypatch.setattr(partitions, "_chain_sums", spy)
+    monkeypatch.setattr(partitions, "_GRID_BYTES", budget)
+    blocked = strips.up(h, 0.37), strips.down(h, 0.37)
+    assert min(shape[0] for shape in calls) < 5         # some grid was split
+    for a, b in zip(blocked, whole):
+        assert a.shape == b.shape
+        assert np.allclose(a, b, rtol=1e-15, atol=0)
 
 
 def test_even_conjugate_subpartitions():

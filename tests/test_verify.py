@@ -54,6 +54,30 @@ def test_compare_verdict_passes_the_paper_sign_and_fails_the_br_sign():
         assert out["verdict"] == verdict
 
 
+def test_relative_distances_read_the_same_rows(monkeypatch):
+    # each rel_delta is its row's absolute distance over |oracle value|, and
+    # None at an oracle value of 0; no verdict or pass reads it
+    def check(oracle_value):
+        report = verify.compare_methods(SPEC, POINTS, CFG, L=6)
+        assert report["results"][0]["value"] == oracle_value
+        adj = report["sign_adjudication"]
+        sweep = kernels.radius_sweep(SPEC, POINTS, CFG, oracle_value)["rows"]
+        pairs = [(adj["delta"], adj["rel_delta"]),
+                 (adj["flipped_delta"], adj["flipped_rel_delta"])]
+        pairs += [(row["delta"], row["rel_delta"]) for row in sweep if "value" in row]
+        assert len(pairs) >= 5 and all("rel_delta" not in row for row in sweep
+                                       if "error" in row)
+        for delta, rel in pairs:
+            assert rel == (delta / abs(oracle_value) if oracle_value else None)
+        assert [row["pass"] for row in sweep if "value" in row] == \
+            [row["delta"] < 1e-3 for row in sweep if "value" in row]
+    check(measures.correlation_oracle(SPEC, POINTS, L=6))
+    oracle = measures.correlation_oracle
+    monkeypatch.setattr(measures, "correlation_oracle",
+                        lambda *args, **kw: (0.0, oracle(*args, **kw)[1]))
+    check(0.0)
+
+
 def test_symfunc_battery_passes_on_every_seed():
     # at 182 and 783 the even-conjugate shapes above weight 40 add more than 1e-10
     failed = [(seed, row["name"]) for seed in [*range(60), 182, 783]
