@@ -309,7 +309,7 @@ def test_oracles_match_a_literal_sequence_sum(spec, L):
     point_sets = [
         [(level, -1), (level, 0)],
         [(level, -cap - 2), (level, -1)],           # below every row, a point
-        [(level, -cap)],                            # the site of the lowest row
+        [(level, -cap)],                            # the lowest row the list can hold
         [(level, -cap - 1)],                        # just below the rows
     ]
     q = complex(-0.45, 0.3)
