@@ -1,8 +1,9 @@
 """Batch front-end: JSON config in, JSON/CSV report out.
 
-Every correlation row (`correlate`'s, `compare`'s two) is built by
-`verify.correlation_row`, and a command computes each route once: the
-sweeps are handed the oracle value. `--method` names a route of
+Every correlation row (`correlate`'s, `compare`'s two, `sweep-radii`'s
+oracle row) is built by `verify.correlation_row`, and a command computes
+each route once: `sweep-radii` hands its oracle row to `verify.sweep_radii`,
+which judges the radius sweep against it. `--method` names a route of
 `verify.ROUTES`, and `BATTERIES` tabulates `verify-*`.
 
 Exit codes: 0 success, 1 config error (a config that cannot be read or a
@@ -213,8 +214,6 @@ def _parser():
     parser.add_argument("--method", default="oracle", choices=list(verify.ROUTES))
     parser.add_argument("--out", default=None, help="report path (stdout if omitted)")
     parser.add_argument("--format", default="json", choices=["json", "csv"])
-    parser.add_argument("--sweep-radii", action="store_true",
-                        help="append a radius sweep to a compare run")
     parser.add_argument("--sign-convention", default=None, choices=["paper", "br"])
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--truncation", type=int, default=None)
@@ -253,19 +252,14 @@ def _run(args):
         elif args.command == "compare":
             report = {"config_digest": cfgd["digest"],
                       **verify.compare_methods(spec, points, cfg, L=cfgd["L"])}
-            if args.sweep_radii:
-                report["radius_sweep"] = verify.timed(
-                    report["timing"]["sections"], "radius_sweep",
-                    lambda: kernels.radius_sweep(spec, points, cfg,
-                                                 report["results"][0]["value"]))
         else:  # sweep-radii
             sections = {}
-            oracle = verify.timed(sections, "oracle", lambda: measures.correlation_oracle(
-                spec, points, L=cfgd["L"]))
-            report = {"config_digest": cfgd["digest"], "results": [],
+            oracle = verify.timed(sections, "oracle", lambda: verify.correlation_row(
+                "oracle", spec, points, cfg, cfgd["L"]))
+            report = {"config_digest": cfgd["digest"], "results": [oracle],
                       "radius_sweep": verify.timed(
                           sections, "radius_sweep",
-                          lambda: kernels.radius_sweep(spec, points, cfg, oracle)),
+                          lambda: verify.sweep_radii(spec, points, cfg, oracle)),
                       "timing": {"sections": sections}}
     except QuadratureError as exc:
         prev, last = exc.estimates

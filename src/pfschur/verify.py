@@ -13,6 +13,8 @@ power sums of each H/H0 draw as one array. A batched draw is still accepted
 at its own doubling, and every check keeps its row, name and tolerance.
 Tolerances are literals, but the eigenrelation and contour-action batteries
 take a `tol` and `draws`, which tests set to force a failure or shrink a run.
+A row's worst case is folded with `np.maximum`, which keeps a NaN, so a
+check that gives NaN fails its row.
 """
 
 import time
@@ -62,7 +64,7 @@ def battery_symfunc(seed=0):
         lhs = symfunc.schur(lam, X | Y)
         rhs = sum(symfunc.skew_schur(lam, mu, X) * symfunc.schur(mu, Y)
                   for mu in subpartitions(lam))
-        worst = max(worst, abs(lhs - rhs))
+        worst = np.maximum(worst, abs(lhs - rhs))
     rows.append(_row("branching |lam|<=6", worst, 1e-10, {"shapes": len(shapes)}))
 
     # product forms vs power-sum exponentials, truncated at k = 60: the power
@@ -75,9 +77,9 @@ def battery_symfunc(seed=0):
         px = np.sum(xv ** np.arange(1, 121)[:, None], axis=1)
         py = np.sum(yv ** ks[:, None], axis=1)
         exp_form = np.exp(np.sum(px[:60] * py / ks))
-        worst = max(worst, abs(symfunc.cauchy_H(X, Y) - exp_form))
+        worst = np.maximum(worst, abs(symfunc.cauchy_H(X, Y) - exp_form))
         exp0 = np.exp(np.sum((px[:60] ** 2 - px[1::2]) / (2 * ks)))
-        worst = max(worst, abs(symfunc.H0(X) - exp0))
+        worst = np.maximum(worst, abs(symfunc.H0(X) - exp0))
     rows.append(_row("H, H0 product vs exponential", worst, 1e-12,
                      {"power_sums": draws * (120 + 60)}))
 
@@ -132,7 +134,7 @@ def battery_eigenrelation(seed=0, tol=1e-10, draws=50):
         res, info = macdonald.eigen_residual(
             [lam for lam in lams if len(lam) <= n], list(np.reshape(xs, (draws, n)).T),
             range(1, n + 1), q, q, full_output=True)
-        worst = max(worst, res.max(initial=0.0))
+        worst = np.maximum(worst, res.max(initial=0.0))
         for key in ("point_sets", "schur_values"):
             counts[key] += info[key]
     tneq = (0.2 + 0.4 * rng.random()) * np.exp(2j * np.pi * rng.random())
@@ -179,13 +181,12 @@ def battery_contour_action(seed=0, tol=1e-8, draws=20):
         contour, info = macdonald.apply_via_contour(
             macdonald.ProductFormFunction(list(ys.T)), list(xs.T), r, q,
             full_output=True)
-        worst = max(worst, float(np.max(np.abs(direct - contour)
-                                        / (np.abs(direct) + 1))))
+        worst = np.maximum(worst, np.max(np.abs(direct - contour) / (np.abs(direct) + 1)))
         max_nodes = max(max_nodes, int(np.max(info["nodes"])))
-        max_last_delta = max(max_last_delta, float(np.max(info["last_delta"])))
+        max_last_delta = np.maximum(max_last_delta, np.max(info["last_delta"]))
         grid_points += info["grid_points"]
     return [_row(f"contour action vs direct, {draws} product-form draws", worst, tol,
-                 {"max_nodes": max_nodes, "max_last_delta": max_last_delta,
+                 {"max_nodes": max_nodes, "max_last_delta": float(max_last_delta),
                   "draws": draws, "grid_points": grid_points})]
 
 
@@ -294,13 +295,13 @@ def battery_pfaffian(seed=0):
         A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         A = A - A.T
         det = np.linalg.det(A)
-        worst = max(worst, abs(pfaffian(A) ** 2 - det) / abs(det))
+        worst = np.maximum(worst, abs(pfaffian(A) ** 2 - det) / abs(det))
     rows.append(_row("Pf^2 = det, dims 2..12", worst, 1e-9, _evaluated(dims)))
 
     worst = 0.0
     for d in (1, 2, 3):
         u = (0.1 + 0.75 * rng.random(2 * d)) * np.exp(2j * np.pi * rng.random(2 * d))
-        worst = max(worst, verify_schur_pfaffian(u))
+        worst = np.maximum(worst, verify_schur_pfaffian(u))
     rows.append(_row("Schur Pfaffian identity d<=3", worst, 1e-10,
                      _evaluated([2, 4, 6])))
 
@@ -310,7 +311,7 @@ def battery_pfaffian(seed=0):
         A = A - A.T
         pe = _pfaffian_expand(np.array(A))
         pl = _pfaffian_ltl(np.array(A))
-        worst = max(worst, abs(pe - pl) / (abs(pe) + 1))
+        worst = np.maximum(worst, abs(pe - pl) / (abs(pe) + 1))
     rows.append(_row("expansion vs elimination paths", worst, 1e-10,
                      _evaluated((4, 6, 8), routes=2)))
 
@@ -318,7 +319,7 @@ def battery_pfaffian(seed=0):
     for d in (1, 2, 3):
         qs = (0.15 + 0.5 * rng.random(d)) * np.exp(2j * np.pi * rng.random(d))
         zs = (0.15 + 0.5 * rng.random(d)) * np.exp(2j * np.pi * rng.random(d))
-        worst = max(worst, kernels.verify_principal_pfaffian_factorization(qs, zs))
+        worst = np.maximum(worst, kernels.verify_principal_pfaffian_factorization(qs, zs))
     rows.append(_row("coupling-product = Pf(M) factorization d<=3", worst, 1e-9,
                      _evaluated([2, 4, 6])))
     return rows
@@ -371,50 +372,68 @@ def correlation_row(method, spec, T, cfg, L, full_output=False):
     return (row, info) if full_output else row
 
 
+def distance(value, oracle_value):
+    """value's distance from oracle_value: `delta` |value - oracle_value| and
+    `rel_delta`, that over |oracle_value| (None at an oracle value of 0)."""
+    delta = abs(value - oracle_value)
+    return {"delta": delta,
+            "rel_delta": delta / abs(oracle_value) if oracle_value else None}
+
+
 def compare_methods(spec, T, cfg, L=30):
     """The oracle and the kernel row of the points T (`correlation_row`), the
     kernel row with its distance `delta_vs_oracle` from the oracle value,
-    the oracle's truncation diagnostic, the K22 sign adjudication (that
-    distance under cfg's sign convention and under the other one, whose
-    value is the Pfaffian of the same matrix with its K22 block negated:
-    `kernels.with_other_k22_sign`), each also relative to |oracle value|
-    (`rel_delta`, `flipped_rel_delta`; None at an oracle value of 0, and
-    read by no verdict), and the verdict against the threshold,
-    max(1e-3, 10 x the diagnostic): FAIL when the distance reaches it;
-    INCONCLUSIVE when it stays below a threshold that the truncation has
-    raised above 1e-3, since a short oracle cannot tell a wrong kernel from
-    a right one there; PASS otherwise. `timing` holds the wall seconds of
-    each row under `sections`."""
+    the oracle's truncation diagnostic, the K22 sign adjudication (the
+    `distance` from the oracle value under cfg's sign convention and under
+    the other one, whose value is the Pfaffian of the same matrix with its
+    K22 block negated: `kernels.with_other_k22_sign`; the relative distances
+    `rel_delta` and `flipped_rel_delta` are read by no verdict), and the
+    verdict against the threshold, max(1e-3, 10 x the diagnostic): FAIL
+    when the distance reaches it; INCONCLUSIVE when it stays below a
+    threshold that the truncation has raised above 1e-3, since a short
+    oracle cannot tell a wrong kernel from a right one there; PASS
+    otherwise. `timing` holds the wall seconds of each row under
+    `sections`."""
     sections = {}
     oracle = timed(sections, "oracle", lambda: correlation_row("oracle", spec, T, cfg, L))
     kernel, info = timed(sections, "kernel", lambda: correlation_row(
         "kernel", spec, T, cfg, L, full_output=True))
-    delta = kernel["delta_vs_oracle"] = abs(kernel["value"] - oracle["value"])
-    flipped_delta = abs(pfaffian(kernels.with_other_k22_sign(info["matrix"])).real
-                        - oracle["value"])
+    own = distance(kernel["value"], oracle["value"])
+    flipped = distance(pfaffian(kernels.with_other_k22_sign(info["matrix"])).real,
+                       oracle["value"])
+    kernel["delta_vs_oracle"] = own["delta"]
     diag = oracle["diagnostics"]["truncation_diagnostic"]
     threshold = max(1e-3, 10 * diag)
-
-    def relative(delta):
-        return delta / abs(oracle["value"]) if oracle["value"] else None
     return {
         "truncation_diagnostic": diag,
         "results": [oracle, kernel],
         "sign_adjudication": {
             "convention": cfg.sign_convention,
-            "delta": delta,
-            "rel_delta": relative(delta),
+            **own,
             "flipped_convention": (kernels.SIGN_BR
                                    if cfg.sign_convention == kernels.SIGN_PAPER
                                    else kernels.SIGN_PAPER),
-            "flipped_delta": flipped_delta,
-            "flipped_rel_delta": relative(flipped_delta),
+            "flipped_delta": flipped["delta"],
+            "flipped_rel_delta": flipped["rel_delta"],
         },
         "threshold": threshold,
-        "verdict": ("FAIL" if delta >= threshold
+        "verdict": ("FAIL" if own["delta"] >= threshold
                     else "INCONCLUSIVE" if threshold > 1e-3 else "PASS"),
         "timing": {"sections": sections},
     }
+
+
+def sweep_radii(spec, T, cfg, oracle_row):
+    """`kernels.radius_sweep` at the points T, judged against the value of
+    oracle_row (`correlation_row`'s oracle row), which the sweep carries as
+    its `oracle`: each row with a value gains its `distance` from it, and
+    every row a `pass`, delta < 1e-3; an error row fails."""
+    sweep = kernels.radius_sweep(spec, T, cfg)
+    for row in sweep["rows"]:
+        if "value" in row:
+            row.update(distance(row["value"], oracle_row["value"]))
+        row["pass"] = "value" in row and bool(row["delta"] < 1e-3)
+    return {**sweep, "oracle": oracle_row["value"]}
 
 
 def battery_quadrature():

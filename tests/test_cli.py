@@ -149,22 +149,26 @@ def test_compare_rows_carry_the_correlate_diagnostics(tmp_path, name):
     assert "delta_vs_oracle" not in kernel["diagnostics"]
 
 
-@pytest.mark.parametrize("command", [["compare", "--sweep-radii"], ["sweep-radii"]],
-                         ids=["compare", "sweep-radii"])
+@pytest.mark.parametrize("command", ["compare", "sweep-radii"])
 def test_a_sweep_computes_the_oracle_once(tmp_path, monkeypatch, command):
+    # one oracle pass per command, its row first in `results`, and the
+    # sweep's oracle is that row's value
     from pfschur import measures
     calls, oracle = [], measures.correlation_oracle
 
     def spy(*args, **kwargs):
-        calls.append(args)
+        calls.append((args, kwargs))
         return oracle(*args, **kwargs)
     monkeypatch.setattr(measures, "correlation_oracle", spy)
     out = tmp_path / "report.json"
-    assert run_cli([command[0], "--config", str(CONFIGS / "m1_singleton.json"),
-                    "--out", str(out), *command[1:]]) == 0
-    assert len(calls) == 1
-    sweep = read_report(out)["radius_sweep"]
-    assert sweep["oracle"] == oracle(*calls[0], L=40)
+    assert run_cli([command, "--config", str(CONFIGS / "m1_singleton.json"),
+                    "--out", str(out)]) == 0
+    (args, kwargs), = calls
+    report = read_report(out)
+    assert report["results"][0]["method"] == "oracle"
+    assert report["results"][0]["value"] == oracle(*args, **kwargs)[0]
+    if command == "sweep-radii":
+        assert report["radius_sweep"]["oracle"] == report["results"][0]["value"]
 
 
 def test_report_schema_and_determinism(tmp_path):
@@ -207,9 +211,8 @@ def test_verify_reports_time_each_battery_section(tmp_path):
 
 @pytest.mark.parametrize("command,sections", [
     (["compare"], {"oracle", "kernel"}),
-    (["compare", "--sweep-radii"], {"oracle", "kernel", "radius_sweep"}),
     (["sweep-radii"], {"oracle", "radius_sweep"})],
-    ids=["compare", "compare-sweep-radii", "sweep-radii"])
+    ids=["compare", "sweep-radii"])
 def test_compare_and_sweep_reports_time_their_stages(tmp_path, command, sections):
     # `timing` gains each stage's wall seconds; the rest stays deterministic
     config = str(CONFIGS / "m1_singleton.json")
@@ -225,30 +228,46 @@ def test_compare_and_sweep_reports_time_their_stages(tmp_path, command, sections
     assert strip_timing(reports[0]) == strip_timing(reports[1])
 
 
-@pytest.mark.parametrize("command", [["compare", "--sweep-radii"], ["sweep-radii"]],
-                         ids=["compare", "sweep-radii"])
+@pytest.mark.parametrize("command", ["sweep-radii"])
 def test_csv_reports_carry_the_radius_sweep_rows(tmp_path, command):
-    # one line per sweep row, after the result rows, with the sweep's points
-    # as T, the JSON report's value, and its other fields and the sweep's
-    # oracle as diagnostics
+    # the oracle row's line, then one line per sweep row with the sweep's
+    # points as T, the JSON report's value, and its other fields and the
+    # sweep's oracle as diagnostics
     config = str(CONFIGS / "m1_singleton.json")
     out, csv_out = tmp_path / "report.json", tmp_path / "report.csv"
-    assert run_cli([command[0], "--config", config, "--out", str(out),
-                    *command[1:]]) == 0
-    assert run_cli([command[0], "--config", config, "--out", str(csv_out),
-                    "--format", "csv", *command[1:]]) == 0
+    assert run_cli([command, "--config", config, "--out", str(out)]) == 0
+    assert run_cli([command, "--config", config, "--out", str(csv_out),
+                    "--format", "csv"]) == 0
     report = read_report(out)
     lines = list(csv.DictReader(csv_out.read_text().splitlines()))
-    sweep = report["radius_sweep"]
-    assert len(lines) == len(report["results"]) + len(sweep["rows"]) == (
-        len(report["results"]) + 4)
-    for line, row in zip(lines[len(report["results"]):], sweep["rows"]):
+    (oracle,), sweep = report["results"], report["radius_sweep"]
+    assert len(lines) == 1 + len(sweep["rows"]) == 5
+    assert lines[0]["method"] == "oracle"
+    assert float(lines[0]["value"]) == oracle["value"] == sweep["oracle"]
+    for line, row in zip(lines[1:], sweep["rows"]):
         assert line["method"] == "radius_sweep"
         assert json.loads(line["T"]) == sweep["T"] == [[1, 0]]
         assert float(line["value"]) == row["value"]
         diagnostics = json.loads(line["diagnostics"])
         assert diagnostics == {"oracle": sweep["oracle"],
                                **{k: v for k, v in row.items() if k != "value"}}
+
+
+@pytest.mark.parametrize("config,truncation", [
+    ("m1_twovar", 32), ("m2_d11", 31), ("m2_d11", 32), ("m2_d11", 33)])
+def test_every_command_reports_one_oracle_value(tmp_path, config, truncation):
+    # correlate, compare and sweep-radii read the oracle from the same row,
+    # so its value agrees bit for bit across them
+    reports = {}
+    for command in (["correlate", "--method", "oracle"], ["compare"], ["sweep-radii"]):
+        out = tmp_path / f"{command[0]}.json"
+        run_cli([*command, "--config", str(CONFIGS / f"{config}.json"),
+                 "--truncation", str(truncation), "--out", str(out)])
+        reports[command[0]] = read_report(out)
+    values = {reports["correlate"]["results"][0]["value"],
+              reports["compare"]["results"][0]["value"],
+              reports["sweep-radii"]["radius_sweep"]["oracle"]}
+    assert len(values) == 1, values
 
 
 def test_method_choices_are_the_route_table():
@@ -427,13 +446,13 @@ def test_kernel_row_flags_its_depth_failure(tmp_path):
         assert diagnostics["rel_last_delta"] < 1e-5
 
 
-def test_compare_with_sweep_flag(tmp_path):
-    out = tmp_path / "report.json"
-    assert run_cli(["compare", "--config", str(CONFIGS / "m1_singleton.json"),
-                    "--sweep-radii", "--out", str(out)]) == 0
-    report = read_report(out)
-    assert "radius_sweep" in report
-    assert any(r["pass"] for r in report["radius_sweep"]["rows"])
+def test_compare_with_sweep_flag(capsys):
+    # the radius sweep is `sweep-radii`'s alone: compare takes no sweep flag
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["compare", "--config", str(CONFIGS / "m1_singleton.json"),
+                 "--sweep-radii"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --sweep-radii" in capsys.readouterr().err
 
 
 def test_csv_output(tmp_path):

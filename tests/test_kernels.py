@@ -288,12 +288,15 @@ def test_principal_pfaffian_factorization():
 
 
 def test_radius_sweep_reports_inadmissible_reading():
+    # the scan holds no oracle and no threshold: each row is its radii, note
+    # and value, and only the inadmissible reading misses the oracle
     oracle = correlation_oracle(SPEC_M1, [(1, 0)], L=40)
-    out = radius_sweep(SPEC_M1, [(1, 0)], CFG, oracle)
-    assert out["oracle"] == oracle and out["T"] == [[1, 0]]
-    assert any(r["pass"] for r in out["rows"])
-    bad = [r for r in out["rows"] if "encloses" in r["note"]]
-    assert bad and not bad[0]["pass"]
+    out = radius_sweep(SPEC_M1, [(1, 0)], CFG)
+    assert set(out) == {"T", "rows"} and out["T"] == [[1, 0]]
+    assert [set(r) for r in out["rows"]] == [{"radii", "note", "value"}] * 4
+    *admissible, bad = out["rows"]
+    assert "encloses" in bad["note"] and abs(bad["value"] - oracle) > 0.1
+    assert all(abs(r["value"] - oracle) < 1e-8 for r in admissible)
 
 
 def test_radius_sweep_trials_keep_every_other_field(monkeypatch):
@@ -306,7 +309,7 @@ def test_radius_sweep_trials_keep_every_other_field(monkeypatch):
     cfg = KernelConfig(quad_tol=1e-7, start_nodes=32, max_nodes=2 ** 10,
                        sign_convention=SIGN_BR, h_assignment="display",
                        k12_regime="literal")
-    radius_sweep(SPEC_M1, [(1, 0)], cfg, oracle_value=0.0)
+    radius_sweep(SPEC_M1, [(1, 0)], cfg)
     assert len(seen) == 4
     for trial in seen:
         assert trial.max_nodes == 2 ** 10
@@ -317,10 +320,10 @@ def test_radius_sweep_turns_nonconvergence_into_an_error_row(monkeypatch):
     def fail(spec, T, cfg, full_output=False):
         raise QuadratureError("kernel entry did not converge", (0j, 1j))
     monkeypatch.setattr(kernels, "correlation_via_kernel", fail)
-    out = radius_sweep(SPEC_M1, [(1, 0)], CFG, 0.5)
+    out = radius_sweep(SPEC_M1, [(1, 0)], CFG)
     assert [row["error"] for row in out["rows"]] == \
         ["kernel entry did not converge"] * 4
-    assert not any(row["pass"] for row in out["rows"])
+    assert not any("value" in row for row in out["rows"])
 
 
 def test_radius_sweep_lets_a_programming_error_through(monkeypatch):
@@ -328,4 +331,4 @@ def test_radius_sweep_lets_a_programming_error_through(monkeypatch):
         raise TypeError("bug in assembly")
     monkeypatch.setattr(kernels, "correlation_via_kernel", bug)
     with pytest.raises(TypeError, match="bug in assembly"):
-        radius_sweep(SPEC_M1, [(1, 0)], CFG, 0.5)
+        radius_sweep(SPEC_M1, [(1, 0)], CFG)

@@ -55,27 +55,51 @@ def test_compare_verdict_passes_the_paper_sign_and_fails_the_br_sign():
 
 
 def test_relative_distances_read_the_same_rows(monkeypatch):
-    # each rel_delta is its row's absolute distance over |oracle value|, and
+    # every distance from the oracle is `verify.distance` from the oracle
+    # row's value: compare's kernel row, both sign conventions and each sweep
+    # row; each rel_delta is its absolute distance over |oracle value|, and
     # None at an oracle value of 0; no verdict or pass reads it
     def check(oracle_value):
         report = verify.compare_methods(SPEC, POINTS, CFG, L=6)
-        assert report["results"][0]["value"] == oracle_value
+        oracle, kernel = report["results"]
+        assert oracle["value"] == oracle_value
         adj = report["sign_adjudication"]
-        sweep = kernels.radius_sweep(SPEC, POINTS, CFG, oracle_value)["rows"]
-        pairs = [(adj["delta"], adj["rel_delta"]),
-                 (adj["flipped_delta"], adj["flipped_rel_delta"])]
-        pairs += [(row["delta"], row["rel_delta"]) for row in sweep if "value" in row]
-        assert len(pairs) >= 5 and all("rel_delta" not in row for row in sweep
+        assert kernel["delta_vs_oracle"] == adj["delta"]
+        sweep = verify.sweep_radii(SPEC, POINTS, CFG, oracle)
+        assert sweep["oracle"] == oracle_value
+        rows = sweep["rows"]
+        pairs = [(kernel["value"], adj["delta"], adj["rel_delta"])]
+        pairs += [(row["value"], row["delta"], row["rel_delta"])
+                  for row in rows if "value" in row]
+        assert len(pairs) >= 4 and all("rel_delta" not in row for row in rows
                                        if "error" in row)
-        for delta, rel in pairs:
+        for value, delta, rel in pairs:
+            assert {"delta": delta, "rel_delta": rel} == verify.distance(value, oracle_value)
             assert rel == (delta / abs(oracle_value) if oracle_value else None)
-        assert [row["pass"] for row in sweep if "value" in row] == \
-            [row["delta"] < 1e-3 for row in sweep if "value" in row]
+        assert adj["flipped_rel_delta"] == (
+            adj["flipped_delta"] / abs(oracle_value) if oracle_value else None)
+        assert [row["pass"] for row in rows if "value" in row] == \
+            [row["delta"] < 1e-3 for row in rows if "value" in row]
     check(measures.correlation_oracle(SPEC, POINTS, L=6))
     oracle = measures.correlation_oracle
     monkeypatch.setattr(measures, "correlation_oracle",
                         lambda *args, **kw: (0.0, oracle(*args, **kw)[1]))
     check(0.0)
+
+
+def test_sweep_radii_judges_the_scan_against_the_oracle_row(monkeypatch):
+    # a row passes below 1e-3 from the oracle row's value; an error row,
+    # which has no value and so no distance, fails
+    scan = {"T": [[1, 0]], "rows": [
+        {"radii": {}, "note": "near", "value": 0.5 + 5e-4},
+        {"radii": {}, "note": "far", "value": 0.5 - 2e-3},
+        {"radii": {}, "note": "broken", "error": "did not converge"}]}
+    monkeypatch.setattr(kernels, "radius_sweep", lambda spec, T, cfg: scan)
+    out = verify.sweep_radii(SPEC, [(1, 0)], CFG, {"value": 0.5})
+    assert out["T"] == [[1, 0]] and out["oracle"] == 0.5
+    assert [row["pass"] for row in out["rows"]] == [True, False, False]
+    assert out["rows"][0]["delta"] == abs(0.5 + 5e-4 - 0.5)
+    assert {"delta", "rel_delta"}.isdisjoint(out["rows"][2])
 
 
 def test_symfunc_battery_passes_on_every_seed():
@@ -149,3 +173,54 @@ def test_the_batched_moment_test_matches_one_integral_at_a_time(monkeypatch):
         # the batch sums its nodes in another order: within 1e-15 of the
         # summands' scale, sum |z^k w| = r^(k+1)
         assert abs(values[i] - value) <= 1e-15 * max(1.0, r ** (k + 1))
+
+
+# each battery folds its checks with a maximum that keeps a NaN: one NaN
+# check makes its row NaN, and NaN < tol fails it
+def _first_call_nan(monkeypatch, module, name, poison):
+    """Patch module.name so its first call's output passes through poison."""
+    original, calls = getattr(module, name), []
+
+    def patched(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(name)
+        return poison(out) if len(calls) == 1 else out
+    monkeypatch.setattr(module, name, patched)
+
+
+def test_a_nan_symfunc_check_fails_its_row(monkeypatch):
+    _first_call_nan(monkeypatch, verify.symfunc, "cauchy_H", lambda out: np.nan)
+    row = verify.battery_symfunc()[1]
+    assert row["name"] == "H, H0 product vs exponential"
+    assert np.isnan(row["value"]) and not row["pass"]
+
+
+def test_a_nan_eigenrelation_check_fails_its_row(monkeypatch):
+    def poison(out):
+        res, info = out
+        res = np.array(res, dtype=float)
+        res.flat[0] = np.nan
+        return res, info
+    _first_call_nan(monkeypatch, verify.macdonald, "eigen_residual", poison)
+    row, box = verify.battery_eigenrelation(draws=3)
+    assert np.isnan(row["value"]) and not row["pass"]
+
+
+def test_a_nan_contour_action_check_fails_its_row(monkeypatch):
+    def poison(out):
+        contour, info = out
+        contour = np.array(contour, dtype=complex)
+        contour.flat[0] = np.nan
+        return contour, {**info, "last_delta": np.full(np.shape(info["last_delta"]),
+                                                       np.nan)}
+    _first_call_nan(monkeypatch, verify.macdonald, "apply_via_contour", poison)
+    row, = verify.battery_contour_action(draws=6)
+    assert np.isnan(row["value"]) and not row["pass"]
+    assert np.isnan(row["max_last_delta"])
+
+
+def test_a_nan_pfaffian_check_fails_its_row(monkeypatch):
+    _first_call_nan(monkeypatch, verify, "pfaffian", lambda out: np.nan)
+    row = verify.battery_pfaffian()[0]
+    assert row["name"] == "Pf^2 = det, dims 2..12"
+    assert np.isnan(row["value"]) and not row["pass"]
