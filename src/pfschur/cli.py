@@ -135,7 +135,11 @@ def _load_config(path, overrides):
 def _emit(report, out_path, fmt):
     """The report as JSON, or as CSV with one line per result row and per
     radius-sweep row (method `radius_sweep`, the sweep's points as its `T`
-    and its `oracle` value among its diagnostics), to out_path or stdout."""
+    and its `oracle` value among its diagnostics) and, for a report with a
+    verdict, one last line (method `verdict`, the verdict as its value, and
+    the `threshold` and `sign_adjudication` as its diagnostics), to out_path
+    or stdout. A line's diagnostics cell is one flat JSON object: the row's
+    own `diagnostics` with its other fields beside them."""
     if fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"
     else:
@@ -147,10 +151,15 @@ def _emit(report, out_path, fmt):
         sweep_rows = [{"T": sweep["T"], "method": "radius_sweep",
                        "oracle": sweep["oracle"], **row}
                       for row in sweep["rows"]] if sweep else []
-        for row in report.get("results", []) + sweep_rows:
+        verdict = [{"method": "verdict", "value": report["verdict"],
+                    **{k: report[k] for k in ("threshold", "sign_adjudication")}}
+                   ] if "verdict" in report else []
+        for row in report.get("results", []) + sweep_rows + verdict:
             writer.writerow([json.dumps(row.get("T")), *map(row.get, head[1:]),
-                             json.dumps({k: v for k, v in row.items()
-                                         if k not in head}, default=str)])
+                             json.dumps({**row.get("diagnostics", {}),
+                                         **{k: v for k, v in row.items()
+                                            if k not in head and k != "diagnostics"}},
+                                        default=str)])
         text = buf.getvalue()
     if out_path:
         try:
@@ -164,10 +173,12 @@ def _emit(report, out_path, fmt):
 
 
 def _cache_calls():
-    """(hits, misses) so far of every memo cache the commands reach."""
+    """(hits, misses) so far of every memo cache the commands reach, the
+    kernel assemblies' layouts (`kernels._kernel_layout`) among them."""
     return {fn.__name__: fn.cache_info()[:2] for fn in (
         symfunc._h_table, symfunc._skew_schur_cached, symfunc._tau_cached,
-        partitions.enumerate_up_to_weight, partitions.horizontal_strips)}
+        partitions.enumerate_up_to_weight, partitions.horizontal_strips,
+        kernels._kernel_layout)}
 
 
 # the report sections of each verify-* command, each filled with the rows of

@@ -40,12 +40,24 @@ is accepted at the first doubling where it converges, and a block, or a
 circle no open block reads, is no longer evaluated once every entry on it
 has converged.
 
+An assembly is split in two. Its layout (`_Layout`) holds the integers:
+which entries each block holds, which (level, t) columns and slot-factor
+rows they read on which circle, and each pass's index plan per set of live
+blocks. These depend only on the points, k12_regime and h_assignment, so
+`_kernel_layout`, a bounded memo cache, builds them once per key, read-only,
+and every assembly over the same points shares them: the sign, the radii,
+the values and the node counts leave them as they are. The value part
+(`_Assembly`) resolves the radii and pads the slot-factor values per call,
+and each pass gathers those of the circles it reads through the plan's
+masks. Every numerical pass is done afresh.
+
 Every convention here (signs, the strict dichotomy, the per-slot level
 assignment of the rational factors) was fixed by agreement with the
 brute-force oracle; the alternatives remain selectable so the compare and
 sweep reports can show them failing.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, combinations
@@ -163,13 +175,13 @@ def _k22_sign(cfg):
     return 1.0 if cfg.sign_convention == SIGN_PAPER else -1.0
 
 
-def _k12_variant(i, j, cfg):
+def _k12_variant(i, j, k12_regime, h_assignment):
     """The w circle of the K12 entry of a level-i and a level-j point,
     k12_w_lt (|zw| < 1) for i < j (i <= j under the "literal" k12_regime)
     and k12_w_gt otherwise, and the levels whose slot factors its z and w
     slots read, (i, j) or under the "display" h_assignment (j, i)."""
-    lt = i < j if cfg.k12_regime == "strict" else i <= j
-    a, b = (i, j) if cfg.h_assignment == "slot" else (j, i)
+    lt = i < j if k12_regime == "strict" else i <= j
+    a, b = (i, j) if h_assignment == "slot" else (j, i)
     return ("k12_w_lt" if lt else "k12_w_gt"), a, b
 
 
@@ -187,32 +199,44 @@ def _padded(rows):
                     dtype=complex).reshape(len(rows), width)
 
 
-class _Assembly:
-    """One kernel assembly over the points pts: index arrays built once, and
-    `estimate`, one array pass over every block that holds a live entry,
-    which serves the first three node counts on the first pass and one count
-    on each later pass. A pass keeps nothing of another.
+@functools.lru_cache(maxsize=64)
+def _kernel_layout(pts, k12_regime, h_assignment):
+    """The `_Layout` of the points pts (a tuple of (level, t)) under the two
+    switches that place entries on circles, built on the first call per key
+    and shared by every assembly over those points after it."""
+    return _Layout(pts, k12_regime, h_assignment)
+
+
+def _frozen(array):
+    """array, read-only: a layout's arrays are shared by its assemblies."""
+    array.flags.writeable = False
+    return array
+
+
+class _Layout:
+    """The integers of every kernel assembly over the points pts: which
+    entries each block holds and which columns they read. They depend on the
+    points, k12_regime and h_assignment alone, so `_kernel_layout` builds
+    them once per key, and every array here is read-only.
 
     A column is one (level, t) that a block reads on a circle: the level's
     slot factor on that circle times z^{-t}, times 1/(z^2 - 1) on the outer
     circle k11 and 1/z on an inner one. Columns are numbered circle by circle
     in `_CIRCLES` order, and `col_circle`, `col_row` and `col_t` give each
-    column's circle, slot-factor row and t. A slot-factor row is one (circle,
-    level): its values are one row of `nums` and of `dens`, padded with
-    zeros, whose factors (1 - 0/z) and 1/(1 - 0 z) are exactly 1. `blocks` has
-    a row (z circle, w circle, entries, z columns, w columns) for each of the
-    `_TABLE` blocks that holds entries: their flat indices 3 (d p + q) + block
-    and the column each reads on either circle, counted within the circle:
-    every K12[p,q] and K11[p,q] and K22[p,q] with p < q. Other slots stay 0.
-    `node_evaluations` counts the circle nodes at which slot factors were
-    evaluated: each pass's count for every circle it read.
+    column's circle, slot-factor row and t; `counts` gives each circle's
+    number of columns. A slot-factor row is one (circle, level) of `rows`,
+    on the circle `row_circle` gives. `blocks` has a row (z circle, w circle,
+    entries, z columns, w columns) for each of the `_TABLE` blocks that
+    holds entries: their flat indices 3 (d p + q) + block and the column
+    each reads on either circle, counted within the circle: every K12[p,q]
+    and K11[p,q] and K22[p,q] with p < q. Other slots stay 0. `plan` gives
+    the index part of a pass over some of the blocks, built once per set of
+    blocks.
     """
 
-    def __init__(self, spec, pts, cfg):
+    def __init__(self, pts, k12_regime, h_assignment):
         d = len(pts)
         self.size = 3 * d * d
-        self.radii = _resolved_radii(spec, cfg)
-        self.radius = np.array([self.radii[c] for c in _CIRCLES])
         # K11 and K22 read the points themselves on k11 and k22. K12 reads,
         # for a level-i and a level-j point, a (level, t) on k11 that depends
         # on the first point and one on its w circle that depends on the
@@ -227,7 +251,7 @@ class _Assembly:
             at_level.setdefault(i, []).append(p)
         for i, ps in at_level.items():
             for j, qs in at_level.items():
-                wc, a, b = _k12_variant(i, j, cfg)
+                wc, a, b = _k12_variant(i, j, k12_regime, h_assignment)
                 c = _CIRCLES.index(wc)
                 entries, zcols, wcols = k12[c]
                 zk = [keys[0].setdefault((a, pts[p][1]), len(keys[0])) for p in ps]
@@ -236,30 +260,38 @@ class _Assembly:
                 zcols += [col for col in zk for _ in qs]
                 wcols += wk * len(ps)
         tables.update({c: tuple(map(np.array, table)) for c, table in k12.items()})
-        self.blocks = [(zc, wc, *tables[blk]) for blk, (zc, wc) in enumerate(_TABLE)
-                       if len(tables[blk][0])]
+        self.blocks = tuple((zc, wc, *map(_frozen, tables[blk]))
+                            for blk, (zc, wc) in enumerate(_TABLE)
+                            if len(tables[blk][0]))
         rows = {}  # (circle, level) -> slot-factor row
         cols = [(c, rows.setdefault((c, lvl), len(rows)), t)
                 for c, circle_keys in enumerate(keys) for lvl, t in circle_keys]
-        self.col_circle, self.col_row, self.col_t = np.array(
-            cols, dtype=int).reshape(-1, 3).T
-        self.counts = [len(circle_keys) for circle_keys in keys]
-        num1, den1, num2, den2 = _slot_values(spec)
-        self.row_circle = np.array([c for c, _ in rows], dtype=int)
-        self.nums = _padded([(num1 if c == 0 else num2)[lvl] for c, lvl in rows])
-        self.dens = _padded([(den1 if c == 0 else den2)[lvl] for c, lvl in rows])
-        self.start_nodes, self.max_nodes = cfg.start_nodes, cfg.max_nodes
-        self.node_evaluations = 0
+        self.col_circle, self.col_row, self.col_t = map(_frozen, np.array(
+            cols, dtype=int).reshape(-1, 3).T)
+        self.counts = tuple(len(circle_keys) for circle_keys in keys)
+        self.rows = tuple(rows)
+        self.row_circle = _frozen(np.array([c for c, _ in rows], dtype=int))
+        self._plans = {}
 
-    def _plan(self, live):
-        """The index arrays of a pass over the blocks numbered `live`: the
-        circles they read (`radius`, `outer`), and for the slot-factor rows
-        and the columns on those circles, the circle each is on among them
-        (`row_on`, `col_on`), each column's row among them and its -t, the
-        z-side and w-side columns; per block, its z and w circle among them
-        and its circles' columns on either side."""
+    def plan(self, live):
+        """The index arrays of a pass over the blocks numbered `live` (a
+        tuple), built on the first call per tuple and kept: the circles they
+        read (`circles`, `outer`), the mask `used_rows` of the slot-factor
+        rows on those circles, and for those rows and the columns on those circles,
+        the circle each is on among them (`row_on`, `col_on`), each column's
+        row among them and its -t, the z-side and w-side columns (`zcols`,
+        `wcols`) and each z-side column's circle (`zon`); per block, its z
+        and w circle among them (`zon_blocks`, `won_blocks`) and in `blocks`
+        its entries, its z and w columns, and its circles' columns on either
+        side."""
+        plan = self._plans.get(live)
+        if plan is None:
+            plan = self._plans[live] = self._build_plan(live)
+        return plan
+
+    def _build_plan(self, live):
         pairs = [self.blocks[k][:2] for k in live]
-        circles = sorted({c for pair in pairs for c in pair})
+        circles = np.array(sorted({c for pair in pairs for c in pair}), dtype=int)
         used = np.zeros(len(_CIRCLES), dtype=bool)
         used[circles] = True
         at = np.zeros(len(_CIRCLES), dtype=int)  # index among the used
@@ -272,24 +304,66 @@ class _Assembly:
         start = [dict(zip(side, accumulate((self.counts[c] for c in side), initial=0)))
                  for side in sides]
         zcols, wcols = (np.array([c in side for c in circles])[on] for side in sides)
-        return SimpleNamespace(
-            radius=self.radius[circles], outer=np.array(circles) == 0,
-            row_on=at[self.row_circle[rows]], nums=self.nums[rows].T[:, None],
-            dens=self.dens[rows].T[:, None], col_on=on, col_row=rank[self.col_row[cols]],
-            neg_t=-self.col_t[cols], zcols=zcols, zon=on[zcols], wcols=wcols,
-            blocks=[(k, at[zc], at[wc],
-                     slice(start[0][zc], start[0][zc] + self.counts[zc]),
-                     slice(start[1][wc], start[1][wc] + self.counts[wc]))
-                    for k, (zc, wc) in zip(live, pairs)])
+        zc, wc = (np.array([pair[s] for pair in pairs], dtype=int) for s in (0, 1))
+        plan = SimpleNamespace(
+            circles=circles, outer=circles == 0, used_rows=rows,
+            row_on=at[self.row_circle[rows]], col_on=on,
+            col_row=rank[self.col_row[cols]], neg_t=-self.col_t[cols],
+            zcols=zcols, zon=on[zcols], wcols=wcols, zon_blocks=at[zc],
+            won_blocks=at[wc])
+        for array in vars(plan).values():
+            _frozen(array)
+        plan.blocks = tuple(
+            (*self.blocks[k][2:],
+             slice(start[0][z], start[0][z] + self.counts[z]),
+             slice(start[1][w], start[1][w] + self.counts[w]))
+            for k, (z, w) in zip(live, pairs))
+        return plan
 
-    def _columns(self, z, plan):
+
+class _Assembly:
+    """One kernel assembly over the points pts: the `_Layout` of the points
+    under cfg's k12_regime and h_assignment, shared with every other
+    assembly over them, and the values of this one: the circles' `radii`
+    and `radius`, and each slot-factor row's values as one row of `nums`
+    and of `dens`, padded with zeros, whose factors (1 - 0/z) and
+    1/(1 - 0 z) are exactly 1. `estimate` is one array pass over every block
+    that holds a live entry, which serves the first three node counts on
+    the first pass and one count on each later pass; a pass keeps nothing
+    of another. `blocks`, `col_circle` and `size` are the layout's.
+    `node_evaluations` counts the circle nodes at which slot factors were
+    evaluated: each pass's count for every circle it read.
+    """
+
+    def __init__(self, spec, pts, cfg):
+        self.radii = _resolved_radii(spec, cfg)
+        self.radius = np.array([self.radii[c] for c in _CIRCLES])
+        self.layout = layout = _kernel_layout(tuple(pts), cfg.k12_regime,
+                                              cfg.h_assignment)
+        self.size, self.blocks, self.col_circle = (layout.size, layout.blocks,
+                                                   layout.col_circle)
+        num1, den1, num2, den2 = _slot_values(spec)
+        self.nums = _padded([(num1 if c == 0 else num2)[lvl] for c, lvl in layout.rows])
+        self.dens = _padded([(den1 if c == 0 else den2)[lvl] for c, lvl in layout.rows])
+        self.start_nodes, self.max_nodes = cfg.start_nodes, cfg.max_nodes
+        self.node_evaluations = 0
+
+    def _plan(self, live):
+        """A pass over the blocks numbered `live` (a tuple): the layout's
+        index plan for them, the radii of the circles it reads, and the
+        values of its slot-factor rows as (values, 1, rows) arrays."""
+        plan = self.layout.plan(live)
+        return (plan, self.radius[plan.circles], self.nums[plan.used_rows].T[:, None],
+                self.dens[plan.used_rows].T[:, None])
+
+    def _columns(self, z, plan, nums, dens):
         """The unweighted columns of a plan's circles at their nodes z, shape
-        (nodes, used circles): every slot-factor row and every column in one
-        broadcast."""
+        (nodes, used circles), from the values nums and dens of its rows:
+        every slot-factor row and every column in one broadcast."""
         def product(x):  # of 1 - x over the values, x replaced in place
             return np.prod(np.subtract(1, x, out=x), axis=0)
         zr = z[:, plan.row_on]
-        v = product(plan.nums / zr) / product(plan.dens * zr)
+        v = product(nums / zr) / product(dens * zr)
         pre = 1 / np.where(plan.outer, z * z - 1, z)
         return v[:, plan.col_row] * z[:, plan.col_on] ** plan.neg_t * pre[:, plan.col_on]
 
@@ -331,11 +405,11 @@ class _Assembly:
         n = N = self.start_nodes << k
         while k == 0 and N < 4 * n and 2 * N <= self.max_nodes:
             N *= 2
-        plan = self._plan([b for b, block in enumerate(self.blocks)
-                           if live[block[2]].any()])
-        z, wz = quad.nodes_weights(quad.ContourSpec((quad.Circle(0j, plan.radius),)),
-                                   N, plan.radius.shape)
-        A = self._columns(z, plan) * wz[:, plan.col_on]
+        plan, radius, nums, dens = self._plan(tuple(
+            b for b, block in enumerate(self.blocks) if live[block[2]].any()))
+        z, wz = quad.nodes_weights(quad.ContourSpec((quad.Circle(0j, radius),)),
+                                   N, radius.shape)
+        A = self._columns(z, plan, nums, dens) * wz[:, plan.col_on]
         self.node_evaluations += z.size
         zi = 1 / z
         strides = [1 << j for j in range((N // n).bit_length())]
@@ -345,17 +419,16 @@ class _Assembly:
         Bw = A[:, plan.wcols]
         b = [s * Bw[::s].sum(axis=0) for s in strides]
         Bw = np.fft.ifft(Bw, axis=0)
-        _, zon, won, _, _ = zip(*plan.blocks)
         # N is a power of two, so scaling h^ by it is exact
-        h_hat = N * np.fft.fft(1 / (z[:, zon] * z[0, won] - 1), axis=0)
+        h_hat = N * np.fft.fft(1 / (z[:, plan.zon_blocks] * z[0, plan.won_blocks] - 1),
+                               axis=0)
         out = []
         for s, a_s, b_s in zip(strides, a, b):
             if s > 1:
                 Az, Bw, h_hat = (x[:len(x) // 2] + x[len(x) // 2:]
                                  for x in (Az, Bw, h_hat))
             est = np.zeros(self.size, dtype=complex)
-            for h, (blk, _, _, zs, ws) in zip(h_hat.T, plan.blocks):
-                entries, zcols, wcols = self.blocks[blk][2:]
+            for h, (entries, zcols, wcols, zs, ws) in zip(h_hat.T, plan.blocks):
                 block = (Az[:, zs] * h[:, None]).T @ Bw[:, ws] - a_s[zs, None] * b_s[ws]
                 est[entries] = block[zcols, wcols]
             out.append(est)
@@ -581,17 +654,23 @@ def radius_sweep(spec, T, cfg):
     0.5 and 0.75 of their admissible intervals, and a deliberately
     inadmissible k11 that encloses the 1/x poles) at the points T: {"T": the
     points, "rows": one per configuration, its `radii`, `note` and kernel
-    `value`}. A configuration whose quadrature does not converge, or
-    whose radii or contours are rejected with a ValueError, gives an `error`
-    row in place of a value; any other exception propagates. The rows are
-    judged against the oracle in `verify.sweep_radii`."""
+    `value`, with the `correlation_via_kernel` diagnostics that say how the
+    value was obtained: `max_last_delta`, `rel_last_delta`, `nodes` and
+    `node_evaluations`}. A configuration whose quadrature does not converge,
+    or whose radii or contours are rejected with a ValueError, gives an
+    `error` row in place of a value and its diagnostics; any other exception
+    propagates. The rows are judged against the oracle in
+    `verify.sweep_radii`."""
     if not isinstance(T, PointSet):
         T = PointSet(T)
     rows = []
 
     def try_config(radii, note):
         try:
-            out = {"value": correlation_via_kernel(spec, T, replace(cfg, radii=radii))}
+            value, info = correlation_via_kernel(spec, T, replace(cfg, radii=radii),
+                                                 full_output=True)
+            out = {"value": value, **{k: info[k] for k in (
+                "max_last_delta", "rel_last_delta", "nodes", "node_evaluations")}}
         except (quad.QuadratureError, ValueError) as exc:
             out = {"error": str(exc)}
         rows.append({"radii": radii, "note": note, **out})

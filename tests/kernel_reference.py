@@ -55,7 +55,7 @@ def _groups(spec, pts, cfg):
     d = len(pts)
     for p, (i, ti) in enumerate(pts):
         for q, (j, tj) in enumerate(pts):
-            wc, a, b = kernels._k12_variant(i, j, cfg)
+            wc, a, b = kernels._k12_variant(i, j, cfg.k12_regime, cfg.h_assignment)
             e = 3 * (d * p + q)
             for key, entry in ((("k11", "k11"), (e, outer(i, ti), outer(j, tj))),
                                (("k11", wc), (e + 1, outer(a, ti), inner(b, tj))),

@@ -186,10 +186,14 @@ def test_report_schema_and_determinism(tmp_path):
             # memo-cache hit rates over the command, None for a cache it never called
             rates = report["timing"]["cache_hit_rate"]
             assert set(rates) == {"_h_table", "_skew_schur_cached", "_tau_cached",
-                                  "enumerate_up_to_weight", "horizontal_strips"}
+                                  "enumerate_up_to_weight", "horizontal_strips",
+                                  "_kernel_layout"}
             assert all(r is None or 0 <= r <= 1 for r in rates.values())
         assert strip_timing(r1) == strip_timing(r2)
         assert r1["config_digest"] == r2["config_digest"]
+        # the second kernel run reads the first one's layout
+        assert r2["timing"]["cache_hit_rate"]["_kernel_layout"] == (
+            1.0 if method == "kernel" else None)
     # the second oracle run reads the first one's strip tables
     assert r2["timing"]["cache_hit_rate"]["horizontal_strips"] == 1.0
 
@@ -251,6 +255,42 @@ def test_csv_reports_carry_the_radius_sweep_rows(tmp_path, command):
         diagnostics = json.loads(line["diagnostics"])
         assert diagnostics == {"oracle": sweep["oracle"],
                                **{k: v for k, v in row.items() if k != "value"}}
+
+
+@pytest.mark.parametrize("sign,verdict", [("paper", "PASS"), ("br", "FAIL")])
+def test_a_compare_csv_keeps_its_verdict(tmp_path, sign, verdict):
+    # the result lines, each row's diagnostics flat beside its other
+    # fields, then one verdict line with the threshold and the adjudication
+    config = str(CONFIGS / "m1_twovar.json")
+    out, csv_out = tmp_path / "report.json", tmp_path / "report.csv"
+    for path, fmt in ((out, "json"), (csv_out, "csv")):
+        assert run_cli(["compare", "--config", config, "--sign-convention", sign,
+                        "--out", str(path), "--format", fmt]) == (
+            0 if verdict == "PASS" else 3)
+    report = read_report(out)
+    assert report["verdict"] == verdict
+    *rows, last = csv.DictReader(csv_out.read_text().splitlines())
+    assert [line["method"] for line in rows] == ["oracle", "kernel"]
+    oracle, kernel = report["results"]
+    assert json.loads(rows[0]["diagnostics"]) == oracle["diagnostics"]
+    assert json.loads(rows[1]["diagnostics"]) == {
+        **kernel["diagnostics"], "delta_vs_oracle": kernel["delta_vs_oracle"]}
+    assert (last["T"], last["method"], last["value"], last["imag_defect"]) == (
+        "null", "verdict", verdict, "")
+    assert json.loads(last["diagnostics"]) == {
+        "threshold": report["threshold"],
+        "sign_adjudication": report["sign_adjudication"]}
+
+
+def test_sweep_radii_builds_one_layout(tmp_path):
+    # the four radius configurations share the points, so the first one's
+    # assembly builds their layout and the other three read it
+    out = tmp_path / "report.json"
+    kernels._kernel_layout.cache_clear()
+    assert run_cli(["sweep-radii", "--config", str(CONFIGS / "m2_d11.json"),
+                    "--out", str(out)]) == 0
+    assert kernels._kernel_layout.cache_info()[:2] == (3, 1)
+    assert read_report(out)["timing"]["cache_hit_rate"]["_kernel_layout"] == 0.75
 
 
 @pytest.mark.parametrize("config,truncation", [

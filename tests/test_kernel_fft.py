@@ -10,8 +10,10 @@ and the K11 and K22 entries above the diagonal (`integrated`); the dense
 sums of the others are the skew partners of those, or 0 on the diagonal.
 """
 
+import json
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,3 +184,47 @@ def test_each_circle_side_is_transformed_once_per_doubling(monkeypatch):
     assert calls == [call for n in (256, 512) for call in (
         ("ifft", (n, count[0] + count[3])), ("ifft", (n, len(asm.col_circle))),
         ("fft", (n, 4)))]
+
+
+M2 = json.loads((Path(__file__).resolve().parent.parent / "configs" /
+                 "m2_d11.json").read_text())
+M2_SPEC, M2_PTS = ProcessSpec.from_json(M2["process"]), PointSet(M2["points"])
+# every variant switch: two of them change the layout, three only values
+SWITCHES = {"sign": {"sign_convention": SIGN_BR},
+            "h_assignment": {"h_assignment": "display"},
+            "k12_regime": {"k12_regime": "literal"},
+            "radii": {"radii": kernels._radii_at(M2_SPEC, 0.25)},
+            "max_nodes": {"max_nodes": 256}}
+
+
+@pytest.mark.parametrize("switch", SWITCHES)
+def test_a_warm_layout_gives_the_cold_value(switch):
+    cfg = KernelConfig(**SWITCHES[switch])
+    kernels._kernel_layout.cache_clear()
+    cold = kernels.correlation_via_kernel(M2_SPEC, M2_PTS, cfg, full_output=True)
+    # every switch's layout and pass plans built, this one's read again
+    for other in SWITCHES.values():
+        kernels.correlation_via_kernel(M2_SPEC, M2_PTS, KernelConfig(**other))
+    hits = kernels._kernel_layout.cache_info().hits
+    warm = kernels.correlation_via_kernel(M2_SPEC, M2_PTS, cfg, full_output=True)
+    assert kernels._kernel_layout.cache_info().hits == hits + 1
+    assert warm[0] == cold[0]
+    assert np.array_equal(warm[1].pop("matrix"), cold[1].pop("matrix"))
+    assert warm[1] == cold[1]
+
+
+def test_cached_index_arrays_are_read_only():
+    asm = kernels._Assembly(SPEC, PTS, KernelConfig())
+    layout = asm.layout
+    assert kernels._Assembly(SPEC, PTS, KernelConfig(sign_convention=SIGN_BR)).layout \
+        is layout
+    plans = [layout.plan(live) for live in ((0, 1, 2, 3), (0,), (3,))]
+    arrays = [x for x in (*vars(layout).values(), *(
+        x for block in layout.blocks for x in block), *(
+        x for plan in plans for x in (*vars(plan).values(), *(
+            y for block in plan.blocks for y in block))))
+        if isinstance(x, np.ndarray)]
+    assert len(arrays) > 40
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0

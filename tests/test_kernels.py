@@ -288,15 +288,32 @@ def test_principal_pfaffian_factorization():
 
 
 def test_radius_sweep_reports_inadmissible_reading():
-    # the scan holds no oracle and no threshold: each row is its radii, note
-    # and value, and only the inadmissible reading misses the oracle
+    # the scan holds no oracle and no threshold: each row is its radii, note,
+    # value and the kernel's diagnostics of it, and only the inadmissible
+    # reading misses the oracle
     oracle = correlation_oracle(SPEC_M1, [(1, 0)], L=40)
     out = radius_sweep(SPEC_M1, [(1, 0)], CFG)
     assert set(out) == {"T", "rows"} and out["T"] == [[1, 0]]
-    assert [set(r) for r in out["rows"]] == [{"radii", "note", "value"}] * 4
+    assert [set(r) for r in out["rows"]] == [{
+        "radii", "note", "value", "max_last_delta", "rel_last_delta", "nodes",
+        "node_evaluations"}] * 4
     *admissible, bad = out["rows"]
     assert "encloses" in bad["note"] and abs(bad["value"] - oracle) > 0.1
     assert all(abs(r["value"] - oracle) < 1e-8 for r in admissible)
+
+
+def test_radius_sweep_rows_are_the_kernel_route_at_their_radii():
+    # each row's value and diagnostics are correlation_via_kernel's at the
+    # row's radii, bit for bit
+    for row in radius_sweep(SPEC_M1, [(1, 0)], CFG)["rows"]:
+        value, info = correlation_via_kernel(SPEC_M1, [(1, 0)],
+                                             replace(CFG, radii=row["radii"]),
+                                             full_output=True)
+        assert row["value"] == value
+        assert {k: row[k] for k in ("max_last_delta", "rel_last_delta", "nodes",
+                                    "node_evaluations")} == \
+            {k: info[k] for k in ("max_last_delta", "rel_last_delta", "nodes",
+                                  "node_evaluations")}
 
 
 def test_radius_sweep_trials_keep_every_other_field(monkeypatch):
@@ -304,7 +321,8 @@ def test_radius_sweep_trials_keep_every_other_field(monkeypatch):
 
     def record(spec, T, cfg, full_output=False):
         seen.append(cfg)
-        return 0.0
+        return 0.0, dict.fromkeys(
+            ("max_last_delta", "rel_last_delta", "nodes", "node_evaluations"))
     monkeypatch.setattr(kernels, "correlation_via_kernel", record)
     cfg = KernelConfig(quad_tol=1e-7, start_nodes=32, max_nodes=2 ** 10,
                        sign_convention=SIGN_BR, h_assignment="display",
