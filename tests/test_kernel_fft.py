@@ -202,8 +202,10 @@ def test_a_warm_layout_gives_the_cold_value(switch):
     cfg = KernelConfig(**SWITCHES[switch])
     kernels._kernel_layout.cache_clear()
     cold = kernels.correlation_via_kernel(M2_SPEC, M2_PTS, cfg, full_output=True)
-    # every switch's layout and pass plans built, this one's read again
-    for other in SWITCHES.values():
+    # the default's and every switch's layouts and pass plans built first,
+    # this one's read again
+    kernels._kernel_layout.cache_clear()
+    for other in ({}, *SWITCHES.values()):
         kernels.correlation_via_kernel(M2_SPEC, M2_PTS, KernelConfig(**other))
     hits = kernels._kernel_layout.cache_info().hits
     warm = kernels.correlation_via_kernel(M2_SPEC, M2_PTS, cfg, full_output=True)
