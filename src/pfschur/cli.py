@@ -2,9 +2,10 @@
 
 Every correlation row (`correlate`'s, `compare`'s two, `sweep-radii`'s
 oracle row) is built by `verify.correlation_row`, and a command computes
-each route once: `sweep-radii` hands its oracle row to `verify.sweep_radii`,
-which judges the radius sweep against it. `--method` names a route of
-`verify.ROUTES`, and `BATTERIES` tabulates `verify-*`.
+each route once. `compare` and `sweep-radii` take their whole report from
+`verify.compare_methods` and `verify.sweep_radii`, which hold every kernel
+value to the oracle row by one rule, `verify.judge`. `--method` names a
+route of `verify.ROUTES`, and `BATTERIES` tabulates `verify-*`.
 
 Exit codes: 0 success, 1 config error (a config that cannot be read or a
 report that cannot be written among them), 2 numerical non-convergence,
@@ -260,18 +261,11 @@ def _run(args):
             except ValueError as exc:  # the route's input checks
                 raise ConfigError(str(exc)) from exc
             report = {"config_digest": cfgd["digest"], "results": [row]}
-        elif args.command == "compare":
+        else:
+            build = (verify.compare_methods if args.command == "compare"
+                     else verify.sweep_radii)
             report = {"config_digest": cfgd["digest"],
-                      **verify.compare_methods(spec, points, cfg, L=cfgd["L"])}
-        else:  # sweep-radii
-            sections = {}
-            oracle = verify.timed(sections, "oracle", lambda: verify.correlation_row(
-                "oracle", spec, points, cfg, cfgd["L"]))
-            report = {"config_digest": cfgd["digest"], "results": [oracle],
-                      "radius_sweep": verify.timed(
-                          sections, "radius_sweep",
-                          lambda: verify.sweep_radii(spec, points, cfg, oracle)),
-                      "timing": {"sections": sections}}
+                      **build(spec, points, cfg, cfgd["L"])}
     except QuadratureError as exc:
         prev, last = exc.estimates
         print(f"numerical non-convergence: {exc}; last two estimates "

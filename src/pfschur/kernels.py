@@ -659,8 +659,8 @@ def radius_sweep(spec, T, cfg):
     `node_evaluations`}. A configuration whose quadrature does not converge,
     or whose radii or contours are rejected with a ValueError, gives an
     `error` row in place of a value and its diagnostics; any other exception
-    propagates. The rows are judged against the oracle in
-    `verify.sweep_radii`."""
+    propagates. `verify.sweep_radii` judges the rows against the oracle row
+    by `verify.judge`, the rule that gives `compare` its verdict."""
     if not isinstance(T, PointSet):
         T = PointSet(T)
     rows = []

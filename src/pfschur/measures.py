@@ -63,10 +63,6 @@ class ProcessSpec:
     def max_abs_plus(self):
         return max((abs(v) for fam in self.rho_plus for v in fam), default=0.0)
 
-    def to_json(self):
-        return {"rho_plus": [s.to_json() for s in self.rho_plus],
-                "rho_minus": [s.to_json() for s in self.rho_minus]}
-
     @classmethod
     def from_json(cls, data):
         """From {"rho_plus": [...], "rho_minus": [...]}, each a list of

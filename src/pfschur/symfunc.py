@@ -76,22 +76,10 @@ class Specialization:
 
     __or__ = union
 
-    def to_json(self):
-        """Bare reals where the imaginary part is exactly zero, else [re, im]."""
-        return [v.real if v.imag == 0 else [v.real, v.imag] for v in self.values]
-
     @classmethod
     def from_json(cls, data):
-        """Each entry a JSON number or [re, im] (`json_number`)."""
-        vals = []
-        for v in data:
-            if not isinstance(v, (list, tuple)):
-                vals.append(json_number(v, complex))
-            elif len(v) != 2:
-                raise ValueError(f"complex entry {v!r} must be [re, im]")
-            else:
-                vals.append(complex(*map(json_number, v)))
-        return cls(vals)
+        """Each entry a JSON number (`json_number`)."""
+        return cls(json_number(v, complex) for v in data)
 
 
 def _values(s):

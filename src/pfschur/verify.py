@@ -372,68 +372,77 @@ def correlation_row(method, spec, T, cfg, L, full_output=False):
     return (row, info) if full_output else row
 
 
-def distance(value, oracle_value):
-    """value's distance from oracle_value: `delta` |value - oracle_value| and
-    `rel_delta`, that over |oracle_value| (None at an oracle value of 0)."""
+def judge(value, oracle_row):
+    """value against oracle_row (`correlation_row`'s oracle row), by the one
+    rule every kernel value is held to: `delta` |value - oracle value|,
+    `rel_delta` that over |oracle value| (None at an oracle value of 0; no
+    verdict reads it), the `threshold` max(1e-3, 10 x the row's truncation
+    diagnostic), and the `verdict`: PASS when delta is below a threshold of
+    1e-3; INCONCLUSIVE when it is below a threshold that the truncation has
+    raised above 1e-3, since a short oracle cannot tell a wrong kernel from
+    a right one there; FAIL otherwise, a NaN delta among them."""
+    oracle_value = oracle_row["value"]
     delta = abs(value - oracle_value)
+    threshold = max(1e-3, 10 * oracle_row["diagnostics"]["truncation_diagnostic"])
     return {"delta": delta,
-            "rel_delta": delta / abs(oracle_value) if oracle_value else None}
+            "rel_delta": delta / abs(oracle_value) if oracle_value else None,
+            "threshold": threshold,
+            "verdict": ("FAIL" if not delta < threshold
+                        else "PASS" if threshold == 1e-3 else "INCONCLUSIVE")}
 
 
 def compare_methods(spec, T, cfg, L=30):
-    """The oracle and the kernel row of the points T (`correlation_row`), the
-    kernel row with its distance `delta_vs_oracle` from the oracle value,
-    the oracle's truncation diagnostic, the K22 sign adjudication (the
-    `distance` from the oracle value under cfg's sign convention and under
-    the other one, whose value is the Pfaffian of the same matrix with its
-    K22 block negated: `kernels.with_other_k22_sign`; the relative distances
-    `rel_delta` and `flipped_rel_delta` are read by no verdict), and the
-    verdict against the threshold, max(1e-3, 10 x the diagnostic): FAIL
-    when the distance reaches it; INCONCLUSIVE when it stays below a
-    threshold that the truncation has raised above 1e-3, since a short
-    oracle cannot tell a wrong kernel from a right one there; PASS
-    otherwise. `timing` holds the wall seconds of each row under
+    """The `compare` report of the points T: the oracle and the kernel row
+    (`correlation_row`), the kernel row with its distance `delta_vs_oracle`
+    from the oracle value, the oracle's truncation diagnostic, the K22 sign
+    adjudication (the `delta` and `rel_delta` from the oracle value under
+    cfg's sign convention and under the other one, whose value is the
+    Pfaffian of the same matrix with its K22 block negated:
+    `kernels.with_other_k22_sign`), and the kernel value's `threshold` and
+    `verdict` (`judge`). `timing` holds the wall seconds of each row under
     `sections`."""
     sections = {}
     oracle = timed(sections, "oracle", lambda: correlation_row("oracle", spec, T, cfg, L))
     kernel, info = timed(sections, "kernel", lambda: correlation_row(
         "kernel", spec, T, cfg, L, full_output=True))
-    own = distance(kernel["value"], oracle["value"])
-    flipped = distance(pfaffian(kernels.with_other_k22_sign(info["matrix"])).real,
-                       oracle["value"])
+    own = judge(kernel["value"], oracle)
+    flipped = judge(pfaffian(kernels.with_other_k22_sign(info["matrix"])).real, oracle)
     kernel["delta_vs_oracle"] = own["delta"]
-    diag = oracle["diagnostics"]["truncation_diagnostic"]
-    threshold = max(1e-3, 10 * diag)
     return {
-        "truncation_diagnostic": diag,
+        "truncation_diagnostic": oracle["diagnostics"]["truncation_diagnostic"],
         "results": [oracle, kernel],
         "sign_adjudication": {
             "convention": cfg.sign_convention,
-            **own,
+            "delta": own["delta"],
+            "rel_delta": own["rel_delta"],
             "flipped_convention": (kernels.SIGN_BR
                                    if cfg.sign_convention == kernels.SIGN_PAPER
                                    else kernels.SIGN_PAPER),
             "flipped_delta": flipped["delta"],
             "flipped_rel_delta": flipped["rel_delta"],
         },
-        "threshold": threshold,
-        "verdict": ("FAIL" if own["delta"] >= threshold
-                    else "INCONCLUSIVE" if threshold > 1e-3 else "PASS"),
+        "threshold": own["threshold"],
+        "verdict": own["verdict"],
         "timing": {"sections": sections},
     }
 
 
-def sweep_radii(spec, T, cfg, oracle_row):
-    """`kernels.radius_sweep` at the points T, judged against the value of
-    oracle_row (`correlation_row`'s oracle row), which the sweep carries as
-    its `oracle`: each row with a value gains its `distance` from it, and
-    every row a `pass`, delta < 1e-3; an error row fails."""
-    sweep = kernels.radius_sweep(spec, T, cfg)
+def sweep_radii(spec, T, cfg, L):
+    """The `sweep-radii` report of the points T: the oracle row
+    (`correlation_row`) and `kernels.radius_sweep` judged against it, the
+    sweep carrying the oracle value as its `oracle`. Each scan row with a
+    value gains its `judge` keys, and every row a `pass`: its verdict is
+    PASS; an error row fails. `timing` holds the wall seconds of the oracle
+    row and of the scan under `sections`."""
+    sections = {}
+    oracle = timed(sections, "oracle", lambda: correlation_row("oracle", spec, T, cfg, L))
+    sweep = timed(sections, "radius_sweep", lambda: kernels.radius_sweep(spec, T, cfg))
     for row in sweep["rows"]:
         if "value" in row:
-            row.update(distance(row["value"], oracle_row["value"]))
-        row["pass"] = "value" in row and bool(row["delta"] < 1e-3)
-    return {**sweep, "oracle": oracle_row["value"]}
+            row.update(judge(row["value"], oracle))
+        row["pass"] = row.get("verdict") == "PASS"
+    return {"results": [oracle], "radius_sweep": {**sweep, "oracle": oracle["value"]},
+            "timing": {"sections": sections}}
 
 
 def battery_quadrature():

@@ -7,7 +7,10 @@ or perfbench/*.py (the benchmark's harness, not its tests). A reference is a
 name, an attribute, an imported name or a string that is exactly an
 identifier: the benchmark's tracer names the functions it wraps by string. A
 method is matched by its name alone, whatever the class of the object it is
-called on; dunder methods are called by the language and are not checked.
+called on, unless more than one package class defines that name: then
+`SHARED_METHOD_CALLS` names the class each reference reaches, and a method
+reached only from definitions that have no caller has none either. Dunder
+methods are called by the language and are not checked.
 
 References inside a definition to its own name, or to the name of a
 definition around it, do not count, so recursion is not a caller. A
@@ -36,25 +39,38 @@ CALLERS = [*(path for path in sorted((ROOT / "src").rglob("*.py"))
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def _identifiers(node):
+    """The identifiers node itself refers to, not those of the nodes under it."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return node.name.split(".")
+    if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+            and node.value.isidentifier():
+        return [node.value]
+    return []
+
+
 def _references(node, own=frozenset()):
     """Every identifier that node and the nodes under it refer to, less the
     names in own and those of the definitions around each reference."""
     if isinstance(node, DEFINITIONS):
         own = own | {node.name}
-    if isinstance(node, ast.Name):
-        names = [node.id]
-    elif isinstance(node, ast.Attribute):
-        names = [node.attr]
-    elif isinstance(node, ast.alias):
-        names = node.name.split(".")
-    elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-            and node.value.isidentifier():
-        names = [node.value]
-    else:
-        names = []
-    yield from (name for name in names if name not in own)
+    yield from (name for name in _identifiers(node) if name not in own)
     for child in ast.iter_child_nodes(node):
         yield from _references(child, own)
+
+
+def _sites(node, names, where):
+    """(caller, name) of each reference under node to one of names, the
+    caller being where followed by the definitions around the reference."""
+    if isinstance(node, DEFINITIONS):
+        where = f"{where}.{node.name}"
+    yield from ((where, name) for name in _identifiers(node) if name in names)
+    for child in ast.iter_child_nodes(node):
+        yield from _sites(child, names, where)
 
 
 def _parse(path):
@@ -75,15 +91,58 @@ def _definitions(path):
                         and not (sub.name.startswith("__") and sub.name.endswith("__")))
 
 
+def _shared_methods():
+    """Each method name that more than one package class defines, and the
+    classes ("module.Class") that define it."""
+    classes = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualified, name in _definitions(path):
+            if qualified.count(".") == 2:
+                classes.setdefault(name, set()).add(qualified.rsplit(".", 1)[0])
+    return {name: owners for name, owners in classes.items() if len(owners) > 1}
+
+
+# (caller, method name): the package class that each reference in src/,
+# demos/ or perfbench/*.py to a method name more than one package class
+# defines reaches; the caller is the module and the definitions around the
+# reference
+SHARED_METHOD_CALLS = {
+    ("cli._load_config", "from_json"): "measures.ProcessSpec",
+    ("measures.ProcessSpec.from_json", "from_json"): "symfunc.Specialization",
+    ("workloads.CliWorkload._reference", "from_json"): "measures.ProcessSpec",
+}
+
+
 def uncalled():
-    """The package's definitions that nothing refers to, by qualified name."""
+    """The package's definitions that nothing refers to, by qualified name;
+    a method of a shared name (`SHARED_METHOD_CALLS`) counts as referred to
+    when an entry from a caller that is not itself uncalled reaches it."""
+    shared = _shared_methods()
     used = {name for path in CALLERS for name in _references(_parse(path))}
-    return sorted(qualified for path in sorted(PACKAGE.glob("*.py"))
-                  for qualified, name in _definitions(path) if name not in used)
+    definitions = [pair for path in sorted(PACKAGE.glob("*.py"))
+                   for pair in _definitions(path)]
+    out = {qualified for qualified, name in definitions
+           if name not in shared and name not in used}
+    while True:
+        reached = {f"{owner}.{name}" for (caller, name), owner in SHARED_METHOD_CALLS.items()
+                   if not any(caller == q or caller.startswith(q + ".") for q in out)}
+        grown = out | {qualified for qualified, name in definitions
+                       if name in shared and qualified not in reached}
+        if grown == out:
+            return sorted(out)
+        out = grown
 
 
 def test_every_top_level_definition_has_a_caller():
     assert uncalled() == []
+
+
+def test_every_reference_to_a_shared_method_name_is_listed():
+    shared = _shared_methods()
+    sites = {site for path in CALLERS for site in _sites(_parse(path), shared, path.stem)}
+    assert sites == set(SHARED_METHOD_CALLS)
+    assert all(owner in shared[name]
+               for (caller, name), owner in SHARED_METHOD_CALLS.items())
 
 
 # (qualified name, parameter): options that only tests set, and why

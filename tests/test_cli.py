@@ -282,6 +282,51 @@ def test_a_compare_csv_keeps_its_verdict(tmp_path, sign, verdict):
         "sign_adjudication": report["sign_adjudication"]}
 
 
+@pytest.mark.parametrize("truncation,verdict", [
+    (3, "INCONCLUSIVE"), (12, "INCONCLUSIVE"), (16, "PASS"), (40, "PASS")])
+def test_compare_and_the_sweep_judge_alike(tmp_path, truncation, verdict):
+    # the sweep's fraction-0.50 row has compare's default radii, so its value
+    # is compare's kernel value bit for bit, and one rule judges both; at
+    # L = 3 the oracle cannot reach the points (value 0, threshold 10), so
+    # no row passes, the inadmissible reading's near-zero value among them
+    reports = {}
+    for command in ("compare", "sweep-radii"):
+        out = tmp_path / f"{command}.json"
+        run_cli([command, "--config", str(CONFIGS / "m1_twovar.json"),
+                 "--truncation", str(truncation), "--out", str(out)])
+        reports[command] = read_report(out)
+    compare, sweep = reports["compare"], reports["sweep-radii"]["radius_sweep"]
+    default = next(row for row in sweep["rows"]
+                   if row["note"] == "admissible fraction 0.50")
+    assert default["value"] == compare["results"][1]["value"]
+    assert compare["verdict"] == verdict
+    assert default["pass"] == (verdict == "PASS")
+    assert truncation != 3 or not any(row["pass"] for row in sweep["rows"])
+    assert (default["verdict"], default["threshold"]) == (verdict, compare["threshold"])
+
+
+def test_a_nan_kernel_value_fails(tmp_path, monkeypatch):
+    # a NaN is below no threshold: compare says FAIL and exits 3, and no
+    # sweep row passes
+    via_kernel = kernels.correlation_via_kernel
+
+    def nan(*args, **kwargs):
+        out = via_kernel(*args, **kwargs)
+        return (float("nan"), out[1]) if isinstance(out, tuple) else float("nan")
+    monkeypatch.setattr(kernels, "correlation_via_kernel", nan)
+    config = str(CONFIGS / "m1_twovar.json")
+    out = tmp_path / "report.json"
+    assert run_cli(["compare", "--config", config, "--truncation", "40",
+                    "--out", str(out)]) == 3
+    report = read_report(out)
+    assert (report["threshold"], report["verdict"]) == (1e-3, "FAIL")
+    assert run_cli(["sweep-radii", "--config", config, "--truncation", "40",
+                    "--out", str(out)]) == 0
+    rows = read_report(out)["radius_sweep"]["rows"]
+    assert all(row["value"] != row["value"] for row in rows)
+    assert [row["pass"] for row in rows] == [False] * 4
+
+
 def test_sweep_radii_builds_one_layout(tmp_path):
     # the four radius configurations share the points, so the first one's
     # assembly builds their layout and the other three read it

@@ -26,7 +26,8 @@ def test_process_spec_validation():
     spec = ProcessSpec([[0.5], [0.4]], [[0.3], [0.2]])
     assert spec.m == 2
     assert spec.max_abs() == 0.5
-    assert ProcessSpec.from_json(spec.to_json()).m == 2
+    assert ProcessSpec.from_json({"rho_plus": [[0.5], [0.4]],
+                                  "rho_minus": [[0.3], [0.2]]}).rho_minus == spec.rho_minus
 
 
 def test_point_set():

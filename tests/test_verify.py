@@ -55,31 +55,37 @@ def test_compare_verdict_passes_the_paper_sign_and_fails_the_br_sign():
 
 
 def test_relative_distances_read_the_same_rows(monkeypatch):
-    # every distance from the oracle is `verify.distance` from the oracle
-    # row's value: compare's kernel row, both sign conventions and each sweep
-    # row; each rel_delta is its absolute distance over |oracle value|, and
-    # None at an oracle value of 0; no verdict or pass reads it
+    # every distance from the oracle is `verify.judge` against the oracle
+    # row: compare's kernel row, both sign conventions and each sweep row;
+    # each rel_delta is its absolute distance over |oracle value|, and None
+    # at an oracle value of 0; no verdict or pass reads it
     def check(oracle_value):
         report = verify.compare_methods(SPEC, POINTS, CFG, L=6)
         oracle, kernel = report["results"]
         assert oracle["value"] == oracle_value
         adj = report["sign_adjudication"]
         assert kernel["delta_vs_oracle"] == adj["delta"]
-        sweep = verify.sweep_radii(SPEC, POINTS, CFG, oracle)
-        assert sweep["oracle"] == oracle_value
-        rows = sweep["rows"]
+        sweep = verify.sweep_radii(SPEC, POINTS, CFG, 6)
+        assert sweep["results"] == [oracle]
+        assert sweep["radius_sweep"]["oracle"] == oracle_value
+        rows = sweep["radius_sweep"]["rows"]
         pairs = [(kernel["value"], adj["delta"], adj["rel_delta"])]
         pairs += [(row["value"], row["delta"], row["rel_delta"])
                   for row in rows if "value" in row]
         assert len(pairs) >= 4 and all("rel_delta" not in row for row in rows
                                        if "error" in row)
         for value, delta, rel in pairs:
-            assert {"delta": delta, "rel_delta": rel} == verify.distance(value, oracle_value)
+            judged = verify.judge(value, oracle)
+            assert (judged["delta"], judged["rel_delta"]) == (delta, rel)
             assert rel == (delta / abs(oracle_value) if oracle_value else None)
         assert adj["flipped_rel_delta"] == (
             adj["flipped_delta"] / abs(oracle_value) if oracle_value else None)
-        assert [row["pass"] for row in rows if "value" in row] == \
-            [row["delta"] < 1e-3 for row in rows if "value" in row]
+        for row in rows:
+            if "value" in row:
+                judged = verify.judge(row["value"], oracle)
+                assert (row["threshold"], row["verdict"]) == (
+                    judged["threshold"], judged["verdict"])
+            assert row["pass"] == (row.get("verdict") == "PASS")
     check(measures.correlation_oracle(SPEC, POINTS, L=6))
     oracle = measures.correlation_oracle
     monkeypatch.setattr(measures, "correlation_oracle",
@@ -87,19 +93,48 @@ def test_relative_distances_read_the_same_rows(monkeypatch):
     check(0.0)
 
 
+def _oracle_row(value, diagnostic):
+    return {"value": value, "diagnostics": {"truncation_diagnostic": diagnostic}}
+
+
+def test_judge_passes_only_below_the_unraised_threshold():
+    # the threshold is max(1e-3, 10 x diagnostic); below it the verdict is
+    # PASS at 1e-3 and INCONCLUSIVE above; at it, or at a NaN, FAIL
+    cases = [(0.5 + 5e-4, 0.0, 1e-3, "PASS"), (0.5 - 2e-3, 1e-5, 1e-3, "FAIL"),
+             (0.5 + 5e-4, 1e-3, 1e-2, "INCONCLUSIVE"), (0.5 + 0.5, 0.05, 0.5, "FAIL"),
+             (float("nan"), 0.0, 1e-3, "FAIL"), (float("nan"), 1.0, 10.0, "FAIL")]
+    for value, diagnostic, threshold, verdict in cases:
+        out = verify.judge(value, _oracle_row(0.5, diagnostic))
+        assert (out["threshold"], out["verdict"]) == (threshold, verdict)
+        assert out["delta"] == abs(value - 0.5) or np.isnan(value)
+    assert verify.judge(0.25, _oracle_row(0.0, 0.0))["rel_delta"] is None
+
+
 def test_sweep_radii_judges_the_scan_against_the_oracle_row(monkeypatch):
-    # a row passes below 1e-3 from the oracle row's value; an error row,
-    # which has no value and so no distance, fails
+    # a row passes below 1e-3 from the oracle row's value, and reads
+    # INCONCLUSIVE there once a short truncation raises the threshold; a
+    # NaN row fails, and so does an error row, which has no distance
     scan = {"T": [[1, 0]], "rows": [
         {"radii": {}, "note": "near", "value": 0.5 + 5e-4},
         {"radii": {}, "note": "far", "value": 0.5 - 2e-3},
+        {"radii": {}, "note": "nan", "value": float("nan")},
         {"radii": {}, "note": "broken", "error": "did not converge"}]}
-    monkeypatch.setattr(kernels, "radius_sweep", lambda spec, T, cfg: scan)
-    out = verify.sweep_radii(SPEC, [(1, 0)], CFG, {"value": 0.5})
-    assert out["T"] == [[1, 0]] and out["oracle"] == 0.5
-    assert [row["pass"] for row in out["rows"]] == [True, False, False]
-    assert out["rows"][0]["delta"] == abs(0.5 + 5e-4 - 0.5)
-    assert {"delta", "rel_delta"}.isdisjoint(out["rows"][2])
+    for diagnostic, verdicts in ((0.0, ["PASS", "FAIL", "FAIL"]),
+                                 (1e-3, ["INCONCLUSIVE", "INCONCLUSIVE", "FAIL"])):
+        monkeypatch.setattr(kernels, "radius_sweep", lambda spec, T, cfg: {
+            "T": scan["T"], "rows": [dict(row) for row in scan["rows"]]})
+        monkeypatch.setattr(verify, "correlation_row",
+                            lambda *args: _oracle_row(0.5, diagnostic))
+        out = verify.sweep_radii(SPEC, [(1, 0)], CFG, 6)
+        assert out["results"] == [_oracle_row(0.5, diagnostic)]
+        sweep = out["radius_sweep"]
+        assert sweep["T"] == [[1, 0]] and sweep["oracle"] == 0.5
+        assert [row.get("verdict") for row in sweep["rows"]] == [*verdicts, None]
+        assert [row["pass"] for row in sweep["rows"]] == [
+            verdict == "PASS" for verdict in verdicts] + [False]
+        assert sweep["rows"][0]["delta"] == abs(0.5 + 5e-4 - 0.5)
+        assert {"delta", "rel_delta", "threshold"}.isdisjoint(sweep["rows"][3])
+        assert set(out["timing"]["sections"]) == {"oracle", "radius_sweep"}
 
 
 def test_symfunc_battery_passes_on_every_seed():
