@@ -51,14 +51,18 @@ the values and the node counts leave them as they are. The value part
 and each pass gathers those of the circles it reads through the plan's
 masks. Every numerical pass is done afresh.
 
-Every convention here (signs, the strict dichotomy, the per-slot level
-assignment of the rational factors) was fixed by agreement with the
-brute-force oracle; the alternatives remain selectable so the compare and
-sweep reports can show them failing.
+Three conventions are switches of `KernelConfig`, and `CONVENTIONS` is the
+one table of their choices and of what each does: the K22 sign
+(`sign_convention`), the levels whose slot factors the z and w slots of a
+K12 entry read (`h_assignment`) and the level rule that puts its w circle
+at |zw| < 1 (`k12_regime`). The paper's choice, first in each, was fixed by
+agreement with the brute-force oracle; the others remain selectable so the
+compare and sweep reports and the tests can show them failing.
 """
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, combinations
 from types import SimpleNamespace
@@ -75,29 +79,41 @@ from .symfunc import Specialization
 
 SIGN_PAPER = "paper_zw_minus_1"
 SIGN_BR = "borodin_rains_1_minus_zw"
+# Each convention switch's choices, the paper's first, and what each does: the
+# factor of the K22 block, Borodin-Rains' (1 - zw) being minus the paper's
+# (zw - 1); the levels (z slot, w slot) whose slot factors a level-i,
+# level-j K12 entry reads, "display" being the misprinted pairing; and the
+# rule of (i, j) that puts its w circle at |zw| < 1, "literal" grouping
+# i == j with i < j.
+CONVENTIONS = {
+    "sign_convention": {SIGN_PAPER: 1.0, SIGN_BR: -1.0},
+    "h_assignment": {"slot": lambda i, j: (i, j), "display": lambda i, j: (j, i)},
+    "k12_regime": {"strict": operator.lt, "literal": operator.le},
+}
+PAPER_CHOICES = {switch: next(iter(choices)) for switch, choices in CONVENTIONS.items()}
 
 
 @dataclass
 class KernelConfig:
-    """A config's `kernel` section: a field it leaves out keeps its default."""
+    """A config's `kernel` section: a field it leaves out keeps its default.
+    Each switch of `CONVENTIONS` takes one of its choices there and defaults
+    to the paper's."""
     quad_tol: float = 1e-8
     start_nodes: int = 64
     max_nodes: int = quad.MAX_NODES_2D
-    sign_convention: str = SIGN_PAPER
-    h_assignment: str = "slot"      # "display" reproduces the misprinted pairing
-    k12_regime: str = "strict"      # "literal" groups i == j with |zw| < 1
+    sign_convention: str = PAPER_CHOICES["sign_convention"]
+    h_assignment: str = PAPER_CHOICES["h_assignment"]
+    k12_regime: str = PAPER_CHOICES["k12_regime"]
     radii: dict = field(default_factory=dict)
 
     def validate(self):
         """Raise one ValueError that names every fault, joined by "; "."""
         n = self.start_nodes
-        faults = [fault for bad, fault in (
-            (self.sign_convention not in (SIGN_PAPER, SIGN_BR),
-             f"unknown sign convention {self.sign_convention!r}"),
-            (self.h_assignment not in ("slot", "display"),
-             f"unknown h_assignment {self.h_assignment!r}"),
-            (self.k12_regime not in ("strict", "literal"),
-             f"unknown k12_regime {self.k12_regime!r}"),
+        # a tuple of the choices: a value read from a config may be unhashable
+        faults = [f"unknown {switch} {getattr(self, switch)!r}"
+                  for switch, choices in CONVENTIONS.items()
+                  if getattr(self, switch) not in tuple(choices)]
+        faults += [fault for bad, fault in (
             (not 0 < self.quad_tol < math.inf, "quad_tol must be positive and finite"),
             (n < 8 or n & (n - 1), "start_nodes must be a power of two >= 8"),
             (self.max_nodes < 2 * n, "max_nodes must allow one doubling of start_nodes"),
@@ -155,33 +171,24 @@ def _resolved_radii(spec, cfg):
 
 
 def _slot_values(spec):
-    """Per-level value tuples for the two slot factors."""
-    m = spec.m
+    """Per level, the (numerator, denominator) value tuples of its slot
+    factor, prod (1 - v/z) over the numerator's values v times
+    prod 1/(1 - v z) over the denominator's, on the outer circle k11; an
+    inner circle swaps the pair."""
     plus_all = tuple(v for s in spec.rho_plus for v in s.values)
-    num1, den1, num2, den2 = {}, {}, {}, {}
-    for lvl in range(1, m + 1):
-        tail = tuple(v for s in spec.rho_plus[lvl - 1:] for v in s.values)
-        minus_below = tuple(v for s in spec.rho_minus[:lvl] for v in s.values)
-        num1[lvl] = plus_all + minus_below
-        den1[lvl] = tail
-        num2[lvl] = tail
-        den2[lvl] = plus_all + minus_below
-    return num1, den1, num2, den2
-
-
-def _k22_sign(cfg):
-    """The K22 coupling's sign: +1 under the paper's (zw - 1), -1 under
-    Borodin-Rains' (1 - zw)."""
-    return 1.0 if cfg.sign_convention == SIGN_PAPER else -1.0
+    return {lvl: (plus_all + tuple(v for s in spec.rho_minus[:lvl] for v in s.values),
+                  tuple(v for s in spec.rho_plus[lvl - 1:] for v in s.values))
+            for lvl in range(1, spec.m + 1)}
 
 
 def _k12_variant(i, j, k12_regime, h_assignment):
     """The w circle of the K12 entry of a level-i and a level-j point,
-    k12_w_lt (|zw| < 1) for i < j (i <= j under the "literal" k12_regime)
-    and k12_w_gt otherwise, and the levels whose slot factors its z and w
-    slots read, (i, j) or under the "display" h_assignment (j, i)."""
-    lt = i < j if k12_regime == "strict" else i <= j
-    a, b = (i, j) if h_assignment == "slot" else (j, i)
+    k12_w_lt (|zw| < 1) where the level rule of the k12_regime choice holds
+    of (i, j) and k12_w_gt otherwise, and the levels (a, b) whose slot
+    factors its z and w slots read, in the slot order of the h_assignment
+    choice: both are the choices' effects in `CONVENTIONS`."""
+    a, b = CONVENTIONS["h_assignment"][h_assignment](i, j)
+    lt = CONVENTIONS["k12_regime"][k12_regime](i, j)
     return ("k12_w_lt" if lt else "k12_w_gt"), a, b
 
 
@@ -342,9 +349,10 @@ class _Assembly:
                                               cfg.h_assignment)
         self.size, self.blocks, self.col_circle = (layout.size, layout.blocks,
                                                    layout.col_circle)
-        num1, den1, num2, den2 = _slot_values(spec)
-        self.nums = _padded([(num1 if c == 0 else num2)[lvl] for c, lvl in layout.rows])
-        self.dens = _padded([(den1 if c == 0 else den2)[lvl] for c, lvl in layout.rows])
+        values = _slot_values(spec)
+        pairs = [values[lvl][::-1] if c else values[lvl] for c, lvl in layout.rows]
+        self.nums = _padded([num for num, _ in pairs])
+        self.dens = _padded([den for _, den in pairs])
         self.start_nodes, self.max_nodes = cfg.start_nodes, cfg.max_nodes
         self.node_evaluations = 0
 
@@ -442,8 +450,9 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
     The integrals U of K12 and of K11 and K22 above the diagonal come from
     four blocks on four circles (K11 on k11 x k11, K12 on k11 x k12_w_lt and
     k11 x k12_w_gt, K22 on k22 x k22). This is the one place that knows the
-    matrix's structure: K11 = U - U^T, K22 = `_k22_sign` x (U - U^T), K12 is
-    U and K21 is -K12^T, so the matrix is exactly skew and goes to
+    matrix's structure: K11 = U - U^T, K22 = s (U - U^T) with s the sign
+    that cfg.sign_convention gives in `CONVENTIONS`, K12 is U and K21 is
+    -K12^T, so the matrix is exactly skew and goes to
     `pfaffian` as it is, with no projection (`pfaffian.SkewMatrix` is for
     input that may not be). All circles double their node count together
     from cfg.start_nodes; each integral keeps its estimate and node count
@@ -483,7 +492,7 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
     K = np.zeros((2 * d, 2 * d), dtype=complex)
     K[0::2, 0::2], K[0::2, 1::2], K[1::2, 1::2] = V[..., 0], V[..., 1], V[..., 2]
     K = K - K.T
-    K[1::2, 1::2] *= _k22_sign(cfg)
+    K[1::2, 1::2] *= CONVENTIONS["sign_convention"][cfg.sign_convention]
     if not full_output:
         return K
     nodes = {name(e): (cfg.start_nodes << step[e],) * 2

@@ -467,20 +467,11 @@ def _locus_enclosed(a, rho, c, r):
 
 def _validate_disks(qs, centers, radii):
     """Hard checks that each variable's circles enclose exactly the intended
-    poles: per-variable circles pairwise disjoint and inside the unit disk
-    away from 0, shift-image pole loci cleanly nested at earlier variables,
-    and every cross pole locus (z_k/q_j, q_j z_j, z_j/q_k) excluded."""
+    poles: shift-image pole loci cleanly nested at earlier variables, and
+    every cross pole locus (z_k/q_j, q_j z_j, z_j/q_k) excluded. The radii
+    are `_separated`'s, so each level's circles are already pairwise
+    disjoint and inside the unit disk away from 0."""
     d = len(qs)
-    for j in range(d):
-        cj, rj = centers[j], radii[j]
-        for a in range(len(cj)):
-            if abs(cj[a]) <= rj:
-                raise ContourConditionError("a contour circle encloses 0")
-            if abs(cj[a]) + rj >= 1:
-                raise ContourConditionError("a contour circle leaves the unit disk")
-            for b in range(a + 1, len(cj)):
-                if abs(cj[a] - cj[b]) <= 2 * rj:
-                    raise ContourConditionError("contour circles of one variable intersect")
     for j in range(d):
         for k in range(j + 1, d):
             for ck in centers[k]:

@@ -407,6 +407,8 @@ def compare_methods(spec, T, cfg, L=30):
         "kernel", spec, T, cfg, L, full_output=True))
     own = judge(kernel["value"], oracle)
     flipped = judge(pfaffian(kernels.with_other_k22_sign(info["matrix"])).real, oracle)
+    (other,) = (sign for sign in kernels.CONVENTIONS["sign_convention"]
+                if sign != cfg.sign_convention)
     kernel["delta_vs_oracle"] = own["delta"]
     return {
         "truncation_diagnostic": oracle["diagnostics"]["truncation_diagnostic"],
@@ -415,9 +417,7 @@ def compare_methods(spec, T, cfg, L=30):
             "convention": cfg.sign_convention,
             "delta": own["delta"],
             "rel_delta": own["rel_delta"],
-            "flipped_convention": (kernels.SIGN_BR
-                                   if cfg.sign_convention == kernels.SIGN_PAPER
-                                   else kernels.SIGN_PAPER),
+            "flipped_convention": other,
             "flipped_delta": flipped["delta"],
             "flipped_rel_delta": flipped["rel_delta"],
         },

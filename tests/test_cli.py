@@ -734,6 +734,7 @@ CONFIG_FAULTS = {
         **_BASE, "quadrature": {"tol": 1e-9, "start_nodes": 64}},
     "two kernel faults": {
         **_BASE, "kernel": {"sign_convention": None, "start_nodes": 48}},
+    "list kernel switch": {**_BASE, "kernel": {"h_assignment": ["slot"]}},
 }
 # the config-error line of faults whose text names the field and the value
 FAULT_LINES = {
@@ -754,8 +755,9 @@ FAULT_LINES = {
     "misspelled kernel key": "config error: kernel.sign_conventoin: unknown key",
     "extra process key": "config error: process.rho_zero: unknown key",
     "leftover quadrature section": "config error: quadrature: unknown key",
-    "two kernel faults": "config error: kernel: unknown sign convention None; "
+    "two kernel faults": "config error: kernel: unknown sign_convention None; "
                          "start_nodes must be a power of two >= 8",
+    "list kernel switch": "config error: kernel: unknown h_assignment ['slot']",
 }
 
 

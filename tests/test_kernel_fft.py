@@ -21,7 +21,7 @@ import pytest
 from kernel_reference import dense, integrated
 from pfschur import kernels
 from pfschur import quadrature as quad
-from pfschur.kernels import SIGN_BR, KernelConfig
+from pfschur.kernels import CONVENTIONS, SIGN_BR, KernelConfig
 from pfschur.measures import PointSet, ProcessSpec
 
 SPEC = ProcessSpec([[0.4, 0.2], [0.3]], [[0.35], [0.25, 0.1]])
@@ -189,10 +189,10 @@ def test_each_circle_side_is_transformed_once_per_doubling(monkeypatch):
 M2 = json.loads((Path(__file__).resolve().parent.parent / "configs" /
                  "m2_d11.json").read_text())
 M2_SPEC, M2_PTS = ProcessSpec.from_json(M2["process"]), PointSet(M2["points"])
-# every variant switch: two of them change the layout, three only values
-SWITCHES = {"sign": {"sign_convention": SIGN_BR},
-            "h_assignment": {"h_assignment": "display"},
-            "k12_regime": {"k12_regime": "literal"},
+# every variant switch, each convention switch at its last choice: two of
+# them change the layout, three only values
+SWITCHES = {**{"sign" if switch == "sign_convention" else switch:
+               {switch: [*choices][-1]} for switch, choices in CONVENTIONS.items()},
             "radii": {"radii": kernels._radii_at(M2_SPEC, 0.25)},
             "max_nodes": {"max_nodes": 256}}
 

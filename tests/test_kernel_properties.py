@@ -21,8 +21,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 
 from kernel_reference import reference  # noqa: E402
-from pfschur.kernels import (SIGN_BR, SIGN_PAPER, KernelConfig,  # noqa: E402
-                             _inadmissible_radii, _radii_at, assemble_kernel)
+from pfschur.kernels import (CONVENTIONS, SIGN_BR, SIGN_PAPER,  # noqa: E402
+                             KernelConfig, _inadmissible_radii, _radii_at,
+                             assemble_kernel)
 from pfschur.measures import PointSet, ProcessSpec  # noqa: E402
 from pfschur.quadrature import QuadratureError  # noqa: E402
 
@@ -34,11 +35,13 @@ def _sweep_radii(spec, fr=0.3):
     return _radii_at(spec, fr)
 
 
-# KernelConfig fields per variant; "radii" takes its radii from the spec
-VARIANTS = {"paper": {}, "br": {"sign_convention": SIGN_BR},
-            "display": {"h_assignment": "display"},
-            "literal": {"k12_regime": "literal"}, "radii": {},
-            "capped": {"max_nodes": 128}}
+# KernelConfig fields per variant: the paper's conventions, every other
+# choice of a switch, named by the choice ("br" for SIGN_BR), admissible radii
+# off the defaults, which "radii" takes from the spec, and a low node cap
+VARIANTS = {"paper": {},
+            **{"br" if choice == SIGN_BR else choice: {switch: choice}
+               for switch, (_, *others) in CONVENTIONS.items() for choice in others},
+            "radii": {}, "capped": {"max_nodes": 128}}
 
 
 @st.composite

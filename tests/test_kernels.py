@@ -7,8 +7,8 @@ import pytest
 
 from kernel_reference import dense, reference
 from pfschur import kernels
-from pfschur.kernels import (SIGN_BR, KernelConfig, assemble_kernel,
-                             correlation_via_kernel,
+from pfschur.kernels import (CONVENTIONS, SIGN_BR, KernelConfig,
+                             assemble_kernel, correlation_via_kernel,
                              correlation_via_q_extraction, default_radii,
                              radius_sweep,
                              verify_principal_pfaffian_factorization,
@@ -24,6 +24,9 @@ X2 = Specialization([0.5, 0.25])
 SPEC_M1 = ProcessSpec([X2], [X2])
 SPEC_M2 = ProcessSpec([[0.4], [0.3]], [[0.35], [0.25]])
 CFG = KernelConfig()
+# (switch, choice) for every choice of a convention switch but the paper's
+OTHER_CHOICES = [(switch, choice) for switch, (_, *others) in CONVENTIONS.items()
+                 for choice in others]
 
 
 def test_default_radii_admissible():
@@ -177,11 +180,14 @@ def test_d1_integrates_k12_alone_on_two_circles(monkeypatch):
     assert circles == [(first, (radii["k11"], radii["k12_w_gt"]))]
 
 
-# a d = 3 spec over two levels, with points at both, and each variant
+# a d = 3 spec over two levels, with points at both, and each variant: the
+# paper's conventions, every other choice of the switches but the sign, and
+# the inadmissible radii
 SPEC_D3 = ProcessSpec([[0.4, 0.2], [0.3]], [[0.35], [0.25, 0.15]])
 T_D3 = PointSet([(1, 0), (1, 2), (2, -1)])
-D3_VARIANTS = {"paper": {}, "display": {"h_assignment": "display"},
-               "literal": {"k12_regime": "literal"},
+D3_VARIANTS = {"paper": {},
+               **{choice: {switch: choice} for switch, choice in OTHER_CHOICES
+                  if switch != "sign_convention"},
                "inadmissible": {"radii": kernels._inadmissible_radii(SPEC_D3)}}
 
 
@@ -196,29 +202,20 @@ def test_the_k22_sign_is_the_last_step_of_the_assembly(variant):
     assert np.abs(br[1::2, 1::2]).max() > 0
 
 
-def test_sign_adjudication():
-    # flipping (zw-1) to (1-zw) in K22 must break the m=2 agreement
+# the least miss of the oracle on SPEC_M2 at (1, 0), (2, 0) that each choice
+# but the paper's must show (measured: 1.68e-2, 0.368 and 0.522; the
+# paper's own is 3.5e-11)
+MISSES = {SIGN_BR: 1e-2, "display": 0.05, "literal": 0.05}
+
+
+@pytest.mark.parametrize("switch, choice", OTHER_CHOICES)
+def test_every_other_convention_misses_the_oracle_m2(switch, choice):
+    # a choice added to or dropped from a switch must gain or lose its bound
+    assert set(MISSES) == {other for _, other in OTHER_CHOICES}
     T = [(1, 0), (2, 0)]
     orc = correlation_oracle(SPEC_M2, T, L=20)
-    cfg_br = KernelConfig(sign_convention=SIGN_BR)
-    val_br = correlation_via_kernel(SPEC_M2, T, cfg_br)
-    assert abs(val_br - orc) > 10 * 1e-3
-    val_paper = correlation_via_kernel(SPEC_M2, T, KernelConfig())
-    assert abs(val_paper - orc) < 1e-3
-
-
-def test_display_h_assignment_fails_m2():
-    T = [(1, 0), (2, 0)]
-    orc = correlation_oracle(SPEC_M2, T, L=20)
-    val = correlation_via_kernel(SPEC_M2, T, KernelConfig(h_assignment="display"))
-    assert abs(val - orc) > 0.05
-
-
-def test_literal_k12_regime_fails_m2():
-    T = [(1, 0), (2, 0)]
-    orc = correlation_oracle(SPEC_M2, T, L=20)
-    val = correlation_via_kernel(SPEC_M2, T, KernelConfig(k12_regime="literal"))
-    assert abs(val - orc) > 0.05
+    val = correlation_via_kernel(SPEC_M2, T, KernelConfig(**{switch: choice}))
+    assert abs(val - orc) > MISSES[choice]
 
 
 def test_quadrature_stability_under_tol_halving():

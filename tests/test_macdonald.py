@@ -614,10 +614,27 @@ D3_CASE = ([0.4 + 0.1j, 0.35 - 0.2j, 0.3 + 0.05j], [0.3, 0.2, 0.12],
            [0.25, 0.1, 0.05])
 
 
+def _level_fault(centers, radii):
+    """The first fault of a level's circles about centers at radii, level by
+    level and circle by circle: one that encloses 0, one that leaves the
+    unit disk or two that intersect; None if there is none. `_separated`
+    radii have none."""
+    for cs, r in zip(centers, radii):
+        for a, c in enumerate(cs):
+            if abs(c) <= r:
+                return "encloses 0"
+            if abs(c) + r >= 1:
+                return "leaves the unit disk"
+            if any(abs(c - b) <= 2 * r for b in cs[a + 1:]):
+                return "intersect"
+    return None
+
+
 def _d3_draws(seed, ns, shift_images):
     """(qs, xs, ys) with three complex q's, 0.2 < |q| < 0.6, and n points
     for each n in ns, whose stated radii exist and, with shift_images, whose
-    shift-image contours pass their disk checks; other draws are skipped."""
+    shift-image circles at those radii are disjoint, inside the unit disk
+    away from 0 and pass their disk checks; other draws are skipped."""
     rng = np.random.default_rng(seed)
     cases = []
     for n in ns:
@@ -628,7 +645,10 @@ def _d3_draws(seed, ns, shift_images):
             try:
                 radii = choose_radii(qs, xs, ys)
                 if shift_images:
-                    _validate_disks(qs, _image_centers(qs, xs), radii)
+                    centers = _image_centers(qs, xs)
+                    if _level_fault(centers, radii):
+                        continue
+                    _validate_disks(qs, centers, radii)
             except ContourConditionError:
                 continue
             cases.append((qs, xs, ys))
@@ -679,11 +699,8 @@ def _intersecting_d3_draws(seed, count):
             radii = choose_radii(qs, xs, ys)
         except ContourConditionError:
             continue
-        try:
-            _validate_disks(qs, _image_centers(qs, xs), radii)
-        except ContourConditionError as exc:
-            if "intersect" in str(exc):
-                cases.append((qs, xs, ys))
+        if _level_fault(_image_centers(qs, xs), radii) == "intersect":
+            cases.append((qs, xs, ys))
     return cases
 
 
@@ -741,17 +758,18 @@ def test_d4_default_radii_keep_0_outside_every_circle():
     # the level-0 centers include q_2 q_3 q_4 x at |.| = 7.9e-4, and
     # choose_radii's r_1 = 1.6e-3 around it encloses 0; the default radii,
     # scaled so every circle lies within a sixteenth of its center's
-    # distance to 0, pass the disk checks, and the action, one 16-node pass
-    # of 4.2e6 grid points, is the composition
+    # distance to 0, keep 0 outside and pass the disk checks, and the
+    # action, one 16-node pass of 4.2e6 grid points, is the composition
     qs = [0.438109980856251 - 0.4733220751055826j,
           -0.08841076984217433 - 0.09910878569057528j,
           -0.09779319600584474 + 0.0021068581210672145j,
           0.04947332573418526 + 0.08193405514745078j]
     xs, ys = [0.6389867501818189], [0.1931078245306091, 0.36989593846967517]
     centers, radii = _image_centers(qs, xs), choose_radii(qs, xs, ys)
-    with pytest.raises(ContourConditionError, match="encloses 0"):
-        _validate_disks(qs, centers, radii)
-    _validate_disks(qs, centers, _separated(radii, centers))
+    assert min(map(abs, centers[0])) < radii[0]
+    separated = _separated(radii, centers)
+    assert _level_fault(centers, separated) is None
+    _validate_disks(qs, centers, separated)
     comp = _composition(qs, xs, ys, z_partition)
     value, info = iterated_action_Z(qs, xs, ys, full_output=True)
     assert info["nodes"] == (16,) * 4
