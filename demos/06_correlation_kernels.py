@@ -2,17 +2,17 @@
 
 Three independent routes to the same number: brute-force enumeration, the
 Pfaffian of the assembled kernel matrix, and the q-power coefficient of the
-iterated Macdonald action. The kernel route also adjudicates the (zw-1)
+iterated Macdonald action on the stated contours, taken from its exact
+residue sum (`stated_action_Z`). The kernel route also adjudicates the (zw-1)
 versus (1-zw) sign of the inner-inner block.
 """
 
-from pfschur import (KernelConfig, ProcessSpec, Specialization,
-                     assemble_kernel, correlation_oracle,
-                     correlation_via_kernel, correlation_via_q_extraction,
-                     default_radii)
+from pfschur import (KernelConfig, ProcessSpec, assemble_kernel,
+                     correlation_oracle, correlation_via_kernel,
+                     correlation_via_q_extraction, default_radii)
 from pfschur.kernels import SIGN_BR
 
-X = Specialization([0.5, 0.25])
+X = (0.5, 0.25)
 spec = ProcessSpec([X], [X])
 cfg = KernelConfig()
 

@@ -17,8 +17,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 from .partitions import (conjugate, enumerate_up_to_weight,
                          even_conjugate_subpartitions, is_even_conjugate,
                          point_configuration)
-from .symfunc import (H0, DivergenceError, Specialization, cauchy_H, schur,
-                      skew_schur, tau)
+from .symfunc import H0, DivergenceError, cauchy_H, schur, skew_schur, tau
 from .quadrature import (Circle, ContourSpec, QuadratureError, circle,
                          circles_around, integrate, integrate2)
 from .pfaffian import SkewMatrix, pfaffian, verify_schur_pfaffian

@@ -75,7 +75,6 @@ from .macdonald import (ContourConditionError, _pair, choose_radii,
 from .macdonald import iterated_action_Z  # noqa: F401 (perfbench traces it here)
 from .measures import PointSet
 from .pfaffian import pfaffian, schur_pfaffian_matrix
-from .symfunc import Specialization
 
 SIGN_PAPER = "paper_zw_minus_1"
 SIGN_BR = "borodin_rains_1_minus_zw"
@@ -175,9 +174,9 @@ def _slot_values(spec):
     factor, prod (1 - v/z) over the numerator's values v times
     prod 1/(1 - v z) over the denominator's, on the outer circle k11; an
     inner circle swaps the pair."""
-    plus_all = tuple(v for s in spec.rho_plus for v in s.values)
-    return {lvl: (plus_all + tuple(v for s in spec.rho_minus[:lvl] for v in s.values),
-                  tuple(v for s in spec.rho_plus[lvl - 1:] for v in s.values))
+    plus_all = sum(spec.rho_plus, ())
+    return {lvl: (plus_all + sum(spec.rho_minus[:lvl], ()),
+                  sum(spec.rho_plus[lvl - 1:], ()))
             for lvl in range(1, spec.m + 1)}
 
 
@@ -573,12 +572,10 @@ def correlation_via_q_extraction(X, Y, T, cfg=None, full_output=False):
     extraction and its positions, with the same estimates.
     """
     cfg = cfg or KernelConfig()
-    X = X if isinstance(X, Specialization) else Specialization(X)
-    Y = Y if isinstance(Y, Specialization) else Specialization(Y)
-    if len(X) != len(Y):
+    xs = [complex(v).real for v in X]
+    ys = [complex(v).real for v in Y]
+    if len(xs) != len(ys):
         raise ValueError("q-extraction expects |X| = |Y|")
-    xs = [v.real for v in X.values]
-    ys = [v.real for v in Y.values]
     n = len(xs)
     T_all = [int(t) for t in T]
     T_eff = [t for t in T_all if t >= -n]
@@ -651,7 +648,7 @@ def verify_principal_pfaffian_factorization(qs, zs):
 def _inadmissible_radii(spec):
     """The Open Question configuration: a k11 circle enclosing the 1/x poles
     of the rho^+ values."""
-    r_bad = 1.15 / min(abs(v) for s in spec.rho_plus for v in s.values)
+    r_bad = 1.15 / min(abs(v) for s in spec.rho_plus for v in s)
     return {"k11": r_bad,
             "k12_w_lt": 1 / (2 * r_bad),
             "k12_w_gt": (1 / r_bad + 1 / spec.max_abs_plus()) / 2,

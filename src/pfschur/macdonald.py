@@ -61,7 +61,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from . import quadrature as quad
-from .symfunc import Specialization, H0, cauchy_H, schur_table
+from .symfunc import H0, cauchy_H, schur_table
 from .symfunc import schur  # noqa: F401 (perfbench traces it here)
 
 
@@ -343,13 +343,12 @@ def apply_via_contour(G, xs, r, q, tol=1e-9, full_output=False):
 def z_partition(xs, ys):
     """Closed-form partition function with the free-boundary factor:
     prod_{i<j} 1/(1-x_i x_j) * prod_{i,j} 1/(1-x_i y_j)."""
-    sx = Specialization(xs)
-    return H0(sx) * cauchy_H(sx, Specialization(ys))
+    return H0(xs) * cauchy_H(xs, ys)
 
 
-def f_partition(xs, ys):
-    """Closed-form two-sided partition function prod_{i,j} 1/(1-x_i y_j)."""
-    return cauchy_H(Specialization(xs), Specialization(ys))
+def _named(qs):
+    """The shifts as an error message names them."""
+    return "qs=(" + ", ".join(f"{q:.6g}" for q in qs) + ")"
 
 
 def _stated_condition_distance(qs, xs, ys):
@@ -386,11 +385,23 @@ def choose_radii(qs, xs, ys):
     circle at least 16 radii away (`_separated`), so their actions are
     accepted at the first doubling, 8 -> 16, from one 16-node pass. r_1
     does not depend on the ratio, and `kernels._pick_rq` reads only r_1.
+
+    A shift q = 0, or radii below the float resolution of the x_i, raise a
+    ContourConditionError naming the shifts. The bound is r_d >= 2^-26 |x|
+    for the largest |x|: a node x + r e^{i theta} is computed to within
+    about an ulp of x, 2^-52 |x|, so a smaller radius leaves the node's
+    offset from x, which the pole factor 1/(z - x) reads, fewer than half
+    of double precision's bits, and near 2^-52 |x| nodes fall onto the
+    pole. A tiny shift drives r_1 there through upsilon^2. On the shipped
+    configs, in the tests and on `kernels._pick_rq`'s grid, r_d/|x| stays
+    above 4e-7.
     """
     qs = [complex(q) for q in qs]
     xs = [complex(x) for x in xs]
     ys = [complex(y) for y in ys]
     d = len(qs)
+    if 0 in qs:
+        raise ContourConditionError(f"shifts {_named(qs)}: a zero shift admits no contour")
     D = _stated_condition_distance(qs, xs, ys)
     if D <= 0:
         raise ContourConditionError("a shifted point coincides with an x_i")
@@ -408,7 +419,13 @@ def choose_radii(qs, xs, ys):
     r1 = min(r1, 0.9 * (1 - max(abs(x) for x in xs)))
     if r1 <= 0:
         raise ContourConditionError("stated radius conditions admit no positive r_1")
-    return [r1 * 0.0625 ** j for j in range(d)]
+    radii = [r1 * 0.0625 ** j for j in range(d)]
+    x = max(xs, key=abs)
+    if radii[-1] < 2.0 ** -26 * abs(x):
+        raise ContourConditionError(
+            f"shifts {_named(qs)} give a radius {radii[-1]:.3g} about x = {x:.6g}, "
+            f"below the float resolution of its center")
+    return radii
 
 
 def _image_centers(qs, xs):
@@ -504,7 +521,7 @@ def _iterated_action(qs, X, Y, with_boundary, tol, contour_mode, full_output):
     xs = [complex(x) for x in X]
     ys = [complex(y) for y in Y]
     d = len(qs)
-    partition = z_partition if with_boundary else f_partition
+    partition = z_partition if with_boundary else cauchy_H
     if d == 0:
         value = partition(xs, ys)
         return ((value, {"nodes": (), "last_delta": 0.0, "grid_points": 0,
@@ -527,9 +544,8 @@ def _iterated_action(qs, X, Y, with_boundary, tol, contour_mode, full_output):
             *_factors(qs, xs, ProductFormFunction(ys, with_boundary)), contours,
             tol=tol, full_output=True)
     except quad.QuadratureError as exc:
-        shifts = ", ".join(f"{q:.6g}" for q in qs)
         raise exc.naming(f"iterated {'Z' if with_boundary else 'F'} action "
-                         f"qs=({shifts})") from exc
+                         f"{_named(qs)}") from exc
     value = partition(xs, ys) * integral
     if full_output:
         return value, {**info, "radii": [float(r) for r in radii]}

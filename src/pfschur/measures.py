@@ -27,20 +27,18 @@ import numpy as np
 
 from .partitions import contains, point_configuration  # noqa: F401 (perfbench traces them here)
 from .partitions import enumerate_up_to_weight, horizontal_strips
-from .symfunc import (H0, Specialization, cauchy_H, json_number, schur,
-                      skew_schur, tau)
+from .symfunc import H0, cauchy_H, json_number, schur, skew_schur, tau
 
 
 class ProcessSpec:
     """Level count m plus the specialization families rho^+_1..rho^+_m and
-    rho^-_0..rho^-_{m-1}. Entries must be positive reals below 1 so that the
-    weights are positive and the closed-form partition function converges."""
+    rho^-_0..rho^-_{m-1}, each family kept as a tuple of complex numbers.
+    Entries must be positive reals below 1 so that the weights are positive
+    and the closed-form partition function converges."""
 
     def __init__(self, rho_plus, rho_minus):
-        self.rho_plus = tuple(s if isinstance(s, Specialization) else Specialization(s)
-                              for s in rho_plus)
-        self.rho_minus = tuple(s if isinstance(s, Specialization) else Specialization(s)
-                               for s in rho_minus)
+        self.rho_plus = tuple(tuple(map(complex, s)) for s in rho_plus)
+        self.rho_minus = tuple(tuple(map(complex, s)) for s in rho_minus)
         if not self.rho_plus:
             raise ValueError("need at least one level")
         if len(self.rho_minus) != len(self.rho_plus):
@@ -66,9 +64,8 @@ class ProcessSpec:
     @classmethod
     def from_json(cls, data):
         """From {"rho_plus": [...], "rho_minus": [...]}, each a list of
-        families and each family a list of values
-        (`Specialization.from_json`); a wrongly shaped field is a ValueError
-        naming the field and its value."""
+        families and each family a list of JSON numbers (`json_number`); a
+        wrongly shaped field is a ValueError naming the field and its value."""
         if not isinstance(data, dict):
             raise ValueError(f"{data!r} is not an object with rho_plus and rho_minus")
         families = []
@@ -80,7 +77,7 @@ class ProcessSpec:
             for s in data[key]:
                 if not isinstance(s, (list, tuple)):
                     raise ValueError(f"{key} family {s!r} is not a list of values")
-            families.append([Specialization.from_json(s) for s in data[key]])
+            families.append([[json_number(v, complex) for v in s] for s in data[key]])
         return cls(*families)
 
 
@@ -163,10 +160,7 @@ def partition_function_closed(spec, kind="pfaffian", h0_union=True):
     if kind != "pfaffian":
         raise ValueError("kind must be 'pfaffian' or 'schur'")
     if h0_union:
-        union = Specialization(())
-        for s in spec.rho_plus:
-            union = union | s
-        out *= H0(union)
+        out *= H0(sum(spec.rho_plus, ()))
     else:
         for s in spec.rho_plus:
             out *= H0(s)

@@ -1,7 +1,8 @@
 """Numerical evaluation of symmetric functions at finite specializations.
 
-A specialization is a finite ordered list of complex numbers. Everything here
-is double-precision complex; identities are checked to tolerances, never
+A specialization is a finite ordered list of complex numbers, a tuple of
+them; a disjoint union is their concatenation. Everything here is
+double-precision complex; identities are checked to tolerances, never
 symbolically. Schur and skew Schur functions are Jacobi-Trudi determinants
 of complete homogeneous functions, their matrices read from an h-table by
 one index formula (`_jacobi_trudi`), and their determinants taken by
@@ -42,48 +43,10 @@ def json_number(value, kind=float):
     return result
 
 
-class Specialization:
-    """Finite ordered list of complex values; hashable, immutable."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values=()):
-        object.__setattr__(self, "values", tuple(complex(v) for v in values))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Specialization is immutable")
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __eq__(self, other):
-        return isinstance(other, Specialization) and self.values == other.values
-
-    def __hash__(self):
-        return hash(self.values)
-
-    def __repr__(self):
-        return f"Specialization({list(self.values)!r})"
-
-    def union(self, other):
-        """Disjoint union: power sums add, so values concatenate."""
-        ov = other.values if isinstance(other, Specialization) \
-            else tuple(complex(v) for v in other)
-        return Specialization(self.values + ov)
-
-    __or__ = union
-
-    @classmethod
-    def from_json(cls, data):
-        """Each entry a JSON number (`json_number`)."""
-        return cls(json_number(v, complex) for v in data)
-
-
 def _values(s):
-    return s.values if isinstance(s, Specialization) else tuple(complex(v) for v in s)
+    """A specialization's values as a tuple, which the memo tables key on: a
+    tuple as it is, any other iterable converted to complex once."""
+    return s if isinstance(s, tuple) else tuple(complex(v) for v in s)
 
 
 @lru_cache(maxsize=65536)

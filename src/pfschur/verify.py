@@ -27,7 +27,6 @@ from .partitions import (enumerate_up_to_weight, even_conjugate_subpartitions,
                          subpartitions)
 from .pfaffian import (_pfaffian_expand, _pfaffian_ltl, pfaffian,
                        verify_schur_pfaffian)
-from .symfunc import Specialization
 
 
 def timed(sections, name, run):
@@ -60,8 +59,8 @@ def battery_symfunc(seed=0):
     for lam in shapes:
         xv = rng.uniform(0.1, 0.7, 2)
         yv = rng.uniform(0.1, 0.7, 2)
-        X, Y = Specialization(xv), Specialization(yv)
-        lhs = symfunc.schur(lam, X | Y)
+        X, Y = tuple(map(complex, xv)), tuple(map(complex, yv))
+        lhs = symfunc.schur(lam, X + Y)
         rhs = sum(symfunc.skew_schur(lam, mu, X) * symfunc.schur(mu, Y)
                   for mu in subpartitions(lam))
         worst = np.maximum(worst, abs(lhs - rhs))
@@ -73,7 +72,7 @@ def battery_symfunc(seed=0):
     for _ in range(draws):
         xv = rng.uniform(0.05, 0.6, 3)
         yv = rng.uniform(0.05, 0.6, 2)
-        X, Y = Specialization(xv), Specialization(yv)
+        X, Y = tuple(map(complex, xv)), tuple(map(complex, yv))
         px = np.sum(xv ** np.arange(1, 121)[:, None], axis=1)
         py = np.sum(yv ** ks[:, None], axis=1)
         exp_form = np.exp(np.sum(px[:60] * py / ks))
@@ -89,7 +88,7 @@ def battery_symfunc(seed=0):
     # the shapes above weight 60 add the tail (x1 x2)^31/(1 - x1 x2), at most
     # 0.36^31/0.64 ~ 2.7e-14 here
     xv = rng.uniform(0.1, 0.6, 2)
-    X = Specialization(xv)
+    X = tuple(map(complex, xv))
     target = symfunc.H0(X)
     shapes = even_conjugate_subpartitions((30, 30))
     total = sum(symfunc.schur(mu, X) for mu in shapes)
@@ -203,7 +202,7 @@ def battery_iterated_actions(seed=0):
 
     for name, G, action in (
             ("Z", macdonald.z_partition, macdonald.iterated_action_Z),
-            ("F", macdonald.f_partition, macdonald.iterated_action_F)):
+            ("F", symfunc.cauchy_H, macdonald.iterated_action_F)):
         inner = lambda v: macdonald.apply_direct(lambda u: G(u, ys), v, 1, q1)
         comp = macdonald.apply_direct(inner, xs, 1, q2)
         cont, info = action([q1, q2], xs, ys, full_output=True)

@@ -19,11 +19,11 @@ from pfschur.measures import (PointSet, ProcessSpec, correlation_oracle,
                               partition_function_truncated,
                               truncation_diagnostic)
 from pfschur.macdonald import (apply_direct, iterated_action_F,
-                               iterated_action_Z, f_partition, z_partition)
+                               iterated_action_Z, z_partition)
 from pfschur.pfaffian import pfaffian, verify_schur_pfaffian
-from pfschur.symfunc import Specialization
+from pfschur.symfunc import cauchy_H
 
-X2 = Specialization([0.5, 0.25])
+X2 = (0.5, 0.25)
 SPEC_M1 = ProcessSpec([X2], [X2])
 SPEC_M2 = ProcessSpec([[0.4], [0.3]], [[0.35], [0.25]])
 
@@ -56,7 +56,7 @@ def test_criterion_03_iterated_action_equivalence():
     xs, ys = [0.3, 0.2], [0.25, 0.1]
     q1, q2 = 0.4 + 0.1j, 0.35 - 0.2j
     Zf = lambda v: z_partition(v, ys)
-    Ff = lambda v: f_partition(v, ys)
+    Ff = lambda v: cauchy_H(v, ys)
     comp_z = apply_direct(lambda v: apply_direct(Zf, v, 1, q1), xs, 1, q2)
     comp_f = apply_direct(lambda v: apply_direct(Ff, v, 1, q1), xs, 1, q2)
     dz = abs(comp_z - iterated_action_Z([q1, q2], xs, ys))

@@ -25,9 +25,14 @@ call of each name the alias is bound to: `name = f`, `name = f if c else
 g`, and a loop `for a, f in ((x, f), (y, g))` over a literal tuple of
 tuples. `TEST_ONLY_OPTIONS` lists the few options that only tests set, each
 with its reason.
+
+    python tests/test_callers.py --lines
+
+prints the package's code lines per module and in total (`code_lines`).
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,11 +111,7 @@ def _shared_methods():
 # demos/ or perfbench/*.py to a method name more than one package class
 # defines reaches; the caller is the module and the definitions around the
 # reference
-SHARED_METHOD_CALLS = {
-    ("cli._load_config", "from_json"): "measures.ProcessSpec",
-    ("measures.ProcessSpec.from_json", "from_json"): "symfunc.Specialization",
-    ("workloads.CliWorkload._reference", "from_json"): "measures.ProcessSpec",
-}
+SHARED_METHOD_CALLS = {}
 
 
 def uncalled():
@@ -263,3 +264,31 @@ def test_every_option_is_passed_by_a_caller():
 
 def test_every_listed_option_is_still_only_set_by_tests():
     assert set(TEST_ONLY_OPTIONS) <= set(unpassed())
+
+
+def code_lines(path):
+    """The number of code lines of a module: the lines its statements span,
+    a class or function giving its decorators and header and its body
+    statement by statement, less docstrings, comments and blank lines."""
+    text = path.read_text(encoding="utf-8").splitlines()
+    lines, docstrings = set(), set()
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, (ast.Module, *DEFINITIONS)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        if isinstance(node, DEFINITIONS):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            lines.update(range(first, node.body[0].lineno))
+        elif isinstance(node, ast.stmt):
+            lines.update(range(node.lineno, node.end_lineno + 1))
+    return sum(1 for n in lines - docstrings
+               if text[n - 1].strip() and not text[n - 1].lstrip().startswith("#"))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--lines"]:
+        sys.exit("usage: python tests/test_callers.py --lines")
+    counts = {path.name: code_lines(path) for path in sorted(PACKAGE.glob("*.py"))}
+    for name, count in counts.items():
+        print(f"{name:16s} {count:5d}")
+    print(f"{'total':16s} {sum(counts.values()):5d}")

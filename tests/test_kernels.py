@@ -16,17 +16,37 @@ from pfschur.kernels import (CONVENTIONS, SIGN_BR, KernelConfig,
 from pfschur.measures import PointSet, ProcessSpec, correlation_oracle
 from pfschur.pfaffian import pfaffian
 from pfschur.quadrature import QuadratureError
-from pfschur.symfunc import Specialization
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-X2 = Specialization([0.5, 0.25])
+X2 = (0.5, 0.25)
 SPEC_M1 = ProcessSpec([X2], [X2])
 SPEC_M2 = ProcessSpec([[0.4], [0.3]], [[0.35], [0.25]])
 CFG = KernelConfig()
 # (switch, choice) for every choice of a convention switch but the paper's
 OTHER_CHOICES = [(switch, choice) for switch, (_, *others) in CONVENTIONS.items()
                  for choice in others]
+
+
+def test_a_family_is_a_tuple_of_complex_whatever_its_input():
+    # lists, tuples, numpy arrays and JSON give the same families, tuples of
+    # complex numbers, and bitwise the same values on the oracle and kernel
+    # routes
+    plus, minus = [[0.4, 0.2], [0.3]], [[0.35], [0.25, 0.1]]
+    specs = [ProcessSpec(plus, minus),
+             ProcessSpec([tuple(s) for s in plus], [tuple(s) for s in minus]),
+             ProcessSpec([np.array(s) for s in plus], [np.array(s) for s in minus]),
+             ProcessSpec.from_json(json.loads(json.dumps(
+                 {"rho_plus": plus, "rho_minus": minus})))]
+    T = [(1, 0), (2, 0)]
+    values = set()
+    for spec in specs:
+        assert spec.rho_plus == ((0.4 + 0j, 0.2 + 0j), (0.3 + 0j,))
+        assert spec.rho_minus == ((0.35 + 0j,), (0.25 + 0j, 0.1 + 0j))
+        assert {type(v) for s in spec.rho_plus + spec.rho_minus for v in s} == {complex}
+        values.add((float(correlation_oracle(spec, T, L=20)).hex(),
+                    float(correlation_via_kernel(spec, T, CFG)).hex()))
+    assert len(values) == 1, values
 
 
 def test_default_radii_admissible():
@@ -267,7 +287,7 @@ def test_q_extraction_guards():
     with pytest.raises(ValueError):
         correlation_via_q_extraction(X2, X2, [0, 1, 2], CFG)
     with pytest.raises(ValueError):
-        correlation_via_q_extraction(X2, Specialization([0.5]), [0], CFG)
+        correlation_via_q_extraction(X2, (0.5,), [0], CFG)
 
 
 def test_principal_pfaffian_factorization():

@@ -12,11 +12,11 @@ from pfschur.macdonald import (ContourConditionError, ProductFormFunction,
                                _image_centers, _separated, _validate_disks,
                                apply_direct, apply_via_contour, choose_radii,
                                contour_radius, eigen_residual, eigenvalue,
-                               f_partition, iterated_action_F,
-                               iterated_action_Z, stated_action_Z, z_partition)
+                               iterated_action_F, iterated_action_Z,
+                               stated_action_Z, z_partition)
 from pfschur.measures import ProcessSpec, observable_expectation_oracle
 from pfschur.partitions import enumerate_up_to_weight
-from pfschur.symfunc import Specialization, schur, schur_table
+from pfschur.symfunc import cauchy_H, schur, schur_table
 
 
 def standard_G(ys):
@@ -41,7 +41,7 @@ def test_apply_direct_full_subset_is_pure_shift():
 
 def test_apply_direct_single_variable_eigenrelation():
     q = 0.45
-    F = lambda v: schur((1,), Specialization(v))
+    F = lambda v: schur((1,), v)
     assert abs(apply_direct(F, [0.6], 1, q) - q * 0.6) < 1e-15
 
 
@@ -72,7 +72,7 @@ def test_eigen_residual_of_many_partitions_matches_one_at_a_time():
     assert got.shape == (len(orders), len(lams))
     for r, row in zip(orders, got):
         for lam, res in zip(lams, row):
-            F = lambda v, lam=lam: schur(lam, Specialization(v))
+            F = lambda v, lam=lam: schur(lam, v)
             s = F(xs)
             alone = abs(apply_direct(F, xs, r, q, t) - eigenvalue(lam, 3, r, q) * s)
             assert abs(res - alone / (abs(s) + 1)) < 1e-15
@@ -275,7 +275,7 @@ def test_iterated_d2_repeated_q():
 def test_iterated_F_matches_composition():
     xs, ys = [0.3, 0.2], [0.25, 0.1]
     q1, q2 = 0.4 + 0.1j, 0.35 - 0.2j
-    Ff = lambda v: f_partition(v, ys)
+    Ff = lambda v: cauchy_H(v, ys)
     comp = apply_direct(lambda v: apply_direct(Ff, v, 1, q1), xs, 1, q2)
     cont = iterated_action_F([q1, q2], xs, ys)
     assert abs(comp - cont) < 1e-6
@@ -678,7 +678,7 @@ def test_iterated_d2_random_draws_match_their_references():
         ys = list(rng.uniform(0.1, 0.6, 2))
         qs = list(rng.uniform(0.2, 0.6, 2) * np.exp(2j * np.pi * rng.random(2)))
         for action, partition in ((iterated_action_Z, z_partition),
-                                  (iterated_action_F, f_partition)):
+                                  (iterated_action_F, cauchy_H)):
             comp = _composition(qs, xs, ys, partition)
             assert abs(action(qs, xs, ys) - comp) < 1e-8 * abs(comp)
         stated = stated_action_Z(qs, xs, ys)
@@ -745,7 +745,7 @@ def test_iterated_actions_match_the_composition_on_random_draws():
         ys = list(rng.uniform(0.1, 0.6, int(rng.integers(1, 4))))
         qs = list(rng.uniform(0.05, 0.7, d) * np.exp(2j * np.pi * rng.random(d)))
         for action, partition in ((iterated_action_Z, z_partition),
-                                  (iterated_action_F, f_partition)):
+                                  (iterated_action_F, cauchy_H)):
             comp = _composition(qs, xs, ys, partition)
             value, info = action(qs, xs, ys, full_output=True)
             assert abs(value - comp) < 1e-9 * abs(comp), (d, xs, ys, qs)
@@ -780,6 +780,18 @@ def test_a_shift_image_center_off_the_unit_disk_is_a_contour_error():
     # |q_2 x| = 1.14: no scaling keeps a circle about it inside the unit disk
     with pytest.raises(ContourConditionError, match="center lies off the unit disk"):
         iterated_action_Z([0.3, 1.9], [0.6], [0.2])
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_zero_or_tiny_shift_is_a_contour_error():
+    # q_2 = 1e-9 drives choose_radii's radii to 6.75e-20 and 4.2e-21 about
+    # x = 0.5, far below its float resolution of 1.1e-16, where nodes round
+    # onto the pole; q_2 = 0 admits no contour. Each is named before any
+    # node is evaluated, with no warning
+    for q, match in ((1e-9, r"1e-09.*below the float resolution"),
+                     (0.0, "a zero shift admits no contour")):
+        with pytest.raises(ContourConditionError, match=match):
+            iterated_action_Z([0.4, q], [0.5], [0.2])
 
 
 def test_stated_residue_sum_d3_equals_stated_quadrature():

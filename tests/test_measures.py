@@ -11,7 +11,7 @@ from pfschur.measures import (PointSet, ProcessSpec, correlation_oracle,
                               truncation_diagnostic)
 from pfschur.partitions import (contains, enumerate_up_to_weight,
                                 point_configuration, subpartitions)
-from pfschur.symfunc import H0, Specialization, cauchy_H, schur, skew_schur, tau
+from pfschur.symfunc import H0, cauchy_H, schur, skew_schur, tau
 
 
 def test_process_spec_validation():
@@ -28,6 +28,16 @@ def test_process_spec_validation():
     assert spec.max_abs() == 0.5
     assert ProcessSpec.from_json({"rho_plus": [[0.5], [0.4]],
                                   "rho_minus": [[0.3], [0.2]]}).rho_minus == spec.rho_minus
+
+
+def test_process_spec_from_json_reads_json_numbers():
+    spec = ProcessSpec.from_json({"rho_plus": [[0.5, 1e-1]], "rho_minus": [[]]})
+    assert spec.rho_plus == ((0.5 + 0j, 0.1 + 0j),) and spec.rho_minus == ((),)
+    # complex() parses strings and takes true as 1, but neither is a number;
+    # nor is an [re, im] pair, which no process weight could use
+    for entry in ("0.5", True, [0.25, 0.1], ["0.5", 0], [0.5]):
+        with pytest.raises(ValueError, match="is not a number"):
+            ProcessSpec.from_json({"rho_plus": [[entry]], "rho_minus": [[0.5]]})
 
 
 def test_point_set():
@@ -70,12 +80,12 @@ def test_process_weight_length_mismatch():
 def test_partition_function_closed_m1():
     spec = ProcessSpec([[0.5]], [[0.5]])
     assert abs(partition_function_closed(spec, "pfaffian") - 4 / 3) < 1e-14
-    want = cauchy_H(Specialization([0.5]), Specialization([0.5])).real
+    want = cauchy_H((0.5,), (0.5,)).real
     assert abs(partition_function_closed(spec, "schur") - want) < 1e-15
     # empty rho^-_0 leaves only the pair factor
     spec2 = ProcessSpec([[0.5, 0.25]], [[]])
     assert abs(partition_function_closed(spec2, "pfaffian")
-               - H0(Specialization([0.5, 0.25])).real) < 1e-15
+               - H0((0.5, 0.25)).real) < 1e-15
 
 
 def test_partition_function_truncated():
@@ -109,8 +119,8 @@ def test_h0_union_adjudication():
 
 
 def test_cauchy_identity_truncated():
-    X = Specialization([0.5, 0.3])
-    Y = Specialization([0.4, 0.2])
+    X = (0.5, 0.3)
+    Y = (0.4, 0.2)
     total = sum((schur(lam, X) * schur(lam, Y)).real
                 for lam in enumerate_up_to_weight(30, 2))
     assert abs(total - cauchy_H(X, Y).real) < 1e-9
@@ -124,7 +134,7 @@ def test_correlation_oracle_geometric_case():
 
 
 def test_correlation_monotone_under_superset():
-    spec = ProcessSpec([Specialization([0.5, 0.25])], [Specialization([0.5, 0.25])])
+    spec = ProcessSpec([(0.5, 0.25)], [(0.5, 0.25)])
     small = correlation_oracle(spec, [(1, 0)], L=24)
     big = correlation_oracle(spec, [(1, 0), (1, 2)], L=24)
     assert big <= small <= 1.0
@@ -133,7 +143,7 @@ def test_correlation_monotone_under_superset():
 def test_correlation_window_complementation():
     # sum of one-point correlations over a window equals the expected number
     # of points there, computed by direct enumeration
-    X = Specialization([0.5, 0.25])
+    X = (0.5, 0.25)
     spec = ProcessSpec([X], [X])
     L = 20
     window = range(-6, L + 1)
