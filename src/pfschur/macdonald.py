@@ -387,14 +387,14 @@ def choose_radii(qs, xs, ys):
     does not depend on the ratio, and `kernels._pick_rq` reads only r_1.
 
     A shift q = 0, or radii below the float resolution of the x_i, raise a
-    ContourConditionError naming the shifts. The bound is r_d >= 2^-26 |x|
-    for the largest |x|: a node x + r e^{i theta} is computed to within
-    about an ulp of x, 2^-52 |x|, so a smaller radius leaves the node's
-    offset from x, which the pole factor 1/(z - x) reads, fewer than half
-    of double precision's bits, and near 2^-52 |x| nodes fall onto the
-    pole. A tiny shift drives r_1 there through upsilon^2. On the shipped
-    configs, in the tests and on `kernels._pick_rq`'s grid, r_d/|x| stays
-    above 4e-7.
+    ContourConditionError naming the shifts. A tiny shift drives r_1 there
+    through upsilon^2. The bound is r_d >= 2^-52 |x| for the largest |x|,
+    at least one ulp of x: on a smaller circle a node x + r e^{i theta} can
+    round onto x, a pole of the integrand, while on one at the bound every
+    node differs from x by at least half an ulp in one coordinate. Above it
+    rounding does not spoil the actions: at q = (0.4, 1e-6), xs = (0.5,
+    0.3), r_2 = 1.0e-15 |x| and both match the composition to 6e-16; at q_2
+    = 1e-7, r_2 = 1.0e-17 |x|, and the quadrature would divide by zero.
     """
     qs = [complex(q) for q in qs]
     xs = [complex(x) for x in xs]
@@ -421,7 +421,7 @@ def choose_radii(qs, xs, ys):
         raise ContourConditionError("stated radius conditions admit no positive r_1")
     radii = [r1 * 0.0625 ** j for j in range(d)]
     x = max(xs, key=abs)
-    if radii[-1] < 2.0 ** -26 * abs(x):
+    if radii[-1] < 2.0 ** -52 * abs(x):
         raise ContourConditionError(
             f"shifts {_named(qs)} give a radius {radii[-1]:.3g} about x = {x:.6g}, "
             f"below the float resolution of its center")
