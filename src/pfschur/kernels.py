@@ -27,15 +27,25 @@ column, with no n x n array (the tests check it against the dense-grid
 sums). A pass (`_Assembly.estimate`) is one array evaluation of the
 circles that the blocks with an unconverged entry read: one
 `quadrature.nodes_weights` call on their radii, one broadcast for all their
-slot factors and columns, one ifft per side of the blocks, one fft for every
-block's Hankel symbol and one matrix product per block and node count; the
-blocks that read a circle share its columns (K11 and both K12 blocks read
-k11). The n trapezoid nodes of a circle are its 2n nodes [::2] bit for bit,
-so the n-node transforms are the 2n-node ones folded in half (Trefethen &
-Weideman, SIAM Rev. 56, 2014), and the first pass evaluates 4 x start_nodes
-nodes per circle and serves the estimates at start_nodes, twice that and
-four times that. Each later pass evaluates all its nodes afresh and serves
-one doubling. The node count doubles for all circles together, each entry
+slot factors and columns, one irfft per side of the blocks, one hfft for
+every block's Hankel symbol and one real matrix product per block and node
+count; the blocks that read a circle share its columns (K11 and both K12
+blocks read k11). The n trapezoid nodes of a circle are its 2n nodes [::2]
+bit for bit, so the n-node transforms are the 2n-node ones folded in half
+(Trefethen & Weideman, SIAM Rev. 56, 2014), and the first pass evaluates
+4 x start_nodes nodes per circle and serves the estimates at start_nodes,
+twice that and four times that. Each later pass evaluates its nodes afresh
+and serves one doubling.
+
+Every integrand is real on the real axis: the specialization values (a
+`ProcessSpec` admits reals in (0, 1) only) and the radii are real and every
+circle is centered at 0, so at the conjugate node z-bar each column and the
+coupling take the conjugate value. On N nodes r omega^a the node N - a is
+the conjugate of node a, so a pass evaluates nodes 0..N/2 alone, N/2 + 1 of
+N, and its transforms and sums of the others are those of the conjugates:
+every integral is real and is summed in real arithmetic, and the
+Pfaffian's imaginary part, the kernel row's `imag_defect`, is 0 by
+construction. The node count doubles for all circles together, each entry
 is accepted at the first doubling where it converges, and a block, or a
 circle no open block reads, is no longer evaluated once every entry on it
 has converged.
@@ -327,6 +337,17 @@ class _Layout:
         return plan
 
 
+@functools.lru_cache(maxsize=16)
+def _stride_weights(N, count):
+    """The (count, N/2 + 1) table that sums a conjugate-symmetric column's
+    N/s-node trapezoid sum, s = 2**j in row j, from its nodes 0..N/2: s at
+    nodes 0 and N/2, 2s at the multiples of s between them, for each node
+    and its conjugate N - a, and 0 elsewhere; read-only."""
+    a = np.arange(N // 2 + 1)
+    s = 1 << np.arange(count)[:, None]
+    return _frozen(np.where(a % s, 0, np.where(a % (N // 2), 2 * s, s)).astype(float))
+
+
 class _Assembly:
     """One kernel assembly over the points pts: the `_Layout` of the points
     under cfg's k12_regime and h_assignment, shared with every other
@@ -338,7 +359,7 @@ class _Assembly:
     the first pass and one count on each later pass; a pass keeps nothing
     of another. `blocks`, `col_circle` and `size` are the layout's.
     `node_evaluations` counts the circle nodes at which slot factors were
-    evaluated: each pass's count for every circle it read.
+    evaluated: N/2 + 1 of each pass's N nodes for every circle it read.
     """
 
     def __init__(self, spec, pts, cfg):
@@ -378,11 +399,14 @@ class _Assembly:
         """One pass over the blocks that hold an entry that live (a boolean
         array over all 3 d^2 entries) marks, as `quadrature.converge` takes
         it: the list of the entries at n = start_nodes * 2**k nodes per
-        circle and, on the first pass (k = 0), at 2n and 4n, each one flat
-        array over all the entries, of which only the live ones are to be
-        read. The pass evaluates N nodes per circle, the largest count it
+        circle and, on the first pass (k = 0), at 2n and 4n, each one real
+        flat array over all the entries, of which only the live ones are to
+        be read. The pass sums N nodes per circle, the largest count it
         serves: 4n on the first pass, or 2n if 4n exceeds max_nodes, and n on
-        a later one.
+        a later one. It evaluates the columns at nodes 0..N/2, the first
+        N/2 + 1 rows of the `quadrature.nodes_weights` arrays, as views; the
+        columns at the other nodes, N - a for 0 < a < N/2, are the
+        conjugates of those at a (see the module docstring).
 
         Each block is sum_ab A[a, p] C(z_a, w_b) B[b, q] over the weighted
         columns A on its z circle and B on its w circle, C(z, w) being the
@@ -394,21 +418,26 @@ class _Assembly:
         Hankel sum over a + b is a convolution, so with h^ = fft(h) the block
         is N ifft(A (z - 1/z))^T diag(h^) ifft(B) plus the rank-one term of
         -1/z: O(N log N) per column (Trefethen & Weideman, SIAM Rev. 56,
-        2014). One call gives the nodes and weights of every circle the live
-        blocks read, one broadcast their columns, one ifft transforms every
-        z-side column and one every w-side column, one fft gives every
-        block's h^, and each block is one matrix product.
+        2014). The columns and h are conjugate-symmetric, x[N - a] =
+        conj(x[a]), so ifft(x) is irfft(x[:N/2 + 1], N) and fft(h) is
+        hfft(h[:N/2 + 1], N), both real. One call gives the nodes and weights
+        of every circle the live blocks read, one broadcast their columns at
+        nodes 0..N/2, one irfft transforms every z-side column and one every
+        w-side column, one hfft gives every block's h^, and each block is one
+        real matrix product.
 
         The m = N/s nodes of a circle are its N nodes [::s] and their weights
         s times the N-node weights, so the m-node transforms need no new
         evaluation: ifft_m(x[::s]) is ifft_N(x) folded, X.reshape(s, m).sum(0),
         and m fft_m(h[::s]) is N fft_N(h) folded and divided by s^2. The
         factors s of the two iffts and 1/s^2 of h^ cancel in each block, so
-        the transforms are folded in half per count and not scaled; the
-        rank-one sums are s times sums over the strided rows.
+        the transforms are folded in half per count and not scaled. The
+        rank-one sums of every count are one product of `_stride_weights`
+        with the columns at nodes 0..N/2, of which the real part is the sum
+        over all N/s strided nodes.
         """
         if not self.size:  # no points
-            return [np.zeros(0, dtype=complex)]
+            return [np.zeros(0)]
         n = N = self.start_nodes << k
         while k == 0 and N < 4 * n and 2 * N <= self.max_nodes:
             N *= 2
@@ -416,25 +445,27 @@ class _Assembly:
             b for b, block in enumerate(self.blocks) if live[block[2]].any()))
         z, wz = quad.nodes_weights(quad.ContourSpec((quad.Circle(0j, radius),)),
                                    N, radius.shape)
+        # nodes 0..N/2; the others are their conjugates, and so are the columns
+        z, wz = z[:N // 2 + 1], wz[:N // 2 + 1]
         A = self._columns(z, plan, nums, dens) * wz[:, plan.col_on]
         self.node_evaluations += z.size
         zi = 1 / z
-        strides = [1 << j for j in range((N // n).bit_length())]
+        weights = _stride_weights(N, (N // n).bit_length())
         Az = A[:, plan.zcols]
-        a = [s * np.einsum("ij,ij->j", zi[::s, plan.zon], Az[::s]) for s in strides]
-        Az = np.fft.ifft(Az * (z - zi)[:, plan.zon], axis=0)
+        a = (weights @ (zi[:, plan.zon] * Az)).real
+        Az = np.fft.irfft(Az * (z - zi)[:, plan.zon], n=N, axis=0)
         Bw = A[:, plan.wcols]
-        b = [s * Bw[::s].sum(axis=0) for s in strides]
-        Bw = np.fft.ifft(Bw, axis=0)
+        b = (weights @ Bw).real
+        Bw = np.fft.irfft(Bw, n=N, axis=0)
         # N is a power of two, so scaling h^ by it is exact
-        h_hat = N * np.fft.fft(1 / (z[:, plan.zon_blocks] * z[0, plan.won_blocks] - 1),
-                               axis=0)
+        h_hat = N * np.fft.hfft(1 / (z[:, plan.zon_blocks] * z[0, plan.won_blocks] - 1),
+                                n=N, axis=0)
         out = []
-        for s, a_s, b_s in zip(strides, a, b):
-            if s > 1:
+        for j, (a_s, b_s) in enumerate(zip(a, b)):
+            if j:
                 Az, Bw, h_hat = (x[:len(x) // 2] + x[len(x) // 2:]
                                  for x in (Az, Bw, h_hat))
-            est = np.zeros(self.size, dtype=complex)
+            est = np.zeros(self.size)
             for h, (entries, zcols, wcols, zs, ws) in zip(h_hat.T, plan.blocks):
                 block = (Az[:, zs] * h[:, None]).T @ Bw[:, ws] - a_s[zs, None] * b_s[ws]
                 est[entries] = block[zcols, wcols]
@@ -461,12 +492,14 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
     more) and gives the estimates at the first three counts; each later pass
     evaluates afresh the circles that the blocks with an unconverged entry
     read and gives one doubling. An entry not converged at cfg.max_nodes
-    raises QuadratureError naming it. full_output adds the points, the node
-    counts of the integrated entries (`nodes`), `max_last_delta`, the
+    raises QuadratureError naming it. Each integral is summed in real
+    arithmetic from nodes 0..N/2 of each circle's N (`_Assembly.estimate`),
+    so the matrix's imaginary part is 0. full_output adds the points, the
+    node counts of the integrated entries (`nodes`), `max_last_delta`, the
     largest last-doubling delta over them, the four circles' `radii` and
     `node_evaluations`, the circle nodes at which slot factors were
-    evaluated: each pass's count for every circle it read, the first pass's
-    even where every entry converges at a lower count.
+    evaluated: N/2 + 1 of each pass's N nodes for every circle it read, the
+    first pass's even where every entry converges at a lower count.
     """
     cfg = cfg or KernelConfig()
     cfg.validate()
@@ -502,10 +535,11 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
 
 
 def correlation_via_kernel(spec, T, cfg=None, full_output=False):
-    """Pfaffian of the assembled kernel; the imaginary part is pure
-    quadrature noise and is reported alongside, with the assembled `matrix`
-    (an array) and the assembly's `max_last_delta`, the node counts of
-    the integrated entries (`nodes`), `radii` and `node_evaluations`.
+    """Pfaffian of the assembled kernel, with the assembled `matrix` (an
+    array) and the assembly's `max_last_delta`, the node counts of the
+    integrated entries (`nodes`), `radii` and `node_evaluations`. Every
+    entry is real (`_Assembly.estimate`), so `imag_defect`, the Pfaffian's
+    imaginary part that every route's row reports, is 0 by construction.
 
     full_output also gives `rel_last_delta`, max_last_delta over |value|
     (None when the value is 0). Every entry passes its own absolute test,

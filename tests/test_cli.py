@@ -505,8 +505,10 @@ def test_kernel_row_reports_its_radii_and_node_evaluations(tmp_path):
     spec = ProcessSpec([[0.5]], [[0.5]])
     assert diagnostics["radii"] == kernels.default_radii(spec)
     # K12[0,0] alone, on k11 and k12_w_gt, in one pass at 4 x 64 nodes,
-    # which also serves the estimates at 64 and 128, where it converges
-    assert diagnostics["node_evaluations"] == 2 * 256
+    # which also serves the estimates at 64 and 128, where it converges;
+    # the pass evaluates nodes 0..128 of each circle, the others being
+    # their conjugates
+    assert diagnostics["node_evaluations"] == 2 * (256 // 2 + 1)
 
 
 def test_kernel_row_flags_its_depth_failure(tmp_path):

@@ -1,11 +1,12 @@
 """The one-pass kernel assembly against the dense core product.
 
 `kernels._Assembly.estimate` evaluates the slot columns of every circle a
-live block reads in one broadcast and sums every block's coupling
-(z - w)/(zw - 1) on them as a rank-one term plus a Hankel convolution, at
-the coarser counts of its first pass by folding the transforms;
-`kernel_reference.dense` evaluates the same trapezoid sum on the dense n x n
-grid, from slot factors of its own. The assembly integrates every K12 entry
+live block reads in one broadcast, at nodes 0..N/2 of the circle's N, and
+sums every block's coupling (z - w)/(zw - 1) on them in real arithmetic as a
+rank-one term plus a Hankel convolution, at the coarser counts of its first
+pass by folding the transforms; `kernel_reference.dense` evaluates the same
+trapezoid sum in complex arithmetic on the dense n x n grid of all the
+nodes, from slot factors of its own. The assembly integrates every K12 entry
 and the K11 and K22 entries above the diagonal (`integrated`); the dense
 sums of the others are the skew partners of those, or 0 on the diagonal.
 """
@@ -59,6 +60,28 @@ def test_fft_grids_match_the_dense_core(radii, n):
     V, S = (np.reshape(x, (len(PTS), len(PTS), 3))[..., ::2]
             for x in (dense_sums, scale))
     assert np.all(np.abs(V + V.transpose(1, 0, 2)) <= 1e-12 * S)
+
+
+# every choice of a convention switch but the paper's, and the inadmissible radii
+VARIANTS = {**{choice: {switch: choice} for switch, (_, *others) in CONVENTIONS.items()
+               for choice in others},
+            "inadmissible": {"radii": RADII["inadmissible"]}}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_served_estimate_is_real_and_matches_the_full_complex_grid(variant):
+    # a pass sums its blocks in real arithmetic from nodes 0..N/2 of each
+    # circle; the dense reference sums all N^2 complex summands. The first
+    # pass serves 64, 128 and 256 nodes, a later one 512
+    cfg = KernelConfig(**VARIANTS[variant])
+    asm = kernels._Assembly(SPEC, PTS, cfg)
+    served = [*asm.estimate(0, ALL), *asm.estimate(3, ALL)]
+    assert len(served) == 4
+    kept = integrated(len(PTS))
+    for n, est in zip((64, 128, 256, 512), served):
+        assert est.dtype == np.float64, n
+        dense_sums, scale = dense(SPEC, PTS, cfg, n)
+        assert np.all(np.abs(est - dense_sums)[kept] <= 1e-12 * scale[kept]), n
 
 
 def test_fft_grid_builds_no_node_by_node_array():
@@ -123,7 +146,8 @@ def test_later_passes_read_only_the_circles_of_live_blocks(monkeypatch):
         circles = {c for zc, wc, entries, *_ in asm.blocks if live[entries].any()
                    for c in (zc, wc)}
         assert radii == tuple(asm.radius[sorted(circles)]), n
-    assert node_evaluations == sum(n * len(radii) for n, radii in passes)
+    # nodes 0..n/2 of each circle: the others are their conjugates
+    assert node_evaluations == sum((n // 2 + 1) * len(radii) for n, radii in passes)
 
 
 def test_a_later_pass_matches_the_dense_core(monkeypatch):
@@ -133,6 +157,21 @@ def test_a_later_pass_matches_the_dense_core(monkeypatch):
     for n, live, est in later:
         dense_sums, scale = dense(SPEC, PTS, KernelConfig(quad_tol=1e-10), n)
         assert np.all(np.abs(est - dense_sums)[live] <= 1e-12 * scale[live]), n
+
+
+def test_every_pass_evaluates_half_of_each_circles_nodes_and_one(monkeypatch):
+    # nodes N - a of a circle are the conjugates of nodes a, and so are the
+    # columns there: a pass at N nodes evaluates nodes 0..N/2 alone
+    _, passes = _spy_passes(monkeypatch)
+    shapes, columns = [], kernels._Assembly._columns
+
+    def spy(self, z, *args):
+        shapes.append(z.shape)
+        return columns(self, z, *args)
+    monkeypatch.setattr(kernels._Assembly, "_columns", spy)
+    kernels.assemble_kernel(SPEC, PointSet(PTS), KernelConfig(quad_tol=1e-10))
+    assert len(passes) >= 2
+    assert shapes == [(n // 2 + 1, len(radii)) for n, radii in passes]
 
 
 def test_an_assembly_without_points_evaluates_nothing(monkeypatch):
@@ -156,14 +195,14 @@ def test_the_first_pass_stays_at_a_count_converge_reaches(monkeypatch, max_nodes
                                       full_output=True)
     assert [n for n, _ in passes] == [first]
     assert set(info["nodes"].values()) == {(128, 128)}
-    assert info["node_evaluations"] == 2 * first
+    assert info["node_evaluations"] == 2 * (first // 2 + 1)
 
 
 def test_each_circle_side_is_transformed_once_per_doubling(monkeypatch):
     # K11 and both K12 blocks read the k11 circle's z side, K22 the k22
-    # circle's: one ifft over those columns, one over every w-side column,
-    # and one fft for the four blocks' h^, at 256 nodes for the counts 64,
-    # 128 and 256, and then once per doubling
+    # circle's: one irfft over those columns, one over every w-side column,
+    # and one hfft for the four blocks' h^, each on nodes 0..N/2 of N = 256
+    # nodes for the counts 64, 128 and 256, and then once per doubling
     spec = ProcessSpec([[0.4, 0.2], [0.3]], [[0.35], [0.25, 0.1]])
     pts = [(1, 0), (1, 2), (2, -1), (2, 1)]
     asm = kernels._Assembly(spec, pts, KernelConfig())
@@ -172,18 +211,19 @@ def test_each_circle_side_is_transformed_once_per_doubling(monkeypatch):
 
     def spy(name, transform):
         def f(a, *args, **kwargs):
-            calls.append((name, a.shape))
+            calls.append((name, a.shape, kwargs.get("n")))
             return transform(a, *args, **kwargs)
         return f
-    monkeypatch.setattr(np.fft, "ifft", spy("ifft", np.fft.ifft))
-    monkeypatch.setattr(np.fft, "fft", spy("fft", np.fft.fft))
+    for name in ("ifft", "fft", "irfft", "hfft"):
+        monkeypatch.setattr(np.fft, name, spy(name, getattr(np.fft, name)))
     count = Counter(asm.col_circle.tolist())
     every = np.ones(3 * len(pts) ** 2, dtype=bool)
     for k in (0, 3):  # the counts 64, 128 and 256, then 512
         asm.estimate(k, every)
     assert calls == [call for n in (256, 512) for call in (
-        ("ifft", (n, count[0] + count[3])), ("ifft", (n, len(asm.col_circle))),
-        ("fft", (n, 4)))]
+        ("irfft", (n // 2 + 1, count[0] + count[3]), n),
+        ("irfft", (n // 2 + 1, len(asm.col_circle)), n),
+        ("hfft", (n // 2 + 1, 4), n))]
 
 
 M2 = json.loads((Path(__file__).resolve().parent.parent / "configs" /

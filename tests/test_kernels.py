@@ -129,7 +129,8 @@ def test_correlation_matches_oracle_m1():
         val, info = correlation_via_kernel(SPEC_M1, [(1, t) for t in T], CFG,
                                            full_output=True)
         assert abs(val - orc) < 1e-4, T
-        assert info["imag_defect"] < 10 * CFG.quad_tol
+        # every entry is summed in real arithmetic, so the Pfaffian is real
+        assert not np.imag(info["matrix"]).any() and info["imag_defect"] == 0, T
 
 
 def test_correlation_matches_oracle_m2():
@@ -195,7 +196,7 @@ def test_d1_integrates_k12_alone_on_two_circles(monkeypatch):
     K, info = assemble_kernel(spec, PointSet(raw["points"]), CFG, full_output=True)
     first = 4 * CFG.start_nodes
     assert info["nodes"] == {"K12[0,0]": (128, 128)}
-    assert info["node_evaluations"] == 2 * first
+    assert info["node_evaluations"] == 2 * (first // 2 + 1)
     radii = info["radii"]
     assert circles == [(first, (radii["k11"], radii["k12_w_gt"]))]
 

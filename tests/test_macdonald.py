@@ -794,6 +794,19 @@ def test_a_zero_or_tiny_shift_is_a_contour_error():
             iterated_action_Z([0.4, q], [0.5], [0.2])
 
 
+def test_a_shifted_point_near_an_x_is_a_contour_error(monkeypatch):
+    # q_2 x_1 lies 5e-13 from x_2 = 0.25, far below 2^-20 of the largest |x|:
+    # the action would double to 8192 nodes per circle, about 30 s, and fail
+    # with QuadratureError. It is refused before any quadrature, its message
+    # telling the shift apart from 0.5
+    def quadrature(*args, **kwargs):
+        raise AssertionError("a quadrature ran")
+    monkeypatch.setattr(macdonald.quad, "integrate_product", quadrature)
+    with pytest.raises(ContourConditionError,
+                       match=r"0\.500000000001\+0j\) put a shifted point 5e-13 from"):
+        iterated_action_Z([0.4, 0.5 + 1e-12], [0.5, 0.25], [0.2])
+
+
 def test_stated_residue_sum_d3_equals_stated_quadrature():
     # the quadrature converges to 1e-9 on the scale max(1, |value|)
     for qs, xs, ys in [D3_CASE] + _d3_draws(1705, (3, 3, 3), shift_images=False):
