@@ -24,18 +24,20 @@ G_z^T (W C W) G_w whose columns are the points' slot factors and powers.
 On trapezoid nodes of origin-centered circles the core C is a rank-one
 term plus a Hankel matrix, so each block is summed by FFT in O(n log n) per
 column, with no n x n array (the tests check it against the dense-grid
-sums). A pass (`_Assembly.estimate`) is one array evaluation of the
-circles that the blocks with an unconverged entry read: one
+sums). A pass (`_Assembly.estimate`) is one array evaluation of the circles
+that the blocks with an unconverged entry read: one
 `quadrature.nodes_weights` call on their radii, one broadcast for all their
-slot factors and columns, one irfft per side of the blocks, one hfft for
-every block's Hankel symbol and one real matrix product per block and node
-count; the blocks that read a circle share its columns (K11 and both K12
-blocks read k11). The n trapezoid nodes of a circle are its 2n nodes [::2]
-bit for bit, so the n-node transforms are the 2n-node ones folded in half
-(Trefethen & Weideman, SIAM Rev. 56, 2014), and the first pass evaluates
-4 x start_nodes nodes per circle and serves the estimates at start_nodes,
-twice that and four times that. Each later pass evaluates its nodes afresh
-and serves one doubling.
+slot factors and columns, one product with the stride weights for every
+count's rank-one sums, one irfft for both sides' columns and every block's
+Hankel symbol, and per node count one real matrix product for all the
+blocks at once, read through flat index arrays; the blocks that read a
+circle share its columns (K11 and both K12 blocks read k11). The n
+trapezoid nodes of a circle are its 2n nodes [::2] bit for bit, so the
+n-node transforms are the 2n-node ones folded in half (Trefethen &
+Weideman, SIAM Rev. 56, 2014), and the first pass evaluates 4 x start_nodes
+nodes per circle and serves the estimates at start_nodes, twice that and
+four times that. Each later pass evaluates its nodes afresh and serves one
+doubling.
 
 Every integrand is real on the real axis: the specialization values (a
 `ProcessSpec` admits reals in (0, 1) only) and the radii are real and every
@@ -43,12 +45,12 @@ circle is centered at 0, so at the conjugate node z-bar each column and the
 coupling take the conjugate value. On N nodes r omega^a the node N - a is
 the conjugate of node a, so a pass evaluates nodes 0..N/2 alone, N/2 + 1 of
 N, and its transforms and sums of the others are those of the conjugates:
-every integral is real and is summed in real arithmetic, and the
-Pfaffian's imaginary part, the kernel row's `imag_defect`, is 0 by
-construction. The node count doubles for all circles together, each entry
-is accepted at the first doubling where it converges, and a block, or a
-circle no open block reads, is no longer evaluated once every entry on it
-has converged.
+every integral is real and is summed in real arithmetic, the assembled
+matrix is float64 and its Pfaffian is taken in real arithmetic, so the
+kernel row's `imag_defect` is 0.0 by construction. The node count doubles
+for all circles together, each entry is accepted at the first doubling
+where it converges, and a block, or a circle no open block reads, is no
+longer evaluated once every entry on it has converged.
 
 An assembly is split in two. Its layout (`_Layout`) holds the integers:
 which entries each block holds, which (level, t) columns and slot-factor
@@ -293,13 +295,18 @@ class _Layout:
         """The index arrays of a pass over the blocks numbered `live` (a
         tuple), built on the first call per tuple and kept: the circles they
         read (`circles`, `outer`), the mask `used_rows` of the slot-factor
-        rows on those circles, and for those rows and the columns on those circles,
-        the circle each is on among them (`row_on`, `col_on`), each column's
-        row among them and its -t, the z-side and w-side columns (`zcols`,
-        `wcols`) and each z-side column's circle (`zon`); per block, its z
-        and w circle among them (`zon_blocks`, `won_blocks`) and in `blocks`
-        its entries, its z and w columns, and its circles' columns on either
-        side."""
+        rows on those circles, and for those rows and the columns on those
+        circles, the circle each is on among them (`row_on`, `col_on`), each
+        column's row among them and its -t as a complex exponent, the z-side
+        and w-side columns (`zcols`, `wcols`) and each z-side column's
+        circle (`zon`); each block's z and w circle among them
+        (`zon_blocks`, `won_blocks`); the rows of the product of every block
+        at once, each block's z circle's columns block by block, as the
+        block (`h_rows`) and the z-side column (`z_rows`) of each; and, flat
+        over the blocks' entries (`entries`), the index of each in that
+        product flattened, its columns the w-side ones (`product`), and of
+        its z-side and w-side column in the rank-one sums of the z side and
+        then the w side (`rank_z`, `rank_w`)."""
         plan = self._plans.get(live)
         if plan is None:
             plan = self._plans[live] = self._build_plan(live)
@@ -319,21 +326,28 @@ class _Layout:
         sides = [sorted({pair[s] for pair in pairs}) for s in (0, 1)]
         start = [dict(zip(side, accumulate((self.counts[c] for c in side), initial=0)))
                  for side in sides]
-        zcols, wcols = (np.array([c in side for c in circles])[on] for side in sides)
+        zcols, wcols = (np.flatnonzero(np.isin(circles[on], side)) for side in sides)
         zc, wc = (np.array([pair[s] for pair in pairs], dtype=int) for s in (0, 1))
+        blocks = [self.blocks[k] for k in live]
+        nz, nw = len(zcols), len(wcols)
+        zcol = [start[0][z] + zk for z, _, _, zk, _ in blocks]
+        wcol = [start[1][w] + wk for _, w, _, _, wk in blocks]
+        counts = [self.counts[z] for z, *_ in blocks]  # of each block's product rows
         plan = SimpleNamespace(
             circles=circles, outer=circles == 0, used_rows=rows,
             row_on=at[self.row_circle[rows]], col_on=on,
-            col_row=rank[self.col_row[cols]], neg_t=-self.col_t[cols],
+            col_row=rank[self.col_row[cols]], neg_t=-self.col_t[cols] + 0j,
             zcols=zcols, zon=on[zcols], wcols=wcols, zon_blocks=at[zc],
-            won_blocks=at[wc])
+            won_blocks=at[wc],
+            entries=np.concatenate([entries for _, _, entries, _, _ in blocks]),
+            h_rows=np.repeat(np.arange(len(blocks)), counts),
+            z_rows=np.concatenate([start[0][z] + np.arange(self.counts[z])
+                                   for z, *_ in blocks]),
+            product=np.concatenate([(row + zk) * nw + w for row, (*_, zk, _), w in zip(
+                accumulate(counts, initial=0), blocks, wcol)]),
+            rank_z=np.concatenate(zcol), rank_w=nz + np.concatenate(wcol))
         for array in vars(plan).values():
             _frozen(array)
-        plan.blocks = tuple(
-            (*self.blocks[k][2:],
-             slice(start[0][z], start[0][z] + self.counts[z]),
-             slice(start[1][w], start[1][w] + self.counts[w]))
-            for k, (z, w) in zip(live, pairs))
         return plan
 
 
@@ -389,7 +403,7 @@ class _Assembly:
         (nodes, used circles), from the values nums and dens of its rows:
         every slot-factor row and every column in one broadcast."""
         def product(x):  # of 1 - x over the values, x replaced in place
-            return np.prod(np.subtract(1, x, out=x), axis=0)
+            return np.multiply.reduce(np.subtract(1, x, out=x), axis=0)
         zr = z[:, plan.row_on]
         v = product(nums / zr) / product(dens * zr)
         pre = 1 / np.where(plan.outer, z * z - 1, z)
@@ -420,18 +434,24 @@ class _Assembly:
         -1/z: O(N log N) per column (Trefethen & Weideman, SIAM Rev. 56,
         2014). The columns and h are conjugate-symmetric, x[N - a] =
         conj(x[a]), so ifft(x) is irfft(x[:N/2 + 1], N) and fft(h) is
-        hfft(h[:N/2 + 1], N), both real. One call gives the nodes and weights
-        of every circle the live blocks read, one broadcast their columns at
-        nodes 0..N/2, one irfft transforms every z-side column and one every
-        w-side column, one hfft gives every block's h^, and each block is one
-        real matrix product.
+        hfft(h[:N/2 + 1], N) = N irfft(conj(h)[:N/2 + 1], N), all real. One
+        call gives the nodes and weights of every circle the live blocks
+        read, one broadcast their columns at nodes 0..N/2, one product with
+        `_stride_weights` the rank-one sums of every count, and one irfft
+        transforms every z-side column, every w-side column and, times N^2,
+        every block's conj(h), which gives N h^ exactly since N is a power of
+        two. Per count one real matrix product gives every live block at
+        once: each block's z-side columns times its N h^, stacked block by
+        block, against every w-side column. One gather through the plan's
+        flat index reads each entry's sum from it, and one scatter places
+        the entries of every count.
 
         The m = N/s nodes of a circle are its N nodes [::s] and their weights
         s times the N-node weights, so the m-node transforms need no new
         evaluation: ifft_m(x[::s]) is ifft_N(x) folded, X.reshape(s, m).sum(0),
         and m fft_m(h[::s]) is N fft_N(h) folded and divided by s^2. The
         factors s of the two iffts and 1/s^2 of h^ cancel in each block, so
-        the transforms are folded in half per count and not scaled. The
+        the transform is folded in half per count and not scaled. The
         rank-one sums of every count are one product of `_stride_weights`
         with the columns at nodes 0..N/2, of which the real part is the sum
         over all N/s strided nodes.
@@ -450,27 +470,27 @@ class _Assembly:
         A = self._columns(z, plan, nums, dens) * wz[:, plan.col_on]
         self.node_evaluations += z.size
         zi = 1 / z
-        weights = _stride_weights(N, (N // n).bit_length())
-        Az = A[:, plan.zcols]
-        a = (weights @ (zi[:, plan.zon] * Az)).real
-        Az = np.fft.irfft(Az * (z - zi)[:, plan.zon], n=N, axis=0)
-        Bw = A[:, plan.wcols]
-        b = (weights @ Bw).real
-        Bw = np.fft.irfft(Bw, n=N, axis=0)
-        # N is a power of two, so scaling h^ by it is exact
-        h_hat = N * np.fft.hfft(1 / (z[:, plan.zon_blocks] * z[0, plan.won_blocks] - 1),
-                                n=N, axis=0)
-        out = []
-        for j, (a_s, b_s) in enumerate(zip(a, b)):
+        Az, nz, nw = A[:, plan.zcols], len(plan.zcols), len(plan.wcols)
+        # [A_z / z | B_w | N^2 conj(h)], N^2 exact as N is a power of two:
+        # the rank-one sums of its first nz + nw columns, then, A_z / z
+        # replaced by A_z (z - 1/z), its transform
+        X = np.concatenate((zi[:, plan.zon] * Az, A[:, plan.wcols], N * N / (
+            z[:, plan.zon_blocks].conj() * z[0, plan.won_blocks] - 1)), axis=1)
+        ab = (_stride_weights(N, (N // n).bit_length()) @ X[:, :nz + nw]).real
+        X[:, :nz] = Az * (z - zi)[:, plan.zon]
+        X = np.fft.irfft(X, n=N, axis=0)
+        # each count's rank-one term at every entry, and its product term
+        rank_one = ab[:, plan.rank_z] * ab[:, plan.rank_w]
+        products = np.empty_like(rank_one)
+        for j, out in enumerate(products):
             if j:
-                Az, Bw, h_hat = (x[:len(x) // 2] + x[len(x) // 2:]
-                                 for x in (Az, Bw, h_hat))
-            est = np.zeros(self.size)
-            for h, (entries, zcols, wcols, zs, ws) in zip(h_hat.T, plan.blocks):
-                block = (Az[:, zs] * h[:, None]).T @ Bw[:, ws] - a_s[zs, None] * b_s[ws]
-                est[entries] = block[zcols, wcols]
-            out.append(est)
-        return out[::-1]
+                X = X[:len(X) // 2] + X[len(X) // 2:]
+            Az, Bw, h_hat = X[:, :nz], X[:, nz:nz + nw], X[:, nz + nw:]
+            product = (h_hat[:, plan.h_rows] * Az[:, plan.z_rows]).T @ Bw
+            product.take(plan.product, out=out)
+        est = np.zeros((len(ab), self.size))
+        est[:, plan.entries] = products - rank_one
+        return list(est[::-1])
 
 
 def assemble_kernel(spec, T, cfg=None, full_output=False):
@@ -494,7 +514,7 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
     read and gives one doubling. An entry not converged at cfg.max_nodes
     raises QuadratureError naming it. Each integral is summed in real
     arithmetic from nodes 0..N/2 of each circle's N (`_Assembly.estimate`),
-    so the matrix's imaginary part is 0. full_output adds the points, the
+    so the matrix is float64. full_output adds the points, the
     node counts of the integrated entries (`nodes`), `max_last_delta`, the
     largest last-doubling delta over them, the four circles' `radii` and
     `node_evaluations`, the circle nodes at which slot factors were
@@ -520,8 +540,8 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
 
     value, step, delta = quad.converge(asm.estimate, 3 * d * d, cfg.start_nodes,
                                        cfg.max_nodes, cfg.quad_tol, failure)
-    V = np.array(value, dtype=complex).reshape(d, d, 3)
-    K = np.zeros((2 * d, 2 * d), dtype=complex)
+    V = value.reshape(d, d, 3)
+    K = np.zeros((2 * d, 2 * d))
     K[0::2, 0::2], K[0::2, 1::2], K[1::2, 1::2] = V[..., 0], V[..., 1], V[..., 2]
     K = K - K.T
     K[1::2, 1::2] *= CONVENTIONS["sign_convention"][cfg.sign_convention]
@@ -530,16 +550,20 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
     nodes = {name(e): (cfg.start_nodes << step[e],) * 2
              for block in asm.blocks for e in block[2].tolist()}
     return K, {"points": pts, "nodes": nodes,
-               "max_last_delta": float(max(delta, default=0.0)),
+               "max_last_delta": float(delta.max(initial=0.0)),
                "radii": asm.radii, "node_evaluations": asm.node_evaluations}
 
 
 def correlation_via_kernel(spec, T, cfg=None, full_output=False):
-    """Pfaffian of the assembled kernel, with the assembled `matrix` (an
-    array) and the assembly's `max_last_delta`, the node counts of the
-    integrated entries (`nodes`), `radii` and `node_evaluations`. Every
-    entry is real (`_Assembly.estimate`), so `imag_defect`, the Pfaffian's
-    imaginary part that every route's row reports, is 0 by construction.
+    """Pfaffian of the assembled kernel, with the assembled `matrix` (a
+    float64 array) and the assembly's `max_last_delta`, the node counts of
+    the integrated entries (`nodes`), `radii` and `node_evaluations`.
+    `imag_defect` is the Pfaffian's imaginary part, a key of every route's
+    row; here it is 0.0 by construction: every entry is summed in real
+    arithmetic (`_Assembly.estimate`), the matrix is float64 and `pfaffian`
+    eliminates it in real arithmetic. It measures something only on the
+    q-extraction route, whose quadrature sums complex values; the oracle's
+    is 0.0 too.
 
     full_output also gives `rel_last_delta`, max_last_delta over |value|
     (None when the value is 0). Every entry passes its own absolute test,

@@ -1,4 +1,4 @@
-"""Pfaffians of even-dimensional skew-symmetric complex matrices.
+"""Pfaffians of even-dimensional skew-symmetric real or complex matrices.
 
 Every dimension goes through a pivoted skew LTL^T elimination (Parlett-Reid
 style; see Wimmer, ACM TOMS 38 (2012), Algorithm 923). The recursive
@@ -69,20 +69,25 @@ def _pfaffian_ltl(A):
             return 0j
         val *= A[k, k + 1]
         if k + 2 < n:
-            tau = A[k, k + 2:] / A[k, k + 1]
+            # times the reciprocal, as numpy divides a complex array by a
+            # real-valued complex number: real arithmetic gives the same bits
+            tau = A[k, k + 2:] * (1 / A[k, k + 1])
             c = A[k + 2:, k + 1]
             A[k + 2:, k + 2:] += tau[:, None] * c - c[:, None] * tau
     return val
 
 
 def pfaffian(A):
-    """Pfaffian of a skew-symmetric matrix (SkewMatrix, array, or nested lists).
+    """Pfaffian of a skew-symmetric matrix (SkewMatrix, array, or nested
+    lists), as a complex number.
 
-    dim 0 returns 1 (the empty Pfaffian); odd dim is an error.
+    A real array or list is eliminated in float64, to the same bits as its
+    complex copy, and any other in complex. dim 0 returns 1 (the empty
+    Pfaffian); odd dim is an error.
     """
     if isinstance(A, SkewMatrix):
         A = A.matrix
-    A = np.asarray(A, dtype=complex)
+    A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
     if A.size == 0:
         return 1.0 + 0j
     n = A.shape[0]

@@ -199,8 +199,9 @@ def _estimate1(f, nodes, fold=False):
 
 def _modulus(x):
     """|x| of a complex array as a scalar's abs() gives it, bit for bit: the
-    vectorized np.abs may differ from it in the last bit."""
-    return np.hypot(x.real, x.imag)
+    vectorized np.abs may differ from it in the last bit. A real array's is
+    np.abs, exact."""
+    return np.hypot(x.real, x.imag) if np.iscomplexobj(x) else np.abs(x)
 
 
 def converge(estimate, size, n, max_nodes, tol, failure):
@@ -216,18 +217,20 @@ def converge(estimate, size, n, max_nodes, tol, failure):
     is accepted at the first doubling where it differs from its own previous
     estimate by less than tol, relative when its magnitude exceeds 1 and
     absolute below (one array test over the live entries; a NaN never
-    passes), and then leaves `live`. Returns lists of the accepted
-    estimates, the doubling k at which each was accepted, and its
-    last-doubling delta. If an entry is still live at the cap,
-    QuadratureError carries failure(index, k) as its message and the last
-    two estimates of the first such entry.
+    passes), and then leaves `live`. Returns the array of the accepted
+    estimates, in the dtype of the first estimate (float at least, so real
+    estimates stay real and complex ones complex), the list of the doubling
+    k at which each was accepted, and the array of its last-doubling delta.
+    If an entry is still live at the cap, QuadratureError carries
+    failure(index, k) as its message and the last two estimates of the
+    first such entry.
     """
-    value = np.zeros(size, dtype=complex)
     step = np.zeros(size, dtype=int)
     delta = np.zeros(size)
     live = np.ones(size, dtype=bool)
     pending = list(estimate(0, live))
     prev = old = pending.pop(0)
+    value = np.zeros(size, dtype=np.result_type(old, float))
     k = 0
     while live.any() and n << (k + 1) <= max_nodes:
         k += 1
@@ -236,12 +239,12 @@ def converge(estimate, size, n, max_nodes, tol, failure):
         diff = _modulus(new - old)
         done = live & (diff < tol * np.maximum(1.0, _modulus(new)))
         value[done], step[done], delta[done] = new[done], k, diff[done]
-        live &= ~done
+        live ^= done
         old, prev = new, old
     if live.any():
         i = int(np.argmax(live))
         raise QuadratureError(failure(i, k), (prev[i], old[i]))
-    return list(value), step.tolist(), list(delta)
+    return value, step.tolist(), delta
 
 
 def _single(estimate, contours, batch, max_nodes, tol, full_output, what):

@@ -200,9 +200,9 @@ def test_the_first_pass_stays_at_a_count_converge_reaches(monkeypatch, max_nodes
 
 def test_each_circle_side_is_transformed_once_per_doubling(monkeypatch):
     # K11 and both K12 blocks read the k11 circle's z side, K22 the k22
-    # circle's: one irfft over those columns, one over every w-side column,
-    # and one hfft for the four blocks' h^, each on nodes 0..N/2 of N = 256
-    # nodes for the counts 64, 128 and 256, and then once per doubling
+    # circle's: one irfft over those columns, every w-side column and the
+    # four blocks' Hankel symbols, on nodes 0..N/2 of N = 256 nodes for the
+    # counts 64, 128 and 256, and then once per doubling; no hfft
     spec = ProcessSpec([[0.4, 0.2], [0.3]], [[0.35], [0.25, 0.1]])
     pts = [(1, 0), (1, 2), (2, -1), (2, 1)]
     asm = kernels._Assembly(spec, pts, KernelConfig())
@@ -220,10 +220,35 @@ def test_each_circle_side_is_transformed_once_per_doubling(monkeypatch):
     every = np.ones(3 * len(pts) ** 2, dtype=bool)
     for k in (0, 3):  # the counts 64, 128 and 256, then 512
         asm.estimate(k, every)
-    assert calls == [call for n in (256, 512) for call in (
-        ("irfft", (n // 2 + 1, count[0] + count[3]), n),
-        ("irfft", (n // 2 + 1, len(asm.col_circle)), n),
-        ("hfft", (n // 2 + 1, 4), n))]
+    columns = count[0] + count[3] + len(asm.col_circle) + 4
+    assert calls == [("irfft", (n // 2 + 1, columns), n) for n in (256, 512)]
+
+
+@pytest.mark.parametrize("live", [(0, 1, 2, 3), (1, 3), (2,)])
+def test_a_plans_flat_arrays_place_every_live_entry_once(live):
+    # a count's one product stacks each live block's z-side columns, scaled
+    # by its Hankel symbol, block by block, against every w-side column: an
+    # entry reads the row of its block and z-side column and its w-side
+    # column there, and the rank-one sums [a | b] of those columns
+    layout = kernels._Assembly(SPEC, PTS, KernelConfig()).layout
+    plan = layout.plan(live)
+    nz, nw = len(plan.zcols), len(plan.wcols)
+    blocks = [layout.blocks[k] for k in live]
+    assert plan.entries.tolist() == [e for b in blocks for e in b[2].tolist()]
+    row, col = np.divmod(plan.product, nw)
+    block = np.repeat(np.arange(len(live)), [len(b[2]) for b in blocks])
+    assert np.array_equal(plan.h_rows[row], block)
+    assert np.array_equal(plan.z_rows[row], plan.rank_z)
+    assert np.array_equal(col, plan.rank_w - nz)
+    # each block's rows are its z circle's columns, once each, and its
+    # entries' columns lie on its w circle
+    on = plan.col_on
+    for pos, (_, _, _, zk, wk) in enumerate(blocks):
+        rows = plan.z_rows[plan.h_rows == pos]
+        assert set(on[plan.zcols][rows]) == {plan.zon_blocks[pos]}
+        assert len(rows) == len(set(rows.tolist()))
+        assert set(on[plan.wcols][col[block == pos]]) == {plan.won_blocks[pos]}
+        assert np.array_equal(plan.rank_z[block == pos], rows.min() + zk)
 
 
 M2 = json.loads((Path(__file__).resolve().parent.parent / "configs" /
@@ -261,10 +286,12 @@ def test_cached_index_arrays_are_read_only():
     assert kernels._Assembly(SPEC, PTS, KernelConfig(sign_convention=SIGN_BR)).layout \
         is layout
     plans = [layout.plan(live) for live in ((0, 1, 2, 3), (0,), (3,))]
+    # the flat arrays of each plan's gather and scatter among them
+    flat = {"entries", "h_rows", "z_rows", "product", "rank_z", "rank_w"}
+    assert all(flat <= set(vars(plan)) for plan in plans)
     arrays = [x for x in (*vars(layout).values(), *(
         x for block in layout.blocks for x in block), *(
-        x for plan in plans for x in (*vars(plan).values(), *(
-            y for block in plan.blocks for y in block))))
+        x for plan in plans for x in vars(plan).values()))
         if isinstance(x, np.ndarray)]
     assert len(arrays) > 40
     for array in arrays:

@@ -197,6 +197,21 @@ def test_contour_action_one_variable_residue():
     assert abs(val - G.value([q * x])) < 1e-10
 
 
+def test_a_contour_action_sums_and_keeps_complex_values(monkeypatch):
+    # converge keeps complex estimates complex: only the kernel's real
+    # estimates give real values
+    accepted, converge = [], quad.converge
+
+    def spy(*args):
+        out = converge(*args)
+        accepted.append(out[0])
+        return out
+    monkeypatch.setattr(quad, "converge", spy)
+    val = apply_via_contour(standard_G([0.3, 0.2]), [0.55, 0.35], 2, 0.4 + 0.15j)
+    assert len(accepted) == 1 and type(accepted[0][0]) is np.complex128
+    assert np.iscomplexobj(val) and val.imag
+
+
 def test_contour_action_q_to_one_limit():
     # at q = 1 the subset weights degenerate to 1 and D^{1} G -> n G
     q = 1 - 1e-6

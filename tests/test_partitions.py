@@ -129,6 +129,33 @@ def test_blocked_transfers_match_one_block(monkeypatch, L, cap, budget, scale):
         assert np.allclose(a, b, rtol=1e-15, atol=0)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1 + 2j])
+def test_one_sum_past_the_budget_goes_through_in_blocks_of_whole_chains(monkeypatch,
+                                                                        scale):
+    """One sum whose grid alone passes the byte budget: at (40, 4) the
+    largest grid holds 25,912 cells. Its chains go through in blocks whose
+    gathered grids stay within the budget, and give the one-block sums."""
+    strips = horizontal_strips(40, 4)
+    assert max(len(source) for _, source, _ in strips._grids) == 25912
+    h = np.random.default_rng(40).uniform(0.5, 1.5, size=len(strips.length)) * scale
+    monkeypatch.setattr(partitions, "_GRID_BYTES", 2 ** 62)
+    whole = strips.up(h, 0.37), strips.down(h, 0.37)
+    monkeypatch.setattr(partitions, "_GRID_BYTES", 2 ** 16)
+    blocks, matmul = [], np.matmul
+
+    def spy(a, *args, **kwargs):  # the block products; a whole grid's is `@`
+        blocks.append(a.nbytes)
+        return matmul(a, *args, **kwargs)
+    monkeypatch.setattr(np, "matmul", spy)
+    blocked = strips.up(h, 0.37), strips.down(h, 0.37)
+    # every grid passes the budget, in four or more blocks each way
+    assert len(blocks) >= 2 * 4 * 4
+    assert max(blocks) <= partitions._GRID_BYTES
+    for a, b in zip(blocked, whole):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.allclose(a, b, rtol=1e-15, atol=0)
+
+
 def test_even_conjugate_subpartitions():
     assert even_conjugate_subpartitions(()) == [()]
     assert even_conjugate_subpartitions((1,)) == [()]

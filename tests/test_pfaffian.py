@@ -1,3 +1,4 @@
+import importlib
 from itertools import permutations
 
 import numpy as np
@@ -45,6 +46,35 @@ def test_dim_zero_is_one():
 def test_odd_dim_rejected():
     with pytest.raises(ValueError):
         pfaffian(np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("n", range(2, 17, 2))
+def test_a_real_array_is_eliminated_in_real_arithmetic(monkeypatch, n):
+    # a real array stays float64 through the elimination and gives its
+    # complex copy's Pfaffian, as a complex number
+    module = importlib.import_module("pfschur.pfaffian")
+    dtypes, ltl = [], module._pfaffian_ltl
+
+    def spy(A):
+        dtypes.append(A.dtype)
+        return ltl(A)
+    monkeypatch.setattr(module, "_pfaffian_ltl", spy)
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        A = rng.normal(size=(n, n))
+        A = A - A.T
+        got, want = pfaffian(A), pfaffian(A.astype(complex))
+        assert type(got) is complex and got.imag == 0
+        assert abs(got - want) <= 1e-15 * abs(want)
+    assert dtypes == [np.float64, np.complex128] * 20
+
+
+def test_nested_int_lists():
+    two = pfaffian([[0, 2], [-2, 0]])
+    assert two == 2 and type(two) is complex
+    A = [[0, 1, 2, 3], [-1, 0, 4, 5], [-2, -4, 0, 6], [-3, -5, -6, 0]]
+    assert pfaffian(A) == 1 * 6 - 2 * 5 + 3 * 4
+    assert pfaffian([[0, 1j], [-1j, 0]]) == 1j
 
 
 def test_four_by_four_against_definition():

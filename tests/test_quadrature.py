@@ -185,6 +185,17 @@ def test_converge_accepts_as_the_entrywise_loop_does(seed):
         assert asked == _starts(sizes, max(want[1]) + 1)
 
 
+@pytest.mark.parametrize("real", [True, False])
+def test_converge_keeps_real_estimates_real_and_complex_ones_complex(real):
+    # the kernel's estimates are real, every other integral's complex: each
+    # keeps its dtype, and an accepted value is its estimate bit for bit
+    table = np.delete(_table(0), 6, axis=1)
+    table = np.nan_to_num(table.real if real else table)
+    value, step, _ = _run(quadrature.converge, lambda k, live: [table[k]], table)
+    assert {type(v) for v in value} == {np.float64 if real else np.complex128}
+    assert all(v == table[k, i] for i, (v, k) in enumerate(zip(value, step)))
+
+
 def test_estimate_bilinear_is_entrywise_dense_sum_in_row_chunks(monkeypatch):
     sizes = []
 
