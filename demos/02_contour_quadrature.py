@@ -26,8 +26,8 @@ u = ContourSpec(circle(0.3, center=0.5).circles + circle(0.3, center=3.0).circle
 print(f"\nunion of circles catches both residues: {integrate(f, u).real:.12f}")
 print(f"reversing orientation negates:           {integrate(f, u.reversed()).real:.12f}")
 
-# tensor-product double integrals serve q-extraction at d = 2; the kernels
-# sum their blocks by FFT instead (`kernels._Assembly`)
+# a tensor-product double integral; the kernels sum their blocks by FFT
+# instead (`kernels._Assembly`), and q-extraction needs no contour at all
 v = integrate2(lambda z, w: 1 / (z * w), c, c)
 print(f"\ndouble integral of 1/(zw) over the unit torus: {v.real:.12f}")
 

@@ -2,9 +2,9 @@
 
 Three independent routes to the same number: brute-force enumeration, the
 Pfaffian of the assembled kernel matrix, and the q-power coefficient of the
-iterated Macdonald action on the stated contours, taken from its exact
-residue sum (`stated_action_Z`). The kernel route also adjudicates the (zw-1)
-versus (1-zw) sign of the inner-inner block.
+iterated Macdonald action on the stated contours, read exactly from the
+Taylor series of its residue sum at q = 0. The kernel route also adjudicates
+the (zw-1) versus (1-zw) sign of the inner-inner block.
 """
 
 from pfschur import (KernelConfig, ProcessSpec, assemble_kernel,
@@ -24,8 +24,9 @@ for T in ([0], [-1], [0, 2]):
     ker = correlation_via_kernel(spec, [(1, t) for t in T], cfg)
     print(f"  T={T!s:8s} oracle {orc:.10f}  Pf(K) {ker:.10f}  gap {abs(orc-ker):.1e}")
 
-qe = correlation_via_q_extraction(X, X, [0], cfg)
-print(f"  T=[0] via q-coefficient extraction: {qe:.10f}")
+qe, qinfo = correlation_via_q_extraction(X, X, [0], cfg, full_output=True)
+print(f"  T=[0] via q-coefficient extraction: {qe:.10f}  (the q^{qinfo['orders'][0]} "
+      f"coefficient, {qinfo['terms']} terms, cancellation {qinfo['cancellation']:.2f})")
 
 K, info = assemble_kernel(spec, [(1, 0), (1, 2)], cfg, full_output=True)
 print(f"\nassembled 4x4 kernel: {info['node_evaluations']} circle nodes evaluated "

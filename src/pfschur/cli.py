@@ -146,7 +146,7 @@ def _emit(report, out_path, fmt):
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        head = ["T", "method", "value", "imag_defect"]
+        head = ["T", "method", "value"]
         writer.writerow(head + ["diagnostics"])
         sweep = report.get("radius_sweep")
         sweep_rows = [{"T": sweep["T"], "method": "radius_sweep",
@@ -205,7 +205,7 @@ def _battery_report(command, cfgd):
     results, sections = [], {}
     for section, battery in BATTERIES[command].items():
         rows = verify.timed(sections, section, lambda: battery(cfgd))
-        results += [{"T": None, "method": section, "imag_defect": None,
+        results += [{"T": None, "method": section,
                      **{key: row.pop(key) for key in ("name", "value", "pass")},
                      "diagnostics": row} for row in map(dict, rows)]
     return {"config_digest": cfgd["digest"], "results": results,

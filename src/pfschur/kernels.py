@@ -46,11 +46,10 @@ coupling take the conjugate value. On N nodes r omega^a the node N - a is
 the conjugate of node a, so a pass evaluates nodes 0..N/2 alone, N/2 + 1 of
 N, and its transforms and sums of the others are those of the conjugates:
 every integral is real and is summed in real arithmetic, the assembled
-matrix is float64 and its Pfaffian is taken in real arithmetic, so the
-kernel row's `imag_defect` is 0.0 by construction. The node count doubles
-for all circles together, each entry is accepted at the first doubling
-where it converges, and a block, or a circle no open block reads, is no
-longer evaluated once every entry on it has converged.
+matrix is float64 and its Pfaffian is taken in real arithmetic. The node
+count doubles for all circles together, each entry is accepted at the first
+doubling where it converges, and a block, or a circle no open block reads,
+is no longer evaluated once every entry on it has converged.
 
 An assembly is split in two. Its layout (`_Layout`) holds the integers:
 which entries each block holds, which (level, t) columns and slot-factor
@@ -70,20 +69,26 @@ K12 entry read (`h_assignment`) and the level rule that puts its w circle
 at |zw| < 1 (`k12_regime`). The paper's choice, first in each, was fixed by
 agreement with the brute-force oracle; the others remain selectable so the
 compare and sweep reports and the tests can show them failing.
+
+The paper's own route, q-extraction (`correlation_via_q_extraction`), reads
+a one-level correlation at d <= 2 points as a q-power coefficient of the
+iterated one-row action on Z. That action is a finite sum of rational
+functions of the qs whose poles lie outside the unit disk, so each
+coefficient is taken exactly from Taylor series at q = 0 (`_series`), with
+no contour and no truncation; the row reports how much its terms cancel.
 """
 
 import functools
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, permutations
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import quadrature as quad
-from .macdonald import (ContourConditionError, _pair, choose_radii,
-                        stated_action_Z, z_partition)
+from .macdonald import ContourConditionError, _pair
 from .macdonald import iterated_action_Z  # noqa: F401 (perfbench traces it here)
 from .measures import PointSet
 from .pfaffian import pfaffian, schur_pfaffian_matrix
@@ -557,13 +562,9 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
 def correlation_via_kernel(spec, T, cfg=None, full_output=False):
     """Pfaffian of the assembled kernel, with the assembled `matrix` (a
     float64 array) and the assembly's `max_last_delta`, the node counts of
-    the integrated entries (`nodes`), `radii` and `node_evaluations`.
-    `imag_defect` is the Pfaffian's imaginary part, a key of every route's
-    row; here it is 0.0 by construction: every entry is summed in real
-    arithmetic (`_Assembly.estimate`), the matrix is float64 and `pfaffian`
-    eliminates it in real arithmetic. It measures something only on the
-    q-extraction route, whose quadrature sums complex values; the oracle's
-    is 0.0 too.
+    the integrated entries (`nodes`), `radii` and `node_evaluations`. Every
+    entry is summed in real arithmetic (`_Assembly.estimate`) and `pfaffian`
+    eliminates the float64 matrix in real arithmetic, so the value is real.
 
     full_output also gives `rel_last_delta`, max_last_delta over |value|
     (None when the value is 0). Every entry passes its own absolute test,
@@ -576,12 +577,11 @@ def correlation_via_kernel(spec, T, cfg=None, full_output=False):
     if not full_output:
         return pfaffian(assemble_kernel(spec, T, cfg)).real
     K, info = assemble_kernel(spec, T, cfg, full_output=True)
-    pf = pfaffian(K)
-    out = {"imag_defect": abs(pf.imag), "matrix": K, **{k: info[k] for k in (
+    pf = pfaffian(K).real
+    out = {"matrix": K, **{k: info[k] for k in (
         "max_last_delta", "nodes", "radii", "node_evaluations")}}
-    out["rel_last_delta"] = (info["max_last_delta"] / abs(pf.real)
-                             if pf.real else None)
-    return pf.real, out
+    out["rel_last_delta"] = info["max_last_delta"] / abs(pf) if pf else None
+    return pf, out
 
 
 def with_other_k22_sign(K):
@@ -599,39 +599,56 @@ def with_other_k22_sign(K):
 # q-coefficient extraction route (single partition, d <= 2)
 # ---------------------------------------------------------------------------
 
-def _pick_rq(xs, ys, d):
-    """Scan a small grid of q-circle radii and keep, among those whose
-    stated contours are admissible (`choose_radii`), the one with the widest
-    contour margins."""
-    best, best_r1 = None, -1.0
-    for rq in (0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8):
-        try:
-            radii = choose_radii([rq] * d, xs, ys)
-        except ContourConditionError:
-            continue
-        if radii[0] > best_r1:
-            best, best_r1 = rq, radii[0]
-    if best is None:
-        raise ContourConditionError("no q-circle radius admits valid contours")
-    return best
+def _series(x, others, ys, D):
+    """The Taylor coefficients 0..D at q = 0 of the residue factor
+
+        R(q) = prod_k (q x - k)/(x - k) prod_y (1 - x y)/(1 - q x y)
+               prod_k (1 - x k)/(1 - q x k)
+
+    over the ks in `others`: one update per linear factor and one running
+    sum s_m += c s_{m-1} per factor 1/(1 - c q). The arithmetic is plain, so
+    Fraction values give the exact coefficients."""
+    s = [1] + [0] * D
+    for k in others:
+        a, b = x / (x - k), k / (k - x)
+        s = [b * s[0]] + [b * s[m] + a * s[m - 1] for m in range(1, D + 1)]
+    for c in [x * y for y in ys] + [x * k for k in others]:
+        for m in range(1, D + 1):
+            s[m] += c * s[m - 1]
+    scale = math.prod(1 - x * v for v in [*ys, *others])
+    return [scale * v for v in s]
 
 
 def correlation_via_q_extraction(X, Y, T, cfg=None, full_output=False):
-    """Single-partition correlation as the q-power coefficient of the
-    iterated one-row action, extracted by quadrature over q-circles.
+    """Single-partition correlation as a q-power coefficient of the iterated
+    one-row action on Z, taken exactly from its Taylor series at q = 0.
+
+    The stated-contour action over Z is a sum over d-permutations of the x_i
+    of residue factors R_i(q_j), times a pair factor at d = 2; the boundary
+    pair (1 - q x_i^2)/(1 - x_i^2) of each residue cancels exactly and is
+    left out. R_i's poles lie outside the unit disk, so the coefficient of
+    q^(t+n) is a Taylor coefficient (`_series`): rho(t) = sum_i
+    [q^(t+n)] R_i(q). At d = 2 the pair factor times R_i(q1) R_j(q2) is
+    (q1 x_i - q2 x_j)(1 - x_i x_j)/((x_i - x_j)(1 - q1 q2 x_i x_j)) times
+    the R's without their i-j factors (the pole q1 = x_j/x_i cancels a zero
+    of R_i), so with a, b = t1 + n, t2 + n and s, u the series of R_i and
+    R_j without those factors, rho = sum_{i != j} (1 - x_i x_j)/(x_i - x_j)
+    sum_{g <= min(a, b)} (x_i x_j)^g (x_i s_{a-g-1} u_{b-g} - x_j s_{a-g}
+    u_{b-g-1}), a term with a negative index being 0. Every coefficient is a
+    finite sum: there is no quadrature and no truncation.
 
     Sites below -n are occupied with probability one and are stripped before
-    extraction (the coefficient reading is only valid for t >= -n). The
-    stated-contour action is its exact residue sum (`stated_action_Z`), so
-    the one quadrature runs over the d <= 2 q-circles. full_output gives the
-    stripped sites and `imag_defect` (0.0 when every site is stripped) and
-    adds the q-circles' radius `rq` (`_pick_rq`) and the quadrature's
-    `nodes` and `last_delta`. A QuadratureError is re-raised naming the
-    extraction and its positions, with the same estimates.
+    extraction (the coefficient reading is only valid for t >= -n).
+    full_output gives the stripped sites and, with a live point, the
+    `orders` t + n read, the number of `terms` summed and their
+    `cancellation`, the sum of their absolute values over |value| (None at
+    a value of 0). Near-equal x_i make the terms large and of both signs;
+    when 2^-52 x cancellation passes cfg.quad_tol a ContourConditionError
+    names the extraction, its positions and the cancellation.
     """
     cfg = cfg or KernelConfig()
-    xs = [complex(v).real for v in X]
-    ys = [complex(v).real for v in Y]
+    xs = [v.real for v in X]
+    ys = [v.real for v in Y]
     if len(xs) != len(ys):
         raise ValueError("q-extraction expects |X| = |Y|")
     n = len(xs)
@@ -640,33 +657,40 @@ def correlation_via_q_extraction(X, Y, T, cfg=None, full_output=False):
     if len(set(T_eff)) != len(T_eff):
         raise ValueError("positions must be distinct")
     d = len(T_eff)
-    info = {"stripped_deterministic": sorted(set(T_all) - set(T_eff)),
-            "imag_defect": 0.0}
+    info = {"stripped_deterministic": sorted(set(T_all) - set(T_eff))}
     if d == 0:
         return (1.0, info) if full_output else 1.0
     if d > 2:
         raise ValueError("q-extraction supports d <= 2 positions at or above -n")
-    rq = _pick_rq(xs, ys, d)
-    Z0 = z_partition(xs, ys)
+    orders = [t + n for t in T_eff]
+    D = max(orders)
 
-    def f(*qs):
-        v = stated_action_Z(qs, xs, ys) / Z0
-        for q, t in zip(qs, T_eff):
-            v = v * q ** (-t - n - 1)
-        return v
+    def series(i, *skip):   # R_i's, without the factors of the x_k with k in skip
+        return _series(xs[i], [x for k, x in enumerate(xs) if k not in (i, *skip)], ys, D)
 
-    # the q-circles start low enough to double at least once within the cap,
-    # at a power of two however the cap is set
-    half_cap = 1 << ((cfg.max_nodes // 2).bit_length() - 1)
-    qc = quad.circle(rq, nodes=min(max(32, cfg.start_nodes // 2), half_cap))
-    try:
-        value, outer = quad.integrate_n(
-            f, [qc] * d, tol=max(cfg.quad_tol, 1e-9 if d == 1 else 1e-7),
-            max_nodes=cfg.max_nodes, full_output=True)
-    except quad.QuadratureError as exc:
-        raise exc.naming(f"q-extraction at T={T_eff}") from exc
-    info.update(imag_defect=abs(value.imag), rq=rq, **outer)
-    return (value.real, info) if full_output else value.real
+    if d == 1:
+        terms = [series(i)[D] for i in range(n)]
+    else:
+        a, b = orders
+        coeffs = {ij: series(*ij) for ij in permutations(range(n), 2)}
+        terms = []
+        for i, j in permutations(range(n), 2):
+            s, u, xi, xj = coeffs[i, j], coeffs[j, i], xs[i], xs[j]
+            w = (1 - xi * xj) / (xi - xj)
+            for g in range(min(a, b) + 1):
+                if g < a:
+                    terms.append(w * xi * s[a - g - 1] * u[b - g])
+                if g < b:
+                    terms.append(-w * xj * s[a - g] * u[b - g - 1])
+                w *= xi * xj
+    value = sum(terms) if terms else 0.0    # n = 1 has no pair at d = 2
+    cancellation = float(sum(map(abs, terms)) / abs(value)) if value else None
+    if cancellation is not None and 2.0 ** -52 * cancellation > cfg.quad_tol:
+        raise ContourConditionError(
+            f"q-extraction at T={T_eff}: its terms cancel {cancellation:.3g}-fold, "
+            f"and 2^-52 times that passes quad_tol {cfg.quad_tol:g}")
+    info.update(orders=orders, terms=len(terms), cancellation=cancellation)
+    return (value, info) if full_output else value
 
 
 def verify_principal_pfaffian_factorization(qs, zs):

@@ -29,7 +29,11 @@ which poles a contour encloses:
   The Z action keeps the bare x-circle contour as
   ``contour_mode="stated"`` because its q-power coefficients are still
   exactly the correlation quantities (both facts are pinned down in the
-  test suite); it is the quadrature reference of `stated_action_Z`.
+  test suite). That contour encloses only the simple poles at the x_i, so
+  its action is a finite residue sum; `kernels.correlation_via_q_extraction`
+  reads the coefficients from that sum's Taylor series, and the tests keep
+  the sum itself as the reference that the series and this quadrature are
+  pinned to.
 
 Every product form here is the Cauchy form G = prod_{i<j} f(x_i x_j)
 prod_i g(x_i) of Z(.; Y) and F(.; Y): g = prod_y 1/(1 - xy), and f =
@@ -49,14 +53,12 @@ same pair factor. Each action is one call of `quadrature.integrate_product`
 on these factors, over circles from `quadrature.circles_around` that start
 at 4 nodes for `apply_via_contour` and 8 for the iterated actions; a
 quadrature that does not converge is re-raised naming the action (and on a
-batch the draw). The stated contour encloses only simple
-poles, at the x_i, so `stated_action_Z` sums its residues from the same
-factors exactly, with no quadrature.
+batch the draw).
 """
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -386,7 +388,7 @@ def choose_radii(qs, xs, ys):
     |q| < 1. The shift-image contours also keep every singularity outside a
     circle at least 16 radii away (`_separated`), so their actions are
     accepted at the first doubling, 8 -> 16, from one 16-node pass. r_1
-    does not depend on the ratio, and `kernels._pick_rq` reads only r_1.
+    does not depend on the ratio.
 
     A shift q = 0, a gap D below 2^-20 of the largest |x|, or radii below
     the float resolution of the x_i raise a ContourConditionError naming the
@@ -573,8 +575,8 @@ def iterated_action_Z(qs, X, Y, tol=1e-9, contour_mode="shift_images",
     Returns the operator value (not divided by Z). With the default
     shift-image contours this equals the composition of the d direct
     actions; the "stated" contour keeps bare x-circles only, whose
-    q-coefficients are still the correlation quantities, and is the
-    quadrature reference of `stated_action_Z`. `choose_radii` sets the
+    q-coefficients are still the correlation quantities, and whose exact
+    residue sum q-extraction expands in q. `choose_radii` sets the
     radii, scaled down on shift-image contours until every circle lies
     within a sixteenth of the distance from its center to the other centers
     of its level, to 0 and to the unit circle (`_separated`). full_output
@@ -591,26 +593,3 @@ def iterated_action_F(qs, X, Y, tol=1e-9, full_output=False):
     `iterated_action_Z`."""
     return _iterated_action(qs, X, Y, False, tol, "shift_images", full_output)
 
-
-def stated_action_Z(qs, X, Y):
-    """`iterated_action_Z(qs, X, Y, contour_mode="stated")` as its exact
-    residue sum; the qs may be numpy arrays, and the result broadcasts.
-
-    The stated circles enclose only the simple poles z_j = x_i, so the
-    integral is a sum over the d-permutations of the x_i (a repeated x_i
-    vanishes through z_j - z_k) of the residues of the one-variable factors
-    times the pair factors at those points.
-    """
-    xs = [complex(x) for x in X]
-    ys = [complex(y) for y in Y]
-    G = ProductFormFunction(ys)
-    # Res_{z=x_i} _x_poles(z, q, xs) = (q x_i - x_i) _x_poles(x_i, q, the other x's)
-    res = [[(q - 1) * x * _x_poles(x, q, xs[:i] + xs[i + 1:])
-            * _regular(x, q, xs, G) for i, x in enumerate(xs)]
-           for q in qs]
-    total = sum(math.prod(res[j][i] for j, i in enumerate(I))
-                * math.prod(_pair(xs[I[j]], xs[I[k]], qs[j], qs[k],
-                                  with_boundary=True)
-                            for j, k in combinations(range(len(qs)), 2))
-                for I in permutations(range(len(xs)), len(qs)))
-    return z_partition(xs, ys) * total

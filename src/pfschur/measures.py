@@ -244,11 +244,11 @@ def truncation_diagnostic(spec, L, full_output=False):
 
 def correlation_oracle(spec, T, L=30, full_output=False):
     """Probability that every point of T lies in the level configurations
-    {lam_i - i : i >= 1}, by truncated enumeration. full_output
-    adds the info of the same pass: `imag_defect` 0, the weight cap `L`,
-    Z's `truncation_diagnostic`, the value's own truncation estimate
-    `value_truncation` |E_L - E_{L-5}| / |E_L| (None when E_L is 0; E_{L-5}
-    is 0 below L = 5) and the size of the partition list, `partitions`."""
+    {lam_i - i : i >= 1}, by truncated enumeration. full_output adds the
+    info of the same pass: the weight cap `L`, Z's `truncation_diagnostic`,
+    the value's own truncation estimate `value_truncation` |E_L - E_{L-5}| /
+    |E_L| (None when E_L is 0; E_{L-5} is 0 below L = 5) and the size of
+    the partition list, `partitions`."""
     if not isinstance(T, PointSet):
         T = PointSet(T)
     per_level = T.by_level(spec.m)
@@ -267,7 +267,7 @@ def correlation_oracle(spec, T, L=30, full_output=False):
         return num / z
     num, z, num_cut, z_cut = _sequence_sum(spec, L, level_factor=indicator, cut=L - 5)
     value, prev = num / z, (num_cut / z_cut if z_cut else 0.0)
-    return value, {"imag_defect": 0.0, "L": L, "partitions": len(sequence_partitions(spec, L)),
+    return value, {"L": L, "partitions": len(sequence_partitions(spec, L)),
                    "truncation_diagnostic": abs(z - z_cut) / z,
                    "value_truncation": abs(value - prev) / value if value else None}
 

@@ -336,7 +336,8 @@ def battery_pfaffian(seed=0):
 # and partition-list size from one pass; the kernel its largest last-doubling
 # delta and that over |value|, its integrated entries' node counts, circle
 # radii and the circle nodes at which its slot factors were evaluated;
-# q-extraction its q-circle radius, node counts, last delta and grid points
+# q-extraction the coefficient orders it read, the number of terms it summed
+# and their cancellation
 ROUTES = {
     "oracle": (lambda spec, T, cfg, L: measures.correlation_oracle(
         spec, T, L=L, full_output=True),
@@ -347,13 +348,13 @@ ROUTES = {
         None),
     "q-extraction": (lambda spec, T, cfg, L: kernels.correlation_via_q_extraction(
         spec.rho_plus[0], spec.rho_minus[0], [t for _, t in T.points], cfg,
-        full_output=True), ("rq", "nodes", "last_delta", "grid_points"),
+        full_output=True), ("orders", "terms", "cancellation"),
         lambda spec: spec.m != 1 and "q-extraction requires a single-level process"),
 }
 
 
 def correlation_row(method, spec, T, cfg, L, full_output=False):
-    """The report row {"T", "method", "value", "imag_defect", "diagnostics"}
+    """The report row {"T", "method", "value", "diagnostics"}
     of the route `method` (a key of `ROUTES`) to the correlation of the
     points T, the oracle summing to weight L; full_output adds the route's
     whole info dict. A spec the route rules out, and any other input fault
@@ -366,7 +367,6 @@ def correlation_row(method, spec, T, cfg, L, full_output=False):
         raise ValueError(fault)
     value, info = run(spec, T, cfg, L)
     row = {"T": T.to_json(), "method": method, "value": value,
-           "imag_defect": info["imag_defect"],
            "diagnostics": {k: info[k] for k in keys if k in info}}
     return (row, info) if full_output else row
 

@@ -155,6 +155,12 @@ TEST_ONLY_OPTIONS = {
     ("macdonald.apply_via_contour", "tol"): "tests tighten the quadrature",
     ("macdonald.iterated_action_Z", "tol"): "tests tighten the quadrature",
     ("macdonald.iterated_action_F", "tol"): "tests tighten the quadrature",
+    # q-extraction, their only package caller, became series arithmetic; the
+    # benchmark's tracer still names integrate_n, which ROADMAP item 9 deletes
+    ("quadrature.circle", "nodes"): "tests start a circle at their own count",
+    ("quadrature.integrate_n", "tol"): "tests tighten the quadrature",
+    ("quadrature.integrate_n", "max_nodes"): "tests cap the doubling",
+    ("quadrature.integrate_n", "full_output"): "tests read the node counts",
 }
 
 

@@ -182,7 +182,7 @@ def test_report_schema_and_determinism(tmp_path):
         for report in (r1, r2):
             assert set(report) >= {"config_digest", "results", "timing"}
             row = report["results"][0]
-            assert set(row) >= {"T", "method", "value", "imag_defect", "diagnostics"}
+            assert set(row) == {"T", "method", "value", "diagnostics"}
             # memo-cache hit rates over the command, None for a cache it never called
             rates = report["timing"]["cache_hit_rate"]
             assert set(rates) == {"_h_table", "_skew_schur_cached", "_tau_cached",
@@ -275,8 +275,7 @@ def test_a_compare_csv_keeps_its_verdict(tmp_path, sign, verdict):
     assert json.loads(rows[0]["diagnostics"]) == oracle["diagnostics"]
     assert json.loads(rows[1]["diagnostics"]) == {
         **kernel["diagnostics"], "delta_vs_oracle": kernel["delta_vs_oracle"]}
-    assert (last["T"], last["method"], last["value"], last["imag_defect"]) == (
-        "null", "verdict", verdict, "")
+    assert (last["T"], last["method"], last["value"]) == ("null", "verdict", verdict)
     assert json.loads(last["diagnostics"]) == {
         "threshold": report["threshold"],
         "sign_adjudication": report["sign_adjudication"]}
@@ -384,7 +383,7 @@ def test_correlate_calls_the_oracle_through_its_module(tmp_path, monkeypatch):
 
     def spy(spec, T, L, full_output):
         calls.append((L, full_output))
-        return 0.25, {"imag_defect": 0.0, "L": L, "value_truncation": None}
+        return 0.25, {"L": L, "value_truncation": None}
     monkeypatch.setattr(measures, "correlation_oracle", spy)
     out = tmp_path / "report.json"
     assert run_cli(["correlate", "--config", str(CONFIGS / "m1_singleton.json"),
@@ -548,7 +547,7 @@ def test_csv_output(tmp_path):
                     "--method", "oracle", "--format", "csv",
                     "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0].startswith("T,method,value,imag_defect")
+    assert lines[0] == "T,method,value,diagnostics"
     assert "oracle" in lines[1]
 
 
@@ -826,7 +825,12 @@ def test_correlate_q_extraction(tmp_path):
                     "--method", "q-extraction", "--out", str(out)]) == 0
     row, = read_report(out)["results"]
     assert row["method"] == "q-extraction"
-    assert set(row["diagnostics"]) == {"rq", "nodes", "last_delta", "grid_points"}
+    # (1, 0) and (1, 2) read q1^2 q2^4: every ordered pair (i, j) of the two
+    # x's sums its g = 0..2 terms, the first of them without its s_{a-g-1}
+    # term at g = 2
+    assert row["diagnostics"]["orders"] == [2, 4]
+    assert row["diagnostics"]["terms"] == 10
+    assert 1 <= row["diagnostics"]["cancellation"] < 10
     spec = ProcessSpec([[0.5, 0.25]], [[0.5, 0.25]])
     assert abs(row["value"] - correlation_oracle(spec, [(1, 0), (1, 2)], L=40)) < 1e-3
 
@@ -850,7 +854,7 @@ def test_tol_flag_overrides_the_kernel_quad_tol(tmp_path, monkeypatch, capsys):
 
     def spy(spec, T, cfg, full_output):
         seen.append(cfg)
-        return 0.5, {"imag_defect": 0.0, "defect": 0.0, "max_last_delta": 0.0}
+        return 0.5, {"defect": 0.0, "max_last_delta": 0.0}
     monkeypatch.setattr(kernels, "correlation_via_kernel", spy)
     config = str(CONFIGS / "m1_singleton.json")  # sets kernel.quad_tol = 1e-8
     out = str(tmp_path / "report.json")
@@ -879,20 +883,21 @@ def _q_extraction(tmp_path, process, points, kernel=None):
                     "--out", str(out)]), out
 
 
-def test_q_extraction_starts_at_a_power_of_two_under_any_cap(tmp_path):
-    # validation accepts a max_nodes that is not a power of two; the
-    # q-circles start at 16, the largest power of two within half of 48,
-    # and double once to 32
-    cfg = _shipped_config(tmp_path, "m1_twovar",
-                          kernel={"start_nodes": 16, "max_nodes": 48})
-    out = tmp_path / "report.json"
-    assert run_cli(["correlate", "--config", str(cfg), "--method", "q-extraction",
-                    "--out", str(out)]) == 0
-    row, = read_report(out)["results"]
-    assert row["diagnostics"]["nodes"] == [32, 32]
+def test_q_extraction_does_not_read_the_node_counts(tmp_path):
+    # the coefficients are finite sums, so start_nodes and max_nodes,
+    # validated as for the kernel, leave the report as it is
+    reports = []
+    for kernel in ({}, {"start_nodes": 16, "max_nodes": 48},
+                   {"start_nodes": 8, "max_nodes": 16}):
+        cfg = _shipped_config(tmp_path, "m1_twovar", kernel=kernel)
+        out = tmp_path / "report.json"
+        assert run_cli(["correlate", "--config", str(cfg), "--method", "q-extraction",
+                        "--out", str(out)]) == 0
+        reports.append(read_report(out)["results"])
+    assert reports[1] == reports[0] and reports[2] == reports[0]
     oracle = correlation_oracle(ProcessSpec.from_json(json.loads(cfg.read_text())[
         "process"]), [(1, 0), (1, 2)], L=40)
-    assert abs(row["value"] - oracle) < 1e-12
+    assert abs(reports[0][0]["value"] - oracle) < 1e-12
 
 
 def test_q_extraction_of_more_than_two_live_points_is_a_config_error(tmp_path, capsys):
@@ -916,24 +921,26 @@ def test_q_extraction_with_every_point_stripped_reports_one(tmp_path):
     code, out = _q_extraction(tmp_path, process, [[1, -5]])
     assert code == 0
     row, = read_report(out)["results"]
-    assert row["value"] == 1.0 and row["imag_defect"] == 0.0
+    assert row["value"] == 1.0 and row["diagnostics"] == {}
     spec = ProcessSpec.from_json(process)
     assert abs(correlation_oracle(spec, [(1, -5)], L=30) - 1.0) < 1e-12
 
 
-def test_q_extraction_keeps_within_kernel_max_nodes(tmp_path, capsys):
-    # m1_twovar's process: converged within the cap, or exit 2 naming the extraction
+def test_q_extraction_refuses_cancelling_terms(tmp_path, capsys):
+    # m1_twovar's process at (1, 10), where the q-circle quadrature did not
+    # converge at 16 nodes: exact under any node cap
     process = {"rho_plus": [[0.5, 0.25]], "rho_minus": [[0.5, 0.25]]}
-    code, out = _q_extraction(tmp_path, process, [[1, 0], [1, 2]],
-                              {"start_nodes": 16, "max_nodes": 32})
+    code, out = _q_extraction(tmp_path, process, [[1, 10]],
+                              {"start_nodes": 8, "max_nodes": 16})
     assert code == 0
     row, = read_report(out)["results"]
-    assert max(row["diagnostics"]["nodes"]) <= 32
-    assert abs(row["value"] - correlation_oracle(
-        ProcessSpec.from_json(process), [(1, 0), (1, 2)], L=40)) < 1e-3
-    code, _ = _q_extraction(tmp_path, process, [[1, 10]],
-                            {"start_nodes": 8, "max_nodes": 16})
+    oracle = correlation_oracle(ProcessSpec.from_json(process), [(1, 10)], L=60)
+    assert abs(row["value"] - oracle) <= 1e-14 * oracle
+    # x's 1e-6 apart: 2^-52 times the terms' cancellation passes quad_tol,
+    # so the extraction exits 2 naming itself
+    process = {"rho_plus": [[0.3, 0.300001, 0.300002]], "rho_minus": [[0.3, 0.2, 0.1]]}
+    code, _ = _q_extraction(tmp_path, process, [[1, 4]])
     assert code == 2
-    assert capsys.readouterr().err.startswith(
-        "numerical non-convergence: q-extraction at T=[10]: contour integral "
-        "did not converge at 16 nodes/circle;")
+    assert capsys.readouterr().err == (
+        "numerical non-convergence: q-extraction at T=[4]: its terms cancel "
+        "1.58e+10-fold, and 2^-52 times that passes quad_tol 1e-08\n")

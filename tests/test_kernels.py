@@ -130,8 +130,8 @@ def test_correlation_matches_oracle_m1():
                                            full_output=True)
         assert abs(val - orc) < 1e-4, T
         # every entry is summed in real arithmetic and the matrix is float64,
-        # so the Pfaffian is real: imag_defect is 0.0 by construction
-        assert info["matrix"].dtype == np.float64 and info["imag_defect"] == 0, T
+        # so the Pfaffian is taken in real arithmetic
+        assert info["matrix"].dtype == np.float64 and isinstance(val, float), T
 
 
 def test_correlation_matches_oracle_m2():
@@ -274,15 +274,17 @@ def test_q_extraction_deep_negative_site():
     assert info["stripped_deterministic"] == [-7]
 
 
-def test_q_extraction_names_the_integral_that_failed(monkeypatch):
+def test_q_extraction_runs_no_quadrature(monkeypatch):
+    # the coefficients are finite sums: with every multi-contour quadrature
+    # failing, the extraction still gives the oracle's values
     def fail(*args, **kwargs):
-        raise QuadratureError("double contour integral did not converge", (1j, 2j))
-    monkeypatch.setattr(kernels.quad, "integrate_n", fail)
-    with pytest.raises(QuadratureError) as exc:
-        correlation_via_q_extraction(X2, X2, [0, -7, 1], CFG)
-    assert str(exc.value) == ("q-extraction at T=[0, 1]: double contour "
-                              "integral did not converge")
-    assert exc.value.estimates == (1j, 2j)
+        raise QuadratureError("a quadrature ran", (1j, 2j))
+    for name in ("integrate_n", "integrate_product"):
+        monkeypatch.setattr(kernels.quad, name, fail)
+    for T in ([0], [0, 2], [0, -7, 1], [-2, 3]):
+        orc = correlation_oracle(SPEC_M1, [(1, t) for t in T], L=60)
+        val = correlation_via_q_extraction(X2, X2, T, CFG)
+        assert abs(val - orc) <= 1e-14 * orc, T
 
 
 def test_q_extraction_guards():

@@ -13,10 +13,12 @@ from pfschur.macdonald import (ContourConditionError, ProductFormFunction,
                                apply_direct, apply_via_contour, choose_radii,
                                contour_radius, eigen_residual, eigenvalue,
                                iterated_action_F, iterated_action_Z,
-                               stated_action_Z, z_partition)
+                               z_partition)
 from pfschur.measures import ProcessSpec, observable_expectation_oracle
 from pfschur.partitions import enumerate_up_to_weight
 from pfschur.symfunc import cauchy_H, schur, schur_table
+
+from macdonald_reference import stated_action_Z
 
 
 def standard_G(ys):

@@ -1,10 +1,13 @@
-"""The stated-contour action as its exact residue sum, pinned against the
-stated-contour quadrature it replaces in q-extraction."""
+"""The stated-contour action as its exact residue sum
+(`macdonald_reference.stated_action_Z`), pinned against the stated-contour
+quadrature."""
 
 import numpy as np
 
 from pfschur.macdonald import (ContourConditionError, choose_radii,
-                               iterated_action_Z, stated_action_Z)
+                               iterated_action_Z)
+
+from macdonald_reference import stated_action_Z
 
 
 def _admissible_cases(seed, count):
