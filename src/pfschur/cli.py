@@ -8,11 +8,12 @@ value to the oracle row by one rule, `verify.judge`. `--method` names a
 route of `verify.ROUTES`, and `BATTERIES` tabulates `verify-*`.
 
 Exit codes: 0 success, 1 config error (a config that cannot be read or a
-report that cannot be written among them), 2 numerical non-convergence,
-3 a `compare` verdict other than PASS (FAIL, or INCONCLUSIVE where a short
-truncation raised the threshold) or a failing row in a `verify-*` report
-(written before the exit). The argument parser is built once per process,
-on the first `main` call.
+report that cannot be written among them), 2 a numerical failure (a
+quadrature that did not converge, or a refused contour or cancellation
+condition), 3 a `compare` verdict other than PASS (FAIL, or INCONCLUSIVE
+where a short truncation raised the threshold) or a failing row in a
+`verify-*` report (written before the exit). The argument parser is built
+once per process, on the first `main` call.
 """
 
 import argparse
@@ -272,7 +273,7 @@ def _run(args):
               f"{complex(prev):.12g}, {complex(last):.12g}", file=sys.stderr)
         return EXIT_NUMERICS
     except ContourConditionError as exc:
-        print(f"numerical non-convergence: {exc}", file=sys.stderr)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
 
     rates = {}      # each cache's hit rate over this command; None: not called

@@ -29,7 +29,9 @@ which poles a contour encloses:
   The Z action keeps the bare x-circle contour as
   ``contour_mode="stated"`` because its q-power coefficients are still
   exactly the correlation quantities (both facts are pinned down in the
-  test suite). That contour encloses only the simple poles at the x_i, so
+  test suite). Its levels all have the x_i as centers, and `_separated`
+  keeps its circles clear by the same rule, so no other rule does. That
+  contour encloses only the simple poles at the x_i, so
   its action is a finite residue sum; `kernels.correlation_via_q_extraction`
   reads the coefficients from that sum's Taylor series, and the tests keep
   the sum itself as the reference that the series and this quadrature are
@@ -48,10 +50,11 @@ per point. `apply_via_contour` is G(xs)/r! times the integrand at r equal
 shifts q; its xs, q and ys may be arrays over a batch of draws, which one
 quadrature pass evaluates together, each draw accepted at its own first
 converged doubling. The iterated actions are the integrand on the product
-forms of Z and F, and the coupling-product check in `kernels` multiplies the
-same pair factor. Each action is one call of `quadrature.integrate_product`
-on these factors, over circles from `quadrature.circles_around` that start
-at 4 nodes for `apply_via_contour` and 8 for the iterated actions; a
+form of Z or F, which also gives their G(xs), and the coupling-product check
+in `kernels` multiplies the same pair factor. Every action runs one step
+(`_action`): one call of `quadrature.integrate_product` on these factors,
+over circles from `quadrature.circles_around` that start at 4 nodes for
+`apply_via_contour` and 8 for the iterated actions, times G(xs); a
 quadrature that does not converge is re-raised naming the action (and on a
 batch the draw).
 """
@@ -100,11 +103,8 @@ def apply_direct(F, xs, r, q, t=None):
     xs = _coordinates(xs)
     n = len(xs)
     _check_order(r, n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            same = xs[i] == xs[j]
-            if same if isinstance(same, bool) else same.any():
-                raise ValueError("coincident points: the subset weights are singular")
+    if any(np.any(a == b) for a, b in combinations(xs, 2)):
+        raise ValueError("coincident points: the subset weights are singular")
     total = 0j
     for I in combinations(range(n), r):
         inside = set(I)
@@ -271,6 +271,18 @@ def _factors(qs, xs, G):
     return ones, lambda j, k, zj, zk: _pair(zj, zk, qs[j], qs[k], G.with_boundary)
 
 
+def _action(qs, xs, G, contours, tol, what):
+    """G(xs) times the integral of the integrand (`_factors`) with shifts qs
+    over contours, one per variable, and the quadrature's info; a
+    QuadratureError is re-raised naming what, with the same estimates."""
+    try:
+        integral, info = quad.integrate_product(*_factors(qs, xs, G), contours,
+                                                tol=tol, full_output=True)
+    except quad.QuadratureError as exc:
+        raise exc.naming(what) from exc
+    return G.value(xs) * integral, info
+
+
 def contour_radius(xs, q):
     """1/256 of the largest safe radius R for circles around the x_i:
     circles pairwise disjoint, q-images of every circle outside all
@@ -324,17 +336,10 @@ def apply_via_contour(G, xs, r, q, tol=1e-9, full_output=False):
     _check_order(r, len(xs))
     radius = contour_radius(xs, q)
     contour = quad.circles_around(xs, radius, nodes=4)
-    try:
-        integral, info = quad.integrate_product(*_factors([q] * r, xs, G),
-                                                [contour] * r, tol=tol,
-                                                full_output=True)
-    except quad.QuadratureError as exc:
-        raise exc.naming(f"contour action r={r}") from exc
-    value = G.value(xs) * integral / math.factorial(r)
+    value, info = _action([q] * r, xs, G, [contour] * r, tol, f"contour action r={r}")
+    value = value / math.factorial(r)
     if full_output:
-        info = dict(info)
-        info["radius"] = radius
-        return value, info
+        return value, {**info, "radius": radius}
     return value
 
 
@@ -348,24 +353,21 @@ def z_partition(xs, ys):
     return H0(xs) * cauchy_H(xs, ys)
 
 
-def _named(qs):
-    """The shifts as an error message names them: each by its repr, less a
-    complex number's parentheses, so shifts that differ in their last bits
-    read apart."""
-    return "qs=(" + ", ".join(repr(q).strip("()") for q in qs) + ")"
+def _named(values):
+    """Shifts or points as an error message names them: each by its repr,
+    less a complex number's parentheses, so values that differ in their
+    last bits read apart."""
+    return "(" + ", ".join(repr(v).strip("()") for v in values) + ")"
 
 
 def _stated_condition_distance(qs, xs, ys):
     """Euclidean distance from the union of shifted/inverted points to the
     x_i; complex q's allowed."""
-    pts = []
+    pts = [1 / x for x in xs]
     for q in qs:
         for x in xs:
             pts += [q * x, x / q, 1 / (q * x)]
-        for y in ys:
-            pts.append(1 / (q * y))
-    for x in xs:
-        pts.append(1 / x)
+        pts += [1 / (q * y) for y in ys]
     return min(abs(p - x) for p in pts for x in xs)
 
 
@@ -376,8 +378,7 @@ def choose_radii(qs, xs, ys):
     The gap D between the shifted/inverted point set and the x_i must cover
     r_1 + s; r_1 must also stay below s * (upsilon^2 and the |q|-bounds).
     Taking s = D/(1+c) maximizes r_1 = D c/(1+c), of which 0.9 is used as
-    a safety margin. Extra caps keep circles
-    pairwise disjoint, away from 0 and +-1, and inside the unit disk.
+    a safety margin.
 
     The ratio sets how fast the iterated actions converge. A level-j circle
     encloses, besides its center, the pole locus z_j = q_k z_k of a later
@@ -385,13 +386,15 @@ def choose_radii(qs, xs, ys):
     |q_k| r_k = |q_k| 16^-(k-j) r_j, within |q|/16 of r_j. So the trapezoid
     error from the poles inside falls like (|q|/16)^N at N nodes (Trefethen &
     Weideman, SIAM Rev. 56, 2014), at most 16^-8 = 2.3e-10 at 8 nodes for
-    |q| < 1. The shift-image contours also keep every singularity outside a
-    circle at least 16 radii away (`_separated`), so their actions are
-    accepted at the first doubling, 8 -> 16, from one 16-node pass. r_1
-    does not depend on the ratio.
+    |q| < 1. `_separated` then scales the radii of either contour mode down
+    until every singularity outside a circle is at least 16 radii away, so
+    the actions are accepted at the first doubling, 8 -> 16, from one
+    16-node pass. r_1 does not depend on the ratio.
 
-    A shift q = 0, a gap D below 2^-20 of the largest |x|, or radii below
-    the float resolution of the x_i raise a ContourConditionError naming the
+    A point x_i = 0 or two coincident x_i raise a ContourConditionError
+    naming the points, before anything divides by them. A shift q = 0, a
+    gap D below 2^-20 of the largest |x|, or radii below the float
+    resolution of the x_i raise a ContourConditionError naming the
     shifts. A point and a shifted point D apart are each known to an ulp of
     x, so the integrand near them carries a relative rounding error up to
     about 2^-52 |x|/D, 2.3e-10 at the bound, below the actions' default
@@ -413,33 +416,30 @@ def choose_radii(qs, xs, ys):
     qs = [complex(q) for q in qs]
     xs = [complex(x) for x in xs]
     ys = [complex(y) for y in ys]
-    d = len(qs)
+    if 0 in xs:
+        raise ContourConditionError(f"points xs={_named(xs)}: a point at 0 admits no contour")
+    if len(set(xs)) < len(xs):
+        raise ContourConditionError(
+            f"points xs={_named(xs)}: coincident points admit no contour")
     if 0 in qs:
-        raise ContourConditionError(f"shifts {_named(qs)}: a zero shift admits no contour")
+        raise ContourConditionError(f"shifts qs={_named(qs)}: a zero shift admits no contour")
     x = max(xs, key=abs)
     D = _stated_condition_distance(qs, xs, ys)
     if D < 2.0 ** -20 * abs(x):
         raise ContourConditionError(
-            f"shifts {_named(qs)} put a shifted point {D:.3g} from an x_i, "
+            f"shifts qs={_named(qs)} put a shifted point {D:.3g} from an x_i, "
             f"closer than 2^-20 of the largest |x| = {abs(x):.6g}")
     ups = min(min(abs(q ** e1 * x ** e2) for e1 in (1, -1) for e2 in (1, -1) for q in qs)
               for x in xs)
     ups = min(ups, min(abs(x) for x in xs))
     c = min(ups ** 2, min(min(abs(q), 1 / abs(q)) for q in qs))
     r1 = 0.9 * D * c / (1 + c)
-    # circle-validity caps beyond the stated conditions
-    if len(xs) > 1:
-        r1 = min(r1, 0.45 * min(abs(a - b) for i, a in enumerate(xs)
-                                for b in xs[i + 1:]))
-    r1 = min(r1, 0.9 * min(abs(x) for x in xs))
-    r1 = min(r1, 0.45 * min(abs(x - s) for x in xs for s in (1, -1)))
-    r1 = min(r1, 0.9 * (1 - max(abs(x) for x in xs)))
     if r1 <= 0:
         raise ContourConditionError("stated radius conditions admit no positive r_1")
-    radii = [r1 * 0.0625 ** j for j in range(d)]
+    radii = [r1 * 0.0625 ** j for j in range(len(qs))]
     if radii[-1] < 2.0 ** -52 * abs(x):
         raise ContourConditionError(
-            f"shifts {_named(qs)} give a radius {radii[-1]:.3g} about x = {x:.6g}, "
+            f"shifts qs={_named(qs)} give a radius {radii[-1]:.3g} about x = {x:.6g}, "
             f"below the float resolution of its center")
     return radii
 
@@ -466,24 +466,31 @@ def _image_centers(qs, xs):
 def _separated(radii, centers):
     """The radii scaled down together, keeping their ratios, so that every
     circle lies within a sixteenth of the distance from its center to the
-    other centers of its level, to 0 and to the unit circle.
+    other centers of its level, to 0 and to the unit circle. This is the
+    one rule that keeps circles clear, on both contour modes: the stated
+    contour's levels all have the x_i as centers, and the shift-image
+    contours add the shift images, which may lie closer to each other and
+    to 0 than the x_i do.
 
     The integrand's poles at the other centers and at 0, and the poles of
     its regular factors beyond the unit circle, then lie at least 16 radii
     from a circle's center, as the shift-image loci it encloses lie within
     |q|/16 of its radius (`choose_radii`), so the trapezoid error falls like
     16^-N: within about 16^-8 = 2.3e-10 at 8 nodes, and the first doubling,
-    8 -> 16, meets a tolerance of 1e-9. `choose_radii` caps r_1 more loosely
-    and at the x_i alone; the shift images among an earlier level's centers
-    may lie closer to each other and to 0.
+    8 -> 16, meets a tolerance of 1e-9. A center at 0, on another center of
+    its level or off the unit disk admits no radius and raises a
+    ContourConditionError naming which.
     """
-    gaps = [min([abs(c), 1 - abs(c)] + [abs(c - b) for i, b in enumerate(cs)
-                                        if i != a]) / (16 * r)
-            for r, cs in zip(radii, centers) for a, c in enumerate(cs)]
-    scale = min([1.0] + gaps)
-    if scale <= 0:
-        raise ContourConditionError("a contour circle center lies off the unit disk")
-    return [r * scale for r in radii]
+    gaps = []
+    for r, cs in zip(radii, centers):
+        for a, c in enumerate(cs):
+            near = [(abs(c), "at 0"), (1 - abs(c), "off the unit disk")]
+            near += [(abs(c - b), "on another center") for i, b in enumerate(cs) if i != a]
+            gap, where = min(near)
+            if gap <= 0:
+                raise ContourConditionError(f"a contour circle center lies {where}")
+            gaps.append(gap / (16 * r))
+    return [r * min([1.0] + gaps) for r in radii]
 
 
 def _locus_excluded(a, rho, c, r):
@@ -535,34 +542,25 @@ def _validate_disks(qs, centers, radii):
 def _iterated_action(qs, X, Y, with_boundary, tol, contour_mode, full_output):
     qs = [complex(q) for q in qs]
     xs = [complex(x) for x in X]
-    ys = [complex(y) for y in Y]
-    d = len(qs)
-    partition = z_partition if with_boundary else cauchy_H
-    if d == 0:
-        value = partition(xs, ys)
+    G = ProductFormFunction([complex(y) for y in Y], with_boundary)
+    if not qs:
+        value = G.value(xs)
         return ((value, {"nodes": (), "last_delta": 0.0, "grid_points": 0,
                          "radii": []})
                 if full_output else value)
     if contour_mode not in ("shift_images", "stated"):
         raise ValueError("contour_mode must be 'shift_images' or 'stated'")
-    radii = choose_radii(qs, xs, ys)
     if contour_mode == "stated":
-        centers = [list(xs)] * d
+        centers = [list(xs)] * len(qs)
     else:
         centers = _image_centers(qs, xs)
-        radii = _separated(radii, centers)
-        if d > 1:
-            _validate_disks(qs, centers, radii)
+    radii = _separated(choose_radii(qs, xs, G.ys), centers)
+    if contour_mode == "shift_images":
+        _validate_disks(qs, centers, radii)
 
-    contours = [quad.circles_around(centers[j], radii[j]) for j in range(d)]
-    try:
-        integral, info = quad.integrate_product(
-            *_factors(qs, xs, ProductFormFunction(ys, with_boundary)), contours,
-            tol=tol, full_output=True)
-    except quad.QuadratureError as exc:
-        raise exc.naming(f"iterated {'Z' if with_boundary else 'F'} action "
-                         f"{_named(qs)}") from exc
-    value = partition(xs, ys) * integral
+    contours = [quad.circles_around(cs, r) for cs, r in zip(centers, radii)]
+    what = f"iterated {'Z' if with_boundary else 'F'} action qs={_named(qs)}"
+    value, info = _action(qs, xs, G, contours, tol, what)
     if full_output:
         return value, {**info, "radii": [float(r) for r in radii]}
     return value
@@ -577,7 +575,7 @@ def iterated_action_Z(qs, X, Y, tol=1e-9, contour_mode="shift_images",
     actions; the "stated" contour keeps bare x-circles only, whose
     q-coefficients are still the correlation quantities, and whose exact
     residue sum q-extraction expands in q. `choose_radii` sets the
-    radii, scaled down on shift-image contours until every circle lies
+    radii, scaled down on either contour until every circle lies
     within a sixteenth of the distance from its center to the other centers
     of its level, to 0 and to the unit circle (`_separated`). full_output
     adds the quadrature's `nodes`, `last_delta` and `grid_points`, and the

@@ -118,26 +118,21 @@ _GRID_BYTES = 2 ** 16
 def _chain_sums(h, grid, T):
     """h gathered onto one row's chains-by-positions grid (a cell that no
     entry holds reads the 0 appended past h), times T, read back; the
-    leading axes of h stack into the rows of one matrix product. Sums whose
-    grids together pass `_GRID_BYTES` go through in blocks of as many whole
-    sums as stay within it, at least one, and one sum whose grid alone
-    passes it in blocks of as many whole chains as stay within it, at least
-    one."""
+    leading axes of h stack into the rows of one matrix product. All sums
+    go through together, in blocks of as many whole chains as keep the
+    gathered grid within `_GRID_BYTES`, at least one; a grid within it is
+    one block, one product."""
     cells, source, width = grid
-    sums, per_sum = h.size // h.shape[-1], len(source) * max(h.itemsize, T.itemsize)
-    if sums > 1 and sums * per_sum > _GRID_BYTES:
-        block, flat = max(1, _GRID_BYTES // per_sum), h.reshape(sums, -1)
-        return np.concatenate([_chain_sums(flat[start:start + block], grid, T)
-                               for start in range(0, sums, block)]).reshape(h.shape)
-    if per_sum > _GRID_BYTES and len(source) > width:
-        # one sum: its grid in blocks of whole chains, `step` cells each
-        step = max(1, _GRID_BYTES // (per_sum // len(source) * width)) * width
-        H, T = np.append(h, 0.0), T[:width, :width]
-        blocks = [np.matmul(H.take(source[s:s + step]).reshape(-1, width), T)
-                  for s in range(0, len(source), step)]
-        return np.concatenate(blocks).take(cells).reshape(h.shape)
-    H = np.concatenate((h, np.zeros(h.shape[:-1] + (1,))), axis=-1).take(source, axis=-1)
-    return (H.reshape(-1, width) @ T[:width, :width]).reshape(H.shape).take(cells, axis=-1)
+    chain_bytes = h.size // h.shape[-1] * width * max(h.itemsize, T.itemsize)
+    step = max(1, _GRID_BYTES // chain_bytes) * width       # cells per block
+    H = np.concatenate((h, np.zeros(h.shape[:-1] + (1,))), axis=-1)
+    blocks = []
+    for s in range(0, len(source), step):
+        block = H.take(source[s:s + step], axis=-1)
+        blocks.append(np.matmul(block.reshape(-1, width), T[:width, :width])
+                      .reshape(block.shape))
+    out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
+    return out.take(cells, axis=-1)
 
 
 @lru_cache(maxsize=None)

@@ -942,5 +942,5 @@ def test_q_extraction_refuses_cancelling_terms(tmp_path, capsys):
     code, _ = _q_extraction(tmp_path, process, [[1, 4]])
     assert code == 2
     assert capsys.readouterr().err == (
-        "numerical non-convergence: q-extraction at T=[4]: its terms cancel "
+        "numerical failure: q-extraction at T=[4]: its terms cancel "
         "1.58e+10-fold, and 2^-52 times that passes quad_tol 1e-08\n")

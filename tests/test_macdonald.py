@@ -811,6 +811,36 @@ def test_a_zero_or_tiny_shift_is_a_contour_error():
             iterated_action_Z([0.4, q], [0.5], [0.2])
 
 
+def test_a_zero_or_coincident_point_is_a_contour_error(monkeypatch):
+    # a point at 0 would divide by zero in the stated distance, and
+    # coincident points admit no circles that keep apart; each is refused
+    # before any division or quadrature, naming the points, on both actions
+    # and both contour modes
+    def quadrature(*args, **kwargs):
+        raise AssertionError("a quadrature ran")
+    monkeypatch.setattr(macdonald.quad, "integrate_product", quadrature)
+    calls = [lambda xs: iterated_action_Z([0.4 + 0.1j], xs, [0.2]),
+             lambda xs: iterated_action_Z([0.4 + 0.1j], xs, [0.2], contour_mode="stated"),
+             lambda xs: iterated_action_F([0.4 + 0.1j], xs, [0.2])]
+    refusals = (([0.0, 0.3], "points xs=(0j, 0.3+0j): a point at 0 admits no contour"),
+                ([0.3, 0.3], "points xs=(0.3+0j, 0.3+0j): "
+                             "coincident points admit no contour"))
+    for call in calls:
+        for xs, message in refusals:
+            with pytest.raises(ContourConditionError) as exc:
+                call(xs)
+            assert str(exc.value) == message
+
+
+def test_separated_names_the_center_that_admits_no_radius():
+    for centers, where in (([0j, 0.3], "at 0"), ([0.3, 0.3], "on another center"),
+                           ([0.3, 1.2], "off the unit disk"),
+                           ([0.3, 1.0], "off the unit disk")):
+        with pytest.raises(ContourConditionError) as exc:
+            _separated([0.01], [centers])
+        assert str(exc.value) == f"a contour circle center lies {where}"
+
+
 def test_a_shifted_point_near_an_x_is_a_contour_error(monkeypatch):
     # q_2 x_1 lies 5e-13 from x_2 = 0.25, far below 2^-20 of the largest |x|:
     # the action would double to 8192 nodes per circle, about 30 s, and fail
@@ -825,8 +855,11 @@ def test_a_shifted_point_near_an_x_is_a_contour_error(monkeypatch):
 
 
 def test_stated_residue_sum_d3_equals_stated_quadrature():
-    # the quadrature converges to 1e-9 on the scale max(1, |value|)
+    # the quadrature converges to 1e-9 on the scale max(1, |value|); the
+    # stated circles are `_separated`'s, so each action is accepted at its
+    # first doubling, 8 -> 16, from one 16-node pass
     for qs, xs, ys in [D3_CASE] + _d3_draws(1705, (3, 3, 3), shift_images=False):
-        ref = iterated_action_Z(qs, xs, ys, contour_mode="stated")
+        ref, info = iterated_action_Z(qs, xs, ys, contour_mode="stated", full_output=True)
         got = stated_action_Z(qs, xs, ys)
         assert abs(got - ref) <= 1e-8 * max(1.0, abs(ref))
+        assert info["nodes"] == (16, 16, 16)

@@ -1,4 +1,4 @@
-"""Property test: the shift-image radii keep every circle clear.
+"""Property tests: the one clearance rule keeps every circle clear.
 
 `macdonald._separated` scales the radii down together until each circle
 lies within a sixteenth of the distance from its center to 0, to the unit
@@ -6,7 +6,8 @@ circle and to the other centers of its level. `_validate_disks` checks only
 the pole loci after it, so on any levels of distinct centers inside the unit
 disk and any positive radii the scaled circles must keep 0 outside, stay
 inside the unit disk and be pairwise disjoint within a level
-(`test_macdonald._level_fault`).
+(`test_macdonald._level_fault`). The same holds for the stated contour's
+circles, about the x_i at every level, from `choose_radii`'s radii.
 """
 
 import cmath
@@ -15,9 +16,10 @@ import math
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, seed, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, seed, settings, strategies as st  # noqa: E402
 
-from pfschur.macdonald import _separated  # noqa: E402
+from pfschur.macdonald import (ContourConditionError, _separated,  # noqa: E402
+                               choose_radii)
 from test_macdonald import _level_fault  # noqa: E402
 
 
@@ -47,6 +49,34 @@ def levels(draw):
 @given(case=levels())
 def test_separated_radii_keep_every_circle_clear(case):
     radii, centers = case
+    separated = _separated(radii, centers)
+    assert all(0 < r <= r0 for r, r0 in zip(separated, radii))
+    assert _level_fault(centers, separated) is None
+
+
+@st.composite
+def stated_draws(draw):
+    """(qs, xs, ys): 1-3 shifts, 1-4 points and 1-3 ys, each of modulus
+    0.05 to 0.95 at any angle."""
+    def values(low, high):
+        return draw(st.lists(_polar(0.05, 0.95), min_size=low, max_size=high))
+    return values(1, 3), values(1, 4), values(1, 3)
+
+
+@seed(20170517)
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=stated_draws())
+def test_stated_circles_are_kept_clear_by_the_same_rule(case):
+    # the stated contour's levels all have the x_i as centers; its radii,
+    # choose_radii's scaled by `_separated`, only shrink, so they keep the
+    # stated distance conditions, and no circle meets 0, the unit circle or
+    # another circle of its level
+    qs, xs, ys = case
+    try:
+        radii = choose_radii(qs, xs, ys)
+    except ContourConditionError:
+        assume(False)
+    centers = [list(xs)] * len(qs)
     separated = _separated(radii, centers)
     assert all(0 < r <= r0 for r, r0 in zip(separated, radii))
     assert _level_fault(centers, separated) is None

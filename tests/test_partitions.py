@@ -102,28 +102,30 @@ def test_strip_transfers_match_the_branching_rule(L, cap):
 
 
 @pytest.mark.parametrize("L, cap, budget, scale", [
-    (20, 3, 1, 1.0),                            # one sum per block
-    (20, 3, 2 ** 14, 1 + 2j),                   # two, then a last one
-    (40, 3, partitions._GRID_BYTES, 1.0),       # the shipped budget: one each
+    (20, 3, 1, 1.0),                            # one chain per block
+    (20, 3, 2 ** 14, 1 + 2j),
+    (40, 3, partitions._GRID_BYTES, 1.0),       # the shipped budget
 ])
 def test_blocked_transfers_match_one_block(monkeypatch, L, cap, budget, scale):
-    """Five stacked sums through grids past the byte budget go in blocks of
-    whole sums and give the one-block sums. A row's products add the same
-    terms in both, but OpenBLAS may order them differently at another row
-    count, so they agree to rounding (1 ulp seen at (40, 3)), not bitwise."""
+    """Five stacked sums through grids past the byte budget go together in
+    blocks of whole chains and give the one-block sums. A row's products
+    add the same terms in both, but OpenBLAS may order them differently at
+    another row count, so they agree to rounding (1 ulp seen at (40, 3)),
+    not bitwise."""
     strips = horizontal_strips(L, cap)
     h = np.random.default_rng(L).uniform(0.5, 1.5, size=(5, len(strips.length))) * scale
-    chain_sums, calls = partitions._chain_sums, []
+    blocks, matmul = [], np.matmul
 
-    def spy(h, grid, T):
-        calls.append(h.shape)
-        return chain_sums(h, grid, T)
+    def spy(a, *args, **kwargs):  # one product per block
+        blocks.append(a.shape)
+        return matmul(a, *args, **kwargs)
     monkeypatch.setattr(partitions, "_GRID_BYTES", 2 ** 62)
     whole = strips.up(h, 0.37), strips.down(h, 0.37)
-    monkeypatch.setattr(partitions, "_chain_sums", spy)
+    monkeypatch.setattr(np, "matmul", spy)
     monkeypatch.setattr(partitions, "_GRID_BYTES", budget)
     blocked = strips.up(h, 0.37), strips.down(h, 0.37)
-    assert min(shape[0] for shape in calls) < 5         # some grid was split
+    # one block per grid and transfer would be 2 per grid: some grid was split
+    assert len(blocks) > 2 * len(strips._grids)
     for a, b in zip(blocked, whole):
         assert a.shape == b.shape
         assert np.allclose(a, b, rtol=1e-15, atol=0)
@@ -143,7 +145,7 @@ def test_one_sum_past_the_budget_goes_through_in_blocks_of_whole_chains(monkeypa
     monkeypatch.setattr(partitions, "_GRID_BYTES", 2 ** 16)
     blocks, matmul = [], np.matmul
 
-    def spy(a, *args, **kwargs):  # the block products; a whole grid's is `@`
+    def spy(a, *args, **kwargs):  # one product per block
         blocks.append(a.nbytes)
         return matmul(a, *args, **kwargs)
     monkeypatch.setattr(np, "matmul", spy)
