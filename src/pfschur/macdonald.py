@@ -56,7 +56,11 @@ in `kernels` multiplies the same pair factor. Every action runs one step
 over circles from `quadrature.circles_around` that start at 4 nodes for
 `apply_via_contour` and 8 for the iterated actions, times G(xs); a
 quadrature that does not converge is re-raised naming the action (and on a
-batch the draw).
+batch the draw). One rule refuses a contour the quadrature cannot resolve,
+on the radii it will use (`_refuse_unresolved`): a point at 0, points
+closer than 2^-10 of the largest |x|, a singularity left outside a circle
+too near an x_i or a circle below the float resolution of its center is a
+ContourConditionError before any quadrature runs.
 """
 
 import math
@@ -283,6 +287,116 @@ def _action(qs, xs, G, contours, tol, what):
     return G.value(xs) * integral, info
 
 
+# ---------------------------------------------------------------------------
+# the one refusal rule
+# ---------------------------------------------------------------------------
+
+def _named(values):
+    """Shifts or points as an error message names them: each by the repr of
+    the complex number, less its parentheses, so values that differ in their
+    last bits read apart."""
+    return "(" + ", ".join(repr(complex(v)).strip("()") for v in values) + ")"
+
+
+def _refuse(bad, message):
+    """Raise a ContourConditionError reading message(i) for the first draw i
+    where bad holds; bad has the batch's shape, () for a single draw, and on
+    a batch the message names the draw."""
+    bad = np.asarray(bad)
+    if bad.any():
+        i = int(np.argmax(bad.ravel()))
+        draw = f" (draw {i} of {bad.size})" if bad.ndim else ""
+        raise ContourConditionError(message(i) + draw)
+
+
+def _draw(values, i):
+    """Draw i of values stacked along a first axis over a batch."""
+    return values.reshape(len(values), -1)[:, i]
+
+
+def _refuse_points(xs):
+    """Refuse a point at 0 or two coincident points, naming the points: no
+    contour keeps 0 outside a circle about x_i = 0, or the circles about
+    x_i = x_j apart. Returns the distance of the closest two points (inf
+    for one point), over the batch of the xs."""
+    x = np.stack(np.broadcast_arrays(*xs))
+    apart = np.full(x.shape[1:], np.inf)
+    for a, b in combinations(x, 2):
+        apart = np.minimum(apart, np.abs(a - b))
+    _refuse(np.any(x == 0, axis=0), lambda i: (
+        f"points xs={_named(_draw(x, i))}: a point at 0 admits no contour"))
+    _refuse(apart == 0, lambda i: (
+        f"points xs={_named(_draw(x, i))}: coincident points admit no contour"))
+    return apart
+
+
+def _refuse_unresolved(xs, qs, radius, gap, floor, pole):
+    """The one rule that refuses a contour the quadrature cannot resolve,
+    applied to the radii it will use: after `contour_radius` for
+    `apply_via_contour` and after `_separated` for the iterated actions.
+    The xs, the qs, the smallest radius and the gap from the x_i to the
+    nearest singularity a circle leaves outside (pole names it) may be
+    arrays over a batch, and a refusal names the first draw that fails.
+
+    A point at 0 or two coincident points admit no contour
+    (`_refuse_points`). Every other floor is a fraction of the largest |x|:
+    the x_i, and the nodes about them, are known to an ulp of it, 2^-52 |x|.
+
+    * Two points closer than 2^-10 |x|. The residues at a close pair are
+      large, of both signs, and cancel to the action, and the rounding in
+      them grows about like the inverse square of their distance d: at xs =
+      (0.5, 0.5 + d, 0.3) and |q| = 0.6 `apply_via_contour` is up to 3.6e-10
+      off `apply_direct` at d = 1e-4 to 3e-4, 7.9e-9 at d = 1e-5 to 3e-5 and
+      1.4e-6 at d = 1e-6 to 3e-6, the iterated Z action 1.5e-10, 3.3e-9 and
+      1.7e-8 or no convergence. On 160 random draws with n <= 4 and a pair
+      or a triple of points 2^-10 to 2^-9 |x| apart, `apply_via_contour` at
+      r <= 3 is within 1.1e-10 of `apply_direct`, and the iterated actions
+      at d = 1, and at d = 2 on a pair, within 1.2e-10 of the composition.
+    * A gap below floor |x|. For the iterated actions the gap is the stated
+      distance D and the floor 2^-20: a point and a shifted point D apart
+      are each known to an ulp of x, so the integrand near them carries a
+      relative rounding error up to about 2^-52 |x|/D, 2.3e-10 at the
+      floor, below the actions' default tolerance of 1e-9; below it the
+      error reaches that tolerance, and `iterated_action_Z([0.4, 0.5 +
+      1e-12], [0.5, 0.25], [0.2])`, D = 1e-12 |x|, would double its nodes
+      to the cap. On 60 random draws at D = 2^-20 |x| the actions match the
+      composition to 1.5e-11 at 16 nodes; at D = 3e-8 |x| one misses it by
+      2.5e-9. For `apply_via_contour` the gap is its safe radius R, 256
+      times its radius, and the floor 2^-24. Its error falls like 1/R,
+      about 1e-17 |x|/R near q = 1: at xs = (0.5, 0.3) and q near 1 - e it
+      is past tolerance at R = 4.2e-9, 9.5e-10, 3e-10 and 9.5e-11 |x| (up to
+      1.2e-7 off), within it from 9.5e-9 |x| up, and 6.9e-12 off at the 3e-7
+      |x| of q = 1 - 1e-6; on 600 random draws with R within a factor 2 above
+      the floor, a shift near 1, a q-image near a point, a point near 0 or
+      near the unit circle, the worst is 2.1e-10, near q = 1.
+    * A smallest radius below 2^-52 |x|, one ulp of x: on a smaller circle
+      a node x + r e^{i theta} can round onto x, a pole of the integrand,
+      while on one at the floor every node differs from x by at least half
+      an ulp in one coordinate. A tiny shift drives r_1 there through
+      upsilon^2 (`choose_radii`), and `_separated` shrinks the circles
+      about a center near another center or the unit circle. Above the
+      floor rounding does not spoil the actions: at q = (0.4, 1e-6), xs =
+      (0.5, 0.3), r_2 = 1.0e-15 |x| and both match the composition to
+      6e-16; at q_2 = 1e-7, r_2 = 1.0e-17 |x|, and the quadrature would
+      divide by zero.
+    """
+    *values, radius, gap, apart = np.broadcast_arrays(*xs, *qs, radius, gap,
+                                                      _refuse_points(xs))
+    x, q = np.stack(values[:len(xs)]), np.stack(values[len(xs):])
+    top = np.abs(x).max(axis=0)
+    _refuse(apart < 2.0 ** -10 * top, lambda i: (
+        f"points xs={_named(_draw(x, i))}: two of them lie {apart.flat[i]:.3g} apart, "
+        f"closer than 2^-10 of the largest |x| = {top.flat[i]:.6g}"))
+    shifts = lambda i: f"shifts qs={_named(_draw(q, i))}"
+    _refuse(gap < floor * top, lambda i: (
+        f"{shifts(i)} put {pole} {gap.flat[i]:.3g} from an x_i, closer than "
+        f"2^{math.log2(floor):g} of the largest |x| = {top.flat[i]:.6g}"))
+    _refuse(radius < 2.0 ** -52 * top, lambda i: (
+        f"{shifts(i)} give a radius {radius.flat[i]:.3g} about "
+        f"x = {complex(max(_draw(x, i), key=abs)):.6g}, "
+        f"below the float resolution of its center"))
+
+
 def contour_radius(xs, q):
     """1/256 of the largest safe radius R for circles around the x_i:
     circles pairwise disjoint, q-images of every circle outside all
@@ -298,7 +412,9 @@ def contour_radius(xs, q):
     falls like 256^-N at N nodes (Trefethen & Weideman, SIAM Rev. 56, 2014):
     the 4-node estimate is within about 256^-4 = 2.3e-10, as the 8-node one
     was at R/16, and the first doubling, 4 -> 8, meets a tolerance of 1e-9
-    with the 8-node estimate within 256^-8 = 5.4e-20.
+    with the 8-node estimate within 256^-8 = 5.4e-20. The radius is not
+    checked here: `apply_via_contour` refuses what the quadrature cannot
+    resolve (`_refuse_unresolved`).
     """
     x = np.stack(np.broadcast_arrays(*xs, q)[:-1])     # coordinate i, then xs' and q's batch
     gaps = np.abs(x[:, None] - x) / 2           # circles i != j disjoint
@@ -306,11 +422,8 @@ def contour_radius(xs, q):
     # q-image of circle i must stay off circle j: |qx_i - x_j| > (|q|+1) rad
     images = np.abs(q * x[:, None] - x) / (np.abs(q) + 1)
     # keep 0 outside and stay inside the unit disk
-    rad = np.minimum(np.minimum(gaps, images).min(axis=(0, 1)),
-                     np.minimum(np.abs(x), 1 - np.abs(x)).min(axis=0)) / 256
-    if np.any(rad <= 0):
-        raise ContourConditionError("no positive radius satisfies the contour conditions")
-    return rad
+    return np.minimum(np.minimum(gaps, images).min(axis=(0, 1)),
+                      np.minimum(np.abs(x), 1 - np.abs(x)).min(axis=0)) / 256
 
 
 def apply_via_contour(G, xs, r, q, tol=1e-9, full_output=False):
@@ -326,15 +439,18 @@ def apply_via_contour(G, xs, r, q, tol=1e-9, full_output=False):
     and accepts each draw at its own first converged doubling, and the
     value is an array over the batch. full_output adds the radius to the quadrature's
     `nodes`, `last_delta` and `grid_points` (per draw on a batch: a list of
-    node counts, arrays of deltas and radii). A QuadratureError is re-raised
-    naming the action and r, and on a batch the draw, with the same
-    estimates.
+    node counts, arrays of deltas and radii). A contour the quadrature
+    cannot resolve is a ContourConditionError before any quadrature
+    (`_refuse_unresolved`, on a gap R = 256 times the radius), and a
+    QuadratureError is re-raised naming the action and r, and on a batch the
+    draw, with the same estimates.
     """
     if not isinstance(G, ProductFormFunction):
         raise TypeError("G must be a ProductFormFunction")
     xs = _coordinates(xs)
     _check_order(r, len(xs))
     radius = contour_radius(xs, q)
+    _refuse_unresolved(xs, [q] * r, radius, 256 * radius, 2.0 ** -24, "a singularity")
     contour = quad.circles_around(xs, radius, nodes=4)
     value, info = _action([q] * r, xs, G, [contour] * r, tol, f"contour action r={r}")
     value = value / math.factorial(r)
@@ -353,21 +469,14 @@ def z_partition(xs, ys):
     return H0(xs) * cauchy_H(xs, ys)
 
 
-def _named(values):
-    """Shifts or points as an error message names them: each by its repr,
-    less a complex number's parentheses, so values that differ in their
-    last bits read apart."""
-    return "(" + ", ".join(repr(v).strip("()") for v in values) + ")"
-
-
 def _stated_condition_distance(qs, xs, ys):
     """Euclidean distance from the union of shifted/inverted points to the
-    x_i; complex q's allowed."""
+    x_i; complex q's allowed. A y of 0 has no pole 1/(q y)."""
     pts = [1 / x for x in xs]
     for q in qs:
         for x in xs:
             pts += [q * x, x / q, 1 / (q * x)]
-        pts += [1 / (q * y) for y in ys]
+        pts += [1 / (q * y) for y in ys if y]
     return min(abs(p - x) for p in pts for x in xs)
 
 
@@ -391,57 +500,28 @@ def choose_radii(qs, xs, ys):
     the actions are accepted at the first doubling, 8 -> 16, from one
     16-node pass. r_1 does not depend on the ratio.
 
-    A point x_i = 0 or two coincident x_i raise a ContourConditionError
-    naming the points, before anything divides by them. A shift q = 0, a
-    gap D below 2^-20 of the largest |x|, or radii below the float
-    resolution of the x_i raise a ContourConditionError naming the
-    shifts. A point and a shifted point D apart are each known to an ulp of
-    x, so the integrand near them carries a relative rounding error up to
-    about 2^-52 |x|/D, 2.3e-10 at the bound, below the actions' default
-    tolerance of 1e-9; below it the error reaches that tolerance, and
-    `iterated_action_Z([0.4, 0.5 + 1e-12], [0.5, 0.25], [0.2])`, D = 1e-12
-    |x|, would double its nodes to the cap. On 60 random draws at D =
-    2^-20 |x| the actions match the composition to 1.5e-11 at 16 nodes; at
-    D = 3e-8 |x| one misses it by 2.5e-9.
-
-    A tiny shift drives r_1 below the float resolution through upsilon^2.
-    The bound is r_d >= 2^-52 |x| for the largest |x|,
-    at least one ulp of x: on a smaller circle a node x + r e^{i theta} can
-    round onto x, a pole of the integrand, while on one at the bound every
-    node differs from x by at least half an ulp in one coordinate. Above it
-    rounding does not spoil the actions: at q = (0.4, 1e-6), xs = (0.5,
-    0.3), r_2 = 1.0e-15 |x| and both match the composition to 6e-16; at q_2
-    = 1e-7, r_2 = 1.0e-17 |x|, and the quadrature would divide by zero.
+    A point x_i = 0 or two coincident x_i (named by the points) and a
+    shift q = 0 (named by the shifts) raise a ContourConditionError before
+    anything divides by them, as do stated conditions that admit no
+    positive r_1. Whether the quadrature can resolve the circles is decided
+    on the radii it uses, after `_separated` (`_refuse_unresolved`).
     """
     qs = [complex(q) for q in qs]
     xs = [complex(x) for x in xs]
     ys = [complex(y) for y in ys]
-    if 0 in xs:
-        raise ContourConditionError(f"points xs={_named(xs)}: a point at 0 admits no contour")
-    if len(set(xs)) < len(xs):
-        raise ContourConditionError(
-            f"points xs={_named(xs)}: coincident points admit no contour")
+    _refuse_points(xs)
     if 0 in qs:
         raise ContourConditionError(f"shifts qs={_named(qs)}: a zero shift admits no contour")
-    x = max(xs, key=abs)
     D = _stated_condition_distance(qs, xs, ys)
-    if D < 2.0 ** -20 * abs(x):
-        raise ContourConditionError(
-            f"shifts qs={_named(qs)} put a shifted point {D:.3g} from an x_i, "
-            f"closer than 2^-20 of the largest |x| = {abs(x):.6g}")
     ups = min(min(abs(q ** e1 * x ** e2) for e1 in (1, -1) for e2 in (1, -1) for q in qs)
               for x in xs)
     ups = min(ups, min(abs(x) for x in xs))
     c = min(ups ** 2, min(min(abs(q), 1 / abs(q)) for q in qs))
     r1 = 0.9 * D * c / (1 + c)
     if r1 <= 0:
-        raise ContourConditionError("stated radius conditions admit no positive r_1")
-    radii = [r1 * 0.0625 ** j for j in range(len(qs))]
-    if radii[-1] < 2.0 ** -52 * abs(x):
         raise ContourConditionError(
-            f"shifts qs={_named(qs)} give a radius {radii[-1]:.3g} about x = {x:.6g}, "
-            f"below the float resolution of its center")
-    return radii
+            f"shifts qs={_named(qs)}: the stated radius conditions admit no positive r_1")
+    return [r1 * 0.0625 ** j for j in range(len(qs))]
 
 
 def _image_centers(qs, xs):
@@ -555,6 +635,8 @@ def _iterated_action(qs, X, Y, with_boundary, tol, contour_mode, full_output):
     else:
         centers = _image_centers(qs, xs)
     radii = _separated(choose_radii(qs, xs, G.ys), centers)
+    _refuse_unresolved(xs, qs, radii[-1], _stated_condition_distance(qs, xs, G.ys),
+                       2.0 ** -20, "a shifted point")
     if contour_mode == "shift_images":
         _validate_disks(qs, centers, radii)
 
@@ -577,10 +659,13 @@ def iterated_action_Z(qs, X, Y, tol=1e-9, contour_mode="shift_images",
     residue sum q-extraction expands in q. `choose_radii` sets the
     radii, scaled down on either contour until every circle lies
     within a sixteenth of the distance from its center to the other centers
-    of its level, to 0 and to the unit circle (`_separated`). full_output
-    adds the quadrature's `nodes`, `last_delta` and `grid_points`, and the
-    per-level `radii` the contours used. A QuadratureError is re-raised
-    naming the action and its qs, with the same estimates.
+    of its level, to 0 and to the unit circle (`_separated`); on those radii
+    a contour the quadrature cannot resolve is a ContourConditionError
+    before any quadrature (`_refuse_unresolved`, on the stated distance D).
+    full_output adds the quadrature's `nodes`, `last_delta` and
+    `grid_points`, and the per-level `radii` the contours used. A
+    QuadratureError is re-raised naming the action and its qs, with the same
+    estimates.
     """
     return _iterated_action(qs, X, Y, True, tol, contour_mode, full_output)
 

@@ -854,6 +854,53 @@ def test_a_shifted_point_near_an_x_is_a_contour_error(monkeypatch):
         iterated_action_Z([0.4, 0.5 + 1e-12], [0.5, 0.25], [0.2])
 
 
+def test_an_unresolvable_contour_is_refused_before_any_quadrature(monkeypatch):
+    # every action is refused on the radii its quadrature would use. At
+    # points 1e-12 and 1e-10 apart and at q = 1 - 1e-9 apply_via_contour
+    # returned values 5.1e-5, 1.3e-7 and 3.6e-8 off apply_direct with no
+    # error; with q_2 x one ulp inside the unit circle `_separated` shrinks
+    # the shift-image circles to 4.3e-19, and the quadrature ran to 8192
+    # nodes per circle before failing; every iterated mode ran its
+    # quadrature on points 1e-12 or one ulp apart
+    def quadrature(*args, **kwargs):
+        raise AssertionError("a quadrature ran")
+    monkeypatch.setattr(macdonald.quad, "integrate_product", quadrature)
+    G = ProductFormFunction([0.2, 0.1])
+    near = r"points xs=\(0\.3\+0j, 0\.30000000\d+\+0j\): two of them lie 1e-1[02] apart"
+    for r in (1, 2):
+        for xs, q, match in (([0.3, 0.3 + 1e-12], 0.4 + 0.1j, near),
+                             ([0.3, 0.3 + 1e-10], 0.4 + 0.1j, near),
+                             ([0.5, 0.3], 1 - 1e-9, r"0\.999999999\+0j\) put a singularity "
+                                                    r"1\.5e-10 from an x_i, closer than 2\^-24")):
+            with pytest.raises(ContourConditionError, match=match):
+                apply_via_contour(G, xs, r, q)
+    # on a batch the refusal names the draw
+    with pytest.raises(ContourConditionError, match=r"2\^-24 .*\(draw 1 of 2\)$"):
+        apply_via_contour(G, [0.5, 0.3], 1, np.array([0.4, 1 - 1e-9]))
+    for action in (iterated_action_Z, iterated_action_F):
+        with pytest.raises(ContourConditionError,
+                           match=r"1\.9999999999999998\+0j\) give a radius 4\.34e-19 "
+                                 r"about x = 0\.5\+0j, below the float resolution"):
+            action([0.4, 1.9999999999999998], [0.5], [0.2])
+    ulp = [0.3, float(np.nextafter(0.3, 1))]
+    for call in (lambda xs: iterated_action_Z([0.4 + 0.1j], xs, [0.2]),
+                 lambda xs: iterated_action_Z([0.4 + 0.1j], xs, [0.2], contour_mode="stated"),
+                 lambda xs: iterated_action_F([0.4 + 0.1j], xs, [0.2])):
+        for xs in ([0.3, 0.3 + 1e-12], ulp):
+            with pytest.raises(ContourConditionError, match="two of them lie"):
+                call(xs)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_y_at_0_adds_no_pole():
+    # 1/(q y) is no pole at y = 0: the stated distance skips it, and the
+    # action is the composed direct action
+    qs, xs, ys = [0.4 + 0.1j], [0.3, 0.5], [0.0]
+    for action, partition in ((iterated_action_Z, z_partition), (iterated_action_F, cauchy_H)):
+        comp = _composition(qs, xs, ys, partition)
+        assert abs(action(qs, xs, ys) - comp) < 1e-9 * abs(comp)
+
+
 def test_stated_residue_sum_d3_equals_stated_quadrature():
     # the quadrature converges to 1e-9 on the scale max(1, |value|); the
     # stated circles are `_separated`'s, so each action is accepted at its
