@@ -302,16 +302,16 @@ def _refuse(bad, message):
     """Raise a ContourConditionError reading message(i) for the first draw i
     where bad holds; bad has the batch's shape, () for a single draw, and on
     a batch the message names the draw."""
-    bad = np.asarray(bad)
     if bad.any():
         i = int(np.argmax(bad.ravel()))
         draw = f" (draw {i} of {bad.size})" if bad.ndim else ""
         raise ContourConditionError(message(i) + draw)
 
 
-def _draw(values, i):
-    """Draw i of values stacked along a first axis over a batch."""
-    return values.reshape(len(values), -1)[:, i]
+def _draw(values, batch, i):
+    """Draw i of values stacked along a first axis, over a batch of that
+    shape."""
+    return np.broadcast_to(values, values.shape[:1] + batch).reshape(len(values), -1)[:, i]
 
 
 def _refuse_points(xs):
@@ -320,14 +320,14 @@ def _refuse_points(xs):
     x_i = x_j apart. Returns the distance of the closest two points (inf
     for one point), over the batch of the xs."""
     x = np.stack(np.broadcast_arrays(*xs))
-    apart = np.full(x.shape[1:], np.inf)
-    for a, b in combinations(x, 2):
-        apart = np.minimum(apart, np.abs(a - b))
-    _refuse(np.any(x == 0, axis=0), lambda i: (
-        f"points xs={_named(_draw(x, i))}: a point at 0 admits no contour"))
+    apart = np.abs(x[:, None] - x)
+    apart[np.diag_indices(len(x))] = np.inf
+    apart = apart.min(axis=(0, 1))
+    _refuse((x == 0).any(0), lambda i: (
+        f"points xs={_named(_draw(x, x.shape[1:], i))}: a point at 0 admits no contour"))
     _refuse(apart == 0, lambda i: (
-        f"points xs={_named(_draw(x, i))}: coincident points admit no contour"))
-    return apart
+        f"points xs={_named(_draw(x, x.shape[1:], i))}: coincident points admit no contour"))
+    return x, apart
 
 
 def _refuse_unresolved(xs, qs, radius, gap, floor, pole):
@@ -380,20 +380,18 @@ def _refuse_unresolved(xs, qs, radius, gap, floor, pole):
       6e-16; at q_2 = 1e-7, r_2 = 1.0e-17 |x|, and the quadrature would
       divide by zero.
     """
-    *values, radius, gap, apart = np.broadcast_arrays(*xs, *qs, radius, gap,
-                                                      _refuse_points(xs))
-    x, q = np.stack(values[:len(xs)]), np.stack(values[len(xs):])
-    top = np.abs(x).max(axis=0)
+    x, apart = _refuse_points(xs)
+    top, apart, radius, gap = np.broadcast_arrays(np.abs(x).max(axis=0), apart, radius, gap)
     _refuse(apart < 2.0 ** -10 * top, lambda i: (
-        f"points xs={_named(_draw(x, i))}: two of them lie {apart.flat[i]:.3g} apart, "
-        f"closer than 2^-10 of the largest |x| = {top.flat[i]:.6g}"))
-    shifts = lambda i: f"shifts qs={_named(_draw(q, i))}"
+        f"points xs={_named(_draw(x, top.shape, i))}: two of them lie {apart.flat[i]:.3g} "
+        f"apart, closer than 2^-10 of the largest |x| = {top.flat[i]:.6g}"))
+    shifts = lambda i: f"shifts qs={_named(_draw(np.stack(np.broadcast_arrays(*qs)), top.shape, i))}"
     _refuse(gap < floor * top, lambda i: (
         f"{shifts(i)} put {pole} {gap.flat[i]:.3g} from an x_i, closer than "
         f"2^{math.log2(floor):g} of the largest |x| = {top.flat[i]:.6g}"))
     _refuse(radius < 2.0 ** -52 * top, lambda i: (
         f"{shifts(i)} give a radius {radius.flat[i]:.3g} about "
-        f"x = {complex(max(_draw(x, i), key=abs)):.6g}, "
+        f"x = {complex(max(_draw(x, top.shape, i), key=abs)):.6g}, "
         f"below the float resolution of its center"))
 
 
@@ -509,7 +507,8 @@ def choose_radii(qs, xs, ys):
     qs = [complex(q) for q in qs]
     xs = [complex(x) for x in xs]
     ys = [complex(y) for y in ys]
-    _refuse_points(xs)
+    if 0 in xs or len(set(xs)) < len(xs):
+        _refuse_points(xs)
     if 0 in qs:
         raise ContourConditionError(f"shifts qs={_named(qs)}: a zero shift admits no contour")
     D = _stated_condition_distance(qs, xs, ys)
