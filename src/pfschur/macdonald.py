@@ -317,8 +317,8 @@ def _draw(values, batch, i):
 def _refuse_points(xs):
     """Refuse a point at 0 or two coincident points, naming the points: no
     contour keeps 0 outside a circle about x_i = 0, or the circles about
-    x_i = x_j apart. Returns the distance of the closest two points (inf
-    for one point), over the batch of the xs."""
+    x_i = x_j apart. Returns the points stacked over the batch of the xs,
+    and the distance of the closest two (inf for one point)."""
     x = np.stack(np.broadcast_arrays(*xs))
     apart = np.abs(x[:, None] - x)
     apart[np.diag_indices(len(x))] = np.inf
@@ -507,7 +507,7 @@ def choose_radii(qs, xs, ys):
     qs = [complex(q) for q in qs]
     xs = [complex(x) for x in xs]
     ys = [complex(y) for y in ys]
-    if 0 in xs or len(set(xs)) < len(xs):
+    if 0 in xs or len(set(xs)) < len(xs):     # before dividing by them
         _refuse_points(xs)
     if 0 in qs:
         raise ContourConditionError(f"shifts qs={_named(qs)}: a zero shift admits no contour")
