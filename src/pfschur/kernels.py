@@ -72,10 +72,13 @@ compare and sweep reports and the tests can show them failing.
 
 The paper's own route, q-extraction (`correlation_via_q_extraction`), reads
 a one-level correlation at d <= 2 points as a q-power coefficient of the
-iterated one-row action on Z. That action is a finite sum of rational
-functions of the qs whose poles lie outside the unit disk, so each
-coefficient is taken exactly from Taylor series at q = 0 (`_series`), with
-no contour and no truncation; the row reports how much its terms cancel.
+iterated one-row action on Z. It takes the one-level measure's x and y of
+any sizes; a process level's marginal is one such measure, whose families
+`verify` merges, so the route reads every point set on one level. That
+action is a finite sum of rational functions of the qs whose poles lie
+outside the unit disk, so each coefficient is taken exactly from Taylor
+series at q = 0 (`_series`), with no contour and no truncation; the row
+reports how much its terms cancel.
 """
 
 import functools
@@ -596,7 +599,7 @@ def with_other_k22_sign(K):
 
 
 # ---------------------------------------------------------------------------
-# q-coefficient extraction route (single partition, d <= 2)
+# q-coefficient extraction route (one level, d <= 2)
 # ---------------------------------------------------------------------------
 
 def _series(x, others, ys, D):
@@ -620,8 +623,10 @@ def _series(x, others, ys, D):
 
 
 def correlation_via_q_extraction(X, Y, T, cfg=None, full_output=False):
-    """Single-partition correlation as a q-power coefficient of the iterated
-    one-row action on Z, taken exactly from its Taylor series at q = 0.
+    """Correlation of the one-level measure with x = X and y = Y, any |Y|
+    (none included), as a q-power coefficient of the iterated one-row
+    action on Z, taken exactly from its Taylor series at q = 0. A level of a
+    process is such a measure (`verify` merges its families).
 
     The stated-contour action over Z is a sum over d-permutations of the x_i
     of residue factors R_i(q_j), times a pair factor at d = 2; the boundary
@@ -644,13 +649,12 @@ def correlation_via_q_extraction(X, Y, T, cfg=None, full_output=False):
     `cancellation`, the sum of their absolute values over |value| (None at
     a value of 0). Near-equal x_i make the terms large and of both signs;
     when 2^-52 x cancellation passes cfg.quad_tol a ContourConditionError
-    names the extraction, its positions and the cancellation.
+    names the extraction, its positions and the cancellation, and so does
+    one at coincident x_i, which merged families of a process may hold.
     """
     cfg = cfg or KernelConfig()
     xs = [v.real for v in X]
     ys = [v.real for v in Y]
-    if len(xs) != len(ys):
-        raise ValueError("q-extraction expects |X| = |Y|")
     n = len(xs)
     T_all = [int(t) for t in T]
     T_eff = [t for t in T_all if t >= -n]
@@ -662,6 +666,10 @@ def correlation_via_q_extraction(X, Y, T, cfg=None, full_output=False):
         return (1.0, info) if full_output else 1.0
     if d > 2:
         raise ValueError("q-extraction supports d <= 2 positions at or above -n")
+    if len(set(xs)) < n:
+        raise ContourConditionError(
+            f"q-extraction at T={T_eff}: two x values coincide, xs={xs}, where the "
+            f"residue sum has a double pole and its terms cancel without bound")
     orders = [t + n for t in T_eff]
     D = max(orders)
 

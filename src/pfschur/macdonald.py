@@ -57,10 +57,11 @@ over circles from `quadrature.circles_around` that start at 4 nodes for
 `apply_via_contour` and 8 for the iterated actions, times G(xs); a
 quadrature that does not converge is re-raised naming the action (and on a
 batch the draw). One rule refuses a contour the quadrature cannot resolve,
-on the radii it will use (`_refuse_unresolved`): a point at 0, points
-closer than 2^-10 of the largest |x|, a singularity left outside a circle
-too near an x_i or a circle below the float resolution of its center is a
-ContourConditionError before any quadrature runs.
+on the radii it will use (`_refuse_unresolved`): a point at 0 or off the
+unit disk, points closer than 2^-10 of the largest |x|, at d >= 2 a point
+whose two nearest others lie within 2^-6 of it, a singularity left outside
+a circle too near an x_i or a circle below the float resolution of its
+center is a ContourConditionError before any quadrature runs.
 """
 
 import math
@@ -315,22 +316,26 @@ def _draw(values, batch, i):
 
 
 def _refuse_points(xs):
-    """Refuse a point at 0 or two coincident points, naming the points: no
-    contour keeps 0 outside a circle about x_i = 0, or the circles about
-    x_i = x_j apart. Returns the points stacked over the batch of the xs,
-    and the distance of the closest two (inf for one point)."""
+    """Refuse a point at 0, a point off the unit disk or two coincident
+    points, naming the points: no contour keeps 0 outside a circle about
+    x_i = 0, a circle about |x_i| >= 1 inside the unit disk, where the
+    regular factors have no pole, or the circles about x_i = x_j apart.
+    Returns the points stacked over the batch of the xs and, per point, its
+    distances to the others in increasing order."""
     x = np.stack(np.broadcast_arrays(*xs))
     apart = np.abs(x[:, None] - x)
     apart[np.diag_indices(len(x))] = np.inf
-    apart = apart.min(axis=(0, 1))
-    _refuse((x == 0).any(0), lambda i: (
-        f"points xs={_named(_draw(x, x.shape[1:], i))}: a point at 0 admits no contour"))
-    _refuse(apart == 0, lambda i: (
-        f"points xs={_named(_draw(x, x.shape[1:], i))}: coincident points admit no contour"))
+    apart = np.sort(apart, axis=1)
+    points = lambda i: f"points xs={_named(_draw(x, x.shape[1:], i))}"
+    _refuse((x == 0).any(0), lambda i: f"{points(i)}: a point at 0 admits no contour")
+    _refuse((np.abs(x) >= 1).any(0), lambda i: (
+        f"{points(i)}: a point off the unit disk admits no contour"))
+    _refuse(apart[:, 0].min(axis=0) == 0, lambda i: (
+        f"{points(i)}: coincident points admit no contour"))
     return x, apart
 
 
-def _refuse_unresolved(xs, qs, radius, gap, floor, pole):
+def _refuse_unresolved(xs, qs, radius, gap, floor, pole, cluster):
     """The one rule that refuses a contour the quadrature cannot resolve,
     applied to the radii it will use: after `contour_radius` for
     `apply_via_contour` and after `_separated` for the iterated actions.
@@ -338,9 +343,10 @@ def _refuse_unresolved(xs, qs, radius, gap, floor, pole):
     nearest singularity a circle leaves outside (pole names it) may be
     arrays over a batch, and a refusal names the first draw that fails.
 
-    A point at 0 or two coincident points admit no contour
-    (`_refuse_points`). Every other floor is a fraction of the largest |x|:
-    the x_i, and the nodes about them, are known to an ulp of it, 2^-52 |x|.
+    A point at 0 or off the unit disk, or two coincident points, admit no
+    contour (`_refuse_points`). Every other floor is a fraction of the
+    largest |x|: the x_i, and the nodes about them, are known to an ulp of
+    it, 2^-52 |x|.
 
     * Two points closer than 2^-10 |x|. The residues at a close pair are
       large, of both signs, and cancel to the action, and the rounding in
@@ -352,6 +358,18 @@ def _refuse_unresolved(xs, qs, radius, gap, floor, pole):
       or a triple of points 2^-10 to 2^-9 |x| apart, `apply_via_contour` at
       r <= 3 is within 1.1e-10 of `apply_direct`, and the iterated actions
       at d = 1, and at d = 2 on a pair, within 1.2e-10 of the composition.
+    * A cluster: a point whose two nearest others lie within cluster |x|,
+      2^-6 for the iterated actions at d >= 2 (0, no rule, at d = 1 and for
+      `apply_via_contour`). At d = 2 a point with two close neighbours
+      carries residues that cancel far more than a pair's: on random draws
+      (n = 3 or 4, |x| up to 0.7, real |q| in 0.1 to 0.7) against the
+      composition of the direct actions summed exactly in `Fraction`s, an
+      evenly spaced triple s |x| apart is within 5e-12 at s = 2^-4, within
+      3.9e-10 at s = 2^-6 to 2^-5.5 and 1.9e-9 off at s = 2^-6.5 to 2^-6
+      (120 actions per band); at s = 2^-9 to 2^-8 some actions double their
+      nodes for seconds, and `iterated_action_Z` on three points 2^-8.7 |x|
+      apart ran 106 s to a QuadratureError. A triple with one gap of 2^-9
+      and one of 2^-4 stays within 3e-11.
     * A gap below floor |x|. For the iterated actions the gap is the stated
       distance D and the floor 2^-20: a point and a shifted point D apart
       are each known to an ulp of x, so the integrand near them carries a
@@ -381,10 +399,16 @@ def _refuse_unresolved(xs, qs, radius, gap, floor, pole):
       divide by zero.
     """
     x, apart = _refuse_points(xs)
-    top, apart, radius, gap = np.broadcast_arrays(np.abs(x).max(axis=0), apart, radius, gap)
+    crowd = apart[:, 1].min(axis=0) if cluster and len(x) > 2 else np.inf
+    top, apart, crowd, radius, gap = np.broadcast_arrays(
+        np.abs(x).max(axis=0), apart[:, 0].min(axis=0), crowd, radius, gap)
     _refuse(apart < 2.0 ** -10 * top, lambda i: (
         f"points xs={_named(_draw(x, top.shape, i))}: two of them lie {apart.flat[i]:.3g} "
         f"apart, closer than 2^-10 of the largest |x| = {top.flat[i]:.6g}"))
+    _refuse(crowd < cluster * top, lambda i: (
+        f"points xs={_named(_draw(x, top.shape, i))}: two of them lie within "
+        f"{crowd.flat[i]:.3g} of a third, closer than 2^{math.log2(cluster):g} of the "
+        f"largest |x| = {top.flat[i]:.6g}, which the actions at d >= 2 do not resolve"))
     shifts = lambda i: f"shifts qs={_named(_draw(np.stack(np.broadcast_arrays(*qs)), top.shape, i))}"
     _refuse(gap < floor * top, lambda i: (
         f"{shifts(i)} put {pole} {gap.flat[i]:.3g} from an x_i, closer than "
@@ -448,7 +472,7 @@ def apply_via_contour(G, xs, r, q, tol=1e-9, full_output=False):
     xs = _coordinates(xs)
     _check_order(r, len(xs))
     radius = contour_radius(xs, q)
-    _refuse_unresolved(xs, [q] * r, radius, 256 * radius, 2.0 ** -24, "a singularity")
+    _refuse_unresolved(xs, [q] * r, radius, 256 * radius, 2.0 ** -24, "a singularity", 0.0)
     contour = quad.circles_around(xs, radius, nodes=4)
     value, info = _action([q] * r, xs, G, [contour] * r, tol, f"contour action r={r}")
     value = value / math.factorial(r)
@@ -480,7 +504,8 @@ def _stated_condition_distance(qs, xs, ys):
 
 def choose_radii(qs, xs, ys):
     """Radii r_1 > ... > r_d, each a sixteenth of the one before, passing the
-    stated distance checks.
+    stated distance checks, and the stated distance D they are drawn from,
+    which `_refuse_unresolved` reads too.
 
     The gap D between the shifted/inverted point set and the x_i must cover
     r_1 + s; r_1 must also stay below s * (upsilon^2 and the |q|-bounds).
@@ -520,7 +545,7 @@ def choose_radii(qs, xs, ys):
     if r1 <= 0:
         raise ContourConditionError(
             f"shifts qs={_named(qs)}: the stated radius conditions admit no positive r_1")
-    return [r1 * 0.0625 ** j for j in range(len(qs))]
+    return [r1 * 0.0625 ** j for j in range(len(qs))], D
 
 
 def _image_centers(qs, xs):
@@ -633,9 +658,10 @@ def _iterated_action(qs, X, Y, with_boundary, tol, contour_mode, full_output):
         centers = [list(xs)] * len(qs)
     else:
         centers = _image_centers(qs, xs)
-    radii = _separated(choose_radii(qs, xs, G.ys), centers)
-    _refuse_unresolved(xs, qs, radii[-1], _stated_condition_distance(qs, xs, G.ys),
-                       2.0 ** -20, "a shifted point")
+    radii, D = choose_radii(qs, xs, G.ys)
+    radii = _separated(radii, centers)
+    _refuse_unresolved(xs, qs, radii[-1], D, 2.0 ** -20, "a shifted point",
+                       2.0 ** -6 if len(qs) > 1 else 0.0)
     if contour_mode == "shift_images":
         _validate_disks(qs, centers, radii)
 

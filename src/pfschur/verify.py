@@ -328,66 +328,115 @@ def battery_pfaffian(seed=0):
 # correlations
 # ---------------------------------------------------------------------------
 
-# each correlation route: its (value, info) on (spec, T, cfg, L), the info
-# keys its row reports as diagnostics, in report order, and the fault that
-# rules a spec out (None: none does). The functions are looked up in their
+# each correlation route: its (value, info) on (spec, T, cfg, L) and the info
+# keys its row reports as diagnostics, in report order; a route refuses what
+# it cannot read with a ValueError. The functions are looked up in their
 # modules at each call, so a patched module attribute is the one that runs.
 # The oracle reports its weight cap, truncation diagnostic, value truncation
 # and partition-list size from one pass; the kernel its largest last-doubling
 # delta and that over |value|, its integrated entries' node counts, circle
 # radii and the circle nodes at which its slot factors were evaluated;
-# q-extraction the coefficient orders it read, the number of terms it summed
-# and their cancellation
+# q-extraction, on the marginal of the level its points lie on
+# (`_level_marginal`), the coefficient orders it read, the number of terms it
+# summed and their cancellation
 ROUTES = {
     "oracle": (lambda spec, T, cfg, L: measures.correlation_oracle(
         spec, T, L=L, full_output=True),
-        ("L", "truncation_diagnostic", "value_truncation", "partitions"), None),
+        ("L", "truncation_diagnostic", "value_truncation", "partitions")),
     "kernel": (lambda spec, T, cfg, L: kernels.correlation_via_kernel(
         spec, T, cfg, full_output=True),
-        ("max_last_delta", "rel_last_delta", "nodes", "radii", "node_evaluations"),
-        None),
+        ("max_last_delta", "rel_last_delta", "nodes", "radii", "node_evaluations")),
     "q-extraction": (lambda spec, T, cfg, L: kernels.correlation_via_q_extraction(
-        spec.rho_plus[0], spec.rho_minus[0], [t for _, t in T.points], cfg,
-        full_output=True), ("orders", "terms", "cancellation"),
-        lambda spec: spec.m != 1 and "q-extraction requires a single-level process"),
+        *_level_marginal(spec, T), [t for _, t in T.points], cfg, full_output=True),
+        ("orders", "terms", "cancellation")),
 }
+
+
+def _level_marginal(spec, T):
+    """The x and y of the one-level measure that is the marginal of the level
+    every point of T lies on (level 1 if T is empty): level i's are rho^+_i
+    ... rho^+_m and rho^-_0 ... rho^-_{i-1} with rho^+_1 ... rho^+_{i-1}
+    (Borodin & Rains 2005). Points on two levels are a ValueError."""
+    levels = [lvl for lvl, ts in T.by_level(spec.m).items() if ts] or [1]
+    if len(levels) > 1:
+        raise ValueError(f"q-extraction reads one level's marginal, and the points "
+                         f"lie on levels {levels}")
+    i = levels[0]
+    return sum(spec.rho_plus[i - 1:], ()), sum(spec.rho_minus[:i] + spec.rho_plus[:i - 1], ())
 
 
 def correlation_row(method, spec, T, cfg, L, full_output=False):
     """The report row {"T", "method", "value", "diagnostics"}
     of the route `method` (a key of `ROUTES`) to the correlation of the
     points T, the oracle summing to weight L; full_output adds the route's
-    whole info dict. A spec the route rules out, and any other input fault
-    of the route, is a ValueError."""
+    whole info dict. Whatever the route cannot read is its ValueError."""
     if not isinstance(T, measures.PointSet):
         T = measures.PointSet(T)
-    run, keys, rules_out = ROUTES[method]
-    fault = rules_out and rules_out(spec)
-    if fault:
-        raise ValueError(fault)
+    run, keys = ROUTES[method]
     value, info = run(spec, T, cfg, L)
     row = {"T": T.to_json(), "method": method, "value": value,
            "diagnostics": {k: info[k] for k in keys if k in info}}
     return (row, info) if full_output else row
 
 
-def judge(value, oracle_row):
-    """value against oracle_row (`correlation_row`'s oracle row), by the one
-    rule every kernel value is held to: `delta` |value - oracle value|,
-    `rel_delta` that over |oracle value| (None at an oracle value of 0; no
-    verdict reads it), the `threshold` max(1e-3, 10 x the row's truncation
-    diagnostic), and the `verdict`: PASS when delta is below a threshold of
-    1e-3; INCONCLUSIVE when it is below a threshold that the truncation has
-    raised above 1e-3, since a short oracle cannot tell a wrong kernel from
-    a right one there; FAIL otherwise, a NaN delta among them."""
-    oracle_value = oracle_row["value"]
+def _least_weight(spec, T):
+    """The least weight cap whose partitions carry the points T, level by
+    level, or None where they give T no weight at any cap: level i has n_i
+    = |rho^+_i| + ... + |rho^+_m| rows, every site below -n_i is occupied,
+    and the other n_i particles sit at or above -n_i, so a level holding
+    more points there than n_i is a structural zero. Otherwise the lightest
+    partition of level i puts its particles at those points and at the
+    lowest free sites from -n_i up, of weight their sum plus n_i(n_i+1)/2;
+    a level's partition list reaches its points from that cap on."""
+    least = 0
+    for i, ts in T.by_level(spec.m).items():
+        n = sum(map(len, spec.rho_plus[i - 1:]))
+        live = {t for t in ts if t >= -n}
+        if len(live) > n:
+            return None
+        fill = [t for t in range(-n, 0) if t not in live][:n - len(live)]
+        least = max(least, sum(live) + sum(fill) + n * (n + 1) // 2)
+    return least
+
+
+def judge(value, oracle_row, spec):
+    """value against oracle_row (`correlation_row`'s oracle row on spec), by
+    the one rule every kernel value is held to. `delta` is |value - oracle
+    value| and `rel_delta` that over |oracle value|; `threshold` max(1e-3,
+    10 x the row's truncation diagnostic) and `rel_threshold` max(1e-3, 10
+    x eps_L), eps_L the larger of the truncation diagnostic and the row's
+    `value_truncation`. The `verdict` is FAIL unless delta and rel_delta
+    are both below their thresholds, a NaN among them; PASS when both
+    thresholds are 1e-3; INCONCLUSIVE when a short truncation has raised
+    one above it, since a short oracle cannot tell a wrong kernel from a
+    right one there.
+
+    At an oracle value of exactly 0 there is no relative distance
+    (`rel_delta` and `rel_threshold` are None). Where a level holds more
+    points than rows (`_least_weight`), the zero is structural, and the
+    verdict is PASS when delta is below a `threshold` of 1e-12 and FAIL
+    otherwise. Any other zero is INCONCLUSIVE, or FAIL where delta is not
+    below the `threshold`, and `reach_L` names the least weight cap whose
+    partitions carry the points (None at a nonzero oracle value or a
+    structural zero): above L the oracle does not reach them."""
+    oracle_value, diag = oracle_row["value"], oracle_row["diagnostics"]
     delta = abs(value - oracle_value)
-    threshold = max(1e-3, 10 * oracle_row["diagnostics"]["truncation_diagnostic"])
-    return {"delta": delta,
-            "rel_delta": delta / abs(oracle_value) if oracle_value else None,
-            "threshold": threshold,
-            "verdict": ("FAIL" if not delta < threshold
-                        else "PASS" if threshold == 1e-3 else "INCONCLUSIVE")}
+    threshold = max(1e-3, 10 * diag["truncation_diagnostic"])
+    rel_delta = rel_threshold = reach = None
+    if oracle_value:
+        rel_delta = delta / abs(oracle_value)
+        eps = max(diag["truncation_diagnostic"], diag["value_truncation"])
+        rel_threshold = max(1e-3, 10 * eps)
+        verdict = ("FAIL" if not (delta < threshold and rel_delta < rel_threshold)
+                   else "PASS" if threshold == rel_threshold == 1e-3 else "INCONCLUSIVE")
+    else:
+        reach = _least_weight(spec, measures.PointSet(oracle_row["T"]))
+        if reach is None:
+            threshold = 1e-12
+        verdict = ("FAIL" if not delta < threshold
+                   else "PASS" if reach is None else "INCONCLUSIVE")
+    return {"delta": delta, "rel_delta": rel_delta, "threshold": threshold,
+            "rel_threshold": rel_threshold, "reach_L": reach, "verdict": verdict}
 
 
 def compare_methods(spec, T, cfg, L=30):
@@ -397,15 +446,16 @@ def compare_methods(spec, T, cfg, L=30):
     adjudication (the `delta` and `rel_delta` from the oracle value under
     cfg's sign convention and under the other one, whose value is the
     Pfaffian of the same matrix with its K22 block negated:
-    `kernels.with_other_k22_sign`), and the kernel value's `threshold` and
-    `verdict` (`judge`). `timing` holds the wall seconds of each row under
-    `sections`."""
+    `kernels.with_other_k22_sign`), and the kernel value's `threshold`,
+    `rel_threshold`, `reach_L` and `verdict` (`judge`). `timing` holds the
+    wall seconds of each row under `sections`."""
     sections = {}
     oracle = timed(sections, "oracle", lambda: correlation_row("oracle", spec, T, cfg, L))
     kernel, info = timed(sections, "kernel", lambda: correlation_row(
         "kernel", spec, T, cfg, L, full_output=True))
-    own = judge(kernel["value"], oracle)
-    flipped = judge(pfaffian(kernels.with_other_k22_sign(info["matrix"])).real, oracle)
+    own = judge(kernel["value"], oracle, spec)
+    flipped = judge(pfaffian(kernels.with_other_k22_sign(info["matrix"])).real,
+                    oracle, spec)
     (other,) = (sign for sign in kernels.CONVENTIONS["sign_convention"]
                 if sign != cfg.sign_convention)
     kernel["delta_vs_oracle"] = own["delta"]
@@ -421,6 +471,8 @@ def compare_methods(spec, T, cfg, L=30):
             "flipped_rel_delta": flipped["rel_delta"],
         },
         "threshold": own["threshold"],
+        "rel_threshold": own["rel_threshold"],
+        "reach_L": own["reach_L"],
         "verdict": own["verdict"],
         "timing": {"sections": sections},
     }
@@ -438,7 +490,7 @@ def sweep_radii(spec, T, cfg, L):
     sweep = timed(sections, "radius_sweep", lambda: kernels.radius_sweep(spec, T, cfg))
     for row in sweep["rows"]:
         if "value" in row:
-            row.update(judge(row["value"], oracle))
+            row.update(judge(row["value"], oracle, spec))
         row["pass"] = row.get("verdict") == "PASS"
     return {"results": [oracle], "radius_sweep": {**sweep, "oracle": oracle["value"]},
             "timing": {"sections": sections}}

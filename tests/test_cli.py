@@ -302,6 +302,9 @@ def test_compare_and_the_sweep_judge_alike(tmp_path, truncation, verdict):
     assert default["pass"] == (verdict == "PASS")
     assert truncation != 3 or not any(row["pass"] for row in sweep["rows"])
     assert (default["verdict"], default["threshold"]) == (verdict, compare["threshold"])
+    assert (default["rel_threshold"], default["reach_L"]) == (
+        compare["rel_threshold"], compare["reach_L"])
+    assert (compare["reach_L"] is None) == (truncation != 3)
 
 
 def test_a_nan_kernel_value_fails(tmp_path, monkeypatch):
@@ -364,9 +367,10 @@ def test_method_choices_are_the_route_table():
 def test_each_route_reports_its_declared_diagnostics_in_table_order(config):
     cfgd = _load_config(str(CONFIGS / f"{config}.json"), _parser().parse_args(
         ["correlate", "--config", "unused"]))
-    for method, (_, keys, rules_out) in verify.ROUTES.items():
-        if rules_out and rules_out(cfgd["spec"]):
-            with pytest.raises(ValueError, match=rules_out(cfgd["spec"])):
+    # m2_d11's points lie on two levels, which q-extraction cannot read
+    for method, (_, keys) in verify.ROUTES.items():
+        if method == "q-extraction" and config == "m2_d11":
+            with pytest.raises(ValueError, match="one level's marginal"):
                 verify.correlation_row(method, cfgd["spec"], cfgd["points"],
                                        cfgd["kernel_cfg"], cfgd["L"])
             continue
@@ -582,12 +586,15 @@ def test_compare_at_truncation_zero_does_not_blame_the_kernel(tmp_path):
 
 
 @pytest.mark.parametrize("sign, truncation, verdict", [
-    ("br", 3, "INCONCLUSIVE"), ("br", 8, "INCONCLUSIVE"), ("br", 12, "INCONCLUSIVE"),
+    ("br", 3, "INCONCLUSIVE"), ("br", 8, "INCONCLUSIVE"), ("br", 12, "FAIL"),
     ("br", 40, "FAIL"), ("paper", 40, "PASS")])
 def test_a_short_truncation_cannot_pass_the_br_sign(tmp_path, sign, truncation,
                                                     verdict):
-    # the BR sign misses by 2.7e-3 on m1_twovar; below L = 20 the threshold
-    # max(1e-3, 10 x diagnostic) exceeds that gap (10, 0.44, 8.4e-3)
+    # the BR sign misses by 2.7e-3, 0.58 of the value, on m1_twovar. At
+    # L = 3 the oracle does not reach the points (value 0, threshold 10);
+    # at L = 8 the thresholds on the distance and the relative distance
+    # (0.44 and 10) exceed both; at L = 12 the relative one, 8.4e-3, no
+    # longer does, though the distance stays below its 8.4e-3
     out = tmp_path / "report.json"
     code = run_cli(["compare", "--config", str(CONFIGS / "m1_twovar.json"),
                     "--sign-convention", sign, "--truncation", str(truncation),
@@ -595,7 +602,8 @@ def test_a_short_truncation_cannot_pass_the_br_sign(tmp_path, sign, truncation,
     report = read_report(out)
     assert report["verdict"] == verdict
     assert code == (0 if verdict == "PASS" else 3)
-    assert (report["threshold"] > 1e-3) == (verdict == "INCONCLUSIVE")
+    assert (report["threshold"] > 1e-3) == (truncation < 20)
+    assert report["reach_L"] == (5 if truncation == 3 else None)
 
 
 def test_verify_partition_function_checks_the_configs_process(tmp_path):
@@ -836,10 +844,24 @@ def test_correlate_q_extraction(tmp_path):
 
 
 def test_q_extraction_rejects_two_levels(capsys):
+    # the route reads one level's marginal, and m2_d11's points lie on two
     assert run_cli(["correlate", "--config", str(CONFIGS / "m2_d11.json"),
                     "--method", "q-extraction"]) == 1
-    assert capsys.readouterr().err == \
-        "config error: q-extraction requires a single-level process\n"
+    assert capsys.readouterr().err == (
+        "config error: q-extraction reads one level's marginal, "
+        "and the points lie on levels [1, 2]\n")
+
+
+def test_q_extraction_reads_each_level_of_a_process(tmp_path):
+    # level 2 of m2_d11's process is the one-level measure with x = (0.3)
+    # and y = (0.35, 0.25, 0.4)
+    process = json.loads((CONFIGS / "m2_d11.json").read_text())["process"]
+    code, out = _q_extraction(tmp_path, process, [[2, 0]])
+    assert code == 0
+    row, = read_report(out)["results"]
+    oracle = correlation_oracle(ProcessSpec.from_json(process), [(2, 0)], L=60)
+    assert row["diagnostics"]["orders"] == [1]
+    assert abs(row["value"] - oracle) <= 1e-14
 
 
 def test_negative_seed_flag_is_a_config_error(capsys):
@@ -908,11 +930,14 @@ def test_q_extraction_of_more_than_two_live_points_is_a_config_error(tmp_path, c
         "config error: q-extraction supports d <= 2 positions at or above -n\n"
 
 
-def test_q_extraction_of_unequal_families_is_a_config_error(tmp_path, capsys):
-    code, _ = _q_extraction(tmp_path, {"rho_plus": [[0.5, 0.25]],
-                                       "rho_minus": [[0.5]]}, [[1, 0]])
-    assert code == 1
-    assert capsys.readouterr().err == "config error: q-extraction expects |X| = |Y|\n"
+def test_q_extraction_of_unequal_families_matches_the_oracle(tmp_path):
+    # the series holds for any |Y|: two x values against one y
+    process = {"rho_plus": [[0.5, 0.25]], "rho_minus": [[0.5]]}
+    code, out = _q_extraction(tmp_path, process, [[1, 0]])
+    assert code == 0
+    row, = read_report(out)["results"]
+    oracle = correlation_oracle(ProcessSpec.from_json(process), [(1, 0)], L=60)
+    assert abs(row["value"] - oracle) <= 1e-14
 
 
 def test_q_extraction_with_every_point_stripped_reports_one(tmp_path):

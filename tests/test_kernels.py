@@ -288,10 +288,13 @@ def test_q_extraction_runs_no_quadrature(monkeypatch):
 
 
 def test_q_extraction_guards():
-    with pytest.raises(ValueError):
+    # more than two live points, or a position twice, is refused; families
+    # of different sizes are not
+    with pytest.raises(ValueError, match="d <= 2"):
         correlation_via_q_extraction(X2, X2, [0, 1, 2], CFG)
-    with pytest.raises(ValueError):
-        correlation_via_q_extraction(X2, (0.5,), [0], CFG)
+    with pytest.raises(ValueError, match="distinct"):
+        correlation_via_q_extraction(X2, X2, [1, 1], CFG)
+    assert correlation_via_q_extraction(X2, (0.5,), [0], CFG) > 0
 
 
 def test_principal_pfaffian_factorization():

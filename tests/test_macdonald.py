@@ -1,5 +1,7 @@
 import json
 import math
+import time
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -321,7 +323,7 @@ def test_iterated_matches_observable_oracle():
 
 
 def test_choose_radii_decreasing_and_positive():
-    radii = choose_radii([0.4 + 0.1j, 0.3], [0.3, 0.2], [0.25, 0.1])
+    radii, _ = choose_radii([0.4 + 0.1j, 0.3], [0.3, 0.2], [0.25, 0.1])
     assert radii[0] > radii[1] > 0
 
 
@@ -596,7 +598,7 @@ def test_iterated_actions_report_their_quadrature():
         # here every circle already lies within a sixteenth of its distance
         # to the other centers of its level, to 0 and to the unit circle, so
         # _separated leaves them as they are
-        assert info["radii"] == choose_radii(qs, xs, ys)
+        assert info["radii"] == choose_radii(qs, xs, ys)[0]
         assert info["radii"][1] == info["radii"][0] / 16
         # the earlier variable's four circles (the x_i and their q_2-images)
         # against the later one's two, at every pass from the 16-node one,
@@ -660,7 +662,7 @@ def _d3_draws(seed, ns, shift_images):
             ys = list(rng.uniform(0.1, 0.6, n))
             qs = list(rng.uniform(0.2, 0.6, 3) * np.exp(2j * np.pi * rng.random(3)))
             try:
-                radii = choose_radii(qs, xs, ys)
+                radii, _ = choose_radii(qs, xs, ys)
                 if shift_images:
                     centers = _image_centers(qs, xs)
                     if _level_fault(centers, radii):
@@ -713,7 +715,7 @@ def _intersecting_d3_draws(seed, count):
         ys = list(rng.uniform(0.1, 0.6, 3))
         qs = list(rng.uniform(0.2, 0.6, 3) * np.exp(2j * np.pi * rng.random(3)))
         try:
-            radii = choose_radii(qs, xs, ys)
+            radii, _ = choose_radii(qs, xs, ys)
         except ContourConditionError:
             continue
         if _level_fault(_image_centers(qs, xs), radii) == "intersect":
@@ -782,7 +784,7 @@ def test_d4_default_radii_keep_0_outside_every_circle():
           -0.09779319600584474 + 0.0021068581210672145j,
           0.04947332573418526 + 0.08193405514745078j]
     xs, ys = [0.6389867501818189], [0.1931078245306091, 0.36989593846967517]
-    centers, radii = _image_centers(qs, xs), choose_radii(qs, xs, ys)
+    centers, (radii, _) = _image_centers(qs, xs), choose_radii(qs, xs, ys)
     assert min(map(abs, centers[0])) < radii[0]
     separated = _separated(radii, centers)
     assert _level_fault(centers, separated) is None
@@ -889,6 +891,91 @@ def test_an_unresolvable_contour_is_refused_before_any_quadrature(monkeypatch):
         for xs in ([0.3, 0.3 + 1e-12], ulp):
             with pytest.raises(ContourConditionError, match="two of them lie"):
                 call(xs)
+
+
+def _exact_composition(qs, xs, ys, with_boundary):
+    """The composed one-row direct actions on Z (with_boundary) or F at real
+    shifts, summed in Fractions of the floats' exact values."""
+    qs, xs, ys = ([Fraction(v) for v in vals] for vals in (qs, xs, ys))
+
+    def F(v):
+        pairs = combinations(v, 2) if with_boundary else ()
+        return 1 / (math.prod(1 - a * y for a in v for y in ys)
+                    * math.prod(1 - a * b for a, b in pairs))
+    for q in qs:
+        F = (lambda G, q: lambda v: sum(
+            math.prod((q * v[i] - v[j]) / (v[i] - v[j]) for j in range(len(v)) if j != i)
+            * G([q * a if k == i else a for k, a in enumerate(v)])
+            for i in range(len(v))))(F, q)
+    return F(xs)
+
+
+CLUSTER = ([0.1262689003956236 - 0.4597232481571356j,
+            -0.502050361559585 - 0.4845623744413689j],
+           [0.3515162134096568, 0.3523453241559628, 0.3531744349022689,
+            0.25292175259247474], [0.27803052235305864, 0.3018193035831813])
+
+
+def test_a_close_cluster_is_refused_before_any_quadrature(monkeypatch):
+    # three points 2^-8.7 of the largest |x| apart, above the pair floor of
+    # 2^-10: the d = 2 action doubled to 8192 nodes per circle and failed
+    # after 106 s. Each point of the cluster has its two nearest others
+    # within 2^-6 |x|, so both actions refuse it at once, naming the points;
+    # at d = 1 the same points are resolved
+    def quadrature(*args, **kwargs):
+        raise AssertionError("a quadrature ran")
+    qs, xs, ys = CLUSTER
+    start = time.perf_counter()
+    with monkeypatch.context() as patch:
+        patch.setattr(macdonald.quad, "integrate_product", quadrature)
+        for action in (iterated_action_Z, iterated_action_F):
+            with pytest.raises(ContourConditionError,
+                               match=r"points xs=\(0\.3515162134096568\+0j, .*: two of them "
+                                     r"lie within 0\.000829 of a third, closer than 2\^-6"):
+                action(qs, xs, ys)
+    assert time.perf_counter() - start < 0.1
+    comp = _composition(qs[:1], xs, ys, z_partition)
+    assert abs(iterated_action_Z(qs[:1], xs, ys) - comp) < 1e-9 * abs(comp)
+
+
+@pytest.mark.parametrize("spacing,refused", [(2 ** -5.9, False), (2 ** -6.1, True)])
+def test_the_cluster_floor_sits_where_the_actions_stop_resolving(spacing, refused):
+    # an even triple s |x| apart, against the exact composition at real
+    # shifts: just above the floor both actions are accepted within 1e-9
+    xs = [0.6, 0.6 * (1 - spacing), 0.6 * (1 - 2 * spacing), 0.2]
+    qs, ys = [0.45, -0.3], [0.3, 0.15]
+    for action, boundary in ((iterated_action_Z, True), (iterated_action_F, False)):
+        if refused:
+            with pytest.raises(ContourConditionError, match="of a third"):
+                action(qs, xs, ys)
+            continue
+        exact = float(_exact_composition(qs, xs, ys, boundary))
+        assert abs(action(qs, xs, ys) - exact) < 1e-9 * max(1.0, abs(exact))
+
+
+def test_a_point_off_the_unit_disk_is_named():
+    # contour_radius's 1 - |x| bound goes negative there; the refusal names
+    # the point, not a gap
+    with pytest.raises(ContourConditionError) as exc:
+        apply_via_contour(ProductFormFunction([0.2]), [1.2, 0.3], 1, 0.4)
+    assert str(exc.value) == (
+        "points xs=(1.2+0j, 0.3+0j): a point off the unit disk admits no contour")
+
+
+def test_each_action_measures_the_stated_distance_once(monkeypatch):
+    calls, distance = [], macdonald._stated_condition_distance
+
+    def spy(*args):
+        calls.append(args)
+        return distance(*args)
+    monkeypatch.setattr(macdonald, "_stated_condition_distance", spy)
+    qs, xs, ys = [0.4 + 0.1j, 0.35 - 0.2j], [0.3, 0.2], [0.25, 0.1]
+    for call in (lambda: iterated_action_Z(qs, xs, ys),
+                 lambda: iterated_action_Z(qs, xs, ys, contour_mode="stated"),
+                 lambda: iterated_action_F(qs, xs, ys)):
+        calls.clear()
+        call()
+        assert len(calls) == 1
 
 
 @pytest.mark.filterwarnings("error")

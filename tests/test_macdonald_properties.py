@@ -78,7 +78,7 @@ def test_stated_circles_are_kept_clear_by_the_same_rule(case):
     # another circle of its level
     qs, xs, ys = case
     try:
-        radii = choose_radii(qs, xs, ys)
+        radii, _ = choose_radii(qs, xs, ys)
     except ContourConditionError:
         assume(False)
     centers = [list(xs)] * len(qs)

@@ -2,6 +2,7 @@ from dataclasses import replace
 from itertools import product
 
 import numpy as np
+import pytest
 
 from pfschur import kernels, measures, quadrature, verify
 from pfschur.kernels import SIGN_BR, SIGN_PAPER, KernelConfig
@@ -75,16 +76,15 @@ def test_relative_distances_read_the_same_rows(monkeypatch):
         assert len(pairs) >= 4 and all("rel_delta" not in row for row in rows
                                        if "error" in row)
         for value, delta, rel in pairs:
-            judged = verify.judge(value, oracle)
+            judged = verify.judge(value, oracle, SPEC)
             assert (judged["delta"], judged["rel_delta"]) == (delta, rel)
             assert rel == (delta / abs(oracle_value) if oracle_value else None)
         assert adj["flipped_rel_delta"] == (
             adj["flipped_delta"] / abs(oracle_value) if oracle_value else None)
         for row in rows:
             if "value" in row:
-                judged = verify.judge(row["value"], oracle)
-                assert (row["threshold"], row["verdict"]) == (
-                    judged["threshold"], judged["verdict"])
+                judged = verify.judge(row["value"], oracle, SPEC)
+                assert {key: row[key] for key in judged} == judged
             assert row["pass"] == (row.get("verdict") == "PASS")
     check(measures.correlation_oracle(SPEC, POINTS, L=6))
     oracle = measures.correlation_oracle
@@ -93,21 +93,115 @@ def test_relative_distances_read_the_same_rows(monkeypatch):
     check(0.0)
 
 
-def _oracle_row(value, diagnostic):
-    return {"value": value, "diagnostics": {"truncation_diagnostic": diagnostic}}
+def _oracle_row(value, diagnostic, value_truncation=0.0, T=((1, 0),)):
+    return {"T": [list(p) for p in T], "value": value, "diagnostics": {
+        "truncation_diagnostic": diagnostic, "value_truncation": value_truncation}}
 
 
 def test_judge_passes_only_below_the_unraised_threshold():
-    # the threshold is max(1e-3, 10 x diagnostic); below it the verdict is
-    # PASS at 1e-3 and INCONCLUSIVE above; at it, or at a NaN, FAIL
-    cases = [(0.5 + 5e-4, 0.0, 1e-3, "PASS"), (0.5 - 2e-3, 1e-5, 1e-3, "FAIL"),
-             (0.5 + 5e-4, 1e-3, 1e-2, "INCONCLUSIVE"), (0.5 + 0.5, 0.05, 0.5, "FAIL"),
-             (float("nan"), 0.0, 1e-3, "FAIL"), (float("nan"), 1.0, 10.0, "FAIL")]
-    for value, diagnostic, threshold, verdict in cases:
-        out = verify.judge(value, _oracle_row(0.5, diagnostic))
-        assert (out["threshold"], out["verdict"]) == (threshold, verdict)
+    # the threshold is max(1e-3, 10 x diagnostic) on the distance and
+    # max(1e-3, 10 x eps_L) on the relative distance, eps_L the larger of
+    # the diagnostic and the value truncation; below both the verdict is
+    # PASS at 1e-3 and INCONCLUSIVE above; at either, or at a NaN, FAIL
+    cases = [(0.5 + 5e-4, 0.0, 0.0, 1e-3, 1e-3, "PASS"),
+             (0.5 - 2e-3, 1e-5, 0.0, 1e-3, 1e-3, "FAIL"),
+             (0.5 + 5e-4, 1e-3, 0.0, 1e-2, 1e-2, "INCONCLUSIVE"),
+             (0.5 + 5e-4, 0.0, 1e-3, 1e-3, 1e-2, "INCONCLUSIVE"),
+             (0.5 + 0.5, 0.05, 0.0, 0.5, 0.5, "FAIL"),
+             (0.5 + 0.3, 0.05, 0.0, 0.5, 0.5, "FAIL"),
+             (0.5 + 0.2, 0.05, 0.0, 0.5, 0.5, "INCONCLUSIVE"),
+             (float("nan"), 0.0, 0.0, 1e-3, 1e-3, "FAIL"),
+             (float("nan"), 1.0, 0.0, 10.0, 10.0, "FAIL")]
+    for value, diagnostic, truncation, threshold, rel_threshold, verdict in cases:
+        out = verify.judge(value, _oracle_row(0.5, diagnostic, truncation), SPEC)
+        assert (out["threshold"], out["rel_threshold"], out["verdict"]) == (
+            threshold, rel_threshold, verdict)
         assert out["delta"] == abs(value - 0.5) or np.isnan(value)
-    assert verify.judge(0.25, _oracle_row(0.0, 0.0))["rel_delta"] is None
+        assert out["reach_L"] is None
+
+
+def test_the_relative_rule_fails_a_small_value_far_off():
+    # 1e-8 against an oracle value of 1e-10 is below the 1e-3 distance, a
+    # PASS by the distance alone, and 99x off: FAIL
+    out = verify.judge(1e-8, _oracle_row(1e-10, 1e-20, 1e-15), SPEC)
+    assert out["delta"] < out["threshold"] and out["verdict"] == "FAIL"
+    assert out["rel_delta"] == (1e-8 - 1e-10) / 1e-10
+
+
+def test_the_judge_tells_a_structural_zero_from_a_short_oracle():
+    # SPEC's level 1 has 2 rows and level 2 one: two points at or above -1
+    # on level 2 have probability 0 at any L, and are judged on the distance
+    # against 1e-12; a zero at points the oracle cannot reach is
+    # INCONCLUSIVE, or FAIL past today's threshold, and names the least L
+    # that reaches them
+    structural = _oracle_row(0.0, 1e-20, None, T=[(2, 0), (2, 3)])
+    for value, verdict in ((1e-13, "PASS"), (1e-11, "FAIL"), (float("nan"), "FAIL")):
+        out = verify.judge(value, structural, SPEC)
+        assert (out["threshold"], out["reach_L"], out["verdict"]) == (1e-12, None, verdict)
+        assert out["rel_delta"] is None and out["rel_threshold"] is None
+    # level 1: particles at 7 and -2, lambda = (8, 0); level 2: at 3, (4)
+    short = _oracle_row(0.0, 1e-4, None, T=[(1, 7), (2, 3)])
+    for value, verdict in ((1e-5, "INCONCLUSIVE"), (2e-3, "FAIL")):
+        out = verify.judge(value, short, SPEC)
+        assert (out["threshold"], out["reach_L"], out["verdict"]) == (1e-3, 8, verdict)
+
+
+@pytest.mark.parametrize("xs,ys", [((0.5, 0.25), (0.4, 0.2)), ((0.6, 0.3), (0.2,)),
+                                   ((0.5,), (0.3, 0.2))])
+def test_the_least_weight_is_where_the_oracle_first_reaches_the_points(xs, ys):
+    # on one level with a y value every partition has weight, so the oracle
+    # is 0 below the least weight and positive from it on
+    spec = ProcessSpec([xs], [ys])
+    for T in ([(1, 3)], [(1, 0), (1, 2)], [(1, -1), (1, 4)], [(1, -2)], [(1, 1), (1, 2)]):
+        points = PointSet(T)
+        least = verify._least_weight(spec, points)
+        if least is None:
+            assert len(xs) < len({t for _, t in T if t >= -len(xs)})
+            assert measures.correlation_oracle(spec, points, L=12) == 0.0
+            continue
+        assert measures.correlation_oracle(spec, points, L=least) > 0.0
+        assert least == 0 or measures.correlation_oracle(spec, points, L=least - 1) == 0.0
+
+
+@pytest.mark.parametrize("t,L", [(36, 80), (60, 120)])
+def test_the_judge_fails_the_quadrature_kernel_at_depth(t, L):
+    # on 2-var the kernel's entries pass an absolute tolerance, so its value
+    # at depth is off by far more than the oracle's truncation: 3.3e-3
+    # relative at (1, 36) and 6.9e6-fold at (1, 60), below 1e-3 absolute
+    spec = ProcessSpec([[0.5, 0.25]], [[0.4, 0.2]])
+    out = verify.compare_methods(spec, PointSet([(1, t)]), KernelConfig(quad_tol=1e-8), L=L)
+    assert (out["threshold"], out["rel_threshold"]) == (1e-3, 1e-3)
+    assert out["sign_adjudication"]["delta"] < 1e-20
+    assert out["verdict"] == "FAIL"
+
+
+def test_the_judge_fails_the_wrong_variants_at_depth():
+    # the BR sign on m1_twovar's spec, 3-var and m2_d11, at six pairs of
+    # sites from (0, 2) to (12, 15), all within 1e-3 absolute past the
+    # first few; `display` on m2_d11's spec; and the inadmissible radii of
+    # the sweep at (1, 2), (1, 5) on m1_twovar's spec. The paper's choices
+    # pass every one
+    specs = [(ProcessSpec([[0.5, 0.25]], [[0.5, 0.25]]), 1),
+             (ProcessSpec([[0.6, 0.3, 0.2]], [[0.45, 0.35, 0.1]]), 1), (SPEC, 2)]
+    verdicts = []
+    for spec, level in specs:
+        for a, b in ((0, 2), (3, 5), (6, 8), (9, 11), (12, 15)):
+            points = PointSet([(1, a), (level, b)])
+            for sign in (SIGN_BR, SIGN_PAPER):
+                out = verify.compare_methods(spec, points, KernelConfig(
+                    quad_tol=1e-8, sign_convention=sign), L=40)
+                verdicts.append((sign, out["verdict"]))
+    assert verdicts.count((SIGN_BR, "FAIL")) == 15
+    assert verdicts.count((SIGN_PAPER, "PASS")) == 15
+    for T in ([(1, 2), (2, 4)], [(1, 4), (2, 7)]):
+        for choice, verdict in (("display", "FAIL"), ("slot", "PASS")):
+            out = verify.compare_methods(SPEC, PointSet(T), KernelConfig(
+                quad_tol=1e-8, h_assignment=choice), L=30)
+            assert out["verdict"] == verdict, (T, choice)
+    sweep = verify.sweep_radii(ProcessSpec([[0.5, 0.25]], [[0.5, 0.25]]),
+                               PointSet([(1, 2), (1, 5)]), KernelConfig(quad_tol=1e-8), 40)
+    assert [row["pass"] for row in sweep["radius_sweep"]["rows"]] == [True] * 3 + [False]
+    assert sweep["radius_sweep"]["rows"][3]["verdict"] == "FAIL"
 
 
 def test_sweep_radii_judges_the_scan_against_the_oracle_row(monkeypatch):
