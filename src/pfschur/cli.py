@@ -139,9 +139,10 @@ def _emit(report, out_path, fmt):
     radius-sweep row (method `radius_sweep`, the sweep's points as its `T`
     and its `oracle` value among its diagnostics) and, for a report with a
     verdict, one last line (method `verdict`, the verdict as its value, and
-    the `threshold` and `sign_adjudication` as its diagnostics), to out_path
-    or stdout. A line's diagnostics cell is one flat JSON object: the row's
-    own `diagnostics` with its other fields beside them."""
+    the judge's `threshold`, `rel_threshold` and `reach_L` and the
+    `sign_adjudication` as its diagnostics), to out_path or stdout. A
+    line's diagnostics cell is one flat JSON object: the row's own
+    `diagnostics` with its other fields beside them."""
     if fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"
     else:
@@ -154,7 +155,8 @@ def _emit(report, out_path, fmt):
                        "oracle": sweep["oracle"], **row}
                       for row in sweep["rows"]] if sweep else []
         verdict = [{"method": "verdict", "value": report["verdict"],
-                    **{k: report[k] for k in ("threshold", "sign_adjudication")}}
+                    **{k: report[k] for k in ("threshold", "rel_threshold", "reach_L",
+                                              "sign_adjudication")}}
                    ] if "verdict" in report else []
         for row in report.get("results", []) + sweep_rows + verdict:
             writer.writerow([json.dumps(row.get("T")), *map(row.get, head[1:]),

@@ -3,8 +3,12 @@
 Each configuration point (i, t) owns two slots of the skew matrix. The
 kernel entry pairing two slots is a double contour integral over
 origin-centered circles whose integrand factorizes into a coupling term, a
-per-slot rational factor built from the specializations of the slot's own
-level, and the powers z^{-t}:
+per-slot rational factor and the powers z^{-t}. A slot factor is its level's
+marginal, the x and y of `ProcessSpec.level`: prod (1 - v/z) over the values
+v of x + y times prod 1/(1 - v z) over those of x on the outer circle, the
+pair swapped on an inner one. So the kernel at points of one level is, bit
+for bit, the kernel of that level's one-level marginal on the same circles.
+The entries are:
 
 * both slots "outer" (radius in (1, 1/max|rho^+|), NOT enclosing the
   1/x poles): the K11 entry;
@@ -73,8 +77,8 @@ compare and sweep reports and the tests can show them failing.
 The paper's own route, q-extraction (`correlation_via_q_extraction`), reads
 a one-level correlation at d <= 2 points as a q-power coefficient of the
 iterated one-row action on Z. It takes the one-level measure's x and y of
-any sizes; a process level's marginal is one such measure, whose families
-`verify` merges, so the route reads every point set on one level. That
+any sizes; a process level's marginal is one such measure
+(`ProcessSpec.level`), so the route reads every point set on one level. That
 action is a finite sum of rational functions of the qs whose poles lie
 outside the unit disk, so each coefficient is taken exactly from Taylor
 series at q = 0 (`_series`), with no contour and no truncation; the row
@@ -187,17 +191,6 @@ def _resolved_radii(spec, cfg):
         if not ok:
             raise ValueError(f"inadmissible kernel radii: {msg}")
     return radii
-
-
-def _slot_values(spec):
-    """Per level, the (numerator, denominator) value tuples of its slot
-    factor, prod (1 - v/z) over the numerator's values v times
-    prod 1/(1 - v z) over the denominator's, on the outer circle k11; an
-    inner circle swaps the pair."""
-    plus_all = sum(spec.rho_plus, ())
-    return {lvl: (plus_all + sum(spec.rho_minus[:lvl], ()),
-                  sum(spec.rho_plus[lvl - 1:], ()))
-            for lvl in range(1, spec.m + 1)}
 
 
 def _k12_variant(i, j, k12_regime, h_assignment):
@@ -374,14 +367,15 @@ class _Assembly:
     """One kernel assembly over the points pts: the `_Layout` of the points
     under cfg's k12_regime and h_assignment, shared with every other
     assembly over them, and the values of this one: the circles' `radii`
-    and `radius`, and each slot-factor row's values as one row of `nums`
-    and of `dens`, padded with zeros, whose factors (1 - 0/z) and
-    1/(1 - 0 z) are exactly 1. `estimate` is one array pass over every block
-    that holds a live entry, which serves the first three node counts on
-    the first pass and one count on each later pass; a pass keeps nothing
-    of another. `blocks`, `col_circle` and `size` are the layout's.
-    `node_evaluations` counts the circle nodes at which slot factors were
-    evaluated: N/2 + 1 of each pass's N nodes for every circle it read.
+    and `radius`, and each slot-factor row's values, from its level's
+    marginal, as one row of `nums` and of `dens`, padded with zeros, whose
+    factors (1 - 0/z) and 1/(1 - 0 z) are exactly 1. `estimate` is one array
+    pass over every block that holds a live entry, which serves the first
+    three node counts on the first pass and one count on each later pass; a
+    pass keeps nothing of another. `blocks`, `col_circle` and `size` are
+    the layout's. `node_evaluations` counts the circle nodes at which slot
+    factors were evaluated: N/2 + 1 of each pass's N nodes for every circle
+    it read.
     """
 
     def __init__(self, spec, pts, cfg):
@@ -391,10 +385,9 @@ class _Assembly:
                                               cfg.h_assignment)
         self.size, self.blocks, self.col_circle = (layout.size, layout.blocks,
                                                    layout.col_circle)
-        values = _slot_values(spec)
-        pairs = [values[lvl][::-1] if c else values[lvl] for c, lvl in layout.rows]
-        self.nums = _padded([num for num, _ in pairs])
-        self.dens = _padded([den for _, den in pairs])
+        rows = [(c, *spec.level(lvl)) for c, lvl in layout.rows]
+        self.nums = _padded([x if c else x + y for c, x, y in rows])
+        self.dens = _padded([x + y if c else x for c, x, y in rows])
         self.start_nodes, self.max_nodes = cfg.start_nodes, cfg.max_nodes
         self.node_evaluations = 0
 
@@ -626,7 +619,7 @@ def correlation_via_q_extraction(X, Y, T, cfg=None, full_output=False):
     """Correlation of the one-level measure with x = X and y = Y, any |Y|
     (none included), as a q-power coefficient of the iterated one-row
     action on Z, taken exactly from its Taylor series at q = 0. A level of a
-    process is such a measure (`verify` merges its families).
+    process is such a measure (`ProcessSpec.level`).
 
     The stated-contour action over Z is a sum over d-permutations of the x_i
     of residue factors R_i(q_j), times a pair factor at d = 2; the boundary

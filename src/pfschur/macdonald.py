@@ -56,12 +56,14 @@ in `kernels` multiplies the same pair factor. Every action runs one step
 over circles from `quadrature.circles_around` that start at 4 nodes for
 `apply_via_contour` and 8 for the iterated actions, times G(xs); a
 quadrature that does not converge is re-raised naming the action (and on a
-batch the draw). One rule refuses a contour the quadrature cannot resolve,
-on the radii it will use (`_refuse_unresolved`): a point at 0 or off the
-unit disk, points closer than 2^-10 of the largest |x|, at d >= 2 a point
-whose two nearest others lie within 2^-6 of it, a singularity left outside
-a circle too near an x_i or a circle below the float resolution of its
-center is a ContourConditionError before any quadrature runs.
+batch the draw). Each action refuses a point at 0 or off the unit disk and
+two coincident points, naming the points, before it draws any radius
+(`_refuse_points`), and one rule refuses a contour the quadrature cannot
+resolve, on the radii it will use (`_refuse_unresolved`): points closer
+than 2^-10 of the largest |x|, at d >= 2 a point whose two nearest others
+lie within 2^-6 of it, a singularity left outside a circle too near an x_i
+or a circle below the float resolution of its center. Each refusal is a
+ContourConditionError before any quadrature runs.
 """
 
 import math
@@ -335,18 +337,19 @@ def _refuse_points(xs):
     return x, apart
 
 
-def _refuse_unresolved(xs, qs, radius, gap, floor, pole, cluster):
+def _refuse_unresolved(points, qs, radius, gap, floor, pole, cluster):
     """The one rule that refuses a contour the quadrature cannot resolve,
     applied to the radii it will use: after `contour_radius` for
     `apply_via_contour` and after `_separated` for the iterated actions.
-    The xs, the qs, the smallest radius and the gap from the x_i to the
-    nearest singularity a circle leaves outside (pole names it) may be
-    arrays over a batch, and a refusal names the first draw that fails.
+    The qs, the smallest radius and the gap from the x_i to the nearest
+    singularity a circle leaves outside (pole names it) may be arrays over
+    a batch, and a refusal names the first draw that fails.
 
     A point at 0 or off the unit disk, or two coincident points, admit no
-    contour (`_refuse_points`). Every other floor is a fraction of the
-    largest |x|: the x_i, and the nodes about them, are known to an ulp of
-    it, 2^-52 |x|.
+    contour: each action refuses its points by `_refuse_points` before it
+    draws any radius, and `points` is what that returned. Every other floor
+    is a fraction of the largest |x|: the x_i, and the nodes about them, are
+    known to an ulp of it, 2^-52 |x|.
 
     * Two points closer than 2^-10 |x|. The residues at a close pair are
       large, of both signs, and cancel to the action, and the rounding in
@@ -398,7 +401,7 @@ def _refuse_unresolved(xs, qs, radius, gap, floor, pole, cluster):
       6e-16; at q_2 = 1e-7, r_2 = 1.0e-17 |x|, and the quadrature would
       divide by zero.
     """
-    x, apart = _refuse_points(xs)
+    x, apart = points
     crowd = apart[:, 1].min(axis=0) if cluster and len(x) > 2 else np.inf
     top, apart, crowd, radius, gap = np.broadcast_arrays(
         np.abs(x).max(axis=0), apart[:, 0].min(axis=0), crowd, radius, gap)
@@ -471,8 +474,10 @@ def apply_via_contour(G, xs, r, q, tol=1e-9, full_output=False):
         raise TypeError("G must be a ProductFormFunction")
     xs = _coordinates(xs)
     _check_order(r, len(xs))
+    points = _refuse_points(xs)
     radius = contour_radius(xs, q)
-    _refuse_unresolved(xs, [q] * r, radius, 256 * radius, 2.0 ** -24, "a singularity", 0.0)
+    _refuse_unresolved(points, [q] * r, radius, 256 * radius, 2.0 ** -24,
+                       "a singularity", 0.0)
     contour = quad.circles_around(xs, radius, nodes=4)
     value, info = _action([q] * r, xs, G, [contour] * r, tol, f"contour action r={r}")
     value = value / math.factorial(r)
@@ -654,13 +659,14 @@ def _iterated_action(qs, X, Y, with_boundary, tol, contour_mode, full_output):
                 if full_output else value)
     if contour_mode not in ("shift_images", "stated"):
         raise ValueError("contour_mode must be 'shift_images' or 'stated'")
+    points = _refuse_points(xs)
     if contour_mode == "stated":
         centers = [list(xs)] * len(qs)
     else:
         centers = _image_centers(qs, xs)
     radii, D = choose_radii(qs, xs, G.ys)
     radii = _separated(radii, centers)
-    _refuse_unresolved(xs, qs, radii[-1], D, 2.0 ** -20, "a shifted point",
+    _refuse_unresolved(points, qs, radii[-1], D, 2.0 ** -20, "a shifted point",
                        2.0 ** -6 if len(qs) > 1 else 0.0)
     if contour_mode == "shift_images":
         _validate_disks(qs, centers, radii)

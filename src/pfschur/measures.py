@@ -54,6 +54,14 @@ class ProcessSpec:
     def m(self):
         return len(self.rho_plus)
 
+    def level(self, i):
+        """Level i's marginal, the one-level measure with x = rho^+_i ...
+        rho^+_m and y = rho^-_0 ... rho^-_{i-1} followed by rho^+_1 ...
+        rho^+_{i-1} (Borodin & Rains 2005), as the tuples (x, y); its
+        partitions have at most n_i = len(x) rows."""
+        return (sum(self.rho_plus[i - 1:], ()),
+                sum(self.rho_minus[:i] + self.rho_plus[:i - 1], ()))
+
     def max_abs(self):
         return max((abs(v) for fam in self.rho_plus + self.rho_minus for v in fam),
                    default=0.0)
@@ -168,13 +176,12 @@ def partition_function_closed(spec, kind="pfaffian", h0_union=True):
 
 
 def _level_row_caps(spec, kind):
-    """Row-count caps: length(lam^(i)) <= #variables at levels i..m on the
-    rho^+ side (inner partitions inherit the next level's cap); under
+    """Row-count caps: length(lam^(i)) <= n_i, the x count of level i's
+    marginal (inner partitions inherit the next level's cap); under
     kind="schur" level 0 is also capped by the variables of rho^-_0."""
     if kind not in ("pfaffian", "schur"):
         raise ValueError("kind must be 'pfaffian' or 'schur'")
-    sizes = [len(s) for s in spec.rho_plus]
-    caps = [sum(sizes[i:]) for i in range(spec.m)]
+    caps = [len(spec.level(i)[0]) for i in range(1, spec.m + 1)]
     if kind == "schur":
         caps[0] = min(caps[0], len(spec.rho_minus[0]))
     return caps

@@ -18,7 +18,7 @@ check that gives NaN fails its row.
 """
 
 import time
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -353,16 +353,13 @@ ROUTES = {
 
 
 def _level_marginal(spec, T):
-    """The x and y of the one-level measure that is the marginal of the level
-    every point of T lies on (level 1 if T is empty): level i's are rho^+_i
-    ... rho^+_m and rho^-_0 ... rho^-_{i-1} with rho^+_1 ... rho^+_{i-1}
-    (Borodin & Rains 2005). Points on two levels are a ValueError."""
+    """The (x, y) of `ProcessSpec.level` for the level every point of T lies
+    on (level 1 if T is empty). Points on two levels are a ValueError."""
     levels = [lvl for lvl, ts in T.by_level(spec.m).items() if ts] or [1]
     if len(levels) > 1:
         raise ValueError(f"q-extraction reads one level's marginal, and the points "
                          f"lie on levels {levels}")
-    i = levels[0]
-    return sum(spec.rho_plus[i - 1:], ()), sum(spec.rho_minus[:i] + spec.rho_plus[:i - 1], ())
+    return spec.level(levels[0])
 
 
 def correlation_row(method, spec, T, cfg, L, full_output=False):
@@ -380,23 +377,48 @@ def correlation_row(method, spec, T, cfg, L, full_output=False):
 
 
 def _least_weight(spec, T):
-    """The least weight cap whose partitions carry the points T, level by
-    level, or None where they give T no weight at any cap: level i has n_i
-    = |rho^+_i| + ... + |rho^+_m| rows, every site below -n_i is occupied,
-    and the other n_i particles sit at or above -n_i, so a level holding
-    more points there than n_i is a structural zero. Otherwise the lightest
-    partition of level i puts its particles at those points and at the
-    lowest free sites from -n_i up, of weight their sum plus n_i(n_i+1)/2;
-    a level's partition list reaches its points from that cap on."""
-    least = 0
-    for i, ts in T.by_level(spec.m).items():
-        n = sum(map(len, spec.rho_plus[i - 1:]))
-        live = {t for t in ts if t >= -n}
-        if len(live) > n:
-            return None
-        fill = [t for t in range(-n, 0) if t not in live][:n - len(live)]
-        least = max(least, sum(live) + sum(fill) + n * (n + 1) // 2)
-    return least
+    """The least weight cap whose partitions carry the points T, or None
+    where they give T no weight at any cap: a structural zero.
+
+    Level i has n_i = len(x) rows (`ProcessSpec.level`); the particles
+    lam_k - k of the rows k > n_i lie below -n_i and carry those sites at
+    every cap. Between levels i and i + 1 a partition mu lies in both, and
+    lam^(i)/mu has at most |rho^+_i| boxes in a column and lam^(i+1)/mu at
+    most |rho^-_i|, so mu_j >= lam^(i)_{j+|rho^+_i|} and mu_j >=
+    lam^(i+1)_{j+|rho^-_i|}. Each of these and each row's order is a lower
+    bound of one row by another, and so is a point t of level i: with j
+    rows above it, t sits at row j + 1 or below, so lam_{j+1} >= t + j + 1,
+    and at j = n_i it has no row. Raising every row from 0 by these bounds
+    until all hold gives, row by row, the least sequence that carries the
+    points, whose heaviest lam^(i) is the cap, or runs out of rows. (An
+    empty rho^-_0 also asks lam^(1) for even columns, which this leaves
+    out, so the cap is then a lower bound.)"""
+    n = [len(spec.level(i)[0]) for i in range(1, spec.m + 1)]
+    # the rows of lam^(1) ... lam^(m), then of mu^(1) ... mu^(m-1), n_{i+1} each
+    first = list(accumulate(n + n[1:], initial=0))
+    bounds = [(first[i] + k, first[i] + k + 1)      # (higher, lower) row
+              for i in range(spec.m) for k in range(n[i] - 2, -1, -1)]
+    for i in range(spec.m - 1):
+        a, b, mu = len(spec.rho_plus[i]), len(spec.rho_minus[i + 1]), first[spec.m + i]
+        for j in range(n[i + 1]):
+            bounds += [(mu + j, first[i] + j + a), (first[i] + j, mu + j),
+                       (first[i + 1] + j, mu + j)]
+            bounds += [(mu + j, first[i + 1] + j + b)] if j + b < n[i + 1] else []
+    points = [(first[i - 1], n[i - 1], t) for i, ts in T.by_level(spec.m).items()
+              for t in ts if t >= -n[i - 1]]
+    row, raised = [0] * first[-1], True
+    while raised:
+        raised = False
+        for hi, lo in bounds:
+            if row[hi] < row[lo]:
+                row[hi], raised = row[lo], True
+        for at, count, t in points:
+            j = sum(row[at + k] - k - 1 > t for k in range(count))
+            if j == count:
+                return None
+            if row[at + j] < t + j + 1:
+                row[at + j], raised = t + j + 1, True
+    return max(sum(row[at:at + count]) for at, count in zip(first, n))
 
 
 def judge(value, oracle_row, spec):
@@ -412,9 +434,10 @@ def judge(value, oracle_row, spec):
     right one there.
 
     At an oracle value of exactly 0 there is no relative distance
-    (`rel_delta` and `rel_threshold` are None). Where a level holds more
-    points than rows (`_least_weight`), the zero is structural, and the
-    verdict is PASS when delta is below a `threshold` of 1e-12 and FAIL
+    (`rel_delta` and `rel_threshold` are None). Where no sequence of
+    interlacing partitions carries the points (`_least_weight`), a level
+    holding more points than rows among them, the zero is structural, and
+    the verdict is PASS when delta is below a `threshold` of 1e-12 and FAIL
     otherwise. Any other zero is INCONCLUSIVE, or FAIL where delta is not
     below the `threshold`, and `reach_L` names the least weight cap whose
     partitions carry the points (None at a nonzero oracle value or a

@@ -7,9 +7,10 @@ the blocks K11, K12 and K22 of points p and q, is the double contour integral
 origin-centered circles, where a column g or h is a level's slot factor times
 z^{-t}, times 1/(z^2 - 1) on the outer circle k11 and 1/z on an inner one.
 `dense` sums it with `quadrature.estimate_bilinear` on the full grid of both
-circles' nodes, from slot factors built here (`_rational`) on the
-(numerator, denominator) value tuples of `kernels._slot_values`;
-`kernels._Assembly` sums the same grid by FFT without building it. Both sum the integrals alone: the K22 sign and
+circles' nodes, from slot factors built here (`_rational`) on each level's
+marginal (`ProcessSpec.level`): numerator x + y and denominator x on k11,
+swapped on an inner circle; `kernels._Assembly` sums the same grid by FFT
+without building it. Both sum the integrals alone: the K22 sign and
 the skew completion are `assemble_kernel`'s. `dense` sums all 3 d^2
 entries, the skew partners and the diagonal included; `reference` runs the
 dense sums of the entries the assembly integrates (`integrated`) through
@@ -44,15 +45,14 @@ def _groups(spec, pts, cfg):
     (z radius, w radius, flat entries, z columns, w columns), a column being
     a function of a node vector."""
     radii = kernels._resolved_radii(spec, cfg)
-    values = kernels._slot_values(spec)
 
     def outer(lvl, t):
-        num, den = values[lvl]
-        return lambda z: _rational(z, num, den) * z ** (-t) / (z * z - 1)
+        x, y = spec.level(lvl)
+        return lambda z: _rational(z, x + y, x) * z ** (-t) / (z * z - 1)
 
     def inner(lvl, t):
-        den, num = values[lvl]  # an inner circle swaps the outer pair
-        return lambda z: _rational(z, num, den) * z ** (-t) / z
+        x, y = spec.level(lvl)  # an inner circle swaps the outer pair
+        return lambda z: _rational(z, x, x + y) * z ** (-t) / z
     groups = {}  # (z circle, w circle) -> [(entry, z column, w column)]
     d = len(pts)
     for p, (i, ti) in enumerate(pts):

@@ -260,7 +260,8 @@ def test_csv_reports_carry_the_radius_sweep_rows(tmp_path, command):
 @pytest.mark.parametrize("sign,verdict", [("paper", "PASS"), ("br", "FAIL")])
 def test_a_compare_csv_keeps_its_verdict(tmp_path, sign, verdict):
     # the result lines, each row's diagnostics flat beside its other
-    # fields, then one verdict line with the threshold and the adjudication
+    # fields, then one verdict line with every judge key of the report's
+    # top level and the adjudication
     config = str(CONFIGS / "m1_twovar.json")
     out, csv_out = tmp_path / "report.json", tmp_path / "report.csv"
     for path, fmt in ((out, "json"), (csv_out, "csv")):
@@ -277,8 +278,8 @@ def test_a_compare_csv_keeps_its_verdict(tmp_path, sign, verdict):
         **kernel["diagnostics"], "delta_vs_oracle": kernel["delta_vs_oracle"]}
     assert (last["T"], last["method"], last["value"]) == ("null", "verdict", verdict)
     assert json.loads(last["diagnostics"]) == {
-        "threshold": report["threshold"],
-        "sign_adjudication": report["sign_adjudication"]}
+        key: report[key] for key in ("threshold", "rel_threshold", "reach_L",
+                                     "sign_adjudication")}
 
 
 @pytest.mark.parametrize("truncation,verdict", [

@@ -9,6 +9,10 @@ under its sign) to 1e-12, accept them at the same node counts, and fail on
 the same entry with the same last two estimates when the node cap is too
 small; the assembled matrix must be exactly skew. The inadmissible radius
 reading is checked the same way on the shipped configs.
+
+A level of a process is its one-level marginal (`ProcessSpec.level`): at
+points of one level, on the process's radii, the kernel and the
+q-extraction route must give bit for bit what they give on that marginal.
 """
 
 import json
@@ -21,9 +25,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 
 from kernel_reference import reference  # noqa: E402
+from pfschur import verify  # noqa: E402
 from pfschur.kernels import (CONVENTIONS, SIGN_BR, SIGN_PAPER,  # noqa: E402
                              KernelConfig, _inadmissible_radii, _radii_at,
-                             assemble_kernel)
+                             _resolved_radii, assemble_kernel)
 from pfschur.measures import PointSet, ProcessSpec  # noqa: E402
 from pfschur.quadrature import QuadratureError  # noqa: E402
 
@@ -119,3 +124,42 @@ def test_blocks_match_under_the_inadmissible_reading(name):
     spec = ProcessSpec.from_json(raw["process"])
     radii = _inadmissible_radii(spec)
     _assert_blocks_match(spec, PointSet(raw["points"]), KernelConfig(radii=radii))
+
+
+@st.composite
+def level_cases(draw):
+    """(rho^+ families, rho^- families, level, sites): 1-3 sites of one level
+    in -n-2 ... 2."""
+    plus, minus, _ = draw(cases())
+    level = draw(st.integers(1, len(plus)))
+    n = sum(map(len, plus))
+    sites = draw(st.lists(st.integers(-n - 2, 2), min_size=1, max_size=3, unique=True))
+    return plus, minus, level, sites
+
+
+def _outcome(run):
+    """run()'s value, or its exception's type and message."""
+    try:
+        return run()
+    except (QuadratureError, ValueError) as exc:    # refusals among them
+        return type(exc), str(exc)
+
+
+@seed(20170516)
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=level_cases())
+def test_a_level_is_its_marginal_bit_for_bit(case):
+    plus, minus, level, sites = case
+    spec = ProcessSpec(plus, minus)
+    x, y = spec.level(level)
+    marginal = ProcessSpec([x], [y])
+    cfg = KernelConfig(radii=_resolved_radii(spec, KernelConfig()))
+    T, T1 = [(level, t) for t in sites], [(1, t) for t in sites]
+    K = _outcome(lambda: assemble_kernel(spec, T, cfg))
+    K1 = _outcome(lambda: assemble_kernel(marginal, T1, cfg))
+    assert np.array_equal(K, K1) if isinstance(K, np.ndarray) else K == K1
+
+    def route(s, P):
+        row = verify.correlation_row("q-extraction", s, P, cfg, 0)
+        return row["value"], row["diagnostics"]
+    assert _outcome(lambda: route(spec, T)) == _outcome(lambda: route(marginal, T1))

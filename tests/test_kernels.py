@@ -151,6 +151,28 @@ def test_correlation_matches_oracle_d3_mixed_levels():
     assert abs(val - orc) < 1e-6
 
 
+# m2_d11's spec and the 3-level spec, and the marginal (x, y) of each level,
+# written out: x = rho^+_i ... rho^+_m, y = rho^-_0 ... rho^-_{i-1} followed
+# by rho^+_1 ... rho^+_{i-1}
+LEVELS3 = ProcessSpec([[0.5, 0.2], [0.4], [0.3]], [[0.45], [0.3], [0.2]])
+MARGINALS = [(SPEC_M2, 1, (0.4, 0.3), (0.35,)), (SPEC_M2, 2, (0.3,), (0.35, 0.25, 0.4)),
+             (LEVELS3, 1, (0.5, 0.2, 0.4, 0.3), (0.45,)),
+             (LEVELS3, 2, (0.4, 0.3), (0.45, 0.3, 0.5, 0.2)),
+             (LEVELS3, 3, (0.3,), (0.45, 0.3, 0.2, 0.5, 0.2, 0.4))]
+
+
+@pytest.mark.parametrize("spec,level,x,y", MARGINALS)
+def test_a_level_kernel_is_its_marginals_kernel_bit_for_bit(spec, level, x, y):
+    # a slot factor is its level's marginal, so on the same circles the
+    # kernel at points of one level is the one-level kernel of the marginal
+    sites = (0, 2, -1)
+    cfg = KernelConfig(radii=kernels._resolved_radii(spec, CFG))
+    K = assemble_kernel(spec, [(level, t) for t in sites], cfg)
+    assert np.array_equal(K, assemble_kernel(ProcessSpec([x], [y]),
+                                             [(1, t) for t in sites], cfg))
+    assert spec.level(level) == (tuple(map(complex, x)), tuple(map(complex, y)))
+
+
 def test_correlation_deep_negative_site_process():
     spec = ProcessSpec([[0.4, 0.2], [0.3]], [[0.35], [0.25, 0.15]])
     T = [(1, -2), (2, 1)]

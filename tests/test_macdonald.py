@@ -954,12 +954,37 @@ def test_the_cluster_floor_sits_where_the_actions_stop_resolving(spacing, refuse
 
 
 def test_a_point_off_the_unit_disk_is_named():
-    # contour_radius's 1 - |x| bound goes negative there; the refusal names
-    # the point, not a gap
-    with pytest.raises(ContourConditionError) as exc:
-        apply_via_contour(ProductFormFunction([0.2]), [1.2, 0.3], 1, 0.4)
-    assert str(exc.value) == (
-        "points xs=(1.2+0j, 0.3+0j): a point off the unit disk admits no contour")
+    # contour_radius's 1 - |x| bound goes negative there, and `_separated`
+    # finds a circle center off the unit disk; each action refuses the
+    # points before it draws a radius, naming the point, not a gap or a
+    # center
+    for action in (
+            lambda xs: apply_via_contour(ProductFormFunction([0.2]), xs, 1, 0.4),
+            lambda xs: iterated_action_Z([0.3, 0.4], xs, [0.2]),
+            lambda xs: iterated_action_Z([0.3, 0.4], xs, [0.2], contour_mode="stated"),
+            lambda xs: iterated_action_F([0.3, 0.4], xs, [0.2])):
+        with pytest.raises(ContourConditionError) as exc:
+            action([1.2, 0.3])
+        assert str(exc.value) == (
+            "points xs=(1.2+0j, 0.3+0j): a point off the unit disk admits no contour")
+
+
+def test_each_action_refuses_its_points_once(monkeypatch):
+    # `_refuse_unresolved` reads what `_refuse_points` returned
+    calls, refuse = [], macdonald._refuse_points
+
+    def spy(xs):
+        calls.append(xs)
+        return refuse(xs)
+    monkeypatch.setattr(macdonald, "_refuse_points", spy)
+    qs, xs, ys = [0.4 + 0.1j, 0.35 - 0.2j], [0.3, 0.2], [0.25, 0.1]
+    for call in (lambda: apply_via_contour(ProductFormFunction(ys), xs, 2, qs[0]),
+                 lambda: iterated_action_Z(qs, xs, ys),
+                 lambda: iterated_action_Z(qs, xs, ys, contour_mode="stated"),
+                 lambda: iterated_action_F(qs, xs, ys)):
+        calls.clear()
+        call()
+        assert len(calls) == 1
 
 
 def test_each_action_measures_the_stated_distance_once(monkeypatch):

@@ -163,6 +163,33 @@ def test_the_least_weight_is_where_the_oracle_first_reaches_the_points(xs, ys):
         assert least == 0 or measures.correlation_oracle(spec, points, L=least - 1) == 0.0
 
 
+def test_the_least_weight_reads_the_interlacing_between_levels():
+    # rho^+ = (0.4), (0.3, 0.2), so levels 1 and 2 have 3 and 2 rows, and mu
+    # between them satisfies mu_1 >= lambda^(2)_2 (rho^-_1 has one value)
+    spec = ProcessSpec([[0.4], [0.3, 0.2]], [[0.35], [0.25]])
+    # lambda^(2) = (3, 3) lifts lambda^(1)_1 to 3, so level 1's points at 1
+    # and 0 sit at rows 2 and 3: lambda^(1) = (3, 3, 3), weight 9 (level by
+    # level, (2, 2, 0) and (3, 3): 6)
+    T = PointSet([(1, 1), (1, 0), (2, 2), (2, 1)])
+    assert verify._least_weight(spec, T) == 9
+    assert measures.correlation_oracle(spec, T, L=8) == 0.0
+    assert measures.correlation_oracle(spec, T, L=9) > 0.0
+    # lambda^(2) = (5, 5) lifts lambda^(1)_1 to 5, and level 1's points at
+    # 0, -1 and -2 then need a fourth row
+    T = PointSet([(1, 0), (1, -1), (1, -2), (2, 4), (2, 3)])
+    assert verify._least_weight(spec, T) is None
+    assert measures.correlation_oracle(spec, T, L=40) == 0.0
+
+
+def test_an_interlacing_zero_is_judged_structural():
+    # m2_d11: level 2's point at -1 pins lambda^(2) = 0, so mu = 0, and
+    # lambda^(1) = (4, 4) is no horizontal strip in rho^+_1's one variable:
+    # the oracle is 0 at every L, and the kernel's -8.1e-19 passes
+    out = verify.compare_methods(SPEC, PointSet([(1, 3), (1, 2), (2, -1)]),
+                                 KernelConfig(quad_tol=1e-8), L=20)
+    assert (out["threshold"], out["reach_L"], out["verdict"]) == (1e-12, None, "PASS")
+
+
 @pytest.mark.parametrize("t,L", [(36, 80), (60, 120)])
 def test_the_judge_fails_the_quadrature_kernel_at_depth(t, L):
     # on 2-var the kernel's entries pass an absolute tolerance, so its value
