@@ -603,7 +603,8 @@ def _series(x, others, ys, D):
 
     over the ks in `others`: one update per linear factor and one running
     sum s_m += c s_{m-1} per factor 1/(1 - c q). The arithmetic is plain, so
-    Fraction values give the exact coefficients."""
+    Fraction values give the exact coefficients; the scale starts from x^0,
+    so float values give floats even with no factor."""
     s = [1] + [0] * D
     for k in others:
         a, b = x / (x - k), k / (k - x)
@@ -611,7 +612,7 @@ def _series(x, others, ys, D):
     for c in [x * y for y in ys] + [x * k for k in others]:
         for m in range(1, D + 1):
             s[m] += c * s[m - 1]
-    scale = math.prod(1 - x * v for v in [*ys, *others])
+    scale = math.prod((1 - x * v for v in [*ys, *others]), start=x ** 0)
     return [scale * v for v in s]
 
 

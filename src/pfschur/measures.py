@@ -5,20 +5,24 @@ of partitions up to a weight cap. Each (skew) Schur factor in k variables is
 a chain of k one-variable horizontal-strip transfers (the branching rule,
 Macdonald I.5.11): s_{lam/mu}(x) = x^{|lam|-|mu|} when lam/mu is a horizontal
 strip and 0 otherwise. So the sum is one dynamic program over the list of
-partitions of weight <= L: per level, one transfer per variable on vectors
-indexed by that list (`partitions.horizontal_strips`, whose index tables
-are built once per (L, row cap)). One pass answers each question: its sums
-(an expectation's numerator and Z, and both again at the weight cap L - 5
-for the truncation estimates) ride a leading axis of the transfers, and
-the L - 5 sums read the weight-<=L-5 prefix of the same weight-major list,
-since a horizontal strip only adds boxes. Row counts are pruned by the only
-mechanism that kills a weight exactly: a factor in k variables vanishes
-when its shape has more than k rows, which caps length(lam^(i)) by the
-number of variables at levels i..m. The oracles' level factors (point
-indicators, q-observables) are arrays over the same list, read from its row
-array. `process_weight` and the Jacobi-Trudi `symfunc` functions stay as the
-independent per-sequence reference. Everything downstream (kernels,
-q-extraction, contour actions) is tested against these sums.
+partitions of weight <= L, walking the process's steps in the one order
+`ProcessSpec.chain` lists (mu^(0) up over rho^-_0 onto lam^(1), down over
+rho^+_1 onto mu^(1), ..., down over rho^+_m onto the empty partition): per
+step, one transfer per variable on vectors indexed by that list
+(`partitions.horizontal_strips`, whose index tables are built once per (L,
+row cap)). One pass answers each question: its sums (an expectation's
+numerator and Z, and both again at the weight cap L - 5 for the truncation
+estimates) ride a leading axis of the transfers, and the L - 5 sums read
+the weight-<=L-5 prefix of the same weight-major list, since a horizontal
+strip only adds boxes. Row counts are pruned by the only mechanism that
+kills a weight exactly: a factor in k variables vanishes when its shape has
+more than k rows, which caps length(lam^(i)) by the number of variables at
+levels i..m. The oracles' level factors (point indicators, q-observables)
+are arrays over the same list, read from its row array. `least_weight` walks the same steps to tell where the oracle first
+has weight at a point set, or that it has none at any cap. `process_weight`
+and the Jacobi-Trudi `symfunc` functions stay as the independent
+per-sequence reference. Everything downstream (kernels, q-extraction,
+contour actions) is tested against these sums.
 """
 
 import math
@@ -34,7 +38,10 @@ class ProcessSpec:
     """Level count m plus the specialization families rho^+_1..rho^+_m and
     rho^-_0..rho^-_{m-1}, each family kept as a tuple of complex numbers.
     Entries must be positive reals below 1 so that the weights are positive
-    and the closed-form partition function converges."""
+    and the closed-form partition function converges. `chain` lists the
+    families in the order the process steps through them: from mu^(0) up
+    over rho^-_0 onto lam^(1), down over rho^+_1 onto mu^(1), ..., down over
+    rho^+_m onto the empty partition; step k goes up when k is even."""
 
     def __init__(self, rho_plus, rho_minus):
         self.rho_plus = tuple(tuple(map(complex, s)) for s in rho_plus)
@@ -49,6 +56,7 @@ class ProcessSpec:
             for v in fam:
                 if v.imag != 0 or not 0 < v.real < 1:
                     raise ValueError(f"specialization value {v} must be real in (0,1)")
+        self.chain = sum(zip(self.rho_minus, self.rho_plus), ())
 
     @property
     def m(self):
@@ -194,15 +202,16 @@ def sequence_partitions(spec, L, kind="pfaffian"):
 
 
 def _sequence_sum(spec, L, kind="pfaffian", level_factor=None, cut=None):
-    """Sums of process weights by one dynamic program over levels: with
-    level_factor, [the sum times prod_i f_i(lam^(i)), Z], where
-    level_factor(i, rows) gives f_i (an indicator or observable) over the
-    partition list from its row array; without it, [Z]. Given cut, the same
-    sums follow over the sequences whose partitions weigh <= cut.
+    """Sums of process weights by one dynamic program over the process's
+    steps (`ProcessSpec.chain`): with level_factor, [the sum times the
+    level factors, Z], where level_factor(i, rows) gives lam^(i+1)'s factor
+    (an indicator or observable) over the partition list from its row
+    array; without it, [Z]. Given cut, the same sums follow over the
+    sequences whose partitions weigh <= cut.
 
     Every (skew) Schur factor is applied one variable at a time by the
-    branching rule, so a level step is a chain of one-variable transfers
-    over one partition list; a cap masks the rows a level cannot hold. The
+    branching rule, so a step is a chain of one-variable transfers over one
+    partition list; a cap masks the rows its partition cannot hold. The
     sums ride the transfers' leading axis. A cut sum masks each lam^(i) to
     the list's weight-<=cut prefix (the list is weight-major); a horizontal
     strip only adds boxes, so every partition between two levels weighs no
@@ -211,24 +220,21 @@ def _sequence_sum(spec, L, kind="pfaffian", level_factor=None, cut=None):
     caps = _level_row_caps(spec, kind)
     strips = horizontal_strips(L, max(caps))
     keep = [1.0] + ([strips.rows.sum(axis=1) <= cut] if cut is not None else [])
-
-    def across(h, move, family, cap=None):
-        for x in family:              # ProcessSpec values are real
-            h = move(h, x.real)
-        return h if cap is None else np.where(strips.length <= cap, h, 0)
-
-    # level 0: tau is the even-conjugate indicator moved up over rho^-_0,
+    # mu^(0): tau is the even-conjugate indicator moved up over rho^-_0,
     # s_lam(rho^-_0) the indicator of the empty partition
     h = (strips.even if kind == "pfaffian" else strips.length == 0).astype(float)[None]
-    for i in range(spec.m):
-        if i:
-            h = across(h, strips.down, spec.rho_plus[i - 1], caps[i])
-        h = across(h, strips.up, spec.rho_minus[i], caps[i])
-        fs = [1.0] if level_factor is None else [level_factor(i, strips.rows), 1.0]
-        if len(fs) * len(keep) > 1:       # Z alone takes no factor
-            h = h * np.stack([np.broadcast_to(f * k, strips.length.shape)
-                              for k in keep for f in fs])
-    return across(h, strips.down, spec.rho_plus[-1])[:, 0].tolist()
+    for k, family in enumerate(spec.chain):
+        move = strips.down if k % 2 else strips.up
+        for x in family:                # ProcessSpec values are real
+            h = move(h, x.real)
+        if k + 1 < len(spec.chain):     # the last lands on the empty partition
+            h = np.where(strips.length <= caps[(k + 1) // 2], h, 0)
+        if k % 2 == 0:                  # onto lam^(k/2 + 1), with its factor
+            fs = [1.0] if level_factor is None else [level_factor(k // 2, strips.rows), 1.0]
+            if len(fs) * len(keep) > 1:       # Z alone takes no factor
+                h = h * np.stack([np.broadcast_to(f * c, strips.length.shape)
+                                  for c in keep for f in fs])
+    return h[:, 0].tolist()
 
 
 def partition_function_truncated(spec, kind="pfaffian", L=30):
@@ -277,6 +283,52 @@ def correlation_oracle(spec, T, L=30, full_output=False):
     return value, {"L": L, "partitions": len(sequence_partitions(spec, L)),
                    "truncation_diagnostic": abs(z - z_cut) / z,
                    "value_truncation": abs(value - prev) / value if value else None}
+
+
+def least_weight(spec, T):
+    """The least weight cap at which the oracle's partitions carry the
+    points T, or None where no sequence of the process carries them: a
+    structural zero of `correlation_oracle`.
+
+    Each partition of the chain, mu^(0), lam^(1), mu^(1), ..., lam^(m) and
+    the closing empty partition, holds R = n + 1 rows, n the rho^+ count:
+    no partition of a sequence has more than n rows, so sites below -R are
+    occupied in every sequence, and row n + 1 holds the pair of mu^(0)'s
+    row n. A step over a family of c values (`ProcessSpec.chain`) is c
+    horizontal strips, so its larger partition lam and smaller mu obey
+    lam_{j+c} <= mu_j <= lam_j; mu^(0)'s rows are paired (its columns are
+    even); each partition's rows descend. Each of these is a lower bound of
+    one row by another, and so is a point t: with j rows above it, t sits
+    at row j + 1 or below, so lam_{j+1} >= t + j + 1. Raising every row
+    from 0 by these bounds until all hold gives the least sequence that
+    carries the points, whose heaviest partition is the cap; the zero is
+    structural where a row of the empty partition must rise or a point
+    runs out of rows."""
+    R, steps = len(spec.level(1)[0]) + 1, len(spec.chain)
+    bounds = [(p * R + j, p * R + j + 1)        # (higher, lower) row
+              for p in range(steps + 1) for j in range(R - 2, -1, -1)]
+    bounds += [(j + 1, j) for j in range(0, R - 1, 2)]    # mu^(0)'s pairs
+    for k, family in enumerate(spec.chain):   # partition k up, or down, to k + 1
+        lam, mu, c = R * (k + 1 - k % 2), R * (k + k % 2), len(family)
+        bounds += [(lam + j, mu + j) for j in range(R)]
+        bounds += [(mu + j, lam + j + c) for j in range(R - c)]
+    points = [(R * (2 * i - 1), t) for i, ts in T.by_level(spec.m).items()
+              for t in ts if t >= -R]
+    row, raised = [0] * (steps + 1) * R, True
+    while raised:
+        raised = False
+        for hi, lo in bounds:
+            if row[hi] < row[lo]:
+                row[hi], raised = row[lo], True
+        for at, t in points:
+            j = sum(row[at + k] - k - 1 > t for k in range(R))
+            if j == R:
+                return None
+            if row[at + j] < t + j + 1:
+                row[at + j], raised = t + j + 1, True
+    if any(row[steps * R:]):
+        return None
+    return max(sum(row[p:p + R]) for p in range(0, steps * R, R))
 
 
 def observable_expectation_oracle(qs_by_level, spec, L=30):

@@ -1,4 +1,4 @@
-"""Contour integrals over unions of oriented circles.
+"""Contour integrals over unions of counterclockwise circles.
 
 The trapezoidal rule on a circle is spectrally accurate for integrands
 analytic in a neighborhood of the contour, so convergence is controlled by
@@ -90,14 +90,11 @@ class QuadratureError(RuntimeError):
 class Circle:
     center: complex = 0j  # a number, or an array over a batch of draws
     radius: float = 1.0   # likewise
-    orientation: int = 1  # +1 counterclockwise, -1 clockwise
 
     def __post_init__(self):
         positive = self.radius > 0
         if not (positive if isinstance(positive, bool) else positive.all()):
             raise ValueError("circle radius must be positive")
-        if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -114,13 +111,9 @@ class ContourSpec:
         if n < 4 or (n & (n - 1)) != 0:
             raise ValueError("nodes per circle must be a power of two >= 4")
 
-    def reversed(self):
-        return ContourSpec(tuple(Circle(c.center, c.radius, -c.orientation)
-                                 for c in self.circles), self.nodes)
-
 
 def circle(radius=1.0, center=0j, nodes=64):
-    """One counterclockwise circle as a ContourSpec (`reversed`: clockwise)."""
+    """One counterclockwise circle as a ContourSpec."""
     return ContourSpec((Circle(complex(center), float(radius)),), nodes)
 
 
@@ -168,10 +161,10 @@ def nodes_weights(contour, n, batch):
     shape (`_batch`), to which every circle's center and radius broadcast,
     so a plain circle among batched ones is the same circle in every draw.
     Circle c's nodes are c.center + c.radius * exp(2 pi i a/n) for a < n,
-    and their weights c.orientation * (node - c.center) / n: with them
-    (1/2pi i) oint f dz is sum f(z_a) w_a. Each circle is computed into its
-    rows of one preallocated array, so a number stays a scalar operand and
-    only an array over the batch is broadcast.
+    and their weights (node - c.center) / n: with them (1/2pi i) oint f dz
+    is sum f(z_a) w_a. Each circle is computed into its rows of one
+    preallocated array, so a number stays a scalar operand and only an
+    array over the batch is broadcast.
     """
     unit = _roots_of_unity(n).reshape((n,) + (1,) * len(batch))
     z = np.empty((len(contour.circles), n) + batch, complex)
@@ -180,7 +173,6 @@ def nodes_weights(contour, n, batch):
         np.multiply(c.radius, unit, out=zc)
         zc += c.center
         np.subtract(zc, c.center, out=wc)
-        wc *= c.orientation
         wc /= n
     return z.reshape((-1,) + batch), w.reshape((-1,) + batch)
 
@@ -288,7 +280,7 @@ def _single(estimate, contours, batch, max_nodes, tol, full_output, what):
 
 
 def integrate(f, contour, tol=1e-9, max_nodes=MAX_NODES, full_output=False):
-    """(1/2pi i) oint f(z) dz over a union of oriented circles.
+    """(1/2pi i) oint f(z) dz over a union of counterclockwise circles.
 
     Doubles the per-circle node count until successive estimates differ by
     less than tol (relative when the magnitude exceeds 1, absolute below).

@@ -18,7 +18,7 @@ check that gives NaN fails its row.
 """
 
 import time
-from itertools import accumulate, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -376,51 +376,6 @@ def correlation_row(method, spec, T, cfg, L, full_output=False):
     return (row, info) if full_output else row
 
 
-def _least_weight(spec, T):
-    """The least weight cap whose partitions carry the points T, or None
-    where they give T no weight at any cap: a structural zero.
-
-    Level i has n_i = len(x) rows (`ProcessSpec.level`); the particles
-    lam_k - k of the rows k > n_i lie below -n_i and carry those sites at
-    every cap. Between levels i and i + 1 a partition mu lies in both, and
-    lam^(i)/mu has at most |rho^+_i| boxes in a column and lam^(i+1)/mu at
-    most |rho^-_i|, so mu_j >= lam^(i)_{j+|rho^+_i|} and mu_j >=
-    lam^(i+1)_{j+|rho^-_i|}. Each of these and each row's order is a lower
-    bound of one row by another, and so is a point t of level i: with j
-    rows above it, t sits at row j + 1 or below, so lam_{j+1} >= t + j + 1,
-    and at j = n_i it has no row. Raising every row from 0 by these bounds
-    until all hold gives, row by row, the least sequence that carries the
-    points, whose heaviest lam^(i) is the cap, or runs out of rows. (An
-    empty rho^-_0 also asks lam^(1) for even columns, which this leaves
-    out, so the cap is then a lower bound.)"""
-    n = [len(spec.level(i)[0]) for i in range(1, spec.m + 1)]
-    # the rows of lam^(1) ... lam^(m), then of mu^(1) ... mu^(m-1), n_{i+1} each
-    first = list(accumulate(n + n[1:], initial=0))
-    bounds = [(first[i] + k, first[i] + k + 1)      # (higher, lower) row
-              for i in range(spec.m) for k in range(n[i] - 2, -1, -1)]
-    for i in range(spec.m - 1):
-        a, b, mu = len(spec.rho_plus[i]), len(spec.rho_minus[i + 1]), first[spec.m + i]
-        for j in range(n[i + 1]):
-            bounds += [(mu + j, first[i] + j + a), (first[i] + j, mu + j),
-                       (first[i + 1] + j, mu + j)]
-            bounds += [(mu + j, first[i + 1] + j + b)] if j + b < n[i + 1] else []
-    points = [(first[i - 1], n[i - 1], t) for i, ts in T.by_level(spec.m).items()
-              for t in ts if t >= -n[i - 1]]
-    row, raised = [0] * first[-1], True
-    while raised:
-        raised = False
-        for hi, lo in bounds:
-            if row[hi] < row[lo]:
-                row[hi], raised = row[lo], True
-        for at, count, t in points:
-            j = sum(row[at + k] - k - 1 > t for k in range(count))
-            if j == count:
-                return None
-            if row[at + j] < t + j + 1:
-                row[at + j], raised = t + j + 1, True
-    return max(sum(row[at:at + count]) for at, count in zip(first, n))
-
-
 def judge(value, oracle_row, spec):
     """value against oracle_row (`correlation_row`'s oracle row on spec), by
     the one rule every kernel value is held to. `delta` is |value - oracle
@@ -434,14 +389,13 @@ def judge(value, oracle_row, spec):
     right one there.
 
     At an oracle value of exactly 0 there is no relative distance
-    (`rel_delta` and `rel_threshold` are None). Where no sequence of
-    interlacing partitions carries the points (`_least_weight`), a level
-    holding more points than rows among them, the zero is structural, and
-    the verdict is PASS when delta is below a `threshold` of 1e-12 and FAIL
-    otherwise. Any other zero is INCONCLUSIVE, or FAIL where delta is not
-    below the `threshold`, and `reach_L` names the least weight cap whose
-    partitions carry the points (None at a nonzero oracle value or a
-    structural zero): above L the oracle does not reach them."""
+    (`rel_delta` and `rel_threshold` are None). Where no sequence of the
+    process carries the points (`measures.least_weight`), the zero is
+    structural, and the verdict is PASS when delta is below a `threshold`
+    of 1e-12 and FAIL otherwise. Any other zero is INCONCLUSIVE, or FAIL
+    where delta is not below the `threshold`, and `reach_L` names the least
+    weight cap whose partitions carry the points (None at a nonzero oracle
+    value or a structural zero): above L the oracle does not reach them."""
     oracle_value, diag = oracle_row["value"], oracle_row["diagnostics"]
     delta = abs(value - oracle_value)
     threshold = max(1e-3, 10 * diag["truncation_diagnostic"])
@@ -453,7 +407,7 @@ def judge(value, oracle_row, spec):
         verdict = ("FAIL" if not (delta < threshold and rel_delta < rel_threshold)
                    else "PASS" if threshold == rel_threshold == 1e-3 else "INCONCLUSIVE")
     else:
-        reach = _least_weight(spec, measures.PointSet(oracle_row["T"]))
+        reach = measures.least_weight(spec, measures.PointSet(oracle_row["T"]))
         if reach is None:
             threshold = 1e-12
         verdict = ("FAIL" if not delta < threshold

@@ -865,6 +865,22 @@ def test_q_extraction_reads_each_level_of_a_process(tmp_path):
     assert abs(row["value"] - oracle) <= 1e-14
 
 
+def test_an_empty_rho_minus_0_gives_a_structural_zero(tmp_path):
+    # one x and no y: lambda has one row and even columns, so it is empty
+    # and (1, 0) has probability 0 at every L. q-extraction's series then
+    # holds no factor, and its 0 is still a float
+    process = {"rho_plus": [[0.5]], "rho_minus": [[]]}
+    code, out = _q_extraction(tmp_path, process, [[1, 0]])
+    assert code == 0
+    value = read_report(out)["results"][0]["value"]
+    assert value == 0 and isinstance(value, float)
+    assert run_cli(["compare", "--config", str(tmp_path / "cfg.json"),
+                    "--out", str(out)]) == 0
+    report = read_report(out)
+    assert (report["threshold"], report["reach_L"], report["verdict"]) == \
+        (1e-12, None, "PASS")
+
+
 def test_negative_seed_flag_is_a_config_error(capsys):
     assert run_cli(["verify-pfaffian", "--config", str(CONFIGS / "m1_singleton.json"),
                     "--seed", "-3"]) == 1

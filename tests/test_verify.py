@@ -147,16 +147,17 @@ def test_the_judge_tells_a_structural_zero_from_a_short_oracle():
 
 
 @pytest.mark.parametrize("xs,ys", [((0.5, 0.25), (0.4, 0.2)), ((0.6, 0.3), (0.2,)),
-                                   ((0.5,), (0.3, 0.2))])
+                                   ((0.5,), (0.3, 0.2)), ((0.5, 0.3, 0.2), ())])
 def test_the_least_weight_is_where_the_oracle_first_reaches_the_points(xs, ys):
-    # on one level with a y value every partition has weight, so the oracle
-    # is 0 below the least weight and positive from it on
+    # on one level the oracle is 0 below the least weight and positive from
+    # it on; with no y, lambda has even columns, so (0, 2) and (-1, 4) need
+    # a fourth row of three
     spec = ProcessSpec([xs], [ys])
     for T in ([(1, 3)], [(1, 0), (1, 2)], [(1, -1), (1, 4)], [(1, -2)], [(1, 1), (1, 2)]):
         points = PointSet(T)
-        least = verify._least_weight(spec, points)
+        least = measures.least_weight(spec, points)
         if least is None:
-            assert len(xs) < len({t for _, t in T if t >= -len(xs)})
+            assert not ys or len(xs) < len({t for _, t in T if t >= -len(xs)})
             assert measures.correlation_oracle(spec, points, L=12) == 0.0
             continue
         assert measures.correlation_oracle(spec, points, L=least) > 0.0
@@ -171,13 +172,13 @@ def test_the_least_weight_reads_the_interlacing_between_levels():
     # and 0 sit at rows 2 and 3: lambda^(1) = (3, 3, 3), weight 9 (level by
     # level, (2, 2, 0) and (3, 3): 6)
     T = PointSet([(1, 1), (1, 0), (2, 2), (2, 1)])
-    assert verify._least_weight(spec, T) == 9
+    assert measures.least_weight(spec, T) == 9
     assert measures.correlation_oracle(spec, T, L=8) == 0.0
     assert measures.correlation_oracle(spec, T, L=9) > 0.0
     # lambda^(2) = (5, 5) lifts lambda^(1)_1 to 5, and level 1's points at
     # 0, -1 and -2 then need a fourth row
     T = PointSet([(1, 0), (1, -1), (1, -2), (2, 4), (2, 3)])
-    assert verify._least_weight(spec, T) is None
+    assert measures.least_weight(spec, T) is None
     assert measures.correlation_oracle(spec, T, L=40) == 0.0
 
 
@@ -188,6 +189,23 @@ def test_an_interlacing_zero_is_judged_structural():
     out = verify.compare_methods(SPEC, PointSet([(1, 3), (1, 2), (2, -1)]),
                                  KernelConfig(quad_tol=1e-8), L=20)
     assert (out["threshold"], out["reach_L"], out["verdict"]) == (1e-12, None, "PASS")
+
+
+@pytest.mark.parametrize("xs,T", [((0.5,), [(1, 0)]), ((0.5, 0.3, 0.2), [(1, 1), (1, 4)])])
+def test_an_even_column_zero_is_judged_structural(xs, T):
+    # an empty rho^-_0 gives lambda even columns: one row cannot hold
+    # lambda_1 = 1, and in three rows lambda_1 = 5 (the point at 4) pairs
+    # lambda_2 = 5, so the point at 1 needs lambda_3 = lambda_4 = 4. The
+    # paper's kernel reads 5.6e-17 and -1.1e-19; the literal K12 regime -1
+    # and 0.94
+    spec = ProcessSpec([xs], [[]])
+    oracle = verify.correlation_row("oracle", spec, T, KernelConfig(), 20)
+    assert oracle["value"] == 0.0
+    for regime, verdict in (("strict", "PASS"), ("literal", "FAIL")):
+        value = kernels.correlation_via_kernel(spec, PointSet(T),
+                                               KernelConfig(k12_regime=regime))
+        out = verify.judge(value, oracle, spec)
+        assert (out["threshold"], out["reach_L"], out["verdict"]) == (1e-12, None, verdict)
 
 
 @pytest.mark.parametrize("t,L", [(36, 80), (60, 120)])
