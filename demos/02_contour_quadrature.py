@@ -7,7 +7,7 @@ additivity over unions of counterclockwise circles.
 
 import numpy as np
 
-from pfschur import ContourSpec, circle, circles_around, integrate, integrate2
+from pfschur import circle, circles_around, integrate, integrate2
 from pfschur.quadrature import _estimate1, nodes_weights
 
 # a simple pole inside: the answer is the residue
@@ -22,7 +22,7 @@ print(f"doubling control settles at {info['nodes']} nodes, value {val:.12f}")
 
 # unions
 f = lambda z: 1 / (z - 0.5) + 1 / (z - 3)
-u = ContourSpec(circle(0.3, center=0.5).circles + circle(0.3, center=3.0).circles)
+u = circles_around([0.5, 3.0], 0.3, nodes=64)
 print(f"\nunion of circles catches both residues: {integrate(f, u).real:.12f}")
 
 # a tensor-product double integral; the kernels sum their blocks by FFT

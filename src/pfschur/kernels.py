@@ -38,8 +38,8 @@ blocks at once, read through flat index arrays; the blocks that read a
 circle share its columns (K11 and both K12 blocks read k11). The n
 trapezoid nodes of a circle are its 2n nodes [::2] bit for bit, so the
 n-node transforms are the 2n-node ones folded in half (Trefethen &
-Weideman, SIAM Rev. 56, 2014), and the first pass evaluates 4 x start_nodes
-nodes per circle and serves the estimates at start_nodes, twice that and
+Weideman, SIAM Rev. 56, 2014), and the first pass evaluates 4 x START_NODES
+nodes per circle and serves the estimates at START_NODES, twice that and
 four times that. Each later pass evaluates its nodes afresh and serves one
 doubling.
 
@@ -100,6 +100,8 @@ from .macdonald import iterated_action_Z  # noqa: F401 (perfbench traces it here
 from .measures import PointSet
 from .pfaffian import pfaffian, schur_pfaffian_matrix
 
+# nodes per circle at which every assembly starts doubling
+START_NODES = 64
 SIGN_PAPER = "paper_zw_minus_1"
 SIGN_BR = "borodin_rains_1_minus_zw"
 # Each convention switch's choices, the paper's first, and what each does: the
@@ -122,7 +124,6 @@ class KernelConfig:
     Each switch of `CONVENTIONS` takes one of its choices there and defaults
     to the paper's."""
     quad_tol: float = 1e-8
-    start_nodes: int = 64
     max_nodes: int = quad.MAX_NODES_2D
     sign_convention: str = PAPER_CHOICES["sign_convention"]
     h_assignment: str = PAPER_CHOICES["h_assignment"]
@@ -131,15 +132,14 @@ class KernelConfig:
 
     def validate(self):
         """Raise one ValueError that names every fault, joined by "; "."""
-        n = self.start_nodes
         # a tuple of the choices: a value read from a config may be unhashable
         faults = [f"unknown {switch} {getattr(self, switch)!r}"
                   for switch, choices in CONVENTIONS.items()
                   if getattr(self, switch) not in tuple(choices)]
         faults += [fault for bad, fault in (
             (not 0 < self.quad_tol < math.inf, "quad_tol must be positive and finite"),
-            (n < 8 or n & (n - 1), "start_nodes must be a power of two >= 8"),
-            (self.max_nodes < 2 * n, "max_nodes must allow one doubling of start_nodes"),
+            (self.max_nodes < 2 * START_NODES,
+             f"max_nodes must allow one doubling of the {START_NODES} start nodes"),
         ) if bad]
         if faults:
             raise ValueError("; ".join(faults))
@@ -388,7 +388,7 @@ class _Assembly:
         rows = [(c, *spec.level(lvl)) for c, lvl in layout.rows]
         self.nums = _padded([x if c else x + y for c, x, y in rows])
         self.dens = _padded([x + y if c else x for c, x, y in rows])
-        self.start_nodes, self.max_nodes = cfg.start_nodes, cfg.max_nodes
+        self.max_nodes = cfg.max_nodes
         self.node_evaluations = 0
 
     def _plan(self, live):
@@ -413,7 +413,7 @@ class _Assembly:
     def estimate(self, k, live):
         """One pass over the blocks that hold an entry that live (a boolean
         array over all 3 d^2 entries) marks, as `quadrature.converge` takes
-        it: the list of the entries at n = start_nodes * 2**k nodes per
+        it: the list of the entries at n = START_NODES * 2**k nodes per
         circle and, on the first pass (k = 0), at 2n and 4n, each one real
         flat array over all the entries, of which only the live ones are to
         be read. The pass sums N nodes per circle, the largest count it
@@ -459,7 +459,7 @@ class _Assembly:
         """
         if not self.size:  # no points
             return [np.zeros(0)]
-        n = N = self.start_nodes << k
+        n = N = START_NODES << k
         while k == 0 and N < 4 * n and 2 * N <= self.max_nodes:
             N *= 2
         plan, radius, nums, dens = self._plan(tuple(
@@ -506,10 +506,10 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
     -K12^T, so the matrix is exactly skew and goes to
     `pfaffian` as it is, with no projection (`pfaffian.SkewMatrix` is for
     input that may not be). All circles double their node count together
-    from cfg.start_nodes; each integral keeps its estimate and node count
+    from START_NODES; each integral keeps its estimate and node count
     from the first doubling at which it converges to cfg.quad_tol, as if it
     were summed on its own. The first pass evaluates
-    4 x cfg.start_nodes nodes per circle (2 x when cfg.max_nodes allows no
+    4 x START_NODES nodes per circle (2 x when cfg.max_nodes allows no
     more) and gives the estimates at the first three counts; each later pass
     evaluates afresh the circles that the blocks with an unconverged entry
     read and gives one doubling. An entry not converged at cfg.max_nodes
@@ -536,10 +536,10 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
         return f"{_BLOCKS[blk]}[{p},{q}]"
 
     def failure(e, k):
-        n = cfg.start_nodes << k
+        n = START_NODES << k
         return f"kernel entry {name(e)} did not converge at ({n}, {n}) nodes"
 
-    value, step, delta = quad.converge(asm.estimate, 3 * d * d, cfg.start_nodes,
+    value, step, delta = quad.converge(asm.estimate, 3 * d * d, START_NODES,
                                        cfg.max_nodes, cfg.quad_tol, failure)
     V = value.reshape(d, d, 3)
     K = np.zeros((2 * d, 2 * d))
@@ -548,7 +548,7 @@ def assemble_kernel(spec, T, cfg=None, full_output=False):
     K[1::2, 1::2] *= CONVENTIONS["sign_convention"][cfg.sign_convention]
     if not full_output:
         return K
-    nodes = {name(e): (cfg.start_nodes << step[e],) * 2
+    nodes = {name(e): (START_NODES << step[e],) * 2
              for block in asm.blocks for e in block[2].tolist()}
     return K, {"points": pts, "nodes": nodes,
                "max_last_delta": float(delta.max(initial=0.0)),
@@ -634,7 +634,8 @@ def correlation_via_q_extraction(X, Y, T, cfg=None, full_output=False):
     R_j without those factors, rho = sum_{i != j} (1 - x_i x_j)/(x_i - x_j)
     sum_{g <= min(a, b)} (x_i x_j)^g (x_i s_{a-g-1} u_{b-g} - x_j s_{a-g}
     u_{b-g-1}), a term with a negative index being 0. Every coefficient is a
-    finite sum: there is no quadrature and no truncation.
+    finite sum: there is no quadrature and no truncation, and Fraction
+    values give the exact value, a 0 or a 1 included.
 
     Sites below -n are occupied with probability one and are stripped before
     extraction (the coefficient reading is only valid for t >= -n).
@@ -656,8 +657,9 @@ def correlation_via_q_extraction(X, Y, T, cfg=None, full_output=False):
         raise ValueError("positions must be distinct")
     d = len(T_eff)
     info = {"stripped_deterministic": sorted(set(T_all) - set(T_eff))}
+    one = xs[0] ** 0 if xs else 1.0   # 1 of the inputs' type: Fractions stay exact
     if d == 0:
-        return (1.0, info) if full_output else 1.0
+        return (one, info) if full_output else one
     if d > 2:
         raise ValueError("q-extraction supports d <= 2 positions at or above -n")
     if len(set(xs)) < n:
@@ -685,7 +687,7 @@ def correlation_via_q_extraction(X, Y, T, cfg=None, full_output=False):
                 if g < b:
                     terms.append(-w * xj * s[a - g] * u[b - g - 1])
                 w *= xi * xj
-    value = sum(terms) if terms else 0.0    # n = 1 has no pair at d = 2
+    value = sum(terms) if terms else 0 * one    # n = 1 has no pair at d = 2
     cancellation = float(sum(map(abs, terms)) / abs(value)) if value else None
     if cancellation is not None and 2.0 ** -52 * cancellation > cfg.quad_tol:
         raise ContourConditionError(

@@ -53,17 +53,18 @@ converged doubling. The iterated actions are the integrand on the product
 form of Z or F, which also gives their G(xs), and the coupling-product check
 in `kernels` multiplies the same pair factor. Every action runs one step
 (`_action`): one call of `quadrature.integrate_product` on these factors,
-over circles from `quadrature.circles_around` that start at 4 nodes for
-`apply_via_contour` and 8 for the iterated actions, times G(xs); a
-quadrature that does not converge is re-raised naming the action (and on a
-batch the draw). Each action refuses a point at 0 or off the unit disk and
-two coincident points, naming the points, before it draws any radius
-(`_refuse_points`), and one rule refuses a contour the quadrature cannot
-resolve, on the radii it will use (`_refuse_unresolved`): points closer
-than 2^-10 of the largest |x|, at d >= 2 a point whose two nearest others
-lie within 2^-6 of it, a singularity left outside a circle too near an x_i
-or a circle below the float resolution of its center. Each refusal is a
-ContourConditionError before any quadrature runs.
+to one tolerance, `ACTION_TOL` (1e-9), over circles from
+`quadrature.circles_around` that start at 4 nodes for `apply_via_contour`
+and 8 for the iterated actions, times G(xs); a quadrature that does not
+converge is re-raised naming the action (and on a batch the draw). Each
+action refuses a point at 0 or off the unit disk and two coincident points,
+naming the points, before it draws any radius (`_refuse_points`), and one
+rule refuses a contour the quadrature cannot resolve, on the radii it will
+use (`_refuse_unresolved`): points closer than 2^-10 of the largest |x|, at
+d >= 2 a point whose two nearest others lie within 2^-6 of it, a
+singularity left outside a circle too near an x_i or a circle below the
+float resolution of its center. Each refusal is a ContourConditionError
+before any quadrature runs.
 """
 
 import math
@@ -75,6 +76,9 @@ import numpy as np
 from . import quadrature as quad
 from .symfunc import H0, cauchy_H, schur_table
 from .symfunc import schur  # noqa: F401 (perfbench traces it here)
+
+# the tolerance of every contour action's quadrature
+ACTION_TOL = 1e-9
 
 
 class ContourConditionError(ValueError):
@@ -278,13 +282,14 @@ def _factors(qs, xs, G):
     return ones, lambda j, k, zj, zk: _pair(zj, zk, qs[j], qs[k], G.with_boundary)
 
 
-def _action(qs, xs, G, contours, tol, what):
+def _action(qs, xs, G, contours, what):
     """G(xs) times the integral of the integrand (`_factors`) with shifts qs
-    over contours, one per variable, and the quadrature's info; a
-    QuadratureError is re-raised naming what, with the same estimates."""
+    over contours, one per variable, to ACTION_TOL, and the quadrature's
+    info; a QuadratureError is re-raised naming what, with the same
+    estimates."""
     try:
         integral, info = quad.integrate_product(*_factors(qs, xs, G), contours,
-                                                tol=tol, full_output=True)
+                                                tol=ACTION_TOL, full_output=True)
     except quad.QuadratureError as exc:
         raise exc.naming(what) from exc
     return G.value(xs) * integral, info
@@ -377,8 +382,8 @@ def _refuse_unresolved(points, qs, radius, gap, floor, pole, cluster):
       distance D and the floor 2^-20: a point and a shifted point D apart
       are each known to an ulp of x, so the integrand near them carries a
       relative rounding error up to about 2^-52 |x|/D, 2.3e-10 at the
-      floor, below the actions' default tolerance of 1e-9; below it the
-      error reaches that tolerance, and `iterated_action_Z([0.4, 0.5 +
+      floor, below the actions' tolerance of 1e-9 (`ACTION_TOL`); below it
+      the error reaches that tolerance, and `iterated_action_Z([0.4, 0.5 +
       1e-12], [0.5, 0.25], [0.2])`, D = 1e-12 |x|, would double its nodes
       to the cap. On 60 random draws at D = 2^-20 |x| the actions match the
       composition to 1.5e-11 at 16 nodes; at D = 3e-8 |x| one misses it by
@@ -451,7 +456,7 @@ def contour_radius(xs, q):
                       np.minimum(np.abs(x), 1 - np.abs(x)).min(axis=0)) / 256
 
 
-def apply_via_contour(G, xs, r, q, tol=1e-9, full_output=False):
+def apply_via_contour(G, xs, r, q, full_output=False):
     """Order-r action on a product-form G by the r-fold contour integral.
 
     The contour is the union of circles around the x_i of `contour_radius`,
@@ -479,7 +484,7 @@ def apply_via_contour(G, xs, r, q, tol=1e-9, full_output=False):
     _refuse_unresolved(points, [q] * r, radius, 256 * radius, 2.0 ** -24,
                        "a singularity", 0.0)
     contour = quad.circles_around(xs, radius, nodes=4)
-    value, info = _action([q] * r, xs, G, [contour] * r, tol, f"contour action r={r}")
+    value, info = _action([q] * r, xs, G, [contour] * r, f"contour action r={r}")
     value = value / math.factorial(r)
     if full_output:
         return value, {**info, "radius": radius}
@@ -648,7 +653,7 @@ def _validate_disks(qs, centers, radii):
                             "an earlier-variable pole reaches a later variable")
 
 
-def _iterated_action(qs, X, Y, with_boundary, tol, contour_mode, full_output):
+def _iterated_action(qs, X, Y, with_boundary, contour_mode, full_output):
     qs = [complex(q) for q in qs]
     xs = [complex(x) for x in X]
     G = ProductFormFunction([complex(y) for y in Y], with_boundary)
@@ -673,14 +678,13 @@ def _iterated_action(qs, X, Y, with_boundary, tol, contour_mode, full_output):
 
     contours = [quad.circles_around(cs, r) for cs, r in zip(centers, radii)]
     what = f"iterated {'Z' if with_boundary else 'F'} action qs={_named(qs)}"
-    value, info = _action(qs, xs, G, contours, tol, what)
+    value, info = _action(qs, xs, G, contours, what)
     if full_output:
         return value, {**info, "radii": [float(r) for r in radii]}
     return value
 
 
-def iterated_action_Z(qs, X, Y, tol=1e-9, contour_mode="shift_images",
-                      full_output=False):
+def iterated_action_Z(qs, X, Y, contour_mode="shift_images", full_output=False):
     """d-fold one-row action on the free-boundary partition function Z(X;Y).
 
     Returns the operator value (not divided by Z). With the default
@@ -698,12 +702,12 @@ def iterated_action_Z(qs, X, Y, tol=1e-9, contour_mode="shift_images",
     QuadratureError is re-raised naming the action and its qs, with the same
     estimates.
     """
-    return _iterated_action(qs, X, Y, True, tol, contour_mode, full_output)
+    return _iterated_action(qs, X, Y, True, contour_mode, full_output)
 
 
-def iterated_action_F(qs, X, Y, tol=1e-9, full_output=False):
+def iterated_action_F(qs, X, Y, full_output=False):
     """d-fold one-row action on the two-sided partition function F(X;Y), on
     the shift-image contours; full_output and errors as in
     `iterated_action_Z`."""
-    return _iterated_action(qs, X, Y, False, tol, "shift_images", full_output)
+    return _iterated_action(qs, X, Y, False, "shift_images", full_output)
 

@@ -23,10 +23,10 @@ integrals sharing a node sequence, accepting each at its own first
 converged doubling, from the list of estimates that each pass of an
 estimator returns, one per node count the pass serves. `integrate` and
 `integrate_product`, and through them `integrate2` and `integrate_n` (one
-or two contours), are single-integral wrappers over it, through `_single`,
-which builds every pass's nodes and weights of all the contours in one
-place, from `nodes_weights`, the one node generator of the package (the
-kernel assembly takes its circles' nodes from it too).
+or two contours, capped at MAX_NODES_ND), are single-integral wrappers over
+it, through `_single`, which builds every pass's nodes and weights of all
+the contours in one place, from `nodes_weights`, the one node generator of
+the package (the kernel assembly takes its circles' nodes from it too).
 The n trapezoid nodes of a circle are its 2n nodes [::2] bit for bit, and
 their weights twice the 2n-node ones, so the first pass of every integral
 evaluates 2n nodes per circle and serves both the n-node and the 2n-node
@@ -36,11 +36,12 @@ afresh and serves one count. Every integral reports `grid_points`, the
 integrand points of the passes it evaluated: per pass, circles times nodes
 per contour, multiplied over the contours and the draws. Each contour's
 nodes and weights are one vector concatenated over its circles. A contour
-starts at 64 nodes per circle (`circle`, `ContourSpec`), except the small
-circles of `circles_around`, which start at 8 unless asked for another
-count. `estimate_bilinear`, one double integral per column of two column
-matrices on the nodes and weights of two contours, is the one summation of
-every two-dimensional grid, so every integral over d >= 2 contours is one
+starts at `ContourSpec`'s count of nodes per circle, 64 unless asked for
+another; `circle`, one circle about 0, always starts at 64, and the small
+circles of `circles_around` start at 8 unless asked for another count.
+`estimate_bilinear`, one double integral per column of two column matrices
+on the nodes and weights of two contours, is the one summation of every
+two-dimensional grid, so every integral over d >= 2 contours is one
 bilinear sum per pass: `integrate_product` (one-variable and pairwise
 factors) with each tuple of nodes of the outer d - 2 variables as a column
 and the last pairwise factor as the only grid, `integrate2` its d = 2 case
@@ -112,9 +113,9 @@ class ContourSpec:
             raise ValueError("nodes per circle must be a power of two >= 4")
 
 
-def circle(radius=1.0, center=0j, nodes=64):
-    """One counterclockwise circle as a ContourSpec."""
-    return ContourSpec((Circle(complex(center), float(radius)),), nodes)
+def circle(radius):
+    """One counterclockwise circle about 0 as a ContourSpec, from 64 nodes."""
+    return ContourSpec((Circle(0j, float(radius)),))
 
 
 def circles_around(points, radius, nodes=8):
@@ -354,16 +355,16 @@ def integrate2(f, c1, c2, tol=1e-9, max_nodes=MAX_NODES_2D, full_output=False):
                              full_output=full_output)
 
 
-def integrate_n(f, contours, tol=1e-9, max_nodes=MAX_NODES_ND, full_output=False):
+def integrate_n(f, contours):
     """(1/2pi i)^d integral of f over d = 1 or 2 contours: `integrate` or
-    `integrate2` under this cap. Over more contours, integrate a product of
-    one-variable and pairwise factors with `integrate_product`."""
+    `integrate2` under the cap MAX_NODES_ND, read at each call. Over more
+    contours, integrate a product of one-variable and pairwise factors with
+    `integrate_product`."""
     if not 1 <= len(contours) <= 2:
         raise ValueError(f"integrate_n takes one or two contours, not "
                          f"{len(contours)}; use integrate_product for more")
     one_or_two = integrate if len(contours) == 1 else integrate2
-    return one_or_two(f, *contours, tol=tol, max_nodes=max_nodes,
-                      full_output=full_output)
+    return one_or_two(f, *contours, max_nodes=MAX_NODES_ND)
 
 
 def integrate_product(ones, pair, contours, tol=1e-9, max_nodes=None,

@@ -11,10 +11,8 @@ draws as one batched `apply_via_contour` call per (n, r) shape, the 33
 quadrature moments as one `integrate` call over a batch of circles, and the
 power sums of each H/H0 draw as one array. A batched draw is still accepted
 at its own doubling, and every check keeps its row, name and tolerance.
-Tolerances are literals, but the eigenrelation and contour-action batteries
-take a `tol` and `draws`, which tests set to force a failure or shrink a run.
-A row's worst case is folded with `np.maximum`, which keeps a NaN, so a
-check that gives NaN fails its row.
+Tolerances and draw counts are literals. A row's worst case is folded with
+`np.maximum`, which keeps a NaN, so a check that gives NaN fails its row.
 """
 
 import time
@@ -102,7 +100,7 @@ def battery_symfunc(seed=0):
 # Macdonald operators
 # ---------------------------------------------------------------------------
 
-def battery_eigenrelation(seed=0, tol=1e-10, draws=50):
+def battery_eigenrelation(seed=0):
     """Schur eigenrelation battery at t = q.
 
     Schur polynomials diagonalize the difference operators only on the
@@ -117,7 +115,7 @@ def battery_eigenrelation(seed=0, tol=1e-10, draws=50):
     (single-box shapes, n = 1).
     """
     rng = np.random.default_rng(seed)
-    qs, points = [], {2: [], 3: []}
+    qs, points, draws = [], {2: [], 3: []}, 50
     for _ in range(draws):
         qs.append((0.1 + 0.6 * rng.random()) * np.exp(2j * np.pi * rng.random()))
         for n in (2, 3):
@@ -140,8 +138,8 @@ def battery_eigenrelation(seed=0, tol=1e-10, draws=50):
     qneq = (0.2 + 0.4 * rng.random()) * np.exp(2j * np.pi * rng.random())
     (worst_box,), = macdonald.eigen_residual([(1,)], [0.4, 0.2], [1], qneq, tneq)
     return [_row(f"eigenrelation |lam|<=5, n in 2..3, {draws} random annulus q=t",
-                 worst, tol, counts),
-            _row("single-box eigenrelation at t != q", worst_box, tol)]
+                 worst, 1e-10, counts),
+            _row("single-box eigenrelation at t != q", worst_box, 1e-10)]
 
 
 def _convergence(info):
@@ -152,7 +150,7 @@ def _convergence(info):
             "grid_points": info["grid_points"], "radii": list(info["radii"])}
 
 
-def battery_contour_action(seed=0, tol=1e-8, draws=20):
+def battery_contour_action(seed=0):
     """`apply_via_contour` against `apply_direct` on random product forms.
 
     Each draw is a point set, a Cauchy product form and q, with its direct
@@ -163,7 +161,7 @@ def battery_contour_action(seed=0, tol=1e-8, draws=20):
     draws, their number (`draws`) and the quadrature's evaluated
     `grid_points`."""
     rng = np.random.default_rng(seed)
-    shapes = {}
+    shapes, draws = {}, 20
     for _ in range(draws):
         n = int(rng.integers(2, 4))
         xs = sorted(rng.uniform(0.15, 0.85, n).tolist())
@@ -184,7 +182,7 @@ def battery_contour_action(seed=0, tol=1e-8, draws=20):
         max_nodes = max(max_nodes, int(np.max(info["nodes"])))
         max_last_delta = np.maximum(max_last_delta, np.max(info["last_delta"]))
         grid_points += info["grid_points"]
-    return [_row(f"contour action vs direct, {draws} product-form draws", worst, tol,
+    return [_row(f"contour action vs direct, {draws} product-form draws", worst, 1e-8,
                  {"max_nodes": max_nodes, "max_last_delta": float(max_last_delta),
                   "draws": draws, "grid_points": grid_points})]
 

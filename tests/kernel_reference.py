@@ -115,7 +115,7 @@ def dense(spec, pts, cfg, n):
 
 def reference(spec, pts, cfg):
     """The dense sums of the `integrated` entries doubled from
-    cfg.start_nodes under `quadrature.converge` as `assemble_kernel` doubles
+    kernels.START_NODES under `quadrature.converge` as `assemble_kernel` doubles
     its own: lists of each entry's accepted value (0 where not integrated),
     the doubling at which it was accepted and its last-doubling delta.
     An entry not converged at cfg.max_nodes raises the QuadratureError that
@@ -127,9 +127,10 @@ def reference(spec, pts, cfg):
 
     def failure(e, k):
         p, q, blk = np.unravel_index(e, (d, d, 3))
-        n = cfg.start_nodes << k
+        n = kernels.START_NODES << k
         return (f"kernel entry {kernels._BLOCKS[blk]}[{p},{q}] did not converge "
                 f"at ({n}, {n}) nodes")
     return quad.converge(
-        lambda k, live: [_sums(groups, 3 * d * d, cfg.start_nodes << k, live & kept)],
-        3 * d * d, cfg.start_nodes, cfg.max_nodes, cfg.quad_tol, failure)
+        lambda k, live: [_sums(groups, 3 * d * d, kernels.START_NODES << k,
+                               live & kept)],
+        3 * d * d, kernels.START_NODES, cfg.max_nodes, cfg.quad_tol, failure)

@@ -23,8 +23,7 @@ call of that name in the same files; a call with *args or **kwargs passes
 every parameter it could reach. A call through a local alias counts as a
 call of each name the alias is bound to: `name = f`, `name = f if c else
 g`, and a loop `for a, f in ((x, f), (y, g))` over a literal tuple of
-tuples. `TEST_ONLY_OPTIONS` lists the few options that only tests set, each
-with its reason.
+tuples. There are no exceptions: an option that only tests set goes.
 
     python tests/test_callers.py --lines
 
@@ -146,24 +145,6 @@ def test_every_reference_to_a_shared_method_name_is_listed():
                for (caller, name), owner in SHARED_METHOD_CALLS.items())
 
 
-# (qualified name, parameter): options that only tests set, and why
-TEST_ONLY_OPTIONS = {
-    ("verify.battery_eigenrelation", "tol"): "tests force a failing row",
-    ("verify.battery_eigenrelation", "draws"): "tests shrink the run",
-    ("verify.battery_contour_action", "tol"): "tests force a failing row",
-    ("verify.battery_contour_action", "draws"): "tests shrink the run",
-    ("macdonald.apply_via_contour", "tol"): "tests tighten the quadrature",
-    ("macdonald.iterated_action_Z", "tol"): "tests tighten the quadrature",
-    ("macdonald.iterated_action_F", "tol"): "tests tighten the quadrature",
-    # q-extraction, their only package caller, became series arithmetic; the
-    # benchmark's tracer still names integrate_n, which ROADMAP item 9 deletes
-    ("quadrature.circle", "nodes"): "tests start a circle at their own count",
-    ("quadrature.integrate_n", "tol"): "tests tighten the quadrature",
-    ("quadrature.integrate_n", "max_nodes"): "tests cap the doubling",
-    ("quadrature.integrate_n", "full_output"): "tests read the node counts",
-}
-
-
 def _options(path):
     """(qualified name, call name, positional parameters, optional
     parameters) of each function, method and class constructor of a package
@@ -263,13 +244,9 @@ def unpassed():
 
 
 def test_every_option_is_passed_by_a_caller():
-    stray = [option for option in unpassed() if option not in TEST_ONLY_OPTIONS]
+    stray = unpassed()
     assert not stray, "only tests set " + ", ".join(
         f"{qualified}({param})" for qualified, param in stray)
-
-
-def test_every_listed_option_is_still_only_set_by_tests():
-    assert set(TEST_ONLY_OPTIONS) <= set(unpassed())
 
 
 def code_lines(path):

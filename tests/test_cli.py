@@ -689,7 +689,7 @@ _BASE = {"process": {"rho_plus": [[0.5]], "rho_minus": [[0.5]]},
          "points": [[1, 0]]}
 CONFIG_FAULTS = {
     "max_nodes below one doubling": {**_BASE, "kernel": {"max_nodes": 100}},
-    "start_nodes not a power of two": {**_BASE, "kernel": {"start_nodes": 48}},
+    "leftover kernel.start_nodes": {**_BASE, "kernel": {"start_nodes": 64}},
     "top level not an object": [_BASE],
     "non-numeric truncation_weight": {**_BASE, "truncation_weight": "forty"},
     "empty specialization family": {
@@ -697,7 +697,6 @@ CONFIG_FAULTS = {
     "nan quad_tol": {**_BASE, "kernel": {"quad_tol": "nan"}},
     "unknown radius name": {**_BASE, "kernel": {"radii": {"k_11": 1.5}}},
     "non-integral truncation_weight": {**_BASE, "truncation_weight": 30.7},
-    "non-integral start_nodes": {**_BASE, "kernel": {"start_nodes": 64.5}},
     "non-integral max_nodes": {**_BASE, "kernel": {"max_nodes": 256.5}},
     "non-integral seed": {**_BASE, "seed": 3.5},
     "boolean truncation_weight": {**_BASE, "truncation_weight": True},
@@ -743,7 +742,7 @@ CONFIG_FAULTS = {
     "leftover quadrature section": {
         **_BASE, "quadrature": {"tol": 1e-9, "start_nodes": 64}},
     "two kernel faults": {
-        **_BASE, "kernel": {"sign_convention": None, "start_nodes": 48}},
+        **_BASE, "kernel": {"sign_convention": None, "max_nodes": 100}},
     "list kernel switch": {**_BASE, "kernel": {"h_assignment": ["slot"]}},
 }
 # the config-error line of faults whose text names the field and the value
@@ -765,8 +764,9 @@ FAULT_LINES = {
     "misspelled kernel key": "config error: kernel.sign_conventoin: unknown key",
     "extra process key": "config error: process.rho_zero: unknown key",
     "leftover quadrature section": "config error: quadrature: unknown key",
+    "leftover kernel.start_nodes": "config error: kernel.start_nodes: unknown key",
     "two kernel faults": "config error: kernel: unknown sign_convention None; "
-                         "start_nodes must be a power of two >= 8",
+                         "max_nodes must allow one doubling of the 64 start nodes",
     "list kernel switch": "config error: kernel: unknown h_assignment ['slot']",
 }
 
@@ -794,7 +794,7 @@ def test_integral_floats_are_accepted_as_integers(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**_BASE, "truncation_weight": 20.0, "seed": 3.0,
                                "points": [[1.0, 2.0]],
-                               "kernel": {"start_nodes": 64.0, "max_nodes": 256.0}}))
+                               "kernel": {"max_nodes": 256.0}}))
     out = tmp_path / "report.json"
     assert run_cli(["correlate", "--config", str(cfg), "--method", "oracle",
                     "--out", str(out)]) == 0
@@ -923,11 +923,10 @@ def _q_extraction(tmp_path, process, points, kernel=None):
 
 
 def test_q_extraction_does_not_read_the_node_counts(tmp_path):
-    # the coefficients are finite sums, so start_nodes and max_nodes,
-    # validated as for the kernel, leave the report as it is
+    # the coefficients are finite sums, so max_nodes, validated as for the
+    # kernel, leaves the report as it is
     reports = []
-    for kernel in ({}, {"start_nodes": 16, "max_nodes": 48},
-                   {"start_nodes": 8, "max_nodes": 16}):
+    for kernel in ({}, {"max_nodes": 128}, {"max_nodes": 256}):
         cfg = _shipped_config(tmp_path, "m1_twovar", kernel=kernel)
         out = tmp_path / "report.json"
         assert run_cli(["correlate", "--config", str(cfg), "--method", "q-extraction",
@@ -970,10 +969,9 @@ def test_q_extraction_with_every_point_stripped_reports_one(tmp_path):
 
 def test_q_extraction_refuses_cancelling_terms(tmp_path, capsys):
     # m1_twovar's process at (1, 10), where the q-circle quadrature did not
-    # converge at 16 nodes: exact under any node cap
+    # converge at 16 nodes: exact under the smallest node cap
     process = {"rho_plus": [[0.5, 0.25]], "rho_minus": [[0.5, 0.25]]}
-    code, out = _q_extraction(tmp_path, process, [[1, 10]],
-                              {"start_nodes": 8, "max_nodes": 16})
+    code, out = _q_extraction(tmp_path, process, [[1, 10]], {"max_nodes": 128})
     assert code == 0
     row, = read_report(out)["results"]
     oracle = correlation_oracle(ProcessSpec.from_json(process), [(1, 10)], L=60)

@@ -27,8 +27,8 @@ from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 from kernel_reference import reference  # noqa: E402
 from pfschur import verify  # noqa: E402
 from pfschur.kernels import (CONVENTIONS, SIGN_BR, SIGN_PAPER,  # noqa: E402
-                             KernelConfig, _inadmissible_radii, _radii_at,
-                             _resolved_radii, assemble_kernel)
+                             START_NODES, KernelConfig, _inadmissible_radii,
+                             _radii_at, _resolved_radii, assemble_kernel)
 from pfschur.measures import PointSet, ProcessSpec  # noqa: E402
 from pfschur.quadrature import QuadratureError  # noqa: E402
 
@@ -82,7 +82,7 @@ def _assert_blocks_match(spec, T, cfg):
     value, step, _ = reference(spec, pts, cfg)
     d = len(pts)
     V = np.reshape(value, (d, d, 3))
-    nodes = cfg.start_nodes << np.reshape(step, (d, d, 3))
+    nodes = START_NODES << np.reshape(step, (d, d, 3))
     # the lower entries are minus the upper ones, the diagonal 0
     assert np.array_equal(K, -K.T)
     k22 = 1 if cfg.sign_convention == SIGN_PAPER else -1

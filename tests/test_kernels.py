@@ -217,7 +217,7 @@ def test_d1_integrates_k12_alone_on_two_circles(monkeypatch):
         return nodes_weights(contour, n, batch)
     monkeypatch.setattr(kernels.quad, "nodes_weights", spy)
     K, info = assemble_kernel(spec, PointSet(raw["points"]), CFG, full_output=True)
-    first = 4 * CFG.start_nodes
+    first = 4 * kernels.START_NODES
     assert info["nodes"] == {"K12[0,0]": (128, 128)}
     assert info["node_evaluations"] == 2 * (first // 2 + 1)
     radii = info["radii"]
@@ -370,7 +370,7 @@ def test_radius_sweep_trials_keep_every_other_field(monkeypatch):
         return 0.0, dict.fromkeys(
             ("max_last_delta", "rel_last_delta", "nodes", "node_evaluations"))
     monkeypatch.setattr(kernels, "correlation_via_kernel", record)
-    cfg = KernelConfig(quad_tol=1e-7, start_nodes=32, max_nodes=2 ** 10,
+    cfg = KernelConfig(quad_tol=1e-7, max_nodes=2 ** 10,
                        sign_convention=SIGN_BR, h_assignment="display",
                        k12_regime="literal")
     radius_sweep(SPEC_M1, [(1, 0)], cfg)

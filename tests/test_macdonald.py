@@ -88,7 +88,7 @@ def test_eigen_residual_of_many_partitions_matches_one_at_a_time():
 
 def test_eigen_residual_battery():
     from pfschur.verify import battery_eigenrelation
-    rows = battery_eigenrelation(seed=123, draws=10)
+    rows = battery_eigenrelation(seed=123)
     assert all(r["pass"] for r in rows)
 
 
@@ -227,7 +227,7 @@ def test_contour_action_q_to_one_limit():
 
 def test_contour_action_random_battery():
     from pfschur.verify import battery_contour_action
-    rows = battery_contour_action(seed=5, draws=8)
+    rows = battery_contour_action(seed=5)
     assert all(r["pass"] for r in rows)
 
 
@@ -396,13 +396,13 @@ def test_contour_action_r2_is_integrate2_of_the_old_integrand():
     q = 0.35 + 0.1j
     xs = [0.5, 0.3, 0.15]
     G = standard_G([0.25, 0.1])
-    for tol in (1e-9, 1e-12):
-        value, info = apply_via_contour(G, xs, 2, q, tol=tol, full_output=True)
-        contour = quad.circles_around(xs, info["radius"], nodes=4)
-        ref, ref_info = quad.integrate2(_old_contour_integrand(G, xs, q), contour,
-                                        contour, tol=tol, full_output=True)
-        assert info["nodes"] == ref_info["nodes"]
-        assert _close(value, G.value(xs) * q / (2 * (q - 1) ** 2) * ref)
+    value, info = apply_via_contour(G, xs, 2, q, full_output=True)
+    contour = quad.circles_around(xs, info["radius"], nodes=4)
+    ref, ref_info = quad.integrate2(_old_contour_integrand(G, xs, q), contour,
+                                    contour, tol=macdonald.ACTION_TOL,
+                                    full_output=True)
+    assert info["nodes"] == ref_info["nodes"]
+    assert _close(value, G.value(xs) * q / (2 * (q - 1) ** 2) * ref)
 
 
 @pytest.mark.parametrize("action, mode", [
@@ -437,7 +437,7 @@ def test_contour_action_r3_matches_direct():
     xs = [0.7, 0.45, 0.2]
     G = standard_G([0.25, 0.1])
     direct = apply_direct(G, xs, 3, q)
-    value, info = apply_via_contour(G, xs, 3, q, tol=1e-8, full_output=True)
+    value, info = apply_via_contour(G, xs, 3, q, full_output=True)
     assert abs(value - direct) < 1e-8 * abs(direct)
     assert info["nodes"] == (8, 8, 8)
 
@@ -455,7 +455,7 @@ def test_contour_action_random_draws_match_direct():
                 G = standard_G(rng.uniform(0.05, 0.5, 2))
                 q = rng.uniform(0.2, 0.7) * np.exp(2j * np.pi * rng.random())
                 direct = apply_direct(G, list(xs), r, q)
-                value = apply_via_contour(G, list(xs), r, q, tol=1e-9)
+                value = apply_via_contour(G, list(xs), r, q)
                 assert abs(value - direct) < 1e-8 * abs(direct), (n, r, xs, q)
 
 
@@ -507,16 +507,17 @@ def test_contour_battery_is_one_batched_call_per_shape(monkeypatch):
     assert row["pass"] and row["max_nodes"] == 8
 
 
-def test_contour_action_over_a_batch_names_the_draw_that_failed():
+def test_contour_action_over_a_batch_names_the_draw_that_failed(monkeypatch):
     rng = np.random.default_rng(1519)
     xs, ys, q = contour_draws(rng, 2, 3)
+    monkeypatch.setattr(macdonald, "ACTION_TOL", 0)  # no estimate can meet it
     with pytest.raises(quad.QuadratureError) as exc:
-        apply_via_contour(ProductFormFunction(list(ys.T)), list(xs.T), 1, q, tol=0)
+        apply_via_contour(ProductFormFunction(list(ys.T)), list(xs.T), 1, q)
     assert str(exc.value).startswith(
         "contour action r=1: contour integral did not converge at 32768 "
         "nodes/circle (draw 0 of 3)")
     with pytest.raises(quad.QuadratureError) as alone:
-        apply_via_contour(standard_G(ys[0]), list(xs[0]), 1, q[0], tol=0)
+        apply_via_contour(standard_G(ys[0]), list(xs[0]), 1, q[0])
     assert all(_close(a, b) for a, b in zip(exc.value.estimates, alone.value.estimates))
 
 
@@ -573,16 +574,17 @@ def test_contour_circles_stay_inside_the_unit_disk():
     assert abs(apply_via_contour(G, [0.882], 1, q) - direct) < 1e-12 * abs(direct)
 
 
-def test_contour_action_names_the_integral_that_failed():
+def test_contour_action_names_the_integral_that_failed(monkeypatch):
     G = standard_G([0.25, 0.1])
+    monkeypatch.setattr(macdonald, "ACTION_TOL", 0)  # no estimate can meet it
     with pytest.raises(quad.QuadratureError) as exc:
-        apply_via_contour(G, [0.5, 0.3], 1, 0.35 + 0.1j, tol=0)
+        apply_via_contour(G, [0.5, 0.3], 1, 0.35 + 0.1j)
     assert str(exc.value).startswith(
         "contour action r=1: contour integral did not converge at 32768 nodes")
     prev, last = exc.value.estimates
     assert abs(prev - last) < 1e-12
     with pytest.raises(quad.QuadratureError) as exc:
-        iterated_action_F([0.35 + 0.1j], [0.5, 0.3], [0.25, 0.1], tol=0)
+        iterated_action_F([0.35 + 0.1j], [0.5, 0.3], [0.25, 0.1])
     assert str(exc.value).startswith("iterated F action qs=(0.35+0.1j): ")
     assert len(exc.value.estimates) == 2
 

@@ -150,6 +150,17 @@ def test_the_merged_marginal_is_exact(T):
     assert abs(value - Fraction(oracle)) <= 1e-14 * oracle
 
 
+@pytest.mark.parametrize("xs, T, want", [
+    ([Fraction(1, 2)], [0, 1], 0),                  # one x: no pair at d = 2
+    ([Fraction(1, 2), Fraction(1, 3)], [-5], 1),    # every point stripped
+])
+def test_a_value_of_no_terms_is_in_the_inputs_type(xs, T, want):
+    exact = correlation_via_q_extraction(xs, [], T)
+    assert type(exact) is Fraction and exact == want
+    value = correlation_via_q_extraction([float(x) for x in xs], [], T)
+    assert type(value) is float and value == want
+
+
 def test_q_extraction_refuses_coincident_merged_values():
     # rho^+_1 = rho^+_2 merge to x = (0.3, 0.3) at level 1, where the
     # residue sum has a double pole

@@ -48,8 +48,8 @@ def test_nodes_reuse_one_read_only_array_of_roots_of_unity():
 
 def test_union_additivity():
     f = lambda z: 1 / (z - 0.5) + 1 / (z - 3)
-    c1 = circle(0.3, center=0.5)
-    c2 = circle(0.3, center=3.0)
+    c1 = ContourSpec((Circle(0.5, 0.3),))
+    c2 = ContourSpec((Circle(3.0, 0.3),))
     u = ContourSpec(c1.circles + c2.circles)
     assert abs(integrate(f, u) - integrate(f, c1) - integrate(f, c2)) < 1e-13
 
@@ -80,7 +80,7 @@ def test_integrate_n_rejects_three_or_more_contours():
 
 
 def test_nonconvergence_raises_with_estimates():
-    c = circle(1.0, nodes=8)
+    c = ContourSpec((Circle(0j, 1.0),), 8)
     with pytest.raises(QuadratureError) as exc:
         integrate(lambda z: 1 / (z - 1.0001), c, tol=1e-13, max_nodes=64)
     assert len(exc.value.estimates) == 2
@@ -225,17 +225,19 @@ def test_contour_validation():
         ContourSpec((), nodes=64)
 
 
-def test_integrate_n_passes_its_cap_to_one_and_two_contours():
+def test_integrate_n_passes_its_cap_to_one_and_two_contours(monkeypatch):
     nodes = []
 
     def f(z, w=None):
         nodes.append(np.size(z))
         return 1 / (z - 1.001) if w is None else 1 / ((z - 1.001) * w)
-    c = circle(1.0, nodes=8)
+    c = ContourSpec((Circle(0j, 1.0),), 8)
+    # the cap is read at each call
+    monkeypatch.setattr(quadrature, "MAX_NODES_ND", 64)
     for contours in ([c], [c, c]):
         nodes.clear()
         with pytest.raises(QuadratureError) as exc:
-            integrate_n(f, contours, tol=1e-13, max_nodes=64)
+            integrate_n(f, contours)
         assert max(nodes) == 64
         assert "at 64 nodes/circle" in str(exc.value)
 
@@ -243,12 +245,13 @@ def test_integrate_n_passes_its_cap_to_one_and_two_contours():
 def test_nonconvergence_names_the_nodes_reached():
     # a cap that is not a power of two: the last estimate was at 64 nodes
     with pytest.raises(QuadratureError) as exc:
-        integrate(lambda z: 1 / (z - 1.0001), circle(1.0, nodes=64), tol=1e-13,
-                  max_nodes=100)
+        integrate(lambda z: 1 / (z - 1.0001), ContourSpec((Circle(0j, 1.0),), 64),
+                  tol=1e-13, max_nodes=100)
     assert "at 64 nodes/circle" in str(exc.value)
     with pytest.raises(QuadratureError) as exc:
-        integrate2(lambda z, w: 1 / ((z - 1.0001) * w), circle(1.0, nodes=16),
-                   circle(1.0, nodes=16), tol=1e-13, max_nodes=100)
+        integrate2(lambda z, w: 1 / ((z - 1.0001) * w),
+                   ContourSpec((Circle(0j, 1.0),), 16),
+                   ContourSpec((Circle(0j, 1.0),), 16), tol=1e-13, max_nodes=100)
     assert "at 64 nodes/circle" in str(exc.value)
 
 
@@ -267,7 +270,7 @@ def test_integrate_product_d2_is_integrate2_of_the_product():
     core = lambda z, w: (z - w) / (z * w - 4)
     gz, gw = (lambda z: 1 / (z - 0.3)), (lambda w: w ** 2 / (w - 0.2))
     f = lambda z, w: core(z, w) * gz(z) * gw(w)
-    c1, c2 = circles_around([0.3, -0.5], 0.1), circle(0.6, nodes=32)
+    c1, c2 = circles_around([0.3, -0.5], 0.1), ContourSpec((Circle(0j, 0.6),), 32)
     got, info = integrate_product([gz, gw], lambda j, k, z, w: core(z, w),
                                   [c1, c2], tol=1e-12, full_output=True)
     product, product_info = integrate2(f, c1, c2, tol=1e-12, full_output=True)
@@ -294,7 +297,8 @@ def d3_pair(j, k, a, b):
 def test_integrate_product_d3_is_its_residue_sum():
     # the poles inside: z0 = 0.3 (residue 1), z1 = -0.4 (residue -0.4) and
     # z2 = 0, 0.1 (residues -10, 10); every pair factor is regular there
-    contours = [circles_around([0.3, -0.4], 0.15, nodes=16), circle(0.7, nodes=16),
+    contours = [circles_around([0.3, -0.4], 0.15, nodes=16),
+                ContourSpec((Circle(0j, 0.7),), 16),
                 circles_around([0.1, 0.0], 0.05, nodes=16)]
 
     def P(a, b, c):
@@ -316,7 +320,8 @@ def _counting(pair):
 
 
 def test_integrate_product_d3_evaluates_its_last_pair_grid_once_per_doubling():
-    contours = [circles_around([0.3, -0.4], 0.15, nodes=16), circle(0.7, nodes=32),
+    contours = [circles_around([0.3, -0.4], 0.15, nodes=16),
+                ContourSpec((Circle(0j, 0.7),), 32),
                 circles_around([0.1, 0.0], 0.05, nodes=8)]
     pair, sizes = _counting(d3_pair)
     _, info = integrate_product(D3_ONES, pair, contours, tol=1e-11,
@@ -330,7 +335,8 @@ def test_integrate_product_d3_evaluates_its_last_pair_grid_once_per_doubling():
 
 
 def test_integrate_product_column_blocks_give_the_same_estimate(monkeypatch):
-    contours = [circles_around([0.3, -0.4], 0.15, nodes=16), circle(0.7, nodes=16),
+    contours = [circles_around([0.3, -0.4], 0.15, nodes=16),
+                ContourSpec((Circle(0j, 0.7),), 16),
                 circles_around([0.1, 0.0], 0.05, nodes=16)]
     want, want_info = integrate_product(D3_ONES, d3_pair, contours, tol=1e-11,
                                         full_output=True)
@@ -351,7 +357,8 @@ def test_a_plain_circle_among_batched_contours_is_broadcast_to_the_batch(d):
     # each contour in turn plain, the others over a batch of three radii:
     # the integral is the one with that circle repeated in every draw
     scale = np.array([1.0, 0.9, 0.8])
-    plain = [circles_around([0.3, -0.4], 0.15, nodes=8), circle(0.7, nodes=8),
+    plain = [circles_around([0.3, -0.4], 0.15, nodes=8),
+             ContourSpec((Circle(0j, 0.7),), 8),
              circles_around([0.1, 0.0], 0.05, nodes=8)][3 - d:]
     ones = D3_ONES[3 - d:]
 
@@ -384,7 +391,8 @@ def test_one_d3_estimate_at_the_cap_stays_within_64_MiB():
     tracemalloc.start()
     try:
         with pytest.raises(QuadratureError):
-            integrate_product(D3_ONES, d3_pair, [circle(0.5, nodes=n)] * 3)
+            integrate_product(D3_ONES, d3_pair,
+                              [ContourSpec((Circle(0j, 0.5),), n)] * 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -423,9 +431,9 @@ def test_batched_circles_give_each_draw_its_own_integral_in_bounded_blocks():
     assert info["grid_points"] == sum(sizes)
     for b in range(3):
         want, alone = integrate2(lambda z, w: integrand(z, w, p[b]),
-                                 circle(radii[b], centers[b], nodes=64),
-                                 circle(2 * radii[b], nodes=64), tol=1e-12,
-                                 full_output=True)
+                                 ContourSpec((Circle(centers[b], radii[b]),)),
+                                 ContourSpec((Circle(0j, 2 * radii[b]),)),
+                                 tol=1e-12, full_output=True)
         assert abs(got[b] - want) <= 1e-13 * abs(want)
         assert info["nodes"][b] == alone["nodes"]
 
@@ -521,15 +529,16 @@ S = np.array([1.0, 0.9, 0.8])  # per-draw radius scale of the batched cases
 # contours, tolerance and the node counts at acceptance, as each contour
 # doubled one grid per count before the first pass served two
 FOLD_CASES = {
-    "integrate": ([circle(0.8, nodes=8)], 1e-12, 64),
+    "integrate": ([ContourSpec((Circle(0j, 0.8),), 8)], 1e-12, 64),
     "integrate batched": ([ContourSpec((Circle(0j, 0.8 * S),), 8)], 1e-12,
                           [64, 128, 128]),
-    "integrate2": ([circle(0.6, nodes=8), circle(1.0, nodes=16)], 1e-12, (128, 256)),
+    "integrate2": ([ContourSpec((Circle(0j, 0.6),), 8),
+                    ContourSpec((Circle(0j, 1.0),), 16)], 1e-12, (128, 256)),
     "integrate2 batched": ([ContourSpec((Circle(0j, 0.6 * S),), 8),
                             ContourSpec((Circle(0j, 1.2 * S),), 8)], 1e-12,
                            [(128, 128), (128, 128), (128, 128)]),
     "integrate_product d=3": ([circles_around([0.3, -0.4], 0.15, nodes=8),
-                               circle(0.7, nodes=16),
+                               ContourSpec((Circle(0j, 0.7),), 16),
                                circles_around([0.1, 0.0], 0.05, nodes=8)], 1e-11,
                               (64, 128, 64)),
     "integrate_product d=3 batched": ([circles_around([0.3, -0.4], 0.15 * S, nodes=8),

@@ -12,7 +12,7 @@ from pfschur.measures import PointSet, ProcessSpec
 SPEC = ProcessSpec([[0.4], [0.3]], [[0.35], [0.25]])
 POINTS = PointSet([(1, 0), (2, 0)])
 # every field away from its default, so a flip that dropped one would show
-CFG = KernelConfig(quad_tol=1e-7, start_nodes=32, max_nodes=2 ** 10,
+CFG = KernelConfig(quad_tol=1e-7, max_nodes=2 ** 10,
                    h_assignment="display", k12_regime="literal", radii={"k22": 0.7})
 
 
@@ -376,7 +376,7 @@ def test_a_nan_eigenrelation_check_fails_its_row(monkeypatch):
         res.flat[0] = np.nan
         return res, info
     _first_call_nan(monkeypatch, verify.macdonald, "eigen_residual", poison)
-    row, box = verify.battery_eigenrelation(draws=3)
+    row, box = verify.battery_eigenrelation()
     assert np.isnan(row["value"]) and not row["pass"]
 
 
@@ -388,7 +388,7 @@ def test_a_nan_contour_action_check_fails_its_row(monkeypatch):
         return contour, {**info, "last_delta": np.full(np.shape(info["last_delta"]),
                                                        np.nan)}
     _first_call_nan(monkeypatch, verify.macdonald, "apply_via_contour", poison)
-    row, = verify.battery_contour_action(draws=6)
+    row, = verify.battery_contour_action()
     assert np.isnan(row["value"]) and not row["pass"]
     assert np.isnan(row["max_last_delta"])
 
