@@ -6,8 +6,8 @@ point, q and t may be numbers or arrays over a batch of points: the subset
 weights are the same arithmetic either way and broadcast over the batch.
 `eigen_residual` checks the Schur eigenrelation on it for many partitions,
 several orders and a batch of points at once: one direct action per order
-on the table of Schur values that `symfunc.schur_table` gives at each
-shifted point set of the whole batch, with the Schur values at xs, the
+on one table of Schur values, which `symfunc.schur_table` gives at the 2^n
+shift patterns of the whole batch at once, with the Schur values at xs, the
 spectra and every e_r computed once. The contour routes need care with
 which poles a contour encloses:
 
@@ -106,8 +106,10 @@ def apply_direct(F, xs, r, q, t=None):
     case). Each coordinate, and q and t, is a number or an array over one
     batch of points; the subset weights broadcast over the batch, so F is
     called once per subset with the shifted coordinates of the whole batch
-    and may return values of shape (...,) + batch. Coincident points are
-    rejected: the subset weights have poles at x_i = x_j.
+    and may return values of shape (...,) + batch; the coordinates a subset
+    does not shift reach F as the objects `_coordinates` makes of xs.
+    Coincident points are rejected: the subset weights have poles at
+    x_i = x_j.
     """
     if t is None:
         t = q
@@ -134,7 +136,15 @@ def apply_direct(F, xs, r, q, t=None):
 def eigenvalue(lam, n, r, q):
     """e_r evaluated at the spectrum (q^{lam_1} t^{n-1}, ..., q^{lam_n} t^0)
     at t = q, where the Schur polynomials are the eigenfunctions."""
-    return complex(_elementary([tuple(lam)], n, r, q, q)[r][0])
+    lam = tuple(lam)
+    _check_rows([lam], n)
+    _check_order(r, n)
+    return complex(_elementary([lam], n, r, q, q)[r][0])
+
+
+def _check_rows(lams, n):
+    if any(len(lam) > n for lam in lams):
+        raise ValueError("partition has more rows than variables")
 
 
 def _elementary(lams, n, top, q, t):
@@ -161,33 +171,39 @@ def eigen_residual(lams, xs, orders, q, t=None, full_output=False):
     partition in lams; each is relative to the scale |s_lam(xs)| + 1.
 
     xs, q and t may be batched as in `apply_direct`, and the result has
-    shape (len(orders), len(lams)) + batch. One direct action per order
-    serves every partition and every point of the batch: `apply_direct`
-    acts on the table `symfunc.schur_table` gives at each shifted point
-    set. The Schur values at xs, the spectra and e_1 ... e_max(orders) are
-    computed once for all orders. With full_output, also returns the number
-    of point sets evaluated (`point_sets`) and of Schur values computed
-    (`schur_values`).
+    shape (len(orders), len(lams)) + batch. One `symfunc.schur_table` call
+    serves every partition, every order and every point of the batch: it
+    takes the 2^n shift patterns of xs stacked on a leading axis, pattern m
+    shifting x_i to q x_i for each bit i of m, and one direct action per
+    order acts on it, its F returning the slice of the pattern of the point
+    it receives. The Schur values at xs, the spectra and e_1 ...
+    e_max(orders) are computed once for all orders. With full_output, also
+    returns the number of point sets evaluated (`point_sets`, 2^n times the
+    batch) and of Schur values computed (`schur_values`).
     """
     if t is None:
         t = q
+    xs = _coordinates(xs)
     n = len(xs)
     lams = [tuple(lam) for lam in lams]
-    if any(len(lam) > n for lam in lams):
-        raise ValueError("partition has more rows than variables")
+    _check_rows(lams, n)
     orders = list(orders)
-    counts = {"point_sets": 0, "schur_values": 0}
+    batch = np.broadcast_shapes(np.shape(q), np.shape(t), *map(np.shape, xs))
+    m = np.arange(2 ** n).reshape((-1,) + (1,) * len(batch))
+    # q * x as apply_direct shifts it, so that each slice is bitwise the
+    # table at the point set apply_direct hands F
+    table = schur_table(lams, [np.where(m >> i & 1, q * x, x) for i, x in enumerate(xs)])
 
     def F(v):
-        table = schur_table(lams, v)
-        counts["point_sets"] += int(np.prod(table.shape[1:]))
-        counts["schur_values"] += table.size
-        return table
-    sval = F(xs)
-    e = _elementary(lams, n, max(orders, default=0), q, t)
+        # apply_direct passes the unshifted coordinates on as they are
+        return table[:, sum(1 << i for i in range(n) if v[i] is not xs[i])]
+    sval = table[:, 0]
+    e = _elementary(lams, n, max(orders, default=0), np.broadcast_to(q, batch),
+                    np.broadcast_to(t, batch))
     res = np.array([np.abs(apply_direct(F, xs, r, q, t) - e[r] * sval)
                     / (np.abs(sval) + 1.0)
                     for r in orders]).reshape((len(orders),) + sval.shape)
+    counts = {"point_sets": math.prod(table.shape[1:]), "schur_values": table.size}
     return (res, counts) if full_output else res
 
 

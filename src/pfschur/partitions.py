@@ -108,7 +108,8 @@ class HorizontalStrips:
         return h
 
 
-# Bytes of one gathered grid block of `_chain_sums`: as quadrature's 64 KiB
+# Bytes of one gathered grid block of `_chain_sums`, and of each temporary
+# of a column block of `symfunc.schur_table`: as quadrature's 64 KiB
 # blocks, under glibc's 128 KiB mmap threshold, so that the temporaries of
 # a large grid are reused from the heap instead of being mapped and
 # unmapped on every transfer.

@@ -10,8 +10,9 @@ LAPACK. The h-tables and the (partition, specialization) evaluations are
 memoized because the verify batteries and the per-sequence
 `measures.process_weight` reach the same cells many times. `schur_table`
 evaluates many partitions at a batch of point sets as arrays, with no memo
-and no LAPACK call: it expands the determinants itself, so `schur` stays an
-independent check of it.
+and no LAPACK call: it expands the determinants itself, each minor of the
+bottom rows once for all the partitions that share those rows, so `schur`
+stays an independent check of it.
 """
 
 import math
@@ -21,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .partitions import even_conjugate_subpartitions, horizontal_strips
+from .partitions import _GRID_BYTES, even_conjugate_subpartitions, horizontal_strips
 
 
 class DivergenceError(ValueError):
@@ -99,12 +100,16 @@ def schur_table(lams, point):
     with zero rows to the longest, ell rows, which leaves its Jacobi-Trudi
     determinant unchanged (the padding block is unitriangular), and the
     determinants are expanded along their rows from the last up
-    (`_expansion`), one array pass per row over every partition, every
-    minor and the whole batch. That is ell 2^(ell-1) products per value and
-    no LAPACK call; the values stay within 2e-15 of `schur`'s LAPACK
-    determinants, relative to |s_lam| + 1, up to ell = 6. Nothing is
-    memoized. A row count beyond n gives a rounding-level value, as `schur`
-    does.
+    (`_expansion`), one array pass per row. A minor of the bottom k rows
+    reads only those rows, the suffix lam_{ell-k+1} ... lam_ell, so each
+    pass computes it once per distinct suffix (`_suffix_levels`): k C(ell, k)
+    products per distinct k-row suffix, at most ell 2^(ell-1) per partition,
+    and no LAPACK call. The values are bitwise those of expanding every
+    partition on its own, and stay within 2e-15 of `schur`'s LAPACK
+    determinants, relative to |s_lam| + 1, up to ell = 6. The batch is
+    taken in column blocks that keep each pass's temporaries within
+    `_GRID_BYTES`, at least one column. Nothing is memoized. A row count
+    beyond n gives a rounding-level value, as `schur` does.
     """
     lams = [tuple(lam) for lam in lams]
     ell = max(map(len, lams), default=0)
@@ -119,17 +124,42 @@ def schur_table(lams, point):
     for x in coords.reshape(len(point), size):
         for k in range(1, degree + 1):
             h[k] += x * h[k - 1]
-    lam = np.array([lam + (0,) * (ell - len(lam)) for lam in lams],
-                   dtype=int).reshape(len(lams), ell)
-    minors = np.ones((1, len(lams), size), complex)
+    levels, which = _suffix_levels(lams, ell)
+    column_bytes = max((entries.size * h.itemsize for entries, _ in levels), default=1)
+    width = max(1, _GRID_BYTES // column_bytes)
+    out = np.empty((len(lams), size), complex)
+    for s in range(0, size, width):
+        block = h[:, s:s + width]
+        minors = np.ones((1, block.shape[1]), complex)
+        for entries, rest in levels:
+            terms = block.take(entries, axis=0) * minors.take(rest, axis=0)
+            terms[:, 1::2] *= -1
+            minors = np.add.reduce(terms, axis=1).reshape(-1, block.shape[1])
+        out[:, s:s + width] = minors.take(which, axis=0)
+    return out.reshape((len(lams),) + batch)
+
+
+def _suffix_levels(lams, ell):
+    """The passes of `schur_table`'s expansion over the distinct suffixes of
+    the partitions lams, each padded to ell rows, and the position of each
+    in the last pass's list, as index arrays. Pass k's minors are the rows
+    of a (C(ell, k) x suffixes, columns) array, one per k-subset S of the
+    columns (`_expansion`) and k-row suffix u, in order of first
+    appearance. Its `entries`, of shape (C(ell, k), k, suffixes), index h at
+    row ell - k, column S[p] of u's matrix, h_{u_1 - (ell - k) + S[p]} (a
+    negative index reads the trailing 0), and its `rest` picks from pass
+    k - 1 the minor of S without S[p] on u without its first row."""
+    padded = [lam + (0,) * (ell - len(lam)) for lam in lams]
+    index, levels = {(): 0}, []
     for k, (cols, rest) in enumerate(_expansion(ell), 1):
         i = ell - k
-        # row i, column c of lam's matrix is h_{lam_i - i + c}; a negative
-        # index reads the trailing 0
-        terms = h[np.maximum(lam[:, i] - i + cols[..., None], -1)] * minors[rest]
-        terms[:, 1::2] *= -1
-        minors = np.sum(terms, axis=1)
-    return minors[0].reshape((len(lams),) + batch)
+        suffixes = dict.fromkeys(lam[i:] for lam in padded)
+        first = np.array([u[0] for u in suffixes], int)
+        below = np.array([index[u[1:]] for u in suffixes], int)
+        levels.append((np.maximum(first - i + cols[..., None], -1),
+                       rest[..., None] * len(index) + below))
+        index = {u: a for a, u in enumerate(suffixes)}
+    return levels, np.array([index[lam] for lam in padded], int)
 
 
 @lru_cache(maxsize=None)

@@ -6,10 +6,11 @@ assert on them, and each row counts the evaluations behind its number.
 Randomness is driven by an explicit seed for reproducible reports.
 
 A battery whose checks share one computation takes them as arrays: the
-eigenrelation draws as one `eigen_residual` call per n, the contour-action
-draws as one batched `apply_via_contour` call per (n, r) shape, the 33
-quadrature moments as one `integrate` call over a batch of circles, and the
-power sums of each H/H0 draw as one array. A batched draw is still accepted
+eigenrelation draws as one `eigen_residual` call per n, one Schur table
+each, the contour-action draws as one batched `apply_direct` and one
+batched `apply_via_contour` call per (n, r) shape, the 33 quadrature
+moments as one `integrate` call over a batch of circles, and the power sums
+of each H/H0 draw as one array. A batched draw is still accepted
 at its own doubling, and every check keeps its row, name and tolerance.
 Tolerances and draw counts are literals. A row's worst case is folded with
 `np.maximum`, which keeps a NaN, so a check that gives NaN fails its row.
@@ -150,19 +151,13 @@ def _convergence(info):
             "grid_points": info["grid_points"], "radii": list(info["radii"])}
 
 
-def battery_contour_action(seed=0):
-    """`apply_via_contour` against `apply_direct` on random product forms.
-
-    Each draw is a point set, a Cauchy product form and q, with its direct
-    action computed as it is drawn; the draws are then grouped by their
-    (n, r) shape and checked with one batched `apply_via_contour` call per
-    shape. The row also carries the largest accepted node count
-    (`max_nodes`) and last-doubling delta (`max_last_delta`) over the
-    draws, their number (`draws`) and the quadrature's evaluated
-    `grid_points`."""
+def _contour_draws(seed):
+    """The contour-action battery's 20 draws at seed, in draw order, each
+    (n, r, xs, ys, q): a sorted point set with gaps of at least 0.08, the
+    two ys of a Cauchy product form, and q."""
     rng = np.random.default_rng(seed)
-    shapes, draws = {}, 20
-    for _ in range(draws):
+    draws = []
+    for _ in range(20):
         n = int(rng.integers(2, 4))
         xs = sorted(rng.uniform(0.15, 0.85, n).tolist())
         while min(b - a for a, b in zip(xs, xs[1:])) < 0.08:
@@ -170,21 +165,37 @@ def battery_contour_action(seed=0):
         ys = rng.uniform(0.05, 0.5, 2)
         q = (0.2 + 0.5 * rng.random()) * np.exp(2j * np.pi * rng.random())
         r = int(rng.integers(1, min(n, 2) + 1))
-        direct = macdonald.apply_direct(macdonald.ProductFormFunction(ys), xs, r, q)
-        shapes.setdefault((n, r), []).append((xs, ys, q, direct))
+        draws.append((n, r, xs, ys, q))
+    return draws
+
+
+def battery_contour_action(seed=0):
+    """`apply_via_contour` against `apply_direct` on random product forms.
+
+    Each draw is a point set, a Cauchy product form and q (`_contour_draws`);
+    the draws are grouped by their (n, r) shape, and each shape is checked
+    with one batched `apply_direct` call and one batched
+    `apply_via_contour` call. The row also carries the largest accepted
+    node count (`max_nodes`) and last-doubling delta (`max_last_delta`) over
+    the draws, their number (`draws`) and the quadrature's evaluated
+    `grid_points`."""
+    draws = _contour_draws(seed)
+    shapes = {}
+    for n, r, xs, ys, q in draws:
+        shapes.setdefault((n, r), []).append((xs, ys, q))
     worst, max_nodes, max_last_delta, grid_points = 0.0, 0, 0.0, 0
     for (n, r), group in shapes.items():
-        xs, ys, q, direct = (np.array(v) for v in zip(*group))
-        contour, info = macdonald.apply_via_contour(
-            macdonald.ProductFormFunction(list(ys.T)), list(xs.T), r, q,
-            full_output=True)
+        xs, ys, q = (np.array(v) for v in zip(*group))
+        G, point = macdonald.ProductFormFunction(list(ys.T)), list(xs.T)
+        direct = macdonald.apply_direct(G, point, r, q)
+        contour, info = macdonald.apply_via_contour(G, point, r, q, full_output=True)
         worst = np.maximum(worst, np.max(np.abs(direct - contour) / (np.abs(direct) + 1)))
         max_nodes = max(max_nodes, int(np.max(info["nodes"])))
         max_last_delta = np.maximum(max_last_delta, np.max(info["last_delta"]))
         grid_points += info["grid_points"]
-    return [_row(f"contour action vs direct, {draws} product-form draws", worst, 1e-8,
-                 {"max_nodes": max_nodes, "max_last_delta": float(max_last_delta),
-                  "draws": draws, "grid_points": grid_points})]
+    return [_row(f"contour action vs direct, {len(draws)} product-form draws", worst,
+                 1e-8, {"max_nodes": max_nodes, "max_last_delta": float(max_last_delta),
+                        "draws": len(draws), "grid_points": grid_points})]
 
 
 def battery_iterated_actions(seed=0):

@@ -21,6 +21,7 @@ from pfschur.partitions import enumerate_up_to_weight
 from pfschur.symfunc import cauchy_H, schur, schur_table
 
 from macdonald_reference import stated_action_Z
+from symfunc_reference import schur_per_partition
 
 
 def standard_G(ys):
@@ -64,6 +65,17 @@ def test_eigen_residual_examples():
     assert res < 1e-10
     (res,), = eigen_residual([(1,)], [0.7], [1], 0.3)
     assert res < 1e-15
+
+
+def test_eigenvalue_refuses_more_rows_than_variables():
+    with pytest.raises(ValueError, match="partition has more rows than variables"):
+        eigenvalue((2, 1, 1), 2, 1, 0.3)
+
+
+def test_eigenvalue_refuses_an_order_beyond_the_variables():
+    for r in (0, 3):
+        with pytest.raises(ValueError, match=rf"operator order r={r} must be in \[1, n=2\]"):
+            eigenvalue((2, 1), 2, r, 0.3)
 
 
 def test_eigen_residual_of_many_partitions_matches_one_at_a_time():
@@ -135,18 +147,13 @@ def test_apply_direct_over_a_batch_matches_one_point_at_a_time():
         apply_direct(table, xs, 1, q)
 
 
-def test_scalar_apply_direct_is_bitwise_the_recorded_subset_sum(monkeypatch):
-    # the contour battery's draws, against values the scalar subset sum
-    # gave before apply_direct took batches of points
+def test_scalar_apply_direct_is_bitwise_the_recorded_subset_sum():
+    # the contour battery's draws, one at a time, against values the scalar
+    # subset sum gave before apply_direct took batches of points
     golden = json.loads((Path(__file__).parent / "goldens"
                          / "contour_battery_direct_1234.json").read_text())["values"]
-    seen, direct = [], macdonald.apply_direct
-
-    def recorded(*args, **kwargs):
-        seen.append(direct(*args, **kwargs))
-        return seen[-1]
-    monkeypatch.setattr(macdonald, "apply_direct", recorded)
-    verify.battery_contour_action(1234)
+    seen = [apply_direct(ProductFormFunction(ys), xs, r, q)
+            for n, r, xs, ys, q in verify._contour_draws(1234)]
     assert not any(isinstance(v, np.ndarray) for v in seen)
     assert [[v.real.hex(), v.imag.hex()] for v in seen] == golden
 
@@ -156,16 +163,42 @@ def test_eigen_residual_over_a_batch_matches_one_point_at_a_time():
     lams = [lam for lam in enumerate_up_to_weight(5) if len(lam) <= 3]
     orders = (1, 2, 3)
     xs, q = batch_draws(rng, 3, 8)
-    got = eigen_residual(lams, xs, orders, q, q)
-    assert got.shape == (len(orders), len(lams), 8)
     F = lambda v: schur_table(lams, v)
-    for b in range(8):
-        point = [x[b] for x in xs]
-        want = eigen_residual(lams, point, orders, q[b], q[b])
-        scale = np.abs(F(point)) + 1
-        for k, r in enumerate(orders):
-            bound = 1e-15 * subset_moduli(F, point, r, q[b], q[b]) / scale
-            assert np.all(np.abs(got[k, :, b] - want[k]) <= bound), (b, r)
+    # the whole point and q over the batch, then one coordinate alone
+    for xs, q in ((xs, q), ([xs[0][0], xs[1], xs[2][0]], q[0])):
+        got = eigen_residual(lams, xs, orders, q, q)
+        assert got.shape == (len(orders), len(lams), 8)
+        for b in range(8):
+            point = [np.broadcast_to(x, 8)[b] for x in xs]
+            qb = np.broadcast_to(q, 8)[b]
+            want = eigen_residual(lams, point, orders, qb, qb)
+            scale = np.abs(F(point)) + 1
+            for k, r in enumerate(orders):
+                bound = 1e-15 * subset_moduli(F, point, r, qb, qb) / scale
+                assert np.all(np.abs(got[k, :, b] - want[k]) <= bound), (b, r)
+
+
+def test_eigen_residual_hands_apply_direct_the_table_at_each_point_set(monkeypatch):
+    # every slice of the one stacked table that F returns is bitwise the
+    # per-partition expansion at the point set apply_direct hands it
+    rng = np.random.default_rng(79)
+    lams = [lam for lam in enumerate_up_to_weight(5) if len(lam) <= 3]
+    seen, direct = [], macdonald.apply_direct
+
+    def spy(F, xs, r, q, t=None):
+        def recorded(v):
+            seen.append((F(v), schur_per_partition(lams, v)))
+            return seen[-1][0]
+        return direct(recorded, xs, r, q, t)
+    monkeypatch.setattr(macdonald, "apply_direct", spy)
+    for xs, q in (batch_draws(rng, 3, 8), ([0.5, 0.3, 0.15], 0.4 * np.exp(1.1j)),
+                  ([0.5, np.array([0.3, 0.2]), 0.15], 0.4 * np.exp(1.1j))):
+        seen.clear()
+        eigen_residual(lams, xs, (1, 2, 3), q)
+        assert len(seen) == 3 + 3 + 1
+        for got, want in seen:
+            want = np.broadcast_to(want, got.shape)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_eigenrelation_battery_is_one_batched_call_per_n(monkeypatch):
@@ -175,9 +208,15 @@ def test_eigenrelation_battery_is_one_batched_call_per_n(monkeypatch):
         calls.append((len(xs), np.shape(q)))
         return residual(lams, xs, orders, q, t, **kwargs)
 
+    def table_spy(lams, point):
+        tables.append((len(lams), np.broadcast_shapes(*map(np.shape, point))))
+        return table(lams, point)
+
     def no_schur(*args):
         raise AssertionError("the battery evaluates no Schur value one at a time")
+    tables, table = [], macdonald.schur_table
     monkeypatch.setattr(macdonald, "eigen_residual", spy)
+    monkeypatch.setattr(macdonald, "schur_table", table_spy)
     monkeypatch.setattr(symfunc, "schur", no_schur)
     monkeypatch.setattr(macdonald, "schur", no_schur)
     before = symfunc._skew_schur_cached.cache_info().currsize
@@ -185,8 +224,10 @@ def test_eigenrelation_battery_is_one_batched_call_per_n(monkeypatch):
     assert symfunc._skew_schur_cached.cache_info().currsize == before
     # one call per n over the 50 draws, then the single box at t != q
     assert calls == [(2, (50,)), (3, (50,)), (2, ())]
-    # 12 partitions fit n = 2 and 16 fit n = 3; n = 2 evaluates its point
-    # and 2 + 1 shifted sets, n = 3 its point and 3 + 3 + 1
+    # one table per call, over the 2^n shift patterns of its batch
+    assert tables == [(12, (4, 50)), (16, (8, 50)), (1, (4,))]
+    # 12 partitions fit n = 2 and 16 fit n = 3; n = 2 evaluates the 4 shift
+    # patterns of each draw's point, n = 3 the 8
     assert (row["draws"], row["point_sets"], row["schur_values"]) == (
         50, 50 * (4 + 8), 50 * (4 * 12 + 8 * 16))
     assert row["pass"] and box["pass"]
@@ -491,15 +532,23 @@ def test_contour_action_over_a_batch_matches_one_draw_at_a_time():
 
 
 def test_contour_battery_is_one_batched_call_per_shape(monkeypatch):
-    calls, contour = [], macdonald.apply_via_contour
+    calls, direct_calls = [], []
+    contour, direct = macdonald.apply_via_contour, macdonald.apply_direct
 
     def spy(G, xs, r, q, **kwargs):
         calls.append((len(xs), r, np.shape(q)))
         return contour(G, xs, r, q, **kwargs)
+
+    def direct_spy(F, xs, r, q, t=None):
+        direct_calls.append((len(xs), r, np.shape(q)))
+        return direct(F, xs, r, q, t)
     monkeypatch.setattr(macdonald, "apply_via_contour", spy)
+    monkeypatch.setattr(macdonald, "apply_direct", direct_spy)
     row, = verify.battery_contour_action(1234)
-    # the 20 draws at seed 1234 fall into four (n, r) shapes
+    # the 20 draws at seed 1234 fall into four (n, r) shapes, each with one
+    # batched direct action beside its contour action
     assert sorted(calls) == [(2, 1, (3,)), (2, 2, (7,)), (3, 1, (4,)), (3, 2, (6,))]
+    assert direct_calls == calls
     # per draw one pass, n circles of 8 nodes for each of r variables, which
     # serves the 4-node estimate too
     assert (row["draws"], row["grid_points"]) == (

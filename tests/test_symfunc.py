@@ -5,6 +5,8 @@ from pfschur.partitions import enumerate_up_to_weight, horizontal_strips, subpar
 from pfschur.symfunc import (H0, DivergenceError, cauchy_H, clear_caches,
                              schur, schur_table, skew_schur, tau)
 
+from symfunc_reference import schur_per_partition
+
 
 def power_sum(k, s):
     """p_k(s), the sum of the k-th powers of the values of s."""
@@ -157,6 +159,37 @@ def test_schur_table_matches_schur_one_point_at_a_time():
     assert schur_table([(2, 1), ()], [0.5, 0.25]).shape == (2,)
     assert abs(schur_table([(2, 1)], [0.5, 0.25])[0] - schur((2, 1), [0.5, 0.25])) < 1e-16
     assert schur_table([], [np.zeros(4)]).shape == (0, 4)
+
+
+def test_schur_table_is_bitwise_the_per_partition_expansion():
+    # the expansion shares each bottom-row minor among the partitions with
+    # that suffix; every value is bitwise that of expanding its partition
+    # alone, up to ell = 6, with rows beyond n and a batch of many blocks
+    rng = np.random.default_rng(50)
+    for ell in range(7):
+        lams = [lam for lam in enumerate_up_to_weight(9) if len(lam) <= ell]
+        for n in {max(ell - 1, 1), ell + 1}:
+            point = [0.95 * np.sqrt(rng.random(40)) * np.exp(2j * np.pi * rng.random(40))
+                     for _ in range(n)]
+            got = schur_table(lams, point)
+            assert got.tobytes() == schur_per_partition(lams, point).tobytes(), (ell, n)
+    # partitions that share suffixes, repeated, in any order
+    lams = [(3, 2, 1), (2, 2, 1), (1,), (5, 2, 1), (3, 2, 1), (), (4, 1, 1), (2, 1)]
+    point = [rng.random((3, 4)) + 0.1j for _ in range(3)]
+    assert schur_table(lams, point).tobytes() == schur_per_partition(lams, point).tobytes()
+    # a stacked batch that spans several blocks: 8 x 300 point sets
+    lams = [lam for lam in enumerate_up_to_weight(5) if len(lam) <= 3]
+    point = [np.where(np.arange(8)[:, None] >> i & 1, 0.4 * x, x)
+             for i, x in enumerate(rng.uniform(0.15, 0.85, (3, 300)))]
+    got = schur_table(lams, point)
+    assert got.shape == (len(lams), 8, 300)
+    assert got.tobytes() == schur_per_partition(lams, point).tobytes()
+    # a scalar point, and the empty list
+    for lams, point in (([(2, 1), (1, 1), ()], [0.5, 0.25]), ([], [0.5, 0.25]),
+                        ([], [np.zeros(4)]), ([()], [np.ones(3)])):
+        got = schur_table(lams, point)
+        assert got.shape == schur_per_partition(lams, point).shape
+        assert got.tobytes() == schur_per_partition(lams, point).tobytes()
 
 
 def test_clear_caches_drops_the_strip_tables():
